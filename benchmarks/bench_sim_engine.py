@@ -20,7 +20,8 @@ Three tiers of measurement land in ``BENCH_sim.json``:
 * ``profiled`` — the same scenario with the :class:`EngineProfiler`
   and :class:`RunMonitor` attached: events/sec under profiling, the
   hot action sites, and the heartbeat/flamegraph artefacts
-  (``benchmarks/out/sim_engine.speedscope.json`` etc.).
+  (``benchmarks/out/sim_engine.speedscope.json`` etc.; a ``--smoke``
+  run writes them beside its report, leaving the tracked ones alone).
 * ``million_event`` (full runs only) — the ~1M-event campaign itself,
   disabled and profiled, proving the scale target end to end.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import pathlib
 import statistics
 import sys
 from time import perf_counter
@@ -195,8 +197,10 @@ def _disabled_overhead(gate: dict) -> dict:
 
 
 def _profiled_pass(cfg: dict, *, heartbeat_s: float,
-                   artefact_prefix: str | None) -> dict:
-    """One profiled+monitored pass; optionally writes the artefacts."""
+                   artefact_prefix: str | None,
+                   out_dir: pathlib.Path = OUT_DIR) -> dict:
+    """One profiled+monitored pass; optionally writes the artefacts
+    into ``out_dir`` (recorded relative to the repo when inside it)."""
     scenario = run_recovery_scenario(
         **cfg, profile=True, heartbeat_s=heartbeat_s
     )
@@ -215,24 +219,20 @@ def _profiled_pass(cfg: dict, *, heartbeat_s: float,
         },
     }
     if artefact_prefix is not None:
-        OUT_DIR.mkdir(exist_ok=True)
-        speedscope_path = OUT_DIR / f"{artefact_prefix}.speedscope.json"
+        out_dir.mkdir(exist_ok=True)
+        speedscope_path = out_dir / f"{artefact_prefix}.speedscope.json"
+        collapsed_path = out_dir / f"{artefact_prefix}.collapsed.txt"
+        heartbeats_path = out_dir / f"{artefact_prefix}_heartbeats.jsonl"
         speedscope_path.write_text(
             json.dumps(speedscope_json(profiler, name=artefact_prefix),
                        sort_keys=True) + "\n"
         )
-        (OUT_DIR / f"{artefact_prefix}.collapsed.txt").write_text(
-            collapsed_stacks(profiler)
-        )
-        (OUT_DIR / f"{artefact_prefix}_heartbeats.jsonl").write_text(
-            monitor.heartbeats_jsonl()
-        )
+        collapsed_path.write_text(collapsed_stacks(profiler))
+        heartbeats_path.write_text(monitor.heartbeats_jsonl())
         out["artefacts"] = [
-            str(speedscope_path.relative_to(REPO_ROOT)),
-            str((OUT_DIR / f"{artefact_prefix}.collapsed.txt")
-                .relative_to(REPO_ROOT)),
-            str((OUT_DIR / f"{artefact_prefix}_heartbeats.jsonl")
-                .relative_to(REPO_ROOT)),
+            str(path.relative_to(REPO_ROOT))
+            if path.is_relative_to(REPO_ROOT) else str(path)
+            for path in (speedscope_path, collapsed_path, heartbeats_path)
         ]
     return out
 
@@ -241,8 +241,12 @@ def run(smoke: bool = False, out_path=None) -> dict:
     """Run the harness; returns (and writes) the report dict."""
     gate = _disabled_passes(GATE_SCENARIO, GATE_PASSES)
     gate["disabled_overhead"] = _disabled_overhead(gate)
+    # a smoke run leaves the tracked full-run artefacts in benchmarks/out
+    # alone: its own land beside the report it was asked to write
+    beside = smoke and out_path is not None
     profiled = _profiled_pass(
-        GATE_SCENARIO, heartbeat_s=0.2, artefact_prefix="sim_engine"
+        GATE_SCENARIO, heartbeat_s=0.2, artefact_prefix="sim_engine",
+        out_dir=pathlib.Path(out_path).parent if beside else OUT_DIR,
     )
     profiled["vs_disabled"] = (
         round(profiled["events_per_s"] / gate["events_per_s_median"], 3)

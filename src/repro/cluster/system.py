@@ -60,6 +60,11 @@ from .messages import BandwidthReport, SliceData, TransferTask
 
 log = logging.getLogger("repro.cluster.system")
 
+#: ``failure_reason`` text of a non-blocking repair bounced back because a
+#: second chunk was lost mid-repair; the recovery orchestrator matches it
+#: to requeue the stripe without charging its retry allowance
+ESCALATION_MARK = "multi-chunk repair required"
+
 
 @dataclass
 class RepairOutcome:
@@ -744,23 +749,13 @@ class ClusterSystem:
             if asm.timer is not None:
                 self.events.cancel(asm.timer)
                 asm.timer = None
-            asm.retries += 1
             asm.bytes_retransferred += asm.done_bytes
             asm.buffer[:] = 0
             asm.completed = []
             asm.done_bytes = 0
-            asm.expected = {}
-            asm.outstanding = {}
-            asm.slice_arrivals = {}
-            self._retire_attempt(asm)
-            if tracer.enabled and asm.attempt_span:
-                tracer.event(
-                    asm.attempt_span, "attempt.abort",
-                    reason="rebuilt chunk failed integrity verification",
-                )
-            self._end_attempt_span(asm, aborted=True)
-            delay = asm.backoff_base_s * (2 ** (asm.attempt - 1))
-            self.events.schedule(delay, lambda a=asm: self._start_attempt(a))
+            self._abort_attempt(
+                asm, "rebuilt chunk failed integrity verification"
+            )
             return False
         if report.predicted is not None:
             # attempts exhausted (or no culprit among stored chunks) but
@@ -863,66 +858,25 @@ class ClusterSystem:
         excluded from helpers, the chunk is rebuilt on the requester,
         and relocation clears the quarantine.
         """
-        lost0 = self.master.stripe(stripe_id).chunk_on(failed_node)
-        if self._alive[failed_node] and not self.master.is_quarantined(
-            stripe_id, lost0
-        ):
-            raise ValueError(f"node {failed_node} has not failed")
-        if not self._alive[requester]:
-            raise ValueError("requester node is down")
         if on_failure not in ("raise", "outcome"):
             raise ValueError('on_failure must be "raise" or "outcome"')
-        start_time = self.events.now
-        busy_before = (
-            [(n.uplink_busy_s, n.downlink_busy_s) for n in self.nodes]
-            if self.metrics.enabled
-            else None
-        )
-        if inject_failure is not None:
-            node, delay = inject_failure
-            self.events.schedule(delay, lambda n=node: self.fail_node(n))
-        if injector is not None:
-            injector.arm(self)
-
-        repair_id = f"{stripe_id}/n{failed_node}"
-        chunk_bytes = self._stripe_sizes[stripe_id]
-        asm = _Assembly(
-            stripe_id=stripe_id,
-            repair_id=repair_id,
-            requester=requester,
-            chunk_bytes=chunk_bytes,
-            failed_node=failed_node,
-            lost_chunk=self.master.stripe(stripe_id).chunk_on(failed_node),
-            buffer=np.zeros(chunk_bytes, dtype=np.uint8),
-            timeout_s=progress_timeout_s,
-            max_attempts=max_attempts,
-            backoff_base_s=backoff_base_s,
-            watchdog=True,
+        asm = self._open_repair(
+            stripe_id, failed_node, requester,
+            inject_failure=inject_failure,
+            injector=injector,
             store=store,
-            start_time=start_time,
+            max_attempts=max_attempts,
+            progress_timeout_s=progress_timeout_s,
+            backoff_base_s=backoff_base_s,
         )
-        if self.tracer.enabled:
-            asm.span = self.tracer.start_span(
-                f"repair {repair_id}",
-                kind="repair",
-                stripe=stripe_id,
-                failed_node=failed_node,
-                requester=requester,
-                chunk_bytes=chunk_bytes,
-                algorithm=self.master.algorithm.name,
-            )
-        self._assemblies[repair_id] = asm
-        self._start_attempt(asm)
         self.events.run()
         self._drop_assembly(asm)
 
         if asm.escalate:
-            outcome = self._finish_escalated(
-                asm, start_time, on_failure="outcome"
-            )
+            outcome = self._finish_escalated(asm)
         else:
             outcome = self._settle_outcome(asm)
-        self._finalize_repair_obs(asm, outcome, start_time, busy_before)
+        self._finalize_repair_obs(asm, outcome)
         if outcome.status == FAILED and on_failure == "raise":
             if asm.escalate:
                 raise RuntimeError(
@@ -971,60 +925,26 @@ class ClusterSystem:
         computed on the bandwidth the first leaves behind, so their
         union is feasible).  Returns outcomes keyed by failed node.
         """
-        loc = self.master.stripe(stripe_id)
         failed_nodes = tuple(failed_nodes)
-        starts: dict[int, float] = {}
         plans = self._plan_multi(stripe_id, failed_nodes, requester_for)
-        for f in failed_nodes:
-            starts[f] = self.events.now
-            self._dispatch_plan(
-                plans[f], stripe_id, f, requester_for[f],
-                repair_id=f"{stripe_id}/n{f}",
+        asms = [
+            self._open_planned_repair(
+                plans[f], stripe_id, f, requester_for[f], f"{stripe_id}/n{f}"
             )
+            for f in failed_nodes
+        ]
         self.events.run()
+        # forget every chunk of the call before judging any of them: a
+        # stall must not leave its siblings registered
+        for asm in asms:
+            self._pop_assembly(asm.repair_id)
         outcomes: dict[int, RepairOutcome] = {}
-        for f in failed_nodes:
-            asm = self._pop_assembly(f"{stripe_id}/n{f}")
+        for asm in asms:
             if not asm.complete:
-                raise RuntimeError(f"multi-failure repair of chunk on {f} stalled")
-            lost = loc.chunk_on(f)
-            store_ok, quarantined, detected = self._audit_multi_chunk(
-                stripe_id, lost, asm.buffer
-            )
-            if not store_ok:
-                outcomes[f] = RepairOutcome(
-                    plan=plans[f],
-                    rebuilt=None,
-                    elapsed_seconds=asm.last_arrival - starts[f],
-                    bytes_received=asm.received,
-                    verified=False,
-                    status=FAILED,
-                    failure_reason="rebuilt chunk failed integrity verification",
-                    corruption_detected=True,
-                    quarantined_chunks=quarantined,
+                raise RuntimeError(
+                    f"multi-failure repair of chunk on {asm.failed_node} stalled"
                 )
-                continue
-            self.nodes[requester_for[f]].store.put(stripe_id, lost, asm.buffer)
-            self.master.relocate_chunk(stripe_id, lost, requester_for[f])
-            fstore = self.nodes[f].store
-            verified = fstore.has(stripe_id, lost) and bool(
-                np.array_equal(asm.buffer, fstore.get(stripe_id, lost))
-            )
-            if not verified and not (
-                fstore.has(stripe_id, lost) and fstore.verify(stripe_id, lost)
-            ):
-                # the oracle copy is itself rotten (scrub-repair) or gone;
-                # the parity audit is the only ground truth left
-                verified = store_ok
-            outcomes[f] = RepairOutcome(
-                plan=plans[f],
-                rebuilt=asm.buffer,
-                elapsed_seconds=asm.last_arrival - starts[f],
-                bytes_received=asm.received,
-                verified=verified,
-                corruption_detected=detected,
-                quarantined_chunks=quarantined,
-            )
+            outcomes[asm.failed_node] = self._settle_planned(asm)
         return outcomes
 
     def repair_node(
@@ -1086,72 +1006,26 @@ class ClusterSystem:
         )
         outcomes: dict[str, RepairOutcome] = {}
         for batch in node_plan.batches:
-            starts = {}
-            for sid in batch:
-                starts[sid] = self.events.now
-                self._dispatch_plan(
-                    node_plan.plans[sid], sid, failed_node, requester_for[sid]
+            asms = [
+                self._open_planned_repair(
+                    node_plan.plans[sid], sid, failed_node, requester_for[sid],
+                    f"{sid}/n{failed_node}",
                 )
+                for sid in batch
+            ]
             self.events.run()
-            for sid in batch:
-                asm = self._pop_assembly(f"{sid}/n{failed_node}")
-                if not asm.complete:
-                    # structured per-stripe verdict: whole-node recovery
-                    # degrades (other stripes keep repairing) instead of
-                    # aborting the batch loop with a bare RuntimeError
-                    outcomes[sid] = RepairOutcome(
-                        plan=node_plan.plans[sid],
-                        rebuilt=None,
-                        elapsed_seconds=self.events.now - starts[sid],
-                        bytes_received=asm.received,
-                        verified=False,
-                        status=FAILED,
-                        failure_reason=(
-                            f"batched repair incomplete: {asm.received} of "
-                            f"{asm.chunk_bytes} bytes arrived"
-                        ),
-                    )
+            for asm in asms:
+                self._pop_assembly(asm.repair_id)
+                if asm.complete:
+                    outcomes[asm.stripe_id] = self._settle_planned(asm)
                     continue
-                loc = self.master.stripe(sid)
-                lost = loc.chunk_on(failed_node)
-                store_ok, quarantined, detected = self._audit_multi_chunk(
-                    sid, lost, asm.buffer
-                )
-                if not store_ok:
-                    outcomes[sid] = RepairOutcome(
-                        plan=node_plan.plans[sid],
-                        rebuilt=None,
-                        elapsed_seconds=asm.last_arrival - starts[sid],
-                        bytes_received=asm.received,
-                        verified=False,
-                        status=FAILED,
-                        failure_reason=(
-                            "rebuilt chunk failed integrity verification"
-                        ),
-                        corruption_detected=True,
-                        quarantined_chunks=quarantined,
-                    )
-                    continue
-                self.nodes[requester_for[sid]].store.put(sid, lost, asm.buffer)
-                self.master.relocate_chunk(sid, lost, requester_for[sid])
-                fstore = self.nodes[failed_node].store
-                verified = fstore.has(sid, lost) and bool(
-                    np.array_equal(asm.buffer, fstore.get(sid, lost))
-                )
-                if not verified and not (
-                    fstore.has(sid, lost) and fstore.verify(sid, lost)
-                ):
-                    # rot-then-crash: the dead node's copy is not ground
-                    # truth; fall back to the parity audit's verdict
-                    verified = store_ok
-                outcomes[sid] = RepairOutcome(
-                    plan=node_plan.plans[sid],
-                    rebuilt=asm.buffer,
-                    elapsed_seconds=asm.last_arrival - starts[sid],
-                    bytes_received=asm.received,
-                    verified=verified,
-                    corruption_detected=detected,
-                    quarantined_chunks=quarantined,
+                # structured per-stripe verdict: whole-node recovery
+                # degrades (other stripes keep repairing) instead of
+                # aborting the batch loop with a bare RuntimeError
+                outcomes[asm.stripe_id] = self._failed_outcome(
+                    asm,
+                    f"batched repair incomplete: {asm.received} of "
+                    f"{asm.chunk_bytes} bytes arrived",
                 )
         return outcomes
 
@@ -1247,21 +1121,63 @@ class ClusterSystem:
         outcome comes back ``failed`` with an explanatory
         ``failure_reason`` and the caller decides whether to re-dispatch
         through :meth:`repair_multi_async`.
+        (DESIGN.md, "Repair entry points", tabulates all five calls.)
 
         Returns the repair id (unique per call, so concurrent repairs of
         the same chunk — e.g. a degraded read racing the orchestrator —
         never collide).  As with :meth:`repair`, a live ``failed_node``
         whose chunk is quarantined dispatches a scrub-repair.
         """
-        lost0 = self.master.stripe(stripe_id).chunk_on(failed_node)
+        asm = self._open_repair(
+            stripe_id, failed_node, requester,
+            on_done=lambda a, cb=on_done: self._complete_async(a, cb),
+            store=store,
+            max_attempts=max_attempts,
+            progress_timeout_s=progress_timeout_s,
+            backoff_base_s=backoff_base_s,
+            bandwidth_scale=bandwidth_scale,
+        )
+        return asm.repair_id
+
+    def _open_repair(
+        self,
+        stripe_id: str,
+        failed_node: int,
+        requester: int,
+        *,
+        store: bool,
+        max_attempts: int,
+        progress_timeout_s: float | None,
+        backoff_base_s: float,
+        inject_failure: tuple[int, float] | None = None,
+        injector=None,
+        on_done=None,
+        **budget,
+    ) -> _Assembly:
+        """Open a watchdog repair: validate, arm faults, start attempt 1.
+
+        The one set-up behind :meth:`repair` and :meth:`repair_async`.
+        ``budget`` is empty or ``bandwidth_scale=...``; it reaches both
+        the assembly and the repair span's attributes.
+        """
+        lost_chunk = self.master.stripe(stripe_id).chunk_on(failed_node)
         if self._alive[failed_node] and not self.master.is_quarantined(
-            stripe_id, lost0
+            stripe_id, lost_chunk
         ):
             raise ValueError(f"node {failed_node} has not failed")
         if not self._alive[requester]:
             raise ValueError("requester node is down")
-        self._async_seq += 1
-        repair_id = f"{stripe_id}/n{failed_node}@a{self._async_seq}"
+        repair_id = f"{stripe_id}/n{failed_node}"
+        if on_done is not None:
+            # non-blocking: unique per call, so concurrent repairs of one
+            # chunk (a degraded read racing the orchestrator) never collide
+            self._async_seq += 1
+            repair_id += f"@a{self._async_seq}"
+        if inject_failure is not None:
+            node, delay = inject_failure
+            self.events.schedule(delay, lambda n=node: self.fail_node(n))
+        if injector is not None:
+            injector.arm(self)
         chunk_bytes = self._stripe_sizes[stripe_id]
         asm = _Assembly(
             stripe_id=stripe_id,
@@ -1269,7 +1185,7 @@ class ClusterSystem:
             requester=requester,
             chunk_bytes=chunk_bytes,
             failed_node=failed_node,
-            lost_chunk=self.master.stripe(stripe_id).chunk_on(failed_node),
+            lost_chunk=lost_chunk,
             buffer=np.zeros(chunk_bytes, dtype=np.uint8),
             timeout_s=progress_timeout_s,
             max_attempts=max_attempts,
@@ -1277,13 +1193,13 @@ class ClusterSystem:
             watchdog=True,
             store=store,
             start_time=self.events.now,
-            bandwidth_scale=bandwidth_scale,
             busy_before=(
                 [(n.uplink_busy_s, n.downlink_busy_s) for n in self.nodes]
                 if self.metrics.enabled
                 else None
             ),
-            on_done=lambda a, cb=on_done: self._complete_async(a, cb),
+            on_done=on_done,
+            **budget,
         )
         if self.tracer.enabled:
             asm.span = self.tracer.start_span(
@@ -1294,36 +1210,19 @@ class ClusterSystem:
                 requester=requester,
                 chunk_bytes=chunk_bytes,
                 algorithm=self.master.algorithm.name,
-                bandwidth_scale=bandwidth_scale,
+                **budget,
             )
         self._assemblies[repair_id] = asm
         self._start_attempt(asm)
-        return repair_id
+        return asm
 
     def _settle_outcome(self, asm: _Assembly) -> RepairOutcome:
         """Terminal outcome of a finished, non-escalated watchdog repair."""
         if not asm.complete or asm.failed:
-            reason = asm.failure_reason or "repair did not complete"
-            return RepairOutcome(
-                plan=asm.plan,
-                rebuilt=None,
-                elapsed_seconds=self.events.now - asm.start_time,
-                bytes_received=asm.received,
-                verified=False,
-                attempts=max(asm.attempt, 1),
-                status=FAILED,
-                retries=asm.retries,
-                replans=asm.replans,
-                bytes_retransferred=asm.bytes_retransferred,
-                failure_reason=reason,
-                corruption_detected=asm.corruption_detected,
-                quarantined_chunks=tuple(sorted(asm.quarantined)),
+            return self._failed_outcome(
+                asm, asm.failure_reason or "repair did not complete"
             )
-        if asm.lost_chunk >= 0:
-            lost_chunk = asm.lost_chunk
-        else:
-            loc = self.master.stripe(asm.stripe_id)
-            lost_chunk = loc.chunk_on(asm.failed_node)
+        lost_chunk = asm.lost_chunk
         rebuilt = asm.buffer
         if asm.store:
             store = self.nodes[asm.requester].store
@@ -1378,27 +1277,12 @@ class ClusterSystem:
     def _complete_async(self, asm: _Assembly, callback) -> None:
         """Terminal handler for :meth:`repair_async` dispatches."""
         if asm.escalate:
-            outcome = RepairOutcome(
-                plan=asm.plan,
-                rebuilt=None,
-                elapsed_seconds=self.events.now - asm.start_time,
-                bytes_received=asm.received,
-                verified=False,
-                attempts=max(asm.attempt, 1),
-                status=FAILED,
-                retries=asm.retries,
-                replans=asm.replans,
-                bytes_retransferred=asm.bytes_retransferred,
-                failure_reason=(
-                    "second chunk lost mid-repair; "
-                    "multi-chunk repair required"
-                ),
-                corruption_detected=asm.corruption_detected,
-                quarantined_chunks=tuple(sorted(asm.quarantined)),
+            outcome = self._failed_outcome(
+                asm, f"second chunk lost mid-repair; {ESCALATION_MARK}"
             )
         else:
             outcome = self._settle_outcome(asm)
-        self._finalize_repair_obs(asm, outcome, asm.start_time, asm.busy_before)
+        self._finalize_repair_obs(asm, outcome)
         # routing cleanup WITHOUT purging retired epochs: stale slices of
         # aborted attempts may still be in flight and must keep being
         # dropped silently; the finished wire joins the retired set so a
@@ -1428,6 +1312,7 @@ class ClusterSystem:
         :class:`RepairOutcome` dict; chunks that missed the deadline come
         back ``failed`` with a ``failure_reason`` instead of raising, so
         an orchestrator can re-queue them.
+        (DESIGN.md, "Repair entry points", tabulates all five calls.)
         """
         failed_nodes = tuple(failed_nodes)
         plans = self._plan_multi(
@@ -1436,56 +1321,15 @@ class ClusterSystem:
         )
         self._async_seq += 1
         group = f"@m{self._async_seq}"
-        loc = self.master.stripe(stripe_id)
-        rids = {f: f"{stripe_id}/n{f}{group}" for f in failed_nodes}
-        starts = {f: self.events.now for f in failed_nodes}
         remaining = set(failed_nodes)
         outcomes: dict[int, RepairOutcome] = {}
         deadline_timer: list = [None]
 
-        def settle_chunk(f: int, asm: _Assembly) -> None:
-            lost = loc.chunk_on(f)
-            store_ok, quarantined, detected = self._audit_multi_chunk(
-                stripe_id, lost, asm.buffer
-            )
-            if not store_ok:
-                outcomes[f] = RepairOutcome(
-                    plan=plans[f],
-                    rebuilt=None,
-                    elapsed_seconds=asm.last_arrival - starts[f],
-                    bytes_received=asm.received,
-                    verified=False,
-                    status=FAILED,
-                    failure_reason="rebuilt chunk failed integrity verification",
-                    corruption_detected=True,
-                    quarantined_chunks=quarantined,
-                )
-            else:
-                self.nodes[requester_for[f]].store.put(
-                    stripe_id, lost, asm.buffer
-                )
-                self.master.relocate_chunk(stripe_id, lost, requester_for[f])
-                fstore = self.nodes[f].store
-                verified = fstore.has(stripe_id, lost) and bool(
-                    np.array_equal(asm.buffer, fstore.get(stripe_id, lost))
-                )
-                if not verified and not (
-                    fstore.has(stripe_id, lost)
-                    and fstore.verify(stripe_id, lost)
-                ):
-                    verified = store_ok
-                outcomes[f] = RepairOutcome(
-                    plan=plans[f],
-                    rebuilt=asm.buffer,
-                    elapsed_seconds=asm.last_arrival - starts[f],
-                    bytes_received=asm.received,
-                    verified=verified,
-                    corruption_detected=detected,
-                    quarantined_chunks=quarantined,
-                )
+        def chunk_done(asm: _Assembly) -> None:
+            outcomes[asm.failed_node] = self._settle_planned(asm)
             self._pop_assembly(asm.repair_id)
             self._retired.add(asm.wire_id)
-            remaining.discard(f)
+            remaining.discard(asm.failed_node)
             if not remaining:
                 if deadline_timer[0] is not None:
                     self.events.cancel(deadline_timer[0])
@@ -1496,7 +1340,7 @@ class ClusterSystem:
             if not remaining:
                 return
             for f in sorted(remaining):
-                rid = rids[f]
+                rid = asms[f].repair_id
                 asm = self._assemblies.get(rid)
                 if asm is None:
                     continue
@@ -1504,34 +1348,140 @@ class ClusterSystem:
                 for node in self.nodes:
                     node.cancel_repair(rid)
                 self._retired.add(rid)
-                popped = self._pop_assembly(rid)
-                outcomes[f] = RepairOutcome(
-                    plan=plans[f],
-                    rebuilt=None,
-                    elapsed_seconds=self.events.now - starts[f],
-                    bytes_received=popped.received,
-                    verified=False,
-                    status=FAILED,
-                    failure_reason=(
-                        f"multi-chunk repair missed its "
-                        f"{deadline_s:g}s deadline"
-                    ),
+                outcomes[f] = self._failed_outcome(
+                    self._pop_assembly(rid),
+                    f"multi-chunk repair missed its {deadline_s:g}s deadline",
                 )
             remaining.clear()
             on_done(dict(outcomes))
 
-        for f in failed_nodes:
-            self._dispatch_plan(
-                plans[f], stripe_id, f, requester_for[f], repair_id=rids[f]
+        asms = {
+            f: self._open_planned_repair(
+                plans[f], stripe_id, f, requester_for[f],
+                f"{stripe_id}/n{f}{group}", on_done=chunk_done,
             )
-            asm = self._assemblies[rids[f]]
-            asm.failed_node = f
-            asm.start_time = starts[f]
-            asm.bandwidth_scale = bandwidth_scale
-            asm.on_done = lambda a, ff=f: settle_chunk(ff, a)
+            for f in failed_nodes
+        }
         if deadline_s is not None:
             deadline_timer[0] = self.events.schedule(deadline_s, on_deadline)
         return group
+
+    def _open_planned_repair(
+        self,
+        plan: RepairPlan,
+        stripe_id: str,
+        failed_node: int,
+        requester: int,
+        repair_id: str,
+        on_done=None,
+    ) -> _Assembly:
+        """Open an unwatched repair of one chunk along a ready-made plan.
+
+        The one dispatch behind :meth:`repair_multi`, :meth:`repair_node`
+        and :meth:`repair_multi_async`: a single attempt, no watchdog,
+        no re-plan.  ``on_done(assembly)`` fires when the chunk
+        assembles; without it the caller settles after draining the
+        queue.
+        """
+        chunk_bytes = self._stripe_sizes[stripe_id]
+        lost_chunk = self.master.stripe(stripe_id).chunk_on(failed_node)
+        windows = max(1, -(-chunk_bytes // self.slice_bytes))
+        tasks = self.master.compile_tasks(
+            plan, stripe_id, lost_chunk, chunk_bytes=chunk_bytes,
+            num_slices=windows, repair_id=repair_id,
+        )
+        asm = _Assembly(
+            stripe_id=stripe_id,
+            repair_id=repair_id,
+            requester=requester,
+            chunk_bytes=chunk_bytes,
+            failed_node=failed_node,
+            lost_chunk=lost_chunk,
+            buffer=np.zeros(chunk_bytes, dtype=np.uint8),
+            plan=plan,
+            wire_id=repair_id,
+            attempt=1,
+            start_time=self.events.now,
+            on_done=on_done,
+        )
+        if self.tracer.enabled:
+            asm.span = self.tracer.start_span(
+                f"repair {repair_id}",
+                kind="repair",
+                stripe=stripe_id,
+                requester=requester,
+                chunk_bytes=chunk_bytes,
+                algorithm=self.master.algorithm.name,
+                t_max_mbps=float(plan.total_rate),
+            )
+        self._assemblies[repair_id] = asm
+        self._wire_assembly[repair_id] = asm
+        self._dispatch_tasks(asm, tasks)
+        return asm
+
+    def _settle_planned(self, asm: _Assembly) -> RepairOutcome:
+        """Settle a completed unwatched chunk: audit, persist, relocate,
+        verify.  A failed audit is an explicit failed verdict — the
+        caller re-dispatches; nothing is healed or re-repaired here."""
+        sid, lost = asm.stripe_id, asm.lost_chunk
+        store_ok, quarantined, detected = self._audit_multi_chunk(
+            sid, lost, asm.buffer
+        )
+        asm.corruption_detected = detected
+        asm.quarantined = list(quarantined)
+        if not store_ok:
+            return self._failed_outcome(
+                asm,
+                "rebuilt chunk failed integrity verification",
+                end=asm.last_arrival,
+            )
+        self.nodes[asm.requester].store.put(sid, lost, asm.buffer)
+        self.master.relocate_chunk(sid, lost, asm.requester)
+        fstore = self.nodes[asm.failed_node].store
+        verified = fstore.has(sid, lost) and bool(
+            np.array_equal(asm.buffer, fstore.get(sid, lost))
+        )
+        if not verified and not (
+            fstore.has(sid, lost) and fstore.verify(sid, lost)
+        ):
+            # the oracle copy is itself rotten (scrub-repair, or rot then
+            # crash) or gone; the parity audit is the only ground truth left
+            verified = store_ok
+        return RepairOutcome(
+            plan=asm.plan,
+            rebuilt=asm.buffer,
+            elapsed_seconds=asm.last_arrival - asm.start_time,
+            bytes_received=asm.received,
+            verified=verified,
+            corruption_detected=detected,
+            quarantined_chunks=quarantined,
+        )
+
+    def _failed_outcome(
+        self, asm: _Assembly, reason: str, *, end: float | None = None
+    ) -> RepairOutcome:
+        """The one explicit ``failed`` verdict, read off the assembly.
+
+        The repair ran from ``asm.start_time`` to ``end`` (now, when
+        unset).
+        """
+        if end is None:
+            end = self.events.now
+        return RepairOutcome(
+            plan=asm.plan,
+            rebuilt=None,
+            elapsed_seconds=end - asm.start_time,
+            bytes_received=asm.received,
+            verified=False,
+            attempts=max(asm.attempt, 1),
+            status=FAILED,
+            retries=asm.retries,
+            replans=asm.replans,
+            bytes_retransferred=asm.bytes_retransferred,
+            failure_reason=reason,
+            corruption_detected=asm.corruption_detected,
+            quarantined_chunks=tuple(sorted(asm.quarantined)),
+        )
 
     # ---- self-healing attempt state machine --------------------------- #
 
@@ -1629,14 +1579,7 @@ class ClusterSystem:
             repair_id=wire,
             intervals=remainder,
         )
-        asm.expected = {}
-        asm.outstanding = {}
-        asm.slice_arrivals = {}
-        for task in tasks:
-            if task.destination == asm.requester:
-                src = loc.node_of(task.chunk_index)
-                asm.expected.setdefault(task.pipeline_id, set()).add(src)
-                asm.outstanding[task.pipeline_id] = task.stop - task.start
+        self._dispatch_tasks(asm, tasks)
         if tracer.enabled:
             tracer.set_attrs(
                 asm.attempt_span,
@@ -1645,23 +1588,6 @@ class ClusterSystem:
                 pipelines=len(asm.outstanding),
                 rung=plan.meta.get("recovery", "none"),
                 t_max_mbps=float(plan.total_rate),
-            )
-            rate_by_pid = _pipeline_rates(tasks)
-            for pid, nbytes in asm.outstanding.items():
-                self._pipeline_spans[(wire, pid)] = tracer.start_span(
-                    f"pipeline {pid}",
-                    kind="pipeline",
-                    parent=asm.attempt_span,
-                    pipeline=pid,
-                    bytes=nbytes,
-                    wire=wire,
-                    rate_mbps=rate_by_pid.get(pid, 0.0),
-                )
-        for task in tasks:
-            owner = loc.node_of(task.chunk_index)
-            self.events.schedule(
-                self.dispatch_latency_s,
-                lambda t=task, o=owner: self._assign_if_alive(o, t),
             )
         self._arm_timer(asm)
         self._arm_detector(asm)
@@ -1838,7 +1764,8 @@ class ClusterSystem:
         )
 
     def _abort_attempt(self, asm: _Assembly, reason: str) -> None:
-        """Tear down a stalled attempt and schedule the next one."""
+        """Tear down the current attempt (stalled, diverged, or proven
+        poisoned) and schedule the next one after the backoff."""
         asm.retries += 1
         self._disarm_detector(asm)
         self._retire_attempt(asm)
@@ -1934,9 +1861,7 @@ class ClusterSystem:
             ]:
                 self.tracer.end_span(self._pipeline_spans.pop(key))
 
-    def _finish_escalated(
-        self, asm: _Assembly, start_time: float, *, on_failure: str
-    ) -> RepairOutcome:
+    def _finish_escalated(self, asm: _Assembly) -> RepairOutcome:
         """Second chunk lost mid-repair: restart through repair_multi."""
         loc = self.master.stripe(asm.stripe_id)
         lost = tuple(n for n in loc.placement if not self._alive[n])
@@ -1969,29 +1894,14 @@ class ClusterSystem:
             except (ValueError, RuntimeError) as exc:
                 fail_reason = str(exc)
         if outcomes is None:
-            reason = f"second chunk lost mid-repair; {fail_reason}"
-            if on_failure == "raise":
-                raise RuntimeError(
-                    f"repair of {asm.stripe_id} failed: {reason}"
-                )
-            return RepairOutcome(
-                plan=asm.plan,
-                rebuilt=None,
-                elapsed_seconds=self.events.now - start_time,
-                bytes_received=asm.received,
-                verified=False,
-                attempts=max(asm.attempt, 1),
-                status=FAILED,
-                retries=asm.retries,
-                replans=asm.replans,
-                bytes_retransferred=asm.bytes_retransferred,
-                failure_reason=reason,
+            return self._failed_outcome(
+                asm, f"second chunk lost mid-repair; {fail_reason}"
             )
         ours = outcomes[asm.failed_node]
         return RepairOutcome(
             plan=ours.plan,
             rebuilt=ours.rebuilt,
-            elapsed_seconds=self.events.now - start_time,
+            elapsed_seconds=self.events.now - asm.start_time,
             bytes_received=asm.received + ours.bytes_received,
             verified=ours.verified,
             attempts=max(asm.attempt, 1) + 1,
@@ -2116,13 +2026,7 @@ class ClusterSystem:
                 attrs["node"] = node
             self.tracer.event(live_span, "fault.injected", **attrs)
 
-    def _finalize_repair_obs(
-        self,
-        asm: _Assembly,
-        outcome: RepairOutcome,
-        start_time: float,
-        busy_before: list | None,
-    ) -> None:
+    def _finalize_repair_obs(self, asm: _Assembly, outcome: RepairOutcome) -> None:
         """Close the repair span and publish end-of-repair metrics."""
         elapsed = max(outcome.elapsed_seconds, 0.0)
         if self.tracer.enabled and asm.span:
@@ -2140,7 +2044,7 @@ class ClusterSystem:
                 self.tracer.set_attrs(
                     asm.span, failure_reason=outcome.failure_reason
                 )
-            self.tracer.end_span(asm.span, t=start_time + elapsed)
+            self.tracer.end_span(asm.span, t=asm.start_time + elapsed)
         if self.fleet.enabled:
             now = self.events.now
             algo = self.master.algorithm.name
@@ -2221,10 +2125,10 @@ class ClusterSystem:
             "repro_event_queue_peak_depth",
             "High-water mark of the pending-event queue.",
         ).set(self.events.peak_pending)
-        window = self.events.now - start_time
-        if busy_before is not None and window > 0:
+        window = self.events.now - asm.start_time
+        if asm.busy_before is not None and window > 0:
             for i, node in enumerate(self.nodes):
-                up0, down0 = busy_before[i]
+                up0, down0 = asm.busy_before[i]
                 m.gauge(
                     "repro_node_uplink_busy_fraction",
                     "Fraction of the repair window each uplink was busy.",
@@ -2238,24 +2142,31 @@ class ClusterSystem:
 
     # ---- internals ---------------------------------------------------- #
 
-    def _dispatch_plan(
-        self,
-        plan: RepairPlan,
-        stripe_id: str,
-        failed_node: int,
-        requester: int,
-        repair_id: str | None = None,
-    ) -> None:
-        repair_id = repair_id or f"{stripe_id}/n{failed_node}"
-        chunk_bytes = self._stripe_sizes[stripe_id]
-        loc = self.master.stripe(stripe_id)
-        lost_chunk = loc.chunk_on(failed_node)
-        windows = max(1, -(-chunk_bytes // self.slice_bytes))
-        tasks = self.master.compile_tasks(
-            plan, stripe_id, lost_chunk, chunk_bytes=chunk_bytes,
-            num_slices=windows, repair_id=repair_id,
-        )
-        self._begin_assembly(plan, tasks, chunk_bytes, requester, repair_id)
+    def _dispatch_tasks(self, asm: _Assembly, tasks: list[TransferTask]) -> None:
+        """Expect the requester-bound ranges of the attempt's tasks, open
+        its pipeline spans, and hand every task to the node holding its
+        chunk after the dispatch latency."""
+        loc = self.master.stripe(asm.stripe_id)
+        asm.expected = {}
+        asm.outstanding = {}
+        asm.slice_arrivals = {}
+        for task in tasks:
+            if task.destination == asm.requester:
+                src = loc.node_of(task.chunk_index)
+                asm.expected.setdefault(task.pipeline_id, set()).add(src)
+                asm.outstanding[task.pipeline_id] = task.stop - task.start
+        if self.tracer.enabled:
+            rate_by_pid = _pipeline_rates(tasks)
+            for pid, nbytes in asm.outstanding.items():
+                self._pipeline_spans[(asm.wire_id, pid)] = self.tracer.start_span(
+                    f"pipeline {pid}",
+                    kind="pipeline",
+                    parent=asm.attempt_span or asm.span,
+                    pipeline=pid,
+                    bytes=nbytes,
+                    wire=asm.wire_id,
+                    rate_mbps=rate_by_pid.get(pid, 0.0),
+                )
         for task in tasks:
             owner = loc.node_of(task.chunk_index)
             self.events.schedule(
@@ -2268,59 +2179,6 @@ class ClusterSystem:
         # quarantine at assign time): never execute tasks of a retired wire
         if self._alive[node] and (task.repair_id or task.stripe_id) not in self._retired:
             self.nodes[node].assign(task)
-
-    def _begin_assembly(
-        self,
-        plan: RepairPlan,
-        tasks: list[TransferTask],
-        chunk_bytes: int,
-        requester: int,
-        repair_id: str,
-    ) -> None:
-        expected: dict[int, set] = {}
-        outstanding: dict[int, int] = {}
-        stripe_id = tasks[0].stripe_id if tasks else ""
-        loc = self.master.stripe(stripe_id)
-        for task in tasks:
-            if task.destination == requester:
-                src = loc.node_of(task.chunk_index)
-                expected.setdefault(task.pipeline_id, set()).add(src)
-                outstanding[task.pipeline_id] = task.stop - task.start
-        asm = _Assembly(
-            stripe_id=stripe_id,
-            repair_id=repair_id,
-            requester=requester,
-            chunk_bytes=chunk_bytes,
-            expected=expected,
-            outstanding=outstanding,
-            buffer=np.zeros(chunk_bytes, dtype=np.uint8),
-            plan=plan,
-            wire_id=repair_id,
-            attempt=1,
-        )
-        if self.tracer.enabled:
-            asm.span = self.tracer.start_span(
-                f"repair {repair_id}",
-                kind="repair",
-                stripe=stripe_id,
-                requester=requester,
-                chunk_bytes=chunk_bytes,
-                algorithm=self.master.algorithm.name,
-                t_max_mbps=float(plan.total_rate),
-            )
-            rate_by_pid = _pipeline_rates(tasks)
-            for pid, nbytes in outstanding.items():
-                self._pipeline_spans[(repair_id, pid)] = self.tracer.start_span(
-                    f"pipeline {pid}",
-                    kind="pipeline",
-                    parent=asm.span,
-                    pipeline=pid,
-                    bytes=nbytes,
-                    wire=repair_id,
-                    rate_mbps=rate_by_pid.get(pid, 0.0),
-                )
-        self._assemblies[repair_id] = asm
-        self._wire_assembly[repair_id] = asm
 
     def _pop_assembly(self, repair_id: str) -> _Assembly:
         asm = self._assemblies.pop(repair_id)

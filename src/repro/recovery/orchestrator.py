@@ -30,13 +30,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+from ..cluster.system import ESCALATION_MARK
 from ..faults import COMPLETED, FAILED
 from .queue import RepairQueue, RepairTicket
 
 logger = logging.getLogger(__name__)
-
-#: failure_reason marker for an escalation bounced back by repair_async
-_ESCALATED_MARK = "multi-chunk repair required"
 
 
 @dataclass(frozen=True)
@@ -568,7 +566,7 @@ class RecoveryOrchestrator:
                     "Budget utilisation: granted share x occupancy.",
                 ).inc(record.share * (now - record.admitted_at))
         if status == FAILED:
-            escalated = reason is not None and _ESCALATED_MARK in reason
+            escalated = reason is not None and ESCALATION_MARK in reason
             if escalated:
                 # exposure changed under us — not the ticket's fault, so
                 # the attempt does not count against its retry allowance

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSystem, FileStore
+from repro.cluster.system import ESCALATION_MARK
 from repro.ec import RSCode
-from repro.faults import FAILED
+from repro.faults import ESCALATED, FAILED
 from repro.net import BandwidthSnapshot
+from repro.obs import Tracer
 
 
 def make_system(num_nodes=8, n=4, k=2, chunk=4096, mbps=500.0, seed=0):
@@ -112,6 +114,65 @@ class TestNodeStripesIndex:
             assert store.affected_files(node) == expected
 
 
+#: RepairOutcome fields the blocking and non-blocking entry points must
+#: agree on for the same cluster history
+TWIN_FIELDS = (
+    "status", "attempts", "retries", "replans", "elapsed_seconds",
+    "bytes_received", "bytes_retransferred", "verified", "failure_reason",
+)
+
+
+def twin_clusters(failed=(0,), algorithm="fullrepair"):
+    """Two identical (9,6) clusters, one per entry-point family."""
+    pair = []
+    for _ in range(2):
+        sys_ = ClusterSystem(
+            12, RSCode(9, 6), slice_bytes=4096, algorithm=algorithm
+        )
+        sys_.set_bandwidth(BandwidthSnapshot.uniform(12, 200.0))
+        rng = np.random.default_rng(3)
+        sys_.write_stripe(
+            "s0", rng.integers(0, 256, (6, 256 * 1024), dtype=np.uint8)
+        )
+        for f in failed:
+            sys_.fail_node(f)
+        pair.append(sys_)
+    return pair
+
+
+def assert_twins_agree(blocking, non_blocking, a, b):
+    for name in TWIN_FIELDS:
+        assert getattr(a, name) == getattr(b, name), name
+    assert blocking.events.executed == non_blocking.events.executed
+
+
+#: fault name -> (arm(system), check(outcome) proving the fault bit)
+TWIN_FAULTS = {
+    "clean": (
+        lambda s: None,
+        lambda o: o.verified and o.retries == 0,
+    ),
+    "helper-crash": (
+        lambda s: s.events.schedule(0.004, lambda: s.fail_node(3)),
+        lambda o: o.verified and o.retries == 1 and o.replans == 1,
+    ),
+    "requester-crash": (
+        lambda s: s.events.schedule(0.004, lambda: s.fail_node(10)),
+        lambda o: o.status == FAILED and "requester" in o.failure_reason,
+    ),
+    "straggler": (
+        lambda s: s.events.schedule(0.002, lambda: s.set_rate_cap(2, 1.0)),
+        lambda o: o.verified and o.elapsed_seconds > 0.1,
+    ),
+    "corrupt-wire": (
+        lambda s: s.events.schedule(
+            0.002, lambda: s.corrupt_wire(4, 0.003, seed=1)
+        ),
+        lambda o: o.verified and o.corruption_detected,
+    ),
+}
+
+
 class TestAsyncPrimitives:
     def test_concurrent_repairs_of_same_chunk_get_unique_ids(self):
         sys_, write, payloads = make_system()
@@ -175,3 +236,98 @@ class TestAsyncPrimitives:
             assert outcome.status == FAILED
             assert not outcome.verified
             assert "deadline" in outcome.failure_reason
+
+    @pytest.mark.parametrize("fault", sorted(TWIN_FAULTS))
+    def test_repair_matches_repair_async(self, fault):
+        arm, bit = TWIN_FAULTS[fault]
+        blocking, non_blocking = twin_clusters()
+        arm(blocking)
+        arm(non_blocking)
+        a = blocking.repair(
+            "s0", 0, requester=10, on_failure="outcome", store=False
+        )
+        done = []
+        non_blocking.repair_async(
+            "s0", 0, requester=10, store=False, on_done=done.append
+        )
+        non_blocking.events.run()
+        (b,) = done
+        assert bit(a), a
+        assert_twins_agree(blocking, non_blocking, a, b)
+
+    def test_repair_multi_matches_repair_multi_async(self):
+        blocking, non_blocking = twin_clusters(failed=(0, 1))
+        for sys_ in (blocking, non_blocking):
+            sys_.events.schedule(
+                0.002, lambda s=sys_: s.set_rate_cap(4, 5.0)
+            )
+        a = blocking.repair_multi("s0", (0, 1), {0: 10, 1: 11})
+        done = []
+        non_blocking.repair_multi_async(
+            "s0", (0, 1), {0: 10, 1: 11}, on_done=done.append
+        )
+        non_blocking.events.run()
+        (b,) = done
+        assert set(a) == set(b) == {0, 1}
+        for f in (0, 1):
+            assert a[f].verified
+            assert_twins_agree(blocking, non_blocking, a[f], b[f])
+        assert (
+            blocking.master.stripe("s0").placement
+            == non_blocking.master.stripe("s0").placement
+        )
+
+    def test_second_loss_escalates_inline_but_bounces_when_non_blocking(self):
+        # the one documented difference: a blocking repair may nest the
+        # multi-chunk repair, a non-blocking one must hand the stripe back
+        blocking, non_blocking = twin_clusters(algorithm="conventional")
+        probe = blocking.master.schedule_repair("s0", 0, requester=10)
+        participants = {e.child for p in probe.pipelines for e in p.edges}
+        bystander = next(n for n in range(1, 9) if n not in participants)
+        for sys_ in (blocking, non_blocking):
+            sys_.events.schedule(
+                0.004, lambda s=sys_: s.fail_node(bystander)
+            )
+        a = blocking.repair("s0", 0, requester=10, on_failure="outcome")
+        done = []
+        non_blocking.repair_async("s0", 0, requester=10, on_done=done.append)
+        non_blocking.events.run()
+        (b,) = done
+        assert a.status == ESCALATED and a.verified
+        assert b.status == FAILED and not b.verified
+        assert ESCALATION_MARK in b.failure_reason
+        assert b.elapsed_seconds == pytest.approx(0.004)
+        assert not non_blocking._assemblies and not non_blocking._wire_assembly
+
+
+class TestRepairMultiStall:
+    def test_stalled_call_leaves_no_assembly_or_open_span_behind(self):
+        # (5,3) with nodes 0,1 lost needs all three survivors; killing
+        # helper 2 mid-transfer stalls both chunks, and the raise on the
+        # first must not leave the second registered
+        tracer = Tracer()
+        sys_ = ClusterSystem(8, RSCode(5, 3), slice_bytes=2048, tracer=tracer)
+        sys_.set_bandwidth(BandwidthSnapshot.uniform(8, 100.0))
+        rng = np.random.default_rng(0)
+        sys_.write_stripe(
+            "a", rng.integers(0, 256, (3, 64 * 1024), dtype=np.uint8),
+            placement=(0, 1, 2, 3, 4),
+        )
+        sys_.fail_node(0)
+        sys_.fail_node(1)
+        sys_.events.schedule(0.0002, lambda: sys_.fail_node(2))
+        with pytest.raises(
+            RuntimeError, match="multi-failure repair of chunk on 0 stalled"
+        ):
+            sys_.repair_multi("a", (0, 1), {0: 5, 1: 6})
+        assert sys_._assemblies == {}
+        assert sys_._wire_assembly == {}
+        assert sys_._pipeline_spans == {}
+        assert [s.name for s in tracer.spans() if s.end is None] == []
+
+
+def test_orchestrator_matches_the_marker_the_cluster_writes():
+    from repro.cluster import system
+    from repro.recovery import orchestrator
+
+    assert orchestrator.ESCALATION_MARK is system.ESCALATION_MARK

@@ -104,11 +104,14 @@ class TestSchema:
             assert live < before["tick_mean_us"] * 0.6
 
     def test_artefacts_written(self, smoke_report):
-        report, _ = smoke_report
+        report, out = smoke_report
         prof = report["profiled"]
         for rel in prof["artefacts"]:
+            # a smoke run writes beside its report (absolute when that
+            # is outside the repo), never into tracked benchmarks/out
             path = REPO_ROOT / rel
             assert path.exists(), rel
+            assert path.parent == out.parent
         speedscope = json.loads(
             (REPO_ROOT / prof["artefacts"][0]).read_text()
         )
