@@ -30,6 +30,13 @@ class ChunkStore:
         self._digests: dict[tuple[str, int], int] = {}
         #: armed torn write: (tail_fraction, rng) applied to the next put
         self._torn: tuple[float, np.random.Generator] | None = None
+        #: store-wide mutation count, and its value at each chunk's last
+        #: mutation: a chunk's stored bytes and recorded digest are
+        #: unchanged for as long as its generation is
+        self._mutations = 0
+        self._generations: dict[tuple[str, int], int] = {}
+        #: verify() verdicts, valid until the chunk's next mutation
+        self._verdicts: dict[tuple[str, int], bool] = {}
 
     def put(self, stripe_id: str, chunk_index: int, payload: np.ndarray) -> None:
         """Store a chunk (copies the payload) and record its digest.
@@ -51,6 +58,7 @@ class ChunkStore:
             np.bitwise_xor(arr[-tail:], garble, out=arr[-tail:])
         self._chunks[(stripe_id, chunk_index)] = arr
         self._digests[(stripe_id, chunk_index)] = digest
+        self._mutated((stripe_id, chunk_index))
 
     def get(self, stripe_id: str, chunk_index: int) -> np.ndarray:
         """Fetch a chunk copy; raises ``KeyError`` if absent."""
@@ -72,8 +80,10 @@ class ChunkStore:
 
     def delete(self, stripe_id: str, chunk_index: int) -> None:
         """Drop a chunk; raises ``KeyError`` if absent."""
-        del self._chunks[(stripe_id, chunk_index)]
-        self._digests.pop((stripe_id, chunk_index), None)
+        key = (stripe_id, chunk_index)
+        del self._chunks[key]
+        for table in (self._digests, self._generations, self._verdicts):
+            table.pop(key, None)
 
     def chunk_keys(self) -> list[tuple[str, int]]:
         """Every ``(stripe_id, chunk_index)`` stored, sorted."""
@@ -97,9 +107,27 @@ class ChunkStore:
         return self._digests[(stripe_id, chunk_index)]
 
     def verify(self, stripe_id: str, chunk_index: int) -> bool:
-        """Re-digest the stored bytes and compare with the record."""
+        """Whether the stored bytes still digest to the record.
+
+        The bytes are re-digested once per generation: every at-rest
+        mutation goes through this class (``put`` / ``delete`` /
+        ``corrupt``), so between two of them the verdict cannot change.
+        """
         key = (stripe_id, chunk_index)
-        return chunk_digest(self._chunks[key]) == self._digests[key]
+        ok = self._verdicts.get(key)
+        if ok is None:
+            ok = chunk_digest(self._chunks[key]) == self._digests[key]
+            self._verdicts[key] = ok
+        return ok
+
+    def generation(self, stripe_id: str, chunk_index: int) -> int:
+        """Changes whenever the chunk's stored bytes may have (0 = absent)."""
+        return self._generations.get((stripe_id, chunk_index), 0)
+
+    def _mutated(self, key: tuple[str, int]) -> None:
+        self._mutations += 1
+        self._generations[key] = self._mutations
+        self._verdicts.pop(key, None)
 
     # ---- fault hooks (silent-corruption injection) --------------------- #
 
@@ -132,6 +160,7 @@ class ChunkStore:
         chunk[positions] ^= masks
         if fix_digest:
             self._digests[key] = chunk_digest(chunk)
+        self._mutated(key)
         return count
 
     def arm_torn_write(self, tail_fraction: float = 0.25, seed: int = 0) -> None:

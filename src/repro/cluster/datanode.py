@@ -8,10 +8,16 @@ slice with their own contribution before forwarding; every edge is a FIFO
 serialised at its planned rate with a fixed per-slice overhead.  The
 integration tests assert that the event-driven times measured here agree
 with the vectorised recurrence, and that the rebuilt bytes are exact.
+
+Events, sends and checksums are per slice; reading and GF-scaling the
+node's own bytes is per task — one store read and one kernel call cover
+a task's whole byte range, and slices are views into the result
+(docs/DATAPLANE.md, "Segment-granular scaling").
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +36,21 @@ class _TaskState:
 
     task: TransferTask
     num_slices: int
-    slice_bytes: int
-    #: per-slice payload accumulator (own contribution XOR arrivals)
+    #: slice ``i`` spans ``[bounds[i], bounds[i + 1])``: the balanced
+    #: split ``start + i*q + min(i, r)`` with ``q, r = divmod(len, num)``
+    #: — the same table on every node of a pipeline, so slice
+    #: boundaries line up across hops
+    bounds: list[int]
+    #: ``task.wait_for`` as a set: the sources every slice needs
+    wait_for: frozenset
+    #: per-slice payload accumulator (own contribution XOR arrivals);
+    #: each entry is a view into ``scaled``
     partials: list[np.ndarray | None] = field(default_factory=list)
+    #: this node's coefficient-scaled bytes of ``[scaled_lo, task.stop)``
+    #: as of chunk generation ``generation`` (see ``_prepare_own``)
+    scaled: np.ndarray | None = None
+    scaled_lo: int = 0
+    generation: int = 0
     #: per-slice set of sources already folded in
     arrived: list[set] = field(default_factory=list)
     #: per-slice time the slice became sendable (arrival + GF combine);
@@ -124,10 +142,12 @@ class DataNode:
             num = max(1, min(task.num_slices, seg_len))
         else:
             num = max(1, -(-seg_len // self.slice_bytes))
+        q, r = divmod(seg_len, num)
         state = _TaskState(
             task=task,
             num_slices=num,
-            slice_bytes=self.slice_bytes,
+            bounds=[task.start + i * q + min(i, r) for i in range(num + 1)],
+            wait_for=frozenset(task.wait_for),
             partials=[None] * num,
             arrived=[set() for _ in range(num)],
             ready_at=[None] * num,
@@ -154,6 +174,18 @@ class DataNode:
                 cancelled += 1
         return cancelled
 
+    def release_repair(self, repair_id: str) -> None:
+        """Free the payload buffers of a repair whose every slice landed.
+
+        The task entries stay, so the cluster's routing (task lookup,
+        stale-epoch handling) sees what it saw before; a retransmit
+        request for a released task is refused like one for a lost task.
+        """
+        for (rid, _), state in self._tasks.items():
+            if rid == repair_id:
+                state.partials = [None] * state.num_slices
+                state.scaled = None
+
     def receive(self, data: SliceData) -> None:
         """Fold an incoming partial into the matching task state."""
         key = (data.repair_id or data.stripe_id, data.pipeline_id)
@@ -172,69 +204,67 @@ class DataNode:
             self.on_bad_slice(self.node_id, data)
             return
         idx = self._slice_index(state, data.start)
-        if data.source in state.arrived[idx]:
+        arrived = state.arrived[idx]
+        if data.source in arrived:
             raise RuntimeError(
                 f"node {self.node_id}: duplicate slice {idx} from {data.source}"
             )
         if state.partials[idx] is None:
             self._prepare_own(state, idx)
-        expected = len(state.partials[idx])
-        if len(data.payload) != expected:
+        partial = state.partials[idx]
+        if len(data.payload) != len(partial):
             raise RuntimeError(
                 f"node {self.node_id}: slice {idx} size {len(data.payload)} "
-                f"!= expected {expected}"
+                f"!= expected {len(partial)}"
             )
-        np.bitwise_xor(state.partials[idx], data.payload, out=state.partials[idx])
-        state.arrived[idx].add(data.source)
-        if not set(state.task.wait_for) - state.arrived[idx]:
+        np.bitwise_xor(partial, data.payload, out=partial)
+        arrived.add(data.source)
+        if state.wait_for <= arrived:
             # last dependency landed: the slice becomes sendable after the
             # GF combine, which overlaps earlier slices' edge occupancy
-            lo, hi = self._slice_bounds(state, idx)
             state.ready_at[idx] = (
-                self.events.now + self.compute_s_per_byte * (hi - lo)
+                self.events.now + self.compute_s_per_byte * len(partial)
             )
         self._pump(state)
 
     # ------------------------------------------------------------------ #
 
-    def _slice_bounds(self, state: _TaskState, idx: int) -> tuple[int, int]:
-        """Balanced split of the segment into ``num_slices`` windows.
-
-        Window ``i`` spans ``[start + i*q + min(i, r), ...)`` with
-        ``q, r = divmod(len, num)`` — the same formula on every node of a
-        pipeline, so slice boundaries line up across hops.
-        """
-        t = state.task
-        seg_len = t.stop - t.start
-        q, r = divmod(seg_len, state.num_slices)
-        lo = t.start + idx * q + min(idx, r)
-        hi = lo + q + (1 if idx < r else 0)
-        return lo, hi
-
     def _slice_index(self, state: _TaskState, start: int) -> int:
-        t = state.task
-        seg_len = t.stop - t.start
-        q, r = divmod(seg_len, state.num_slices)
-        offset = start - t.start
-        if offset < r * (q + 1):
-            idx, rem = divmod(offset, q + 1)
-        else:
-            idx, rem = divmod(offset - r, q) if q else (0, 1)
-        if rem or not 0 <= idx < state.num_slices:
+        idx = bisect_left(state.bounds, start)
+        if idx >= state.num_slices or state.bounds[idx] != start:
             raise RuntimeError(f"misaligned slice start {start}")
-        return int(idx)
+        return idx
 
     def _prepare_own(self, state: _TaskState, idx: int) -> None:
-        """Initialise slice ``idx`` with this node's own contribution."""
+        """Initialise slice ``idx`` with this node's own contribution.
+
+        The whole not-yet-read remainder ``[bounds[idx], stop)`` is read
+        and scaled by one kernel call the first time any slice needs it;
+        later slices take views.  A slice's bytes are those the chunk
+        held when the slice was prepared: the store bumps the chunk's
+        generation on every mutation, so if it moved since the remainder
+        was scaled (bit rot mid-repair), the remainder is read again
+        from here on — slices already prepared keep what they read.
+        """
         t = state.task
-        lo, hi = self._slice_bounds(state, idx)
-        if t.coeff == 0:
-            state.partials[idx] = np.zeros(hi - lo, dtype=np.uint8)
-        else:
-            raw = self.store.get_range(t.stripe_id, t.chunk_index, lo, hi)
-            # coefficient scaling goes through the EC backend so the hub
-            # combine path shares the blocked table kernels with encode
-            state.partials[idx] = ec_backend.get_backend().mul_chunk(t.coeff, raw)
+        lo = state.bounds[idx]
+        generation = self.store.generation(t.stripe_id, t.chunk_index)
+        if (
+            state.scaled is None
+            or generation != state.generation
+            or lo < state.scaled_lo
+        ):
+            if t.coeff == 0:
+                state.scaled = np.zeros(t.stop - lo, dtype=np.uint8)
+            else:
+                raw = self.store.get_range(t.stripe_id, t.chunk_index, lo, t.stop)
+                # coefficient scaling goes through the EC backend so the hub
+                # combine path shares the blocked table kernels with encode
+                state.scaled = ec_backend.get_backend().mul_chunk(t.coeff, raw)
+            state.scaled_lo = lo
+            state.generation = generation
+        off = lo - state.scaled_lo
+        state.partials[idx] = state.scaled[off : off + state.bounds[idx + 1] - lo]
 
     def _pump(self, state: _TaskState) -> None:
         """Start transmitting the next ready slice (edge FIFO order).
@@ -245,59 +275,65 @@ class DataNode:
         slice that has not yet started — unlike scheduling the whole
         segment ahead of time, which would bake rates in at assign time.
         """
-        t = state.task
         if state.in_flight or state.cancelled:
             return
         idx = state.next_send
         if idx >= state.num_slices:
             return
         if state.partials[idx] is None or state.ready_at[idx] is None:
-            return
-        if set(t.wait_for) - state.arrived[idx]:
             return  # still waiting on upstream partials for this slice
+        state.in_flight = True
+        state.next_send += 1
+        state.sent += 1
+        msg, arrival = self._transmit(state, idx, state.ready_at[idx])
+
+        def _complete(m=msg, d=state.task.destination, s=state) -> None:
+            s.in_flight = False
+            self.deliver(d, m)
+            self._pump(s)
+
+        self.events.schedule_at(arrival, _complete)
+
+    def _transmit(
+        self, state: _TaskState, idx: int, not_before: float
+    ) -> tuple[SliceData, float]:
+        """Occupy the task's edge with slice ``idx``: ``(message, arrival)``.
+
+        The slice starts once it is ready, the edge FIFO is free and no
+        stall holds the node; it occupies the edge for its bytes at the
+        planned (or straggler-capped) rate plus the per-slice overhead.
+        """
+        t = state.task
+        lo, hi = state.bounds[idx], state.bounds[idx + 1]
         rate_mbps = t.rate_mbps
         if self.rate_cap_mbps is not None:
             rate_mbps = min(rate_mbps, self.rate_cap_mbps)
         rate = units.mbps_to_bytes_per_s(rate_mbps)
-        lo, hi = self._slice_bounds(state, idx)
-        payload = state.partials[idx]
         occupancy = (hi - lo) / rate + self.slice_overhead_s
-        start_tx = max(state.ready_at[idx], state.edge_free, self.stalled_until)
-        state.edge_free = start_tx + occupancy
-        arrival = state.edge_free
-        # checksum covers the payload as sent; wire corruption happens
-        # after, on a copy, so the retained partial stays clean for
-        # retransmission
-        checksum = slice_checksum(payload)
-        payload = self._maybe_corrupt(payload, start_tx)
+        start_tx = max(not_before, state.edge_free, self.stalled_until)
+        state.edge_free = arrival = start_tx + occupancy
+        payload = state.partials[idx]
         msg = SliceData(
             stripe_id=t.stripe_id,
             pipeline_id=t.pipeline_id,
             source=self.node_id,
             start=lo,
             stop=hi,
-            payload=payload,
+            # checksum covers the payload as sent; wire corruption happens
+            # after, on a copy, so the retained partial stays clean for
+            # retransmission
+            payload=self._maybe_corrupt(payload, start_tx),
             repair_id=t.repair_id,
-            checksum=checksum,
+            checksum=slice_checksum(payload),
         )
-        dest = t.destination
-        state.in_flight = True
-        state.next_send += 1
-        state.sent += 1
         self.bytes_sent += hi - lo
         self.uplink_busy_s += occupancy
         if self.on_transfer is not None:
             self.on_transfer(
-                self.node_id, dest, lo, hi, start_tx, arrival,
+                self.node_id, t.destination, lo, hi, start_tx, arrival,
                 t.repair_id or t.stripe_id, t.pipeline_id,
             )
-
-        def _complete(m=msg, d=dest, s=state) -> None:
-            s.in_flight = False
-            self.deliver(d, m)
-            self._pump(s)
-
-        self.events.schedule_at(arrival, _complete)
+        return msg, arrival
 
     def _maybe_corrupt(self, payload: np.ndarray, start_tx: float) -> np.ndarray:
         """Apply armed wire corruption to a *copy* of an outgoing payload."""
@@ -332,35 +368,8 @@ class DataNode:
         payload = state.partials[idx]
         if payload is None or len(payload) != stop - start:
             return False
-        t = state.task
-        rate_mbps = t.rate_mbps
-        if self.rate_cap_mbps is not None:
-            rate_mbps = min(rate_mbps, self.rate_cap_mbps)
-        rate = units.mbps_to_bytes_per_s(rate_mbps)
-        occupancy = (stop - start) / rate + self.slice_overhead_s
-        start_tx = max(self.events.now, state.edge_free, self.stalled_until)
-        state.edge_free = start_tx + occupancy
-        arrival = state.edge_free
-        checksum = slice_checksum(payload)
-        payload = self._maybe_corrupt(payload, start_tx)
-        msg = SliceData(
-            stripe_id=t.stripe_id,
-            pipeline_id=t.pipeline_id,
-            source=self.node_id,
-            start=start,
-            stop=stop,
-            payload=payload,
-            repair_id=t.repair_id,
-            checksum=checksum,
-        )
-        dest = t.destination
-        self.bytes_sent += stop - start
-        self.uplink_busy_s += occupancy
-        if self.on_transfer is not None:
-            self.on_transfer(
-                self.node_id, dest, start, stop, start_tx, arrival,
-                t.repair_id or t.stripe_id, t.pipeline_id,
-            )
+        msg, arrival = self._transmit(state, idx, self.events.now)
+        dest = state.task.destination
         self.events.schedule_at(arrival, lambda m=msg, d=dest: self.deliver(d, m))
         return True
 

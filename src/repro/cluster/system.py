@@ -1835,6 +1835,10 @@ class ClusterSystem:
         self._disarm_detector(asm)
         if retire:
             self._retire_attempt(asm)
+        if asm.complete:
+            # every slice of the wire landed: its senders' buffers are dead
+            for node in self.nodes:
+                node.release_repair(asm.wire_id)
         self._end_attempt_span(asm)
         if asm.on_done is not None:
             # non-blocking dispatch: the terminal callback fires exactly

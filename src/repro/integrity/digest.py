@@ -55,7 +55,16 @@ def slice_checksum(payload: np.ndarray | bytes | bytearray | memoryview) -> int:
 
     Slices are bounded by the pipelining window (typically 64 KiB), far
     below the digest block size, so this is a single ``zlib.crc32``
-    call — but it shares :func:`chunk_digest`'s definition exactly, so
-    a whole-chunk slice checksums to the chunk digest.
+    call on the buffer itself — the value :func:`chunk_digest` chains
+    to, so a whole-chunk slice checksums to the chunk digest.  Anything
+    else (a larger, non-byte or strided buffer) takes
+    :func:`chunk_digest`'s path and its checks.
     """
+    if (
+        isinstance(payload, np.ndarray)
+        and payload.dtype == np.uint8
+        and payload.nbytes <= DIGEST_BLOCK_BYTES
+        and payload.flags.c_contiguous
+    ):
+        return zlib.crc32(payload)
     return chunk_digest(payload)

@@ -66,3 +66,94 @@ class TestChunkStore:
     def test_rejects_2d_payload(self, store):
         with pytest.raises(ValueError):
             store.put("s4", 0, np.zeros((2, 2), dtype=np.uint8))
+
+
+class TestVerifyMemo:
+    """``verify`` digests a chunk once per mutation, not once per call."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        """Calls of ``chunk_digest`` made by the store, as a growing list."""
+        from repro.cluster import chunkstore
+
+        calls = []
+        real = chunkstore.chunk_digest
+
+        def counting(payload):
+            calls.append(len(payload))
+            return real(payload)
+
+        monkeypatch.setattr(chunkstore, "chunk_digest", counting)
+        return calls
+
+    def _verify_twice(self, store, digests, key=("s1", 0)):
+        """``(verdict, digests taken)`` of two back-to-back verifies."""
+        before = len(digests)
+        first = store.verify(*key)
+        assert store.verify(*key) is first
+        return first, len(digests) - before
+
+    def test_unchanged_chunk_is_digested_once(self, store, digests):
+        assert self._verify_twice(store, digests) == (True, 1)
+        assert self._verify_twice(store, digests) == (True, 0)
+        store.get("s1", 0)
+        store.get_range("s1", 0, 2, 9)
+        store.put("s1", 3, np.ones(16, dtype=np.uint8))  # another chunk
+        del digests[:]
+        assert self._verify_twice(store, digests) == (True, 0)
+
+    def test_put_redigests(self, store, digests):
+        store.verify("s1", 0)
+        store.put("s1", 0, np.arange(32, dtype=np.uint8))  # same bytes
+        del digests[:]
+        assert self._verify_twice(store, digests) == (True, 1)
+
+    def test_delete_then_put_redigests(self, store, digests):
+        before = store.generation("s1", 0)
+        store.verify("s1", 0)
+        store.delete("s1", 0)
+        assert store.generation("s1", 0) == 0
+        with pytest.raises(KeyError):
+            store.verify("s1", 0)
+        store.put("s1", 0, np.arange(32, dtype=np.uint8))
+        assert store.generation("s1", 0) not in (0, before)
+        del digests[:]
+        assert self._verify_twice(store, digests) == (True, 1)
+
+    def test_corrupt_redigests_and_false_sticks(self, store, digests):
+        store.verify("s1", 0)
+        store.corrupt("s1", 0, flips=4, seed=1)
+        del digests[:]
+        assert self._verify_twice(store, digests) == (False, 1)
+        assert self._verify_twice(store, digests) == (False, 0)
+        store.put("s1", 0, np.arange(32, dtype=np.uint8))  # healed
+        assert self._verify_twice(store, digests)[0] is True
+
+    def test_corrupt_with_fixed_digest_redigests(self, store, digests):
+        store.verify("s1", 0)
+        store.corrupt("s1", 0, flips=4, seed=1, fix_digest=True)
+        del digests[:]
+        assert self._verify_twice(store, digests) == (True, 1)
+
+    def test_torn_write_is_not_hidden_by_the_memo(self, store, digests):
+        store.verify("s1", 0)
+        store.arm_torn_write(tail_fraction=0.5, seed=2)
+        assert self._verify_twice(store, digests) == (True, 0)  # only armed
+        store.put("s1", 0, np.arange(32, dtype=np.uint8))
+        del digests[:]
+        assert self._verify_twice(store, digests) == (False, 1)
+
+    def test_every_mutation_moves_the_generation(self, store):
+        seen = [store.generation("s1", 0)]
+        store.put("s1", 0, np.arange(32, dtype=np.uint8))
+        seen.append(store.generation("s1", 0))
+        store.corrupt("s1", 0, flips=1)
+        seen.append(store.generation("s1", 0))
+        store.corrupt("s1", 0, flips=1, fix_digest=True)
+        seen.append(store.generation("s1", 0))
+        assert len(set(seen)) == len(seen) and 0 not in seen
+        untouched = store.generation("s1", 3)
+        store.verify("s1", 0)
+        store.get("s1", 0)
+        assert store.generation("s1", 0) == seen[-1]
+        assert store.generation("s1", 3) == untouched

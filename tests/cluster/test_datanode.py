@@ -137,3 +137,217 @@ class TestHubCombining:
                 SliceData("s", 99, source=4, start=0, stop=16,
                           payload=np.zeros(16, dtype=np.uint8))
             )
+
+
+def reference_bounds(start, stop, num):
+    """The balanced split every node of a pipeline computes, spelt out."""
+    q, r = divmod(stop - start, num)
+    return [
+        (start + i * q + min(i, r), start + (i + 1) * q + min(i + 1, r))
+        for i in range(num)
+    ]
+
+
+class TestSegmentScalingEquivalence:
+    """One kernel call per task yields the bytes of one call per slice.
+
+    The reference is the per-slice form the node used to run:
+    ``mul_chunk(coeff, chunk[lo:hi])`` on each balanced window.  Segments
+    are uneven (``r != 0``), offset into the chunk, and sized so that
+    slices fall both below and above ``MIN_TABLE_BYTES`` — below it the
+    reference takes the naive gather while the whole segment takes the
+    blocked kernel, so the two sides also cross kernels.
+    """
+
+    CHUNK = np.random.default_rng(11).integers(0, 256, 40_000, dtype=np.uint8)
+    #: (start, stop, num_slices): tiny slices; sub-table slices of a
+    #: super-table segment; super-table slices
+    SEGMENTS = [(3, 1003, 7), (100, 10_101, 7), (17, 30_019, 5)]
+
+    def _task(self, coeff, segment, wait_for=()):
+        start, stop, num = segment
+        return TransferTask(
+            stripe_id="s", pipeline_id=7, chunk_index=0, coeff=coeff,
+            start=start, stop=stop, destination=9, rate_mbps=100.0,
+            wait_for=wait_for, num_slices=num,
+        )
+
+    def _own(self, coeff, lo, hi):
+        from repro.ec.backend import get_backend
+
+        return get_backend().mul_chunk(coeff, self.CHUNK[lo:hi])
+
+    def test_segments_cover_both_sides_of_the_table_threshold(self):
+        from repro.ec.backend import MIN_TABLE_BYTES
+
+        widths = [(stop - start) // num for start, stop, num in self.SEGMENTS]
+        assert min(widths) < MIN_TABLE_BYTES < max(widths)
+        assert all((stop - start) % num for start, stop, num in self.SEGMENTS)
+
+    @pytest.mark.parametrize("coeff", [0, 1, 0x53])
+    @pytest.mark.parametrize("segment", SEGMENTS)
+    def test_leaf_slices(self, coeff, segment):
+        node, events, delivered = make_node()
+        node.store.put("s", 0, self.CHUNK)
+        node.assign(self._task(coeff, segment))
+        events.run()
+        assert [(m.start, m.stop) for _, m in delivered] == reference_bounds(*segment)
+        for _, msg in delivered:
+            assert np.array_equal(msg.payload, self._own(coeff, msg.start, msg.stop))
+
+    @pytest.mark.parametrize("coeff", [0, 1, 0x53])
+    @pytest.mark.parametrize("segment", SEGMENTS)
+    def test_hub_slices(self, coeff, segment):
+        from repro.cluster import SliceData
+
+        node, events, delivered = make_node(node_id=2)
+        node.store.put("s", 0, self.CHUNK)
+        node.assign(self._task(coeff, segment, wait_for=(4, 5)))
+        rng = np.random.default_rng(3)
+        incoming = {}
+        for lo, hi in reference_bounds(*segment):
+            for source in (4, 5):
+                payload = rng.integers(0, 256, hi - lo, dtype=np.uint8)
+                incoming[lo] = incoming.get(lo, 0) ^ payload
+                node.receive(SliceData("s", 7, source=source, start=lo, stop=hi,
+                                       payload=payload))
+        events.run()
+        assert [(m.start, m.stop) for _, m in delivered] == reference_bounds(*segment)
+        for _, msg in delivered:
+            expected = self._own(coeff, msg.start, msg.stop) ^ incoming[msg.start]
+            assert np.array_equal(msg.payload, expected)
+
+
+class TestChunkChangesUnderATask:
+    """A slice carries the bytes the chunk held when the slice was prepared."""
+
+    def _hub(self):
+        from repro.cluster import SliceData
+
+        node, events, delivered = make_node(node_id=2)
+        chunk = np.random.default_rng(5).integers(0, 256, 2048, dtype=np.uint8)
+        node.store.put("s", 1, chunk)
+        node.assign(TransferTask(
+            stripe_id="s", pipeline_id=7, chunk_index=1, coeff=5,
+            start=0, stop=2048, destination=9, rate_mbps=100.0,
+            wait_for=(4,), num_slices=4,
+        ))
+
+        def arrive(i):
+            node.receive(SliceData("s", 7, source=4, start=512 * i,
+                                   stop=512 * (i + 1),
+                                   payload=np.zeros(512, dtype=np.uint8)))
+
+        return node, events, delivered, chunk, arrive
+
+    def test_rot_between_arrivals_reaches_only_later_slices(self):
+        node, events, delivered, clean, arrive = self._hub()
+        arrive(0)
+        node.store.corrupt("s", 1, flips=512, seed=9)
+        rotten = node.store.get("s", 1)
+        assert not np.array_equal(rotten[:512], clean[:512])  # slice 0 was hit too
+        for i in (1, 2, 3):
+            arrive(i)
+        events.run()
+        sent = [msg.payload for _, msg in delivered]
+        assert np.array_equal(sent[0], gf256.mul_chunk(5, clean[:512]))
+        for i in (1, 2, 3):
+            lo, hi = 512 * i, 512 * (i + 1)
+            assert np.array_equal(sent[i], gf256.mul_chunk(5, rotten[lo:hi]))
+
+    def test_out_of_order_first_arrival_reads_the_earlier_slice_too(self):
+        # slice 0's first copy was dropped for a bad checksum: slice 1
+        # arrives first, the chunk rots, then slice 0's retransmit lands
+        node, events, delivered, clean, arrive = self._hub()
+        arrive(1)
+        node.store.corrupt("s", 1, flips=512, seed=9)
+        rotten = node.store.get("s", 1)
+        arrive(0)
+        arrive(2)
+        arrive(3)
+        events.run()
+        sent = {msg.start: msg.payload for _, msg in delivered}
+        assert np.array_equal(sent[512], gf256.mul_chunk(5, clean[512:1024]))
+        for lo in (0, 1024, 1536):
+            assert np.array_equal(sent[lo], gf256.mul_chunk(5, rotten[lo:lo + 512]))
+
+    def test_chunk_deleted_under_a_hub_raises_at_the_next_read(self):
+        node, events, delivered, _, arrive = self._hub()
+        arrive(0)
+        node.store.delete("s", 1)
+        with pytest.raises(KeyError):
+            arrive(1)
+
+
+class TestReleaseRepair:
+    def test_release_frees_buffers_and_keeps_the_task_entry(self):
+        node, events, delivered = make_node()
+        node.store.put("s", 0, np.arange(1024, dtype=np.uint8))
+        node.assign(leaf_task())
+        events.run()
+        assert node.retransmit(("s", 7), 256, 512)
+        events.run()
+        assert len(delivered) == 5
+        node.release_repair("s")
+        (state,) = node._tasks.values()
+        assert state.scaled is None and state.partials == [None] * 4
+        assert not node.retransmit(("s", 7), 256, 512)  # refused, not an error
+        assert node.pending_tasks() == 0
+
+
+class TestHubRotMidRepair:
+    """Bit rot under a hub, mid-repair, through the whole cluster.
+
+    The first node to have received a slice for every one of its hub
+    tasks has its own chunk rotted at that instant: each of its hub
+    tasks has read its first slice and has slices still to come.  Those
+    later slices carry the rotten bytes into the pipeline, the
+    post-repair audit catches the poisoned rebuild, quarantines the
+    hub's chunk and repairs again.  The values below were recorded with
+    per-slice reads (before segment-granular scaling) and must not move:
+    a hub that kept serving its pre-rot segment finishes clean on the
+    first attempt (``retries == 0``, 420 events).
+    """
+
+    def test_outcome_matches_per_slice_reads(self):
+        from ..integrity.conftest import build_system
+
+        system, chunks, loc = build_system(seed=1)
+        system.fail_node(0)
+        hub_tasks = {}  # node -> pipeline ids of its hub tasks
+        started = {}  # node -> pipeline ids that received a slice
+        rotted, later = [], []
+        for node in system.nodes:
+            def assign(task, node=node, real=node.assign):
+                if task.wait_for:
+                    hub_tasks.setdefault(node.node_id, set()).add(task.pipeline_id)
+                real(task)
+
+            def receive(data, node=node, real=node.receive):
+                real(data)
+                nid = node.node_id
+                if rotted:
+                    if nid == rotted[0]:
+                        later.append(data.start)
+                    return
+                started.setdefault(nid, set()).add(data.pipeline_id)
+                if started[nid] == hub_tasks[nid]:
+                    node.store.corrupt(
+                        "s0", loc.placement.index(nid), flips=256, seed=5
+                    )
+                    rotted.append(nid)
+
+            node.assign, node.receive = assign, receive
+        outcome = system.repair("s0", 0, 10, on_failure="outcome")
+
+        assert rotted == [6]
+        assert len(later) == 19  # arrivals at the hub after its chunk rotted
+        assert outcome.status == "completed"
+        assert outcome.corruption_detected is True
+        assert outcome.quarantined_chunks == (6,)
+        assert outcome.retries == 1
+        assert outcome.attempts == 2
+        assert outcome.elapsed_seconds == pytest.approx(0.022816399538924375, rel=1e-12)
+        assert system.events.executed == 751
+        assert outcome.verified
+        assert np.array_equal(outcome.rebuilt, chunks[0])

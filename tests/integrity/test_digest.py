@@ -62,6 +62,19 @@ class TestSliceChecksum:
         payload = rng.integers(0, 256, 4096, dtype=np.uint8)
         assert slice_checksum(payload) == chunk_digest(payload)
 
+    def test_every_buffer_shape_agrees_with_chunk_digest(self):
+        # the single-call path (contiguous uint8, at most one digest
+        # block) and the fallback must be one definition
+        rng = np.random.default_rng(7)
+        big = rng.integers(0, 256, DIGEST_BLOCK_BYTES + 4099, dtype=np.uint8)
+        for payload in (
+            big[:0], big[5:6], big[3:4099], big[:DIGEST_BLOCK_BYTES], big,
+            big[::2], big[:8192].reshape(2, 4096), big[:64].tobytes(),
+        ):
+            assert slice_checksum(payload) == chunk_digest(payload)
+        with pytest.raises(ValueError, match="uint8"):
+            slice_checksum(np.zeros(16, dtype=np.uint16))
+
     def test_detects_in_flight_flip(self):
         rng = np.random.default_rng(6)
         payload = rng.integers(0, 256, 4096, dtype=np.uint8)
