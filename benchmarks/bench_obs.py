@@ -19,8 +19,9 @@ singletons.  This harness bounds what that costs when observability is
    ``MAX_OVERHEAD_PERCENT`` (3%); ``tests/test_bench_obs.py``
    (marker ``obs_overhead``) fails otherwise;
 4. ``traced_e2e`` — informational only: wall-clock of one small
-   event-driven repair with live tracing+metrics vs the no-op default
-   (live tracing is *expected* to cost more; it is opt-in).
+   event-driven repair with live tracing+metrics vs the no-op default,
+   as medians over alternating (null, traced) pairs (live tracing is
+   *expected* to cost more; it is opt-in).
 
 Run directly (``python -m benchmarks.bench_obs``), or with ``--smoke``
 for the sub-second pass the test suite uses to validate the schema.
@@ -29,6 +30,7 @@ for the sub-second pass the test suite uses to validate the schema.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from time import perf_counter
 
@@ -197,13 +199,20 @@ def _planning_median_us(rounds: int) -> float:
     return quantile(samples, 0.5) * 1e6
 
 
-def _bench_traced_e2e(chunk_bytes: int) -> dict:
-    """Wall-clock of one event-driven repair: no-op vs live obs sinks."""
+def _bench_traced_e2e(chunk_bytes: int, pairs: int) -> dict:
+    """Wall-clock of one event-driven repair: no-op vs live obs sinks.
 
-    def run_one(tracer, metrics) -> float:
+    ``pairs`` (null, traced) pairs, alternating which side runs first;
+    the medians shed the first runs' warm-up, which a single pair in a
+    fixed order charged to the null side alone.
+    """
+
+    def run_one(traced: bool) -> float:
         code = RSCode(9, 6)
         system = ClusterSystem(
-            12, code, slice_bytes=16 * 1024, tracer=tracer, metrics=metrics
+            12, code, slice_bytes=16 * 1024,
+            tracer=Tracer() if traced else None,
+            metrics=MetricsRegistry() if traced else None,
         )
         rng = np.random.default_rng(SEED)
         data = rng.integers(0, 256, (code.k, chunk_bytes), dtype=np.uint8)
@@ -212,19 +221,27 @@ def _bench_traced_e2e(chunk_bytes: int) -> dict:
                           seed=SEED).snapshot(20)
         system.set_bandwidth(snap)
         system.fail_node(3)
+        # same collector state at every start: whether the previous
+        # run's survivors tip a full collection into this one is not
+        # what the ratio is about (GC stays on inside the timed region)
+        gc.collect()
         start = perf_counter()
         outcome = system.repair("s0", 3, requester=10, store=False)
         elapsed = perf_counter() - start
         assert outcome.verified
         return elapsed
 
-    null_s = run_one(None, None)
-    traced_s = run_one(Tracer(), MetricsRegistry())
+    walls = {False: [], True: []}
+    for i in range(pairs):
+        for traced in (False, True) if i % 2 == 0 else (True, False):
+            walls[traced].append(run_one(traced))
+    ratios = [t / n for n, t in zip(walls[False], walls[True])]
     return {
         "chunk_bytes": chunk_bytes,
-        "null_wall_s": null_s,
-        "traced_wall_s": traced_s,
-        "traced_over_null": traced_s / null_s if null_s > 0 else None,
+        "pairs": pairs,
+        "null_wall_s": quantile(walls[False], 0.5),
+        "traced_wall_s": quantile(walls[True], 0.5),
+        "traced_over_null": quantile(ratios, 0.5),
         "note": "informational: live tracing is opt-in and expected to cost more",
     }
 
@@ -232,9 +249,9 @@ def _bench_traced_e2e(chunk_bytes: int) -> dict:
 def run(smoke: bool = False, out_path=None) -> dict:
     """Execute the harness and write ``BENCH_obs.json``; returns it."""
     if smoke:
-        prim_calls, plan_rounds, chunk_bytes = 20_000, 30, 64 * 1024
+        prim_calls, plan_rounds, chunk_bytes, e2e_pairs = 20_000, 30, 64 * 1024, 3
     else:
-        prim_calls, plan_rounds, chunk_bytes = 200_000, 200, 512 * 1024
+        prim_calls, plan_rounds, chunk_bytes, e2e_pairs = 200_000, 200, 512 * 1024, 11
     primitives = _bench_null_primitives(prim_calls)
     counts = _count_planning_calls()
     median_us = _planning_median_us(plan_rounds)
@@ -266,7 +283,7 @@ def run(smoke: bool = False, out_path=None) -> dict:
             "overhead_percent": overhead_percent,
             "pass": overhead_percent <= MAX_OVERHEAD_PERCENT,
         },
-        "traced_e2e": _bench_traced_e2e(chunk_bytes),
+        "traced_e2e": _bench_traced_e2e(chunk_bytes, e2e_pairs),
     }
     path = write_json_report("obs", report, path=out_path)
     print(f"wrote {path}")

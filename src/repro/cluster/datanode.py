@@ -30,7 +30,7 @@ from .chunkstore import ChunkStore
 from .messages import SliceData, TransferTask
 
 
-@dataclass
+@dataclass(slots=True)
 class _TaskState:
     """Progress of one pipeline task on one node."""
 
@@ -86,6 +86,8 @@ class DataNode:
         self.slice_overhead_s = slice_overhead_s
         self.compute_s_per_byte = compute_s_per_byte
         self._tasks: dict[tuple[str, int], _TaskState] = {}
+        #: the same states by repair (wire) id, then pipeline id
+        self._repair_tasks: dict[str, dict[int, _TaskState]] = {}
         #: delivery callback installed by the cluster: (dest, SliceData)
         self.deliver = None
         #: total payload bytes this node has put on the wire
@@ -153,7 +155,9 @@ class DataNode:
             ready_at=[None] * num,
             edge_free=self.events.now,
         )
-        self._tasks[(task.repair_id or task.stripe_id, task.pipeline_id)] = state
+        repair_id = task.repair_id or task.stripe_id
+        self._tasks[(repair_id, task.pipeline_id)] = state
+        self._repair_tasks.setdefault(repair_id, {})[task.pipeline_id] = state
         if not task.wait_for:
             # leaf sender: every slice is immediately ready
             for i in range(num):
@@ -168,23 +172,24 @@ class DataNode:
         nothing further is sent.  Returns the number of tasks cancelled.
         """
         cancelled = 0
-        for (rid, _), state in self._tasks.items():
-            if rid == repair_id and not state.cancelled:
+        for state in self._repair_tasks.get(repair_id, {}).values():
+            if not state.cancelled:
                 state.cancelled = True
                 cancelled += 1
         return cancelled
 
     def release_repair(self, repair_id: str) -> None:
-        """Free the payload buffers of a repair whose every slice landed.
+        """Free the per-slice state of a repair whose every slice landed.
 
         The task entries stay, so the cluster's routing (task lookup,
         stale-epoch handling) sees what it saw before; a retransmit
         request for a released task is refused like one for a lost task.
         """
-        for (rid, _), state in self._tasks.items():
-            if rid == repair_id:
-                state.partials = [None] * state.num_slices
-                state.scaled = None
+        for state in self._repair_tasks.get(repair_id, {}).values():
+            state.partials = [None] * state.num_slices
+            state.scaled = None
+            state.arrived = []
+            state.ready_at = []
 
     def receive(self, data: SliceData) -> None:
         """Fold an incoming partial into the matching task state."""

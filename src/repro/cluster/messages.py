@@ -61,7 +61,7 @@ class TransferTask:
     num_slices: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceData:
     """Data node -> data node/requester: a partial-combination payload."""
 

@@ -278,14 +278,14 @@ class ClusterSystem:
         #: post-repair parity verification of rebuilt chunks (the wire
         #: checksums and read-path digest checks are always on)
         self.integrity_verify = integrity_verify
+        #: (wire id, pipeline id) -> open pipeline span (tracer enabled only)
+        self._pipeline_spans: dict[tuple[str, int], object] = {}
+        on_transfer = self._transfer_hook()
         for node in self.nodes:
             node.deliver = self._deliver
             node.on_bad_slice = self._on_bad_slice
             node.on_bad_chunk = self._on_bad_chunk
-            if self.tracer.enabled or self.metrics.enabled:
-                node.on_transfer = self._note_transfer
-        #: (wire id, pipeline id) -> open pipeline span (tracer enabled only)
-        self._pipeline_spans: dict[tuple[str, int], object] = {}
+            node.on_transfer = on_transfer
         self._alive = [True] * num_nodes
         self._assemblies: dict[str, _Assembly] = {}
         #: wire id (repair id or per-attempt epoch) -> live assembly
@@ -1968,46 +1968,61 @@ class ClusterSystem:
 
     # ---- observability -------------------------------------------------- #
 
-    def _note_transfer(
-        self,
-        src: int,
-        dest: int,
-        lo: int,
-        hi: int,
-        start_s: float,
-        end_s: float,
-        wire_id: str,
-        pipeline_id: int,
-    ) -> None:
-        """DataNode send hook (installed only when obs is live).
+    def _transfer_hook(self):
+        """The DataNode send hook; ``None`` unless a sink is live.
 
-        Credits the sender's byte counter, charges the receiver's
-        downlink occupancy, and records one uplink + one downlink
-        ``transfer`` span per slice (the Chrome exporter lays them out
-        on per-node lanes).
+        It runs once per slice, so everything that does not depend on
+        the slice is resolved here: which sinks are enabled, and (on a
+        node's first send) that node's byte counter.
         """
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "repro_node_bytes_sent_total",
-                "Payload bytes each node has put on the wire.",
-                node=str(src),
-            ).inc(hi - lo)
-        if 0 <= dest < len(self.nodes):
-            self.nodes[dest].downlink_busy_s += end_s - start_s
-        if self.tracer.enabled:
-            parent = self._pipeline_spans.get((wire_id, pipeline_id))
-            common = dict(
-                src=src, dst=dest, lo=lo, hi=hi,
-                wire=wire_id, pipeline=pipeline_id,
-            )
-            self.tracer.record_span(
-                f"{src}→{dest}", start_s, end_s, kind="transfer",
-                parent=parent, node=src, direction="uplink", **common,
-            )
-            self.tracer.record_span(
-                f"{src}→{dest}", start_s, end_s, kind="transfer",
-                parent=parent, node=dest, direction="downlink", **common,
-            )
+        tracer = self.tracer if self.tracer.enabled else None
+        metrics = self.metrics if self.metrics.enabled else None
+        if tracer is None and metrics is None:
+            return None
+        nodes = self.nodes
+        pipeline_spans = self._pipeline_spans
+        sent_bytes: list = [None] * len(nodes)
+
+        def note_transfer(
+            src: int,
+            dest: int,
+            lo: int,
+            hi: int,
+            start_s: float,
+            end_s: float,
+            wire_id: str,
+            pipeline_id: int,
+        ) -> None:
+            """Credit the sender's byte counter, charge the receiver's
+            downlink occupancy, and record one uplink + one downlink
+            ``transfer`` span (the Chrome exporter lays them out on
+            per-node lanes)."""
+            if metrics is not None:
+                counter = sent_bytes[src]
+                if counter is None:
+                    counter = sent_bytes[src] = metrics.counter(
+                        "repro_node_bytes_sent_total",
+                        "Payload bytes each node has put on the wire.",
+                        node=str(src),
+                    )
+                counter.inc(hi - lo)
+            if 0 <= dest < len(nodes):
+                nodes[dest].downlink_busy_s += end_s - start_s
+            if tracer is not None:
+                parent = pipeline_spans.get((wire_id, pipeline_id))
+                name = f"{src}→{dest}"
+                tracer.record_span(
+                    name, start_s, end_s, kind="transfer", parent=parent,
+                    node=src, direction="uplink", src=src, dst=dest,
+                    lo=lo, hi=hi, wire=wire_id, pipeline=pipeline_id,
+                )
+                tracer.record_span(
+                    name, start_s, end_s, kind="transfer", parent=parent,
+                    node=dest, direction="downlink", src=src, dst=dest,
+                    lo=lo, hi=hi, wire=wire_id, pipeline=pipeline_id,
+                )
+
+        return note_transfer
 
     def trace_fault(self, fault) -> None:
         """Observability hook called by :class:`~repro.faults.FaultInjector`

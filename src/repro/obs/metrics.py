@@ -174,10 +174,11 @@ class MetricsRegistry:
     # ---- factories ----------------------------------------------------- #
 
     def _family(self, name, kind, help, bounds=None) -> _Family:
-        if not name or set(name) - _NAME_OK or name[0].isdigit():
-            raise ValueError(f"invalid metric name {name!r}")
         fam = self._families.get(name)
         if fam is None:
+            # a registered name was validated when its family was made
+            if not name or set(name) - _NAME_OK or name[0].isdigit():
+                raise ValueError(f"invalid metric name {name!r}")
             fam = _Family(name, kind, help, bounds)
             self._families[name] = fam
         elif fam.kind != kind:

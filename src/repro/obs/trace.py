@@ -47,6 +47,11 @@ class Span:
     ``end`` stays ``None`` while the span is open.  ``kind`` is the
     span-tree level (``repair`` / ``attempt`` / ``pipeline`` /
     ``transfer`` / free-form); exporters group lanes by it.
+
+    ``events`` and ``children`` are iterables for readers: both are the
+    shared empty tuple until the tracer first appends to them (a leaf
+    ``transfer`` span never owns a container), and only the tracer
+    mutates them.
     """
 
     __slots__ = (
@@ -69,23 +74,21 @@ class Span:
         start: float,
         parent_id: int | None = None,
         attrs: dict | None = None,
+        end: float | None = None,
     ):
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
         self.kind = kind
         self.start = start
-        self.end: float | None = None
+        self.end = end
         self.attrs = attrs or {}
-        self.events: list[SpanEvent] = []
-        self.children: list["Span"] = []
+        self.events: list[SpanEvent] | tuple = ()
+        self.children: list["Span"] | tuple = ()
 
     @property
     def duration(self) -> float | None:
         return None if self.end is None else self.end - self.start
-
-    def __bool__(self) -> bool:
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (
@@ -162,14 +165,21 @@ class Tracer:
             name,
             kind,
             self._at(t),
-            parent_id=parent.span_id if parent else None,
-            attrs=attrs,
+            parent.span_id if parent else None,
+            attrs,
         )
+        self._place(span, parent)
+        return span
+
+    def _place(self, span: Span, parent: Span | None) -> None:
+        """Hang ``span`` under ``parent`` (or among the roots)."""
         if parent:
-            parent.children.append(span)
+            if parent.children:
+                parent.children.append(span)
+            else:
+                parent.children = [span]
         else:
             self.roots.append(span)
-        return span
 
     def end_span(self, span: Span, t: float | None = None, **attrs) -> Span:
         if not span:
@@ -189,9 +199,21 @@ class Tracer:
         parent: Span | None = None,
         **attrs,
     ) -> Span:
-        """One-shot span whose start and end are both already known."""
-        span = self.start_span(name, kind=kind, parent=parent, t=start, **attrs)
-        span.end = max(end, start)
+        """One-shot span whose start and end are both already known.
+
+        Same ids, parents, attrs and placement as ``start_span(t=start)``
+        followed by ``end_span(t=end)``; the span is built closed.
+        """
+        span = Span(
+            next(self._ids),
+            name,
+            kind,
+            start,
+            parent.span_id if parent else None,
+            attrs,
+            max(end, start),
+        )
+        self._place(span, parent)
         return span
 
     def event(
@@ -202,10 +224,12 @@ class Tracer:
         **attrs,
     ) -> SpanEvent:
         ev = SpanEvent(name, self._at(t), attrs)
-        if span:
+        if not span:
+            self.events.append(ev)
+        elif span.events:
             span.events.append(ev)
         else:
-            self.events.append(ev)
+            span.events = [ev]
         return ev
 
     def set_attrs(self, span: Span, **attrs) -> None:

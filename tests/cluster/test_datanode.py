@@ -1,5 +1,7 @@
 """DataNode slice execution unit tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,35 @@ class TestReleaseRepair:
         assert state.scaled is None and state.partials == [None] * 4
         assert not node.retransmit(("s", 7), 256, 512)  # refused, not an error
         assert node.pending_tasks() == 0
+
+    def test_release_and_cancel_touch_only_their_own_repair(self):
+        node, events, delivered = make_node()
+        node.store.put("s", 0, np.arange(1024, dtype=np.uint8))
+        for rid, pid in (("a", 1), ("a", 2), ("b", 1)):
+            node.assign(dataclasses.replace(
+                leaf_task(rate=1.0), repair_id=rid, pipeline_id=pid
+            ))
+        a1, a2, b1 = (node._tasks[k] for k in (("a", 1), ("a", 2), ("b", 1)))
+        assert node.cancel_repair("b") == 1 and b1.cancelled
+        assert node.cancel_repair("b") == 0  # already cancelled
+        assert node.cancel_repair("nobody") == 0
+        assert not (a1.cancelled or a2.cancelled)
+        events.run()
+        assert [s.sent for s in (a1, a2, b1)] == [4, 4, 1]
+        node.release_repair("a")
+        node.release_repair("nobody")
+        for state in (a1, a2):
+            # per-slice state is gone; the routing entry is not
+            assert state.scaled is None and state.partials == [None] * 4
+            assert state.arrived == [] and state.ready_at == []
+        assert b1.scaled is not None and len(b1.arrived) == 4
+        assert set(node._tasks) == {("a", 1), ("a", 2), ("b", 1)}
+        assert not node.retransmit(("a", 1), 0, 256)
+        assert node.pending_tasks() == 1  # the cancelled one never finished
+        # a repeated repair re-assigns the same wire id: the index follows
+        node.assign(dataclasses.replace(leaf_task(), repair_id="b", pipeline_id=1))
+        assert node._tasks[("b", 1)] is not b1
+        assert node.cancel_repair("b") == 1 and node._tasks[("b", 1)].cancelled
 
 
 class TestHubRotMidRepair:

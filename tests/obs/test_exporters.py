@@ -6,12 +6,14 @@ validated against a trace that exercises the whole self-healing arc:
 crash -> watchdog fire -> attempt abort -> replan -> completion.
 """
 
+import hashlib
 import json
 import re
 
 import pytest
 
 from repro.faults import COMPLETED, DEGRADED
+from repro.net import units
 from repro.obs import (
     Tracer,
     chrome_trace,
@@ -20,6 +22,7 @@ from repro.obs import (
     spans_to_jsonl,
 )
 from repro.obs.export import _pack_lanes
+from repro.recovery import run_recovery_scenario
 from repro.analysis import render_repair_timeline
 
 
@@ -199,3 +202,48 @@ class TestPrometheus:
         # a crashed hub costs time, so the achieved rate sits below the
         # planner's t_max; it must still be a positive fraction
         assert 0.0 < ratio <= 1.0
+
+
+#: sha256 of each exporter's output, recorded before ``record_span``
+#: became the direct path and leaf spans stopped owning containers
+#: (commit 85e5bca): the recording path may get cheaper, never different
+_EXPORT_SHA256 = {
+    "demo": {
+        "jsonl": "2cbfb2d43c0d8335cab8f51021998a95520bb181e9c4a0e33318c015e924fe17",
+        "chrome": "77623bbb5f3cae39e9c845959d1ee05dd1e36a8bd76e36c14f7c6bb12b6cd3a9",
+        "prom": "2c5e2372cbc32e88dbfa71ccebaf725f99010dc0cf7ae886eaa72ec1d96f3788",
+    },
+    "scenario": {
+        "jsonl": "7111c96fbde0cc734b976826602eeddc9e852a3ee68f519118154184c191331b",
+        "chrome": "6d52fb66d08a96581759cd8f6967220857ea89a580215578443cb32cf0df34a2",
+        "prom": "b416f825055d889b7b34978c3566456ace593ce611335de4f11333ea441ca80e",
+    },
+}
+
+
+def _export_sha256(tracer, metrics) -> dict:
+    texts = {
+        "jsonl": spans_to_jsonl(tracer),
+        "chrome": chrome_trace_json(tracer),
+        "prom": prometheus_text(metrics),
+    }
+    return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
+
+
+class TestExportedBytesPinned:
+    def test_hub_crash_demo(self, hub_crash_demo):
+        got = _export_sha256(hub_crash_demo.tracer, hub_crash_demo.metrics)
+        assert got == _EXPORT_SHA256["demo"]
+
+    def test_small_recovery_scenario(self):
+        scenario = run_recovery_scenario(
+            num_stripes=3,
+            chunk_bytes=8 * units.KIB,
+            slice_bytes=1 * units.KIB,
+            foreground_reads=10,
+            kills=((0, 0.001), (3, 0.004)),
+        )
+        assert scenario.report.repaired == 4
+        assert sum(1 for _ in scenario.tracer.spans()) == 1049
+        got = _export_sha256(scenario.tracer, scenario.metrics)
+        assert got == _EXPORT_SHA256["scenario"]

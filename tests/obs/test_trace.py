@@ -1,6 +1,6 @@
 """Tracer/Span/NullTracer unit behaviour."""
 
-import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
 
@@ -143,3 +143,72 @@ class TestNullTracer:
         tr.event(NULL_SPAN, "e", t=0.0)  # falsy span -> root event
         assert NULL_SPAN.attrs == {} and NULL_SPAN.end == 0.0
         assert [e.name for e in tr.events] == ["e"]
+
+
+_ATTR_KEYS = ("src", "dst", "lo", "hi", "wire", "node", "direction")
+_SPAN_SPECS = st.lists(
+    st.tuples(
+        st.text(max_size=8),  # name
+        st.floats(allow_nan=False, allow_infinity=False),  # start
+        st.floats(allow_nan=False, allow_infinity=False),  # end
+        st.sampled_from(("span", "transfer", "pipeline")),  # kind
+        st.none() | st.integers(min_value=0),  # parent: root, or an earlier span
+        st.dictionaries(
+            st.sampled_from(_ATTR_KEYS), st.integers() | st.text(max_size=4)
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _forest(tr):
+    """Everything observable about a tracer's spans, placement included."""
+
+    def view(span):
+        return (
+            span.span_id, span.parent_id, span.name, span.kind, span.start,
+            span.end, span.attrs, [(e.name, e.time, e.attrs) for e in span.events],
+            [view(c) for c in span.children],
+        )
+
+    return [view(root) for root in tr.roots]
+
+
+class TestRecordSpanIsStartPlusEnd:
+    """``record_span`` is the direct path, not a different one."""
+
+    @given(_SPAN_SPECS)
+    def test_same_forest_as_start_then_end(self, specs):
+        fast, slow = Tracer(), Tracer()
+        fast_spans, slow_spans = [], []
+        for name, start, end, kind, parent, attrs in specs:
+            at = parent % len(fast_spans) if parent is not None and fast_spans else None
+            fp = None if at is None else fast_spans[at]
+            sp = None if at is None else slow_spans[at]
+            fast_spans.append(
+                fast.record_span(name, start, end, kind=kind, parent=fp, **attrs)
+            )
+            span = slow.start_span(name, kind=kind, parent=sp, t=start, **attrs)
+            slow_spans.append(slow.end_span(span, t=end))
+        assert _forest(fast) == _forest(slow)
+        assert all(s.end == max(s.start, spec[2]) for s, spec in zip(fast_spans, specs))
+        assert [s.span_id for s in fast.spans()] == [s.span_id for s in slow.spans()]
+        # a recorded span takes events, attrs and children like any other
+        for tr, spans in ((fast, fast_spans), (slow, slow_spans)):
+            tr.event(spans[0], "late", t=1.0, n=1)
+            tr.event(spans[0], "later", t=2.0)
+            tr.set_attrs(spans[-1], extra=True)
+            tr.start_span("child", parent=spans[-1], t=0.0)
+        assert _forest(fast) == _forest(slow)
+        assert fast.event_names() == slow.event_names()
+
+    def test_leaf_span_owns_no_containers_until_used(self):
+        tr = Tracer()
+        leaf = tr.record_span("tx", 0.0, 1.0, kind="transfer")
+        assert leaf.children == () and leaf.events == ()
+        assert list(leaf.children) == [] and len(leaf.events) == 0
+        child = tr.record_span("c", 0.0, 1.0, parent=leaf)
+        ev = tr.event(leaf, "e", t=0.5)
+        assert leaf.children == [child] and leaf.events == [ev]
+        assert tr.roots == [leaf]
