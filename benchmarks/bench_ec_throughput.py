@@ -4,17 +4,14 @@ Times the GF(2^8)/RS data plane across every registered backend and
 writes ``BENCH_ec.json`` at the repository root:
 
 * per-kernel (``dot``, ``matvec``, ``mul_chunk``) throughput per backend
-  per chunk size, in the same work-unit convention as the seed
-  ``gf_kernels`` section of ``BENCH_planning.json`` (``dot`` counts
-  input bytes combined, ``matvec`` counts matrix-cells x chunk bytes);
+  per chunk size (``dot`` counts input bytes combined, ``matvec``
+  counts matrix-cells x chunk bytes — the seed kernels' work units);
 * whole-stripe RS(9, 6) encode / decode / repair rates on 8 MiB chunks,
   in stripe-bytes per second (the seed pytest-benchmark convention);
 * fused-vs-naive speedup summary — the numbers the regression gate in
   ``tests/test_bench_ec.py`` tracks across commits;
 * integrity-checksum overhead: CRC digest and slice-checksum rates and
-  the digest cost relative to the fused decode it guards (gated <= 10%);
-* an event-queue micro-benchmark: events/s of the batched
-  ``EventQueue.run`` drain against the per-event ``step`` loop.
+  the digest cost relative to the fused decode it guards (gated <= 10%).
 
 Run directly (``python -m benchmarks.bench_ec_throughput``), or with
 ``--smoke`` for a fast pass used by the test suite.  Like
@@ -45,15 +42,13 @@ from benchmarks.common import REPO_ROOT, SEED, quantile, write_json_report
 from repro.ec import RSCode, available_backends, resolve
 from repro.integrity import chunk_digest, slice_checksum
 from repro.net import units
-from repro.sim.events import EventQueue
 
 SCHEMA_VERSION = 1
 
 #: RS parameterisation for the stripe-level benchmarks (paper default).
 RS_N, RS_K = 9, 6
 
-#: Helper count for the dot/matvec kernel benchmarks (k of RS(14, 10),
-#: matching the seed ``gf_kernels`` section of ``BENCH_planning.json``).
+#: Helper count for the dot/matvec kernel benchmarks (k of RS(14, 10)).
 KERNEL_K = 10
 
 #: Output rows of the matvec benchmark (parity rows of RS(14, 10)).
@@ -98,7 +93,7 @@ def _bench_kernels(chunk_bytes: int, rounds: int, backends) -> dict:
             lambda: be.mul_chunk(173, chunks[0], out=mul_out), rounds
         )
         out[name] = {
-            # input bytes combined per second (seed gf_kernels convention)
+            # input bytes combined per second (seed convention)
             "dot_mb_per_s": KERNEL_K * mb / t_dot,
             # matrix cells x chunk bytes per second (seed convention)
             "matvec_mb_per_s": KERNEL_M * KERNEL_K * mb / t_mv,
@@ -181,49 +176,6 @@ def _bench_checksum(
     }
 
 
-def _bench_event_queue(num_events: int, per_timestamp: int, rounds: int) -> dict:
-    """Events/s of the batched ``run`` drain vs the per-event ``step`` loop.
-
-    The schedule mimics slice-pipelined repairs: long runs of completions
-    sharing one analytic timestamp — the shape the same-time batch pop in
-    :meth:`EventQueue.run` coalesces.
-    """
-    timestamps = max(1, num_events // per_timestamp)
-
-    def _fill(q: EventQueue) -> None:
-        for t in range(timestamps):
-            when = float(t) * 1e-3
-            for _ in range(per_timestamp):
-                q.schedule(when, lambda: None)
-
-    def _drain_run() -> None:
-        q = EventQueue()
-        _fill(q)
-        q.run()
-
-    def _drain_step() -> None:
-        q = EventQueue()
-        _fill(q)
-        while q.step():
-            pass
-
-    # subtract the schedule-only cost so rates isolate the drain loop
-    def _fill_only() -> None:
-        _fill(EventQueue())
-
-    t_fill = _median_time(_fill_only, rounds)
-    t_run = max(_median_time(_drain_run, rounds) - t_fill, 1e-9)
-    t_step = max(_median_time(_drain_step, rounds) - t_fill, 1e-9)
-    total = timestamps * per_timestamp
-    return {
-        "events": total,
-        "events_per_timestamp": per_timestamp,
-        "batched_run_events_per_s": total / t_run,
-        "step_loop_events_per_s": total / t_step,
-        "batch_speedup": t_step / t_run,
-    }
-
-
 #: Independent measurement passes behind the gate's median ratios.
 GATE_PASSES = 3
 
@@ -264,11 +216,9 @@ def run(smoke: bool = False, out_path=None) -> dict:
     if smoke:
         kernel_sizes, kernel_rounds = (units.mib(1),), 3
         rs_bytes, rs_rounds = units.mib(1), 3
-        ev_events, ev_per_ts, ev_rounds = 20_000, 8, 3
     else:
         kernel_sizes, kernel_rounds = (units.mib(1), units.mib(8)), 7
         rs_bytes, rs_rounds = units.mib(8), 7
-        ev_events, ev_per_ts, ev_rounds = 200_000, 8, 5
     kernels = {
         f"chunk_{size // units.KIB}kib": _bench_kernels(size, kernel_rounds, backends)
         for size in kernel_sizes
@@ -297,7 +247,6 @@ def run(smoke: bool = False, out_path=None) -> dict:
         "checksum": _bench_checksum(
             rs_bytes, rs_rounds, rs["fused"]["decode_mb_per_s"]
         ),
-        "event_queue": _bench_event_queue(ev_events, ev_per_ts, ev_rounds),
     }
     path = write_json_report("ec", report, path=out_path)
     print(f"wrote {path}")
@@ -350,12 +299,6 @@ def main(argv=None) -> int:
         f"checksum: digest {ck['digest_mb_per_s']:.0f} MB/s, "
         f"slice crc {ck['slice_checksum_mb_per_s']:.0f} MB/s, "
         f"cost vs fused decode {ck['digest_cost_vs_fused_decode'] * 100:.1f}%"
-    )
-    ev = report["event_queue"]
-    print(
-        f"event queue: batched {ev['batched_run_events_per_s']:.0f} ev/s, "
-        f"step {ev['step_loop_events_per_s']:.0f} ev/s "
-        f"({ev['batch_speedup']:.2f}x)"
     )
     return 0
 

@@ -9,9 +9,10 @@ Times the control-plane hot path end to end and writes
   :mod:`repro.core.seedplanner` — so the fast path's speedup is measured
   against a live baseline rather than a stale number;
 * plan-cache behaviour: hit rate over a jittered-bandwidth request
-  stream, hit/miss latency, and the resulting speedup;
-* GF(2^8) data-plane kernel throughput (``gf256.dot`` and
-  ``matrix.matvec_chunks`` with preallocated ``out=`` buffers), in MB/s.
+  stream, hit/miss latency, and the resulting speedup.
+
+GF(2^8) kernel throughput lives in ``BENCH_ec.json``
+(:mod:`benchmarks.bench_ec_throughput`), per backend.
 
 Run directly (``python -m benchmarks.bench_planning``), or with
 ``--smoke`` for a sub-30-second pass used by the test suite to validate
@@ -32,7 +33,6 @@ from benchmarks.common import CODES, REPO_ROOT, SEED, quantile, write_json_repor
 from repro.analysis import make_fixed_context
 from repro.core.plancache import PlanCache
 from repro.core.seedplanner import seed_plan
-from repro.ec import gf256, matrix
 from repro.net.bandwidth import BandwidthSnapshot, RepairContext
 from repro.repair import get_algorithm
 
@@ -128,39 +128,6 @@ def _bench_plan_cache(rounds: int) -> dict:
     return result
 
 
-def _bench_gf_kernels(chunk_bytes: int, rounds: int) -> dict:
-    k = 10
-    rng = np.random.default_rng(SEED)
-    chunks = rng.integers(0, 256, size=(k, chunk_bytes), dtype=np.uint8)
-    coeffs = [int(c) for c in rng.integers(1, 256, size=k)]
-    mat = np.asarray(
-        rng.integers(0, 256, size=(4, k)), dtype=np.uint8
-    )
-
-    dot_out = np.empty(chunk_bytes, dtype=np.uint8)
-    dot_times = []
-    for _ in range(rounds):
-        start = perf_counter()
-        gf256.dot(coeffs, chunks, out=dot_out)
-        dot_times.append(perf_counter() - start)
-
-    mv_out = np.empty((4, chunk_bytes), dtype=np.uint8)
-    mv_times = []
-    for _ in range(rounds):
-        start = perf_counter()
-        matrix.matvec_chunks(mat, chunks, out=mv_out)
-        mv_times.append(perf_counter() - start)
-
-    mb = chunk_bytes / 1e6
-    return {
-        "chunk_bytes": chunk_bytes,
-        "num_chunks": k,
-        # input bytes combined per second (the paper's GF throughput unit)
-        "dot_mb_per_s": k * mb / quantile(dot_times, 0.5),
-        "matvec_mb_per_s": mat.shape[0] * k * mb / quantile(mv_times, 0.5),
-    }
-
-
 def run(smoke: bool = False, out_path=None) -> dict:
     """Execute the harness and write ``BENCH_planning.json``; returns it.
 
@@ -171,12 +138,10 @@ def run(smoke: bool = False, out_path=None) -> dict:
         codes = ((6, 4), (14, 10))
         rounds, num_contexts = 40, 4
         cache_rounds = 60
-        chunk_bytes, gf_rounds = 256 * 1024, 10
     else:
         codes = CODES
         rounds, num_contexts = 300, 8
         cache_rounds = 400
-        chunk_bytes, gf_rounds = 4 * 1024 * 1024, 25
     report = {
         "benchmark": "planning",
         "schema_version": SCHEMA_VERSION,
@@ -188,7 +153,6 @@ def run(smoke: bool = False, out_path=None) -> dict:
         },
         "planning": _bench_planning(codes, rounds, num_contexts),
         "plan_cache": _bench_plan_cache(cache_rounds),
-        "gf_kernels": _bench_gf_kernels(chunk_bytes, gf_rounds),
     }
     path = write_json_report("planning", report, path=out_path)
     print(f"wrote {path}")
@@ -225,11 +189,6 @@ def main(argv=None) -> int:
     print(
         f"plan cache: hit rate {cache['hit_rate']:.3f}, "
         f"hit {cache['hit_median_us']:.1f} us vs miss {cache['miss_median_us']:.1f} us"
-    )
-    gf = report["gf_kernels"]
-    print(
-        f"gf kernels: dot {gf['dot_mb_per_s']:.0f} MB/s, "
-        f"matvec {gf['matvec_mb_per_s']:.0f} MB/s"
     )
     return 0
 

@@ -88,12 +88,18 @@ def _load_context(path: str, k: int) -> RepairContext:
 
     Node 0 is the requester; all remaining nodes are helper candidates.
     """
-    table = np.loadtxt(path, delimiter="," if path.endswith(".csv") else None)
+    try:
+        table = np.loadtxt(path, delimiter="," if path.endswith(".csv") else None)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read bandwidth file {path}: {exc}") from None
     if table.ndim != 2 or table.shape[0] != 2:
         raise SystemExit(
             "bandwidth file must have two rows: uplinks then downlinks"
         )
-    snap = BandwidthSnapshot(uplink=table[0], downlink=table[1])
+    try:
+        snap = BandwidthSnapshot(uplink=table[0], downlink=table[1])
+    except ValueError as exc:
+        raise SystemExit(f"bad bandwidth file {path}: {exc}") from None
     return RepairContext(
         snapshot=snap,
         requester=0,

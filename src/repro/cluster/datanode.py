@@ -85,8 +85,7 @@ class DataNode:
         self.slice_bytes = slice_bytes
         self.slice_overhead_s = slice_overhead_s
         self.compute_s_per_byte = compute_s_per_byte
-        self._tasks: dict[tuple[str, int], _TaskState] = {}
-        #: the same states by repair (wire) id, then pipeline id
+        #: task states by repair (wire) id, then pipeline id
         self._repair_tasks: dict[str, dict[int, _TaskState]] = {}
         #: delivery callback installed by the cluster: (dest, SliceData)
         self.deliver = None
@@ -156,7 +155,6 @@ class DataNode:
             edge_free=self.events.now,
         )
         repair_id = task.repair_id or task.stripe_id
-        self._tasks[(repair_id, task.pipeline_id)] = state
         self._repair_tasks.setdefault(repair_id, {})[task.pipeline_id] = state
         if not task.wait_for:
             # leaf sender: every slice is immediately ready
@@ -191,13 +189,22 @@ class DataNode:
             state.arrived = []
             state.ready_at = []
 
+    def _task_state(self, repair_id: str, pipeline_id: int) -> "_TaskState | None":
+        pipelines = self._repair_tasks.get(repair_id)
+        return None if pipelines is None else pipelines.get(pipeline_id)
+
+    def has_task(self, repair_id: str, pipeline_id: int) -> bool:
+        """True when this node was assigned that pipeline of that repair."""
+        return self._task_state(repair_id, pipeline_id) is not None
+
     def receive(self, data: SliceData) -> None:
         """Fold an incoming partial into the matching task state."""
-        key = (data.repair_id or data.stripe_id, data.pipeline_id)
-        state = self._tasks.get(key)
+        repair_id = data.repair_id or data.stripe_id
+        state = self._task_state(repair_id, data.pipeline_id)
         if state is None:
             raise RuntimeError(
-                f"node {self.node_id}: slice for unknown task {key}"
+                f"node {self.node_id}: slice for unknown task "
+                f"{(repair_id, data.pipeline_id)}"
             )
         if (
             data.checksum is not None
@@ -366,7 +373,7 @@ class DataNode:
         lands.  Returns False when the task is gone or cancelled —
         the caller falls back to the watchdog path.
         """
-        state = self._tasks.get(key)
+        state = self._task_state(*key)
         if state is None or state.cancelled:
             return False
         idx = self._slice_index(state, start)
@@ -380,4 +387,9 @@ class DataNode:
 
     def pending_tasks(self) -> int:
         """Tasks not yet fully sent (diagnostic)."""
-        return sum(1 for s in self._tasks.values() if s.next_send < s.num_slices)
+        return sum(
+            1
+            for pipelines in self._repair_tasks.values()
+            for s in pipelines.values()
+            if s.next_send < s.num_slices
+        )

@@ -2226,8 +2226,7 @@ class ClusterSystem:
             )
             return
         rid = data.repair_id or data.stripe_id
-        key = (rid, data.pipeline_id)
-        if key in node._tasks:
+        if node.has_task(rid, data.pipeline_id):
             node.receive(data)
             return
         asm = self._wire_assembly.get(rid)

@@ -14,7 +14,10 @@ The downlink phase solves the paper's Lines 13-25 fixpoint — alternately
 the aggregate downlink constraint ``c <= (D_0 + sum_i D_i) / k`` and the
 repairing constraint ``D_i <= (k - 1) * U_i`` — in closed form.
 
-**Fast path.**  Both phases are vectorised:
+**Closed form.**  Both phases sort once and scan breakpoints, in plain
+Python (repair helper sets are ``n - 1 <= 13`` wide for every code the
+paper evaluates, where numpy's per-call overhead costs more than the
+arithmetic):
 
 * the uplink water-filling sorts the helper uplinks once and scans the
   suffix-sum breakpoints (the per-round ``sum``/``max`` Python loop of
@@ -27,7 +30,7 @@ repairing constraint ``D_i <= (k - 1) * U_i`` — in closed form.
   which is what the (monotone, from-above) alternation converges to.
 
 ``_downlink_fixpoint`` (bisection) is kept as an independent oracle; the
-test-suite cross-checks all three solvers plus the LP in
+test-suite cross-checks it, the seed loop and the LP in
 :mod:`repro.core.optimality`.
 """
 
@@ -70,30 +73,14 @@ class ThroughputResult:
     picked: tuple[int, ...]
 
 
-#: Helper count below which the scalar closed-form path wins: numpy's
-#: per-call overhead (~15 array ops) exceeds plain-Python arithmetic on
-#: small inputs by several microseconds.
-VECTOR_THRESHOLD = 48
-
-
 def max_pipelined_throughput(context: RepairContext) -> ThroughputResult:
-    """Run Algorithm 1 on a repair context (closed-form fast path).
+    """Run Algorithm 1 on a repair context (sort-once closed form).
 
-    Dispatches between two equivalent sort-once breakpoint-scan solvers:
-    a scalar one for ordinary repair widths and a numpy-vectorised one
-    for wide (full-node-scale) helper sets.  Raises ``ValueError`` if no
-    positive throughput is achievable (e.g. fewer than k helpers with
-    usable uplink, or a zero requester downlink).  Output is equivalent
-    (within float rounding) to the seed loop implementation preserved in
-    :mod:`repro.core.seedplanner`.
+    Raises ``ValueError`` if no positive throughput is achievable (e.g.
+    fewer than k helpers with usable uplink, or a zero requester
+    downlink).  Output is equivalent (within float rounding) to the seed
+    loop implementation preserved in :mod:`repro.core.seedplanner`.
     """
-    if len(context.helpers) < VECTOR_THRESHOLD:
-        return _throughput_scalar(context)
-    return _throughput_vector(context)
-
-
-def _throughput_scalar(context: RepairContext) -> ThroughputResult:
-    """Closed-form Algorithm 1 in plain Python (small helper counts)."""
     k = context.k
     helpers = list(context.helpers)
     m = len(helpers)
@@ -103,6 +90,10 @@ def _throughput_scalar(context: RepairContext) -> ThroughputResult:
     d0 = float(snapshot.downlink[context.requester])
 
     # ---- Lines 2-12: limit by uplinks (sort-once water-filling) ------
+    # Picking order is descending uplink, ties broken by ascending node
+    # id — identical to the seed's max(pool, key=(up, -h)) loop.  After
+    # sorting once, the loop state at step j is fully determined:
+    # pool = sorted[j:], pool_max = up[order[j]], pool_sum = suffix[j].
     order = sorted(range(m), key=lambda i: (-up[i], helpers[i]))
     suffix = [0.0] * (m + 1)
     for j in range(m - 1, -1, -1):
@@ -130,7 +121,7 @@ def _throughput_scalar(context: RepairContext) -> ThroughputResult:
         a = [min(u, d / km1) for u, d in zip(up, down)]
         total0 = d0 + km1 * sum(x if x <= c else c for x in a)
         if k * c > total0 + FIXPOINT_TOL:
-            c = _scalar_breakpoint_scan(c, d0, a, k)
+            c = _downlink_breakpoint_scan(c, d0, a, k)
     for i in range(m):
         if up[i] > c:
             up[i] = c
@@ -152,13 +143,18 @@ def _throughput_scalar(context: RepairContext) -> ThroughputResult:
     )
 
 
-def _scalar_breakpoint_scan(c0: float, d0: float, a: list[float], k: int) -> float:
-    """Scalar twin of :func:`_downlink_breakpoint_fixpoint`'s sorted scan.
+def _downlink_breakpoint_scan(c0: float, d0: float, a: list[float], k: int) -> float:
+    """Greatest ``c <= c0`` with ``k*c <= d0 + (k-1) * sum_h min(c, a_h)``.
 
-    Called only when the aggregate downlink binds (``g(c0) < 0``); finds
-    the greatest feasible ``c`` along the sorted breakpoints of the
-    concave piecewise-linear margin ``g`` (see the vector version for the
-    derivation — the formulas here mirror it term for term).
+    Called only when the aggregate downlink binds at ``c0``.  With
+    ``a_h = min(U_h, D_h / (k-1))`` each helper's term
+    ``min(D_h, (k-1) * min(c, U_h))`` equals ``(k-1) * min(c, a_h)``, so
+    the feasibility margin ``g(c) = d0 + (k-1) * sum_h min(c, a_h) - k*c``
+    is piecewise linear and concave with ``g(0) = d0 >= 0``: the feasible
+    set is ``[0, c*]``.  Sorting the breakpoints once and scanning prefix
+    sums locates the segment containing ``c*`` and solves it in closed
+    form (the root is exact; ``FIXPOINT_TOL`` only pads the feasibility
+    tests, mirroring the seed's acceptance slack).
     """
     a_sorted = sorted(a)
     m = len(a_sorted)
@@ -180,111 +176,15 @@ def _scalar_breakpoint_scan(c0: float, d0: float, a: list[float], k: int) -> flo
         if slope >= 0:
             return 0.0  # g non-decreasing yet infeasible at first bp: c* = 0
         return d0 / (k - km1 * m) if k > km1 * m else 0.0
+    # on (a_sorted[best_i], next]: best_i+1 helpers saturated, the rest linear
     lin = m - best_i - 1
     denom = k - km1 * lin
-    if denom <= 0:
-        # degenerate boundary (see the vector version): stay at the bp
-        return a_sorted[best_i]
-    c = (d0 + km1 * best_prefix) / denom
-    return min(c, c0)
-
-
-def _throughput_vector(context: RepairContext) -> ThroughputResult:
-    """Closed-form Algorithm 1, numpy-vectorised (wide helper sets)."""
-    k = context.k
-    helpers = np.asarray(context.helpers, dtype=np.intp)
-    m = helpers.shape[0]
-    up = context.snapshot.uplink[helpers].copy()
-    down = context.snapshot.downlink[helpers].copy()
-    d0 = float(context.snapshot.downlink[context.requester])
-
-    # ---- Lines 2-12: limit by uplinks (sort-once water-filling) ------
-    # Picking order is descending uplink, ties broken by ascending node
-    # id — identical to the seed's max(pool, key=(up, -h)) loop.  After
-    # sorting once, the loop state at step j is fully determined:
-    # pool = sorted[j:], pool_max = ups[j], pool_sum = suffix[j].
-    order = np.lexsort((helpers, -up))
-    ups_sorted = up[order]
-    suffix = np.concatenate([np.cumsum(ups_sorted[::-1])[::-1], [0.0]])
-    steps = min(k, m)  # the loop stops at denom == 1, i.e. at most k-1 picks
-    j_range = np.arange(steps)
-    denom = k - j_range
-    stop = (denom <= 1) | (suffix[:steps] / np.maximum(denom, 1) >= ups_sorted[:steps])
-    jstar = int(np.argmax(stop))  # first j where the seed loop breaks
-    picked_idx = order[:jstar]
-    c = min(float(suffix[jstar]) / (k - jstar), d0)
-    up[picked_idx] = c
-
-    # ---- Lines 13-25: limit by downlinks (breakpoint-exact fixpoint) --
-    c = _downlink_breakpoint_fixpoint(c, d0, up, down, k)
-    np.minimum(up, c, out=up)
-    np.minimum(down, up * (k - 1), out=down)
-
-    if c <= 0:
-        raise ValueError(
-            "no positive repair throughput achievable: uplinks "
-            f"{[float(x) for x in context.snapshot.uplink[helpers]]}, "
-            f"requester downlink {d0}"
-        )
-    helper_ids = [int(h) for h in helpers]
-    picked = tuple(int(helpers[i]) for i in picked_idx)
-    return ThroughputResult(
-        t_max=float(c),
-        uplink={h: float(v) for h, v in zip(helper_ids, up)},
-        downlink={h: float(v) for h, v in zip(helper_ids, down)},
-        picked=picked,
-    )
-
-
-def _downlink_breakpoint_fixpoint(
-    c0: float, d0: float, up: np.ndarray, down: np.ndarray, k: int
-) -> float:
-    """Greatest ``c <= c0`` with ``k*c <= d0 + sum_h min(D_h, (k-1)*min(c, U_h))``.
-
-    Each helper's term equals ``(k-1) * min(c, a_h)`` with breakpoint
-    ``a_h = min(U_h, D_h / (k-1))``, so the feasibility margin
-    ``g(c) = d0 + (k-1) * sum_h min(c, a_h) - k*c`` is piecewise linear
-    and concave with ``g(0) = d0 >= 0``: the feasible set is ``[0, c*]``.
-    Sorting the breakpoints once and scanning prefix sums locates the
-    segment containing ``c*`` and solves it in closed form (the root is
-    exact; ``FIXPOINT_TOL`` only pads the feasibility tests, mirroring
-    the seed's acceptance slack).
-    """
-    if k == 1:
-        # every helper term vanishes: c is capped by d0 alone
-        return min(c0, d0)
-    a = np.minimum(up, down / (k - 1))
-    # feasible at c0? (the common case: aggregate downlink does not bind)
-    total0 = d0 + (k - 1) * float(np.minimum(a, c0).sum())
-    if k * c0 <= total0 + FIXPOINT_TOL:
-        return c0
-    a_sorted = np.sort(a)
-    m = a_sorted.shape[0]
-    prefix = np.concatenate([[0.0], np.cumsum(a_sorted)])
-    # g at each breakpoint (only breakpoints below c0 matter)
-    counts_above = m - np.arange(1, m + 1)  # helpers with a_h > a_sorted[i]
-    g_at = (
-        d0
-        + (k - 1) * (prefix[1:] + a_sorted * counts_above)
-        - k * a_sorted
-    )
-    feasible_bp = (g_at >= -FIXPOINT_TOL) & (a_sorted <= c0)
-    if not feasible_bp.any():
-        # c* lies in [0, a_sorted[0]]: slope there is (k-1)*m - k
-        slope = (k - 1) * m - k
-        if slope >= 0:
-            return 0.0  # g non-decreasing yet infeasible at first bp: c* = 0
-        return d0 / (k - (k - 1) * m) if k > (k - 1) * m else 0.0
-    i = int(np.nonzero(feasible_bp)[0][-1])  # last feasible breakpoint
-    # on (a_sorted[i], next]: j = i+1 helpers saturated, m-i-1 still linear
-    lin = m - i - 1
-    denom = k - (k - 1) * lin
     if denom <= 0:
         # g still non-decreasing past this breakpoint; since g(c0) was
         # infeasible, a later (feasible) breakpoint would exist — so this
         # only happens at the degenerate boundary: stay at the breakpoint
-        return float(a_sorted[i])
-    c = (d0 + (k - 1) * float(prefix[i + 1])) / denom
+        return a_sorted[best_i]
+    c = (d0 + km1 * best_prefix) / denom
     return min(c, c0)
 
 

@@ -10,8 +10,7 @@ the lifetime tier a first-class model of that hierarchy:
 * :class:`DomainTree` — a static four-level containment tree
   (datacenter → rack → machine → disk).  Disks are the leaves and
   their ids double as the cluster's node ids, so a tree layers
-  directly over the flat node world of :mod:`repro.cluster` and the
-  two-tier trunk model of :mod:`repro.net.topology`.
+  directly over the flat node world of :mod:`repro.cluster`.
 * correlated fan-out — :meth:`DomainTree.disks_under` answers "which
   disks does this rack event take down", the primitive the campaign's
   failure processes use to apply one event to a whole subtree.
@@ -32,8 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from ..net.topology import RackTopology
 
 #: Containment levels, outermost first.  ``disk`` is the leaf level;
 #: disk ids are the cluster's node ids.
@@ -231,47 +228,6 @@ class DomainTree:
                         f"at <= {max_per_domain} per domain"
                     )
         return patterns
-
-    # ---- bridges to the flat topology model ---------------------------- #
-
-    def to_rack_topology(
-        self, *, nic_mbps: float = 1000.0, oversubscription: float = 2.0
-    ) -> RackTopology:
-        """Collapse the tree to :class:`~repro.net.topology.RackTopology`.
-
-        Disks map to nodes and their rack ancestors to racks; each
-        trunk gets ``members * nic / oversubscription`` capacity, the
-        same convention as :meth:`RackTopology.uniform`.  This is how a
-        lifetime fleet hands its shape to the planner-side rack checks.
-        """
-        rack_of_disk = tuple(int(r) for r in self.disk_domains("rack"))
-        trunks = []
-        for rack in range(self.num_racks):
-            members = int(np.sum(self.disk_domains("rack") == rack))
-            trunks.append(max(members, 1) * nic_mbps / oversubscription)
-        return RackTopology(rack_of=rack_of_disk, trunk_mbps=tuple(trunks))
-
-    @classmethod
-    def from_rack_topology(
-        cls, topology: RackTopology, *, disks_per_machine: int = 1
-    ) -> "DomainTree":
-        """Lift a flat rack topology into a tree (one DC).
-
-        Each topology node becomes a machine carrying
-        ``disks_per_machine`` disks, so an existing two-tier cluster
-        gains lifetime semantics without re-describing its shape.
-        """
-        if disks_per_machine < 1:
-            raise ValueError("disks_per_machine must be positive")
-        machines = topology.num_nodes
-        return cls(
-            machine_of=tuple(
-                d // disks_per_machine
-                for d in range(machines * disks_per_machine)
-            ),
-            rack_of=tuple(topology.rack_of),
-            dc_of=tuple(0 for _ in range(topology.num_racks)),
-        )
 
 
 def _check_level(level: str) -> str:

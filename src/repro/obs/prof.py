@@ -20,10 +20,11 @@ Two opt-in hooks plug into the queue (``queue.profiler`` /
   wall-time, events/sec, ETA, top hot sites) as JSONL and an opt-in
   stderr progress line, so a multi-minute campaign is watchable.
 
-When neither hook is installed ``EventQueue.run`` never enters the
-instrumented loop, so the disabled overhead is a single branch per
-``run`` call — bounded by ``benchmarks/bench_sim_engine.py`` (the
-``BENCH_sim.json`` gate, ≤3% like the obs no-op gate).
+The queue's one drain loop reads both hooks once per ``run``/``step``
+call and tests one local boolean per event, so the disabled overhead is
+the empty-call cost plus one false branch per event — bounded by
+``benchmarks/bench_sim_engine.py`` (the ``BENCH_sim.json`` gate, ≤3%
+like the obs no-op gate).
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class EngineProfiler:
         self.batches = 0
         self.events = 0
         self.total_self_ns = 0
-        #: wall-clock spent inside instrumented ``run`` calls (includes
+        #: wall-clock spent inside profiled ``run``/``step`` calls (includes
         #: heap/bookkeeping time the per-site self times exclude)
         self.run_wall_ns = 0
         self._sample_stride = 1
@@ -176,7 +177,7 @@ class EngineProfiler:
     def __exit__(self, *exc) -> None:
         self.uninstall()
 
-    # -- hot-path hooks (called by the instrumented queue loop) -------- #
+    # -- hot-path hooks (called by the queue's drain loop) ------------- #
 
     def run_action(self, action: Callable[[], None]) -> None:
         """Execute ``action``, attributing its cost to its site."""

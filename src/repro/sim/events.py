@@ -9,7 +9,6 @@ which makes every simulation run bit-for-bit reproducible.
 from __future__ import annotations
 
 import heapq
-import itertools
 from time import perf_counter_ns
 from typing import Callable
 
@@ -51,16 +50,15 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[_Entry] = []
-        self._seq = itertools.count()
+        self._seq = 0
         self._now = 0.0
         self._pending: dict[int, _Entry] = {}
         self._executed = 0
         self._peak_pending = 0
         self._budget: int | None = None
-        #: opt-in engine self-observability hooks (:mod:`repro.obs.prof`).
-        #: ``run`` checks them once at entry and dispatches to a separate
-        #: instrumented loop, so the disabled hot path pays nothing per
-        #: event.
+        #: opt-in engine self-observability hooks (:mod:`repro.obs.prof`),
+        #: read once per ``run``/``step`` call; with neither set the loop
+        #: pays one local boolean test per event.
         self.profiler = None
         self.monitor = None
 
@@ -113,9 +111,11 @@ class EventQueue:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        entry = _Entry(self._now + delay, next(self._seq), action)
+        seq = self._seq
+        self._seq = seq + 1
+        entry = _Entry(self._now + delay, seq, action)
         heapq.heappush(self._heap, entry)
-        self._pending[entry.seq] = entry
+        self._pending[seq] = entry
         if len(self._pending) > self._peak_pending:
             self._peak_pending = len(self._pending)
         return entry
@@ -163,115 +163,108 @@ class EventQueue:
         :meth:`set_event_budget`; an exhausted budget raises without
         consuming the event.
         """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry.cancelled:
-                heapq.heappop(heap)
-                continue
-            budget = self._budget
-            if budget is not None:
-                if budget <= 0:
-                    raise RuntimeError(
-                        "event budget exhausted (0 remaining); "
-                        "set_event_budget() to continue"
-                    )
-                self._budget = budget - 1
-            heapq.heappop(heap)
-            self._pending.pop(entry.seq, None)
-            self._now = entry.time
-            self._executed += 1
-            profiler = self.profiler
-            if profiler is not None:
-                profiler.run_action(entry.action)
-                profiler.record_batch(entry.time, 1, len(self._pending))
-            else:
-                entry.action()
-            if self.monitor is not None:
-                self.monitor.after_batch(self)
-            return True
-        return False
+        return self._drain(None, 1, single=True) == 1
 
     def run(self, *, until: float | None = None, max_events: int = 10_000_000) -> float:
         """Drain the queue; returns the final simulation time.
-
-        The hot loop coalesces every event carrying the *same* timestamp
-        into one heap-pop streak and then executes the batch in sequence
-        order without touching the heap in between.  Slice-pipelined
-        repairs produce long runs of equal-time completions (every edge
-        of a stage frees at the same analytic instant), so batching
-        amortises the heap sift per event down the whole run.  Ordering
-        is unchanged: actions scheduling new events — even at the batch's
-        own timestamp — always draw a higher ``seq``, which sorts after
-        every batched entry, and cancellations from within the batch are
-        honoured via each entry's lazy ``cancelled`` flag.
 
         Parameters
         ----------
         until:
             Stop once simulation time would pass this value (events beyond
-            it stay queued).
+            it stay queued).  The clock never moves backwards: an
+            ``until`` earlier than ``now`` runs nothing and leaves ``now``
+            where it is.
         max_events:
             Safety valve against runaway simulations: exactly this many
             events may execute; attempting one more raises, with the
-            overflowing event (and the rest of its batch) left queued.
+            overflowing event left queued.
         """
-        if self.profiler is not None or self.monitor is not None:
-            return self._run_instrumented(until=until, max_events=max_events)
+        self._drain(until, max_events, single=False)
+        return self._now
+
+    def _drain(self, until: float | None, max_events: int, *, single: bool) -> int:
+        """The one loop that pops the heap: pop one event, run it, repeat.
+
+        ``single`` stops after the first executed event (:meth:`step`);
+        otherwise the loop runs until the queue is empty, ``until`` is
+        passed, or ``max_events`` / the persistent budget would be
+        exceeded (which raises before the overflowing event is popped,
+        so a topped-up budget resumes exactly there).  Returns the
+        number of events executed by this call.
+
+        The profiler and monitor hooks are read once, here.  They see
+        *batches*: a batch is the maximal run of equal-time events that
+        were all already scheduled when its first one ran.  An action
+        that schedules at its own timestamp draws a ``seq`` at or above
+        the batch's mark, so it opens a new batch — one integer
+        comparison, with no list of popped entries to keep consistent.
+        A batch never spans two calls.
+        """
         heap = self._heap
-        pending_pop = self._pending.pop
+        pending = self._pending
         heappop = heapq.heappop
+        profiler = self.profiler
+        monitor = self.monitor
+        hooked = profiler is not None or monitor is not None
         limit = max_events
         if self._budget is not None and self._budget < limit:
             limit = self._budget
         executed = 0
-        batch: list[_Entry] = []
+        batch_time = 0.0
+        batch_mark = 0  # seqs below it were scheduled before the batch began
+        ran = 0         # events of the open batch run so far (0 = none open)
+        wall0 = perf_counter_ns() if profiler is not None else 0
         try:
             while heap:
-                head = heap[0]
-                if head.cancelled:
-                    # drop stale entries without re-wrapping them in a batch
+                entry = heap[0]
+                if entry.cancelled:
                     heappop(heap)
                     continue
-                when = head.time
+                when = entry.time
                 if until is not None and when > until:
-                    self._now = until
+                    if until > self._now:
+                        self._now = until
                     break
-                batch.clear()
-                while heap and heap[0].time == when:
-                    entry = heappop(heap)
-                    if not entry.cancelled:
-                        batch.append(entry)
+                if executed >= limit:
+                    raise RuntimeError(self._limit_message(limit, max_events))
+                if hooked and ran and (when != batch_time or entry.seq >= batch_mark):
+                    self._close_batch(profiler, monitor, batch_time, ran)
+                    ran = 0
+                heappop(heap)
+                del pending[entry.seq]
                 self._now = when
-                for entry in batch:
-                    if entry.cancelled:
-                        continue  # cancelled by an earlier action in this batch
-                    if executed >= limit:
-                        self._requeue_unexecuted(batch)
-                        raise RuntimeError(
-                            self._limit_message(limit, max_events)
-                        )
-                    pending_pop(entry.seq, None)
-                    self._executed += 1
+                self._executed += 1
+                executed += 1
+                if hooked:
+                    if not ran:
+                        batch_time = when
+                        batch_mark = self._seq
+                    ran += 1
+                    if profiler is not None:
+                        profiler.run_action(entry.action)
+                    else:
+                        entry.action()
+                else:
                     entry.action()
-                    executed += 1
+                if single:
+                    break
         finally:
+            if ran:
+                self._close_batch(profiler, monitor, batch_time, ran)
+            if profiler is not None:
+                profiler.run_wall_ns += perf_counter_ns() - wall0
+            if monitor is not None and not single:
+                monitor.after_run(self)
             if self._budget is not None:
                 self._budget = max(0, self._budget - executed)
-        return self._now
+        return executed
 
-    def _requeue_unexecuted(self, batch: list[_Entry]) -> None:
-        """Push a batch's not-yet-run entries back on the heap.
-
-        Executed entries were already removed from ``_pending`` (and
-        cancelled ones never joined it), so membership there identifies
-        exactly the events an aborted batch still owes — re-queueing
-        them keeps the queue consistent, which lets a budget-exhausted
-        run resume after :meth:`set_event_budget` tops it back up.
-        """
-        for entry in batch:
-            if not entry.cancelled and entry.seq in self._pending:
-                heapq.heappush(self._heap, entry)
+    def _close_batch(self, profiler, monitor, when: float, ran: int) -> None:
+        if profiler is not None:
+            profiler.record_batch(when, ran, len(self._pending))
+        if monitor is not None:
+            monitor.after_batch(self)
 
     def _limit_message(self, limit: int, max_events: int) -> str:
         if limit < max_events:
@@ -280,74 +273,3 @@ class EventQueue:
                 "set_event_budget() to continue"
             )
         return f"exceeded {max_events} events; runaway simulation?"
-
-    def _run_instrumented(
-        self, *, until: float | None, max_events: int
-    ) -> float:
-        """The :meth:`run` loop with profiler/monitor hooks live.
-
-        A structural twin of the fast loop (same batching, ordering and
-        budget semantics) that additionally times each action, records
-        per-batch samples and lets the monitor emit heartbeats.  Kept
-        separate so the common, un-instrumented path never pays for the
-        hooks.
-        """
-        heap = self._heap
-        pending = self._pending
-        pending_pop = pending.pop
-        heappop = heapq.heappop
-        profiler = self.profiler
-        monitor = self.monitor
-        run_action = profiler.run_action if profiler is not None else None
-        limit = max_events
-        if self._budget is not None and self._budget < limit:
-            limit = self._budget
-        executed = 0
-        batch: list[_Entry] = []
-        wall0 = perf_counter_ns()
-        try:
-            while heap:
-                head = heap[0]
-                if head.cancelled:
-                    heappop(heap)
-                    continue
-                when = head.time
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                batch.clear()
-                while heap and heap[0].time == when:
-                    entry = heappop(heap)
-                    if not entry.cancelled:
-                        batch.append(entry)
-                self._now = when
-                ran = 0
-                for entry in batch:
-                    if entry.cancelled:
-                        continue
-                    if executed >= limit:
-                        self._requeue_unexecuted(batch)
-                        raise RuntimeError(
-                            self._limit_message(limit, max_events)
-                        )
-                    pending_pop(entry.seq, None)
-                    self._executed += 1
-                    if run_action is not None:
-                        run_action(entry.action)
-                    else:
-                        entry.action()
-                    executed += 1
-                    ran += 1
-                if ran:
-                    if profiler is not None:
-                        profiler.record_batch(when, ran, len(pending))
-                    if monitor is not None:
-                        monitor.after_batch(self)
-        finally:
-            if profiler is not None:
-                profiler.run_wall_ns += perf_counter_ns() - wall0
-            if monitor is not None:
-                monitor.after_run(self)
-            if self._budget is not None:
-                self._budget = max(0, self._budget - executed)
-        return self._now

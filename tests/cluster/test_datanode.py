@@ -291,7 +291,7 @@ class TestReleaseRepair:
         events.run()
         assert len(delivered) == 5
         node.release_repair("s")
-        (state,) = node._tasks.values()
+        (state,) = node._repair_tasks["s"].values()
         assert state.scaled is None and state.partials == [None] * 4
         assert not node.retransmit(("s", 7), 256, 512)  # refused, not an error
         assert node.pending_tasks() == 0
@@ -303,7 +303,8 @@ class TestReleaseRepair:
             node.assign(dataclasses.replace(
                 leaf_task(rate=1.0), repair_id=rid, pipeline_id=pid
             ))
-        a1, a2, b1 = (node._tasks[k] for k in (("a", 1), ("a", 2), ("b", 1)))
+        tasks = node._repair_tasks
+        a1, a2, b1 = tasks["a"][1], tasks["a"][2], tasks["b"][1]
         assert node.cancel_repair("b") == 1 and b1.cancelled
         assert node.cancel_repair("b") == 0  # already cancelled
         assert node.cancel_repair("nobody") == 0
@@ -317,13 +318,14 @@ class TestReleaseRepair:
             assert state.scaled is None and state.partials == [None] * 4
             assert state.arrived == [] and state.ready_at == []
         assert b1.scaled is not None and len(b1.arrived) == 4
-        assert set(node._tasks) == {("a", 1), ("a", 2), ("b", 1)}
+        assert all(node.has_task(*k) for k in (("a", 1), ("a", 2), ("b", 1)))
+        assert not (node.has_task("a", 3) or node.has_task("nobody", 1))
         assert not node.retransmit(("a", 1), 0, 256)
         assert node.pending_tasks() == 1  # the cancelled one never finished
         # a repeated repair re-assigns the same wire id: the index follows
         node.assign(dataclasses.replace(leaf_task(), repair_id="b", pipeline_id=1))
-        assert node._tasks[("b", 1)] is not b1
-        assert node.cancel_repair("b") == 1 and node._tasks[("b", 1)].cancelled
+        assert tasks["b"][1] is not b1
+        assert node.cancel_repair("b") == 1 and tasks["b"][1].cancelled
 
 
 class TestHubRotMidRepair:

@@ -10,8 +10,8 @@ optimised path to it:
 * when the flow-completion step fires, Dinic and networkx may split the
   (equal-value) max-flow differently, so those few contexts are compared
   on throughput and validated rather than edge-by-edge;
-* the scalar and vectorised Algorithm 1 kernels must agree exactly at
-  and around the dispatch threshold;
+* Algorithm 1 alone is pinned to the seed loop on wide helper sets too
+  (47-200 helpers), far past any width a repair plans over;
 * networkx must never be imported by planning (it is a test oracle only).
 """
 
@@ -25,12 +25,8 @@ import numpy as np
 import pytest
 
 from repro.core.fullrepair import FullRepair
-from repro.core.seedplanner import seed_schedule
-from repro.core.throughput import (
-    VECTOR_THRESHOLD,
-    _throughput_scalar,
-    _throughput_vector,
-)
+from repro.core.seedplanner import seed_max_pipelined_throughput, seed_schedule
+from repro.core.throughput import max_pipelined_throughput
 from repro.net import BandwidthSnapshot, RepairContext
 
 from tests.conftest import random_context
@@ -97,32 +93,30 @@ class TestPlanEquivalence:
         )
         _assert_plans_equivalent(FullRepair().schedule(ctx), seed_schedule(ctx))
 
-
-class TestAlgorithm1Dispatch:
-    def _wide_context(self, rng, num_helpers):
-        n_nodes = num_helpers + 1
-        up = rng.uniform(1.0, 1000.0, n_nodes)
-        down = rng.uniform(1.0, 1000.0, n_nodes)
-        snap = BandwidthSnapshot(uplink=up, downlink=down)
-        ids = rng.permutation(n_nodes)
-        return RepairContext(
-            snapshot=snap,
-            requester=int(ids[0]),
-            helpers=tuple(int(x) for x in ids[1:]),
-            k=int(rng.integers(2, 12)),
-        )
-
-    @pytest.mark.parametrize("num_helpers", (VECTOR_THRESHOLD - 1, VECTOR_THRESHOLD, 64, 96))
-    def test_scalar_matches_vector(self, num_helpers):
+    @pytest.mark.parametrize("num_helpers", (47, 48, 64, 96, 200))
+    def test_wide_contexts_algorithm1(self, num_helpers):
+        """Helper sets wider than any repair plans over: the closed form
+        is the only production solver, so it must hold there as well."""
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            ctx = self._wide_context(rng, num_helpers)
-            s = _throughput_scalar(ctx)
-            v = _throughput_vector(ctx)
-            assert s.t_max == pytest.approx(v.t_max, abs=TOL)
-            assert s.picked == v.picked
-            assert s.uplink == pytest.approx(v.uplink, abs=TOL)
-            assert s.downlink == pytest.approx(v.downlink, abs=TOL)
+            n_nodes = num_helpers + 1
+            snap = BandwidthSnapshot(
+                uplink=rng.uniform(1.0, 1000.0, n_nodes),
+                downlink=rng.uniform(1.0, 1000.0, n_nodes),
+            )
+            ids = rng.permutation(n_nodes)
+            ctx = RepairContext(
+                snapshot=snap,
+                requester=int(ids[0]),
+                helpers=tuple(int(x) for x in ids[1:]),
+                k=int(rng.integers(2, 12)),
+            )
+            fast = max_pipelined_throughput(ctx)
+            ref = seed_max_pipelined_throughput(ctx)
+            assert fast.t_max == pytest.approx(ref.t_max, abs=TOL)
+            assert fast.picked == ref.picked
+            assert fast.uplink == pytest.approx(ref.uplink, abs=TOL)
+            assert fast.downlink == pytest.approx(ref.downlink, abs=TOL)
 
 
 class TestHotPathImports:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.lifetime import LEVELS, DomainTree
-from repro.net.topology import RackTopology
 
 pytestmark = pytest.mark.lifetime
 
@@ -100,19 +99,3 @@ class TestSpread:
     def test_impossible_spread_rejected(self, tree):
         with pytest.raises(ValueError, match="cannot place"):
             tree.spread_placements(1, 13, level="machine", max_per_domain=1)
-
-
-class TestTopologyBridge:
-    def test_round_trip_preserves_rack_membership(self, tree):
-        topo = tree.to_rack_topology(nic_mbps=1000.0, oversubscription=2.0)
-        assert topo.num_nodes == tree.num_disks
-        assert list(topo.rack_of) == tree.disk_domains("rack").tolist()
-        # 4 disks per rack at 1000 Mbps / 2 oversubscription
-        assert topo.trunk_mbps[0] == pytest.approx(2000.0)
-
-    def test_from_rack_topology_lifts_nodes_to_machines(self):
-        topo = RackTopology.uniform(8, 4, nic_mbps=1000.0)
-        tree = DomainTree.from_rack_topology(topo, disks_per_machine=2)
-        assert tree.num_machines == 8
-        assert tree.num_disks == 16
-        assert tree.domain_of("rack", 0) == topo.rack_of[0]

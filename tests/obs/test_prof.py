@@ -226,6 +226,32 @@ class TestEngineProfiler:
         assert prof.batches == 1
         assert prof.mean_batch_size == pytest.approx(8.0)
 
+    def test_batches_and_sites_pinned_on_the_engine_bench_scenario(self):
+        """Counts recorded at f0cd0d1, when ``run`` popped whole
+        equal-time batches off the heap before running them."""
+        from benchmarks.bench_sim_engine import GATE_SCENARIO
+        from repro.recovery import run_recovery_scenario
+
+        scenario = run_recovery_scenario(**GATE_SCENARIO, profile=True)
+        prof = scenario.profiler
+        assert scenario.system.events.executed == prof.events == 20313
+        assert prof.batches == 9168
+        assert prof.batch_hist == {
+            1: 4535, 2: 4341, 3: 187, 4: 66, 5: 31, 6: 4, 7: 4
+        }
+        assert {
+            f"{module.rpartition('.')[2]}:{qualname}": stats.events
+            for (module, qualname), stats in prof.sites.items()
+        } == {
+            "datanode:DataNode._pump.<locals>._complete": 18732,
+            "system:ClusterSystem._abort_attempt.<locals>.<lambda>": 1,
+            "system:ClusterSystem._arm_timer.<locals>.<lambda>": 2,
+            "system:ClusterSystem._dispatch_tasks.<locals>.<lambda>": 1176,
+            "foreground:ForegroundTraffic._issue": 200,
+            "orchestrator:RecoveryOrchestrator._tick": 200,
+            "scenario:run_recovery_scenario.<locals>.<lambda>": 2,
+        }
+
 
 # --------------------------------------------------------------------- #
 # RunMonitor                                                            #

@@ -73,6 +73,16 @@ class TestEventQueue:
         q.run()
         assert hits == [1, 2]
 
+    def test_run_until_never_rewinds_the_clock(self):
+        q = EventQueue()
+        q.schedule(5.0, lambda: None)
+        q.schedule(9.0, lambda: None)
+        assert q.run(until=6.0) == 6.0
+        assert q.run(until=3.0) == 6.0  # an earlier `until` runs nothing
+        assert q.now == 6.0
+        assert q.pending_count == 1
+        assert q.run() == 9.0
+
     def test_runaway_guard(self):
         q = EventQueue()
 
@@ -177,8 +187,8 @@ class TestCancel:
 
 
 class TestBatchedRun:
-    """`run` coalesces same-timestamp events into one heap-pop streak;
-    these tests pin the semantics that batching must not change."""
+    """Same-timestamp events run in scheduling order, one pop at a time;
+    these tests pin the semantics of an equal-time batch."""
 
     def test_same_time_insertion_during_batch_runs_after_it(self):
         q = EventQueue()
@@ -197,8 +207,7 @@ class TestBatchedRun:
         assert q.now == 1.0
 
     def test_cancel_later_batch_member_from_earlier_one(self):
-        """An action may cancel a same-timestamp event already popped
-        into the batch; the lazy flag must still suppress it."""
+        """An action may cancel a same-timestamp event of its own batch."""
         q = EventQueue()
         order = []
         victim = None
@@ -215,7 +224,7 @@ class TestBatchedRun:
         assert q.executed == 2
 
     def test_run_matches_step_loop_order(self):
-        """Batched drain and per-event stepping execute identically."""
+        """``run`` and a ``step`` loop are the same loop: same order."""
         import random
 
         def build(q, log):
@@ -371,3 +380,156 @@ class TestEventBudget:
         with pytest.raises(RuntimeError, match="budget"):
             q.run(max_events=100)
         assert q.executed == 2
+
+
+class _RecordingHooks:
+    """Stands in for both ``EngineProfiler`` and ``RunMonitor``."""
+
+    run_wall_ns = 0
+
+    def __init__(self):
+        self.batches = []  # (sim_time, ran, pending) per record_batch
+        self.after_batch_at = []  # queue.executed at each after_batch
+        self.runs = 0
+
+    def run_action(self, action):
+        action()
+
+    def record_batch(self, sim_time, ran, pending):
+        self.batches.append((sim_time, ran, pending))
+
+    def after_batch(self, queue):
+        self.after_batch_at.append(queue.executed)
+
+    def after_run(self, queue):
+        self.runs += 1
+
+
+def _hooked_queue():
+    q = EventQueue()
+    hooks = _RecordingHooks()
+    q.profiler = hooks
+    q.monitor = hooks
+    return q, hooks
+
+
+class TestBatchBoundaries:
+    """What the profiler and monitor hooks see as one batch: the maximal
+    run of equal-time events already scheduled when its first one ran."""
+
+    def test_scheduling_at_own_timestamp_opens_a_new_batch(self):
+        q, hooks = _hooked_queue()
+
+        def first():
+            q.schedule(0.0, lambda: None)  # same timestamp, new batch
+            q.schedule(0.0, lambda: None)
+
+        q.schedule(1.0, first)
+        q.schedule(1.0, lambda: None)
+        q.schedule(1.0, lambda: None)
+        q.schedule(2.0, lambda: None)
+        q.run()
+        # pending is read when the batch closes, before the next pop
+        assert hooks.batches == [(1.0, 3, 3), (1.0, 2, 1), (2.0, 1, 0)]
+        assert hooks.after_batch_at == [3, 5, 6]
+        assert hooks.runs == 1
+
+    def test_cancelled_members_do_not_count(self):
+        q, hooks = _hooked_queue()
+        victim = None
+        q.schedule(1.0, lambda: q.cancel(victim))
+        victim = q.schedule(1.0, lambda: None)
+        q.schedule(1.0, lambda: None)
+        q.run()
+        assert hooks.batches == [(1.0, 2, 0)]
+
+    def test_step_sees_batches_of_one_and_no_after_run(self):
+        q, hooks = _hooked_queue()
+        for _ in range(3):
+            q.schedule(1.0, lambda: None)
+        while q.step():
+            pass
+        assert hooks.batches == [(1.0, 1, 2), (1.0, 1, 1), (1.0, 1, 0)]
+        assert hooks.after_batch_at == [1, 2, 3]
+        assert hooks.runs == 0
+
+    def test_truncated_batch_is_recorded_and_its_rest_is_a_new_batch(self):
+        q, hooks = _hooked_queue()
+        for _ in range(5):
+            q.schedule(1.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            q.run(max_events=2)
+        q.run()
+        assert hooks.batches == [(1.0, 2, 3), (1.0, 3, 0)]
+        assert hooks.runs == 2
+
+    def test_raising_action_still_closes_its_batch(self):
+        q, hooks = _hooked_queue()
+
+        def boom():
+            raise KeyError("boom")
+
+        q.schedule(1.0, lambda: None)
+        q.schedule(1.0, boom)
+        q.schedule(1.0, lambda: None)
+        with pytest.raises(KeyError):
+            q.run()
+        assert hooks.batches == [(1.0, 2, 1)]
+        assert q.executed == 2 and q.pending_count == 1
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["bare", "hooked"])
+class TestExhaustionResumes:
+    """``max_events`` / budget exhaustion leaves the overflowing event
+    queued, whichever of ``run`` / ``step`` hit it and whichever resumes."""
+
+    @staticmethod
+    def _queue(hooked, n=6):
+        q = _hooked_queue()[0] if hooked else EventQueue()
+        hits = []
+        for i in range(n):
+            # two equal-time batches of three
+            q.schedule(1.0 + i // 3, lambda i=i: hits.append(i))
+        return q, hits
+
+    def test_max_events_in_run_then_step(self, hooked):
+        q, hits = self._queue(hooked)
+        with pytest.raises(RuntimeError, match="runaway"):
+            q.run(max_events=2)
+        assert hits == [0, 1] and q.pending_count == 4 and q.now == 1.0
+        assert q.step() is True
+        assert hits == [0, 1, 2]
+        q.run()
+        assert hits == list(range(6)) and q.pending_count == 0
+
+    def test_budget_in_run_then_step_then_run(self, hooked):
+        q, hits = self._queue(hooked)
+        q.set_event_budget(4)
+        with pytest.raises(RuntimeError, match="budget"):
+            q.run()
+        assert hits == [0, 1, 2, 3] and q.event_budget == 0
+        with pytest.raises(RuntimeError, match="budget"):
+            q.step()
+        assert q.pending_count == 2 and q.executed == 4
+        q.set_event_budget(1)
+        assert q.step() is True and q.event_budget == 0
+        q.set_event_budget(None)
+        q.run()
+        assert hits == list(range(6))
+
+    def test_budget_in_step_then_run(self, hooked):
+        q, hits = self._queue(hooked)
+        q.set_event_budget(1)
+        assert q.step() is True
+        with pytest.raises(RuntimeError, match="budget"):
+            q.step()
+        assert hits == [0] and q.pending_count == 5
+        q.set_event_budget(10)
+        q.run()
+        assert hits == list(range(6)) and q.event_budget == 5
+
+    def test_empty_queue_never_raises_on_zero_budget(self, hooked):
+        q, _ = self._queue(hooked, n=0)
+        q.set_event_budget(0)
+        assert q.step() is False
+        assert q.run() == 0.0

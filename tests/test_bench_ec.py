@@ -55,7 +55,7 @@ class TestSchema:
         assert report["benchmark"] == "ec"
         assert report["schema_version"] == SCHEMA_VERSION
         assert report["config"]["smoke"] is True
-        for key in ("kernels", "rs", "speedup", "gate", "event_queue"):
+        for key in ("kernels", "rs", "speedup", "gate", "checksum"):
             assert key in report
 
     def test_kernel_cells_cover_all_backends(self, smoke_report):
@@ -93,14 +93,6 @@ class TestSchema:
         assert sp["encode_fused_vs_naive"] > 1.5
         for key in GATED_RATIOS:
             assert report["gate"]["speedup"][key] > 1.0
-
-    def test_event_queue_section(self, smoke_report):
-        report, _ = smoke_report
-        ev = report["event_queue"]
-        assert ev["events"] > 0
-        assert ev["batched_run_events_per_s"] > 0
-        assert ev["step_loop_events_per_s"] > 0
-        assert ev["batch_speedup"] > 0
 
     def test_checksum_section(self, smoke_report):
         report, _ = smoke_report

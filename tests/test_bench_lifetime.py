@@ -9,6 +9,9 @@ a stream moved and every published durability number is suspect.  The
 cross-check tier requires the Monte-Carlo MTTDL interval to bracket
 the closed-form Markov-chain answer, and the sweep tier requires
 durability to respond to the repair-speed knob in the right direction.
+The scheduler tier runs ``bench_lifetime_schedulers``' configuration at
+a reduced trial count: FullRepair's shorter full-node makespan must buy
+a strictly lower loss probability and less degraded exposure than RP's.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ from benchmarks.bench_lifetime import (
     SCHEMA_VERSION,
     SWEEP_FACTORS,
     run,
+)
+from benchmarks.bench_lifetime_schedulers import (
+    assert_faster_is_more_durable,
+    measured_makespans,
+    run_schedulers,
 )
 from benchmarks.common import REPO_ROOT
 
@@ -106,3 +114,12 @@ class TestSweep:
         slow = sweep[f"pipeline_{SWEEP_FACTORS[-1]:g}"]
         assert fast["losses"] < slow["losses"]
         assert fast["nines_lower"] > slow["nines_lower"]
+
+
+class TestSchedulers:
+    def test_fullrepair_more_durable_than_rp(self):
+        makespans = measured_makespans()
+        rows = run_schedulers(
+            {name: makespans[name] for name in ("fullrepair", "rp")}, trials=24
+        )
+        assert_faster_is_more_durable(rows)

@@ -29,7 +29,7 @@ class TestSchema:
         assert report["benchmark"] == "planning"
         assert report["schema_version"] == SCHEMA_VERSION
         assert report["config"]["smoke"] is True
-        for key in ("planning", "plan_cache", "gf_kernels"):
+        for key in ("planning", "plan_cache"):
             assert key in report
 
     def test_planning_cells(self, smoke_report):
@@ -63,14 +63,6 @@ class TestSchema:
         assert cache["hit_median_us"] > 0
         assert cache["miss_median_us"] > cache["hit_median_us"]
         assert cache["hit_speedup_vs_miss"] > 1.0
-
-    def test_gf_kernels_section(self, smoke_report):
-        report, _ = smoke_report
-        gf = report["gf_kernels"]
-        assert gf["chunk_bytes"] > 0
-        assert gf["num_chunks"] > 0
-        assert gf["dot_mb_per_s"] > 0
-        assert gf["matvec_mb_per_s"] > 0
 
     def test_committed_artifact_matches_schema(self):
         """The repo-root artefact (full run) must stay schema-valid."""

@@ -1,13 +1,10 @@
-"""The engine-scale harness: smoke run, schema, and the events/sec gate.
+"""The engine-scale harness: smoke run, schema, and the disabled-hooks gate.
 
-The smoke tier doubles as the tier-1 perf gate for the event engine:
-it re-runs the gate-protocol scenario (profiler disabled, GC off,
-setup-subtracted) and fails if the best pass falls more than 20% below
-the events/sec recorded in the committed full-run ``BENCH_sim.json``.
-Unlike the EC gate this compares an *absolute* rate, so the gate
-statistic is the best of three passes — a real regression drags every
-pass down, while transient host noise can only slow passes, never
-inflate the best one.
+The smoke tier re-runs the gate-protocol scenario (profiler disabled,
+GC off, setup-subtracted) and checks what travels across machines:
+event counts, the report's shape, and in-run ratios — the implied
+disabled-hooks overhead against its 3 % ceiling.  Absolute events/s
+are recorded in the artefact and never gated on here.
 """
 
 from __future__ import annotations
@@ -25,10 +22,6 @@ from benchmarks.bench_sim_engine import (
 from benchmarks.common import REPO_ROOT
 
 pytestmark = pytest.mark.prof
-
-#: A fresh best-pass may sit this far below the committed best before
-#: the gate trips (the >20% regression line).
-REGRESSION_TOLERANCE = 0.8
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +54,7 @@ class TestSchema:
         assert len(gate["passes_events_per_s"]) == GATE_PASSES
         assert gate["events_per_s"] == max(gate["passes_events_per_s"])
         assert gate["events_per_s"] > 0
-        assert 0 < gate["engine_wall_s"] < 60
+        assert gate["engine_wall_s"] > 0
 
     def test_disabled_overhead_bounded_in_fresh_run(self, smoke_report):
         """The disabled-hooks contract, re-proven on every smoke run."""
@@ -70,9 +63,9 @@ class TestSchema:
         assert ov["max_overhead_percent"] == MAX_DISABLED_OVERHEAD_PERCENT
         assert ov["implied_overhead_percent"] <= MAX_DISABLED_OVERHEAD_PERCENT
         assert ov["pass"] is True
-        # the empty-run dispatch (upper bound on the added entry cost)
-        # stays in microbenchmark territory
-        assert ov["empty_run_dispatch_ns"] < 50_000
+        # both measured ingredients are present: per call and per event
+        assert ov["empty_run_dispatch_ns"] > 0
+        assert ov["per_event_added_ns"] >= 0
 
     def test_profiled_section(self, smoke_report):
         report, _ = smoke_report
@@ -156,23 +149,3 @@ class TestCommittedArtifact:
         assert "gate.events_per_s" in entry["metrics"]
         text = render_bench_trajectory(merged)
         assert "gate.events_per_s" in text
-
-    def test_regression_gate_vs_committed_events_per_s(self, smoke_report):
-        """>20% events/sec drop at the gate protocol fails tier-1.
-
-        Both sides measure the same scenario with the same protocol
-        (best of GATE_PASSES setup-subtracted passes, GC off), so the
-        comparison is like-for-like on one host.  Absolute rates do not
-        cancel host speed the way the EC ratios do — the committed
-        artefact must be regenerated when the reference machine
-        changes.
-        """
-        committed = json.loads((REPO_ROOT / "BENCH_sim.json").read_text())
-        fresh, _ = smoke_report
-        base = committed["gate"]["events_per_s"]
-        measured = fresh["gate"]["events_per_s"]
-        floor = base * REGRESSION_TOLERANCE
-        assert measured >= floor, (
-            f"engine events/s regressed: measured {measured:.0f}/s "
-            f"vs committed {base:.0f}/s (floor {floor:.0f}/s)"
-        )

@@ -52,6 +52,27 @@ class TestPlanCommand:
         with pytest.raises(SystemExit):
             main(["plan", "--bandwidth", str(path)])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read bandwidth file"),  # file does not exist
+            ("1000 fast 960\n1000 300 1000\n", "cannot read bandwidth file"),
+            ("1000 600 960\n1000 300\n", "cannot read bandwidth file"),
+            ("1000 -600 960\n1000 300 1000\n", "bad bandwidth file"),
+        ],
+    )
+    def test_unreadable_bandwidth_file_exits_with_one_line(
+        self, tmp_path, text, message
+    ):
+        path = tmp_path / "bw.txt"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--bandwidth", str(path)])
+        assert message in str(exc.value.code)
+        assert str(path) in str(exc.value.code)
+        assert "\n" not in str(exc.value.code)
+
 
 class TestTraceCommand:
     def test_trace_summary(self, capsys):
