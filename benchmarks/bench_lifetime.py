@@ -68,7 +68,10 @@ GATE_CONFIG = LifetimeConfig(
 #: Committed gate outcome — exact-match reproducibility contract.
 GATE_EXPECTED = {"losses": 5, "stripes_lost": 7814, "events": 79619}
 
-#: Throughput floor, stripe-years per wall-second (observed ~300k).
+#: Reference throughput, stripe-years per wall-second: printed beside
+#: the measured rate, never asserted — absolute timings do not travel
+#: across machines (the machine-independent gate is the count gate in
+#: ``tests/lifetime/test_control_plane_counts.py``).
 GATE_MIN_STRIPE_YEARS_PER_S = 20_000.0
 
 #: Markov cross-check: a (3, 2) fleet on disjoint placements in the
@@ -226,7 +229,8 @@ def main() -> int:
     print(
         "lifetime bench: gate "
         f"{'MATCHES' if report['gate']['matches_expected'] else 'DRIFTED'}, "
-        f"{report['gate']['stripe_years_per_s']:,.0f} stripe-years/s; "
+        f"{report['gate']['stripe_years_per_s']:,.0f} stripe-years/s "
+        f"(reference floor {GATE_MIN_STRIPE_YEARS_PER_S:,.0f}); "
         "crosscheck "
         f"{'OK' if report['crosscheck']['analytic_within_ci'] else 'OUT OF CI'}; "
         "sweep "

@@ -13,8 +13,8 @@ speed, placement policy and throttle behaviour.
   distributions: exponential, Weibull (infant mortality / wear-out),
   and trace-driven empirical resampling.
 * :mod:`~repro.lifetime.stripes` — the compact stripe-population
-  table: one surviving-chunk bitmap per stripe, placement-group
-  blocking, lazy promotion for stripes under active repair.
+  table: one surviving-chunk word per placement group (per-stripe
+  bitmaps derived), lazy promotion for stripes under active repair.
 * :mod:`~repro.lifetime.campaign` — the `LifetimeCampaign` driver:
   years of failures racing the real
   :class:`~repro.recovery.orchestrator.RecoveryOrchestrator`,

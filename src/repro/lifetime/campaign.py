@@ -37,6 +37,7 @@ path end-to-end).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -121,7 +122,9 @@ class StripeTableSystem:
     :class:`RepairModel` instead of chunk payloads, so campaigns over
     millions of stripes never materialise a byte of data.  It doubles
     as its own ``master`` (stripe lookup promotes lazily, node-death
-    checks read the shared ``down`` array).
+    checks read the shared per-disk ``down`` flags).  ``live`` is the
+    ascending list of disks not down; whoever writes ``down`` keeps it
+    current (:meth:`_Campaign._set_down`).
     """
 
     def __init__(
@@ -129,7 +132,7 @@ class StripeTableSystem:
         table: StripeTable,
         tree: DomainTree,
         events: EventQueue,
-        down: np.ndarray,
+        down,
         *,
         repair_model: RepairModel,
         tracer=None,
@@ -140,6 +143,7 @@ class StripeTableSystem:
         self.tree = tree
         self.events = events
         self.down = down
+        self.live = [d for d in range(tree.num_disks) if not down[d]]
         self.repair_model = repair_model
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -326,7 +330,10 @@ class LifetimeOrchestrator(RecoveryOrchestrator):
     ):
         super().__init__(system, config, slo=slo)
         self._tree = tree
-        self._spread_level = spread_level
+        # disk -> its ``spread_level`` domain, as plain ints
+        self._domain_of = (
+            None if tree is None else tree.disk_domains(spread_level).tolist()
+        )
         self._max_per_domain = max_per_domain
         self.spread_fallbacks = 0
 
@@ -346,48 +353,51 @@ class LifetimeOrchestrator(RecoveryOrchestrator):
             return super()._pick_requesters(stripe_id, lost)
         system = self.system
         placement = system.master.stripe(stripe_id).placement
-        # vectorised liveness scan (one per dispatch; the stock
-        # per-node method-call loop dominated dispatch time)
-        placement_set = set(placement)
-        candidates = [
-            int(r)
-            for r in np.flatnonzero(~system.down)
-            if r not in placement_set
-        ]
-        if len(candidates) < len(lost):
+        # Candidates are the live disks outside the placement, in
+        # ascending order — never materialised: ``holes`` are the
+        # placement's positions in the live list, so a dispatch costs
+        # O(stripe width), not O(fleet).
+        live, down = system.live, system.down
+        holes = sorted(bisect_left(live, d) for d in placement if not down[d])
+        width = len(live) - len(holes)
+        if width < len(lost):
             return None
-        domains = self._tree.disk_domains(self._spread_level)
+        domain_of = self._domain_of
+        cap = self._max_per_domain
         lost_set = set(lost)
         counts: dict[int, int] = {}
         for d in placement:
             if d not in lost_set:
-                dom = int(domains[d])
-                counts[dom] = counts.get(dom, 0) + 1
+                counts[domain_of[d]] = counts.get(domain_of[d], 0) + 1
+        skip = set(placement)  # not candidates, or already chosen
+
+        def round_robin(start):
+            """Unchosen candidates, cyclically from candidate ``start``."""
+            at = start % width
+            for hole in holes:
+                if hole > at:
+                    break
+                at += 1
+            for step in range(len(live)):
+                c = live[(at + step) % len(live)]
+                if c not in skip:
+                    yield c
+
         chosen: dict[int, int] = {}
-        used: set[int] = set()
-        width = len(candidates)
         for i, f in enumerate(lost):
             pick = None
-            for j in range(width):
-                c = candidates[(self._rr + i + j) % width]
-                if c in used:
-                    continue
-                if counts.get(int(domains[c]), 0) < self._max_per_domain:
+            for c in round_robin(self._rr + i):
+                if counts.get(domain_of[c], 0) < cap:
                     pick = c
                     break
             if pick is None:
                 # no compliant spare left — degrade to the stock rule
                 # rather than stall the repair, but count it
                 self.spread_fallbacks += 1
-                for j in range(width):
-                    c = candidates[(self._rr + i + j) % width]
-                    if c not in used:
-                        pick = c
-                        break
-            used.add(pick)
+                pick = next(round_robin(self._rr + i))
+            skip.add(pick)
             chosen[f] = pick
-            dom = int(domains[pick])
-            counts[dom] = counts.get(dom, 0) + 1
+            counts[domain_of[pick]] = counts.get(domain_of[pick], 0) + 1
         self._rr += len(lost)
         return chosen
 
@@ -571,8 +581,8 @@ class _Campaign:
             )
         self.table = StripeTable(config.num_stripes, patterns, k=config.k)
         self.events = EventQueue()
-        self.down_counts = np.zeros(self.tree.num_disks, dtype=np.int32)
-        self.down = np.zeros(self.tree.num_disks, dtype=bool)
+        self.down_counts = [0] * self.tree.num_disks
+        self.down = [False] * self.tree.num_disks
         self.failures = {"disk": 0, "machine": 0, "rack": 0}
         self.recent: deque[tuple[float, str, int]] = deque(maxlen=8)
         self.losses: list[LossEvent] = []
@@ -636,12 +646,12 @@ class _Campaign:
             return
         # Correlated transient outage: the event takes down every disk
         # in the subtree at once; data stays intact.
-        fan = self.tree.disks_under(level, unit)
+        fan = self.tree.disks_under(level, unit).tolist()
         for d in fan:
-            self._set_down(int(d), +1)
+            self._set_down(d, +1)
         def recover():
             for d in fan:
-                self._set_down(int(d), -1)
+                self._set_down(d, -1)
             self._arm(level, unit, rng, proc)
         self.events.schedule(downtime, recover)
 
@@ -653,11 +663,10 @@ class _Campaign:
             touched, losses = self.table.destroy_disk(disk, now, self.down)
             self._post_mortem(losses, "disk", disk)
             for group in touched:
-                if self.table.lost[group]:
-                    continue
-                slot = self._slot_of(group, disk)
-                if slot is not None:
-                    self._arm_chunk_rebuild(group, slot, disk, proc)
+                if not self.table.lost[group]:
+                    self._arm_chunk_rebuild(
+                        group, self.table.slot_of(group, disk), disk, proc
+                    )
             self._arm("disk", disk, rng, proc)
             return
         self._set_down(disk, +1)
@@ -672,34 +681,30 @@ class _Campaign:
             self._arm("disk", disk, rng, proc)
         self.events.schedule(downtime, replaced)
 
-    def _slot_of(self, group, disk) -> int | None:
-        row = self.table.patterns[group]
-        for j in range(self.table.n):
-            if row[j] == disk:
-                return j
-        return None
-
     def _arm_chunk_rebuild(self, group, slot, disk, proc) -> None:
         delay = proc.sample_downtime(self._rebuild_rng)
         def rebuilt():
             table = self.table
-            if table.lost[group]:
-                return
-            if int(table.intact[table.starts[group]]) & (1 << slot):
+            if table.lost[group] or table.has_chunk(group, slot):
                 return
             table.rebuild(group, [(slot, disk)], self.events.now, self.down)
         self.events.schedule(delay, rebuilt)
 
     def _set_down(self, disk: int, delta: int) -> None:
-        before = int(self.down_counts[disk])
-        after = before + delta
-        self.down_counts[disk] = after
-        if before == 0 and after > 0:
-            self.down[disk] = True
-            self.table.touch_disk(disk, self.events.now, self.down)
-        elif before > 0 and after == 0:
-            self.down[disk] = False
-            self.table.touch_disk(disk, self.events.now, self.down)
+        """The one writer of ``down`` (overlapping outages nest), and
+        so of the system's live-disk list derived from it."""
+        before = self.down_counts[disk]
+        after = self.down_counts[disk] = before + delta
+        if (before > 0) == (after > 0):
+            return
+        self.down[disk] = after > 0
+        if self.system is not None:
+            live = self.system.live
+            if after > 0:
+                del live[bisect_left(live, disk)]
+            else:
+                insort(live, disk)
+        self.table.touch_disk(disk, self.events.now, self.down)
 
     # ---- loss post-mortems ---------------------------------------------- #
 
@@ -732,10 +737,7 @@ class _Campaign:
                     stripe_id=gid,
                     stripes=loss.stripes,
                     surviving=loss.surviving,
-                    destroyed_disks=tuple(
-                        int(self.table.patterns[loss.group][j])
-                        for j in loss.destroyed_slots
-                    ),
+                    destroyed_disks=loss.destroyed_disks,
                     trigger_level=level,
                     trigger_unit=unit,
                     recent_failures=tuple(self.recent),

@@ -4,16 +4,22 @@ A lifetime campaign tracks *millions* of stripes over simulated years.
 Materialising them as :class:`repro.cluster.system.ClusterSystem`
 stripes — chunk payloads, checksums, per-chunk objects — would cost
 gigabytes and melt the event loop, so the population lives here as
-plain arrays instead:
+**group-granular scalar state** instead:
 
-* one ``uint32`` **surviving-chunk bitmap per stripe** (bit ``j`` set
-  ⇔ chunk slot ``j``'s data still exists somewhere), the whole fleet
-  in ``4 * num_stripes`` bytes;
-* stripes grouped into **placement groups**: every stripe in group
-  ``p`` shares placement pattern ``patterns[p]`` and is laid out
-  contiguously, so a disk failure updates whole groups with vectorised
-  slices and the repair unit the orchestrator sees is one group
-  (``pg-…``), not one stripe;
+* stripes are laid out in contiguous **placement groups**: every
+  stripe in group ``p`` shares placement row ``patterns[p]``, and
+  failures and repairs apply group-wide, so the group — not the stripe
+  — is the unit of storage and the repair unit the orchestrator sees
+  (``pg-…``);
+* each group holds, once and as plain Python values, its
+  **surviving-chunk word** (an ``int``; bit ``j`` set ⇔ chunk slot
+  ``j``'s data still exists somewhere), its placement row (a
+  ``list[int]``), its size, its lost flag and the start times of its
+  two open exposure windows (``float | None``) — a disk death flips one
+  bit of one word per affected group, whatever the group's size;
+* the per-stripe ``uint32`` bitmap array is a **derived view**
+  (:attr:`StripeTable.intact`, the group words repeated by group size)
+  for outside readers, never written by the event path;
 * **lazy promotion** — only groups under active repair are promoted to
   lightweight stripe objects (:meth:`StripeTable.promote`) carrying
   the mutable placement the orchestrator's duck-typed ``master``
@@ -25,17 +31,15 @@ repair-exposure time FullRepair's pipelining is meant to shrink) and
 *below-k* windows (fewer than ``k`` chunks reachable — reads blocked),
 both recorded into mergeable :class:`repro.obs.fleet.TDigest`
 sketches weighted by group size, plus the permanent data-loss ledger
-(surviving chunks < k ⇒ the group's stripes are gone).
-
-Within a group the bitmap is block-uniform by construction (failures
-and repairs apply group-wide), so scalar transitions read one
-representative word while the per-stripe array remains the storage
-and stays cheap to scan vectorised (``np.bitwise_count``).
+(surviving chunks < k ⇒ the group's stripes are gone).  One rule opens
+and closes windows (:meth:`StripeTable._set_window`); disk deaths,
+rebuilds and outage edges all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,15 +56,15 @@ class GroupLoss:
     group: int
     stripes: int
     surviving: int  # chunks still intact at the moment of loss
-    destroyed_slots: tuple[int, ...]
+    destroyed_disks: tuple[int, ...]
 
 
 class ActiveStripe:
     """Promoted view of one placement group for the repair path.
 
     Exposes the ``placement`` the orchestrator's ``master.stripe``
-    surface expects; mutations write straight through to the table's
-    pattern array.  Only groups under active repair are promoted.
+    surface expects, read straight from the table's placement row.
+    Only groups under active repair are promoted.
     """
 
     __slots__ = ("table", "group")
@@ -71,7 +75,7 @@ class ActiveStripe:
 
     @property
     def placement(self) -> tuple[int, ...]:
-        return tuple(int(d) for d in self.table.patterns[self.group])
+        return tuple(self.table.patterns[self.group])
 
     @property
     def stripes(self) -> int:
@@ -79,7 +83,7 @@ class ActiveStripe:
 
 
 class StripeTable:
-    """Bitmap-per-stripe population grouped by shared placement."""
+    """Stripe population held as one scalar record per placement group."""
 
     def __init__(
         self,
@@ -99,10 +103,10 @@ class StripeTable:
             raise ValueError("bitmaps support stripe widths up to n=32")
         if num_stripes < num_groups:
             raise ValueError("need at least one stripe per placement group")
-        for p in range(num_groups):
-            row = patterns[p]
-            if len(set(int(d) for d in row)) != n:
-                raise ValueError(f"pattern {p} repeats a disk: {row.tolist()}")
+        rows = patterns.tolist()
+        for p, row in enumerate(rows):
+            if len(set(row)) != n:
+                raise ValueError(f"pattern {p} repeats a disk: {row}")
 
         self.num_stripes = num_stripes
         self.num_groups = num_groups
@@ -110,27 +114,25 @@ class StripeTable:
         self.k = k
         self.full_mask = (1 << n) - 1
 
-        #: mutable working copy — repairs relocate chunks
-        self.patterns = patterns.copy()
+        #: placement row per group — mutable, repairs relocate chunks
+        self.patterns: list[list[int]] = rows
         # Contiguous block boundaries: group p owns
         # stripes[starts[p]:starts[p + 1]].
-        sizes = np.full(num_groups, num_stripes // num_groups, dtype=np.int64)
-        sizes[: num_stripes % num_groups] += 1
-        self.starts = np.concatenate(
-            ([0], np.cumsum(sizes))
-        ).astype(np.int64)
+        size, extra = divmod(num_stripes, num_groups)
+        self._sizes = [size + 1] * extra + [size] * (num_groups - extra)
+        self.starts = list(accumulate(self._sizes, initial=0))
 
-        #: the stripe-state table itself: one surviving-chunk bitmap
-        #: per stripe
-        self.intact = np.full(num_stripes, self.full_mask, dtype=np.uint32)
-        self.lost = np.zeros(num_groups, dtype=bool)
+        #: the stripe-state table itself: one surviving-chunk word per
+        #: group (every stripe of a group shares it)
+        self._words = [self.full_mask] * num_groups
+        self.lost = [False] * num_groups
 
         # disk -> groups whose *current* pattern uses it (maintained
         # across relocations)
         self._groups_of_disk: dict[int, set[int]] = {}
-        for p in range(num_groups):
-            for d in patterns[p]:
-                self._groups_of_disk.setdefault(int(d), set()).add(p)
+        for p, row in enumerate(rows):
+            for d in row:
+                self._groups_of_disk.setdefault(d, set()).add(p)
 
         # Group ids are interned once: the orchestrator handles them as
         # strings on every queue push, and f-string-per-call was the
@@ -138,9 +140,10 @@ class StripeTable:
         self.group_ids = tuple(f"pg-{p:06d}" for p in range(num_groups))
         self._group_of_id = {gid: p for p, gid in enumerate(self.group_ids)}
 
-        # Open exposure windows (NaN = closed) and their sketches.
-        self._degraded_since = np.full(num_groups, np.nan)
-        self._below_k_since = np.full(num_groups, np.nan)
+        # Open exposure windows (start time; None = closed) and their
+        # sketches.
+        self._degraded_since: list[float | None] = [None] * num_groups
+        self._below_k_since: list[float | None] = [None] * num_groups
         self.exposure_digest = TDigest(digest_delta)
         self.below_k_digest = TDigest(digest_delta)
         self.loss_events: list[GroupLoss] = []
@@ -153,47 +156,51 @@ class StripeTable:
     # ---- lookups ------------------------------------------------------- #
 
     def group_size(self, group: int) -> int:
-        return int(self.starts[group + 1] - self.starts[group])
+        return self._sizes[group]
 
     def group_of_id(self, stripe_id: str) -> int:
         return self._group_of_id[stripe_id]
 
     def groups_on(self, disk: int) -> set[int]:
         """Groups whose current placement uses ``disk`` (live view)."""
-        return self._groups_of_disk.get(int(disk), set())
+        return self._groups_of_disk.get(disk, set())
+
+    def slot_of(self, group: int, disk: int) -> int:
+        """Chunk slot of ``group`` placed on ``disk`` (which must hold one)."""
+        return self.patterns[group].index(disk)
+
+    def has_chunk(self, group: int, slot: int) -> bool:
+        """Whether chunk ``slot``'s data still exists."""
+        return bool(self._words[group] >> slot & 1)
 
     def surviving(self, group: int) -> int:
-        """Representative surviving-chunk count for a group."""
-        return int(self.intact[self.starts[group]]).bit_count()
+        """Surviving-chunk count of a group."""
+        return self._words[group].bit_count()
 
     def destroyed_slots(self, group: int) -> tuple[tuple[int, int], ...]:
         """``(slot, disk)`` pairs whose chunk data no longer exists."""
-        word = int(self.intact[self.starts[group]])
-        row = self.patterns[group]
+        word = self._words[group]
         return tuple(
-            (j, int(row[j])) for j in range(self.n) if not word & (1 << j)
+            (j, d)
+            for j, d in enumerate(self.patterns[group])
+            if not word >> j & 1
         )
 
-    def available(self, group: int, down: np.ndarray) -> int:
+    def available(self, group: int, down) -> int:
         """Chunks both intact and on a reachable disk."""
-        word = int(self.intact[self.starts[group]])
-        row = self.patterns[group]
-        # Fast path: outages are rare, and this runs on every window
-        # update — subtract only the intact chunks behind down disks.
-        row_down = down[row]
+        word = self._words[group]
         count = word.bit_count()
-        if row_down.any():
-            for j in np.flatnonzero(row_down):
-                if word & (1 << int(j)):
-                    count -= 1
+        for j, d in enumerate(self.patterns[group]):
+            if down[d] and word >> j & 1:
+                count -= 1
         return count
 
     # ---- mutations ----------------------------------------------------- #
 
-    def destroy_disk(self, disk: int, now: float, down: np.ndarray):
+    def destroy_disk(self, disk: int, now: float, down):
         """Chunk data on ``disk`` is gone (disk death).
 
-        Clears the disk's bit in every affected group's block, detects
+        Clears the disk's bit in every affected group's word, detects
         permanent losses (surviving < k), and updates exposure
         windows.  Returns ``(touched_groups, losses)``; the caller has
         already marked the disk down in ``down``.
@@ -203,19 +210,14 @@ class StripeTable:
         for p in self.groups_on(disk):
             if self.lost[p]:
                 continue
-            row = self.patterns[p]
-            bit = 0
-            for j in range(self.n):
-                if row[j] == disk:
-                    bit |= 1 << j
-            s0, s1 = int(self.starts[p]), int(self.starts[p + 1])
-            word = int(self.intact[s0])
+            bit = 1 << self.slot_of(p, disk)
+            word = self._words[p]
             if not word & bit:
                 continue  # chunk already destroyed (unrebuilt since last death)
-            self.intact[s0:s1] &= np.uint32(self.full_mask ^ bit)
+            self._words[p] = word = word ^ bit
             self.chunks_destroyed += 1
             touched.append(p)
-            survivors = (word & ~bit).bit_count()
+            survivors = word.bit_count()
             if survivors < self.k:
                 losses.append(self._mark_lost(p, now, survivors))
             else:
@@ -228,128 +230,87 @@ class StripeTable:
         group: int,
         repairs: list[tuple[int, int]],
         now: float,
-        down: np.ndarray,
+        down,
     ) -> None:
         """Repaired chunks come back: ``repairs`` is ``(slot, target)``.
 
-        Sets the slot bits across the group's block and relocates the
-        pattern entries to the rebuild targets (keeping the
+        Sets the slot bits in the group's word and relocates the
+        placement entries to the rebuild targets (keeping the
         disk→groups index current).
         """
         if self.lost[group]:
             raise ValueError(f"group {group} was lost; nothing to rebuild")
-        bit = 0
         row = self.patterns[group]
+        word = self._words[group]
         for slot, target in repairs:
-            old = int(row[slot])
+            old = row[slot]
             if old != target:
                 self._groups_of_disk.get(old, set()).discard(group)
-                self._groups_of_disk.setdefault(int(target), set()).add(group)
+                self._groups_of_disk.setdefault(target, set()).add(group)
                 row[slot] = target
-            bit |= 1 << slot
-        s0, s1 = int(self.starts[group]), int(self.starts[group + 1])
-        self.intact[s0:s1] |= np.uint32(bit)
+            word |= 1 << slot
+        self._words[group] = word
         self.chunks_rebuilt += len(repairs)
         self._update_windows(group, now, down)
 
-    def touch_disk(self, disk: int, now: float, down: np.ndarray) -> None:
+    def touch_disk(self, disk: int, now: float, down) -> None:
         """Reachability of ``disk`` changed (transient outage edge).
 
-        Data is intact; only availability windows can open or close,
-        so the scan is vectorised over every group on the disk (a rack
-        event touches each member disk's whole group fan-out — the
-        scalar per-group walk dominated outage handling).
+        Data is intact; only the availability windows of the groups on
+        the disk can open or close.
         """
-        groups = [p for p in self.groups_on(disk) if not self.lost[p]]
-        if not groups:
-            return
-        idx = np.asarray(groups, dtype=np.int64)
-        words = self.intact[self.starts[idx]]
-        rows = self.patterns[idx]  # (G, n)
-        intact_bits = (
-            words[:, None] >> np.arange(self.n, dtype=np.uint32)
-        ) & 1
-        avail = np.bitwise_count(words).astype(np.int64) - (
-            intact_bits.astype(bool) & down[rows]
-        ).sum(axis=1)
-        below = avail < self.k
-        was_open = ~np.isnan(self._below_k_since[idx])
-        degraded = np.bitwise_count(words).astype(np.int64) < self.n
-        deg_open = ~np.isnan(self._degraded_since[idx])
-        # transitions are rare; only they need scalar handling
-        for i in np.flatnonzero(below & ~was_open):
-            self._below_k_since[idx[i]] = now
-        for i in np.flatnonzero(~below & was_open):
-            p = int(idx[i])
-            self.below_k_digest.add(
-                max(now - self._below_k_since[p], 0.0), self.group_size(p)
-            )
-            self._below_k_since[p] = np.nan
-        for i in np.flatnonzero(degraded & ~deg_open):
-            self._degraded_since[idx[i]] = now
-        for i in np.flatnonzero(~degraded & deg_open):
-            p = int(idx[i])
-            self.exposure_digest.add(
-                max(now - self._degraded_since[p], 0.0), self.group_size(p)
-            )
-            self._degraded_since[p] = np.nan
+        for p in self.groups_on(disk):
+            if not self.lost[p]:
+                self._update_windows(p, now, down)
 
-    def finalize(self, now: float, down: np.ndarray) -> None:
+    def finalize(self, now: float, down) -> None:
         """Close every open exposure window at the campaign horizon."""
         for p in range(self.num_groups):
-            since = self._degraded_since[p]
-            if not np.isnan(since):
-                self.exposure_digest.add(
-                    max(now - since, 0.0), self.group_size(p)
-                )
-                self._degraded_since[p] = np.nan
-            since = self._below_k_since[p]
-            if not np.isnan(since):
-                self.below_k_digest.add(
-                    max(now - since, 0.0), self.group_size(p)
-                )
-                self._below_k_since[p] = np.nan
+            self._close_windows(p, now)
 
     def _mark_lost(self, group: int, now: float, survivors: int) -> GroupLoss:
         self.lost[group] = True
-        size = self.group_size(group)
+        size = self._sizes[group]
         self.stripes_lost += size
         # A loss closes the group's windows: exposure ends in the
         # worst way, and the group leaves the live population.
-        since = self._degraded_since[group]
-        if not np.isnan(since):
-            self.exposure_digest.add(max(now - since, 0.0), size)
-            self._degraded_since[group] = np.nan
-        since = self._below_k_since[group]
-        if not np.isnan(since):
-            self.below_k_digest.add(max(now - since, 0.0), size)
-            self._below_k_since[group] = np.nan
+        self._close_windows(group, now)
         return GroupLoss(
             time_s=now,
             group=group,
             stripes=size,
             surviving=survivors,
-            destroyed_slots=tuple(
-                slot for slot, _ in self.destroyed_slots(group)
-            ),
+            destroyed_disks=tuple(d for _, d in self.destroyed_slots(group)),
         )
 
-    def _update_windows(self, group: int, now: float, down: np.ndarray):
-        size = self.group_size(group)
-        degraded = self.surviving(group) < self.n
-        since = self._degraded_since[group]
-        if degraded and np.isnan(since):
-            self._degraded_since[group] = now
-        elif not degraded and not np.isnan(since):
-            self.exposure_digest.add(max(now - since, 0.0), size)
-            self._degraded_since[group] = np.nan
-        below = self.available(group, down) < self.k
-        since = self._below_k_since[group]
-        if below and np.isnan(since):
-            self._below_k_since[group] = now
-        elif not below and not np.isnan(since):
-            self.below_k_digest.add(max(now - since, 0.0), size)
-            self._below_k_since[group] = np.nan
+    def _set_window(self, since_of, digest, group, is_open, now) -> None:
+        """The one window rule: open at the first ``now`` the condition
+        holds, record the span into ``digest`` when it stops holding."""
+        since = since_of[group]
+        if is_open:
+            if since is None:
+                since_of[group] = now
+        elif since is not None:
+            digest.add(max(now - since, 0.0), self._sizes[group])
+            since_of[group] = None
+
+    def _update_windows(self, group: int, now: float, down) -> None:
+        self._set_window(
+            self._degraded_since, self.exposure_digest, group,
+            self._words[group] != self.full_mask, now,
+        )
+        self._set_window(
+            self._below_k_since, self.below_k_digest, group,
+            self.available(group, down) < self.k, now,
+        )
+
+    def _close_windows(self, group: int, now: float) -> None:
+        self._set_window(
+            self._degraded_since, self.exposure_digest, group, False, now
+        )
+        self._set_window(
+            self._below_k_since, self.below_k_digest, group, False, now
+        )
 
     # ---- lazy promotion ------------------------------------------------ #
 
@@ -369,10 +330,18 @@ class StripeTable:
     def active_count(self) -> int:
         return len(self._active)
 
-    # ---- vectorised fleet scans ---------------------------------------- #
+    # ---- derived per-stripe views -------------------------------------- #
+
+    @property
+    def intact(self) -> np.ndarray:
+        """One ``uint32`` surviving-chunk bitmap per stripe, derived:
+        each group's word repeated over its block (a fresh array)."""
+        return np.repeat(np.asarray(self._words, dtype=np.uint32), self._sizes)
 
     def surviving_histogram(self) -> np.ndarray:
         """``hist[c]`` — stripes currently holding ``c`` intact chunks
-        (one pass over the whole population via ``bitwise_count``)."""
-        counts = np.bitwise_count(self.intact)
-        return np.bincount(counts, minlength=self.n + 1)
+        (each group's count weighted by its size)."""
+        hist = np.zeros(self.n + 1, dtype=np.int64)
+        for word, size in zip(self._words, self._sizes):
+            hist[word.bit_count()] += size
+        return hist

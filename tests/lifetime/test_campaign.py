@@ -1,6 +1,8 @@
 """Campaign driver: correlated fan-out, conservation, determinism."""
 
 import dataclasses
+import json
+import pathlib
 
 import pytest
 
@@ -212,3 +214,137 @@ class TestValidation:
                     patterns=((0, 1, 2, 3, 4, 999),),
                 )
             )
+
+
+# --------------------------------------------------------------------- #
+# Golden campaigns: determinism beyond the benchmark's one seed         #
+# --------------------------------------------------------------------- #
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_campaigns.json")
+GOLDEN_SEEDS = (1, 2, 3, 4, 5)
+GOLDEN_MODES = ("orchestrated", "process")
+
+
+def golden_config(seed: int, repair: str) -> LifetimeConfig:
+    """Smoke-size (14, 10) fleet with every failure level armed, aged
+    and throttled hard enough that groups are lost, repairs are
+    requeued and outage edges overlap open repair windows."""
+    return LifetimeConfig(
+        n=14,
+        k=10,
+        num_stripes=2_000,
+        placement_groups=16,
+        years=0.5,
+        seed=seed,
+        disk_process=ExponentialProcess.from_years(0.05, mttr_hours=24.0),
+        machine_process=ExponentialProcess.from_years(0.05, mttr_hours=6.0),
+        rack_process=ExponentialProcess.from_years(0.2, mttr_hours=2.0),
+        repair=repair,
+        repair_model=RepairModel(chunk_mib=64.0, node_mbps=30.0),
+        budget_fraction=0.3,
+        max_concurrent=4,
+    )
+
+
+def _digest_fingerprint(digest) -> dict:
+    return {
+        "count": digest.count,
+        "mean": digest.mean,
+        "p50": digest.quantile(0.5),
+        "p99": digest.quantile(0.99),
+    }
+
+
+def campaign_fingerprint(result) -> dict:
+    """Everything a campaign reports except its wall time, as JSON."""
+    return {
+        "failures": result.failures,
+        "chunks_destroyed": result.chunks_destroyed,
+        "chunks_rebuilt": result.chunks_rebuilt,
+        "repairs_dispatched": result.repairs_dispatched,
+        "chunk_repair_failures": result.chunk_repair_failures,
+        "stripes_lost": result.stripes_lost,
+        "loss_events": [
+            {
+                **dataclasses.asdict(e),
+                "destroyed_disks": list(e.destroyed_disks),
+                "recent_failures": [list(f) for f in e.recent_failures],
+            }
+            for e in result.loss_events
+        ],
+        "surviving_histogram": list(result.surviving_histogram),
+        "events_executed": result.events_executed,
+        "peak_pending": result.peak_pending,
+        "dead_letters": result.dead_letters,
+        "requeues": result.requeues,
+        "skipped": result.skipped,
+        "throttle_shrinks": result.throttle_shrinks,
+        "throttle_restores": result.throttle_restores,
+        "spread_fallbacks": result.spread_fallbacks,
+        "ticks": result.ticks,
+        "exposure": _digest_fingerprint(result.exposure_digest),
+        "below_k": _digest_fingerprint(result.below_k_digest),
+    }
+
+
+def capture_golden() -> dict:
+    """``{"<repair>-<seed>": fingerprint}`` — what the fixture holds.
+
+    The committed fixture was captured at the parent of the PR that
+    made :class:`~repro.lifetime.StripeTable` group-granular; regenerate
+    it (``python -m tests.lifetime.test_campaign``) only for a change
+    that is *meant* to move campaign outcomes.
+    """
+    return {
+        f"{repair}-{seed}": campaign_fingerprint(
+            run_campaign(golden_config(seed, repair))
+        )
+        for repair in GOLDEN_MODES
+        for seed in GOLDEN_SEEDS
+    }
+
+
+def _assert_same(actual, expected, path: str) -> None:
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and actual.keys() == expected.keys(), path
+        for key in expected:
+            _assert_same(actual[key], expected[key], f"{path}/{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), path
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_same(a, e, f"{path}[{i}]")
+    elif isinstance(expected, float):
+        assert actual == pytest.approx(expected, rel=1e-12, abs=0.0), path
+    else:
+        assert actual == expected, path
+
+
+class TestGoldenCampaigns:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_PATH.read_text())
+
+    def test_fixture_covers_every_seed_and_mode(self, golden):
+        assert sorted(golden) == sorted(
+            f"{repair}-{seed}"
+            for repair in GOLDEN_MODES
+            for seed in GOLDEN_SEEDS
+        )
+        # the fixture is only worth pinning if the hard paths ran
+        orchestrated = [golden[f"orchestrated-{s}"] for s in GOLDEN_SEEDS]
+        assert all(g["loss_events"] for g in golden.values())
+        assert all(g["below_k"]["count"] for g in golden.values())
+        assert any(g["requeues"] for g in orchestrated)
+        assert all(g["failures"]["rack"] for g in golden.values())
+
+    @pytest.mark.parametrize("repair", GOLDEN_MODES)
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    def test_campaign_matches_fixture_exactly(self, golden, seed, repair):
+        result = run_campaign(golden_config(seed, repair))
+        # through JSON, so tuples and ints compare as the fixture holds them
+        actual = json.loads(json.dumps(campaign_fingerprint(result)))
+        _assert_same(actual, golden[f"{repair}-{seed}"], f"{repair}-{seed}")
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(capture_golden(), indent=1) + "\n")

@@ -22,7 +22,6 @@ import pytest
 
 from benchmarks.bench_lifetime import (
     GATE_EXPECTED,
-    GATE_MIN_STRIPE_YEARS_PER_S,
     SCHEMA_VERSION,
     SWEEP_FACTORS,
     run,
@@ -71,13 +70,6 @@ class TestGate:
     def test_million_stripe_years(self, smoke_report):
         report, _ = smoke_report
         assert report["gate"]["stripe_years"] >= 1_000_000
-
-    def test_throughput_floor(self, smoke_report):
-        report, _ = smoke_report
-        assert (
-            report["gate"]["stripe_years_per_s"]
-            >= GATE_MIN_STRIPE_YEARS_PER_S
-        )
 
     def test_conservation(self, smoke_report):
         """Whatever was destroyed was either rebuilt or lost for good."""
