@@ -1,7 +1,8 @@
 """EC data-plane perf harness — machine-readable regression gate.
 
-Times the GF(2^8)/RS data plane across every registered backend and
-writes ``BENCH_ec.json`` at the repository root:
+Times the GF(2^8)/RS data plane — the ``fused`` backend that runs and
+the ``naive`` oracle it is measured against — and writes
+``BENCH_ec.json`` at the repository root:
 
 * per-kernel (``dot``, ``matvec``, ``mul_chunk``) throughput per backend
   per chunk size (``dot`` counts input bytes combined, ``matvec``
@@ -9,7 +10,9 @@ writes ``BENCH_ec.json`` at the repository root:
 * whole-stripe RS(9, 6) encode / decode / repair rates on 8 MiB chunks,
   in stripe-bytes per second (the seed pytest-benchmark convention);
 * fused-vs-naive speedup summary — the numbers the regression gate in
-  ``tests/test_bench_ec.py`` tracks across commits;
+  ``tests/test_bench_ec.py`` tracks across commits.  Every cell times
+  the two backends in alternating rounds and reports the ratio as the
+  median of per-round ratios (see :func:`_paired_times`);
 * integrity-checksum overhead: CRC digest and slice-checksum rates and
   the digest cost relative to the fused decode it guards (gated <= 10%).
 
@@ -20,9 +23,9 @@ Run directly (``python -m benchmarks.bench_ec_throughput``), or with
 On the paper's §IV-C premise (CPU is not the repair bottleneck because
 GF combination outruns the network): measured on the reference CI-class
 host (single 2.1 GHz Xeon core, numpy 2.x), the fused backend runs the
-4x10 matrix x chunk kernel at ~2.7 GB/s in GF work units (matrix cells
-x chunk bytes; ~17x the seed kernels) and combines ``dot`` inputs at
-~1 GB/s (~6-8x, RAM-bound on the gather index stream) on 8 MiB
+4x10 matrix x chunk kernel at ~3 GB/s in GF work units (matrix cells
+x chunk bytes; >10x the seed kernels) and combines ``dot`` inputs at
+~1.2 GB/s (~5x, RAM-bound on the gather index stream) on 8 MiB
 chunks — >20x / >7x a 1 Gbps line rate, so the premise holds with a
 wide margin even in pure numpy (production SIMD stacks like ISA-L sit
 another order above; the simulator's ``compute_s_per_byte`` default
@@ -39,7 +42,7 @@ from time import perf_counter
 import numpy as np
 
 from benchmarks.common import REPO_ROOT, SEED, quantile, write_json_report
-from repro.ec import RSCode, available_backends, resolve
+from repro.ec import RSCode, use_backend
 from repro.integrity import chunk_digest, slice_checksum
 from repro.net import units
 
@@ -54,9 +57,13 @@ KERNEL_K = 10
 #: Output rows of the matvec benchmark (parity rows of RS(14, 10)).
 KERNEL_M = 4
 
+#: The oracle and the data plane that runs, in the order an even round
+#: times them.
+BACKENDS = ("naive", "fused")
+
 
 def _median_time(fn, rounds: int) -> float:
-    fn()  # warm up: table builds land outside the timed region
+    fn()  # warm up: zlib's table lands outside the timed region
     samples = []
     for _ in range(rounds):
         start = perf_counter()
@@ -65,7 +72,49 @@ def _median_time(fn, rounds: int) -> float:
     return quantile(samples, 0.5)
 
 
-def _bench_kernels(chunk_bytes: int, rounds: int, backends) -> dict:
+def _paired_times(fn, rounds: int) -> dict[str, list[float]]:
+    """Wall times of ``fn(backend)`` under each backend, round by round.
+
+    A round runs both backends back to back, naive first on even rounds
+    and fused first on odd ones, each selected through ``use_backend``
+    so callers that dispatch internally (``RSCode``) are covered too.
+    Timing one backend's rounds after the other's charged whatever the
+    host was doing during either block to that backend alone: the same
+    ``dot`` code read 949 and 685 MB/s in one committed run.
+    """
+    for name in BACKENDS:  # warm up: table builds land outside the timed region
+        with use_backend(name) as be:
+            fn(be)
+    times: dict[str, list[float]] = {name: [] for name in BACKENDS}
+    for i in range(rounds):
+        for name in BACKENDS if i % 2 == 0 else BACKENDS[::-1]:
+            with use_backend(name) as be:
+                start = perf_counter()
+                fn(be)
+                times[name].append(perf_counter() - start)
+    return times
+
+
+def _paired_cell(ops: dict, rounds: int) -> dict:
+    """``{backend: {op_mb_per_s}, "speedup": {op_fused_vs_naive}}``.
+
+    ``ops`` maps an op name to ``(fn(backend), work in MB)``.  Rates are
+    work over the median round time; each speedup is the median over
+    rounds of that round's naive time over its fused time.
+    """
+    cell: dict[str, dict] = {name: {} for name in BACKENDS}
+    cell["speedup"] = {}
+    for op, (fn, work_mb) in ops.items():
+        times = _paired_times(fn, rounds)
+        for name in BACKENDS:
+            cell[name][f"{op}_mb_per_s"] = work_mb / quantile(times[name], 0.5)
+        cell["speedup"][f"{op}_fused_vs_naive"] = quantile(
+            [n / f for n, f in zip(times["naive"], times["fused"])], 0.5
+        )
+    return cell
+
+
+def _bench_kernels(chunk_bytes: int, rounds: int) -> dict:
     """Per-backend dot / matvec / mul_chunk rates at one chunk size."""
     rng = np.random.default_rng(SEED)
     chunks = rng.integers(0, 256, size=(KERNEL_K, chunk_bytes), dtype=np.uint8)
@@ -79,38 +128,28 @@ def _bench_kernels(chunk_bytes: int, rounds: int, backends) -> dict:
     mul_out = np.empty(chunk_bytes, dtype=np.uint8)
 
     mb = chunk_bytes / 1e6
-    out: dict[str, dict] = {"chunk_bytes": chunk_bytes}
-    for name in backends:
-        be = resolve(name)
-        t_dot = _median_time(
-            lambda: be.dot(coeffs, chunks, out=dot_out, scratch=dot_scratch),
-            rounds,
-        )
-        t_mv = _median_time(
-            lambda: be.matmul_chunks(mat, chunks, out=mv_out), rounds
-        )
-        t_mul = _median_time(
-            lambda: be.mul_chunk(173, chunks[0], out=mul_out), rounds
-        )
-        out[name] = {
-            # input bytes combined per second (seed convention)
-            "dot_mb_per_s": KERNEL_K * mb / t_dot,
-            # matrix cells x chunk bytes per second (seed convention)
-            "matvec_mb_per_s": KERNEL_M * KERNEL_K * mb / t_mv,
-            "mul_chunk_mb_per_s": mb / t_mul,
-        }
     # per-cell fused-vs-naive ratios: the regression gate compares these
     # like-for-like (same chunk size) between smoke and committed runs
-    out["speedup"] = {
-        f"{op}_fused_vs_naive": (
-            out["fused"][f"{op}_mb_per_s"] / out["naive"][f"{op}_mb_per_s"]
-        )
-        for op in ("dot", "matvec", "mul_chunk")
-    }
-    return out
+    cell = _paired_cell(
+        {
+            # input bytes combined per second (seed convention)
+            "dot": (
+                lambda be: be.dot(coeffs, chunks, out=dot_out, scratch=dot_scratch),
+                KERNEL_K * mb,
+            ),
+            # matrix cells x chunk bytes per second (seed convention)
+            "matvec": (
+                lambda be: be.matmul_chunks(mat, chunks, out=mv_out),
+                KERNEL_M * KERNEL_K * mb,
+            ),
+            "mul_chunk": (lambda be: be.mul_chunk(173, chunks[0], out=mul_out), mb),
+        },
+        rounds,
+    )
+    return {"chunk_bytes": chunk_bytes, **cell}
 
 
-def _bench_rs(chunk_bytes: int, rounds: int, backends) -> dict:
+def _bench_rs(chunk_bytes: int, rounds: int) -> dict:
     """Whole-stripe encode / decode / repair rates per backend.
 
     Rates are stripe bytes per second in the seed pytest-benchmark
@@ -120,27 +159,27 @@ def _bench_rs(chunk_bytes: int, rounds: int, backends) -> dict:
     rng = np.random.default_rng(SEED + 1)
     data = rng.integers(0, 256, size=(RS_K, chunk_bytes), dtype=np.uint8)
     mb = chunk_bytes / 1e6
-    out: dict[str, dict] = {"chunk_bytes": chunk_bytes, "n": RS_N, "k": RS_K}
-    for name in backends:
-        code = RSCode(RS_N, RS_K, backend=name)
-        stripe = code.encode(data)
-        enc_out = np.empty((RS_N, chunk_bytes), dtype=np.uint8)
-        dec_avail = {i: stripe[i] for i in range(RS_N) if i != 2}
-        dec_out = np.empty((RS_K, chunk_bytes), dtype=np.uint8)
-        rep_out = np.empty(chunk_bytes, dtype=np.uint8)
-        rep_scratch = np.empty(chunk_bytes, dtype=np.uint8)
-        t_enc = _median_time(lambda: code.encode(data, out=enc_out), rounds)
-        t_dec = _median_time(lambda: code.decode(dec_avail, out=dec_out), rounds)
-        t_rep = _median_time(
-            lambda: code.repair(2, dec_avail, out=rep_out, scratch=rep_scratch),
-            rounds,
-        )
-        out[name] = {
-            "encode_mb_per_s": RS_N * mb / t_enc,
-            "decode_mb_per_s": RS_K * mb / t_dec,
-            "repair_mb_per_s": RS_K * mb / t_rep,
-        }
-    return out
+    code = RSCode(RS_N, RS_K)
+    stripe = code.encode(data)
+    enc_out = np.empty((RS_N, chunk_bytes), dtype=np.uint8)
+    dec_avail = {i: stripe[i] for i in range(RS_N) if i != 2}
+    dec_out = np.empty((RS_K, chunk_bytes), dtype=np.uint8)
+    rep_out = np.empty(chunk_bytes, dtype=np.uint8)
+    rep_scratch = np.empty(chunk_bytes, dtype=np.uint8)
+    cell = _paired_cell(
+        {
+            "encode": (lambda be: code.encode(data, out=enc_out), RS_N * mb),
+            "decode": (lambda be: code.decode(dec_avail, out=dec_out), RS_K * mb),
+            "repair": (
+                lambda be: code.repair(
+                    2, dec_avail, out=rep_out, scratch=rep_scratch
+                ),
+                RS_K * mb,
+            ),
+        },
+        rounds,
+    )
+    return {"chunk_bytes": chunk_bytes, "n": RS_N, "k": RS_K, **cell}
 
 
 def _bench_checksum(
@@ -190,20 +229,10 @@ def _gate_speedups(rounds: int) -> dict:
     the ratio and the median absorbs scheduling noise.
     """
     passes = [
-        _bench_kernels(units.mib(1), rounds, ("naive", "fused"))["speedup"]
+        _bench_kernels(units.mib(1), rounds)["speedup"]
         for _ in range(GATE_PASSES)
     ]
     return {key: quantile([p[key] for p in passes], 0.5) for key in passes[0]}
-
-
-def _speedups(kernels: dict, rs: dict) -> dict:
-    """Headline fused-vs-naive ratios (largest kernel cell + RS rates)."""
-    out = dict(kernels["speedup"])
-    for op in ("encode", "decode", "repair"):
-        out[f"{op}_fused_vs_naive"] = (
-            rs["fused"][f"{op}_mb_per_s"] / rs["naive"][f"{op}_mb_per_s"]
-        )
-    return out
 
 
 def run(smoke: bool = False, out_path=None) -> dict:
@@ -212,7 +241,6 @@ def run(smoke: bool = False, out_path=None) -> dict:
     ``out_path`` overrides the default repo-root location (used by the
     smoke tier so a smoke pass never overwrites the full-run artefact).
     """
-    backends = available_backends()
     if smoke:
         kernel_sizes, kernel_rounds = (units.mib(1),), 3
         rs_bytes, rs_rounds = units.mib(1), 3
@@ -220,10 +248,10 @@ def run(smoke: bool = False, out_path=None) -> dict:
         kernel_sizes, kernel_rounds = (units.mib(1), units.mib(8)), 7
         rs_bytes, rs_rounds = units.mib(8), 7
     kernels = {
-        f"chunk_{size // units.KIB}kib": _bench_kernels(size, kernel_rounds, backends)
+        f"chunk_{size // units.KIB}kib": _bench_kernels(size, kernel_rounds)
         for size in kernel_sizes
     }
-    rs = _bench_rs(rs_bytes, rs_rounds, backends)
+    rs = _bench_rs(rs_bytes, rs_rounds)
     headline_cell = kernels[f"chunk_{kernel_sizes[-1] // units.KIB}kib"]
     report = {
         "benchmark": "ec",
@@ -231,13 +259,14 @@ def run(smoke: bool = False, out_path=None) -> dict:
         "config": {
             "smoke": smoke,
             "seed": SEED,
-            "backends": list(backends),
+            "backends": list(BACKENDS),
             "kernel_rounds": kernel_rounds,
             "rs_chunk_bytes": rs_bytes,
         },
         "kernels": kernels,
         "rs": rs,
-        "speedup": _speedups(headline_cell, rs),
+        # headline ratios: the largest kernel cell plus the RS rates
+        "speedup": {**headline_cell["speedup"], **rs["speedup"]},
         "gate": {
             "chunk_bytes": units.mib(1),
             "passes": GATE_PASSES,

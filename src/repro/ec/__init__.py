@@ -1,18 +1,13 @@
 """Erasure-coding substrate: GF(2^8), coding matrices, RS codes, slicing.
 
-The data plane is backend-dispatched (see :mod:`repro.ec.backend`):
-``naive`` reference kernels, split-nibble ``table`` kernels, ``fused``
-multi-row gather kernels (default), and a segment-``parallel`` executor.
+Chunk-sized arithmetic runs on one data plane, the ``fused`` multi-row
+gather kernels of :mod:`repro.ec.kernels`; the ``naive`` reference
+kernels stay as the oracle tests substitute through
+:func:`repro.ec.backend.use_backend`.
 """
 
-from . import backend, gf256, kernels, matrix, parallel, slicing
-from .backend import (
-    available_backends,
-    get_backend,
-    resolve,
-    set_backend,
-    use_backend,
-)
+from . import backend, gf256, kernels, matrix, slicing
+from .backend import available_backends, get_backend, resolve, use_backend
 from .rs import RepairEquation, RSCode
 from .slicing import Segment
 
@@ -21,7 +16,6 @@ __all__ = [
     "gf256",
     "kernels",
     "matrix",
-    "parallel",
     "slicing",
     "RSCode",
     "RepairEquation",
@@ -29,6 +23,5 @@ __all__ = [
     "available_backends",
     "get_backend",
     "resolve",
-    "set_backend",
     "use_backend",
 ]

@@ -1,34 +1,30 @@
-"""Backend dispatch for the GF(2^8) data plane.
+"""The GF(2^8) data plane: one fast implementation and its oracle.
 
 Every chunk-sized GF operation in the library — encode, decode, repair
-combination, datanode slice scaling — goes through one of four
-interchangeable backends:
+combination, datanode segment scaling — goes through the object
+:func:`get_backend` returns.  There are two:
 
+``fused``
+    What runs.  Pair-product tables plus fused multi-row gather tables
+    (:mod:`repro.ec.kernels`): one gather covers two payload bytes times
+    up to four output rows, with blocked segments and packed
+    accumulators.
 ``naive``
     The reference kernels of :mod:`repro.ec.gf256` /
     :mod:`repro.ec.matrix`: one 256-entry gather per (coefficient,
-    chunk).  Simple, allocation-light, and the correctness oracle for
-    everything else.
-``table``
-    Split-nibble pair-table kernels (:mod:`repro.ec.kernels`): one
-    uint16 gather covers two payload bytes.  Row-at-a-time — matrix
-    products loop over output rows.
-``fused``
-    Pair tables plus fused multi-row gather tables: one gather covers
-    two payload bytes times up to four output rows, with cache-blocked
-    segments and packed accumulators.  The default.
-``parallel``
-    The fused kernels executed over independent chunk segments by a
-    thread pool (:mod:`repro.ec.parallel`), with an opt-in
-    process/shared-memory path for very large chunks.
+    chunk).  Never selected by library code; it is the oracle the
+    equivalence tests and ``bench_ec_throughput`` compare against.
 
-Backends are byte-identical by construction (GF arithmetic is exact);
-``tests/ec/test_backends.py`` proves it property-style.  Select globally
-with :func:`set_backend`, per scope with :func:`use_backend`, per call
-site by passing a backend object around, or at startup with the
-``REPRO_EC_BACKEND`` environment variable.
+The two are byte-identical by construction (GF arithmetic is exact);
+``tests/ec/test_backends.py`` proves it property-style and
+``tests/cluster/test_backend_oracle.py`` proves it for whole repairs.
+:func:`use_backend` is the only selection seam: a scoped substitution
+that lets a test run the oracle, or a counting fake, under real callers.
+There is deliberately no constructor argument, process-wide setter or
+startup switch — ``docs/DATAPLANE.md`` ("The oracle seam") records the
+measurements behind that.
 
-Tiny payloads take the naive path regardless of backend: below
+Tiny payloads take the naive path inside ``fused`` too: below
 :data:`MIN_TABLE_BYTES` a blocked kernel's Python-level segment loop
 costs more than the single gather it saves.
 """
@@ -36,17 +32,20 @@ costs more than the single gather it saves.
 from __future__ import annotations
 
 import contextlib
-import os
-import threading
 
 import numpy as np
 
-from . import gf256, kernels, matrix, parallel
+from . import gf256, kernels, matrix
 
-#: Payload bytes below which table/fused backends defer to naive
-#: kernels (the blocked loop has ~µs fixed cost; a 256-entry gather on
-#: a few KiB does not).
+#: Payload bytes below which the fused backend defers to naive kernels
+#: (the blocked loop has ~µs fixed cost; a 256-entry gather on a few
+#: KiB does not).
 MIN_TABLE_BYTES = 4096
+
+#: The operations that have a caller in ``src/``: ``mul_chunk`` (the
+#: datanode), ``dot`` (:class:`~repro.ec.rs.RepairEquation`) and
+#: ``matmul_chunks`` (``RSCode.encode`` / ``decode``).
+_PROTOCOL = ("mul_chunk", "dot", "matmul_chunks")
 
 
 class NaiveBackend:
@@ -57,9 +56,6 @@ class NaiveBackend:
     def mul_chunk(self, coeff, chunk, out=None):
         return gf256.mul_chunk(coeff, chunk, out=out)
 
-    def addmul_chunk(self, acc, coeff, chunk, scratch=None):
-        return gf256.addmul_chunk(acc, coeff, chunk, scratch)
-
     def dot(self, coeffs, chunks, out=None, scratch=None):
         return gf256.dot(coeffs, chunks, out=out, scratch=scratch)
 
@@ -68,21 +64,16 @@ class NaiveBackend:
         return matrix.matvec_chunks(mat, chunks, out=out)
 
 
-class TableBackend:
-    """Split-nibble pair-table kernels, one output row at a time."""
+class FusedBackend:
+    """Pair tables + fused multi-row gathers — the data plane that runs."""
 
-    name = "table"
+    name = "fused"
 
     def mul_chunk(self, coeff, chunk, out=None):
         chunk = np.asarray(chunk, dtype=np.uint8)
         if chunk.shape[-1] < MIN_TABLE_BYTES:
             return gf256.mul_chunk(coeff, chunk, out=out)
         return kernels.mul_chunk_blocked(coeff, chunk, out=out)
-
-    def addmul_chunk(self, acc, coeff, chunk, scratch=None):
-        if np.asarray(chunk).shape[-1] < MIN_TABLE_BYTES:
-            return gf256.addmul_chunk(acc, coeff, chunk, scratch)
-        return kernels.addmul_chunk_blocked(acc, coeff, chunk, scratch)
 
     def dot(self, coeffs, chunks, out=None, scratch=None):
         chunk_list = [np.asarray(c, dtype=np.uint8) for c in chunks]
@@ -92,151 +83,62 @@ class TableBackend:
 
     def matmul_chunks(self, mat, chunks, out=None):
         mat = np.asarray(mat, dtype=np.uint8)
-        chunk_list = _as_chunk_list(chunks)
-        length = chunk_list[0].shape[0] if chunk_list else 0
-        if length < MIN_TABLE_BYTES:
-            return matrix.matvec_chunks(mat, np.asarray(chunks), out=out)
-        if out is None:
-            out = np.empty((mat.shape[0], length), dtype=np.uint8)
-        for i in range(mat.shape[0]):
-            kernels.dot_blocked(mat[i], chunk_list, out=out[i])
-        return out
-
-
-class FusedBackend(TableBackend):
-    """Pair tables + fused multi-row gathers (the default backend)."""
-
-    name = "fused"
-
-    def matmul_chunks(self, mat, chunks, out=None):
-        mat = np.asarray(mat, dtype=np.uint8)
-        chunk_list = _as_chunk_list(chunks)
+        if isinstance(chunks, np.ndarray) and chunks.ndim == 2:
+            chunk_list = [chunks[i] for i in range(chunks.shape[0])]
+        else:
+            chunk_list = [np.asarray(c, dtype=np.uint8) for c in chunks]
         length = chunk_list[0].shape[0] if chunk_list else 0
         if length < MIN_TABLE_BYTES:
             return matrix.matvec_chunks(mat, np.asarray(chunks), out=out)
         return kernels.fused_matmul(mat, chunk_list, out=out)
 
 
-class ParallelBackend(FusedBackend):
-    """Fused kernels over a segment thread pool.
+_BACKENDS = {"naive": NaiveBackend(), "fused": FusedBackend()}
 
-    Parameters
-    ----------
-    workers:
-        Thread count; ``None`` reads ``REPRO_EC_WORKERS`` / CPU count
-        at each call, so a backend constructed at import time still
-        honours later environment changes.
-    processes:
-        Enable the shared-memory process path for chunks of at least
-        :data:`repro.ec.parallel.MIN_PROCESS_BYTES`.
-    """
-
-    name = "parallel"
-
-    def __init__(self, workers: int | None = None, processes: bool = False):
-        self.workers = workers
-        self.processes = processes
-
-    def dot(self, coeffs, chunks, out=None, scratch=None):
-        chunk_list = [np.asarray(c, dtype=np.uint8) for c in chunks]
-        if not chunk_list or chunk_list[0].shape[-1] < MIN_TABLE_BYTES:
-            return gf256.dot(coeffs, chunk_list, out=out, scratch=scratch)
-        return parallel.parallel_dot(
-            coeffs, chunk_list, out,
-            workers=self.workers, processes=self.processes,
-        )
-
-    def matmul_chunks(self, mat, chunks, out=None):
-        mat = np.asarray(mat, dtype=np.uint8)
-        chunk_list = _as_chunk_list(chunks)
-        length = chunk_list[0].shape[0] if chunk_list else 0
-        if length < MIN_TABLE_BYTES:
-            return matrix.matvec_chunks(mat, np.asarray(chunks), out=out)
-        return parallel.parallel_matmul(
-            mat, chunk_list, out,
-            workers=self.workers, processes=self.processes,
-        )
-
-
-def _as_chunk_list(chunks) -> list[np.ndarray]:
-    if isinstance(chunks, np.ndarray) and chunks.ndim == 2:
-        return [chunks[i] for i in range(chunks.shape[0])]
-    return [np.asarray(c, dtype=np.uint8) for c in chunks]
-
-
-_REGISTRY = {
-    "naive": NaiveBackend,
-    "table": TableBackend,
-    "fused": FusedBackend,
-    "parallel": ParallelBackend,
-}
-
-_lock = threading.Lock()
-_current: "NaiveBackend | None" = None
+_current = _BACKENDS["fused"]
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, in documentation order."""
-    return tuple(_REGISTRY)
+    """The backend names :func:`resolve` accepts: oracle, then fast path."""
+    return tuple(_BACKENDS)
 
 
-def resolve(backend) -> NaiveBackend:
-    """Coerce a backend name / instance / ``None`` into an instance.
+def resolve(backend):
+    """Coerce a backend name or protocol object into a backend.
 
-    ``None`` returns the process-wide current backend.
+    Anything that is not a registered name must itself provide
+    ``mul_chunk``, ``dot`` and ``matmul_chunks`` (a test's counting
+    fake, say).
     """
-    if backend is None:
-        return get_backend()
     if isinstance(backend, str):
-        cls = _REGISTRY.get(backend)
-        if cls is None:
+        instance = _BACKENDS.get(backend)
+        if instance is None:
             raise ValueError(
                 f"unknown EC backend {backend!r}; "
-                f"choose from {', '.join(_REGISTRY)}"
+                f"choose from {', '.join(_BACKENDS)}"
             )
-        return cls()
-    for method in ("mul_chunk", "addmul_chunk", "dot", "matmul_chunks"):
+        return instance
+    for method in _PROTOCOL:
         if not callable(getattr(backend, method, None)):
             raise TypeError(f"backend object lacks required method {method!r}")
     return backend
 
 
-def get_backend() -> NaiveBackend:
-    """The process-wide backend (env ``REPRO_EC_BACKEND`` or fused)."""
-    global _current
-    if _current is None:
-        with _lock:
-            if _current is None:
-                name = os.environ.get("REPRO_EC_BACKEND", "fused")
-                cls = _REGISTRY.get(name)
-                if cls is None:
-                    raise ValueError(
-                        f"REPRO_EC_BACKEND={name!r} is not one of "
-                        f"{', '.join(_REGISTRY)}"
-                    )
-                _current = cls()
+def get_backend():
+    """The backend every data-plane caller dispatches to (``fused``)."""
     return _current
-
-
-def set_backend(backend) -> NaiveBackend:
-    """Install the process-wide backend; returns the instance."""
-    global _current
-    instance = resolve(backend) if backend is not None else None
-    if instance is None:
-        raise ValueError("backend must not be None")
-    with _lock:
-        _current = instance
-    return instance
 
 
 @contextlib.contextmanager
 def use_backend(backend):
-    """Scoped backend override (tests, benchmarks, experiments)."""
+    """Run the enclosed block on another backend — the oracle seam.
+
+    The substitution is process-wide for the duration of the block, so
+    it belongs in tests and benchmarks, not in library code.
+    """
     global _current
-    previous = get_backend()
-    set_backend(backend)
+    previous, _current = _current, resolve(backend)
     try:
         yield _current
     finally:
-        with _lock:
-            _current = previous
+        _current = previous

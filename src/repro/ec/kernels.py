@@ -1,11 +1,11 @@
 """High-throughput blocked GF(2^8) kernels: nibble tables, fused gathers.
 
-This module is the data plane behind the fast :mod:`repro.ec.backend`
-implementations.  The naive kernels in :mod:`repro.ec.gf256` perform one
-256-entry table gather per (coefficient, chunk) pair — one gathered byte
-per input byte — which tops out a few hundred MB/s in numpy because the
-per-element gather cost dominates.  The kernels here restructure the
-work around three ideas:
+This module is the data plane behind the ``fused`` backend of
+:mod:`repro.ec.backend`.  The naive kernels in :mod:`repro.ec.gf256`
+perform one 256-entry table gather per (coefficient, chunk) pair — one
+gathered byte per input byte — which tops out a few hundred MB/s in
+numpy because the per-element gather cost dominates.  The kernels here
+restructure the work around three ideas:
 
 **Split-nibble table construction.**  Multiplication by a constant ``c``
 is GF(2)-linear, so it splits over the high/low 4-bit nibbles of the
@@ -148,12 +148,11 @@ class FusedTables:
     whose coefficients are all zero within a group carry ``None``.
     """
 
-    __slots__ = ("shape", "groups", "nbytes")
+    __slots__ = ("groups", "nbytes")
 
     def __init__(self, matrix: np.ndarray) -> None:
         matrix = np.asarray(matrix, dtype=np.uint8)
         m, p = matrix.shape
-        self.shape = (m, p)
         self.groups: list[tuple[int, int, np.dtype, list[np.ndarray | None]]] = []
         self.nbytes = 0
         for start in range(0, m, 4):
@@ -287,7 +286,6 @@ def fused_matmul(
     chunks,
     out: np.ndarray | None = None,
     *,
-    tables: FusedTables | None = None,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Blocked fused GF matrix x chunks product — the fast matvec.
@@ -302,9 +300,6 @@ def fused_matmul(
         separate chunk buffers).
     out:
         Optional (m, L) uint8 result buffer; must not alias any input.
-    tables:
-        Pre-built :func:`fused_tables` (the parallel executor passes
-        them in so worker threads never race the cache).
     workspace:
         Explicit :class:`Workspace`; defaults to a thread-local one.
 
@@ -370,10 +365,7 @@ def fused_matmul(
             run_start = run_end
         return out
 
-    if tables is None:
-        tables = fused_tables(matrix)
-    elif tables.shape != (m, p):
-        raise ValueError("tables were built for a different matrix shape")
+    tables = fused_tables(matrix)
 
     ws = _workspace(workspace)
     idx, val, tmp16, pairbuf = ws.idx, ws.val, ws.tmp16, ws.pairbuf
@@ -516,49 +508,3 @@ def mul_chunk_blocked(
         np.array([[c]], dtype=np.uint8), [chunk], out[None, :],
         workspace=workspace,
     )[0]
-
-
-def addmul_chunk_blocked(
-    acc: np.ndarray,
-    coeff: int,
-    chunk: np.ndarray,
-    scratch: np.ndarray | None = None,
-    *,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
-    """In-place ``acc ^= coeff * chunk`` via the pair tables.
-
-    ``scratch`` (chunk-shaped uint8) is accepted for signature parity
-    with :func:`gf256.addmul_chunk`; the blocked kernel stages through
-    its workspace instead, so the argument may be ``None``.
-    """
-    c = int(coeff) & 0xFF
-    if c == 0:
-        return acc
-    if c == 1:
-        np.bitwise_xor(acc, chunk, out=acc)
-        return acc
-    chunk = np.asarray(chunk)
-    ws = _workspace(workspace)
-    table = pair_table(c)
-    idx, val, pairbuf = ws.idx, ws.val, ws.pairbuf
-    length = chunk.shape[0]
-    half = length // 2
-    pv = _pairs_view(chunk)
-    seg = SEGMENT_PAIRS
-    for s in range(0, half, seg):
-        e = min(s + seg, half)
-        n = e - s
-        if pv is not None:
-            src = pv[s:e]
-        else:
-            pairbuf[: 2 * n] = chunk[2 * s : 2 * e]
-            src = pairbuf[: 2 * n].view(_U16)
-        idx[:n] = src
-        dst = val.view(_U16)[:n]
-        np.take(table, idx[:n], out=dst, mode="clip")
-        span = acc[2 * s : 2 * e]
-        np.bitwise_xor(span, dst.view(np.uint8)[: 2 * n], out=span)
-    if length & 1:
-        acc[-1] ^= gf256.MUL_TABLE[c, chunk[-1]]
-    return acc

@@ -43,19 +43,16 @@ class RepairEquation:
         *,
         out: np.ndarray | None = None,
         scratch: np.ndarray | None = None,
-        backend=None,
     ) -> np.ndarray:
         """Rebuild the lost chunk from a ``{stripe_index: chunk}`` mapping.
 
         ``out``/``scratch`` are reused caller buffers (chunk shape,
-        uint8); ``backend`` overrides the process-wide EC backend for
-        this evaluation.
+        uint8).
         """
         missing = [h for h in self.helpers if h not in chunks]
         if missing:
             raise KeyError(f"helper chunks missing from input: {missing}")
-        be = ec_backend.resolve(backend)
-        return be.dot(
+        return ec_backend.get_backend().dot(
             self.coeffs,
             [chunks[h] for h in self.helpers],
             out=out,
@@ -75,23 +72,16 @@ class RSCode:
     construction:
         Parity construction passed to
         :func:`repro.ec.matrix.systematic_generator`.
-    backend:
-        EC backend (name or instance) used for chunk-sized arithmetic.
-        ``None`` (default) resolves the process-wide backend at each
-        call, so :func:`repro.ec.backend.use_backend` scopes apply.
+
+    Chunk-sized arithmetic goes to :func:`repro.ec.backend.get_backend`
+    at each call, so a test's ``use_backend`` scope applies to codes
+    built outside it.
     """
 
     #: Max distinct (lost, helper-set) entries memoised per code instance.
     CACHE_LIMIT = 1024
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        *,
-        construction: str = "cauchy",
-        backend=None,
-    ) -> None:
+    def __init__(self, n: int, k: int, *, construction: str = "cauchy") -> None:
         if not (0 < k < n):
             raise ValueError(f"require 0 < k < n, got n={n} k={k}")
         if n > 255:
@@ -99,20 +89,12 @@ class RSCode:
         self.n = int(n)
         self.k = int(k)
         self.generator = matrix.systematic_generator(n, k, construction=construction)
-        if backend is not None:
-            backend = ec_backend.resolve(backend)
-        self._backend = backend
         # repair equations involve a k x k inversion; schedulers ask for
         # the same (lost, helpers) combination once per elementary
         # pipeline, so memoise (bounded FIFO eviction)
         self._equation_cache: dict[tuple[int, tuple[int, ...]], RepairEquation] = {}
         # decode matrices are likewise memoised per surviving index set
         self._decode_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    @property
-    def backend(self):
-        """The EC backend this code instance dispatches to."""
-        return self._backend if self._backend is not None else ec_backend.get_backend()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RSCode(n={self.n}, k={self.k})"
@@ -128,7 +110,7 @@ class RSCode:
 
         ``data_chunks`` is a (k, L) uint8 array; returns (n, L).  Rows
         ``0..k-1`` of the result equal the input (systematic code); only
-        the parity rows are computed, through the active EC backend.
+        the parity rows are computed, on the EC data plane.
         ``out`` (an (n, L) uint8 buffer) makes steady-state encoding
         allocation-free.
         """
@@ -145,7 +127,7 @@ class RSCode:
                 f"out must be a uint8 array of shape {(self.n, length)}"
             )
         np.copyto(out[: self.k], data_chunks)
-        self.backend.matmul_chunks(
+        ec_backend.get_backend().matmul_chunks(
             self.generator[self.k :], out[: self.k], out=out[self.k :]
         )
         return out
@@ -186,7 +168,7 @@ class RSCode:
                 self._decode_cache.pop(next(iter(self._decode_cache)))
             self._decode_cache[indices] = decode_matrix
         chunks = [np.asarray(available[i], dtype=np.uint8) for i in indices]
-        return self.backend.matmul_chunks(decode_matrix, chunks, out=out)
+        return ec_backend.get_backend().matmul_chunks(decode_matrix, chunks, out=out)
 
     # ------------------------------------------------------------------ #
     # single-chunk repair                                                #
@@ -258,7 +240,7 @@ class RSCode:
         """
         helpers = tuple(sorted(i for i in available if i != lost)[: self.k])
         eq = self.repair_equation(lost, helpers)
-        return eq.evaluate(available, out=out, scratch=scratch, backend=self._backend)
+        return eq.evaluate(available, out=out, scratch=scratch)
 
     def verify_stripe(self, stripe: np.ndarray) -> bool:
         """True if an (n, L) stripe is a valid codeword of this code."""

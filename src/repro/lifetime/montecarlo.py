@@ -3,8 +3,7 @@
 One campaign is one sample path; durability numbers need many.  This
 module fans :func:`~repro.lifetime.campaign.run_campaign` out across
 independent seeds (worker processes when the host allows them, serial
-otherwise — the same graceful degradation as
-:mod:`repro.ec.parallel`) and reduces the trials into the quantities
+otherwise) and reduces the trials into the quantities
 operators actually quote:
 
 * **MTTDL** — loss events are treated as a Poisson process over the

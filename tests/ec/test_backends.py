@@ -1,8 +1,8 @@
-"""Backend equivalence: every fast path is byte-identical to naive.
+"""Backend equivalence: the fast path is byte-identical to naive.
 
-The table / fused / parallel backends restructure GF(2^8) arithmetic
-around pair-product and packed multi-row gather tables; because field
-arithmetic is exact, every backend must agree with the
+The fused backend restructures GF(2^8) arithmetic around pair-product
+and packed multi-row gather tables; because field arithmetic is exact,
+it must agree with the
 :mod:`repro.ec.gf256` / :mod:`repro.ec.matrix` reference kernels to the
 byte on *every* input — random coefficients (including the 0 and 1 fast
 paths), odd lengths, unaligned views, and caller-provided ``out=``
@@ -23,7 +23,7 @@ from repro.ec.backend import MIN_TABLE_BYTES
 
 pytestmark = pytest.mark.ec
 
-FAST_BACKENDS = ("table", "fused", "parallel")
+FAST_BACKENDS = ("fused",)
 BIG = MIN_TABLE_BYTES * 5 + 3  # odd, well above the naive-fallback gate
 
 
@@ -74,17 +74,12 @@ def test_fused_matmul_matches_naive(m, p, length, seed):
     seed=st.integers(0, 2**31 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_mul_and_addmul_blocked_match_naive(coeff, length, seed):
+def test_mul_chunk_blocked_matches_naive(coeff, length, seed):
     rng = np.random.default_rng(seed)
     chunk = _chunks(rng, 1, length)[0]
     assert np.array_equal(
         gf256.mul_chunk(coeff, chunk), kernels.mul_chunk_blocked(coeff, chunk)
     )
-    acc_ref = _chunks(rng, 1, length)[0]
-    acc_blk = acc_ref.copy()
-    gf256.addmul_chunk(acc_ref, coeff, chunk)
-    kernels.addmul_chunk_blocked(acc_blk, coeff, chunk)
-    assert np.array_equal(acc_ref, acc_blk)
 
 
 # --------------------------------------------------------------------- #
@@ -192,17 +187,24 @@ def test_gf256_dot_scratch_reuse():
 # --------------------------------------------------------------------- #
 
 def test_available_backends_registry():
-    assert available_backends() == ("naive", "table", "fused", "parallel")
+    assert available_backends() == ("naive", "fused")
+    assert ec_backend.get_backend().name == "fused"
 
 
 def test_resolve_names_and_instances():
-    be = ec_backend.resolve("table")
-    assert be.name == "table"
+    be = ec_backend.resolve("naive")
+    assert be.name == "naive"
     assert ec_backend.resolve(be) is be
     with pytest.raises(ValueError, match="unknown EC backend"):
-        ec_backend.resolve("simd")
+        ec_backend.resolve("table")
     with pytest.raises(TypeError, match="lacks required method"):
         ec_backend.resolve(object())
+
+    class NoDot:
+        mul_chunk = matmul_chunks = staticmethod(lambda *a, **k: None)
+
+    with pytest.raises(TypeError, match="'dot'"):
+        ec_backend.resolve(NoDot())
 
 
 def test_use_backend_scoping():
@@ -211,37 +213,43 @@ def test_use_backend_scoping():
         assert be.name == "naive"
         assert ec_backend.get_backend() is be
     assert ec_backend.get_backend() is before
+    with pytest.raises(RuntimeError):
+        with ec_backend.use_backend("naive"):
+            raise RuntimeError("the scope must unwind on error too")
+    assert ec_backend.get_backend() is before
 
 
-def test_set_backend_rejects_none():
-    with pytest.raises(ValueError):
-        ec_backend.set_backend(None)
+def test_use_backend_rejects_none():
+    before = ec_backend.get_backend()
+    with pytest.raises(TypeError, match="lacks required method"):
+        with ec_backend.use_backend(None):
+            pass
+    assert ec_backend.get_backend() is before
 
 
-def test_env_var_selects_default_backend(monkeypatch):
-    monkeypatch.setattr(ec_backend, "_current", None)
-    monkeypatch.setenv("REPRO_EC_BACKEND", "table")
-    try:
-        assert ec_backend.get_backend().name == "table"
-    finally:
-        ec_backend._current = None  # re-resolve lazily for later tests
-    monkeypatch.setenv("REPRO_EC_BACKEND", "warp")
-    monkeypatch.setattr(ec_backend, "_current", None)
-    with pytest.raises(ValueError, match="REPRO_EC_BACKEND"):
-        ec_backend.get_backend()
-
-
-def test_rscode_per_instance_backend_override():
+def test_use_backend_reaches_codes_built_outside_the_scope():
+    """The seam is the only selector: RSCode holds no backend of its own."""
     rng = np.random.default_rng(18)
     data = _chunks(rng, 4, BIG)
-    ref = RSCode(6, 4, backend="naive")
-    fast = RSCode(6, 4, backend="fused")
-    assert fast.backend.name == "fused"
-    assert np.array_equal(ref.encode(data), fast.encode(data))
-    with ec_backend.use_backend("table"):
-        floating = RSCode(6, 4)
-        assert floating.backend.name == "table"
-        assert np.array_equal(floating.encode(data), ref.encode(data))
+    code = RSCode(6, 4)
+    calls = []
+
+    class Counting(ec_backend.NaiveBackend):
+        def matmul_chunks(self, mat, chunks, out=None):
+            calls.append("matmul_chunks")
+            return super().matmul_chunks(mat, chunks, out=out)
+
+        def dot(self, coeffs, chunks, out=None, scratch=None):
+            calls.append("dot")
+            return super().dot(coeffs, chunks, out=out, scratch=scratch)
+
+    fast = code.encode(data)
+    with ec_backend.use_backend(Counting()):
+        slow = code.encode(data)
+        rebuilt = code.repair(1, {i: slow[i] for i in (0, 2, 3, 5)})
+    assert calls == ["matmul_chunks", "dot"]
+    assert np.array_equal(fast, slow)
+    assert np.array_equal(rebuilt, data[1])
 
 
 def test_rscode_decode_matrix_memoised():
