@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..net.bandwidth import BandwidthSnapshot, RepairContext
+from ..net.flows import check_node_capacity
 from ..repair.base import get_algorithm
-from ..repair.plan import RepairPlan
+from ..repair.plan import RepairPlan, planned_usage
 from ..sim.transfer import TransferParams, execute
 from .plancache import PlanCache
 
@@ -70,33 +71,22 @@ class FullNodeRepairPlan:
 
     def validate(self) -> None:
         """Each batch's plans must be *simultaneously* feasible."""
-        from ..net.flows import validate_rates
-
         for batch in self.batches:
             if not batch:
                 raise ValueError("empty batch")
             snapshot = self.plans[batch[0]].context.snapshot
-            flows, rates = [], []
-            for sid in batch:
-                f, r = self.plans[sid].flows()
-                flows.extend(f)
-                rates.extend(r)
-            validate_rates(snapshot, flows, np.asarray(rates))
+            up, down = planned_usage(snapshot, [self.plans[sid] for sid in batch])
+            check_node_capacity(snapshot, up, down)
 
 
 def _residual_snapshot(
     snapshot: BandwidthSnapshot, plans: list[RepairPlan]
 ) -> BandwidthSnapshot:
     """Snapshot minus the bandwidth the given plans consume."""
-    up = snapshot.uplink.copy()
-    down = snapshot.downlink.copy()
-    for plan in plans:
-        flows, rates = plan.flows()
-        for f, r in zip(flows, rates):
-            up[f.src] -= r
-            down[f.dst] -= r
+    up, down = planned_usage(snapshot, plans)
     return BandwidthSnapshot(
-        uplink=np.maximum(up, 0.0), downlink=np.maximum(down, 0.0)
+        uplink=np.maximum(snapshot.uplink - up, 0.0),
+        downlink=np.maximum(snapshot.downlink - down, 0.0),
     )
 
 

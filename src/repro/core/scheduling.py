@@ -408,7 +408,7 @@ def _quantize_amounts(task: Task) -> list[tuple[int, int]]:
     """
     target = task.slots * LAYOUT_GRID
     speed = task.speed
-    ticks: dict[int, int] = {}
+    ticks: list[tuple[int, int]] = []
     total = 0
     for u, a in task.amounts.items():
         t = round(a / speed * LAYOUT_GRID)
@@ -416,31 +416,30 @@ def _quantize_amounts(task: Task) -> list[tuple[int, int]]:
             t = 0
         elif t > LAYOUT_GRID:
             t = LAYOUT_GRID
-        ticks[u] = t
+        ticks.append((u, t))
         total += t
     diff = target - total
-    if diff > 0:
-        # ascending ticks == descending headroom; sort is stable, so ties
-        # keep first-contribution order exactly like the seed's key sort
-        for u in sorted(ticks, key=ticks.__getitem__):
-            give = min(diff, LAYOUT_GRID - ticks[u])
-            ticks[u] += give
-            diff -= give
+    if diff:
+        # most headroom first (ascending ticks when giving, descending
+        # when taking back); the sort is stable, so ties keep
+        # first-contribution order exactly like the seed's key sort
+        held = dict(ticks)
+        for u in sorted(held, key=held.__getitem__, reverse=diff < 0):
+            if diff > 0:
+                step = min(diff, LAYOUT_GRID - held[u])
+            else:
+                step = -min(-diff, held[u])
+            held[u] += step
+            diff -= step
             if diff == 0:
                 break
-    elif diff < 0:
-        for u in sorted(ticks, key=ticks.__getitem__, reverse=True):
-            take = min(-diff, ticks[u])
-            ticks[u] -= take
-            diff += take
-            if diff == 0:
-                break
-    if diff != 0:
-        raise RuntimeError(
-            f"task {task.task_id}: cannot tile {task.slots} slots from "
-            f"amounts {task.amounts} (residual {diff} ticks)"
-        )
-    return [(u, t) for u, t in ticks.items() if t > 0]
+        else:
+            raise RuntimeError(
+                f"task {task.task_id}: cannot tile {task.slots} slots from "
+                f"amounts {task.amounts} (residual {diff} ticks)"
+            )
+        ticks = list(held.items())
+    return [(u, t) for u, t in ticks if t > 0]
 
 
 def _wraparound_columns(task: Task) -> tuple[list[int], list[list[int]]]:
@@ -450,50 +449,40 @@ def _wraparound_columns(task: Task) -> tuple[list[int], list[list[int]]]:
     ``task.slots`` rows of exactly ``LAYOUT_GRID`` ticks; a sender split
     by a row boundary occupies the end of one row and the start of the
     next, and since its total is at most one row it never covers the
-    same column twice.  Instead of materialising the rows, the layout is
-    kept as the cumulative sender boundaries on the global tick axis
-    ``[0, slots * LAYOUT_GRID)``: every internal boundary lands at cut
-    ``B mod LAYOUT_GRID`` of its row, and the occupant of column ``c``
-    in row ``r`` is the sender whose span contains ``r * GRID + c``.
-    Visiting (row, cut) positions in row-major order makes the global
-    positions ascending, so one monotone walk over the boundaries fills
-    every cut's sender column — O(senders + rows * cuts) with no
-    per-row scans or transposition.
+    same column twice.  A sender starting at global tick ``B`` takes over
+    row ``B // LAYOUT_GRID`` from cut ``B mod LAYOUT_GRID`` on, so the
+    cuts are the senders' start offsets, and adjacent cut columns differ
+    only in the rows whose boundary defines the cut: column 0 is each
+    row's first occupant, and every later column is its left neighbour
+    with those rows handed to their next sender — O(senders + cuts)
+    steps (plus one list copy per cut), no rows x cuts walk.
 
     Returns the sorted cut positions (ending at ``LAYOUT_GRID``) and,
     per cut segment, the senders occupying it in ascending-row order —
     exactly the seed layout's per-cut ``_occupant_at`` columns.
     """
-    ticks = _quantize_amounts(task)
-    senders = [u for u, _ in ticks]
-    bounds = [0]
-    acc = 0
-    cuts = {0, LAYOUT_GRID}
-    for _, t in ticks:
-        acc += t
-        bounds.append(acc)
-        # boundaries on a row edge map to 0, already a cut
-        cuts.add(acc % LAYOUT_GRID)
-    if len(cuts) == 2:
-        # common case: every boundary sits on a row edge, so (ticks
-        # being positive and at most LAYOUT_GRID) every sender holds
-        # exactly one full row — the single column is the sender list
-        return [0, LAYOUT_GRID], [senders]
-    cut_list = sorted(cuts)
-    ncols = len(cut_list) - 1
-    cols: list[list[int]] = [[] for _ in range(ncols)]
-    bi = 0
-    nxt = bounds[1]
-    base = 0
-    for _r in range(task.slots):
-        for ci in range(ncols):
-            g = base + cut_list[ci]
-            while nxt <= g:
-                bi += 1
-                nxt = bounds[bi + 1]
-            cols[ci].append(senders[bi])
-        base += LAYOUT_GRID
-    return cut_list, cols
+    first: list[int] = [0] * task.slots  # column 0: who opens each row
+    takeovers: dict[int, list[tuple[int, int]]] = {}  # cut -> (row, sender)
+    start = 0
+    for u, t in _quantize_amounts(task):
+        row, cut = divmod(start, LAYOUT_GRID)
+        if cut == 0:
+            first[row] = u
+        else:
+            takeovers.setdefault(cut, []).append((row, u))
+            if cut + t > LAYOUT_GRID:  # wraps into the next row
+                first[row + 1] = u
+        start += t
+    # common case: no takeovers — every sender starts on a row edge and
+    # holds one full row, so the single column is the sender list
+    cuts = sorted(takeovers)
+    cols = [first]
+    for cut in cuts:
+        column = cols[-1].copy()
+        for row, u in takeovers[cut]:
+            column[row] = u
+        cols.append(column)
+    return [0, *cuts, LAYOUT_GRID], cols
 
 
 def _layout_pipelines(
@@ -538,10 +527,10 @@ def _layout_pipelines(
             # the hub occupies no sender slot) — Edge validation holds.
             rate = (hi - lo) / LAYOUT_GRID * speed
             if direct:
-                edges = [make_edge(u, requester, rate) for u in senders]
+                edges = [make_edge((u, requester, rate)) for u in senders]
             else:
-                edges = [make_edge(u, hub, rate) for u in senders]
-                edges.append(make_edge(hub, requester, rate))
+                edges = [make_edge((u, hub, rate)) for u in senders]
+                edges.append(make_edge((hub, requester, rate)))
             start = (offset + lo / LAYOUT_GRID * speed) / t_max
             stop = (
                 task_end

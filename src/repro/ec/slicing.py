@@ -10,7 +10,7 @@ pipeline's assigned byte range onto slice indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -52,21 +52,23 @@ def slice_count(chunk_size: int, slice_size: int) -> int:
     return math.ceil(chunk_size / slice_size) if chunk_size else 0
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(namedtuple("Segment", "start stop")):
     """A half-open byte range ``[start, stop)`` of a chunk.
 
     FullRepair partitions the failed chunk into one segment per pipeline
     (paper Table III); segments are expressed in *throughput units* during
     scheduling and scaled to bytes at execution time.
+
+    An immutable tuple-backed record (no per-instance ``__dict__``: the
+    layout emits one per pipeline).
     """
 
-    start: float
-    stop: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.stop < self.start:
-            raise ValueError(f"segment stop {self.stop} < start {self.start}")
+    def __new__(cls, start: float, stop: float) -> "Segment":
+        if stop < start:
+            raise ValueError(f"segment stop {stop} < start {start}")
+        return tuple.__new__(cls, (start, stop))
 
     @property
     def length(self) -> float:

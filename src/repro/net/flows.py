@@ -125,6 +125,35 @@ def max_min_rates(snapshot: BandwidthSnapshot, flows: list[Flow]) -> np.ndarray:
     return rates
 
 
+def check_node_capacity(
+    snapshot: BandwidthSnapshot, up_used, down_used, *, tol: float = RATE_TOL
+) -> None:
+    """The capacity rule: per-node usage against the snapshot's links.
+
+    ``up_used[i]`` / ``down_used[i]`` are node ``i``'s summed outgoing /
+    incoming rates (Mbps).  Raises ``ValueError`` naming the first
+    violated node constraint; the tolerance is relative to each node's
+    capacity, with an absolute floor: 1e-5 Mbps is ~1 byte/s, far below
+    scheduling resolution, so quantisation drift of that order is not a
+    violation.
+    """
+    links = zip(
+        up_used, snapshot.uplink.tolist(), down_used, snapshot.downlink.tolist()
+    )
+    # the slack is positive, so only usage above capacity needs it worked out
+    for node, (up, up_cap, down, down_cap) in enumerate(links):
+        if up > up_cap and up > up_cap + max(tol * up_cap, 1e-5):
+            raise ValueError(
+                f"uplink of node {node} oversubscribed: "
+                f"{up:.6f} > {up_cap:.6f} Mbps"
+            )
+        if down > down_cap and down > down_cap + max(tol * down_cap, 1e-5):
+            raise ValueError(
+                f"downlink of node {node} oversubscribed: "
+                f"{down:.6f} > {down_cap:.6f} Mbps"
+            )
+
+
 def validate_rates(
     snapshot: BandwidthSnapshot,
     flows: list[Flow],
@@ -134,9 +163,8 @@ def validate_rates(
 ) -> None:
     """Check an explicit rate vector against node capacities.
 
-    Raises ``ValueError`` naming the first violated node constraint; the
-    tolerance is relative to each node's capacity (plus a small absolute
-    floor for zero-capacity nodes).
+    Raises ``ValueError`` naming the first violated node constraint
+    (:func:`check_node_capacity`).
     """
     rates = np.asarray(rates, dtype=np.float64)
     if rates.shape != (len(flows),):
@@ -146,20 +174,9 @@ def validate_rates(
     n = snapshot.num_nodes
     srcs = np.array([f.src for f in flows], dtype=np.intp)
     dsts = np.array([f.dst for f in flows], dtype=np.intp)
-    up_used = np.bincount(srcs, weights=rates, minlength=n)
-    down_used = np.bincount(dsts, weights=rates, minlength=n)
-    # absolute floor: 1e-5 Mbps is ~1 byte/s, far below scheduling
-    # resolution, so quantisation drift of that order is not a violation
-    for node in range(n):
-        slack = max(tol * snapshot.uplink[node], 1e-5)
-        if up_used[node] > snapshot.uplink[node] + slack:
-            raise ValueError(
-                f"uplink of node {node} oversubscribed: "
-                f"{up_used[node]:.6f} > {snapshot.uplink[node]:.6f} Mbps"
-            )
-        slack = max(tol * snapshot.downlink[node], 1e-5)
-        if down_used[node] > snapshot.downlink[node] + slack:
-            raise ValueError(
-                f"downlink of node {node} oversubscribed: "
-                f"{down_used[node]:.6f} > {snapshot.downlink[node]:.6f} Mbps"
-            )
+    check_node_capacity(
+        snapshot,
+        np.bincount(srcs, weights=rates, minlength=n).tolist(),
+        np.bincount(dsts, weights=rates, minlength=n).tolist(),
+        tol=tol,
+    )

@@ -29,51 +29,88 @@ FullRepair      many pipelines over disjoint segments; each a depth <= 2
 
 from __future__ import annotations
 
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..ec.slicing import Segment
-from ..net.bandwidth import RepairContext
-from ..net.flows import Flow, validate_rates
+from ..net.bandwidth import BandwidthSnapshot, RepairContext
+from ..net.flows import RATE_TOL, Flow, check_node_capacity
 
 #: Tolerance for segment tiling / rate bookkeeping checks.
 PLAN_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(namedtuple("Edge", "child parent rate")):
     """A transfer hop: ``child`` streams its partial result to ``parent``.
 
     ``rate`` is the planned rate in Mbps.  The payload carried over the
     edge is the owning pipeline's segment (scaled to bytes at execution).
+
+    An immutable tuple-backed record: a plan holds hundreds of edges, so
+    an instance is one allocation with no per-instance ``__dict__``.
     """
 
-    child: int
-    parent: int
-    rate: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.child == self.parent:
+    def __new__(cls, child: int, parent: int, rate: float) -> "Edge":
+        if child == parent:
             raise ValueError("edge endpoints must differ")
-        if self.rate <= 0:
-            raise ValueError(f"edge rate must be positive, got {self.rate}")
+        if rate <= 0:
+            raise ValueError(f"edge rate must be positive, got {rate}")
+        return tuple.__new__(cls, (child, parent, rate))
 
-    @classmethod
-    def _unchecked(cls, child: int, parent: int, rate: float) -> "Edge":
-        """Construct without ``__init__``/``__post_init__`` validation.
 
-        For hot loops whose inputs are valid by construction (the segment
-        layout emits hundreds of edges per plan and the frozen-dataclass
-        ``object.__setattr__`` path dominated its profile).  The instance
-        is indistinguishable from a normally-constructed one.
-        """
-        edge = object.__new__(cls)
-        d = edge.__dict__
-        d["child"] = child
-        d["parent"] = parent
-        d["rate"] = rate
-        return edge
+#: ``Edge._unchecked((child, parent, rate))`` skips the constructor's
+#: validation, for the segment layout, whose edges are valid by
+#: construction.  The instance is indistinguishable from a checked one.
+Edge._unchecked = partial(tuple.__new__, Edge)
+
+
+def _check_tree(
+    task_id: int, edges: list[Edge], requester: int, helpers: frozenset[int], k: int
+) -> None:
+    """One pipeline's structural checks: tree shape, root, k distinct helpers.
+
+    O(edges): a node's walk to the requester stops at the first node
+    already known to reach it, so chains are not re-walked per hop.
+    """
+    if not edges:
+        raise ValueError(f"pipeline {task_id} has no edges")
+    parents = {child: parent for child, parent, _ in edges}
+    if len(parents) != len(edges):
+        raise ValueError(f"pipeline {task_id}: node with two parents (not a tree)")
+    if requester in parents:
+        raise ValueError(f"pipeline {task_id}: requester must be the root")
+    if requester not in parents.values():
+        raise ValueError(f"pipeline {task_id}: requester not reached by any edge")
+    reaches = {requester}
+    for node, cur in parents.items():
+        if cur in reaches:
+            reaches.add(node)
+            continue
+        path = [node]
+        while cur not in reaches:
+            if cur not in parents or len(path) > len(edges):
+                raise ValueError(
+                    f"pipeline {task_id}: node {node} does not reach "
+                    "the requester (disconnected or cyclic)"
+                )
+            path.append(cur)
+            cur = parents[cur]
+        reaches.update(path)
+    if not parents.keys() <= helpers:
+        raise ValueError(
+            f"pipeline {task_id}: non-helper nodes upload: "
+            f"{sorted(parents.keys() - helpers)}"
+        )
+    if len(parents) != k:
+        raise ValueError(
+            f"pipeline {task_id}: needs exactly k={k} distinct "
+            f"helpers, got {len(parents)}"
+        )
 
 
 @dataclass
@@ -131,46 +168,10 @@ class Pipeline:
 
     def validate(self, context: RepairContext) -> None:
         """Structural checks: tree shape, root, k distinct helpers."""
-        if not self.edges:
-            raise ValueError(f"pipeline {self.task_id} has no edges")
-        children = [e.child for e in self.edges]
-        if len(set(children)) != len(children):
-            raise ValueError(
-                f"pipeline {self.task_id}: node with two parents (not a tree)"
-            )
-        parents = {e.child: e.parent for e in self.edges}
-        if context.requester in parents:
-            raise ValueError(
-                f"pipeline {self.task_id}: requester must be the root"
-            )
-        nodes = set(children) | {e.parent for e in self.edges}
-        if context.requester not in nodes:
-            raise ValueError(
-                f"pipeline {self.task_id}: requester not reached by any edge"
-            )
-        # connectivity: every child must reach the requester
-        for node in children:
-            cur, hops = node, 0
-            while cur != context.requester:
-                if cur not in parents or hops > len(self.edges):
-                    raise ValueError(
-                        f"pipeline {self.task_id}: node {node} does not reach "
-                        "the requester (disconnected or cyclic)"
-                    )
-                cur = parents[cur]
-                hops += 1
-        helper_set = set(context.helpers)
-        uploaders = set(children)
-        if not uploaders <= helper_set:
-            raise ValueError(
-                f"pipeline {self.task_id}: non-helper nodes upload: "
-                f"{sorted(uploaders - helper_set)}"
-            )
-        if len(uploaders) != context.k:
-            raise ValueError(
-                f"pipeline {self.task_id}: needs exactly k={context.k} distinct "
-                f"helpers, got {len(uploaders)}"
-            )
+        _check_tree(
+            self.task_id, self.edges, context.requester,
+            frozenset(context.helpers), context.k,
+        )
 
 
 @dataclass(frozen=True)
@@ -239,21 +240,33 @@ class RepairPlan:
     def num_pipelines(self) -> int:
         return sum(1 for p in self.pipelines if p.segment.length > 0)
 
+    def add_usage(self, up, down) -> None:
+        """Add every edge's rate to ``up[child]`` and ``down[parent]``.
+
+        The single source of truth for "how much of each node's uplink
+        and downlink does this plan consume": ``up`` / ``down`` are
+        per-node accumulators (dense lists over the snapshot's nodes, or
+        ``defaultdict(float)``), summed in edge order.  Usage is only
+        meaningful for non-negative rates, so a negative one raises.
+        """
+        floor = -RATE_TOL
+        for p in self.pipelines:
+            for child, parent, rate in p.edges:
+                if rate < floor:
+                    raise ValueError("rates must be non-negative")
+                up[child] += rate
+                down[parent] += rate
+
     def node_rates(self) -> dict[int, "NodeRates"]:
         """Planned per-node, per-constraint rates (Mbps), summed over pipelines.
 
-        The single source of truth for "how much of each node's uplink and
-        downlink does this plan consume" — shared by the Table-I
-        utilisation decomposition (:mod:`repro.analysis.utilization`) and
-        the bottleneck-attribution replay (:mod:`repro.obs.attr`), which
-        previously each re-derived it from the edge list.
+        Shared by the Table-I utilisation decomposition
+        (:mod:`repro.analysis.utilization`) and the bottleneck-attribution
+        replay (:mod:`repro.obs.attr`).
         """
-        up: dict[int, float] = {}
-        down: dict[int, float] = {}
-        for p in self.pipelines:
-            for e in p.edges:
-                up[e.child] = up.get(e.child, 0.0) + e.rate
-                down[e.parent] = down.get(e.parent, 0.0) + e.rate
+        up: dict[int, float] = defaultdict(float)
+        down: dict[int, float] = defaultdict(float)
+        self.add_usage(up, down)
         return {
             node: NodeRates(
                 uplink_mbps=up.get(node, 0.0), downlink_mbps=down.get(node, 0.0)
@@ -278,10 +291,13 @@ class RepairPlan:
         """
         if not self.pipelines:
             raise ValueError("plan has no pipelines")
+        context = self.context
+        requester, helpers, k = context.requester, frozenset(context.helpers), context.k
         for p in self.pipelines:
-            p.validate(self.context)
-        live = [p for p in self.pipelines if p.segment.length > PLAN_TOL]
-        spans = sorted((p.segment.start, p.segment.stop) for p in live)
+            _check_tree(p.task_id, p.edges, requester, helpers, k)
+        spans = sorted(
+            p.segment for p in self.pipelines if p.segment.length > PLAN_TOL
+        )
         pos = 0.0
         for start, stop in spans:
             if start < pos - PLAN_TOL:
@@ -296,5 +312,22 @@ class RepairPlan:
         if abs(pos - 1.0) > PLAN_TOL:
             raise ValueError(f"pipeline segments cover [0, {pos:.6f}) != [0, 1)")
         if check_rates:
-            flows, rates = self.flows()
-            validate_rates(self.context.snapshot, flows, rates)
+            # every endpoint is a helper or the requester (the tree checks
+            # passed), so the dense per-node lists are safely indexed
+            up, down = planned_usage(context.snapshot, [self])
+            check_node_capacity(context.snapshot, up, down)
+
+
+def planned_usage(
+    snapshot: BandwidthSnapshot, plans: list[RepairPlan]
+) -> tuple[list[float], list[float]]:
+    """Per-node uplink / downlink rates (Mbps) the plans consume together.
+
+    Dense lists over the snapshot's nodes; the plans' endpoints must lie
+    inside it (true of any validated plan over a context of ``snapshot``).
+    """
+    up = [0.0] * snapshot.num_nodes
+    down = [0.0] * snapshot.num_nodes
+    for plan in plans:
+        plan.add_usage(up, down)
+    return up, down
