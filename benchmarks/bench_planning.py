@@ -4,10 +4,7 @@ Times the control-plane hot path end to end and writes
 ``BENCH_planning.json`` at the repository root:
 
 * per-algorithm, per-(n, k) plan-construction latency (median / p99 /
-  mean over individually-timed rounds), including ``fullrepair_seed`` —
-  the frozen pre-optimisation reference planner kept in
-  :mod:`repro.core.seedplanner` — so the fast path's speedup is measured
-  against a live baseline rather than a stale number;
+  mean over individually-timed rounds);
 * plan-cache behaviour: hit rate over a jittered-bandwidth request
   stream, hit/miss latency, and the resulting speedup.
 
@@ -32,15 +29,13 @@ import numpy as np
 from benchmarks.common import CODES, REPO_ROOT, SEED, quantile, write_json_report
 from repro.analysis import make_fixed_context
 from repro.core.plancache import PlanCache
-from repro.core.seedplanner import seed_plan
 from repro.net.bandwidth import BandwidthSnapshot, RepairContext
 from repro.repair import get_algorithm
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: no fullrepair_seed row, no fullrepair_speedup_vs_seed
 
-#: Algorithms timed per code.  ``fullrepair_seed`` is handled specially
-#: (it is the frozen reference implementation, not a registry entry).
-ALGORITHMS = ("fullrepair", "fullrepair_seed", "pivotrepair", "rp")
+#: Algorithms timed per code.
+ALGORITHMS = ("fullrepair", "pivotrepair", "rp")
 
 
 def _time_rounds(fn, contexts, rounds: int) -> list[float]:
@@ -70,18 +65,10 @@ def _bench_planning(codes, rounds: int, num_contexts: int) -> dict:
         contexts = [
             make_fixed_context(n, k, seed=SEED + i) for i in range(num_contexts)
         ]
-        cell: dict[str, dict] = {}
-        for name in ALGORITHMS:
-            if name == "fullrepair_seed":
-                fn = seed_plan
-            else:
-                algo = get_algorithm(name)
-                fn = algo.plan
-            cell[name] = _stats_us(_time_rounds(fn, contexts, rounds))
-        cell["fullrepair_speedup_vs_seed"] = (
-            cell["fullrepair_seed"]["median_us"] / cell["fullrepair"]["median_us"]
-        )
-        out[f"n{n}_k{k}"] = cell
+        out[f"n{n}_k{k}"] = {
+            name: _stats_us(_time_rounds(get_algorithm(name).plan, contexts, rounds))
+            for name in ALGORITHMS
+        }
     return out
 
 
@@ -181,9 +168,9 @@ def main(argv=None) -> int:
     report = run(smoke=args.smoke, out_path=out_path)
     for code, cell in report["planning"].items():
         print(
-            f"{code}: fullrepair {cell['fullrepair']['median_us']:.1f} us median, "
-            f"seed {cell['fullrepair_seed']['median_us']:.1f} us, "
-            f"speedup {cell['fullrepair_speedup_vs_seed']:.2f}x"
+            f"{code}: "
+            + ", ".join(f"{a} {cell[a]['median_us']:.1f} us" for a in ALGORITHMS)
+            + " (median)"
         )
     cache = report["plan_cache"]
     print(

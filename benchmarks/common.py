@@ -2,15 +2,14 @@
 
 Every benchmark regenerates one paper artefact (Table I, Figs. 4-8) and
 writes the paper-style rendering to ``benchmarks/out/<name>.txt`` in
-addition to the pytest-benchmark timing table.  Scale knobs default to a
-few minutes of total runtime; the paper-scale values are noted next to
-each knob.
+addition to the pytest-benchmark timing table.  The scale constants
+below give a few minutes of total runtime; the paper-scale values are
+noted next to each.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 
 #: Where rendered tables/series land.
@@ -27,17 +26,17 @@ CODES = ((6, 4), (9, 6), (12, 8), (14, 10))
 WORKLOADS = ("tpcds", "tpch", "swim")
 
 #: Repair instances sampled per (workload, n, k) cell.  Paper: 100.
-NUM_SAMPLES = int(os.environ.get("REPRO_BENCH_SAMPLES", "12"))
+NUM_SAMPLES = 12
 
 #: Trace length to sample from.  Paper: 6000.
-NUM_SNAPSHOTS = int(os.environ.get("REPRO_BENCH_SNAPSHOTS", "1500"))
+NUM_SNAPSHOTS = 1500
 
 #: PPT emulation budget for experiment sweeps (exactness is preserved by
 #: oracle seeding; this only bounds the brute-force emulation cost).
-PPT_BUDGET = int(os.environ.get("REPRO_PPT_BUDGET", "3000"))
+PPT_BUDGET = 3000
 
 #: Master seed for every benchmark.
-SEED = int(os.environ.get("REPRO_BENCH_SEED", "2023"))
+SEED = 2023
 
 ALGO_KWARGS = {"ppt": {"max_emulations": PPT_BUDGET}}
 

@@ -40,7 +40,7 @@ from .repair import (
     compute_plan,
     get_algorithm,
 )
-from .sim import TransferParams, execute, repair_seconds
+from .sim import TransferParams, execute
 from .workloads import make_trace
 
 __version__ = "1.0.0"
@@ -73,7 +73,6 @@ __all__ = [
     "get_algorithm",
     "TransferParams",
     "execute",
-    "repair_seconds",
     "make_trace",
     "__version__",
 ]

@@ -70,15 +70,13 @@ def render_comparison(
 def render_reductions(
     results: list[ComparisonResult],
     *,
-    target: str = "fullrepair",
-    baselines: tuple[str, ...] = ("rp", "ppt", "pivotrepair"),
     metric: str = "overall",
 ) -> str:
     """FullRepair's % reduction vs each baseline (the paper's headline)."""
-    lines = [f"{ALGO_LABELS.get(target, target)} {metric} reduction vs baselines"]
-    for base in baselines:
+    lines = [f"{ALGO_LABELS['fullrepair']} {metric} reduction vs baselines"]
+    for base in ("rp", "ppt", "pivotrepair"):
         reductions = [
-            (r.workload, r.n, r.k, r.reduction_vs(target, base, metric))
+            (r.workload, r.n, r.k, r.reduction_vs("fullrepair", base, metric))
             for r in results
             if base in r.timings
         ]
@@ -185,9 +183,7 @@ def render_fault_report(outcomes, title: str = "repair under faults") -> str:
     return "\n".join(lines)
 
 
-def render_repair_timeline(
-    tracer, *, width: int = 56, max_pipelines: int = 6
-) -> str:
+def render_repair_timeline(tracer) -> str:
     """ASCII timeline of a traced repair (``repro trace repair``).
 
     One bar per repair/attempt/pipeline span (transfers are summarised,
@@ -196,6 +192,7 @@ def render_repair_timeline(
     (watchdog fires, replans, faults) in time order.  Pass a live
     :class:`repro.obs.Tracer` that recorded at least one repair.
     """
+    width, max_pipelines = 56, 6  # bar columns; pipelines drawn per attempt
     spans = [s for s in tracer.spans() if s.kind != "transfer"]
     if not spans:
         return "no spans recorded (was tracing enabled?)"
@@ -253,7 +250,7 @@ def render_repair_timeline(
     return "\n".join(lines)
 
 
-def render_attribution(attr, *, max_rows: int = 8) -> str:
+def render_attribution(attr) -> str:
     """Render a :class:`~repro.obs.attr.RepairAttribution` (``repro attr``).
 
     Headline gap decomposition first (the four buckets, in seconds and
@@ -298,7 +295,7 @@ def render_attribution(attr, *, max_rows: int = 8) -> str:
                 f"{bucket:>20} | {who:>10} | {constraint:>10} | "
                 f"{_fmt_seconds(secs):>11}"
             )
-    idle = sorted(attr.node_idle, key=lambda n: -n.idle_s)[:max_rows]
+    idle = sorted(attr.node_idle, key=lambda n: -n.idle_s)[:8]
     if idle:
         lines += [
             "",

@@ -17,13 +17,7 @@ from .placement import (
     RoundRobinPlacement,
     make_policy,
 )
-from .messages import (
-    BandwidthReport,
-    RepairComplete,
-    RepairRequest,
-    SliceData,
-    TransferTask,
-)
+from .messages import BandwidthReport, SliceData, TransferTask
 from .system import ClusterSystem, RepairOutcome
 
 __all__ = [
@@ -42,8 +36,6 @@ __all__ = [
     "LoadBalancedPlacement",
     "make_policy",
     "BandwidthReport",
-    "RepairComplete",
-    "RepairRequest",
     "SliceData",
     "TransferTask",
     "ClusterSystem",

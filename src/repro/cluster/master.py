@@ -72,16 +72,14 @@ class Master:
         algorithm: RepairAlgorithm,
         num_nodes: int,
         plan_cache: PlanCache | None = None,
-        *,
-        lease_seconds: float | None = None,
-        lease_missed_reports: int = 3,
     ) -> None:
         self.code = code
         self.algorithm = algorithm
         self.num_nodes = num_nodes
         self.plan_cache = plan_cache
-        self.lease_seconds = lease_seconds
-        self.lease_missed_reports = lease_missed_reports
+        #: heartbeat leases are off until :meth:`configure_lease`
+        self.lease_seconds: float | None = None
+        self.lease_missed_reports = 3
         self._uplink = np.zeros(num_nodes)
         self._downlink = np.zeros(num_nodes)
         self._stripes: dict[str, StripeLocation] = {}
@@ -224,9 +222,6 @@ class Master:
                 f"{stripe_id} has no chunk {chunk_index}"
             )
         self._quarantined.add((stripe_id, chunk_index))
-
-    def clear_quarantine(self, stripe_id: str, chunk_index: int) -> None:
-        self._quarantined.discard((stripe_id, chunk_index))
 
     def is_quarantined(self, stripe_id: str, chunk_index: int) -> bool:
         return (stripe_id, chunk_index) in self._quarantined

@@ -25,15 +25,6 @@ class BandwidthReport:
 
 
 @dataclass(frozen=True)
-class RepairRequest:
-    """Client/requester -> master: rebuild a stripe's failed chunk."""
-
-    stripe_id: str
-    failed_node: int
-    requester: int
-
-
-@dataclass(frozen=True)
 class TransferTask:
     """Master -> data node: one hop of one elementary pipeline.
 
@@ -76,13 +67,3 @@ class SliceData:
     #: legacy sender); the receiving hop re-checksums and requests a
     #: retransmit on mismatch instead of folding a poisoned slice
     checksum: int | None = None
-
-
-@dataclass(frozen=True)
-class RepairComplete:
-    """Requester -> master: the failed chunk is rebuilt and stored."""
-
-    stripe_id: str
-    requester: int
-    elapsed_seconds: float
-    bytes_received: int

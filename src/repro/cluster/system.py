@@ -149,9 +149,7 @@ class _Assembly:
     timer: object = None
     armed_timeout: float = 0.0
     timer_mark: int = -1
-    timeout_s: float | None = None
     max_attempts: int = 3
-    backoff_base_s: float = 0.02
     watchdog: bool = False
     # ---- divergence-detector sampler (DivergenceMonitor wired only) --- #
     detect_timer: object = None
@@ -229,8 +227,6 @@ class ClusterSystem:
         metrics=None,
         fleet=None,
         slo=None,
-        divergence=None,
-        integrity_verify: bool = True,
     ) -> None:
         if num_nodes < code.n + 1:
             raise ValueError(
@@ -248,13 +244,11 @@ class ClusterSystem:
             self.tracer.clock = lambda: self.events.now
         if self.fleet.enabled and self.fleet.clock is None:
             self.fleet.clock = lambda: self.events.now
-        #: online divergence detection (``repro.obs.detect``): when a
-        #: DivergenceMonitor is wired, watchdog repairs sample realised
-        #: throughput against the plan's t_max and abort diverged
-        #: attempts *before* the timeout fallback fires
-        self.divergence = divergence
-        if self.divergence is not None and self.divergence.clock is None:
-            self.divergence.clock = lambda: self.events.now
+        #: online divergence detection (``repro.obs.detect``): assign a
+        #: DivergenceMonitor (and set its ``clock``) and watchdog repairs
+        #: sample realised throughput against the plan's t_max and abort
+        #: diverged attempts *before* the timeout fallback fires
+        self.divergence = None
         if isinstance(algorithm, str):
             algorithm = get_algorithm(algorithm)
         self.master = Master(code, algorithm, num_nodes)
@@ -275,9 +269,6 @@ class ClusterSystem:
             )
             for i in range(num_nodes)
         ]
-        #: post-repair parity verification of rebuilt chunks (the wire
-        #: checksums and read-path digest checks are always on)
-        self.integrity_verify = integrity_verify
         #: (wire id, pipeline id) -> open pipeline span (tracer enabled only)
         self._pipeline_spans: dict[tuple[str, int], object] = {}
         on_transfer = self._transfer_hook()
@@ -494,18 +485,16 @@ class ClusterSystem:
         if n._wire_rng is None:
             n._wire_rng = np.random.default_rng(seed)
 
-    def enable_heartbeats(
-        self, period_s: float = 0.05, *, lease_missed: int = 3
-    ) -> None:
+    def enable_heartbeats(self, period_s: float = 0.05) -> None:
         """Run periodic bandwidth heartbeats while repairs are active.
 
         Every live, unsuppressed node reports each ``period_s``; the
-        master expires the lease of any node silent for ``lease_missed``
-        periods (:meth:`~repro.cluster.master.Master.check_leases`) and
+        master expires the lease of any node silent for three periods
+        (:meth:`~repro.cluster.master.Master.check_leases`) and
         excludes it from subsequent plans.  A lease false positive heals
         itself: the next report from a live node rejoins it.
         """
-        self.master.configure_lease(period_s, missed_reports=lease_missed)
+        self.master.configure_lease(period_s)
         self._heartbeat_on = True
         self._heartbeat_period_s = period_s
 
@@ -692,8 +681,6 @@ class ClusterSystem:
         were poisoned, the culprit is quarantined, and a fresh attempt
         has been scheduled over the remaining helpers.
         """
-        if not self.integrity_verify or asm.lost_chunk < 0:
-            return True
         report, holders = self._integrity_audit(
             asm.stripe_id, asm.lost_chunk, asm.buffer
         )
@@ -794,8 +781,6 @@ class ClusterSystem:
         re-repair here — the multi paths surface an explicit failed
         outcome and let their caller re-dispatch.
         """
-        if not self.integrity_verify:
-            return True, (), False
         report, holders = self._integrity_audit(stripe_id, lost, buffer)
         if report.ok is not False:
             return True, (), False
@@ -823,8 +808,6 @@ class ClusterSystem:
         injector=None,
         max_attempts: int = 3,
         store: bool = True,
-        progress_timeout_s: float | None = None,
-        backoff_base_s: float = 0.02,
         on_failure: str = "raise",
     ) -> RepairOutcome:
         """Rebuild the failed node's chunk of a stripe at ``requester``.
@@ -835,13 +818,13 @@ class ClusterSystem:
         slices, the requester assembles, stores, and verifies the chunk.
 
         The repair is self-healing: a progress watchdog (auto-sized from
-        the plan's throughput, or ``progress_timeout_s``) aborts an
-        attempt that stops making progress, scrubs half-received slices,
-        and re-dispatches after an exponential backoff
-        (``backoff_base_s * 2**attempt``) — re-planning only the
-        unfinished remainder down the master's degradation ladder.  A
-        second chunk loss mid-repair escalates to :meth:`repair_multi`
-        (which persists the rebuilt chunks regardless of ``store``).
+        the plan's throughput) aborts an attempt that stops making
+        progress, scrubs half-received slices, and re-dispatches after
+        an exponential backoff (``BACKOFF_BASE_S * 2**(attempt-1)``) —
+        re-planning only the unfinished remainder down the master's
+        degradation ladder.  A second chunk loss mid-repair escalates to
+        :meth:`repair_multi` (which persists the rebuilt chunks
+        regardless of ``store``).
 
         Faults: ``inject_failure=(node, delay)`` crashes one node
         ``delay`` simulated seconds in; ``injector`` arms a whole
@@ -866,8 +849,6 @@ class ClusterSystem:
             injector=injector,
             store=store,
             max_attempts=max_attempts,
-            progress_timeout_s=progress_timeout_s,
-            backoff_base_s=backoff_base_s,
         )
         self.events.run()
         self._drop_assembly(asm)
@@ -1105,8 +1086,6 @@ class ClusterSystem:
         store: bool = True,
         bandwidth_scale: float = 1.0,
         max_attempts: int = 3,
-        progress_timeout_s: float | None = None,
-        backoff_base_s: float = 0.02,
     ) -> str:
         """Start a self-healing chunk repair without draining the queue.
 
@@ -1133,8 +1112,6 @@ class ClusterSystem:
             on_done=lambda a, cb=on_done: self._complete_async(a, cb),
             store=store,
             max_attempts=max_attempts,
-            progress_timeout_s=progress_timeout_s,
-            backoff_base_s=backoff_base_s,
             bandwidth_scale=bandwidth_scale,
         )
         return asm.repair_id
@@ -1147,8 +1124,6 @@ class ClusterSystem:
         *,
         store: bool,
         max_attempts: int,
-        progress_timeout_s: float | None,
-        backoff_base_s: float,
         inject_failure: tuple[int, float] | None = None,
         injector=None,
         on_done=None,
@@ -1187,9 +1162,7 @@ class ClusterSystem:
             failed_node=failed_node,
             lost_chunk=lost_chunk,
             buffer=np.zeros(chunk_bytes, dtype=np.uint8),
-            timeout_s=progress_timeout_s,
             max_attempts=max_attempts,
-            backoff_base_s=backoff_base_s,
             watchdog=True,
             store=store,
             start_time=self.events.now,
@@ -1597,15 +1570,12 @@ class ClusterSystem:
         """(Re)arm the progress watchdog for the current attempt."""
         if asm.timer is not None:
             self.events.cancel(asm.timer)
-        timeout = asm.timeout_s
-        if timeout is None:
-            # auto: 4x the expected remaining transfer time at plan rate
-            remaining = max(asm.chunk_bytes - asm.done_bytes, 1)
-            rate = asm.plan.total_rate if asm.plan is not None else 0.0
-            timeout = max(
-                0.05, 4.0 * units.transfer_seconds(remaining, max(rate, 1.0))
-            )
-        timeout *= 2**asm.retries  # back off after every aborted attempt
+        # 4x the expected remaining transfer time at plan rate, doubled
+        # after every aborted attempt
+        remaining = max(asm.chunk_bytes - asm.done_bytes, 1)
+        rate = max(asm.plan.total_rate, 1.0)
+        timeout = max(0.05, 4.0 * units.transfer_seconds(remaining, rate))
+        timeout *= 2**asm.retries
         asm.armed_timeout = timeout
         asm.timer_mark = asm.received
         asm.timer = self.events.schedule(
@@ -1763,6 +1733,9 @@ class ClusterSystem:
             f"(attempt {asm.attempt})",
         )
 
+    #: re-dispatch after abort ``a`` waits ``BACKOFF_BASE_S * 2**(a-1)``
+    BACKOFF_BASE_S = 0.02
+
     def _abort_attempt(self, asm: _Assembly, reason: str) -> None:
         """Tear down the current attempt (stalled, diverged, or proven
         poisoned) and schedule the next one after the backoff."""
@@ -1789,7 +1762,7 @@ class ClusterSystem:
             asm.failure_reason = f"{reason}; {asm.attempt} attempts exhausted"
             self._finish_assembly(asm, retire=False)
             return
-        delay = asm.backoff_base_s * (2 ** (asm.attempt - 1))
+        delay = self.BACKOFF_BASE_S * (2 ** (asm.attempt - 1))
         self.events.schedule(delay, lambda a=asm: self._start_attempt(a))
 
     def _retire_attempt(self, asm: _Assembly) -> None:

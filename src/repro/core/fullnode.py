@@ -98,7 +98,6 @@ def plan_full_node_repair(
     algorithm: str = "fullrepair",
     strategy: str = "batched",
     min_rate_fraction: float = 0.35,
-    params_factory=None,
     algorithm_kwargs: dict | None = None,
     plan_cache: PlanCache | None = None,
 ) -> FullNodeRepairPlan:
@@ -118,9 +117,6 @@ def plan_full_node_repair(
         Batched mode: a stripe only joins the current batch if its
         residual-bandwidth throughput is at least this fraction of what
         it would get alone.
-    params_factory:
-        ``chunk_bytes -> TransferParams`` for makespan estimation
-        (defaults to 64 KiB slices with standard overheads).
     plan_cache:
         Optional :class:`~repro.core.plancache.PlanCache`.  Stripes of a
         dead node share the node's peer set, so many contexts here hit
@@ -132,8 +128,6 @@ def plan_full_node_repair(
     if not specs:
         raise ValueError("no stripes to repair")
     algo = get_algorithm(algorithm, **(algorithm_kwargs or {}))
-    if params_factory is None:
-        params_factory = lambda size: TransferParams(chunk_bytes=size)  # noqa: E731
     if plan_cache is None:
         make_plan = algo.plan
     else:
@@ -188,10 +182,11 @@ def plan_full_node_repair(
                 f"{[s.stripe_id for s in pending]}"
             )
         spec_of = {s.stripe_id: s for s in specs}
+        # makespans are estimated at 64 KiB slices with standard overheads
         batch_seconds.append(
             max(
                 execute(
-                    plans[sid], params_factory(spec_of[sid].chunk_bytes)
+                    plans[sid], TransferParams(chunk_bytes=spec_of[sid].chunk_bytes)
                 ).transfer_seconds
                 for sid in batch
             )

@@ -19,7 +19,7 @@ multi-pipeline schedule in three steps:
    Table III exactly on the worked example.  The fast path selects the
    target task with a single O(|tasks|) scan per assignment instead of
    re-sorting both task lists every iteration (the seed's sort-based
-   walk is preserved in :mod:`repro.core.seedplanner` and the
+   walk is preserved in ``tests/core/reference_planner.py`` and the
    test-suite pins the two selections to identical plans).  The paper's
    *task exchange* step is generalised into a max-flow re-solve — an
    in-repo Dinic's solver (:mod:`repro.core.maxflow`), so the planning
@@ -241,7 +241,7 @@ def _assign_senders(
     candidates once by the seed's composite key and walking down the
     list therefore reproduces the seed's pick-by-pick re-sorted walk
     exactly (pinned by the equivalence tests against
-    :mod:`repro.core.seedplanner`).  The whole phase runs on parallel
+    ``tests/core/reference_planner.py``).  The whole phase runs on parallel
     local lists — attribute/property dispatch on :class:`Task` dominated
     the planner profile — and results are written back into the ``Task``
     objects at the end, amounts in first-contribution order.
@@ -521,7 +521,7 @@ def _layout_pipelines(
             # wrapped sender's two row pieces can never share a column.
             # Plan-level validation (Pipeline.validate) still enforces
             # the k-distinct-helpers invariant when requested; the seed
-            # layout's per-cut re-check lives on in seedplanner.
+            # layout's per-cut re-check lives on in the test reference.
             # rate > 0 (cuts are strictly increasing, speed > AMOUNT_TOL)
             # and endpoints differ (senders are helpers, hub != requester,
             # the hub occupies no sender slot) — Edge validation holds.

@@ -21,8 +21,8 @@ arithmetic):
 
 * the uplink water-filling sorts the helper uplinks once and scans the
   suffix-sum breakpoints (the per-round ``sum``/``max`` Python loop of
-  the paper's pseudocode lives on in
-  :mod:`repro.core.seedplanner` as the equivalence oracle);
+  the paper's pseudocode lives on under ``tests/core/`` as the
+  equivalence oracle);
 * the downlink phase exploits that each helper's contribution to the
   feasibility condition is ``(k-1) * min(c, a_h)`` with the single
   breakpoint ``a_h = min(U_h, D_h / (k-1))`` — sorting the breakpoints
@@ -79,7 +79,7 @@ def max_pipelined_throughput(context: RepairContext) -> ThroughputResult:
     Raises ``ValueError`` if no positive throughput is achievable (e.g.
     fewer than k helpers with usable uplink, or a zero requester
     downlink).  Output is equivalent (within float rounding) to the seed
-    loop implementation preserved in :mod:`repro.core.seedplanner`.
+    loop implementation preserved in ``tests/core/reference_planner.py``.
     """
     k = context.k
     helpers = list(context.helpers)

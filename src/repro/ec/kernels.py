@@ -250,9 +250,7 @@ class Workspace:
 _tls = threading.local()
 
 
-def _workspace(workspace: Workspace | None) -> Workspace:
-    if workspace is not None:
-        return workspace
+def _workspace() -> Workspace:
     ws = getattr(_tls, "ws", None)
     if ws is None:
         ws = _tls.ws = Workspace()
@@ -285,8 +283,6 @@ def fused_matmul(
     matrix: np.ndarray,
     chunks,
     out: np.ndarray | None = None,
-    *,
-    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Blocked fused GF matrix x chunks product — the fast matvec.
 
@@ -300,8 +296,6 @@ def fused_matmul(
         separate chunk buffers).
     out:
         Optional (m, L) uint8 result buffer; must not alias any input.
-    workspace:
-        Explicit :class:`Workspace`; defaults to a thread-local one.
 
     Returns the (m, L) result, byte-identical to
     :func:`repro.ec.matrix.matvec_chunks`.
@@ -332,10 +326,7 @@ def fused_matmul(
                 f"{out.dtype} {out.shape}"
             )
         _check_no_overlap(out, chunk_list, "out")
-    if length == 0 or m == 0:
-        out[...] = 0
-        return out
-    if p == 0:
+    if length == 0 or m == 0:  # covers p == 0: no chunks, so no length
         out[...] = 0
         return out
 
@@ -361,13 +352,13 @@ def fused_matmul(
             while run_end < len(dense) and dense[run_end] == dense[run_end - 1] + 1:
                 run_end += 1
             a, b = dense[run_start], dense[run_end - 1] + 1
-            fused_matmul(matrix[a:b], chunk_list, out[a:b], workspace=workspace)
+            fused_matmul(matrix[a:b], chunk_list, out[a:b])
             run_start = run_end
         return out
 
     tables = fused_tables(matrix)
 
-    ws = _workspace(workspace)
+    ws = _workspace()
     idx, val, tmp16, pairbuf = ws.idx, ws.val, ws.tmp16, ws.pairbuf
     half = length // 2
     pair_views = [_pairs_view(c) for c in chunk_list]
@@ -429,8 +420,6 @@ def dot_blocked(
     coeffs,
     chunks,
     out: np.ndarray | None = None,
-    *,
-    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Blocked pair-table linear combination (single output row).
 
@@ -467,9 +456,7 @@ def dot_blocked(
             np.bitwise_xor(out, ch, out=out)
         return out
     sub = np.array([c for c, _ in gather], dtype=np.uint8)[None, :]
-    fused_matmul(
-        sub, [ch for _, ch in gather], out[None, :], workspace=workspace
-    )
+    fused_matmul(sub, [ch for _, ch in gather], out[None, :])
     for ch in xor_chunks:
         np.bitwise_xor(out, ch, out=out)
     return out
@@ -479,8 +466,6 @@ def mul_chunk_blocked(
     coeff: int,
     chunk: np.ndarray,
     out: np.ndarray | None = None,
-    *,
-    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Pair-table scalar x chunk product (:func:`gf256.mul_chunk` twin)."""
     chunk = np.asarray(chunk)
@@ -504,7 +489,4 @@ def mul_chunk_blocked(
         if c == 1:
             np.copyto(out, chunk)
             return out
-    return fused_matmul(
-        np.array([[c]], dtype=np.uint8), [chunk], out[None, :],
-        workspace=workspace,
-    )[0]
+    return fused_matmul(np.array([[c]], dtype=np.uint8), [chunk], out[None, :])[0]

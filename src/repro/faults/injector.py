@@ -77,8 +77,6 @@ class FaultInjector:
         horizon_s: float,
         max_faults: int = 3,
         max_crashes: int | None = None,
-        rate_cap_range: tuple[float, float] = (5.0, 100.0),
-        stall_range_s: tuple[float, float] | None = None,
         protected: tuple[int, ...] = (),
         corruption: bool = False,
         process=None,
@@ -97,10 +95,6 @@ class FaultInjector:
             At most ``max_faults`` faults total; crash count additionally
             capped (defaults to ``max_faults``) so schedules cannot kill
             more nodes than the caller's code can tolerate.
-        rate_cap_range / stall_range_s:
-            Parameter ranges for stragglers and stalls; stalls default to
-            (horizon/20, horizon/4) so they are long enough to trip the
-            progress detector but always finite.
         protected:
             Node ids never targeted (e.g. the requester when the test
             requires the repair destination to survive).
@@ -129,8 +123,6 @@ class FaultInjector:
         count = min(count, len(pool))
         if max_crashes is None:
             max_crashes = max_faults
-        if stall_range_s is None:
-            stall_range_s = (horizon_s / 20, horizon_s / 4)
         inj = cls()
         crashes = 0
         kinds = 8 if corruption else 5
@@ -147,10 +139,11 @@ class FaultInjector:
                 crashes += 1
                 inj.add(Crash(node=node, time=t))
             elif kind == 1:
-                cap = float(rng.uniform(*rate_cap_range))
+                cap = float(rng.uniform(5.0, 100.0))
                 inj.add(Straggler(node=node, time=t, rate_cap_mbps=cap))
             elif kind == 2:
-                dur = float(rng.uniform(*stall_range_s))
+                # long enough to trip the progress detector, always finite
+                dur = float(rng.uniform(horizon_s / 20, horizon_s / 4))
                 inj.add(Stall(node=node, time=t, duration_s=dur))
             elif kind == 3:
                 dur = float(rng.uniform(horizon_s / 10, horizon_s))

@@ -85,20 +85,17 @@ class RepairModel:
     chunk_mib: float = 16.0
     node_mbps: float = 1000.0
     pipeline_factor: float = 1.0
-    floor_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.chunk_mib <= 0 or self.node_mbps <= 0:
             raise ValueError("chunk_mib and node_mbps must be positive")
         if self.pipeline_factor < 1.0:
             raise ValueError("pipeline_factor must be >= 1")
-        if self.floor_s <= 0:
-            raise ValueError("floor_s must be positive")
 
     def seconds(self, stripes: int, lost: int, share: float) -> float:
         mbits = stripes * lost * self.chunk_mib * 8.0 * self.pipeline_factor
         rate = max(share, 1e-6) * self.node_mbps
-        return max(self.floor_s, mbits / rate)
+        return max(1.0, mbits / rate)  # no rebuild settles in under a second
 
 
 class _SimOutcome:
@@ -551,12 +548,6 @@ class CampaignResult:
     throttle_restores: int = 0
     spread_fallbacks: int = 0
     ticks: int = 0
-
-    @property
-    def loss_rate_per_stripe_year(self) -> float:
-        if self.stripe_years <= 0:
-            return 0.0
-        return self.stripes_lost / self.stripe_years
 
 
 class _Campaign:

@@ -124,7 +124,6 @@ def run_monte_carlo(
     trials: int = 4,
     workers: int | None = None,
     confidence: float = 0.95,
-    top_losses: int = 5,
 ) -> MonteCarloResult:
     """Fan out ``trials`` independent-seed campaigns and reduce them.
 
@@ -174,7 +173,7 @@ def run_monte_carlo(
         sorted(
             (loss for r in results for loss in r.loss_events),
             key=lambda e: (-e.stripes, e.time_s),
-        )[:top_losses]
+        )[:5]
     )
     return MonteCarloResult(
         config=config,

@@ -91,7 +91,6 @@ class StripeTable:
         patterns: np.ndarray,
         *,
         k: int,
-        digest_delta: int = 64,
     ):
         patterns = np.asarray(patterns, dtype=np.int32)
         if patterns.ndim != 2:
@@ -144,8 +143,8 @@ class StripeTable:
         # sketches.
         self._degraded_since: list[float | None] = [None] * num_groups
         self._below_k_since: list[float | None] = [None] * num_groups
-        self.exposure_digest = TDigest(digest_delta)
-        self.below_k_digest = TDigest(digest_delta)
+        self.exposure_digest = TDigest(64)
+        self.below_k_digest = TDigest(64)
         self.loss_events: list[GroupLoss] = []
         self.stripes_lost = 0
         self.chunks_destroyed = 0

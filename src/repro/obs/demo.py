@@ -97,14 +97,13 @@ def traced_hub_crash_repair(
     chunk_bytes: int = 64 * 1024,
     failed_node: int = 3,
     seed: int = 7,
-    crash_fraction: float = 0.5,
 ) -> TracedRepairDemo:
     """Run the demo: a traced (n, k) repair whose hub crashes mid-flight.
 
     A clean un-traced run first measures the baseline elapsed time and
     identifies a hub of the plan; a fresh system then repeats the repair
     with a live :class:`Tracer`/:class:`MetricsRegistry` and the hub
-    crashed ``crash_fraction`` of the way through.  Deterministic —
+    crashed halfway through.  Deterministic —
     everything runs on the simulated event queue.
     """
     requester = num_nodes - 1
@@ -120,7 +119,7 @@ def traced_hub_crash_repair(
         "s1", failed_node, requester=requester, store=False
     )
     hub = _find_hub(clean.plan, requester)
-    crash_at = crash_fraction * clean.elapsed_seconds
+    crash_at = 0.5 * clean.elapsed_seconds
 
     tracer = Tracer()
     metrics = MetricsRegistry()
@@ -170,7 +169,6 @@ def detected_straggler_repair(
     chunk_bytes: int = 64 * 1024,
     failed_node: int = 3,
     seed: int = 7,
-    fault_fraction: float = 0.5,
     cap_mbps: float = 1.0,
 ) -> DetectDemo:
     """Run the divergence-detection demo: a straggling helper caught live.
@@ -205,7 +203,7 @@ def detected_straggler_repair(
         for e in p.edges
         if e.parent == requester
     )
-    fault_at = fault_fraction * clean.elapsed_seconds
+    fault_at = 0.5 * clean.elapsed_seconds
 
     tracer = Tracer()
     metrics = MetricsRegistry()
@@ -271,8 +269,6 @@ def fleet_sweep(
     num_nodes: int = 12,
     chunk_bytes: int = 16 * 1024,
     seed: int = 5,
-    straggle_every: int = 10,
-    straggle_cap_mbps: float = 2.0,
     window_s: float = 0.01,
     rules=DEFAULT_SLO_RULES,
 ) -> FleetSweepDemo:
@@ -280,8 +276,8 @@ def fleet_sweep(
 
     One (n, k) stripe loses a chunk; the requester re-repairs it
     ``repairs`` times under a drifting bandwidth trace, with every
-    ``straggle_every``-th repair throttled by a rate-capped helper so
-    the latency tail actually moves.  Each repair feeds the rolling
+    tenth repair throttled by a helper rate-capped to 2 Mbps so the
+    latency tail actually moves.  Each repair feeds the rolling
     windows; the SLO engine evaluates at end-of-repair, so breaches
     appear while the straggled repairs dominate a window and recoveries
     once they age out.  Deterministic — simulated time only.
@@ -314,9 +310,9 @@ def fleet_sweep(
     )
     for i in range(repairs):
         system.set_bandwidth(trace.snapshot(i % 60))
-        throttled = straggle_every > 0 and i % straggle_every == straggle_every - 1
+        throttled = i % 10 == 9
         if throttled:
-            system.set_rate_cap(straggler, straggle_cap_mbps)
+            system.set_rate_cap(straggler, 2.0)
             demo.straggled.append(i)
         outcome = system.repair(
             "s1", failed_node, requester=requester, store=False,

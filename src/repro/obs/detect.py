@@ -16,7 +16,7 @@ detector instances, records every :class:`Alarm` as a structured
 ``detect.alarm`` tracer event and ``repro_detect_*`` metric, and fires
 registered callbacks so detection can be wired into *control*: the
 cluster's progress watchdog aborts diverged attempts early
-(``ClusterSystem(divergence=...)``), and the drift simulator re-plans on
+(``system.divergence = monitor``), and the drift simulator re-plans on
 alarm (``simulate_under_drift(replan_on="detect")``).
 
 Numerics
@@ -429,7 +429,9 @@ def regression_detector(**overrides) -> Detector:
     return CUSUMDetector(**kwargs)
 
 
-#: The four wired signal families: name -> (factory, one-line doc).
+#: The four signal families: name -> (factory, one-line doc).  The first
+#: three have producers in ``src/``; ``engine.events_per_s`` is fed by
+#: whoever holds a ``RunMonitor`` (``feed`` it each heartbeat's rate).
 SIGNALS = {
     "repair.throughput_ratio": (
         plan_divergence_detector,

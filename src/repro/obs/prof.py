@@ -311,10 +311,8 @@ class RunMonitor:
         profiler: "EngineProfiler | None" = None,
         until: float | None = None,
         expected_events: int | None = None,
-        top_sites: int = 3,
         check_every: int = 2048,
         clock: Callable[[], float] = perf_counter,
-        divergence=None,
     ) -> None:
         self.interval_s = float(interval_s)
         self.stream = stream
@@ -322,13 +320,8 @@ class RunMonitor:
         self.profiler = profiler
         self.until = until
         self.expected_events = expected_events
-        self.top_sites = top_sites
         self.check_every = max(1, int(check_every))
         self.clock = clock
-        #: optional DivergenceMonitor: each heartbeat's events/sec is
-        #: fed to its ``engine.events_per_s`` detector, so a sustained
-        #: throughput drop surfaces while the run is still in flight
-        self.divergence = divergence
         self.heartbeats: list[dict] = []
         self._queue = None
         self._wall0: float | None = None
@@ -412,13 +405,9 @@ class RunMonitor:
             beat["hot"] = [
                 {"site": s.site, "self_ms": s.self_ns / 1e6,
                  "events": s.events}
-                for s in prof.hot_sites(self.top_sites)
+                for s in prof.hot_sites(3)
             ]
         self.heartbeats.append(beat)
-        if self.divergence is not None and not final:
-            # skip the final (partial-window) beat: a run's last window
-            # is short by construction and must not read as a regression
-            self.divergence.feed("engine.events_per_s", wall_s, rate)
         if self.stream is not None:
             self.stream.write(json.dumps(beat, sort_keys=True) + "\n")
         if self.progress:

@@ -34,9 +34,9 @@ The :class:`SLOEngine` evaluates rules against a
 :class:`~repro.obs.fleet.FleetAggregator` and tracks per-rule state:
 crossing into violation emits a structured ``slo.breach`` event into
 the tracer plus ``repro_slo_breaches_total`` / ``repro_slo_ok`` in the
-metrics registry; crossing back emits ``slo.recover``.  Rules with
-fewer than ``min_count`` windowed observations are *indeterminate* and
-keep their previous state — an empty window is not a recovery.
+metrics registry; crossing back emits ``slo.recover``.  A value rule
+over an empty window is *indeterminate* and keeps its previous state —
+an empty window is not a recovery.
 """
 
 from __future__ import annotations
@@ -157,8 +157,6 @@ class SLOEngine:
     rules: list[SLORule]
     tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
     metrics: MetricsRegistry = field(default_factory=lambda: NULL_METRICS)
-    #: windowed observations needed before a rule becomes determinate
-    min_count: int = 1
     #: DivergenceMonitor backing ``alarms`` / ``alarm_rate`` rules
     monitor: object = None
 
@@ -177,7 +175,7 @@ class SLOEngine:
 
     # ---- evaluation ----------------------------------------------------- #
 
-    def _measure(self, rule: SLORule, now: float | None) -> tuple[float | None, float]:
+    def _measure(self, rule: SLORule, now: float | None) -> float | None:
         if rule.agg in _DETECTOR_AGGS:
             # detector aggregates read the DivergenceMonitor, scoped to
             # the same rolling horizon as the fleet windows; the metric
@@ -185,30 +183,29 @@ class SLOEngine:
             since = (now if now is not None else 0.0) - self.fleet.window_s
             n = self.monitor.alarm_count(rule.metric, since=since)
             if rule.agg == "alarms":
-                return (float(n), n)
-            return (n / self.fleet.window_s, n)
+                return float(n)
+            return n / self.fleet.window_s
         # one windowed digest answers count and value together — the
         # engine runs every orchestrator tick, and re-merging the window
         # per aggregate dominated the control loop before this
         d = self.fleet.window_digest(rule.metric, now)
         n = d.count
-        if rule.agg in _QUANTILES:
-            return (d.quantile(_QUANTILES[rule.agg]) if n else None, n)
-        if rule.agg == "mean":
-            return (d.mean if n else None, n)
-        if rule.agg == "min":
-            return (d.quantile(0.0) if n else None, n)
-        if rule.agg == "max":
-            return (d.quantile(1.0) if n else None, n)
         if rule.agg == "count":
-            return (n, n)
+            return n
         if rule.agg == "rate":
-            return (n / self.fleet.window_s, n)
+            return n / self.fleet.window_s
+        if not n:
+            return None  # a value aggregate over an empty window
+        if rule.agg in _QUANTILES:
+            return d.quantile(_QUANTILES[rule.agg])
+        if rule.agg == "mean":
+            return d.mean
+        if rule.agg == "min":
+            return d.quantile(0.0)
+        if rule.agg == "max":
+            return d.quantile(1.0)
         if rule.agg == "burn_rate":
-            if not n:
-                return (None, n)
-            bad = d.mean  # 0/1 indicators -> failure ratio
-            return (bad / rule.budget, n)
+            return d.mean / rule.budget  # 0/1 indicators -> failure ratio
         raise AssertionError(f"unknown agg {rule.agg!r}")
 
     def evaluate(self, now: float | None = None) -> list[SLOStatus]:
@@ -218,15 +215,12 @@ class SLOEngine:
         )
         out: list[SLOStatus] = []
         for rule in self.rules:
-            value, n = self._measure(rule, t)
+            value = self._measure(rule, t)
             prev = self._state[rule.name]
             # count/rate/alarm aggregates are determinate even on an
             # empty window (0 is a real answer); value-less aggregates
             # hold their last state
-            if value is None or (
-                rule.agg not in ("count", "rate", *_DETECTOR_AGGS)
-                and n < self.min_count
-            ):
+            if value is None:
                 out.append(
                     SLOStatus(rule=rule, value=None, ok=prev is not False,
                               changed=False, t=t)

@@ -19,11 +19,6 @@ sides:
 Every read lands in :attr:`ForegroundTraffic.reads` and, when a fleet
 aggregator is attached to the system, feeds the
 ``repro_foreground_latency_seconds`` stream that SLO rules watch.
-
-The generator can also *drive* cluster bandwidth from a
-:mod:`repro.workloads` trace (``trace=``): each sample period the next
-snapshot is applied via ``set_bandwidth``, so recovery re-plans against
-genuinely changing conditions, MLF-style.
 """
 
 from __future__ import annotations
@@ -35,6 +30,7 @@ import numpy as np
 from ..net import units
 
 _MIN_RATE_MBPS = 1e-3  # floor so a fully-committed link still drains
+_DEGRADED_SHARE = 0.1  # bandwidth fraction a degraded-read rebuild plans inside
 
 
 @dataclass(frozen=True)
@@ -74,11 +70,6 @@ class ForegroundTraffic:
         When given, healthy-read latency is computed against the
         bandwidth left after ``orchestrator.committed_fraction`` —
         the contention signal the SLO throttle closes the loop on.
-    degraded_share:
-        Bandwidth fraction a degraded-read rebuild may plan inside.
-    trace / trace_period_s:
-        Optional :class:`repro.workloads.Trace` replayed onto the
-        cluster via ``set_bandwidth`` every ``trace_period_s``.
     """
 
     def __init__(
@@ -90,9 +81,6 @@ class ForegroundTraffic:
         period_s: float = 0.002,
         seed: int = 0,
         orchestrator=None,
-        degraded_share: float = 0.1,
-        trace=None,
-        trace_period_s: float = 0.05,
     ) -> None:
         if num_reads < 0:
             raise ValueError("num_reads must be non-negative")
@@ -105,15 +93,11 @@ class ForegroundTraffic:
         self.num_reads = num_reads
         self.period_s = period_s
         self.orchestrator = orchestrator
-        self.degraded_share = degraded_share
-        self.trace = trace
-        self.trace_period_s = trace_period_s
         self.reads: list[ForegroundRead] = []
         self.bytes_read = 0
         self._rng = np.random.default_rng(seed)
         self._issued = 0
         self._pending = 0
-        self._trace_index = 0
         self._started = False
         self._events = system.events
         self._metrics = system.metrics
@@ -133,8 +117,6 @@ class ForegroundTraffic:
         self._started = True
         if self.num_reads > 0:
             self._events.schedule(self.period_s, self._issue)
-        if self.trace is not None:
-            self._events.schedule(self.trace_period_s, self._replay_trace)
 
     def summary(self) -> dict:
         """Aggregate view of the stream (for reports and tests)."""
@@ -219,7 +201,7 @@ class ForegroundTraffic:
             self.system.repair_async(
                 sid, node, reader,
                 store=False,
-                bandwidth_scale=self.degraded_share,
+                bandwidth_scale=_DEGRADED_SHARE,
                 on_done=settle,
             )
         except (ValueError, RuntimeError) as exc:
@@ -244,13 +226,6 @@ class ForegroundTraffic:
         if not candidates:
             return None
         return candidates[int(self._rng.integers(len(candidates)))]
-
-    def _replay_trace(self) -> None:
-        self._trace_index += 1
-        if self._trace_index >= len(self.trace):
-            return
-        self.system.set_bandwidth(self.trace.snapshot(self._trace_index))
-        self._events.schedule(self.trace_period_s, self._replay_trace)
 
     # ---- accounting ---------------------------------------------------- #
 

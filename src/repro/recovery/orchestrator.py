@@ -61,9 +61,6 @@ class RecoveryConfig:
         waits for a completion to reclaim bandwidth.
     max_item_attempts:
         Dispatch attempts per stripe before it is dead-lettered.
-    repair_max_attempts:
-        Watchdog attempts inside each single-chunk dispatch (see
-        :meth:`repro.cluster.system.ClusterSystem.repair`).
     multi_deadline_s:
         Deadline handed to multi-chunk dispatches; misses come back
         ``failed`` and re-queue instead of wedging the loop.  Multi
@@ -80,7 +77,6 @@ class RecoveryConfig:
     throttle_floor: float = 0.1
     min_share_fraction: float = 0.01
     max_item_attempts: int = 3
-    repair_max_attempts: int = 3
     multi_deadline_s: float | None = 30.0
 
     def __post_init__(self) -> None:
@@ -126,8 +122,7 @@ class RecoveryOrchestrator:
     system:
         The cluster to recover.  The orchestrator registers itself as a
         failure listener, so stripes of any node that crashes after
-        construction are enqueued automatically (call
-        :meth:`enqueue_node` for nodes that died earlier).
+        construction are enqueued automatically.
     config:
         Control-loop tunables (:class:`RecoveryConfig`).
     slo:
@@ -197,15 +192,6 @@ class RecoveryOrchestrator:
                 max_concurrent=self.config.max_concurrent,
             )
         self._ensure_tick(delay=0.0)
-
-    def enqueue_node(self, node: int) -> int:
-        """Queue every under-replicated stripe touching ``node``.
-
-        Returns the number of stripes enqueued.  Normally unnecessary —
-        the failure listener does this — but useful for nodes that died
-        before the orchestrator existed.
-        """
-        return self._enqueue_for(node)
 
     def enqueue_stripe(self, stripe_id: str) -> bool:
         """Queue one stripe for repair (the scrubber's intake path).
@@ -472,7 +458,6 @@ class RecoveryOrchestrator:
                     lost[0],
                     requesters[lost[0]],
                     bandwidth_scale=share,
-                    max_attempts=cfg.repair_max_attempts,
                     on_done=lambda outcome, t=ticket: self._on_single_done(
                         t, outcome
                     ),

@@ -138,13 +138,10 @@ def run_recovery_scenario(
     foreground_reads: int = 200,
     foreground_period_s: float = 0.002,
     slo_latency_multiple: float | None = 1.5,
-    fleet_window_s: float = 0.1,
-    replay_trace: bool = False,
     until: float | None = None,
     profile: bool = False,
     track_alloc: bool = False,
     heartbeat_s: float | None = None,
-    heartbeat_stream=None,
     progress: bool = False,
 ) -> RecoveryScenario:
     """Kill node(s) under a foreground workload and recover on a budget.
@@ -153,22 +150,19 @@ def run_recovery_scenario(
     exercise mid-recovery re-prioritisation.  ``slo_latency_multiple``
     places a p95 foreground-latency SLO at that multiple of the clean
     single-chunk transfer time (``None`` disables the throttle
-    coupling).  With ``replay_trace`` the workload trace keeps
-    mutating cluster bandwidth during recovery, MLF-style.
+    coupling).
 
     ``profile=True`` attaches an :class:`~repro.obs.EngineProfiler` to
     the event queue (``track_alloc`` adds tracemalloc allocation
     attribution); ``heartbeat_s`` attaches a
     :class:`~repro.obs.RunMonitor` emitting heartbeat snapshots at that
-    wall-clock period (to ``heartbeat_stream`` as JSONL when given,
-    plus a stderr progress line with ``progress=True``).  Both ride
-    back on the returned scenario.
+    wall-clock period (plus a stderr progress line with
+    ``progress=True``).  Both ride back on the returned scenario.
     """
     tracer = Tracer()
     metrics = MetricsRegistry()
-    fleet = FleetAggregator(window_s=fleet_window_s, buckets=8)
-    trace = make_trace(workload, num_nodes=num_nodes, seed=seed)
-    snapshot = trace.snapshot(0)
+    fleet = FleetAggregator(window_s=0.1, buckets=8)
+    snapshot = make_trace(workload, num_nodes=num_nodes, seed=seed).snapshot(0)
     system = ClusterSystem(
         num_nodes,
         RSCode(n, k),
@@ -184,10 +178,9 @@ def run_recovery_scenario(
         profiler = EngineProfiler(track_alloc=track_alloc)
         profiler.install(system.events)
     monitor = None
-    if heartbeat_s is not None or progress or heartbeat_stream is not None:
+    if heartbeat_s is not None or progress:
         monitor = RunMonitor(
             interval_s=heartbeat_s if heartbeat_s is not None else 1.0,
-            stream=heartbeat_stream,
             progress=progress,
             profiler=profiler,
             until=until,
@@ -239,7 +232,6 @@ def run_recovery_scenario(
         period_s=foreground_period_s,
         seed=seed + 1,
         orchestrator=orchestrator,
-        trace=trace if replay_trace else None,
     )
     orchestrator.start()
     foreground.start()

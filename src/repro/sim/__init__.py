@@ -3,7 +3,7 @@
 from .analytic import ideal_transfer_seconds, plan_transfer_seconds
 from .dynamics import DriftResult, StallRecord, simulate_under_drift
 from .events import EventQueue
-from .transfer import TransferParams, TransferResult, execute, repair_seconds
+from .transfer import TransferParams, TransferResult, execute
 
 __all__ = [
     "EventQueue",
@@ -13,7 +13,6 @@ __all__ = [
     "TransferParams",
     "TransferResult",
     "execute",
-    "repair_seconds",
     "plan_transfer_seconds",
     "ideal_transfer_seconds",
 ]

@@ -53,23 +53,12 @@ class TransferParams:
     compute_s_per_byte:
         GF-combination cost charged at every non-leaf node per byte
         forwarded.
-    node_rate_caps:
-        Optional straggler model: node id -> Mbps cap applied to every
-        edge the node uploads on (its planned rate is clamped, the rest
-        of the schedule is unchanged — the analytic twin of
-        ``DataNode.rate_cap_mbps``).
-    deadline_s:
-        Optional failure-detection deadline: a transfer whose makespan
-        exceeds it is flagged ``timed_out`` in the result (the analytic
-        twin of the cluster's progress watchdog).
     """
 
     chunk_bytes: int
     slice_bytes: int | None = 64 * units.KIB
     slice_overhead_s: float = 200e-6
     compute_s_per_byte: float = DEFAULT_COMPUTE_SECONDS_PER_BYTE
-    node_rate_caps: tuple[tuple[int, float], ...] | None = None
-    deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.chunk_bytes < 0:
@@ -78,27 +67,6 @@ class TransferParams:
             raise ValueError("slice_bytes must be positive or None")
         if self.slice_overhead_s < 0 or self.compute_s_per_byte < 0:
             raise ValueError("overheads must be non-negative")
-        if self.node_rate_caps is not None:
-            # accept any mapping/iterable, store hashably (frozen dataclass)
-            items = (
-                self.node_rate_caps.items()
-                if hasattr(self.node_rate_caps, "items")
-                else self.node_rate_caps
-            )
-            caps = tuple(sorted((int(n), float(c)) for n, c in items))
-            if any(c <= 0 for _, c in caps):
-                raise ValueError("rate caps must be positive")
-            object.__setattr__(self, "node_rate_caps", caps)
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
-
-    def cap_of(self, node: int) -> float | None:
-        if self.node_rate_caps is None:
-            return None
-        for n, cap in self.node_rate_caps:
-            if n == node:
-                return cap
-        return None
 
 
 @dataclass(frozen=True)
@@ -113,15 +81,11 @@ class TransferResult:
         Per-pipeline completion times, aligned with ``plan.pipelines``.
     bytes_moved:
         Total bytes crossing all links (repair-traffic volume).
-    timed_out:
-        The makespan exceeded ``params.deadline_s`` — the watchdog would
-        have declared this transfer failed and re-planned.
     """
 
     transfer_seconds: float
     pipeline_seconds: tuple[float, ...]
     bytes_moved: float
-    timed_out: bool = False
 
 
 def effective_slice_bytes(
@@ -171,8 +135,7 @@ def _pipeline_makespan(
     edge_rate: dict[int, float] = {}
     for e in pipeline.edges:
         children.setdefault(e.parent, []).append(e.child)
-        cap = params.cap_of(e.child)
-        edge_rate[e.child] = e.rate if cap is None else min(e.rate, cap)
+        edge_rate[e.child] = e.rate
 
     combine = params.compute_s_per_byte * sizes
 
@@ -262,18 +225,12 @@ def _fifo_arrivals(ready: np.ndarray, occupancy: np.ndarray, latency: float) -> 
     )
 
 
-def execute(
-    plan: RepairPlan, params: TransferParams, *, tracer=None
-) -> TransferResult:
+def execute(plan: RepairPlan, params: TransferParams) -> TransferResult:
     """Execute a plan's data phase; returns the exact transfer makespan.
 
     The plan is validated (structure + simultaneous rate feasibility)
     before execution, so an infeasible schedule fails loudly rather than
     producing fictitious times.
-
-    When a live :class:`repro.obs.Tracer` is passed, the analytic run is
-    recorded as one ``transfer`` span containing a ``pipeline`` span per
-    pipeline (start 0, end at that pipeline's completion time).
     """
     plan.validate()
     times = []
@@ -283,51 +240,8 @@ def execute(
         t, b = _pipeline_makespan(p, plan.context.requester, params, total_rate)
         times.append(t)
         total_bytes += b
-    makespan = float(max(times)) if times else 0.0
-    timed_out = params.deadline_s is not None and makespan > params.deadline_s
-    if tracer is not None and tracer.enabled:
-        root = tracer.record_span(
-            "analytic transfer",
-            0.0,
-            makespan,
-            kind="transfer",
-            pipelines=len(plan.pipelines),
-            bytes_moved=total_bytes,
-            timed_out=timed_out,
-        )
-        for i, (p, t) in enumerate(zip(plan.pipelines, times)):
-            tracer.record_span(
-                f"pipeline {i}",
-                0.0,
-                t,
-                kind="pipeline",
-                parent=root,
-                pipeline=i,
-                rate_mbps=p.rate,
-                edges=len(p.edges),
-            )
     return TransferResult(
-        transfer_seconds=makespan,
+        transfer_seconds=float(max(times)) if times else 0.0,
         pipeline_seconds=tuple(times),
         bytes_moved=total_bytes,
-        timed_out=timed_out,
     )
-
-
-def repair_seconds(
-    plan: RepairPlan, params: TransferParams, *, include_calc: bool = True
-) -> float:
-    """Overall repair time: scheduling calculation + data transfer.
-
-    ``plan.calc_seconds`` must be present when ``include_calc`` is set —
-    Experiment 1's metric is the sum of both phases.
-    """
-    result = execute(plan, params)
-    if not include_calc:
-        return result.transfer_seconds
-    if plan.calc_seconds is None:
-        raise ValueError(
-            "plan has no measured calc_seconds; compute plans via "
-            "repro.repair.base.compute_plan or pass include_calc=False"
-        )
-    return plan.calc_seconds + result.transfer_seconds

@@ -1,7 +1,7 @@
 """Detector-informed watchdog: early abort, clean-run silence, S6.
 
 The cluster-side control wiring for ``repro.obs.detect``: a
-``ClusterSystem(divergence=...)`` arms a throughput sampler alongside
+``system.divergence = monitor`` arms a throughput sampler alongside
 every attempt's watchdog timer.  These tests pin down the contract —
 a diverged attempt aborts *before* the timeout (``detect.abort``), a
 clean repair is byte-identical with and without the monitor, and a

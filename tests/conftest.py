@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.net import BandwidthSnapshot, RepairContext
+
+# fixed-seed determinism is the repo's contract: tier-1 draws the same
+# hypothesis examples on every run
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

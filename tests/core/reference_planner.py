@@ -1,40 +1,30 @@
-"""Frozen seed implementation of Algorithms 1 + 2 — oracle, not hot path.
+"""Test-only oracle: the frozen seed implementation of Algorithms 1 + 2.
 
 This module preserves, verbatim, the original (pre-fast-path) planner:
 the pure-Python water-filling loop, the alternating downlink fixpoint,
 the sort-per-iteration greedy sender assignment, the networkx-backed
-flow completion, and the per-cut segment layout.  It exists for two
-reasons:
-
-* **equivalence testing** — the vectorised planner in
-  :mod:`repro.core.throughput` / :mod:`repro.core.scheduling` must emit
-  plans identical (within ``AMOUNT_TOL``) to this reference on the
-  paper's worked example and on randomised contexts;
-* **the perf-regression harness** — ``benchmarks/bench_planning.py``
-  times this path side by side with the fast path so speedups are
-  measured against a stable baseline, not against a moving target.
-
-Nothing in the production planning path imports this module; networkx is
-imported lazily inside the flow-completion function so merely importing
-the package never pays for the graph library.  Do not "optimise" this
-file — its value is being frozen.
+flow completion, and the per-cut segment layout.  The planner in
+:mod:`repro.core.throughput` / :mod:`repro.core.scheduling` must emit
+plans identical (within ``AMOUNT_TOL``) to this reference on the
+paper's worked example and on randomised contexts
+(``test_fastpath_equivalence.py``).  Nothing in ``src/`` imports it, and
+networkx is imported inside the flow-completion function only.  Do not
+"optimise" this file — its value is being frozen.
 """
 
 from __future__ import annotations
 
-import time
-
-from ..ec.slicing import Segment
-from ..net.bandwidth import RepairContext
-from ..repair.plan import Edge, Pipeline, RepairPlan
-from . import constraints
-from .scheduling import (
+from repro.core import constraints
+from repro.core.scheduling import (
     AMOUNT_TOL,
     LAYOUT_GRID,
     ScheduleResult,
     Task,
 )
-from .throughput import FIXPOINT_TOL, MAX_ALTERNATIONS, ThroughputResult
+from repro.core.throughput import FIXPOINT_TOL, MAX_ALTERNATIONS, ThroughputResult
+from repro.ec.slicing import Segment
+from repro.net.bandwidth import RepairContext
+from repro.repair.plan import Edge, Pipeline, RepairPlan
 
 # --------------------------------------------------------------------- #
 # Algorithm 1 (seed): Python water-filling loop + alternating fixpoint  #
@@ -267,7 +257,7 @@ def _seed_flow_completion(
     own_speed: dict[int, float],
 ) -> None:
     """The seed transportation re-solve, on networkx (lazy import)."""
-    import networkx as nx  # test/bench oracle only — never on the hot path
+    import networkx as nx  # test oracle only — never on the hot path
 
     g = nx.DiGraph()
     scale = 1e6
@@ -464,11 +454,3 @@ def seed_schedule(
             "seed_reference": True,
         },
     )
-
-
-def seed_plan(context: RepairContext, **kwargs) -> RepairPlan:
-    """Like :func:`seed_schedule`, with measured ``calc_seconds``."""
-    start = time.perf_counter()
-    plan = seed_schedule(context, **kwargs)
-    plan.calc_seconds = time.perf_counter() - start
-    return plan

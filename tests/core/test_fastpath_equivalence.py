@@ -1,8 +1,8 @@
 """Fast planning path vs the frozen seed reference planner.
 
-:mod:`repro.core.seedplanner` preserves the original (pre-optimisation)
-Algorithm 1 + Algorithm 2 implementation verbatim.  These tests pin the
-optimised path to it:
+:mod:`tests.core.reference_planner` preserves the original
+(pre-optimisation) Algorithm 1 + Algorithm 2 implementation verbatim.
+These tests pin the optimised path to it:
 
 * on the paper's worked example (Fig. 2 / Table III) and a broad sweep
   of randomised contexts, the plans must be structurally identical with
@@ -25,11 +25,14 @@ import numpy as np
 import pytest
 
 from repro.core.fullrepair import FullRepair
-from repro.core.seedplanner import seed_max_pipelined_throughput, seed_schedule
 from repro.core.throughput import max_pipelined_throughput
 from repro.net import BandwidthSnapshot, RepairContext
 
 from tests.conftest import random_context
+from tests.core.reference_planner import (
+    seed_max_pipelined_throughput,
+    seed_schedule,
+)
 
 #: Structural comparisons allow only float-ulp noise — two orders of
 #: magnitude inside the scheduler's AMOUNT_TOL (1e-7).

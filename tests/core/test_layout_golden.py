@@ -1,6 +1,6 @@
 """Golden layouts: the pipelines Algorithm 2 emits, bit for bit.
 
-The fast-path tests pin the planner to :mod:`repro.core.seedplanner`
+The fast-path tests pin the planner to :mod:`tests.core.reference_planner`
 within float-ulp noise; this fixture pins it to *itself*: a digest of
 every emitted ``(task_id, segment, edges)`` — floats by their hex form,
 so one moved ulp or one re-ordered edge changes it — for 240 contexts

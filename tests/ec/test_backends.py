@@ -287,3 +287,44 @@ def test_fused_cache_bounded(monkeypatch):
         kernels.fused_tables(mat)
     assert kernels._fused_cache_bytes <= 2 * 4 * 1024 * 1024
     kernels.clear_table_caches()
+
+
+def test_blocked_kernels_reject_malformed_input():
+    """Shape / dtype / count checks raise before any table is touched."""
+    a, b = np.zeros(8, dtype=np.uint8), np.ones(8, dtype=np.uint8)
+    bad = {
+        "2-D": lambda: kernels.fused_matmul(np.zeros(3, dtype=np.uint8), [a]),
+        "expected 2 chunks": lambda: kernels.fused_matmul(np.ones((1, 2), np.uint8), [a]),
+        "1-D uint8": lambda: kernels.fused_matmul(np.ones((1, 1), np.uint8), [a.astype(np.int32)]),
+        "same length": lambda: kernels.fused_matmul(np.ones((1, 2), np.uint8), [a, b[:4]]),
+        "out must be": lambda: kernels.fused_matmul(
+            np.ones((1, 1), np.uint8), [a], out=np.zeros((2, 8), np.uint8)
+        ),
+        "equal-length and non-empty": lambda: kernels.dot_blocked([1, 2], [a]),
+        "1-D uint8 arrays": lambda: kernels.dot_blocked([2], [a.reshape(2, 4)]),
+        "same shape": lambda: kernels.dot_blocked([2, 3], [a, b[:4]]),
+        "out must match the chunk shape": lambda: kernels.dot_blocked(
+            [2], [a], out=np.zeros(4, np.uint8)
+        ),
+        "chunk must be a 1-D": lambda: kernels.mul_chunk_blocked(2, a.reshape(2, 4)),
+        "out must match the chunk's shape": lambda: kernels.mul_chunk_blocked(
+            2, a, out=np.zeros(4, np.uint8)
+        ),
+    }
+    for message, call in bad.items():
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_blocked_kernels_degenerate_shapes():
+    """2-D chunk arrays, empty products, XOR-only rows, and the 0 / 1
+    coefficients written through ``out`` all match the oracle."""
+    rng = np.random.default_rng(15)
+    chunks = rng.integers(0, 256, (3, 64), dtype=np.uint8)
+    mat = np.array([[1, 1, 1], [0, 0, 0], [7, 0, 9]], dtype=np.uint8)
+    assert np.array_equal(kernels.fused_matmul(mat, chunks), matrix.matvec_chunks(mat, chunks))
+    assert kernels.fused_matmul(np.zeros((0, 3), np.uint8), chunks).shape == (0, 64)
+    assert kernels.fused_matmul(np.zeros((2, 0), np.uint8), []).shape == (2, 0)
+    out = np.full(64, 0xAA, dtype=np.uint8)
+    assert not kernels.mul_chunk_blocked(0, chunks[0], out=out).any()
+    assert np.array_equal(kernels.mul_chunk_blocked(1, chunks[0], out=out), chunks[0])

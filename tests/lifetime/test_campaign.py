@@ -205,6 +205,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             LifetimeConfig(repair="telekinesis")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"years": 0.0}, "years"),
+            ({"placement_groups": 0}, "placement_groups"),
+            ({"num_stripes": 2, "placement_groups": 4}, "one stripe per placement"),
+        ],
+    )
+    def test_bad_population_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            LifetimeConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"chunk_mib": 0.0}, "positive"),
+            ({"node_mbps": -1.0}, "positive"),
+            ({"pipeline_factor": 0.5}, "pipeline_factor"),
+        ],
+    )
+    def test_bad_repair_model_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RepairModel(**kwargs)
+
     def test_patterns_must_fit_the_tree(self):
         with pytest.raises(ValueError, match="outside the tree"):
             run_campaign(

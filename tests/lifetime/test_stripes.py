@@ -36,6 +36,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="repeats a disk"):
             StripeTable(4, np.array([[0, 0, 1], [2, 3, 4]]), k=2)
 
+    @pytest.mark.parametrize(
+        "stripes, patterns, k, message",
+        [
+            (4, [0, 1, 2], 2, r"\(groups, n\) array"),
+            (4, [[0, 1, 2]], 4, "1 <= k <= n"),
+            (4, [list(range(33))], 2, "up to n=32"),
+            (1, [[0, 1, 2], [3, 4, 5]], 2, "one stripe per placement group"),
+        ],
+    )
+    def test_malformed_table_rejected(self, stripes, patterns, k, message):
+        with pytest.raises(ValueError, match=message):
+            StripeTable(stripes, np.array(patterns), k=k)
+
     def test_group_ids_round_trip(self):
         table = make_table()
         assert table.group_ids == ("pg-000000", "pg-000001")

@@ -155,3 +155,27 @@ class TestScenarioCoexistence:
         summary = sc.foreground.summary()
         assert summary["ok"] == summary["recorded"] == 150
         assert summary["bytes"] == 150 * 65536
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "stripes, kwargs, message",
+        [
+            (["s0"], {"num_reads": -1}, "num_reads"),
+            (["s0"], {"period_s": 0.0}, "period_s"),
+            ([], {}, "at least one stripe"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, stripes, kwargs, message):
+        sys_, _, _ = make_system()
+        with pytest.raises(ValueError, match=message):
+            ForegroundTraffic(sys_, stripes, **kwargs)
+
+    def test_start_is_idempotent(self):
+        sys_, write, _ = make_system()
+        write("s0", (0, 1, 2, 3))
+        fg = ForegroundTraffic(sys_, ["s0"], num_reads=3)
+        fg.start()
+        fg.start()
+        sys_.events.run()
+        assert fg.summary()["issued"] == 3

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSystem
+from repro.cluster.system import ESCALATION_MARK
 from repro.ec import RSCode
 from repro.faults import FAILED
 from repro.net import BandwidthSnapshot
+from repro.obs import MetricsRegistry, Tracer
 from repro.recovery import (
     RecoveryConfig,
     RecoveryOrchestrator,
@@ -217,3 +219,51 @@ class TestFailurePaths:
         sys_.events.run()
         assert orch.skipped == 1
         assert orch.records == []
+
+    def test_escalated_repair_requeues_uncharged_with_live_obs(self):
+        """A second chunk dies under a single-chunk dispatch: the bounce
+        is requeued without costing an attempt, counted and traced, and
+        the stripe then heals through the multi-chunk path."""
+        tracer, metrics = Tracer(), MetricsRegistry()
+        sys_ = ClusterSystem(
+            10, RSCode(6, 4), algorithm="conventional", slice_bytes=2048,
+            tracer=tracer, metrics=metrics,
+        )
+        sys_.set_bandwidth(BandwidthSnapshot.uniform(10, 100.0))
+        data = np.random.default_rng(0).integers(
+            0, 256, (4, 32 * 1024), dtype=np.uint8
+        )
+        sys_.write_stripe("s0", data, placement=tuple(range(6)))
+        orch = RecoveryOrchestrator(sys_, RecoveryConfig(tick_s=0.001))
+        orch.start()
+        sys_.events.schedule(0.001, lambda: sys_.fail_node(0))
+        # node 5 holds a chunk the star plan (helpers 1-4) never reads
+        sys_.events.schedule(0.003, lambda: sys_.fail_node(5))
+        sys_.events.run()
+        assert orch.requeues == 1 and not orch.dead_letters
+        assert metrics.total("repro_recovery_requeued_total") == 1
+        (run,) = tracer.find(kind="recovery")
+        (requeue,) = [e for e in run.events if e.name == "recovery.requeue"]
+        assert ESCALATION_MARK in requeue.attrs["reason"]
+        assert requeue.attrs["attempts"] == 0
+        assert [(r.priority_class, r.status, r.verified) for r in orch.records] == [
+            (1, FAILED, False), (2, "completed", True),
+        ]
+        loc = sys_.master.stripe("s0")
+        assert all(sys_.is_alive(node) for node in loc.placement)
+        for ci in range(4):
+            assert np.array_equal(sys_.read_chunk("s0", ci), data[ci])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("budget_fraction", 0.0), ("budget_fraction", 1.5),
+        ("max_concurrent", 0), ("tick_s", 0.0),
+        ("throttle_shrink", 1.0), ("throttle_restore", 1.0),
+        ("throttle_floor", 0.0), ("max_item_attempts", 0),
+    ],
+)
+def test_recovery_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        RecoveryConfig(**{field: value})

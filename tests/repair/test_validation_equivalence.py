@@ -14,7 +14,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import sample_contexts
@@ -156,7 +156,12 @@ def oversubscribe(rng, plan):
     pi, ei = _pick(rng, plan)
     e = plan.pipelines[pi].edges[ei]
     snapshot = plan.context.snapshot
-    cap = rng.choice((snapshot.uplink[e.child], snapshot.downlink[e.parent]))
+    # an earlier mutation of the stack may have planted an endpoint that
+    # is not a node of the snapshot; oversubscribe a link that exists
+    n = snapshot.num_nodes
+    caps = [snapshot.uplink[e.child]] if 0 <= e.child < n else []
+    caps += [snapshot.downlink[e.parent]] if 0 <= e.parent < n else []
+    cap = rng.choice(caps or [snapshot.uplink.max()])
     rate = float(cap) * rng.choice((1.0 + 1e-9, 1.01, 3.0)) + 1e-5
     return _with_edge(plan, pi, ei, raw_edge((e.child, e.parent, rate)))
 
@@ -219,6 +224,11 @@ def test_one_defect_same_message(name, mutation):
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+# stacks whose earlier mutation plants an out-of-snapshot endpoint on the
+# edge `oversubscribe` then picks (the helper once indexed the snapshot
+# with it)
+@example(index=10, stack=[reparent_edge, swap_in_non_helper, oversubscribe], seed=0)
+@example(index=0, stack=[reparent_edge, drop_edge, oversubscribe], seed=35638)
 def test_any_stack_of_defects_same_verdict(name, index, stack, seed):
     rng = random.Random(seed)
     plan = valid_plan(name, index)

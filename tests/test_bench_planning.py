@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from benchmarks.bench_planning import SCHEMA_VERSION, run
+from benchmarks.bench_planning import ALGORITHMS, SCHEMA_VERSION, run
 from benchmarks.common import REPO_ROOT
 
 
@@ -37,23 +37,12 @@ class TestSchema:
         planning = report["planning"]
         assert "n14_k10" in planning
         for cell in planning.values():
-            for algo in ("fullrepair", "fullrepair_seed", "pivotrepair", "rp"):
+            for algo in ALGORITHMS:
                 stats = cell[algo]
                 assert stats["median_us"] > 0
                 assert stats["p99_us"] >= stats["median_us"]
                 assert stats["mean_us"] > 0
                 assert stats["rounds"] > 0
-            assert cell["fullrepair_speedup_vs_seed"] > 1.0
-
-    def test_fullrepair_fast_path_beats_seed_at_14_10(self, smoke_report):
-        """The tentpole: a clear speedup on the largest paper code.
-
-        The full (non-smoke) run pins >= 5x; the smoke pass uses few
-        rounds on shared CI hardware, so assert a conservative floor
-        rather than the headline number.
-        """
-        report, _ = smoke_report
-        assert report["planning"]["n14_k10"]["fullrepair_speedup_vs_seed"] > 3.0
 
     def test_plan_cache_section(self, smoke_report):
         report, _ = smoke_report
@@ -72,4 +61,4 @@ class TestSchema:
         assert report["benchmark"] == "planning"
         assert report["schema_version"] == SCHEMA_VERSION
         assert report["config"]["smoke"] is False
-        assert report["planning"]["n14_k10"]["fullrepair_speedup_vs_seed"] >= 5.0
+        assert set(report["planning"]["n14_k10"]) == set(ALGORITHMS)

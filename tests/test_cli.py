@@ -1,7 +1,9 @@
 """Command-line interface."""
 
+import argparse
 import json
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -307,3 +309,43 @@ class TestLifetimeCommand:
     def test_bad_repair_mode_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["lifetime", "--repair", "magic"])
+
+
+def _subcommands() -> list[str]:
+    (sub,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return sorted(sub.choices)
+
+
+class TestEverySubcommandRuns:
+    """One run of each subcommand, so a keyword removed from the code a
+    command calls breaks a test rather than the command."""
+
+    #: what a command gets beyond its defaults: a required positional, a
+    #: smaller size where the default is minutes or a process pool, and
+    #: every file it can write (``{tmp}`` is the test's own directory)
+    ARGS = {
+        "bench": ["report"],
+        "compare": ["--workloads", "tpcds", "--nk", "6,4", "--samples", "2",
+                    "--snapshots", "80", "--ppt-budget", "50"],
+        "detect": ["--out", "{tmp}/detect.chrome.json"],
+        "lifetime": ["--stripes", "2000", "--years", "0.5", "--workers", "1"],
+        "prof": ["--progress", "--interval", "0.05",
+                 "--speedscope", "{tmp}/prof.speedscope.json",
+                 "--collapsed", "{tmp}/prof.collapsed.txt",
+                 "--heartbeats", "{tmp}/prof.heartbeats.jsonl",
+                 "--chrome", "{tmp}/prof.chrome.json"],
+        "sweep": ["slice"],
+        "table1": ["--samples", "30", "--snapshots", "300"],
+        "trace": ["repair"],
+    }
+
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_exits_zero_with_a_report(self, command, capsys, tmp_path):
+        extra = [a.format(tmp=tmp_path) for a in self.ARGS.get(command, [])]
+        assert main([command, *extra]) == 0
+        assert capsys.readouterr().out.strip()
+        for path in (a for a in extra if a.startswith(str(tmp_path))):
+            assert os.path.getsize(path) > 0

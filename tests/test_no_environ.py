@@ -1,10 +1,11 @@
-"""Library hygiene: ``src/repro`` reads no environment variable.
+"""Hygiene: ``src/repro`` and the figure benchmarks read no environment variable.
 
 Behaviour is chosen by arguments callers pass, never by the process
 environment: a variable read at import or first use is an option no
 signature shows and no test sees unless it knows to set it.  An AST walk
 (not a grep — prose may say "environment") enforces it for every module,
-the CLI included.
+the CLI included, and for ``benchmarks/*.py`` (``benchmarks/e2e/`` is the
+driver's benchmark and is not this lint's to judge).
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+BENCHMARKS = ROOT / "benchmarks"
 
 _NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
@@ -31,15 +34,15 @@ def _environ_uses(path: Path) -> list[int]:
 
 
 def test_library_code_never_reads_the_environment():
-    assert SRC.is_dir()
+    assert SRC.is_dir() and BENCHMARKS.is_dir()
     offenders = [
         f"{path}:{line}"
-        for path in sorted(SRC.rglob("*.py"))
+        for path in sorted([*SRC.rglob("*.py"), *BENCHMARKS.glob("*.py")])
         for line in _environ_uses(path)
     ]
     assert not offenders, (
-        "environment access in library code (take an argument instead): "
-        f"{offenders}"
+        "environment access in library or figure-benchmark code (take an "
+        f"argument or name a constant instead): {offenders}"
     )
 
 
