@@ -8,7 +8,7 @@ the ``naive`` oracle it is measured against — and writes
   per chunk size (``dot`` counts input bytes combined, ``matvec``
   counts matrix-cells x chunk bytes — the seed kernels' work units);
 * whole-stripe RS(9, 6) encode / decode / repair rates on 8 MiB chunks,
-  in stripe-bytes per second (the seed pytest-benchmark convention);
+  in stripe-bytes per second (the seed benchmark's convention);
 * fused-vs-naive speedup summary — the numbers the regression gate in
   ``tests/test_bench_ec.py`` tracks across commits.  Every cell times
   the two backends in alternating rounds and reports the ratio as the
@@ -152,7 +152,7 @@ def _bench_kernels(chunk_bytes: int, rounds: int) -> dict:
 def _bench_rs(chunk_bytes: int, rounds: int) -> dict:
     """Whole-stripe encode / decode / repair rates per backend.
 
-    Rates are stripe bytes per second in the seed pytest-benchmark
+    Rates are stripe bytes per second in the seed benchmark's
     convention: encode reads k chunks and writes n (n x chunk bytes
     processed), decode and repair read k helper chunks.
     """

@@ -13,8 +13,7 @@ GF(2^8) kernel throughput lives in ``BENCH_ec.json``
 
 Run directly (``python -m benchmarks.bench_planning``), or with
 ``--smoke`` for a sub-30-second pass used by the test suite to validate
-the report schema.  Unlike the ``bench_fig*`` modules this one is a
-plain script, not a pytest-benchmark suite: its artefact is the JSON.
+the report schema.  A plain script: its artefact is the JSON.
 """
 
 from __future__ import annotations

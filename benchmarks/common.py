@@ -1,10 +1,5 @@
-"""Shared benchmark configuration.
-
-Every benchmark regenerates one paper artefact (Table I, Figs. 4-8) and
-writes the paper-style rendering to ``benchmarks/out/<name>.txt`` in
-addition to the pytest-benchmark timing table.  The scale constants
-below give a few minutes of total runtime; the paper-scale values are
-noted next to each.
+"""Constants and helpers shared by the ``bench_*`` harnesses and
+:mod:`benchmarks.reproduction`.
 """
 
 from __future__ import annotations
@@ -12,7 +7,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-#: Where rendered tables/series land.
+#: Where ``bench_sim_engine``'s profiler artefacts land.
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 #: Repository root — machine-readable regression artefacts
@@ -22,32 +17,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: The paper's RS parameterisations (§V-B).
 CODES = ((6, 4), (9, 6), (12, 8), (14, 10))
 
-#: Workloads evaluated (§V-B).
-WORKLOADS = ("tpcds", "tpch", "swim")
-
-#: Repair instances sampled per (workload, n, k) cell.  Paper: 100.
-NUM_SAMPLES = 12
-
-#: Trace length to sample from.  Paper: 6000.
-NUM_SNAPSHOTS = 1500
-
-#: PPT emulation budget for experiment sweeps (exactness is preserved by
-#: oracle seeding; this only bounds the brute-force emulation cost).
-PPT_BUDGET = 3000
-
 #: Master seed for every benchmark.
 SEED = 2023
-
-ALGO_KWARGS = {"ppt": {"max_emulations": PPT_BUDGET}}
-
-
-def write_report(name: str, text: str) -> pathlib.Path:
-    """Persist a rendered artefact and echo it to stdout."""
-    OUT_DIR.mkdir(exist_ok=True)
-    path = OUT_DIR / f"{name}.txt"
-    path.write_text(text + "\n")
-    print(f"\n===== {name} =====\n{text}\n")
-    return path
 
 
 def write_json_report(

@@ -127,18 +127,3 @@ def heterogeneity_sweep(
             )
         )
     return points
-
-
-def render_heterogeneity(points: list[HeterogeneityPoint]) -> str:
-    """Text table of the sweep (throughput in Mbps per algorithm)."""
-    if not points:
-        return "no sweep points"
-    algorithms = list(points[0].rates)
-    header = f"{'target Cv':>10} {'achieved':>9} | " + " | ".join(
-        f"{a:>12}" for a in algorithms
-    )
-    lines = ["repair throughput vs network unevenness", header, "-" * len(header)]
-    for p in points:
-        cells = " | ".join(f"{p.rates[a]:10.1f} Mb" for a in algorithms)
-        lines.append(f"{p.target_cv:>10.2f} {p.achieved_cv:>9.2f} | {cells}")
-    return "\n".join(lines)

@@ -792,21 +792,3 @@ def render_bench_trajectory(merged: dict) -> str:
     )
     lines += ["", f"Sources: {counts or 'none'}"]
     return "\n".join(lines)
-
-
-def render_sweep(series: dict[str, dict[int, float]], xlabel: str) -> str:
-    """Render Fig. 7/8 data: per-algorithm repair time over a size sweep."""
-    algorithms = list(series)
-    xs = sorted(next(iter(series.values())))
-    header = f"{xlabel:>12} | " + " | ".join(
-        f"{ALGO_LABELS.get(a, a):>12}" for a in algorithms
-    )
-    lines = [header, "-" * len(header)]
-    for x in xs:
-        if x >= units.MIB:
-            label = f"{x // units.MIB} MiB"
-        else:
-            label = f"{x // units.KIB} KiB"
-        cells = " | ".join(f"{_fmt_seconds(series[a][x]):>12}" for a in algorithms)
-        lines.append(f"{label:>12} | {cells}")
-    return "\n".join(lines)

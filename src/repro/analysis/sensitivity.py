@@ -9,7 +9,7 @@ generous ranges and reports whether the headline ordering —
     FullRepair < PPT/PivotRepair < RP   (transfer time)
 
 survives at every point, plus how the FullRepair-vs-best-baseline margin
-moves.  Used by ``benchmarks/bench_sensitivity.py`` and the test-suite.
+moves.  Used by ``benchmarks/reproduction.py`` and the test-suite.
 """
 
 from __future__ import annotations
@@ -86,18 +86,3 @@ def sensitivity_sweep(
                 )
             )
     return points
-
-
-def render_sensitivity(points: list[SensitivityPoint]) -> str:
-    """Grid table: per parameter point, the FullRepair margin + ordering."""
-    lines = [
-        "model-constant sensitivity (transfer-time ordering robustness)",
-        f"{'overhead':>10} {'GF cost':>9} | {'FullRepair margin':>17} {'ordering':>9}",
-        "-" * 52,
-    ]
-    for p in points:
-        lines.append(
-            f"{p.slice_overhead_s * 1e6:8.0f}us {p.compute_s_per_byte:9.1e} | "
-            f"{p.fullrepair_margin:16.2f}x {'holds' if p.ordering_holds else 'BROKEN':>9}"
-        )
-    return "\n".join(lines)

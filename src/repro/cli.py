@@ -5,16 +5,11 @@ Subcommands
 
 ``plan``        schedule a repair on a bandwidth file (or a demo scenario)
                 and print the pipelines
-``compare``     run a mini Experiment 1-3 sweep and print Fig. 4/5/6 tables
-``table1``      reproduce the Table-I utilisation decomposition
 ``trace``       generate a workload bandwidth trace (optionally save .npz),
                 or — ``repro trace repair`` — run a canned traced repair
                 with an injected hub crash and print its timeline
 ``metrics``     run the traced demo repair and print the Prometheus
                 text snapshot of its metrics registry
-``sweep``       Experiment 4/5 sweeps (slice or chunk size)
-``hetero``      controlled-C_v throughput sweep (extension)
-``fullnode``    full-node repair makespan, sequential vs batched (extension)
 ``attr``        replay the traced hub-crash demo and print the bottleneck
                 attribution (the achieved/t_max gap split into buckets)
 ``fleet``       run the fleet sweep demo and print the aggregated sketches
@@ -36,7 +31,8 @@ Subcommands
                 durability-nines over simulated years, with loss
                 post-mortems (``--sweep`` compares repair speeds)
 
-Every command is deterministic under ``--seed``.
+Every command is deterministic under ``--seed``.  The paper's tables and
+figures are not here: ``python -m benchmarks.reproduction`` runs them.
 
 Command *output* (tables, plans, snapshots) is printed to stdout so it
 stays pipeable; status and diagnostics go through :mod:`logging` on the
@@ -54,24 +50,15 @@ import numpy as np
 
 log = logging.getLogger("repro.cli")
 
-from .analysis import (
-    PAPER_CODES,
-    heterogeneity_sweep,
-    render_heterogeneity,
-    render_comparison,
-    render_reductions,
-    render_sweep,
-    render_utilization_table,
-    repair_time_experiment,
-    slice_size_sweep,
-    chunk_size_sweep,
-    utilization_experiment,
-)
 from .net import BandwidthSnapshot, RepairContext, units
 from .repair import algorithm_names, compute_plan
 from .repair.rendering import render_plan
 from .sim import TransferParams, execute
 from .workloads import make_trace, save_trace, trace_cv
+
+
+#: k of the Fig. 2 demo scenario, hence ``plan --k``'s default
+DEMO_K = 3
 
 
 def _demo_context() -> RepairContext:
@@ -80,7 +67,7 @@ def _demo_context() -> RepairContext:
         uplink=np.array([1000.0, 600.0, 960.0, 600.0, 600.0]),
         downlink=np.array([1000.0, 300.0, 1000.0, 300.0, 300.0]),
     )
-    return RepairContext(snapshot=snap, requester=0, helpers=(1, 2, 3, 4), k=3)
+    return RepairContext(snapshot=snap, requester=0, helpers=(1, 2, 3, 4), k=DEMO_K)
 
 
 def _load_context(path: str, k: int) -> RepairContext:
@@ -122,39 +109,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         f"calc {plan.calc_seconds * 1e6:.1f} us + "
         f"transfer {result.transfer_seconds:.3f} s"
     )
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    results = []
-    codes = PAPER_CODES if args.nk is None else [tuple(map(int, args.nk.split(",")))]
-    for workload in args.workloads:
-        for n, k in codes:
-            results.append(
-                repair_time_experiment(
-                    workload=workload,
-                    n=n,
-                    k=k,
-                    num_samples=args.samples,
-                    num_snapshots=args.snapshots,
-                    seed=args.seed,
-                    algorithm_kwargs={"ppt": {"max_emulations": args.ppt_budget}},
-                )
-            )
-    for metric in ("overall", "calc", "transfer"):
-        print(render_comparison(results, metric=metric))
-        print()
-    print(render_reductions(results))
-    return 0
-
-
-def cmd_table1(args: argparse.Namespace) -> int:
-    table = utilization_experiment(
-        num_snapshots=args.snapshots,
-        samples_per_workload=args.samples,
-        seed=args.seed,
-    )
-    print(render_utilization_table(table))
     return 0
 
 
@@ -518,54 +472,6 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.dimension == "slice":
-        series = slice_size_sweep(seed=args.seed)
-        print(render_sweep(series, "slice size"))
-    else:
-        series = chunk_size_sweep(seed=args.seed)
-        print(render_sweep(series, "chunk size"))
-    return 0
-
-
-def cmd_hetero(args: argparse.Namespace) -> int:
-    points = heterogeneity_sweep(
-        samples_per_point=args.samples, seed=args.seed
-    )
-    print(render_heterogeneity(points))
-    return 0
-
-
-def cmd_fullnode(args: argparse.Namespace) -> int:
-    from .core import StripeRepairSpec, plan_full_node_repair
-    from .workloads import make_trace
-
-    trace = make_trace("tpcds", num_nodes=16, num_snapshots=600, seed=args.seed)
-    snap = trace.snapshot(int(trace.congested_instants()[0]))
-    rng = np.random.default_rng(args.seed)
-    specs = []
-    for i in range(args.stripes):
-        nodes = rng.permutation(16)
-        specs.append(
-            StripeRepairSpec(
-                stripe_id=f"s{i}",
-                requester=int(nodes[0]),
-                helpers=tuple(int(x) for x in nodes[1:9]),
-                chunk_bytes=units.mib(args.chunk_mib),
-            )
-        )
-    for strategy in ("sequential", "batched"):
-        plan = plan_full_node_repair(
-            specs, snap, k=6, algorithm=args.algorithm, strategy=strategy
-        )
-        batches = ", ".join(str(len(b)) for b in plan.batches)
-        print(
-            f"{strategy:>11}: makespan {plan.makespan_seconds:7.2f} s "
-            f"(batch sizes: {batches})"
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="FullRepair reproduction toolkit"
@@ -583,25 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="schedule one repair and print the pipelines")
     p.add_argument("--algorithm", default="fullrepair", choices=algorithm_names())
     p.add_argument("--bandwidth", help="two-row uplink/downlink file (txt or csv)")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=DEMO_K,
+                   help="chunks needed to rebuild (with --bandwidth; the demo "
+                   f"scenario is fixed at {DEMO_K})")
     p.add_argument("--chunk-mib", type=float, default=64.0)
     p.add_argument("--slice-kib", type=float, default=64.0)
     p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("compare", help="mini Experiments 1-3")
-    p.add_argument("--workloads", nargs="+", default=["tpcds", "tpch", "swim"])
-    p.add_argument("--nk", help="single n,k pair (default: the paper's four)")
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--snapshots", type=int, default=800)
-    p.add_argument("--ppt-budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("table1", help="Table-I utilisation decomposition")
-    p.add_argument("--samples", type=int, default=300)
-    p.add_argument("--snapshots", type=int, default=1500)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser(
         "trace",
@@ -628,23 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the snapshot to a file")
     p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("sweep", help="Experiment 4/5 size sweeps")
-    p.add_argument("dimension", choices=["slice", "chunk"])
-    p.add_argument("--seed", type=int, default=11)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("hetero", help="throughput vs controlled C_v")
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_hetero)
-
-    p = sub.add_parser("fullnode", help="full-node repair strategies")
-    p.add_argument("--stripes", type=int, default=8)
-    p.add_argument("--chunk-mib", type=float, default=64.0)
-    p.add_argument("--algorithm", default="fullrepair", choices=algorithm_names())
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fullnode)
 
     p = sub.add_parser(
         "attr",
@@ -831,7 +707,13 @@ def configure_logging(verbosity: int = 0) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "plan" and args.k != DEMO_K and not args.bandwidth:
+        parser.error(
+            f"--k {args.k} needs --bandwidth: the demo scenario (paper Fig. 2) "
+            f"is fixed at k={DEMO_K}"
+        )
     configure_logging(-1 if args.quiet else args.verbose)
     return args.func(args)
 

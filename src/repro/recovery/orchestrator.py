@@ -229,12 +229,6 @@ class RecoveryOrchestrator:
             self._ensure_tick(delay=0.0)
         return True
 
-    def report(self):
-        """Snapshot of the run for rendering (lazy import avoids cycles)."""
-        from .scenario import build_report
-
-        return build_report(self)
-
     # ---- failure intake ------------------------------------------------ #
 
     def _on_node_failure(self, node: int) -> None:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    chunk_size_sweep,
     compare_algorithms,
     fixed_uneven_snapshot,
     make_fixed_context,
@@ -115,24 +114,6 @@ class TestSweeps:
         assert set(out) == {"rp", "fullrepair"}
         for series in out.values():
             assert len(series) == 3
-
-    def test_slice_sweep_fullrepair_fastest(self):
-        out = slice_size_sweep(
-            slice_sizes_bytes=(units.kib(16), units.kib(128)),
-            algorithms=("rp", "pivotrepair", "fullrepair"),
-            chunk_bytes=units.mib(8),
-        )
-        for sb in (units.kib(16), units.kib(128)):
-            assert out["fullrepair"][sb] <= out["rp"][sb]
-            assert out["fullrepair"][sb] <= out["pivotrepair"][sb]
-
-    def test_chunk_size_sweep_monotone(self):
-        out = chunk_size_sweep(
-            chunk_sizes_bytes=(units.mib(4), units.mib(16), units.mib(64)),
-            algorithms=("fullrepair",),
-        )
-        times = [out["fullrepair"][units.mib(m)] for m in (4, 16, 64)]
-        assert times[0] < times[1] < times[2]
 
 
 class TestUtilizationExperiment:

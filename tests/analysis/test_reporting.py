@@ -5,12 +5,10 @@ import pytest
 from repro.analysis import (
     render_comparison,
     render_reductions,
-    render_sweep,
     render_utilization_table,
     repair_time_experiment,
     utilization_experiment,
 )
-from repro.net import units
 
 FAST = {"ppt": {"max_emulations": 100}}
 
@@ -44,17 +42,6 @@ class TestRenderReductions:
         text = render_reductions([result])
         assert "vs" in text and "%" in text
         assert "RP" in text
-
-
-class TestRenderSweep:
-    def test_units_formatting(self):
-        series = {
-            "fullrepair": {units.kib(2): 1.0, units.mib(1): 2.0},
-            "rp": {units.kib(2): 3.0, units.mib(1): 4.0},
-        }
-        text = render_sweep(series, "slice size")
-        assert "2 KiB" in text and "1 MiB" in text
-        assert "FullRepair" in text
 
 
 class TestRenderUtilization:

@@ -8,7 +8,7 @@ from repro.cluster.system import ESCALATION_MARK
 from repro.ec import RSCode
 from repro.faults import FAILED
 from repro.net import BandwidthSnapshot
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import DivergenceMonitor, MetricsRegistry, Tracer
 from repro.recovery import (
     RecoveryConfig,
     RecoveryOrchestrator,
@@ -166,6 +166,22 @@ class TestEndToEnd:
         events = {e.name for e in runs[0].events}
         assert {"recovery.failure", "recovery.admit",
                 "recovery.complete", "recovery.drained"} <= events
+
+    def test_queue_depth_feeds_a_wired_divergence_monitor(self):
+        """Every tick scores the queue depth on the monitor's Page–Hinkley
+        detector.  ``until`` returns the scenario before the kill fires,
+        which is where a monitor can be wired into it."""
+        sc = run_recovery_scenario(
+            num_stripes=12, foreground_reads=40, chunk_bytes=4096, until=0.0005
+        )
+        monitor = DivergenceMonitor.standard(clock=lambda: sc.system.events.now)
+        sc.system.divergence = monitor
+        ticks_before = len(sc.orchestrator.timeline)
+        sc.system.events.run()
+        ticks = len(sc.orchestrator.timeline) - ticks_before
+        assert sc.orchestrator.records and not sc.orchestrator.queue
+        assert monitor.observations("recovery.queue_depth") == ticks > 0
+        assert monitor.detector_name("recovery.queue_depth") == "page-hinkley"
 
 
 class TestFailurePaths:

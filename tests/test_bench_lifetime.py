@@ -9,9 +9,10 @@ a stream moved and every published durability number is suspect.  The
 cross-check tier requires the Monte-Carlo MTTDL interval to bracket
 the closed-form Markov-chain answer, and the sweep tier requires
 durability to respond to the repair-speed knob in the right direction.
-The scheduler tier runs ``bench_lifetime_schedulers``' configuration at
-a reduced trial count: FullRepair's shorter full-node makespan must buy
-a strictly lower loss probability and less degraded exposure than RP's.
+The scheduler tier runs the ``lifetime_schedulers`` claim of
+``benchmarks/reproduction.py`` at its reduced trial count: FullRepair's
+shorter full-node makespan must buy a strictly lower loss probability
+and less degraded exposure than RP's.
 """
 
 from __future__ import annotations
@@ -26,12 +27,8 @@ from benchmarks.bench_lifetime import (
     SWEEP_FACTORS,
     run,
 )
-from benchmarks.bench_lifetime_schedulers import (
-    assert_faster_is_more_durable,
-    measured_makespans,
-    run_schedulers,
-)
 from benchmarks.common import REPO_ROOT
+from benchmarks.reproduction import CLAIMS, SCALES, evaluate
 
 pytestmark = pytest.mark.lifetime
 
@@ -110,8 +107,7 @@ class TestSweep:
 
 class TestSchedulers:
     def test_fullrepair_more_durable_than_rp(self):
-        makespans = measured_makespans()
-        rows = run_schedulers(
-            {name: makespans[name] for name in ("fullrepair", "rp")}, trials=24
-        )
-        assert_faster_is_more_durable(rows)
+        claim = CLAIMS["lifetime_schedulers"]
+        verdicts = evaluate(claim, claim.run(SCALES["tier1"]))
+        assert verdicts["fullrepair_loses_data_less_often_than_rp"]
+        assert verdicts["fullrepair_less_exposed_than_rp"]

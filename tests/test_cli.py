@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from benchmarks.reproduction import main as reproduction
 from repro.cli import build_parser, main
 
 
@@ -47,6 +48,16 @@ class TestPlanCommand:
         path.write_text("1000,600,960,600,600\n1000,300,1000,300,300\n")
         assert main(["plan", "--bandwidth", str(path)]) == 0
         assert "900.0" in capsys.readouterr().out
+
+    def test_k_without_bandwidth_is_refused(self, tmp_path, capsys):
+        """The demo scenario is k=3: ``--k 10`` alone used to plan k=3."""
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--k", "10"])
+        assert exc.value.code == 2
+        assert "--k 10 needs --bandwidth" in capsys.readouterr().err
+        path = tmp_path / "bw.txt"
+        np.savetxt(path, np.full((2, 8), 500.0))
+        assert main(["plan", "--bandwidth", str(path), "--k", "4"]) == 0
 
     def test_malformed_bandwidth_file(self, tmp_path):
         path = tmp_path / "bw.txt"
@@ -148,12 +159,12 @@ class TestLogging:
         )
 
     def test_quiet_drops_to_errors(self):
-        assert main(["-q", "sweep", "chunk"]) == 0
+        assert main(["-q", "trace", "swim", "--snapshots", "20"]) == 0
         assert logging.getLogger("repro").level == logging.ERROR
 
     def test_repeated_main_calls_install_one_handler(self):
-        main(["-v", "sweep", "chunk"])
-        main(["-v", "sweep", "chunk"])
+        main(["-v", "trace", "swim", "--snapshots", "20"])
+        main(["-v", "trace", "swim", "--snapshots", "20"])
         handlers = [
             h for h in logging.getLogger("repro").handlers
             if getattr(h, "_repro_cli", False)
@@ -238,43 +249,44 @@ class TestBenchReportCommand:
         assert "Sources: none" in capsys.readouterr().out
 
 
+# ``repro compare | sweep | table1 | hetero | fullnode`` were a second
+# front end to the experiment runners; the one there is now is
+# ``python -m benchmarks.reproduction CLAIM ...``, which prints the same
+# tables (as markdown) with each claim's verdicts
+
+
 class TestCompareCommand:
     def test_tiny_sweep(self, capsys):
-        assert main([
-            "compare", "--workloads", "swim", "--nk", "6,4",
-            "--samples", "2", "--snapshots", "200", "--ppt-budget", "100",
-        ]) == 0
+        assert reproduction(["--scale", "tier1", "fig4", "fig6"]) == 0
         out = capsys.readouterr().out
-        assert "FullRepair" in out
-        assert "reduction" in out
+        assert "| swim (14,10) |" in out and "fullrepair" in out
+        assert "`reduction_pct`" in out
 
 
 class TestSweepCommand:
     def test_chunk_sweep(self, capsys):
-        assert main(["sweep", "chunk"]) == 0
+        assert reproduction(["fig8"]) == 0
         out = capsys.readouterr().out
-        assert "MiB" in out
+        assert "| 4 MiB |" in out and "| 64 MiB |" in out
 
 
 class TestTable1Command:
     def test_small_table(self, capsys):
-        assert main(["table1", "--samples", "40", "--snapshots", "300"]) == 0
+        assert reproduction(["--scale", "tier1", "table1"]) == 0
         out = capsys.readouterr().out
-        assert "Table I" in out
+        assert "Table I" in out and "selected_unused" in out
 
 
 class TestHeteroCommand:
     def test_sweep_output(self, capsys):
-        assert main(["hetero", "--samples", "2"]) == 0
+        assert reproduction(["heterogeneity"]) == 0
         out = capsys.readouterr().out
-        assert "unevenness" in out and "fullrepair" in out
+        assert "controlled C_v" in out and "fullrepair" in out
 
 
 class TestFullnodeCommand:
     def test_strategies_reported(self, capsys):
-        assert main([
-            "fullnode", "--stripes", "3", "--chunk-mib", "8",
-        ]) == 0
+        assert reproduction(["fullnode"]) == 0
         out = capsys.readouterr().out
         assert "sequential" in out and "batched" in out
 
@@ -328,8 +340,6 @@ class TestEverySubcommandRuns:
     #: every file it can write (``{tmp}`` is the test's own directory)
     ARGS = {
         "bench": ["report"],
-        "compare": ["--workloads", "tpcds", "--nk", "6,4", "--samples", "2",
-                    "--snapshots", "80", "--ppt-budget", "50"],
         "detect": ["--out", "{tmp}/detect.chrome.json"],
         "lifetime": ["--stripes", "2000", "--years", "0.5", "--workers", "1"],
         "prof": ["--progress", "--interval", "0.05",
@@ -337,8 +347,6 @@ class TestEverySubcommandRuns:
                  "--collapsed", "{tmp}/prof.collapsed.txt",
                  "--heartbeats", "{tmp}/prof.heartbeats.jsonl",
                  "--chrome", "{tmp}/prof.chrome.json"],
-        "sweep": ["slice"],
-        "table1": ["--samples", "30", "--snapshots", "300"],
         "trace": ["repair"],
     }
 
