@@ -3,7 +3,9 @@
 Each data node owns a :class:`ChunkStore` mapping ``(stripe_id,
 chunk_index)`` to the chunk payload.  Payloads are defensive copies both
 ways: the store is the node's "disk", and nothing outside the node may
-alias it.
+write through an alias of it.  The one exception on the way out is
+:meth:`ChunkStore.view`, read-only and for readers that finish before the
+chunk next changes.
 
 Every ``put`` also records a CRC digest of the *intended* payload
 (:func:`repro.integrity.digest.chunk_digest`), so at-rest corruption —
@@ -63,6 +65,18 @@ class ChunkStore:
     def get(self, stripe_id: str, chunk_index: int) -> np.ndarray:
         """Fetch a chunk copy; raises ``KeyError`` if absent."""
         return self._chunks[(stripe_id, chunk_index)].copy()
+
+    def view(self, stripe_id: str, chunk_index: int) -> np.ndarray:
+        """A read-only view of a stored chunk (no copy); ``KeyError`` if absent.
+
+        For a reader that is done before the chunk's next mutation — the
+        post-repair audit, the settle-time comparison.  It sees any
+        later ``corrupt`` in place; a caller keeping the bytes uses
+        :meth:`get`.
+        """
+        chunk = self._chunks[(stripe_id, chunk_index)].view()
+        chunk.flags.writeable = False
+        return chunk
 
     def get_range(
         self, stripe_id: str, chunk_index: int, start: int, stop: int

@@ -337,7 +337,9 @@ class ClusterSystem:
         ``0..n-1``; every chunk must land on a distinct, live node.
         """
         data = np.asarray(data, dtype=np.uint8)
-        stripe = self.code.encode(data)
+        # the stores copy what they are handed: put the caller's data rows
+        # as they are, and build only the parity rows
+        rows = (*data, *self.code.parity(data))
         if placement is None:
             placement = tuple(range(self.code.n))
         if any(not self._alive[p] for p in placement):
@@ -345,8 +347,8 @@ class ClusterSystem:
         loc = StripeLocation(stripe_id=stripe_id, placement=tuple(placement))
         self.master.register_stripe(loc)
         for idx, node in enumerate(placement):
-            self.nodes[node].store.put(stripe_id, idx, stripe[idx])
-        self._stripe_sizes[stripe_id] = int(stripe.shape[1])
+            self.nodes[node].store.put(stripe_id, idx, rows[idx])
+        self._stripe_sizes[stripe_id] = int(data.shape[1])
         return loc
 
     def fail_node(self, node: int) -> None:
@@ -664,7 +666,7 @@ class ClusterSystem:
                 continue
             holders[ci] = node
             if store.verify(stripe_id, ci):
-                stored[ci] = store.get(stripe_id, ci)
+                stored[ci] = store.view(stripe_id, ci)
             else:
                 digest_bad.append(ci)
         report = audit_stripe(
@@ -1223,7 +1225,7 @@ class ClusterSystem:
             self.master.relocate_chunk(asm.stripe_id, lost_chunk, asm.requester)
         failed_store = self.nodes[asm.failed_node].store
         if failed_store.has(asm.stripe_id, lost_chunk):
-            original = failed_store.get(asm.stripe_id, lost_chunk)
+            original = failed_store.view(asm.stripe_id, lost_chunk)
             verified = bool(np.array_equal(rebuilt, original))
         else:
             verified = False
@@ -1412,7 +1414,7 @@ class ClusterSystem:
         self.master.relocate_chunk(sid, lost, asm.requester)
         fstore = self.nodes[asm.failed_node].store
         verified = fstore.has(sid, lost) and bool(
-            np.array_equal(asm.buffer, fstore.get(sid, lost))
+            np.array_equal(asm.buffer, fstore.view(sid, lost))
         )
         if not verified and not (
             fstore.has(sid, lost) and fstore.verify(sid, lost)
@@ -1790,6 +1792,11 @@ class ClusterSystem:
 
     def _finish_assembly(self, asm: _Assembly, *, retire: bool) -> None:
         """Terminal bookkeeping: stop the watchdog (and maybe the wire)."""
+        if asm.complete:
+            # every slice of the wire landed: its senders' buffers are dead
+            # before the audit runs (a failed audit re-plans on a new wire)
+            for node in self.nodes:
+                node.release_repair(asm.wire_id)
         if (
             asm.watchdog
             and asm.complete
@@ -1808,10 +1815,6 @@ class ClusterSystem:
         self._disarm_detector(asm)
         if retire:
             self._retire_attempt(asm)
-        if asm.complete:
-            # every slice of the wire landed: its senders' buffers are dead
-            for node in self.nodes:
-                node.release_repair(asm.wire_id)
         self._end_attempt_span(asm)
         if asm.on_done is not None:
             # non-blocking dispatch: the terminal callback fires exactly

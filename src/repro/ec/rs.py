@@ -110,15 +110,11 @@ class RSCode:
 
         ``data_chunks`` is a (k, L) uint8 array; returns (n, L).  Rows
         ``0..k-1`` of the result equal the input (systematic code); only
-        the parity rows are computed, on the EC data plane.
+        the parity rows are computed (:meth:`parity`).
         ``out`` (an (n, L) uint8 buffer) makes steady-state encoding
         allocation-free.
         """
-        data_chunks = np.asarray(data_chunks, dtype=np.uint8)
-        if data_chunks.ndim != 2 or data_chunks.shape[0] != self.k:
-            raise ValueError(
-                f"expected (k={self.k}, L) data array, got {data_chunks.shape}"
-            )
+        data_chunks = self._data_array(data_chunks)
         length = data_chunks.shape[1]
         if out is None:
             out = np.empty((self.n, length), dtype=np.uint8)
@@ -127,10 +123,30 @@ class RSCode:
                 f"out must be a uint8 array of shape {(self.n, length)}"
             )
         np.copyto(out[: self.k], data_chunks)
-        ec_backend.get_backend().matmul_chunks(
-            self.generator[self.k :], out[: self.k], out=out[self.k :]
-        )
+        self.parity(out[: self.k], out=out[self.k :])
         return out
+
+    def parity(
+        self, data_chunks: np.ndarray, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The n - k parity chunks of k data chunks, on the EC data plane.
+
+        ``data_chunks`` is a (k, L) uint8 array; returns (n - k, L).
+        The computed half of :meth:`encode`, for a caller that already
+        holds the data rows and needs no second copy of them.  ``out``
+        is an (n - k, L) uint8 buffer that must not alias the input.
+        """
+        return ec_backend.get_backend().matmul_chunks(
+            self.generator[self.k :], self._data_array(data_chunks), out=out
+        )
+
+    def _data_array(self, data_chunks: np.ndarray) -> np.ndarray:
+        data_chunks = np.asarray(data_chunks, dtype=np.uint8)
+        if data_chunks.ndim != 2 or data_chunks.shape[0] != self.k:
+            raise ValueError(
+                f"expected (k={self.k}, L) data array, got {data_chunks.shape}"
+            )
+        return data_chunks
 
     def decode(
         self,

@@ -2,15 +2,15 @@
 
 A systematic (n, k) RS stripe carries ``n - k`` chunks of surplus
 parity.  Any k known chunk values determine the whole codeword, so a
-set of more than k values can be *checked*: decode from k of them,
-re-encode, and compare the prediction against every value held.  A
+set of more than k values can be *checked*: predict the other rows from
+k of them and compare the prediction against every value held.  A
 mismatch proves at least one value is off the codeword — the signature
 of silent corruption that per-chunk digests alone cannot prove (a
 digest only says the bytes changed since ``put``; parity says the
 bytes disagree with the rest of the stripe).
 
 With at least two chunks of surplus among the values held, a *single*
-corrupt value can also be localized by leave-one-out re-decode: remove
+corrupt value can also be localized by leave-one-out: remove
 one candidate, re-check the rest; only removing the culprit restores
 consistency.  (Removing an innocent chunk leaves the corrupt one in the
 set, and with surplus remaining the check still trips.)
@@ -29,18 +29,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..ec import kernels
+from ..ec.backend import get_backend
 from ..ec.rs import RSCode
+
+#: Columns predicted per data-plane call: one segment of the blocked
+#: kernels, so a check holds ``(n - k) x BLOCK_BYTES`` of prediction at
+#: a time whatever the chunk size.
+BLOCK_BYTES = 2 * kernels.SEGMENT_PAIRS
 
 
 def check_consistency(
-    code: RSCode, values: dict[int, np.ndarray]
-) -> tuple[bool, np.ndarray]:
+    code: RSCode, values: dict[int, np.ndarray], *, predict: int | None = None
+) -> tuple[bool, np.ndarray | None]:
     """Do ``values`` (stripe index -> chunk) lie on one codeword?
 
-    Decodes from the k lowest-indexed values, re-encodes the full
-    stripe, and compares the prediction against every value held.
-    Returns ``(consistent, predicted)`` where ``predicted`` is the
-    (n, L) codeword implied by the decode set.  Requires at least k
+    The k lowest-indexed values are the decode set; each of the n - k
+    rows outside it is one linear combination of them
+    (:meth:`RSCode.repair_equation`).  Those rows are predicted one
+    column block of :data:`BLOCK_BYTES` at a time, reading the values in
+    place, and compared against every other value held; the check stops
+    at the first block that disagrees.
+
+    Returns ``(consistent, row)``: ``row`` is the predicted value of
+    stripe index ``predict`` (which must lie outside the decode set) —
+    the only chunk-sized array built — or ``None`` when ``predict`` is
+    ``None`` or the values are inconsistent.  Requires at least k
     values; with exactly k the check is vacuous (always consistent).
     """
     if len(values) < code.k:
@@ -48,15 +62,32 @@ def check_consistency(
             f"need at least k={code.k} chunks to check consistency, "
             f"got {len(values)}"
         )
-    data = code.decode(values)
-    predicted = code.encode(data)
-    decode_set = set(sorted(values)[: code.k])
-    ok = all(
-        np.array_equal(predicted[i], values[i])
-        for i in values
-        if i not in decode_set
+    ordered = sorted(values)
+    decode_set = tuple(ordered[: code.k])
+    rows = [i for i in range(code.n) if i not in decode_set]
+    matrix = np.array(
+        [code.repair_equation(i, decode_set).coeffs for i in rows],
+        dtype=np.uint8,
     )
-    return ok, predicted
+    inputs = [values[i] for i in decode_set]
+    surplus = [(rows.index(i), values[i]) for i in ordered[code.k :]]
+    target = None if predict is None else rows.index(predict)
+    length = len(inputs[0])
+    block = np.empty((len(rows), min(length, BLOCK_BYTES)), dtype=np.uint8)
+    row = None if predict is None else np.empty(length, dtype=np.uint8)
+    matmul = get_backend().matmul_chunks
+    for start in range(0, length, BLOCK_BYTES):
+        stop = min(start + BLOCK_BYTES, length)
+        predicted = matmul(
+            matrix, [v[start:stop] for v in inputs],
+            out=block[:, : stop - start],
+        )
+        for r, value in surplus:
+            if not np.array_equal(predicted[r], value[start:stop]):
+                return False, None
+        if row is not None:
+            row[start:stop] = predicted[target]
+    return True, row
 
 
 def localize_corruption(
@@ -145,21 +176,21 @@ def audit_stripe(
     """
     culprits = tuple(sorted(digest_bad))
     if len(stored) < code.k:
-        # not enough clean data to re-encode: digests are the only verdict
+        # not enough clean data to predict: digests are the only verdict
         return AuditReport(
             ok=False if culprits else None,
             culprits=culprits,
             checked=len(stored) + len(digest_bad),
         )
-    stored_ok, predicted = check_consistency(code, stored)
+    stored_ok, predicted = check_consistency(code, stored, predict=lost_index)
     if stored_ok:
         # clean stored chunks agree on one codeword; it pins the lost value
-        rebuilt_ok = bool(np.array_equal(predicted[lost_index], rebuilt))
+        rebuilt_ok = bool(np.array_equal(predicted, rebuilt))
         return AuditReport(
             ok=(not culprits) and rebuilt_ok,
             culprits=culprits,
             rebuilt_ok=rebuilt_ok,
-            predicted=predicted[lost_index],
+            predicted=predicted,
             checked=len(stored) + len(digest_bad),
         )
     # stored chunks are inconsistent *despite* clean digests (rot that
@@ -167,13 +198,13 @@ def audit_stripe(
     located = localize_corruption(code, stored)
     if len(located) == 1:
         clean = {i: v for i, v in stored.items() if i != located[0]}
-        _, predicted = check_consistency(code, clean)
-        rebuilt_ok = bool(np.array_equal(predicted[lost_index], rebuilt))
+        _, predicted = check_consistency(code, clean, predict=lost_index)
+        rebuilt_ok = bool(np.array_equal(predicted, rebuilt))
         return AuditReport(
             ok=False,
             culprits=tuple(sorted((*culprits, *located))),
             rebuilt_ok=rebuilt_ok,
-            predicted=predicted[lost_index],
+            predicted=predicted,
             checked=len(stored) + len(digest_bad),
         )
     return AuditReport(

@@ -24,9 +24,12 @@ class TestCheckConsistency:
     def test_clean_codeword_is_consistent(self, stripe):
         code, chunks = stripe
         values = {i: chunks[i] for i in range(N)}
-        ok, predicted = check_consistency(code, values)
-        assert ok
-        assert np.array_equal(predicted, chunks)
+        assert check_consistency(code, values) == (True, None)
+        # any row outside the decode set is predicted, held or not
+        held = {i: chunks[i] for i in range(N - 1)}
+        for lost in range(K, N):
+            ok, predicted = check_consistency(code, held, predict=lost)
+            assert ok and np.array_equal(predicted, chunks[lost])
 
     def test_corrupt_surplus_chunk_trips(self, stripe):
         code, chunks = stripe
