@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import statistics
 import sys
 import time
@@ -33,7 +34,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from benchmarks.common import CODES, REPO_ROOT, SEED
 from repro import analysis
 from repro.core import (
     FullRepair, StripeRepairSpec, max_pipelined_throughput, plan_full_node_repair,
@@ -44,9 +44,17 @@ from repro.lifetime import ExponentialProcess, LifetimeConfig, run_monte_carlo
 from repro.net import (
     BandwidthSnapshot, RackTopology, RepairContext, rack_scaled_context, units,
 )
+from repro.obs import DivergenceMonitor, MetricsRegistry, Tracer
+from repro.obs.demo import _build_system, _find_hub
 from repro.repair import PivotRepair, get_algorithm
 from repro.sim import simulate_under_drift
-from repro.workloads import bucket_label, make_trace
+from repro.workloads import Trace, bucket_label, make_trace
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: The paper's RS parameterisations (§V-B).
+CODES = ((6, 4), (9, 6), (12, 8), (14, 10))
+#: Master seed of every claim.
+SEED = 2023
 
 JSON_PATH = REPO_ROOT / "REPRODUCTION.json"
 DOC_PATH = REPO_ROOT / "EXPERIMENTS.md"
@@ -380,6 +388,114 @@ def _drift(scale: dict) -> Run:
     return Run({"every_repair_completed": completed}, {"seconds": seconds})
 
 
+#: The watchdog matrix: a fault (the ``ClusterSystem`` call that injects
+#: it and its arguments after the node) at half the clean repair, each
+#: run timeout-only and with a ``DivergenceMonitor`` informing the watchdog.
+WATCHDOG_FAULTS = {
+    "clean": None,
+    "hub_crash": ("fail_node",),
+    "helper_straggler": ("set_rate_cap", 1.0),
+    "requester_stall": ("stall_node", 10.0),
+}
+WATCHDOG_ARMS = ("timeout_only", "detector")
+#: The drift rows' re-planning policies; ``detect`` re-plans on a
+#: plan-divergence alarm, with a 15 s staleness bound (5x ``interval``).
+DRIFT_POLICIES = {
+    "never": {},
+    "oracle": {"replan_interval_s": 1.0},
+    "interval": {"replan_interval_s": 3.0},
+    "detect": {"replan_on": "detect", "replan_interval_s": 15.0},
+}
+
+
+def _watchdog_run(fault: str, node: int, at_s: float, detector: bool,
+                  build: dict) -> tuple[dict, float]:
+    """One repair of the matrix and when its fault was mitigated: the first
+    intervention, or without one, the end of the repair."""
+    tracer, metrics = Tracer(), MetricsRegistry()
+    system = _build_system(tracer=tracer, metrics=metrics, **build)
+    if detector:
+        system.divergence = DivergenceMonitor.standard(tracer=tracer, metrics=metrics)
+        system.divergence.clock = lambda: system.events.now
+    # heartbeats keep the master's bandwidth picture live, so a re-plan
+    # after an abort can route around the fault
+    system.enable_heartbeats(period_s=0.005)
+    if WATCHDOG_FAULTS[fault]:
+        method, *args = WATCHDOG_FAULTS[fault]
+        system.events.schedule(at_s, lambda: getattr(system, method)(node, *args))
+    outcome = system.repair("s1", 3, requester=15, store=False, on_failure="outcome")
+    fires = [(ev.time, ev.name) for span in tracer.spans() for ev in span.events
+             if ev.name in ("watchdog.fire", "detect.abort")]
+    first = min(fires, key=lambda fire: fire[0]) if fires else None
+    return {
+        "status": outcome.status, "elapsed_s": outcome.elapsed_seconds,
+        "retries": outcome.retries, "first_intervention": first[1] if first else "none",
+        "detect_aborts": sum(name == "detect.abort" for _, name in fires),
+    }, first[0] if first else outcome.elapsed_seconds
+
+
+def _drift_run(trace: Trace, **kwargs):
+    return simulate_under_drift(
+        get_algorithm("fullrepair"), trace, start_instant=0, requester=9,
+        helpers=tuple(range(6)), k=4, chunk_bytes=units.mib(4096), interval_s=1.0,
+        **kwargs,
+    )
+
+
+def _detect(scale: dict) -> Run:
+    build = dict(
+        n=14, k=10, num_nodes=16, chunk_bytes=units.kib(64), failed_node=3, seed=SEED,
+        snapshot=make_trace("tpcds", num_nodes=16, num_snapshots=60, seed=4).snapshot(30),
+    )
+    # an uninstrumented clean repair sizes the fault time and names the
+    # plan's hub and a helper feeding the requester (node 15) directly
+    clean = _build_system(**build).repair("s1", 3, requester=15, store=False)
+    at_s = 0.5 * clean.elapsed_seconds
+    nodes = {
+        "clean": None, "hub_crash": _find_hub(clean.plan, 15),
+        "helper_straggler": next(
+            e.child for p in clean.plan.pipelines for e in p.edges if e.parent == 15
+        ),
+        "requester_stall": 15,
+    }
+    runs: dict = {}
+    mitigation: dict = {}
+    for fault, node in nodes.items():
+        for arm in WATCHDOG_ARMS:
+            row, mitigated_at = _watchdog_run(fault, node, at_s, arm == "detector", build)
+            runs.setdefault(fault, {})[arm] = row
+            if fault != "clean":
+                mitigation.setdefault(fault, {})[arm] = mitigated_at - at_s
+    mitigation["mean"] = {
+        arm: statistics.fmean(row[arm] for row in mitigation.values())
+        for arm in WATCHDOG_ARMS
+    }
+
+    trace = make_trace("swim", num_nodes=10, num_snapshots=400, seed=3)
+    cases = {"drifting": {}, "dead_helper": {"dead_from": {2: 5.0}},
+             "straggler": {"node_rate_caps": {2: 40.0}}}
+    drift = {
+        case: {policy: _drift_run(trace, stall_deadline_s=120.0, **faults, **knobs)
+               for policy, knobs in DRIFT_POLICIES.items()}
+        for case, faults in cases.items()
+    }
+    flat_mbps = np.full((400, 10), 400.0)
+    flat = _drift_run(Trace(workload="flat", capacity_mbps=1000.0, uplink=flat_mbps,
+                            downlink=flat_mbps), replan_on="detect")
+
+    def by_policy(field: str) -> dict:
+        return {case: {policy: getattr(r, field) for policy, r in row.items()}
+                for case, row in drift.items()}
+
+    return Run(
+        {"fault_at_s": at_s, "watchdog": runs, "time_to_mitigation_s": mitigation},
+        {"drift_s": by_policy("seconds"), "replans": by_policy("replans"),
+         "completed": by_policy("completed"),
+         "flat_trace": {"seconds": flat.seconds, "alarms": flat.alarms,
+                        "replans": flat.replans}},
+    )
+
+
 FULLNODE_STRIPES = 10
 
 
@@ -667,6 +783,42 @@ CLAIMS: dict[str, Claim] = {c.id: c for c in (
         "1 GiB payload, SWIM trace, k = 6 of 8 helpers",
         "Re-planning is affordable because scheduling is us-ms (Fig. 5); its "
         "measured calculation time advances the simulated clock, hence host-timed.",
+    ),
+    Claim(
+        "detect", "Extension",
+        "divergence detection: watchdog early aborts and alarm-driven re-planning",
+        _detect,
+        {
+            "detector_mitigates_sooner_than_timeout_only_on_mean": lambda m: (
+                m["time_to_mitigation_s"]["mean"]["detector"]
+                < m["time_to_mitigation_s"]["mean"]["timeout_only"]
+            ),
+            "zero_detector_aborts_on_clean":
+                lambda m: m["watchdog"]["clean"]["detector"]["detect_aborts"] == 0,
+            "no_missed_detection": lambda m: all(
+                arms["detector"]["first_intervention"] != "none"
+                for fault, arms in m["watchdog"].items() if fault != "clean"
+            ),
+            "detect_beats_never_on_every_drift_case": lambda m: all(
+                row["detect"] < row["never"] for row in m["drift_s"].values()
+            ),
+            "zero_alarms_on_the_flat_trace": lambda m: m["flat_trace"]["alarms"] == 0,
+        },
+        "watchdog: (14,10), 16 nodes, 64 KiB chunk, each fault at half the clean "
+        "repair; drift: FullRepair, k = 4 of 6 helpers, 4 GiB chunk, SWIM trace at "
+        "1 s per instant, helper 2 dead from 5 s or capped at 40 Mbps, 120 s stall "
+        "deadline",
+        "The watchdog matrix is simulated time.  Time to mitigation is the first "
+        "`watchdog.fire` or `detect.abort` after the fault, or the rest of the repair "
+        "without one; the detector arm's lower mean is not a faster repair "
+        "everywhere: on `helper_straggler` it completes later than timeout-only "
+        "(0.0368 vs 0.0318 s), because its abort and re-plan cost more than letting "
+        "the capped helper trickle on.  The drift rows are re-planning policies of "
+        "the fluid drift model, with each plan's measured calculation time on the "
+        "clock, hence host-timed.  `detect` beats `never` on every case (`never` "
+        "on `dead_helper` stalls out), but it is slower than the fixed 3 s "
+        "`interval` policy on all three (e.g. 65.5 vs 54.6 s, drifting): the claim "
+        "is that detection beats never re-planning, not that it beats a fixed period.",
     ),
     Claim(
         "fullnode", "Extension", "full-node repair, sequential vs batched", _fullnode,

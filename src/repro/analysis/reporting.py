@@ -726,69 +726,3 @@ def render_lifetime_sweep(sweep, *, knob: str = "pipeline_factor") -> str:
         )
     return "\n".join(lines)
 
-
-def _flatten_numeric(obj, prefix: str = "", depth: int = 4) -> dict[str, float]:
-    """Dotted-path view of every numeric leaf in a nested report dict."""
-    out: dict[str, float] = {}
-    if depth < 0:
-        return out
-    if isinstance(obj, bool):
-        out[prefix] = float(obj)
-    elif isinstance(obj, (int, float)):
-        out[prefix] = float(obj)
-    elif isinstance(obj, dict):
-        for key, value in obj.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            out.update(_flatten_numeric(value, path, depth - 1))
-    return out
-
-
-def merge_bench_reports(reports: dict[str, dict]) -> dict:
-    """Merge ``{filename: parsed BENCH json}`` into one trajectory record.
-
-    Each report contributes its benchmark name, schema version, config
-    and the dotted-path numeric metrics (``config`` subtrees excluded
-    from the metric list — they are inputs, not results).
-    """
-    merged = {"reports": []}
-    for filename in sorted(reports):
-        data = reports[filename]
-        metrics = {
-            path: value
-            for path, value in _flatten_numeric(data).items()
-            if not path.startswith(("config.", "schema_version"))
-            and path != "benchmark"
-        }
-        merged["reports"].append(
-            {
-                "file": filename,
-                "benchmark": data.get("benchmark", filename),
-                "schema_version": data.get("schema_version"),
-                "config": data.get("config", {}),
-                "metrics": metrics,
-            }
-        )
-    return merged
-
-
-def render_bench_trajectory(merged: dict) -> str:
-    """Markdown trajectory table for ``repro bench report``."""
-    lines = [
-        "# Benchmark trajectory",
-        "",
-        "| benchmark | metric | value |",
-        "| --- | --- | ---: |",
-    ]
-    for report in merged["reports"]:
-        name = report["benchmark"]
-        for path, value in sorted(report["metrics"].items()):
-            if value == int(value) and abs(value) < 1e15:
-                shown = str(int(value))
-            else:
-                shown = f"{value:.6g}"
-            lines.append(f"| {name} | {path} | {shown} |")
-    counts = ", ".join(
-        f"{r['benchmark']} ({r['file']})" for r in merged["reports"]
-    )
-    lines += ["", f"Sources: {counts or 'none'}"]
-    return "\n".join(lines)

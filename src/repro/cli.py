@@ -25,8 +25,6 @@ Subcommands
 ``detect``      divergence-detection demo: rate-cap a helper mid-repair
                 and print the streaming detectors' alarm log plus the
                 detector-informed early abort
-``bench``       ``bench report``: merge the repo's BENCH_*.json artifacts
-                into one trajectory table (markdown, or ``--json``)
 ``lifetime``    fleet-lifetime durability campaign: Monte-Carlo MTTDL /
                 durability-nines over simulated years, with loss
                 post-mortems (``--sweep`` compares repair speeds)
@@ -387,33 +385,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import glob
-    import json
-    import os
-
-    from .analysis import merge_bench_reports, render_bench_trajectory
-
-    paths = sorted(
-        p for p in glob.glob(os.path.join(args.dir, "BENCH_*.json"))
-        # smoke artefacts are transient schema-validation output, not
-        # part of the committed trajectory
-        if not p.endswith(".smoke.json")
-    )
-    reports = {}
-    for path in paths:
-        with open(path) as fh:
-            reports[os.path.basename(path)] = json.load(fh)
-    merged = merge_bench_reports(reports)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        log.info("merged JSON written to %s", args.json)
-    print(render_bench_trajectory(merged))
-    return 0
-
-
 def cmd_lifetime(args: argparse.Namespace) -> int:
     from .analysis import render_lifetime, render_lifetime_sweep
     from .lifetime import (
@@ -664,15 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep pipeline factors instead, e.g. --sweep 1 5 10")
     p.add_argument("--seed", type=int, default=2023)
     p.set_defaults(func=cmd_lifetime)
-
-    p = sub.add_parser("bench", help="benchmark artifact tools")
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    b = bench_sub.add_parser(
-        "report", help="merge BENCH_*.json into one trajectory table"
-    )
-    b.add_argument("--dir", default=".", help="directory holding BENCH_*.json")
-    b.add_argument("--json", help="also write the merged record as JSON")
-    b.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -13,7 +13,8 @@ combination, datanode segment scaling — goes through the object
     The reference kernels of :mod:`repro.ec.gf256` /
     :mod:`repro.ec.matrix`: one 256-entry gather per (coefficient,
     chunk).  Never selected by library code; it is the oracle the
-    equivalence tests and ``bench_ec_throughput`` compare against.
+    equivalence tests and the speed-ratio gates of
+    ``tests/ec/test_speed_ratios.py`` compare against.
 
 The two are byte-identical by construction (GF arithmetic is exact);
 ``tests/ec/test_backends.py`` proves it property-style and

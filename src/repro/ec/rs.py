@@ -103,25 +103,15 @@ class RSCode:
     # whole-stripe operations                                            #
     # ------------------------------------------------------------------ #
 
-    def encode(
-        self, data_chunks: np.ndarray, *, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def encode(self, data_chunks: np.ndarray) -> np.ndarray:
         """Encode k data chunks into the full n-chunk stripe.
 
         ``data_chunks`` is a (k, L) uint8 array; returns (n, L).  Rows
         ``0..k-1`` of the result equal the input (systematic code); only
         the parity rows are computed (:meth:`parity`).
-        ``out`` (an (n, L) uint8 buffer) makes steady-state encoding
-        allocation-free.
         """
         data_chunks = self._data_array(data_chunks)
-        length = data_chunks.shape[1]
-        if out is None:
-            out = np.empty((self.n, length), dtype=np.uint8)
-        elif out.shape != (self.n, length) or out.dtype != np.uint8:
-            raise ValueError(
-                f"out must be a uint8 array of shape {(self.n, length)}"
-            )
+        out = np.empty((self.n, data_chunks.shape[1]), dtype=np.uint8)
         np.copyto(out[: self.k], data_chunks)
         self.parity(out[: self.k], out=out[self.k :])
         return out

@@ -33,9 +33,9 @@ The measurement substrate for the whole repair path (see
   crash (import it directly; it pulls in the cluster prototype).
 
 Everything here is stdlib-only.  Instrumented code paths default to the
-:data:`NULL_TRACER` / :data:`NULL_METRICS` no-op singletons, whose
-overhead is bounded by ``benchmarks/bench_obs.py`` (the
-``BENCH_obs.json`` gate), so instrumentation stays on everywhere.
+:data:`NULL_TRACER` / :data:`NULL_METRICS` no-op singletons; a planning
+request makes two calls against them (counted in
+``tests/obs/test_obs_counts.py``), so instrumentation stays on everywhere.
 """
 
 from .detect import (

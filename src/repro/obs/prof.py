@@ -21,10 +21,9 @@ Two opt-in hooks plug into the queue (``queue.profiler`` /
   stderr progress line, so a multi-minute campaign is watchable.
 
 The queue's one drain loop reads both hooks once per ``run``/``step``
-call and tests one local boolean per event, so the disabled overhead is
-the empty-call cost plus one false branch per event — bounded by
-``benchmarks/bench_sim_engine.py`` (the ``BENCH_sim.json`` gate, ≤3%
-like the obs no-op gate).
+call and tests one local boolean per event, so with neither attached
+the engine reads no clock and calls no hook — counted in
+``tests/sim/test_events.py``.
 """
 
 from __future__ import annotations

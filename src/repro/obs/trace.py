@@ -11,10 +11,10 @@ traces.
 The module is dependency-free (stdlib only) and the default tracer used
 by every instrumented code path is :data:`NULL_TRACER`, whose methods do
 nothing and return the shared :data:`NULL_SPAN` sentinel.  Hot paths
-guard any *formatting* work behind ``tracer.enabled`` so that no-op-mode
-overhead stays within the ``BENCH_obs.json`` budget (<= 3 % of a
-planning call); the plain no-op calls themselves cost one attribute
-lookup plus an empty method invocation.
+guard any *formatting* work behind ``tracer.enabled``, so no-op mode
+pays only the plain calls — one attribute lookup plus an empty method
+invocation each; a planning request makes two
+(``tests/obs/test_obs_counts.py`` counts them).
 
 All mutation goes through the tracer (``start_span`` / ``end_span`` /
 ``event`` / ``set_attrs``) rather than through span objects, so the

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.reproduction import CODES
 from repro.ec import RSCode, available_backends, backend as ec_backend
 from repro.ec import gf256, kernels, matrix
 from repro.ec.backend import MIN_TABLE_BYTES
@@ -116,6 +117,32 @@ def test_backend_matmul_equivalence(name):
     got = be.matmul_chunks(mat, chunks, out=out)
     assert got is out
     assert np.array_equal(expected, got)
+
+
+def _rs_operation(code: RSCode, op: str, data: np.ndarray) -> np.ndarray:
+    """One code-level operation of the data plane, on the current backend."""
+    stripe = code.encode(data)
+    if op == "encode":
+        return stripe
+    if op == "decode":
+        # the lowest n - k data rows are lost, so parity must stand in
+        return code.decode({i: stripe[i] for i in range(code.n - code.k, code.n)})
+    return code.repair(code.n - 1, {i: stripe[i] for i in range(code.k)})
+
+
+@pytest.mark.parametrize("op", ["encode", "decode", "repair"])
+@pytest.mark.parametrize("n,k", CODES)
+def test_rs_operations_agree_across_backends(n, k, op):
+    """Every code of the evaluation encodes, decodes from parity and
+    repairs a parity chunk to the reference kernels' bytes on every backend."""
+    code = RSCode(n, k)
+    data = _chunks(np.random.default_rng(n * 100 + k), k, BIG)
+    parity = matrix.matvec_chunks(code.generator[k:], data)
+    expected = {"encode": np.vstack([data, parity]), "decode": data,
+                "repair": parity[-1]}[op]
+    for name in ("naive", *FAST_BACKENDS):
+        with ec_backend.use_backend(name):
+            assert np.array_equal(_rs_operation(code, op, data), expected), name
 
 
 @pytest.mark.parametrize("name", FAST_BACKENDS)

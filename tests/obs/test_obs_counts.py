@@ -8,18 +8,40 @@ Counts, unlike timings, are the same on every machine: a change that
 quietly returns to a registry lookup per slice or to two fresh lists per
 span trips this gate by a factor of the slice count, and one that meets
 it by dropping spans trips the span-count identity.
+
+Live sinks only observe: the traced repair takes the same simulated time
+and events as an untraced twin.  With observability off — the NULL sinks
+every caller defaults to — one planning request makes a fixed, small
+number of obs calls, counted the same way, and no no-op primitive keeps
+memory alive from one call to the next.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.analysis import make_fixed_context
 from repro.cluster import ClusterSystem
 from repro.cluster.datanode import DataNode
+from repro.cluster.master import Master, StripeLocation
+from repro.core.plancache import PlanCache
 from repro.ec import RSCode
 from repro.net import BandwidthSnapshot
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import (
+    NULL_COUNTER,
+    NULL_FLEET,
+    NULL_METRICS,
+    NULL_SPAN,
+    NULL_TRACER,
+    MetricsRegistry,
+    NullMetricsRegistry,
+    NullTracer,
+    Tracer,
+)
+from repro.repair import get_algorithm
 
 N, K = 14, 10
 NUM_NODES = 16
@@ -45,10 +67,15 @@ def traced(monkeypatch):
     counting(MetricsRegistry, "_labelkey", "_labelkey", staticmethod)
     counting(DataNode, "_transmit", "slices")
 
-    tracer, metrics = Tracer(), MetricsRegistry()
-    system = ClusterSystem(
-        NUM_NODES, RSCode(N, K), slice_bytes=SLICE, tracer=tracer, metrics=metrics
-    )
+    system, data = _failed_cluster(tracer=Tracer(), metrics=MetricsRegistry())
+    for key in counts:
+        counts[key] = 0
+    return system, data, counts
+
+
+def _failed_cluster(**obs) -> tuple[ClusterSystem, np.ndarray]:
+    """A (14,10) cluster with node 0 failed, observed by ``obs`` sinks."""
+    system = ClusterSystem(NUM_NODES, RSCode(N, K), slice_bytes=SLICE, **obs)
     rng = np.random.default_rng(7)
     system.set_bandwidth(
         BandwidthSnapshot(
@@ -59,9 +86,7 @@ def traced(monkeypatch):
     data = rng.integers(0, 256, (K, CHUNK), dtype=np.uint8)
     system.write_stripe("s", data, placement=tuple(range(N)))
     system.fail_node(0)
-    for key in counts:
-        counts[key] = 0
-    return system, data, counts
+    return system, data
 
 
 def _lists_in_forest(tracer: Tracer) -> int:
@@ -97,3 +122,83 @@ def test_one_traced_repair_costs_a_constant_per_slice(traced):
     # (b) a leaf span owns no containers; a non-leaf span at most two
     assert all(s.children == () and s.events == () for s in transfers)
     assert _lists_in_forest(system.tracer) <= 2 * others + 1
+
+
+def test_live_sinks_only_observe_the_repair():
+    """Tracing and metrics change no simulated time and schedule no event."""
+    (null, _), (live, data) = _failed_cluster(), _failed_cluster(
+        tracer=Tracer(), metrics=MetricsRegistry())
+    outcomes = [system.repair("s", 0, 15, store=False) for system in (null, live)]
+    assert all(o.verified and np.array_equal(o.rebuilt, data[0]) for o in outcomes)
+    assert outcomes[0].elapsed_seconds == outcomes[1].elapsed_seconds
+    assert null.events.executed == live.events.executed
+    assert null.traffic_bytes == live.traffic_bytes
+    assert list(live.tracer.spans()) and not list(null.tracer.spans())
+
+
+#: The no-op calls instrumented code makes when observability is off.
+NULL_PRIMITIVES = {
+    "event": lambda: NULL_TRACER.event(None, "x", a=1),
+    "span_pair": lambda: NULL_TRACER.end_span(NULL_TRACER.start_span("x", a=1)),
+    "counter_inc": lambda: NULL_COUNTER.inc(),
+    "counter_factory_inc": lambda: NULL_METRICS.counter("repro_x_total", "h", l="v").inc(),
+    "fleet_observe": lambda: NULL_FLEET.observe("repro_x", 1.0, algorithm="a"),
+    "enabled_check": lambda: NULL_TRACER.enabled,
+}
+
+
+@pytest.mark.parametrize("primitive", list(NULL_PRIMITIVES))
+def test_null_primitive_retains_nothing(primitive):
+    """A thousand calls keep less than one byte alive per call: a no-op
+    that quietly records a span, an event or a label set fails by ~50x."""
+    call, calls = NULL_PRIMITIVES[primitive], 1000
+    call()  # first-call interning and caches land here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(calls):
+            call()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < calls
+
+
+class _CountingNullTracer(NullTracer):
+    """The NULL tracer (``enabled`` stays False, so guarded calls are
+    skipped as by default) tallying every call it receives."""
+
+    calls = 0
+
+    def _tally(self, *args, **kwargs):
+        self.calls += 1
+        return NULL_SPAN
+
+    start_span = end_span = record_span = event = set_attrs = _tally
+
+
+class _CountingNullMetrics(NullMetricsRegistry):
+    """The NULL registry tallying every factory call and every call on the
+    metric it hands back (itself)."""
+
+    calls = 0
+
+    def _tally(self, *args, **kwargs):
+        self.calls += 1
+        return self
+
+    counter = gauge = histogram = inc = set = observe = _tally
+
+
+def test_one_planning_request_makes_two_null_obs_calls():
+    """``plan_for_context`` + ``compile_tasks`` with observability off: one
+    plan-cache lookup counter and its increment, no tracer call at all."""
+    master = Master(RSCode(N, K), get_algorithm("fullrepair"), N + 2,
+                    plan_cache=PlanCache(max_entries=16))
+    master.tracer, master.metrics = _CountingNullTracer(), _CountingNullMetrics()
+    # helpers 1..N-1 hold chunks 0..N-2; the lost chunk N-1 lived on node N
+    master.register_stripe(StripeLocation("s0", placement=tuple(range(1, N + 1))))
+    plan = master.plan_for_context(make_fixed_context(N, K, seed=2023))
+    master.compile_tasks(plan, "s0", N - 1, chunk_bytes=1 << 20, num_slices=16,
+                         repair_id="s0/nX")
+    assert (master.tracer.calls, master.metrics.calls) == (0, 2)

@@ -30,6 +30,17 @@ from repro.obs import (
 )
 from repro.sim.events import EventQueue
 
+#: The engine-bench scenario: an orchestrated two-node recovery with 4 KiB
+#: slices, so per-event dispatch dominates (20,313 events, ~1 s).
+GATE_SCENARIO = dict(
+    num_stripes=48,
+    chunk_bytes=64 * 1024,
+    slice_bytes=4 * 1024,
+    foreground_reads=200,
+    kills=((0, 0.001), (3, 0.004)),
+    seed=2023,
+)
+
 
 def _noop() -> None:
     pass
@@ -229,7 +240,6 @@ class TestEngineProfiler:
     def test_batches_and_sites_pinned_on_the_engine_bench_scenario(self):
         """Counts recorded at f0cd0d1, when ``run`` popped whole
         equal-time batches off the heap before running them."""
-        from benchmarks.bench_sim_engine import GATE_SCENARIO
         from repro.recovery import run_recovery_scenario
 
         scenario = run_recovery_scenario(**GATE_SCENARIO, profile=True)

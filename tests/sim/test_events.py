@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import EventQueue
+from repro.obs import EngineProfiler
+from repro.sim import EventQueue, events
 
 
 class TestEventQueue:
@@ -476,6 +477,45 @@ class TestBatchBoundaries:
             q.run()
         assert hooks.batches == [(1.0, 2, 1)]
         assert q.executed == 2 and q.pending_count == 1
+
+
+class TestDisabledHooksCostNothing:
+    """With no profiler or monitor attached, the engine reads no clock and
+    calls no hook: what self-observability costs a run that did not ask
+    for it is one local boolean per event, not a count that grows."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"clock": 0, "hook": 0}
+        clock, close = events.perf_counter_ns, EventQueue._close_batch
+
+        def counting_clock():
+            counts["clock"] += 1
+            return clock()
+
+        def counting_close(queue, *args):
+            counts["hook"] += 1
+            return close(queue, *args)
+
+        monkeypatch.setattr(events, "perf_counter_ns", counting_clock)
+        monkeypatch.setattr(EventQueue, "_close_batch", counting_close)
+        return counts
+
+    def test_gate_scenario_without_profiler(self, counts):
+        from repro.recovery import run_recovery_scenario
+        from tests.obs.test_prof import GATE_SCENARIO
+
+        scenario = run_recovery_scenario(**GATE_SCENARIO)
+        assert scenario.system.events.executed == 20313
+        assert counts == {"clock": 0, "hook": 0}
+
+    def test_the_counters_see_an_attached_profiler(self, counts):
+        q = EventQueue()
+        for t in (1.0, 1.0, 2.0):
+            q.schedule(t, lambda: None)
+        EngineProfiler().install(q)
+        q.run()
+        assert counts == {"clock": 2, "hook": 2}
 
 
 @pytest.mark.parametrize("hooked", [False, True], ids=["bare", "hooked"])

@@ -215,40 +215,6 @@ class TestSloCommand:
             main(["slo", "--repairs", "5", "--rules", "p42 nope !! 7"])
 
 
-class TestBenchReportCommand:
-    def test_merges_artifacts(self, tmp_path, capsys):
-        (tmp_path / "BENCH_alpha.json").write_text(json.dumps({
-            "benchmark": "alpha", "schema_version": 1,
-            "config": {"smoke": True},
-            "gate": {"pass": True, "overhead_percent": 0.5},
-        }))
-        (tmp_path / "BENCH_beta.json").write_text(json.dumps({
-            "benchmark": "beta", "schema_version": 2,
-            "median_us": 12.5,
-        }))
-        (tmp_path / "BENCH_beta.smoke.json").write_text(json.dumps({
-            "benchmark": "beta-smoke", "median_us": 1.0,
-        }))
-        out_json = tmp_path / "merged.json"
-        assert main([
-            "bench", "report", "--dir", str(tmp_path), "--json", str(out_json),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "| benchmark | metric | value |" in out
-        assert "beta-smoke" not in out  # smoke artefacts are transient
-        assert "| alpha | gate.overhead_percent | 0.5 |" in out
-        assert "| beta | median_us | 12.5 |" in out
-        assert "BENCH_alpha.json" in out  # sources footer
-        merged = json.loads(out_json.read_text())
-        assert [r["benchmark"] for r in merged["reports"]] == ["alpha", "beta"]
-        # config values are inputs, not trajectory metrics
-        assert "config.smoke" not in merged["reports"][0]["metrics"]
-
-    def test_empty_dir(self, tmp_path, capsys):
-        assert main(["bench", "report", "--dir", str(tmp_path)]) == 0
-        assert "Sources: none" in capsys.readouterr().out
-
-
 # ``repro compare | sweep | table1 | hetero | fullnode`` were a second
 # front end to the experiment runners; the one there is now is
 # ``python -m benchmarks.reproduction CLAIM ...``, which prints the same
@@ -339,7 +305,6 @@ class TestEverySubcommandRuns:
     #: smaller size where the default is minutes or a process pool, and
     #: every file it can write (``{tmp}`` is the test's own directory)
     ARGS = {
-        "bench": ["report"],
         "detect": ["--out", "{tmp}/detect.chrome.json"],
         "lifetime": ["--stripes", "2000", "--years", "0.5", "--workers", "1"],
         "prof": ["--progress", "--interval", "0.05",
