@@ -193,10 +193,14 @@ def render_repair_timeline(tracer) -> str:
     :class:`repro.obs.Tracer` that recorded at least one repair.
     """
     width, max_pipelines = 56, 6  # bar columns; pipelines drawn per attempt
-    spans = [s for s in tracer.spans() if s.kind != "transfer"]
+    spans, transfers = [], 0
+    for s in tracer.spans():  # one walk: transfer spans are built on read
+        if s.kind == "transfer":
+            transfers += 1
+        else:
+            spans.append(s)
     if not spans:
         return "no spans recorded (was tracing enabled?)"
-    transfers = sum(1 for s in tracer.spans() if s.kind == "transfer")
     t0 = min(s.start for s in spans)
     t1 = max((s.end if s.end is not None else s.start) for s in spans)
     extent = max(t1 - t0, 1e-12)
@@ -222,8 +226,9 @@ def render_repair_timeline(tracer) -> str:
 
     def walk(s, depth: int) -> None:
         emit(s, depth)
-        pipes = [c for c in s.children if c.kind == "pipeline"]
-        for c in s.children:
+        children = s.children
+        pipes = [c for c in children if c.kind == "pipeline"]
+        for c in children:
             if c.kind not in ("pipeline", "transfer"):
                 walk(c, depth + 1)
         for c in pipes[:max_pipelines]:

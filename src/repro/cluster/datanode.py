@@ -30,6 +30,14 @@ from .chunkstore import ChunkStore
 from .messages import SliceData, TransferTask
 
 
+def _mask(nodes) -> int:
+    """Node ids as a bitmask: bit ``n`` set for each node ``n``."""
+    mask = 0
+    for n in nodes:
+        mask |= 1 << n
+    return mask
+
+
 @dataclass(slots=True)
 class _TaskState:
     """Progress of one pipeline task on one node."""
@@ -41,8 +49,9 @@ class _TaskState:
     #: — the same table on every node of a pipeline, so slice
     #: boundaries line up across hops
     bounds: list[int]
-    #: ``task.wait_for`` as a set: the sources every slice needs
-    wait_for: frozenset
+    #: ``task.wait_for`` as a bitmask (bit ``s`` for source node ``s``):
+    #: the sources every slice needs
+    wait_for: int
     #: per-slice payload accumulator (own contribution XOR arrivals);
     #: each entry is a view into ``scaled``
     partials: list[np.ndarray | None] = field(default_factory=list)
@@ -51,8 +60,8 @@ class _TaskState:
     scaled: np.ndarray | None = None
     scaled_lo: int = 0
     generation: int = 0
-    #: per-slice set of sources already folded in
-    arrived: list[set] = field(default_factory=list)
+    #: per-slice bitmask of sources already folded in
+    arrived: list[int] = field(default_factory=list)
     #: per-slice time the slice became sendable (arrival + GF combine);
     #: recorded when the last dependency lands so combine time overlaps
     #: the edge occupancy of earlier slices, as in the analytic model
@@ -148,9 +157,9 @@ class DataNode:
             task=task,
             num_slices=num,
             bounds=[task.start + i * q + min(i, r) for i in range(num + 1)],
-            wait_for=frozenset(task.wait_for),
+            wait_for=_mask(task.wait_for),
             partials=[None] * num,
-            arrived=[set() for _ in range(num)],
+            arrived=[0] * num,
             ready_at=[None] * num,
             edge_free=self.events.now,
         )
@@ -216,8 +225,9 @@ class DataNode:
             self.on_bad_slice(self.node_id, data)
             return
         idx = self._slice_index(state, data.start)
+        bit = 1 << data.source
         arrived = state.arrived[idx]
-        if data.source in arrived:
+        if arrived & bit:
             raise RuntimeError(
                 f"node {self.node_id}: duplicate slice {idx} from {data.source}"
             )
@@ -230,8 +240,8 @@ class DataNode:
                 f"!= expected {len(partial)}"
             )
         np.bitwise_xor(partial, data.payload, out=partial)
-        arrived.add(data.source)
-        if state.wait_for <= arrived:
+        arrived = state.arrived[idx] = arrived | bit
+        if not state.wait_for & ~arrived:
             # last dependency landed: the slice becomes sendable after the
             # GF combine, which overlaps earlier slices' edge occupancy
             state.ready_at[idx] = (

@@ -123,11 +123,12 @@ class _Assembly:
     #: placement may have relocated it by the time the repair settles
     #: (a degraded read racing the orchestrator on the same chunk)
     lost_chunk: int = -1
-    #: pipeline key -> sender nodes expected to deliver that range
-    expected: dict[int, set] = field(default_factory=dict)
+    #: pipeline key -> bitmask of the sender nodes expected to deliver
+    #: that range (bit ``n`` for node ``n``)
+    expected: dict[int, int] = field(default_factory=dict)
     #: pipeline key -> bytes of its range not yet decode-complete
     outstanding: dict[int, int] = field(default_factory=dict)
-    #: pipeline key -> {(lo, hi): sources arrived} per slice range
+    #: pipeline key -> {(lo, hi): bitmask of sources arrived} per slice range
     slice_arrivals: dict[int, dict] = field(default_factory=dict)
     #: byte ranges with every contribution folded in (decode-correct),
     #: accumulated across attempts — the complement is the remainder
@@ -1752,10 +1753,10 @@ class ClusterSystem:
         # useless without the missing contributions, and a stale late
         # slice must never fold into the next attempt's bytes
         for pid, ranges in asm.slice_arrivals.items():
-            want = asm.expected.get(pid, set())
+            want = asm.expected.get(pid, 0)
             for (lo, hi), got in ranges.items():
                 if got and got != want:
-                    asm.bytes_retransferred += (hi - lo) * len(got)
+                    asm.bytes_retransferred += (hi - lo) * got.bit_count()
                     asm.buffer[lo:hi] = 0
         asm.expected = {}
         asm.outstanding = {}
@@ -1970,9 +1971,9 @@ class ClusterSystem:
             pipeline_id: int,
         ) -> None:
             """Credit the sender's byte counter, charge the receiver's
-            downlink occupancy, and record one uplink + one downlink
-            ``transfer`` span (the Chrome exporter lays them out on
-            per-node lanes)."""
+            downlink occupancy, and record the slice as one transfer row
+            (read back as an uplink + a downlink ``transfer`` span, which
+            the Chrome exporter lays out on per-node lanes)."""
             if metrics is not None:
                 counter = sent_bytes[src]
                 if counter is None:
@@ -1985,17 +1986,9 @@ class ClusterSystem:
             if 0 <= dest < len(nodes):
                 nodes[dest].downlink_busy_s += end_s - start_s
             if tracer is not None:
-                parent = pipeline_spans.get((wire_id, pipeline_id))
-                name = f"{src}→{dest}"
-                tracer.record_span(
-                    name, start_s, end_s, kind="transfer", parent=parent,
-                    node=src, direction="uplink", src=src, dst=dest,
-                    lo=lo, hi=hi, wire=wire_id, pipeline=pipeline_id,
-                )
-                tracer.record_span(
-                    name, start_s, end_s, kind="transfer", parent=parent,
-                    node=dest, direction="downlink", src=src, dst=dest,
-                    lo=lo, hi=hi, wire=wire_id, pipeline=pipeline_id,
+                tracer.record_transfer(
+                    pipeline_spans.get((wire_id, pipeline_id)), src, dest,
+                    lo, hi, start_s, end_s, wire_id, pipeline_id,
                 )
 
         return note_transfer
@@ -2148,8 +2141,9 @@ class ClusterSystem:
         for task in tasks:
             if task.destination == asm.requester:
                 src = loc.node_of(task.chunk_index)
-                asm.expected.setdefault(task.pipeline_id, set()).add(src)
-                asm.outstanding[task.pipeline_id] = task.stop - task.start
+                pid = task.pipeline_id
+                asm.expected[pid] = asm.expected.get(pid, 0) | 1 << src
+                asm.outstanding[pid] = task.stop - task.start
         if self.tracer.enabled:
             rate_by_pid = _pipeline_rates(tasks)
             for pid, nbytes in asm.outstanding.items():
@@ -2219,7 +2213,8 @@ class ClusterSystem:
                 f"{destination}"
             )
         sources = asm.expected.get(data.pipeline_id)
-        if sources is None or data.source not in sources:
+        bit = 1 << data.source
+        if sources is None or not sources & bit:
             raise RuntimeError(
                 f"unexpected slice from {data.source} for pipeline "
                 f"{data.pipeline_id}"
@@ -2233,13 +2228,14 @@ class ClusterSystem:
             self._on_bad_slice(destination, data)
             return
         arrivals = asm.slice_arrivals.setdefault(data.pipeline_id, {})
-        got = arrivals.setdefault((data.start, data.stop), set())
-        if data.source in got:
+        key = (data.start, data.stop)
+        got = arrivals.get(key, 0)
+        if got & bit:
             raise RuntimeError(
                 f"duplicate slice [{data.start}, {data.stop}) from "
                 f"{data.source} for pipeline {data.pipeline_id}"
             )
-        got.add(data.source)
+        got = arrivals[key] = got | bit
         span = asm.buffer[data.start : data.stop]
         np.bitwise_xor(span, data.payload, out=span)
         asm.received += len(data.payload)

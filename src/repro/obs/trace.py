@@ -17,13 +17,30 @@ invocation each; a planning request makes two
 (``tests/obs/test_obs_counts.py`` counts them).
 
 All mutation goes through the tracer (``start_span`` / ``end_span`` /
-``event`` / ``set_attrs``) rather than through span objects, so the
-null implementation can swallow everything in one place.
+``event`` / ``set_attrs`` / ``record_transfer``) rather than through
+span objects, so the null implementation can swallow everything in one
+place.
+
+Slice transfers are recorded as *rows*, not spans.  Every slice a
+repair puts on the wire is one uplink and one downlink ``transfer``
+span — tens of thousands per repair at small slice sizes — so
+:meth:`Tracer.record_transfer` appends the slice's numbers to flat
+``array`` columns held by its pipeline span (72 bytes a slice, nothing
+for the garbage collector to walk) and builds no ``Span``.
+Readers never see the difference: ``roots``, ``spans()``, ``find()``
+and a span's ``children`` present each row as its two ``Span`` objects,
+in span-id order among the spans recorded directly.  Those spans are
+built on every read and not kept, so reading a whole trace twice builds
+its transfer spans twice; a span built from a row is a view, and events
+or attributes added to it are not kept.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from array import array
+from operator import attrgetter
 from typing import Callable, Iterator
 
 
@@ -51,7 +68,8 @@ class Span:
     ``events`` and ``children`` are iterables for readers: both are the
     shared empty tuple until the tracer first appends to them (a leaf
     ``transfer`` span never owns a container), and only the tracer
-    mutates them.
+    mutates them.  ``children`` merges the spans recorded under this one
+    with the transfer rows recorded under it, by span id.
     """
 
     __slots__ = (
@@ -63,7 +81,8 @@ class Span:
         "end",
         "attrs",
         "events",
-        "children",
+        "_children",
+        "_rows",
     )
 
     def __init__(
@@ -84,7 +103,15 @@ class Span:
         self.end = end
         self.attrs = attrs or {}
         self.events: list[SpanEvent] | tuple = ()
-        self.children: list["Span"] | tuple = ()
+        self._children: list["Span"] | tuple = ()
+        self._rows: _Rows | None = None
+
+    @property
+    def children(self) -> list["Span"] | tuple:
+        rows = self._rows
+        if rows is None:
+            return self._children
+        return _merged(self._children, rows.spans(self.span_id))
 
     @property
     def duration(self) -> float | None:
@@ -96,6 +123,61 @@ class Span:
             f"{self.end if self.end is None else format(self.end, '.6g')}), "
             f"{len(self.children)} children)"
         )
+
+
+class _Rows:
+    """Slice transfers recorded under one span, one row per slice.
+
+    Row ``i`` is ``ints[6i : 6i + 6]`` = (uplink span id, src, dst, lo,
+    hi, pipeline), ``times[2i : 2i + 2]`` = (start, end) and
+    ``wires[i]``; its downlink span's id is the uplink's plus one.
+    """
+
+    __slots__ = ("ints", "times", "wires")
+
+    def __init__(self) -> None:
+        self.ints = array("q")
+        self.times = array("d")
+        self.wires: list = []
+
+    def spans(self, parent_id: int | None) -> list[Span]:
+        """The rows as the uplink + downlink ``Span`` pairs they stand for."""
+        ints, times = self.ints, self.times
+        out: list[Span] = []
+        append = out.append
+        for sid, src, dst, lo, hi, pipeline, start, end, wire in zip(
+            ints[0::6], ints[1::6], ints[2::6], ints[3::6], ints[4::6],
+            ints[5::6], times[0::2], times[1::2], self.wires,
+        ):
+            name = f"{src}→{dst}"
+            if start > end:  # record_span's max(end, start)
+                end = start
+            append(Span(sid, name, "transfer", start, parent_id, {
+                "node": src, "direction": "uplink", "src": src, "dst": dst,
+                "lo": lo, "hi": hi, "wire": wire, "pipeline": pipeline,
+            }, end))
+            append(Span(sid + 1, name, "transfer", start, parent_id, {
+                "node": dst, "direction": "downlink", "src": src, "dst": dst,
+                "lo": lo, "hi": hi, "wire": wire, "pipeline": pipeline,
+            }, end))
+        return out
+
+
+def _merged(spans: list[Span] | tuple, built: list[Span]) -> list[Span]:
+    """Two id-ordered span lists as one, in id order."""
+    if not spans:
+        return built
+    return list(heapq.merge(spans, built, key=attrgetter("span_id")))
+
+
+def _depth_first(roots, children) -> Iterator[Span]:
+    stack = list(reversed(roots))
+    while stack:
+        span = stack.pop()
+        yield span
+        kids = children(span)
+        if kids:
+            stack.extend(reversed(kids))
 
 
 class _NullSpan:
@@ -136,10 +218,19 @@ class Tracer:
 
     def __init__(self, clock: Callable[[], float] | None = None):
         self.clock = clock
-        self.roots: list[Span] = []
+        self._roots: list[Span] = []
+        #: transfer rows recorded with no parent span
+        self._orphans = _Rows()
         #: events not attached to any span (e.g. faults outside a repair)
         self.events: list[SpanEvent] = []
         self._ids = itertools.count(1)
+
+    @property
+    def roots(self) -> list[Span]:
+        """Top-level spans, in id order (orphaned transfer rows included)."""
+        if not self._orphans.wires:
+            return self._roots
+        return _merged(self._roots, self._orphans.spans(None))
 
     # ---- time --------------------------------------------------------- #
 
@@ -174,12 +265,12 @@ class Tracer:
     def _place(self, span: Span, parent: Span | None) -> None:
         """Hang ``span`` under ``parent`` (or among the roots)."""
         if parent:
-            if parent.children:
-                parent.children.append(span)
+            if parent._children:
+                parent._children.append(span)
             else:
-                parent.children = [span]
+                parent._children = [span]
         else:
-            self.roots.append(span)
+            self._roots.append(span)
 
     def end_span(self, span: Span, t: float | None = None, **attrs) -> Span:
         if not span:
@@ -216,6 +307,38 @@ class Tracer:
         self._place(span, parent)
         return span
 
+    def record_transfer(
+        self,
+        parent: Span | None,
+        src: int,
+        dst: int,
+        lo: int,
+        hi: int,
+        start: float,
+        end: float,
+        wire: str,
+        pipeline: int,
+    ) -> None:
+        """One slice on the wire, recorded as a row under ``parent``.
+
+        Readers see the row as the two spans ``record_span`` would have
+        recorded here — ``"{src}→{dst}"``, kind ``transfer``, attrs
+        ``node`` / ``direction`` / ``src`` / ``dst`` / ``lo`` / ``hi`` /
+        ``wire`` / ``pipeline``, uplink (``node=src``) then downlink
+        (``node=dst``) — with the same two span ids.
+        """
+        if parent:
+            rows = parent._rows
+            if rows is None:
+                rows = parent._rows = _Rows()
+        else:
+            rows = self._orphans
+        sid = next(self._ids)
+        next(self._ids)
+        rows.ints.fromlist([sid, src, dst, lo, hi, pipeline])
+        rows.times.fromlist([start, end])
+        rows.wires.append(wire)
+
     def event(
         self,
         span: Span | None,
@@ -240,11 +363,7 @@ class Tracer:
 
     def spans(self) -> Iterator[Span]:
         """Depth-first iterator over every recorded span."""
-        stack = list(reversed(self.roots))
-        while stack:
-            span = stack.pop()
-            yield span
-            stack.extend(reversed(span.children))
+        return _depth_first(self.roots, attrgetter("children"))
 
     def find(self, *, kind: str | None = None, name: str | None = None) -> list[Span]:
         return [
@@ -257,7 +376,9 @@ class Tracer:
     def all_events(self) -> list[SpanEvent]:
         """Every event (span-attached and root-level), in time order."""
         out = list(self.events)
-        for span in self.spans():
+        # transfer rows carry no events: walk only the spans recorded as
+        # spans (same depth-first order, so equal times tie the same way)
+        for span in _depth_first(self._roots, attrgetter("_children")):
             out.extend(span.events)
         out.sort(key=lambda e: e.time)
         return out
@@ -266,7 +387,8 @@ class Tracer:
         return [e.name for e in self.all_events()]
 
     def clear(self) -> None:
-        self.roots.clear()
+        self._roots.clear()
+        self._orphans = _Rows()
         self.events.clear()
 
 
@@ -289,6 +411,9 @@ class NullTracer(Tracer):
 
     def record_span(self, name, start, end, **kwargs) -> Span:  # type: ignore[override]
         return NULL_SPAN  # type: ignore[return-value]
+
+    def record_transfer(self, parent, *row) -> None:
+        return None
 
     def event(self, span, name, t=None, **attrs) -> SpanEvent:
         return _NULL_EVENT

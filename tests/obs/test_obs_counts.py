@@ -1,13 +1,15 @@
 """Count gate: with live sinks, one slice costs a small constant.
 
 The clean traced (14,10) repair below puts ~640 slices on the wire.
-Every slice is recorded — one uplink and one downlink ``transfer`` span
-— but a slice looks no metric up by name (each node's byte counter is
-bound on that node's first send) and its leaf spans own no containers.
-Counts, unlike timings, are the same on every machine: a change that
-quietly returns to a registry lookup per slice or to two fresh lists per
-span trips this gate by a factor of the slice count, and one that meets
-it by dropping spans trips the span-count identity.
+Every slice is recorded — one row that reads back as an uplink and a
+downlink ``transfer`` span — but a slice looks no metric up by name
+(each node's byte counter is bound on that node's first send), keeps no
+object the garbage collector walks, and its leaf spans own no
+containers.  Counts, unlike timings, are the same on every machine: a
+change that quietly returns to a registry lookup per slice, to a
+``Span`` kept per slice or to two fresh lists per span trips this gate
+by a factor of the slice count, and one that meets it by dropping spans
+trips the span-count identity.
 
 Live sinks only observe: the traced repair takes the same simulated time
 and events as an untraced twin.  With observability off — the NULL sinks
@@ -18,6 +20,7 @@ memory alive from one call to the next.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -73,9 +76,9 @@ def traced(monkeypatch):
     return system, data, counts
 
 
-def _failed_cluster(**obs) -> tuple[ClusterSystem, np.ndarray]:
+def _failed_cluster(slice_bytes: int = SLICE, **obs) -> tuple[ClusterSystem, np.ndarray]:
     """A (14,10) cluster with node 0 failed, observed by ``obs`` sinks."""
-    system = ClusterSystem(NUM_NODES, RSCode(N, K), slice_bytes=SLICE, **obs)
+    system = ClusterSystem(NUM_NODES, RSCode(N, K), slice_bytes=slice_bytes, **obs)
     rng = np.random.default_rng(7)
     system.set_bandwidth(
         BandwidthSnapshot(
@@ -122,6 +125,40 @@ def test_one_traced_repair_costs_a_constant_per_slice(traced):
     # (b) a leaf span owns no containers; a non-leaf span at most two
     assert all(s.children == () and s.events == () for s in transfers)
     assert _lists_in_forest(system.tracer) <= 2 * others + 1
+
+
+def test_a_traced_repair_keeps_no_collector_object_per_slice(monkeypatch):
+    """What a traced repair leaves for the garbage collector to walk, read
+    before anyone reads the trace, does not grow with the slice count:
+    slices are rows in flat columns, and spans are built on read."""
+    sent = [0]
+    transmit = DataNode._transmit
+
+    def counting(self, *args):
+        sent[0] += 1
+        return transmit(self, *args)
+
+    monkeypatch.setattr(DataNode, "_transmit", counting)
+    small = SLICE // 4
+    grown, slices = {}, {}
+    for slice_bytes in (small, SLICE, small):  # the first run warms caches
+        system, data = _failed_cluster(
+            slice_bytes, tracer=Tracer(), metrics=MetricsRegistry())
+        sent[0] = 0
+        gc.collect()
+        before = len(gc.get_objects())
+        outcome = system.repair("s", 0, 15, store=False)
+        gc.collect()
+        grown[slice_bytes] = len(gc.get_objects()) - before
+        slices[slice_bytes] = sent[0]
+        assert outcome.verified and np.array_equal(outcome.rebuilt, data[0])
+        # still two transfer spans per slice once someone reads
+        transfers = sum(1 for s in system.tracer.spans() if s.kind == "transfer")
+        assert transfers == 2 * sent[0]
+    # the gate has teeth: one object kept per extra slice would be ~1.9k,
+    # sixty times the slack
+    assert slices[small] - slices[SLICE] >= 50 * 32
+    assert grown[small] <= grown[SLICE] + 32
 
 
 def test_live_sinks_only_observe_the_repair():
@@ -174,7 +211,7 @@ class _CountingNullTracer(NullTracer):
         self.calls += 1
         return NULL_SPAN
 
-    start_span = end_span = record_span = event = set_attrs = _tally
+    start_span = end_span = record_span = record_transfer = event = set_attrs = _tally
 
 
 class _CountingNullMetrics(NullMetricsRegistry):

@@ -129,6 +129,7 @@ class TestNullTracer:
         nt.event(s, "e", t=1.0)
         nt.event(None, "e2", t=1.0)
         nt.set_attrs(s, a=1)
+        assert nt.record_transfer(s, 0, 1, 0, 8, 0.0, 1.0, "w", 0) is None
         assert nt.roots == [] and nt.events == []
         assert list(nt.spans()) == []
         assert nt.all_events() == []
