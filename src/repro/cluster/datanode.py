@@ -19,15 +19,22 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..ec import backend as ec_backend
 from ..integrity.digest import slice_checksum
 from ..net import units
+from ..net.units import MEGABIT
 from ..sim.events import EventQueue
 from .chunkstore import ChunkStore
 from .messages import SliceData, TransferTask
+
+#: ``_slice_data(fields)`` builds a :class:`SliceData` from a tuple of
+#: all eight fields without the generated ``__new__``'s Python frame;
+#: the instance is indistinguishable from one built by keyword.
+_slice_data = partial(tuple.__new__, SliceData)
 
 
 def _mask(nodes) -> int:
@@ -204,7 +211,8 @@ class DataNode:
 
     def has_task(self, repair_id: str, pipeline_id: int) -> bool:
         """True when this node was assigned that pipeline of that repair."""
-        return self._task_state(repair_id, pipeline_id) is not None
+        pipelines = self._repair_tasks.get(repair_id)
+        return pipelines is not None and pipeline_id in pipelines
 
     def receive(self, data: SliceData) -> None:
         """Fold an incoming partial into the matching task state."""
@@ -330,24 +338,21 @@ class DataNode:
         rate_mbps = t.rate_mbps
         if self.rate_cap_mbps is not None:
             rate_mbps = min(rate_mbps, self.rate_cap_mbps)
-        rate = units.mbps_to_bytes_per_s(rate_mbps)
+        rate = rate_mbps * MEGABIT / 8.0  # units.mbps_to_bytes_per_s, inlined
         occupancy = (hi - lo) / rate + self.slice_overhead_s
         start_tx = max(not_before, state.edge_free, self.stalled_until)
         state.edge_free = arrival = start_tx + occupancy
         payload = state.partials[idx]
-        msg = SliceData(
-            stripe_id=t.stripe_id,
-            pipeline_id=t.pipeline_id,
-            source=self.node_id,
-            start=lo,
-            stop=hi,
-            # checksum covers the payload as sent; wire corruption happens
-            # after, on a copy, so the retained partial stays clean for
-            # retransmission
-            payload=self._maybe_corrupt(payload, start_tx),
-            repair_id=t.repair_id,
-            checksum=slice_checksum(payload),
-        )
+        # SliceData's fields in order.  The checksum covers the payload
+        # as sent; wire corruption happens after, on a copy, so the
+        # retained partial stays clean for retransmission.  The corrupt
+        # copy is made first: it draws the wire RNG.
+        msg = _slice_data((
+            t.stripe_id, t.pipeline_id, self.node_id, lo, hi,
+            self._maybe_corrupt(payload, start_tx),
+            t.repair_id,
+            slice_checksum(payload),
+        ))
         self.bytes_sent += hi - lo
         self.uplink_busy_s += occupancy
         if self.on_transfer is not None:

@@ -4,15 +4,14 @@ The prototype mirrors the paper's implementation (§V-A): a master that
 "controls the task flow, knows the bandwidth information in the entire
 cluster network, and calculates and allocates tasks to each data node",
 and data nodes that store chunks and execute the pipelined transfer tasks
-assigned to them.  Messages are plain dataclasses delivered through the
+assigned to them.  Messages are plain immutable records delivered through the
 deterministic event queue with a configurable control-plane latency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from collections import namedtuple
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -52,18 +51,32 @@ class TransferTask:
     num_slices: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class SliceData:
-    """Data node -> data node/requester: a partial-combination payload."""
+class SliceData(
+    namedtuple(
+        "SliceData",
+        "stripe_id pipeline_id source start stop payload repair_id checksum",
+        defaults=("", None),
+    )
+):
+    """Data node -> data node/requester: a partial-combination payload.
 
-    stripe_id: str
-    pipeline_id: int
-    source: int
-    start: int
-    stop: int
-    payload: np.ndarray = field(repr=False)
-    repair_id: str = ""
-    #: CRC of the payload as the sender computed it (None = unchecked
-    #: legacy sender); the receiving hop re-checksums and requests a
-    #: retransmit on mismatch instead of folding a poisoned slice
-    checksum: int | None = None
+    ``source`` sent bytes ``[start, stop)`` of pipeline ``pipeline_id``
+    as ``payload`` (a ``uint8`` array).  ``checksum`` is the payload's
+    CRC as the sender computed it (None = unchecked legacy sender); the
+    receiving hop re-checksums and requests a retransmit on mismatch
+    instead of folding a poisoned slice.
+
+    An immutable tuple-backed record: one is built per slice hop, so an
+    instance is one allocation with no per-field ``__setattr__``.  The
+    repr leaves the payload out.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self._fields, self)
+            if name != "payload"
+        )
+        return f"SliceData({shown})"

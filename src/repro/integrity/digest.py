@@ -31,6 +31,8 @@ import numpy as np
 #: (2 MiB segments; see ``repro.ec.kernels.SEGMENT_PAIRS``).
 DIGEST_BLOCK_BYTES = 2 * 1024 * 1024
 
+_UINT8 = np.dtype(np.uint8)
+
 
 def chunk_digest(payload: np.ndarray | bytes | bytearray | memoryview) -> int:
     """CRC-32 of a chunk payload, chained over 2 MiB blocks.
@@ -57,14 +59,22 @@ def slice_checksum(payload: np.ndarray | bytes | bytearray | memoryview) -> int:
     below the digest block size, so this is a single ``zlib.crc32``
     call on the buffer itself — the value :func:`chunk_digest` chains
     to, so a whole-chunk slice checksums to the chunk digest.  Anything
-    else (a larger, non-byte or strided buffer) takes
-    :func:`chunk_digest`'s path and its checks.
+    else (a larger, non-byte or non-contiguous buffer, an ``ndarray``
+    subclass) takes :func:`chunk_digest`'s path and its checks, which
+    give the same value or raise.
+
+    The guard runs twice per slice hop, so it tests identity, not
+    equality or flags: a plain ``ndarray`` of the ``uint8`` dtype
+    singleton.  Contiguity is ``zlib.crc32``'s own check — it refuses a
+    non-contiguous array with ``ValueError``.
     """
     if (
-        isinstance(payload, np.ndarray)
-        and payload.dtype == np.uint8
+        payload.__class__ is np.ndarray
+        and payload.dtype is _UINT8
         and payload.nbytes <= DIGEST_BLOCK_BYTES
-        and payload.flags.c_contiguous
     ):
-        return zlib.crc32(payload)
+        try:
+            return zlib.crc32(payload)
+        except ValueError:  # not C-contiguous
+            pass
     return chunk_digest(payload)

@@ -82,3 +82,78 @@ class TestSliceChecksum:
         wire = payload.copy()
         wire[77] ^= 0x01
         assert slice_checksum(wire) != stamp
+
+
+def _seed_slice_checksum(payload):
+    """``slice_checksum`` as it was before the identity guard, verbatim."""
+    if (
+        isinstance(payload, np.ndarray)
+        and payload.dtype == np.uint8
+        and payload.nbytes <= DIGEST_BLOCK_BYTES
+        and payload.flags.c_contiguous
+    ):
+        return zlib.crc32(payload)
+    return chunk_digest(payload)
+
+
+class _Tagged(np.ndarray):
+    """An ``ndarray`` subclass: not the plain class the guard admits."""
+
+
+def _guard_inputs() -> dict:
+    rng = np.random.default_rng(8)
+    big = rng.integers(0, 256, DIGEST_BLOCK_BYTES + 1, dtype=np.uint8)
+    frozen = big[:1024]
+    frozen.flags.writeable = False
+    return {
+        "0 B": big[:0],
+        "1 B": big[:1],
+        "1 KiB": big[:1024].copy(),
+        "2 MiB": big[:DIGEST_BLOCK_BYTES],
+        "2 MiB + 1": big,
+        "strided": big[:4096:3],
+        "fortran 2-D": np.asfortranarray(big[:4096].reshape(64, 64)),
+        "read-only": frozen,
+        "subclass": big[:1024].view(_Tagged),
+        "bytes": big[:1024].tobytes(),
+        "bytearray": bytearray(big[:1024].tobytes()),
+        "memoryview": memoryview(big[:1024].tobytes()),
+        "int16": big[:1024].view(np.int16),
+    }
+
+
+#: inputs the guard hands to ``chunk_digest`` (everything else is one
+#: ``zlib.crc32`` call)
+_FALLBACK = {"2 MiB + 1", "strided", "fortran 2-D", "subclass", "bytes",
+             "bytearray", "memoryview", "int16"}
+
+
+class TestSliceChecksumGuard:
+    """The identity guard (plain ``ndarray``, the ``uint8`` singleton,
+    ``zlib.crc32``'s own contiguity check) gives every input the value,
+    or the exception type and text, the flag-reading guard gave."""
+
+    @staticmethod
+    def _outcome(checksum, payload):
+        try:
+            return checksum(payload)
+        except Exception as exc:  # compared by type and text
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("name", list(_guard_inputs()))
+    def test_same_outcome_as_the_seed_guard(self, name, monkeypatch):
+        from repro.integrity import digest
+
+        payload = _guard_inputs()[name]
+        want = self._outcome(_seed_slice_checksum, payload)
+        fallbacks = []
+        real = digest.chunk_digest
+        monkeypatch.setattr(
+            digest, "chunk_digest", lambda p: fallbacks.append(p) or real(p))
+        assert self._outcome(slice_checksum, payload) == want
+        assert len(fallbacks) == (name in _FALLBACK)
+        if name == "int16":
+            assert want == (ValueError, "digest payloads must be uint8, got int16")
+        else:  # the CRC of the bytes in C order
+            raw = payload.tobytes() if isinstance(payload, np.ndarray) else bytes(payload)
+            assert want == zlib.crc32(raw)

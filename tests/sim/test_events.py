@@ -1,5 +1,9 @@
 """Deterministic event-queue core."""
 
+import math
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.obs import EngineProfiler
@@ -122,7 +126,7 @@ class TestScheduleAtClamp:
         q = EventQueue()
         q.schedule(1.0, lambda: None)
         q.run()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"in the past \(delay=-0.5\)"):
             q.schedule_at(0.5, lambda: None)
 
     def test_clamped_events_keep_insertion_order(self):
@@ -134,6 +138,35 @@ class TestScheduleAtClamp:
         q.schedule_at(2.0, lambda: order.append("second"))
         q.run()
         assert order == ["first", "second"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+class TestNonFiniteTimes:
+    """A NaN or infinite event time is refused.  Accepted, a NaN event
+    ran first with ``now = nan`` and the clock then moved back to the
+    next finite event, breaking ``run``'s never-backwards contract."""
+
+    @staticmethod
+    def _queue():
+        q = EventQueue()
+        fired = []
+        q.schedule(0.5, lambda: fired.append(q.now))
+        return q, fired
+
+    def test_schedule_refuses(self, bad):
+        q, fired = self._queue()
+        with pytest.raises(ValueError):
+            q.schedule(bad, lambda: fired.append(q.now))
+        assert q.pending_count == 1
+        assert q.run() == 0.5 and fired == [0.5]
+
+    def test_schedule_at_refuses(self, bad):
+        q, fired = self._queue()
+        with pytest.raises(ValueError):
+            q.schedule_at(bad, lambda: fired.append(q.now))
+        assert q.pending_count == 1
+        assert q.run() == 0.5 and fired == [0.5]
 
 
 class TestCancel:
@@ -573,3 +606,58 @@ class TestExhaustionResumes:
         q.set_event_budget(0)
         assert q.step() is False
         assert q.run() == 0.0
+
+
+def _drain_calls(slice_bytes: int) -> tuple[Counter, int, int]:
+    """Python ``call`` events made while the queue drains one clean
+    NULL-obs (14,10) 256 KiB repair: by code object, how many of them
+    were a ``schedule`` frame opened by ``schedule_at``, and the number
+    of events executed."""
+    from tests.obs.test_obs_counts import _failed_cluster
+
+    _failed_cluster(slice_bytes)[0].repair("s", 0, 15, store=False)  # warm
+    system, _ = _failed_cluster(slice_bytes)
+    drain, schedule = EventQueue._drain.__code__, EventQueue.schedule.__code__
+    schedule_at = EventQueue.schedule_at.__code__
+    calls, depth, nested = Counter(), [0], [0]
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if code is drain and event in ("call", "return"):
+            depth[0] += 1 if event == "call" else -1
+        elif event == "call" and depth[0]:
+            calls[code] += 1
+            nested[0] += code is schedule and frame.f_back.f_code is schedule_at
+
+    executed = system.events.executed
+    sys.setprofile(profile)
+    try:
+        outcome = system.repair("s", 0, 15, store=False)
+    finally:
+        sys.setprofile(None)
+    assert outcome.verified
+    return calls, nested[0], system.events.executed - executed
+
+
+@pytest.mark.parametrize("slice_kib", [16, 4])
+def test_a_slice_hop_makes_no_object_machinery_calls(slice_kib):
+    """Count gate on the slice hop: heap entries compare in C (no
+    ``__lt__`` frame), a ``SliceData`` is built without a Python
+    constructor frame, ``schedule_at`` pushes its own entry, and an
+    event costs at most 20 Python calls.  Measured this way: 29.6 / 28.5
+    calls per event at 16 / 4 KiB slices with a Python ``__lt__``, a
+    dataclass ``SliceData`` and ``schedule_at`` → ``schedule``; 18.7 /
+    17.2 without them.  Counts, so the same on every machine."""
+    from repro.cluster.messages import SliceData
+
+    calls, nested, executed = _drain_calls(slice_kib * 1024)
+    assert executed >= 600  # the gate has teeth: ~0.98 slice events per event
+    constructors = {
+        getattr(getattr(SliceData, name), "__code__", None)
+        for name in ("__new__", "__init__")
+    } - {None}
+    assert sum(n for code, n in calls.items() if code.co_name == "__lt__") == 0
+    assert sum(calls[code] for code in constructors) == 0
+    assert nested == 0
+    per_event = sum(calls.values()) / executed
+    assert per_event <= 20, f"{per_event:.1f} Python calls per event"
