@@ -71,9 +71,9 @@ def main() -> None:
         r for r in range(cluster.num_nodes)
         if cluster.is_alive(r) and r not in cluster.master.stripe(sid).placement
     )
+    cluster.events.schedule(0.001, lambda: cluster.fail_node(helpers[0]))
     out = cluster.repair(
         sid, failed_node=victim, requester=requester,
-        inject_failure=(helpers[0], 0.001),
     )
     print(
         f"  helper {helpers[0]} killed 1 ms into the repair: "

@@ -188,6 +188,12 @@ class _Assembly:
     def failed(self) -> bool:
         return self.failure_reason is not None
 
+    @property
+    def running(self) -> bool:
+        """A watchdog repair not yet complete, failed or escalated — the
+        only kind a crash, a timeout or a bad chunk acts on."""
+        return self.watchdog and not (self.complete or self.failed or self.escalate)
+
     def plan_participants(self) -> tuple[int, ...]:
         if self.plan is None:
             return ()
@@ -368,12 +374,9 @@ class ClusterSystem:
         self._alive[node] = False
         log.debug("node %d crashed at t=%.6f", node, self.events.now)
         if self.tracer.enabled:
-            live_span = next(
-                (a.span for a in self._assemblies.values() if a.span), None
-            )
-            self.tracer.event(live_span, "node.crash", node=node)
+            self.tracer.event(self._live_span(), "node.crash", node=node)
         for asm in list(self._assemblies.values()):
-            if not asm.watchdog or asm.complete or asm.failed or asm.escalate:
+            if not asm.running:
                 continue
             loc = self.master.stripe(asm.stripe_id)
             if (
@@ -381,21 +384,23 @@ class ClusterSystem:
                 and node != asm.failed_node
                 and node not in asm.plan_participants()
             ):
-                asm.escalate = True
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        asm.span,
-                        "repair.escalate",
-                        node=node,
-                        reason="second chunk lost mid-repair",
-                    )
-                self._finish_assembly(asm, retire=True)
+                self._escalate(
+                    asm, node=node, reason="second chunk lost mid-repair"
+                )
         listeners = list(self._failure_listeners)
         profiler = self.events.profiler
         if profiler is not None:
             profiler.record_fanout("failure_listeners", len(listeners))
         for listener in listeners:
             listener(node)
+
+    def _escalate(self, asm: _Assembly, **attrs) -> None:
+        """End a watchdog repair that lost a second chunk: its caller
+        restarts it through the multi-chunk path."""
+        asm.escalate = True
+        if self.tracer.enabled:
+            self.tracer.event(asm.span, "repair.escalate", **attrs)
+        self._finish_assembly(asm, retire=True)
 
     def add_failure_listener(self, callback) -> None:
         """Register ``callback(node)`` to run whenever a node crashes.
@@ -551,17 +556,21 @@ class ClusterSystem:
                 "Chunks quarantined as corrupt, by detection path.",
                 kind=kind,
             ).inc()
-            self.metrics.counter(
-                "repro_integrity_corruption_detected_total",
-                "Silent-corruption detections, by detection path.",
-                kind=kind,
-            ).inc()
+        self._count_detection(kind)
         if self.tracer.enabled:
             self.tracer.event(
                 None, "integrity.quarantine",
                 stripe=stripe_id, chunk=chunk_index, node=node, kind=kind,
             )
         return True
+
+    def _count_detection(self, kind: str) -> None:
+        if self.metrics.enabled:
+            self.metrics.counter(
+                "repro_integrity_corruption_detected_total",
+                "Silent-corruption detections, by detection path.",
+                kind=kind,
+            ).inc()
 
     def unavailable_nodes(self, stripe_id: str) -> tuple[int, ...]:
         """Placement nodes whose chunk cannot serve reads or repairs:
@@ -571,7 +580,14 @@ class ClusterSystem:
         return tuple(
             n
             for i, n in enumerate(loc.placement)
-            if not self._alive[n] or self.master.is_quarantined(stripe_id, i)
+            if not self._can_serve(stripe_id, i, n)
+        )
+
+    def _can_serve(self, stripe_id: str, chunk_index: int, node: int) -> bool:
+        """Whether ``node``'s copy of the chunk may serve reads and
+        repairs: the node is alive and the chunk is not quarantined."""
+        return self._alive[node] and not self.master.is_quarantined(
+            stripe_id, chunk_index
         )
 
     def _on_bad_chunk(self, node: int, task: TransferTask) -> None:
@@ -579,13 +595,7 @@ class ClusterSystem:
         self.quarantine_chunk(task.stripe_id, task.chunk_index, node, kind="read")
         rid = task.repair_id or task.stripe_id
         asm = self._wire_assembly.get(rid)
-        if (
-            asm is None
-            or not asm.watchdog
-            or asm.complete
-            or asm.failed
-            or asm.escalate
-        ):
+        if asm is None or not asm.running:
             return
         asm.corruption_detected = True
         if task.chunk_index not in asm.quarantined:
@@ -606,12 +616,7 @@ class ClusterSystem:
     def _on_bad_slice(self, dest: int, data: SliceData) -> None:
         """An in-flight slice failed its checksum at the receiving hop."""
         rid = data.repair_id or data.stripe_id
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "repro_integrity_corruption_detected_total",
-                "Silent-corruption detections, by detection path.",
-                kind="wire",
-            ).inc()
+        self._count_detection("wire")
         span = self._pipeline_spans.get((rid, data.pipeline_id))
         if self.tracer.enabled:
             self.tracer.event(
@@ -623,7 +628,8 @@ class ClusterSystem:
             data.source, dest, data.start, data.stop, rid,
         )
         asm = self._wire_assembly.get(rid)
-        if asm is not None:
+        if asm is not None and asm.watchdog:
+            # an unwatched chunk reports only what its settle finds
             asm.corruption_detected = True
         if rid in self._retired or not self._alive[data.source]:
             return  # stale epoch / dead sender: the watchdog path owns it
@@ -643,38 +649,44 @@ class ClusterSystem:
         # a refused retransmit leaves the range incomplete; the progress
         # watchdog aborts and re-plans the remainder
 
-    def _integrity_audit(self, stripe_id: str, lost_chunk: int, rebuilt):
-        """Digest-scan the stripe's stored chunks, then parity-audit.
+    def _audit(self, asm: _Assembly):
+        """The audit-and-quarantine loop of both repair families (each
+        judges the returned ``AuditReport`` by its own rule): digest-scan
+        the stored chunks, parity-audit the rebuilt buffer, quarantine
+        and record every culprit, and mark the assembly
+        ``corruption_detected`` when the audit fails.
 
-        Returns ``(AuditReport, holders)`` with ``holders`` mapping each
-        scanned chunk index to its node.  Only live, non-quarantined
-        holders participate; the leave-one-out localization therefore
-        runs within *stored* chunks only — with a rotten helper both the
-        helper and the rebuilt value are off-codeword, so mixing the
-        rebuilt chunk into the candidate set could never localize.
+        Only live, non-quarantined holders participate; the leave-one-out
+        localization therefore runs within *stored* chunks only — with a
+        rotten helper both the helper and the rebuilt value are
+        off-codeword, so mixing the rebuilt chunk into the candidate set
+        could never localize.
         """
-        loc = self.master.stripe(stripe_id)
+        sid = asm.stripe_id
+        loc = self.master.stripe(sid)
         stored: dict[int, np.ndarray] = {}
         digest_bad: list[int] = []
-        holders: dict[int, int] = {}
         for ci, node in enumerate(loc.placement):
-            if ci == lost_chunk:
-                continue
-            if not self._alive[node] or self.master.is_quarantined(stripe_id, ci):
+            if ci == asm.lost_chunk or not self._can_serve(sid, ci, node):
                 continue
             store = self.nodes[node].store
-            if not store.has(stripe_id, ci):
+            if not store.has(sid, ci):
                 continue
-            holders[ci] = node
-            if store.verify(stripe_id, ci):
-                stored[ci] = store.view(stripe_id, ci)
+            if store.verify(sid, ci):
+                stored[ci] = store.view(sid, ci)
             else:
                 digest_bad.append(ci)
         report = audit_stripe(
-            self.code, lost_chunk, rebuilt, stored,
+            self.code, asm.lost_chunk, asm.buffer, stored,
             digest_bad=tuple(digest_bad),
         )
-        return report, holders
+        if report.ok is False:
+            for ci in report.culprits:
+                self.quarantine_chunk(sid, ci, kind="verify")
+                if ci not in asm.quarantined:
+                    asm.quarantined.append(ci)
+            asm.corruption_detected = True
+        return report
 
     def _verify_completed(self, asm: _Assembly) -> bool:
         """Post-repair verification of a completed watchdog assembly.
@@ -684,9 +696,7 @@ class ClusterSystem:
         were poisoned, the culprit is quarantined, and a fresh attempt
         has been scheduled over the remaining helpers.
         """
-        report, holders = self._integrity_audit(
-            asm.stripe_id, asm.lost_chunk, asm.buffer
-        )
+        report = self._audit(asm)
         tracer = self.tracer
         m = self.metrics
 
@@ -715,13 +725,6 @@ class ClusterSystem:
             asm.integrity_ok = None
             note("unverifiable")
             return True
-        for ci in report.culprits:
-            self.quarantine_chunk(
-                asm.stripe_id, ci, holders.get(ci), kind="verify"
-            )
-            if ci not in asm.quarantined:
-                asm.quarantined.append(ci)
-        asm.corruption_detected = True
         if report.rebuilt_ok:
             # rot exists at rest but the culprit never fed this repair:
             # the rebuilt value checks out against the clean chunks
@@ -773,32 +776,6 @@ class ClusterSystem:
         note("failed")
         return True
 
-    def _audit_multi_chunk(
-        self, stripe_id: str, lost: int, buffer
-    ) -> tuple[bool, tuple[int, ...], bool]:
-        """Detection-only audit for multi-chunk settle paths.
-
-        Returns ``(store_ok, quarantined, detected)``: whether the
-        rebuilt bytes may be persisted, which chunks were quarantined,
-        and whether corruption was detected at all.  No healing or
-        re-repair here — the multi paths surface an explicit failed
-        outcome and let their caller re-dispatch.
-        """
-        report, holders = self._integrity_audit(stripe_id, lost, buffer)
-        if report.ok is not False:
-            return True, (), False
-        for ci in report.culprits:
-            self.quarantine_chunk(stripe_id, ci, holders.get(ci), kind="verify")
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "repro_integrity_verifications_total",
-                "Post-repair stripe verifications by result.",
-                result="ok" if report.rebuilt_ok else "failed",
-            ).inc()
-        if report.rebuilt_ok:
-            return True, report.culprits, True
-        return False, report.culprits, True
-
     # ---- repair ------------------------------------------------------- #
 
     def repair(
@@ -807,7 +784,6 @@ class ClusterSystem:
         failed_node: int,
         requester: int,
         *,
-        inject_failure: tuple[int, float] | None = None,
         injector=None,
         max_attempts: int = 3,
         store: bool = True,
@@ -829,9 +805,10 @@ class ClusterSystem:
         :meth:`repair_multi` (which persists the rebuilt chunks
         regardless of ``store``).
 
-        Faults: ``inject_failure=(node, delay)`` crashes one node
-        ``delay`` simulated seconds in; ``injector`` arms a whole
-        :class:`~repro.faults.FaultInjector` schedule.
+        Faults: ``injector`` arms a whole
+        :class:`~repro.faults.FaultInjector` schedule (a single crash is
+        ``events.schedule(delay, lambda: fail_node(node))`` before the
+        call).
 
         After ``max_attempts`` attempts (or an impossible re-plan) the
         repair ends with an explicit verdict: ``on_failure="raise"``
@@ -848,26 +825,15 @@ class ClusterSystem:
             raise ValueError('on_failure must be "raise" or "outcome"')
         asm = self._open_repair(
             stripe_id, failed_node, requester,
-            inject_failure=inject_failure,
             injector=injector,
             store=store,
             max_attempts=max_attempts,
         )
         self.events.run()
-        self._drop_assembly(asm)
-
-        if asm.escalate:
-            outcome = self._finish_escalated(asm)
-        else:
-            outcome = self._settle_outcome(asm)
-        self._finalize_repair_obs(asm, outcome)
+        outcome = self._settle_outcome(asm, drained=True)
         if outcome.status == FAILED and on_failure == "raise":
-            if asm.escalate:
-                raise RuntimeError(
-                    f"repair of {stripe_id} failed: {outcome.failure_reason}"
-                )
             raise RuntimeError(
-                f"repair of {stripe_id} failed after {asm.attempt} "
+                f"repair of {stripe_id} failed after {outcome.attempts} "
                 f"attempts: {outcome.failure_reason}"
             )
         return outcome
@@ -883,9 +849,7 @@ class ClusterSystem:
         """
         loc = self.master.stripe(stripe_id)
         node = loc.node_of(chunk_index)
-        if self._alive[node] and not self.master.is_quarantined(
-            stripe_id, chunk_index
-        ):
+        if self._can_serve(stripe_id, chunk_index, node):
             payload = self.nodes[node].store.get(stripe_id, chunk_index)
             snap = self.master.snapshot()
             rate = min(snap.uplink[node], snap.downlink[reader])
@@ -905,31 +869,16 @@ class ClusterSystem:
         An (n, k) stripe tolerates up to n-k simultaneous failures; each
         lost chunk is rebuilt at its own requester by an independent
         multi-pipeline plan over the shared surviving helpers, all
-        executing in the same event-queue run (the second plan is
-        computed on the bandwidth the first leaves behind, so their
-        union is feasible).  Returns outcomes keyed by failed node.
+        executing in the same event-queue run (each plan gets a fair 1/m
+        share of every node's bandwidth, so their union is feasible).
+        Returns outcomes keyed by failed node, in listed order; a chunk
+        that never completes (a helper crashed mid-transfer) comes back
+        ``failed`` while its siblings still settle.
         """
-        failed_nodes = tuple(failed_nodes)
         plans = self._plan_multi(stripe_id, failed_nodes, requester_for)
-        asms = [
-            self._open_planned_repair(
-                plans[f], stripe_id, f, requester_for[f], f"{stripe_id}/n{f}"
-            )
-            for f in failed_nodes
-        ]
-        self.events.run()
-        # forget every chunk of the call before judging any of them: a
-        # stall must not leave its siblings registered
-        for asm in asms:
-            self._pop_assembly(asm.repair_id)
-        outcomes: dict[int, RepairOutcome] = {}
-        for asm in asms:
-            if not asm.complete:
-                raise RuntimeError(
-                    f"multi-failure repair of chunk on {asm.failed_node} stalled"
-                )
-            outcomes[asm.failed_node] = self._settle_planned(asm)
-        return outcomes
+        return self._run_group(
+            [(f, plan, stripe_id, f, requester_for[f]) for f, plan in plans.items()]
+        )
 
     def repair_node(
         self,
@@ -954,24 +903,18 @@ class ClusterSystem:
         live_pool = [
             i for i in range(self.num_nodes) if self._alive[i]
         ]
-        for i, sid in enumerate(stripe_ids):
-            if sid in requester_for:
-                continue
-            loc = self.master.stripe(sid)
-            candidates = [r for r in live_pool if r not in loc.placement]
-            if not candidates:
-                raise RuntimeError(f"no replacement node available for {sid}")
-            requester_for[sid] = candidates[i % len(candidates)]
-
         specs = []
-        for sid in stripe_ids:
+        for i, sid in enumerate(stripe_ids):
             loc = self.master.stripe(sid)
+            if sid not in requester_for:
+                candidates = [r for r in live_pool if r not in loc.placement]
+                if not candidates:
+                    raise RuntimeError(f"no replacement node available for {sid}")
+                requester_for[sid] = candidates[i % len(candidates)]
             helpers = tuple(
                 n
                 for n in loc.placement
-                if n != failed_node
-                and self._alive[n]
-                and not self.master.is_quarantined(sid, loc.chunk_on(n))
+                if n != failed_node and self._can_serve(sid, loc.chunk_on(n), n)
             )
             specs.append(
                 StripeRepairSpec(
@@ -990,27 +933,10 @@ class ClusterSystem:
         )
         outcomes: dict[str, RepairOutcome] = {}
         for batch in node_plan.batches:
-            asms = [
-                self._open_planned_repair(
-                    node_plan.plans[sid], sid, failed_node, requester_for[sid],
-                    f"{sid}/n{failed_node}",
-                )
+            outcomes.update(self._run_group([
+                (sid, node_plan.plans[sid], sid, failed_node, requester_for[sid])
                 for sid in batch
-            ]
-            self.events.run()
-            for asm in asms:
-                self._pop_assembly(asm.repair_id)
-                if asm.complete:
-                    outcomes[asm.stripe_id] = self._settle_planned(asm)
-                    continue
-                # structured per-stripe verdict: whole-node recovery
-                # degrades (other stripes keep repairing) instead of
-                # aborting the batch loop with a bare RuntimeError
-                outcomes[asm.stripe_id] = self._failed_outcome(
-                    asm,
-                    f"batched repair incomplete: {asm.received} of "
-                    f"{asm.chunk_bytes} bytes arrived",
-                )
+            ]))
         return outcomes
 
     # ---- non-blocking dispatch (recovery-orchestrator substrate) ------ #
@@ -1035,9 +961,7 @@ class ClusterSystem:
         loc = self.master.stripe(stripe_id)
         failed_nodes = tuple(failed_nodes)
         if any(
-            self._alive[f]
-            and not self.master.is_quarantined(stripe_id, loc.chunk_on(f))
-            for f in failed_nodes
+            self._can_serve(stripe_id, loc.chunk_on(f), f) for f in failed_nodes
         ):
             raise ValueError("all listed nodes must have failed")
         if len(failed_nodes) > self.code.n - self.code.k:
@@ -1048,8 +972,7 @@ class ClusterSystem:
         helpers = tuple(
             n for n in loc.placement
             if n not in failed_nodes
-            and self._alive[n]
-            and not self.master.is_quarantined(stripe_id, loc.chunk_on(n))
+            and self._can_serve(stripe_id, loc.chunk_on(n), n)
         )
         if len(helpers) < self.code.k:
             raise ValueError("not enough surviving helpers to decode")
@@ -1112,7 +1035,7 @@ class ClusterSystem:
         """
         asm = self._open_repair(
             stripe_id, failed_node, requester,
-            on_done=lambda a, cb=on_done: self._complete_async(a, cb),
+            on_done=lambda asm, cb=on_done: cb(self._settle_outcome(asm)),
             store=store,
             max_attempts=max_attempts,
             bandwidth_scale=bandwidth_scale,
@@ -1127,7 +1050,6 @@ class ClusterSystem:
         *,
         store: bool,
         max_attempts: int,
-        inject_failure: tuple[int, float] | None = None,
         injector=None,
         on_done=None,
         **budget,
@@ -1139,9 +1061,7 @@ class ClusterSystem:
         the assembly and the repair span's attributes.
         """
         lost_chunk = self.master.stripe(stripe_id).chunk_on(failed_node)
-        if self._alive[failed_node] and not self.master.is_quarantined(
-            stripe_id, lost_chunk
-        ):
+        if self._can_serve(stripe_id, lost_chunk, failed_node):
             raise ValueError(f"node {failed_node} has not failed")
         if not self._alive[requester]:
             raise ValueError("requester node is down")
@@ -1151,24 +1071,13 @@ class ClusterSystem:
             # chunk (a degraded read racing the orchestrator) never collide
             self._async_seq += 1
             repair_id += f"@a{self._async_seq}"
-        if inject_failure is not None:
-            node, delay = inject_failure
-            self.events.schedule(delay, lambda n=node: self.fail_node(n))
         if injector is not None:
             injector.arm(self)
-        chunk_bytes = self._stripe_sizes[stripe_id]
-        asm = _Assembly(
-            stripe_id=stripe_id,
-            repair_id=repair_id,
-            requester=requester,
-            chunk_bytes=chunk_bytes,
-            failed_node=failed_node,
-            lost_chunk=lost_chunk,
-            buffer=np.zeros(chunk_bytes, dtype=np.uint8),
+        asm = self._open_assembly(
+            stripe_id, failed_node, requester, repair_id, budget,
             max_attempts=max_attempts,
             watchdog=True,
             store=store,
-            start_time=self.events.now,
             busy_before=(
                 [(n.uplink_busy_s, n.downlink_busy_s) for n in self.nodes]
                 if self.metrics.enabled
@@ -1176,6 +1085,27 @@ class ClusterSystem:
             ),
             on_done=on_done,
             **budget,
+        )
+        self._start_attempt(asm)
+        return asm
+
+    def _open_assembly(
+        self, stripe_id: str, failed_node: int, requester: int,
+        repair_id: str, span_attrs: dict, **fields,
+    ) -> _Assembly:
+        """Register a fresh assembly of the chunk ``failed_node`` lost and
+        open its repair span: the set-up both repair families share."""
+        chunk_bytes = self._stripe_sizes[stripe_id]
+        asm = _Assembly(
+            stripe_id=stripe_id,
+            repair_id=repair_id,
+            requester=requester,
+            chunk_bytes=chunk_bytes,
+            failed_node=failed_node,
+            lost_chunk=self.master.stripe(stripe_id).chunk_on(failed_node),
+            buffer=np.zeros(chunk_bytes, dtype=np.uint8),
+            start_time=self.events.now,
+            **fields,
         )
         if self.tracer.enabled:
             asm.span = self.tracer.start_span(
@@ -1186,24 +1116,53 @@ class ClusterSystem:
                 requester=requester,
                 chunk_bytes=chunk_bytes,
                 algorithm=self.master.algorithm.name,
-                **budget,
+                **span_attrs,
             )
         self._assemblies[repair_id] = asm
-        self._start_attempt(asm)
         return asm
 
-    def _settle_outcome(self, asm: _Assembly) -> RepairOutcome:
-        """Terminal outcome of a finished, non-escalated watchdog repair."""
-        if not asm.complete or asm.failed:
-            return self._failed_outcome(
+    def _settle_outcome(
+        self, asm: _Assembly, *, drained: bool = False
+    ) -> RepairOutcome:
+        """Close a terminal watchdog repair and settle it: the tail of
+        :meth:`repair` (``drained``) and of :meth:`repair_async`.
+
+        An escalated repair restarts through :meth:`repair_multi` once
+        the queue has drained; inside a run, which cannot nest, it is
+        bounced back ``failed`` with :data:`ESCALATION_MARK`.
+        """
+        self._close_assembly(asm, drained=drained)
+        if asm.escalate and drained:
+            outcome = self._finish_escalated(asm)
+        elif asm.escalate:
+            outcome = self._failed_outcome(
+                asm, f"second chunk lost mid-repair; {ESCALATION_MARK}"
+            )
+        elif not asm.complete or asm.failed:
+            outcome = self._failed_outcome(
                 asm, asm.failure_reason or "repair did not complete"
             )
-        lost_chunk = asm.lost_chunk
-        rebuilt = asm.buffer
+        else:
+            outcome = self._persist_outcome(asm)
+            if not outcome.verified and asm.integrity_ok is True:
+                # the "original" on the failed/quarantined node was itself
+                # rotten (or gone): parity verification over the clean
+                # stored chunks proved the rebuilt value correct
+                outcome.verified = True
+        self._finalize_repair_obs(asm, outcome)
+        return outcome
+
+    def _persist_outcome(self, asm: _Assembly) -> RepairOutcome:
+        """The settle tail both repair families share: persist the rebuilt
+        chunk at the requester (``asm.store`` only) with a torn-write
+        readback, relocate it there, and set ``verified`` to its equality
+        with the oracle copy on the failed node (each family overrides
+        that by its own rule when the oracle cannot be trusted)."""
+        sid, lost, rebuilt = asm.stripe_id, asm.lost_chunk, asm.buffer
         if asm.store:
             store = self.nodes[asm.requester].store
-            store.put(asm.stripe_id, lost_chunk, rebuilt)
-            if not store.verify(asm.stripe_id, lost_chunk):
+            store.put(sid, lost, rebuilt)
+            if not store.verify(sid, lost):
                 # a torn write garbled the persisted copy; the digest
                 # caught it on readback — rewrite from the in-memory
                 # buffer (the tear is one-shot)
@@ -1212,61 +1171,22 @@ class ClusterSystem:
                     "%s: torn write caught on readback at node %d",
                     asm.repair_id, asm.requester,
                 )
-                if self.metrics.enabled:
-                    self.metrics.counter(
-                        "repro_integrity_corruption_detected_total",
-                        "Silent-corruption detections, by detection path.",
-                        kind="torn-write",
-                    ).inc()
+                self._count_detection("torn-write")
                 if self.tracer.enabled:
                     self.tracer.event(
                         asm.span, "integrity.torn_write", node=asm.requester
                     )
-                store.put(asm.stripe_id, lost_chunk, rebuilt)
-            self.master.relocate_chunk(asm.stripe_id, lost_chunk, asm.requester)
-        failed_store = self.nodes[asm.failed_node].store
-        if failed_store.has(asm.stripe_id, lost_chunk):
-            original = failed_store.view(asm.stripe_id, lost_chunk)
-            verified = bool(np.array_equal(rebuilt, original))
-        else:
-            verified = False
-        if not verified and asm.integrity_ok is True:
-            # the "original" on the failed/quarantined node was itself
-            # rotten (or gone): parity verification over the clean
-            # stored chunks proved the rebuilt value correct
-            verified = True
-        return RepairOutcome(
-            plan=asm.plan,
+                store.put(sid, lost, rebuilt)
+            self.master.relocate_chunk(sid, lost, asm.requester)
+        oracle = self.nodes[asm.failed_node].store
+        return self._outcome(
+            asm,
+            asm.last_arrival,
             rebuilt=rebuilt,
-            elapsed_seconds=asm.last_arrival - asm.start_time,
-            bytes_received=asm.received,
-            verified=verified,
-            attempts=asm.attempt,
+            verified=oracle.has(sid, lost)
+            and bool(np.array_equal(rebuilt, oracle.view(sid, lost))),
             status=DEGRADED if asm.degraded else COMPLETED,
-            retries=asm.retries,
-            replans=asm.replans,
-            bytes_retransferred=asm.bytes_retransferred,
-            corruption_detected=asm.corruption_detected,
-            quarantined_chunks=tuple(sorted(asm.quarantined)),
         )
-
-    def _complete_async(self, asm: _Assembly, callback) -> None:
-        """Terminal handler for :meth:`repair_async` dispatches."""
-        if asm.escalate:
-            outcome = self._failed_outcome(
-                asm, f"second chunk lost mid-repair; {ESCALATION_MARK}"
-            )
-        else:
-            outcome = self._settle_outcome(asm)
-        self._finalize_repair_obs(asm, outcome)
-        # routing cleanup WITHOUT purging retired epochs: stale slices of
-        # aborted attempts may still be in flight and must keep being
-        # dropped silently; the finished wire joins the retired set so a
-        # straggling duplicate cannot hit an unknown-assembly error
-        self._assemblies.pop(asm.repair_id, None)
-        self._wire_assembly.pop(asm.wire_id, None)
-        self._retired.add(asm.wire_id or asm.repair_id)
-        callback(outcome)
 
     def repair_multi_async(
         self,
@@ -1290,57 +1210,84 @@ class ClusterSystem:
         an orchestrator can re-queue them.
         (DESIGN.md, "Repair entry points", tabulates all five calls.)
         """
-        failed_nodes = tuple(failed_nodes)
         plans = self._plan_multi(
             stripe_id, failed_nodes, requester_for,
             bandwidth_scale=bandwidth_scale,
         )
+        return self._run_chunk_group(
+            [(f, plan, stripe_id, f, requester_for[f]) for f, plan in plans.items()],
+            on_done,
+            deadline_s,
+        )[0]
+
+    def _run_chunk_group(self, jobs: list, on_done, deadline_s=None):
+        """The one executor behind :meth:`repair_multi`,
+        :meth:`repair_node` and :meth:`repair_multi_async`.
+
+        Opens an unwatched repair per ``(key, plan, stripe_id,
+        failed_node, requester)`` job and settles each chunk through
+        :meth:`_settle_planned` as it assembles; ``on_done(outcomes)``
+        fires once, keyed in job order, after the last.  Returns the
+        group's repair-id suffix and ``close(reason)``, which fails every
+        chunk still open with ``reason(assembly)`` and reports; the
+        ``deadline_s`` timer calls it too.
+        """
         self._async_seq += 1
         group = f"@m{self._async_seq}"
-        remaining = set(failed_nodes)
-        outcomes: dict[int, RepairOutcome] = {}
-        deadline_timer: list = [None]
+        outcomes = dict.fromkeys(job[0] for job in jobs)
+        pending: dict = {}
+        timer = None
 
-        def chunk_done(asm: _Assembly) -> None:
-            outcomes[asm.failed_node] = self._settle_planned(asm)
-            self._pop_assembly(asm.repair_id)
-            self._retired.add(asm.wire_id)
-            remaining.discard(asm.failed_node)
-            if not remaining:
-                if deadline_timer[0] is not None:
-                    self.events.cancel(deadline_timer[0])
-                on_done(dict(outcomes))
+        def report() -> None:
+            if timer is not None:
+                self.events.cancel(timer)
+            on_done(outcomes)
 
-        def on_deadline() -> None:
-            deadline_timer[0] = None
-            if not remaining:
+        def settle(key, asm: _Assembly) -> None:
+            outcomes[key] = self._settle_planned(asm)
+            self._close_assembly(asm)
+            del pending[key]
+            if not pending:
+                report()
+
+        def close(reason) -> None:
+            if not pending:
                 return
-            for f in sorted(remaining):
-                rid = asms[f].repair_id
-                asm = self._assemblies.get(rid)
-                if asm is None:
-                    continue
-                asm.on_done = None
-                for node in self.nodes:
-                    node.cancel_repair(rid)
-                self._retired.add(rid)
-                outcomes[f] = self._failed_outcome(
-                    self._pop_assembly(rid),
-                    f"multi-chunk repair missed its {deadline_s:g}s deadline",
-                )
-            remaining.clear()
-            on_done(dict(outcomes))
+            for key, asm in pending.items():
+                self._retire_attempt(asm)
+                self._close_assembly(asm)
+                outcomes[key] = self._failed_outcome(asm, reason(asm))
+            pending.clear()
+            report()
 
-        asms = {
-            f: self._open_planned_repair(
-                plans[f], stripe_id, f, requester_for[f],
-                f"{stripe_id}/n{f}{group}", on_done=chunk_done,
+        for key, plan, stripe_id, failed_node, requester in jobs:
+            pending[key] = self._open_planned_repair(
+                plan, stripe_id, failed_node, requester,
+                f"{stripe_id}/n{failed_node}{group}",
+                lambda asm, k=key: settle(k, asm),
             )
-            for f in failed_nodes
-        }
         if deadline_s is not None:
-            deadline_timer[0] = self.events.schedule(deadline_s, on_deadline)
-        return group
+            missed = f"multi-chunk repair missed its {deadline_s:g}s deadline"
+            timer = self.events.schedule(
+                deadline_s, lambda: close(lambda asm: missed)
+            )
+        return group, close
+
+    def _run_group(self, jobs: list) -> dict:
+        """Run one chunk group on a queue this call owns, to the end.
+
+        Once the queue has drained, a chunk still open can never
+        complete (a helper crashed mid-transfer): it comes back
+        ``failed`` and the outcomes of its siblings stand.
+        """
+        outcomes: dict = {}
+        _, close = self._run_chunk_group(jobs, outcomes.update)
+        self.events.run()
+        close(
+            lambda asm: f"batched repair incomplete: {asm.received} of "
+            f"{asm.chunk_bytes} bytes arrived"
+        )
+        return outcomes
 
     def _open_planned_repair(
         self,
@@ -1349,89 +1296,51 @@ class ClusterSystem:
         failed_node: int,
         requester: int,
         repair_id: str,
-        on_done=None,
+        on_done,
     ) -> _Assembly:
         """Open an unwatched repair of one chunk along a ready-made plan.
 
-        The one dispatch behind :meth:`repair_multi`, :meth:`repair_node`
-        and :meth:`repair_multi_async`: a single attempt, no watchdog,
-        no re-plan.  ``on_done(assembly)`` fires when the chunk
-        assembles; without it the caller settles after draining the
-        queue.
+        The one dispatch behind :meth:`_run_chunk_group`: a single
+        attempt, no watchdog, no re-plan.  ``on_done(assembly)`` fires
+        when the chunk assembles.
         """
-        chunk_bytes = self._stripe_sizes[stripe_id]
-        lost_chunk = self.master.stripe(stripe_id).chunk_on(failed_node)
-        windows = max(1, -(-chunk_bytes // self.slice_bytes))
-        tasks = self.master.compile_tasks(
-            plan, stripe_id, lost_chunk, chunk_bytes=chunk_bytes,
-            num_slices=windows, repair_id=repair_id,
+        asm = self._open_assembly(
+            stripe_id, failed_node, requester, repair_id,
+            {"t_max_mbps": float(plan.total_rate)},
+            plan=plan, attempt=1, on_done=on_done,
         )
-        asm = _Assembly(
-            stripe_id=stripe_id,
-            repair_id=repair_id,
-            requester=requester,
-            chunk_bytes=chunk_bytes,
-            failed_node=failed_node,
-            lost_chunk=lost_chunk,
-            buffer=np.zeros(chunk_bytes, dtype=np.uint8),
-            plan=plan,
-            wire_id=repair_id,
-            attempt=1,
-            start_time=self.events.now,
-            on_done=on_done,
-        )
-        if self.tracer.enabled:
-            asm.span = self.tracer.start_span(
-                f"repair {repair_id}",
-                kind="repair",
-                stripe=stripe_id,
-                requester=requester,
-                chunk_bytes=chunk_bytes,
-                algorithm=self.master.algorithm.name,
-                t_max_mbps=float(plan.total_rate),
-            )
-        self._assemblies[repair_id] = asm
-        self._wire_assembly[repair_id] = asm
-        self._dispatch_tasks(asm, tasks)
+        self._dispatch_tasks(asm, repair_id)
         return asm
 
     def _settle_planned(self, asm: _Assembly) -> RepairOutcome:
-        """Settle a completed unwatched chunk: audit, persist, relocate,
-        verify.  A failed audit is an explicit failed verdict — the
-        caller re-dispatches; nothing is healed or re-repaired here."""
+        """Settle a completed unwatched chunk: audit, then the shared
+        persist tail.  Detect-only: a failed audit that cannot vouch for
+        the rebuilt bytes is an explicit failed verdict — the caller
+        re-dispatches; nothing is healed or re-repaired here."""
+        report = self._audit(asm)
+        if report.ok is False:
+            if self.metrics.enabled:
+                self.metrics.counter(
+                    "repro_integrity_verifications_total",
+                    "Post-repair stripe verifications by result.",
+                    result="ok" if report.rebuilt_ok else "failed",
+                ).inc()
+            if not report.rebuilt_ok:
+                return self._failed_outcome(
+                    asm,
+                    "rebuilt chunk failed integrity verification",
+                    end=asm.last_arrival,
+                )
+        outcome = self._persist_outcome(asm)
+        oracle = self.nodes[asm.failed_node].store
         sid, lost = asm.stripe_id, asm.lost_chunk
-        store_ok, quarantined, detected = self._audit_multi_chunk(
-            sid, lost, asm.buffer
-        )
-        asm.corruption_detected = detected
-        asm.quarantined = list(quarantined)
-        if not store_ok:
-            return self._failed_outcome(
-                asm,
-                "rebuilt chunk failed integrity verification",
-                end=asm.last_arrival,
-            )
-        self.nodes[asm.requester].store.put(sid, lost, asm.buffer)
-        self.master.relocate_chunk(sid, lost, asm.requester)
-        fstore = self.nodes[asm.failed_node].store
-        verified = fstore.has(sid, lost) and bool(
-            np.array_equal(asm.buffer, fstore.view(sid, lost))
-        )
-        if not verified and not (
-            fstore.has(sid, lost) and fstore.verify(sid, lost)
+        if not outcome.verified and not (
+            oracle.has(sid, lost) and oracle.verify(sid, lost)
         ):
             # the oracle copy is itself rotten (scrub-repair, or rot then
             # crash) or gone; the parity audit is the only ground truth left
-            verified = store_ok
-        return RepairOutcome(
-            plan=asm.plan,
-            rebuilt=asm.buffer,
-            elapsed_seconds=asm.last_arrival - asm.start_time,
-            bytes_received=asm.received,
-            verified=verified,
-            corruption_detected=detected,
-            quarantined_chunks=quarantined,
-        )
+            outcome.verified = True
+        return outcome
 
     def _failed_outcome(
         self, asm: _Assembly, reason: str, *, end: float | None = None
@@ -1441,29 +1350,38 @@ class ClusterSystem:
         The repair ran from ``asm.start_time`` to ``end`` (now, when
         unset).
         """
-        if end is None:
-            end = self.events.now
-        return RepairOutcome(
+        return self._outcome(
+            asm,
+            self.events.now if end is None else end,
+            status=FAILED,
+            failure_reason=reason,
+        )
+
+    def _outcome(self, asm: _Assembly, end: float, **verdict) -> RepairOutcome:
+        """The one :class:`RepairOutcome` builder: every field read off
+        the assembly of a repair that ran from ``asm.start_time`` to
+        ``end``, then overridden by ``verdict``."""
+        fields = dict(
             plan=asm.plan,
             rebuilt=None,
             elapsed_seconds=end - asm.start_time,
             bytes_received=asm.received,
             verified=False,
             attempts=max(asm.attempt, 1),
-            status=FAILED,
             retries=asm.retries,
             replans=asm.replans,
             bytes_retransferred=asm.bytes_retransferred,
-            failure_reason=reason,
             corruption_detected=asm.corruption_detected,
             quarantined_chunks=tuple(sorted(asm.quarantined)),
         )
+        fields.update(verdict)
+        return RepairOutcome(**fields)
 
     # ---- self-healing attempt state machine --------------------------- #
 
     def _start_attempt(self, asm: _Assembly) -> None:
         """Plan and dispatch one attempt over the unfinished remainder."""
-        if asm.complete or asm.failed or asm.escalate:
+        if not asm.running:
             return
         loc = self.master.stripe(asm.stripe_id)
         # dispatch-time liveness probe: the master checks the placement
@@ -1479,14 +1397,7 @@ class ClusterSystem:
         ):
             # a chunk the current plan was not even using is gone too —
             # single-chunk recovery cannot restore the stripe; escalate
-            asm.escalate = True
-            if self.tracer.enabled:
-                self.tracer.event(
-                    asm.span,
-                    "repair.escalate",
-                    reason="uninvolved chunk lost before attempt",
-                )
-            self._finish_assembly(asm, retire=True)
+            self._escalate(asm, reason="uninvolved chunk lost before attempt")
             return
         newly_dead = tuple(
             n
@@ -1535,27 +1446,12 @@ class ClusterSystem:
         asm.plan = plan
         if "recovery" in plan.meta:
             asm.degraded = True  # a ladder rung (promotion / star) was used
-        remainder = uncovered_intervals(asm.chunk_bytes, asm.completed)
-        remaining = sum(b - a for a, b in remainder)
         wire = (
             asm.repair_id
             if asm.attempt == 1
             else f"{asm.repair_id}#a{asm.attempt}"
         )
-        asm.wire_id = wire
-        self._wire_assembly[wire] = asm
-        lost_chunk = loc.chunk_on(asm.failed_node)
-        windows = max(1, -(-remaining // self.slice_bytes))
-        tasks = self.master.compile_tasks(
-            plan,
-            asm.stripe_id,
-            lost_chunk,
-            chunk_bytes=asm.chunk_bytes,
-            num_slices=windows,
-            repair_id=wire,
-            intervals=remainder,
-        )
-        self._dispatch_tasks(asm, tasks)
+        remaining = self._dispatch_tasks(asm, wire)
         if tracer.enabled:
             tracer.set_attrs(
                 asm.attempt_span,
@@ -1612,7 +1508,9 @@ class ClusterSystem:
                 n: self.nodes[n].uplink_busy_s
                 for n in asm.plan_participants()
             }
-        wire = asm.wire_id
+        self._schedule_detect(asm, asm.wire_id)
+
+    def _schedule_detect(self, asm: _Assembly, wire: str) -> None:
         asm.detect_timer = self.events.schedule(
             asm.detect_period_s, lambda a=asm, w=wire: self._detect_tick(a, w)
         )
@@ -1627,7 +1525,7 @@ class ClusterSystem:
 
     def _detect_tick(self, asm: _Assembly, wire: str) -> None:
         asm.detect_timer = None
-        if asm.complete or asm.failed or asm.escalate:
+        if not asm.running:
             return
         monitor = self.divergence
         if monitor is None:
@@ -1648,10 +1546,7 @@ class ClusterSystem:
         now = self.events.now
         dt = now - asm.detect_mark_t
         if dt <= 0:
-            asm.detect_timer = self.events.schedule(
-                asm.detect_period_s,
-                lambda a=asm, w=wire: self._detect_tick(a, w),
-            )
+            self._schedule_detect(asm, wire)
             return
         plan_rate = float(asm.plan.total_rate) if asm.plan is not None else 0.0
         realised = units.bytes_per_s_to_mbps((asm.received - asm.detect_mark) / dt)
@@ -1669,10 +1564,7 @@ class ClusterSystem:
         asm.detect_mark_t = now
         alarm = monitor.feed("repair.throughput_ratio", now, ratio, key=wire)
         if alarm is None:
-            asm.detect_timer = self.events.schedule(
-                asm.detect_period_s,
-                lambda a=asm, w=wire: self._detect_tick(a, w),
-            )
+            self._schedule_detect(asm, wire)
             return
         # divergence confirmed while the timeout is still ticking: abort
         # the attempt now instead of burning the rest of the window
@@ -1708,7 +1600,7 @@ class ClusterSystem:
 
     def _on_timeout(self, asm: _Assembly) -> None:
         asm.timer = None
-        if asm.complete or asm.failed or asm.escalate:
+        if not asm.running:
             return
         if asm.received > asm.timer_mark:
             self._arm_timer(asm)  # progress since the last check: keep watching
@@ -1823,71 +1715,82 @@ class ClusterSystem:
             callback, asm.on_done = asm.on_done, None
             callback(asm)
 
-    def _drop_assembly(self, asm: _Assembly) -> None:
-        """Forget a finished repair's routing state (queue is drained)."""
+    def _close_assembly(self, asm: _Assembly, *, drained: bool = False) -> None:
+        """The one exit of an assembly from the routing tables, ending its
+        open pipeline spans and an unwatched chunk's repair span (a
+        watchdog repair's ends in :meth:`_finalize_repair_obs`).
+
+        Inside a run the finished wire joins the retired set, so a
+        straggling slice of it is dropped silently; once the queue has
+        ``drained`` nothing of the repair can arrive any more, and its
+        retired epochs are forgotten instead."""
         self._assemblies.pop(asm.repair_id, None)
         self._wire_assembly.pop(asm.wire_id, None)
-        self._wire_assembly.pop(asm.repair_id, None)
-        prefix = asm.repair_id + "#"
-        self._retired = {
-            r
-            for r in self._retired
-            if r != asm.repair_id and not r.startswith(prefix)
-        }
-        if self._pipeline_spans:
-            for key in [
-                k
-                for k in self._pipeline_spans
-                if k[0] == asm.repair_id or k[0].startswith(prefix)
-            ]:
-                self.tracer.end_span(self._pipeline_spans.pop(key))
+        # earlier epochs closed their spans when they were retired
+        self._close_pipeline_spans(asm.wire_id)
+        if drained:
+            prefix = asm.repair_id + "#"
+            self._retired = {
+                r for r in self._retired
+                if r != asm.repair_id and not r.startswith(prefix)
+            }
+        else:
+            self._retired.add(asm.wire_id or asm.repair_id)
+        if not asm.watchdog and asm.span:
+            self.tracer.end_span(
+                asm.span,
+                status=COMPLETED if asm.complete else FAILED,
+                bytes_received=asm.received,
+            )
+            asm.span = None
 
     def _finish_escalated(self, asm: _Assembly) -> RepairOutcome:
         """Second chunk lost mid-repair: restart through repair_multi."""
         loc = self.master.stripe(asm.stripe_id)
         lost = tuple(n for n in loc.placement if not self._alive[n])
-        requester_for = {asm.failed_node: asm.requester}
-        used = {asm.requester}
+        others = [f for f in lost if f != asm.failed_node]
+        spares = [
+            r
+            for r in range(self.num_nodes)
+            if r != asm.requester
+            and r not in loc.placement
+            and self._alive[r]
+            and not self.master.is_node_dead(r)
+        ]
+        requester_for = {asm.failed_node: asm.requester, **dict(zip(others, spares))}
         fail_reason = None
-        for f in lost:
-            if f == asm.failed_node:
-                continue
-            cand = next(
-                (
-                    r
-                    for r in range(self.num_nodes)
-                    if self._alive[r]
-                    and r not in loc.placement
-                    and r not in used
-                    and not self.master.is_node_dead(r)
-                ),
-                None,
-            )
-            if cand is None:
-                fail_reason = f"no spare requester for chunk on node {f}"
-                break
-            requester_for[f] = cand
-            used.add(cand)
-        outcomes = None
-        if fail_reason is None:
+        if len(spares) < len(others):
+            fail_reason = f"no spare requester for chunk on node {others[len(spares)]}"
+        else:
             try:
-                outcomes = self.repair_multi(asm.stripe_id, lost, requester_for)
-            except (ValueError, RuntimeError) as exc:
+                ours = self.repair_multi(asm.stripe_id, lost, requester_for)[
+                    asm.failed_node
+                ]
+            except ValueError as exc:  # the multi-chunk planner refused
                 fail_reason = str(exc)
-        if outcomes is None:
+            else:
+                # the aborted attempt's verdict carries over, merged with
+                # what the multi-chunk settle found
+                asm.corruption_detected |= ours.corruption_detected
+                asm.quarantined.extend(
+                    ci for ci in ours.quarantined_chunks
+                    if ci not in asm.quarantined
+                )
+                if ours.status == FAILED:
+                    fail_reason = ours.failure_reason
+        if fail_reason is not None:
             return self._failed_outcome(
                 asm, f"second chunk lost mid-repair; {fail_reason}"
             )
-        ours = outcomes[asm.failed_node]
-        return RepairOutcome(
+        return self._outcome(
+            asm,
+            self.events.now,
             plan=ours.plan,
             rebuilt=ours.rebuilt,
-            elapsed_seconds=self.events.now - asm.start_time,
             bytes_received=asm.received + ours.bytes_received,
             verified=ours.verified,
             attempts=max(asm.attempt, 1) + 1,
             status=ESCALATED,
-            retries=asm.retries,
             replans=asm.replans + len(lost),
             bytes_retransferred=asm.bytes_retransferred + asm.received,
         )
@@ -1895,10 +1798,7 @@ class ClusterSystem:
     # ---- heartbeats ---------------------------------------------------- #
 
     def _active_watchdogs(self) -> bool:
-        return any(
-            a.watchdog and not (a.complete or a.failed or a.escalate)
-            for a in self._assemblies.values()
-        )
+        return any(a.running for a in self._assemblies.values())
 
     def _ensure_heartbeat(self) -> None:
         if not self._heartbeat_on or self._heartbeat_pending:
@@ -2005,18 +1905,25 @@ class ClusterSystem:
                 kind=kind,
             ).inc()
         if self.tracer.enabled:
-            live_span = next(
-                (a.span for a in self._assemblies.values() if a.span), None
-            )
             attrs = {"kind": kind}
             node = getattr(fault, "node", None)
             if node is not None:
                 attrs["node"] = node
-            self.tracer.event(live_span, "fault.injected", **attrs)
+            self.tracer.event(self._live_span(), "fault.injected", **attrs)
+
+    def _live_span(self):
+        """Some open repair's span, to hang a cluster-wide event on."""
+        return next((a.span for a in self._assemblies.values() if a.span), None)
 
     def _finalize_repair_obs(self, asm: _Assembly, outcome: RepairOutcome) -> None:
         """Close the repair span and publish end-of-repair metrics."""
         elapsed = max(outcome.elapsed_seconds, 0.0)
+        t_max = float(outcome.plan.total_rate) if outcome.plan is not None else 0.0
+        achieved = (
+            asm.done_bytes / units.mbps_to_bytes_per_s(1.0) / elapsed
+            if elapsed > 0
+            else 0.0
+        )
         if self.tracer.enabled and asm.span:
             self.tracer.set_attrs(
                 asm.span,
@@ -2045,10 +1952,6 @@ class ClusterSystem:
                 algorithm=algo,
             )
             if outcome.plan is not None and elapsed > 0:
-                t_max = float(outcome.plan.total_rate)
-                achieved = (
-                    asm.done_bytes / units.mbps_to_bytes_per_s(1.0) / elapsed
-                )
                 f.observe("repro_achieved_mbps", achieved, t=now, algorithm=algo)
                 if t_max > 0:
                     f.observe(
@@ -2086,15 +1989,11 @@ class ClusterSystem:
             "Payload bytes folded into requester assembly buffers.",
         ).inc(outcome.bytes_received)
         if outcome.plan is not None:
-            t_max = float(outcome.plan.total_rate)
             m.gauge(
                 "repro_t_max_mbps",
                 "Planned repair throughput t_max of the last plan (Mbps).",
             ).set(t_max)
             if elapsed > 0:
-                achieved = (
-                    asm.done_bytes / units.mbps_to_bytes_per_s(1.0) / elapsed
-                )
                 m.gauge(
                     "repro_achieved_mbps",
                     "Decoded-chunk throughput actually achieved (Mbps).",
@@ -2130,10 +2029,22 @@ class ClusterSystem:
 
     # ---- internals ---------------------------------------------------- #
 
-    def _dispatch_tasks(self, asm: _Assembly, tasks: list[TransferTask]) -> None:
-        """Expect the requester-bound ranges of the attempt's tasks, open
-        its pipeline spans, and hand every task to the node holding its
-        chunk after the dispatch latency."""
+    def _dispatch_tasks(self, asm: _Assembly, wire: str) -> int:
+        """Compile ``asm.plan`` over the chunk's unfinished remainder on
+        the wire epoch ``wire``, expect the requester-bound ranges of its
+        tasks, open its pipeline spans, and hand every task to the node
+        holding its chunk after the dispatch latency.  Returns the
+        remainder's size in bytes."""
+        remainder = uncovered_intervals(asm.chunk_bytes, asm.completed)
+        remaining = sum(b - a for a, b in remainder)
+        asm.wire_id = wire
+        self._wire_assembly[wire] = asm
+        tasks = self.master.compile_tasks(
+            asm.plan, asm.stripe_id, asm.lost_chunk,
+            chunk_bytes=asm.chunk_bytes,
+            num_slices=max(1, -(-remaining // self.slice_bytes)),
+            repair_id=wire, intervals=remainder,
+        )
         loc = self.master.stripe(asm.stripe_id)
         asm.expected = {}
         asm.outstanding = {}
@@ -2162,25 +2073,13 @@ class ClusterSystem:
                 self.dispatch_latency_s,
                 lambda t=task, o=owner: self._assign_if_alive(o, t),
             )
+        return remaining
 
     def _assign_if_alive(self, node: int, task: TransferTask) -> None:
         # a same-batch assign may race an abort (e.g. a bad-chunk
         # quarantine at assign time): never execute tasks of a retired wire
         if self._alive[node] and (task.repair_id or task.stripe_id) not in self._retired:
             self.nodes[node].assign(task)
-
-    def _pop_assembly(self, repair_id: str) -> _Assembly:
-        asm = self._assemblies.pop(repair_id)
-        self._wire_assembly.pop(asm.wire_id, None)
-        self._close_pipeline_spans(asm.wire_id)
-        if asm.span:
-            self.tracer.end_span(
-                asm.span,
-                status=COMPLETED if asm.complete else FAILED,
-                bytes_received=asm.received,
-            )
-            asm.span = None
-        return asm
 
     def _deliver(self, destination: int, data: SliceData) -> None:
         """Route a slice either to a data node or into requester assembly."""
@@ -2200,14 +2099,9 @@ class ClusterSystem:
             node.receive(data)
             return
         asm = self._wire_assembly.get(rid)
-        if asm is None:
-            if rid in self._retired:
+        if asm is None or asm.requester != destination:
+            if asm is None and rid in self._retired:
                 return  # stale slice from an aborted attempt's epoch
-            raise RuntimeError(
-                f"slice for {data.stripe_id} delivered to unexpected node "
-                f"{destination}"
-            )
-        if asm.requester != destination:
             raise RuntimeError(
                 f"slice for {data.stripe_id} delivered to unexpected node "
                 f"{destination}"

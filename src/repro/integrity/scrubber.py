@@ -121,9 +121,7 @@ class Scrubber:
             chunk_bytes = system.chunk_bytes_of(stripe_id)
             touched = False
             for chunk_index, node in enumerate(loc.placement):
-                if not system.is_alive(node) or system.master.is_quarantined(
-                    stripe_id, chunk_index
-                ):
+                if not system._can_serve(stripe_id, chunk_index, node):
                     report.skipped += 1
                     continue
                 touched = True
@@ -160,9 +158,8 @@ class Scrubber:
         self._pending -= 1
         # the cluster may have moved on since the walk was laid out
         if (
-            not system.is_alive(node)
-            or system.master.stripe(stripe_id).placement[chunk_index] != node
-            or system.master.is_quarantined(stripe_id, chunk_index)
+            system.master.stripe(stripe_id).placement[chunk_index] != node
+            or not system._can_serve(stripe_id, chunk_index, node)
         ):
             report.skipped += 1
             if self._pending == 0:

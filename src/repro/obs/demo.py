@@ -128,12 +128,12 @@ def traced_hub_crash_repair(
         failed_node=failed_node, snapshot=snapshot, seed=seed,
         tracer=tracer, metrics=metrics,
     )
+    system.events.schedule(crash_at, lambda: system.fail_node(hub))
     outcome = system.repair(
         "s1",
         failed_node,
         requester=requester,
         store=False,
-        inject_failure=(hub, crash_at),
         on_failure="outcome",
     )
     return TracedRepairDemo(

@@ -68,9 +68,8 @@ class TestFailureRecovery:
         data = write(sys_, chunk=64 * 1024)
         sys_.set_bandwidth(snapshot)
         sys_.fail_node(3)
-        out = sys_.repair(
-            "s1", failed_node=3, requester=12, inject_failure=(5, 0.002)
-        )
+        sys_.events.schedule(0.002, lambda: sys_.fail_node(5))
+        out = sys_.repair("s1", failed_node=3, requester=12)
         assert out.verified
         assert out.attempts >= 2
         assert np.array_equal(out.rebuilt, data[3])
@@ -80,9 +79,8 @@ class TestFailureRecovery:
         write(sys_, chunk=64 * 1024)
         sys_.set_bandwidth(snapshot)
         sys_.fail_node(3)
-        out = sys_.repair(
-            "s1", failed_node=3, requester=12, inject_failure=(5, 0.002)
-        )
+        sys_.events.schedule(0.002, lambda: sys_.fail_node(5))
+        out = sys_.repair("s1", failed_node=3, requester=12)
         uploaders = {e.child for p in out.plan.pipelines for e in p.edges}
         assert 5 not in uploaders  # final plan excludes the dead helper
 
@@ -91,9 +89,8 @@ class TestFailureRecovery:
         write(sys_)
         sys_.set_bandwidth(snapshot)
         sys_.fail_node(3)
-        out = sys_.repair(
-            "s1", failed_node=3, requester=12, inject_failure=(5, 1e6)
-        )
+        sys_.events.schedule(1e6, lambda: sys_.fail_node(5))
+        out = sys_.repair("s1", failed_node=3, requester=12)
         assert out.verified
         assert out.attempts == 1
 

@@ -4,7 +4,7 @@ Each scenario drives the branch from an injected fault, end to end: the
 degradation ladder's star-fallback rung and its ``RepairImpossibleError``
 floor, the three post-repair verification verdicts beyond ok / retry
 (``unverifiable``, healed from surplus parity, not localizable), a
-rotten chunk under the multi-chunk settle path, the lease
+rotten chunk and a torn write under the multi-chunk settle path, the lease
 false-positive rejoin, the ``on_failure`` contract of a repair that
 fails without escalating, and the trace / metric record of a read-path
 rot and a torn write.  ``tools/unexecuted.py`` keeps the list.
@@ -195,6 +195,32 @@ class TestRotUnderMultiChunkRepair:
             assert out.failure_reason == "rebuilt chunk failed integrity verification"
             assert out.corruption_detected and out.quarantined_chunks == ()
         assert system.master.stripe("s0").placement == tuple(range(N))
+
+
+    @pytest.mark.parametrize("entry", ("repair_multi", "repair_multi_async"))
+    def test_torn_write_is_caught_on_readback(self, entry):
+        """The settle-time readback docs/INTEGRITY.md promises: a chunk
+        torn on its way to disk is re-put from the buffer and reported."""
+        system = build()
+        originals = {n: system.read_chunk("s0", n).copy() for n in (1, 4)}
+        for node in (1, 4):
+            system.fail_node(node)
+        system.arm_torn_write(10)
+        requesters = {1: 10, 4: 11}
+        if entry == "repair_multi":
+            outs = system.repair_multi("s0", (1, 4), requesters)
+        else:
+            done = []
+            system.repair_multi_async(
+                "s0", (1, 4), requesters, on_done=done.append
+            )
+            system.events.run()
+            (outs,) = done
+        assert outs[1].verified and outs[1].corruption_detected
+        assert not outs[4].corruption_detected
+        assert system.nodes[10].store.verify("s0", 1)
+        for node in (1, 4):
+            assert np.array_equal(system.read_chunk("s0", node), originals[node])
 
 
 def test_lease_false_positive_rejoins_on_the_next_report():

@@ -125,9 +125,11 @@ class TestFailureMatrix:
 
     def test_crash_recovery_replans_remainder(self, snapshot, clean):
         sys_, data = fresh_repair_system(snapshot)
+        sys_.events.schedule(
+            0.5 * clean["elapsed"], lambda: sys_.fail_node(clean["hub"])
+        )
         out = sys_.repair(
             "s1", FAILED_NODE, requester=REQUESTER, store=False,
-            inject_failure=(clean["hub"], 0.5 * clean["elapsed"]),
         )
         assert out.verified and out.attempts >= 2
         assert out.retries >= 1 and out.replans >= 1
@@ -140,18 +142,22 @@ class TestFailureMatrix:
 class TestTrafficAccounting:
     def test_remainder_replan_beats_restart_from_scratch(self, snapshot, clean):
         sys_, _ = fresh_repair_system(snapshot)
+        sys_.events.schedule(
+            0.5 * clean["elapsed"], lambda: sys_.fail_node(clean["hub"])
+        )
         out = sys_.repair(
             "s1", FAILED_NODE, requester=REQUESTER, store=False,
-            inject_failure=(clean["hub"], 0.5 * clean["elapsed"]),
         )
         assert out.verified
         faulted = sys_.traffic_bytes
         # restart-from-scratch baseline: everything the aborted first
         # attempt moved, plus a full clean repair on top
         aborted = fresh_repair_system(snapshot)[0]
+        aborted.events.schedule(
+            0.5 * clean["elapsed"], lambda: aborted.fail_node(clean["hub"])
+        )
         failed = aborted.repair(
             "s1", FAILED_NODE, requester=REQUESTER, store=False,
-            inject_failure=(clean["hub"], 0.5 * clean["elapsed"]),
             max_attempts=1, on_failure="outcome",
         )
         assert failed.status == FAILED
@@ -180,19 +186,84 @@ class TestEscalation:
             n for n in sys_.master.stripe("s1").placement
             if n != FAILED_NODE and n not in participants
         )
+        sys_.events.schedule(1e-4, lambda: sys_.fail_node(bystander))
         out = sys_.repair(
             "s1", FAILED_NODE, requester=REQUESTER,
-            inject_failure=(bystander, 1e-4),
         )
         assert out.status == ESCALATED
         assert out.verified
         assert out.replans >= 1
 
+    def test_escalation_keeps_the_verdict_of_the_attempt_it_replaces(
+        self, snapshot
+    ):
+        # chunk 0 fails its digest at read (quarantined, attempt 1
+        # aborted), then a bystander crash escalates: the escalated
+        # outcome still reports the rot the aborted attempt found
+        sys_ = build("conventional")
+        write(sys_)
+        sys_.set_bandwidth(snapshot)
+        sys_.fail_node(1)
+        assert sys_.corrupt_chunk(0, "s1", 0)
+        sys_.events.schedule(0.0004, lambda: sys_.fail_node(7))
+        out = sys_.repair("s1", 1, 10, on_failure="outcome")
+        assert out.status == ESCALATED and out.verified
+        assert out.corruption_detected and out.quarantined_chunks == (0,)
+
+    def uninvolved(self, snapshot):
+        """Placement nodes a conventional repair of FAILED_NODE never reads."""
+        sys_, _ = fresh_repair_system(snapshot, algorithm="conventional")
+        probe = sys_.master.schedule_repair(
+            "s1", FAILED_NODE, requester=REQUESTER
+        )
+        participants = {e.child for p in probe.pipelines for e in p.edges}
+        placement = sys_.master.stripe("s1").placement
+        return [n for n in placement if n != FAILED_NODE and n not in participants]
+
+    def test_escalation_merges_what_the_multi_chunk_audit_quarantined(
+        self, snapshot
+    ):
+        bystander, rotten = self.uninvolved(snapshot)[:2]
+        sys_, _ = fresh_repair_system(snapshot, algorithm="conventional")
+        assert sys_.corrupt_chunk(rotten, "s1", rotten)
+        sys_.events.schedule(1e-4, lambda: sys_.fail_node(bystander))
+        out = sys_.repair("s1", FAILED_NODE, REQUESTER, on_failure="outcome")
+        assert out.status == ESCALATED and out.verified
+        assert out.corruption_detected and out.quarantined_chunks == (rotten,)
+
+    def test_escalation_fails_with_its_multi_chunk_repair(self, snapshot):
+        # silent rot in a helper: the multi-chunk audit can prove the
+        # stripe inconsistent but not localize the culprit
+        sys_, _ = fresh_repair_system(snapshot, algorithm="conventional")
+        assert sys_.corrupt_chunk(0, "s1", 0, fix_digest=True)
+        bystander = self.uninvolved(snapshot)[0]
+        sys_.events.schedule(1e-4, lambda: sys_.fail_node(bystander))
+        out = sys_.repair("s1", FAILED_NODE, REQUESTER, on_failure="outcome")
+        assert out.status == FAILED and out.corruption_detected
+        assert out.failure_reason == (
+            "second chunk lost mid-repair; "
+            "rebuilt chunk failed integrity verification"
+        )
+
+    def test_escalation_past_the_codes_tolerance_fails(self, snapshot):
+        sys_, _ = fresh_repair_system(snapshot, algorithm="conventional")
+        participant = next(
+            n for n in sys_.master.stripe("s1").placement
+            if n != FAILED_NODE and n not in self.uninvolved(snapshot)
+        )
+        for node in (*self.uninvolved(snapshot), participant):
+            sys_.events.schedule(1e-4, lambda n=node: sys_.fail_node(n))
+        out = sys_.repair("s1", FAILED_NODE, REQUESTER, on_failure="outcome")
+        assert out.status == FAILED
+        assert out.failure_reason.endswith("tolerates at most 3 failures")
+
     def test_participant_crash_does_not_escalate(self, snapshot, clean):
         sys_, _ = fresh_repair_system(snapshot)
+        sys_.events.schedule(
+            0.5 * clean["elapsed"], lambda: sys_.fail_node(clean["hub"])
+        )
         out = sys_.repair(
             "s1", FAILED_NODE, requester=REQUESTER, store=False,
-            inject_failure=(clean["hub"], 0.5 * clean["elapsed"]),
         )
         assert out.status in (COMPLETED, DEGRADED)
 
@@ -228,9 +299,11 @@ class TestReporting:
         sys_, _ = fresh_repair_system(snapshot)
         outs.append(sys_.repair("s1", FAILED_NODE, requester=REQUESTER, store=False))
         sys_, _ = fresh_repair_system(snapshot)
+        sys_.events.schedule(
+            0.5 * clean["elapsed"], lambda: sys_.fail_node(clean["hub"])
+        )
         outs.append(sys_.repair(
             "s1", FAILED_NODE, requester=REQUESTER, store=False,
-            inject_failure=(clean["hub"], 0.5 * clean["elapsed"]),
         ))
         return outs
 

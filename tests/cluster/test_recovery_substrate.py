@@ -303,8 +303,8 @@ class TestAsyncPrimitives:
 class TestRepairMultiStall:
     def test_stalled_call_leaves_no_assembly_or_open_span_behind(self):
         # (5,3) with nodes 0,1 lost needs all three survivors; killing
-        # helper 2 mid-transfer stalls both chunks, and the raise on the
-        # first must not leave the second registered
+        # helper 2 mid-transfer starves both chunks: each comes back as a
+        # failed outcome, and neither stays registered
         tracer = Tracer()
         sys_ = ClusterSystem(8, RSCode(5, 3), slice_bytes=2048, tracer=tracer)
         sys_.set_bandwidth(BandwidthSnapshot.uniform(8, 100.0))
@@ -316,14 +316,37 @@ class TestRepairMultiStall:
         sys_.fail_node(0)
         sys_.fail_node(1)
         sys_.events.schedule(0.0002, lambda: sys_.fail_node(2))
-        with pytest.raises(
-            RuntimeError, match="multi-failure repair of chunk on 0 stalled"
-        ):
-            sys_.repair_multi("a", (0, 1), {0: 5, 1: 6})
+        outcomes = sys_.repair_multi("a", (0, 1), {0: 5, 1: 6})
+        assert list(outcomes) == [0, 1]
+        for outcome in outcomes.values():
+            assert outcome.status == FAILED and outcome.rebuilt is None
+            assert outcome.failure_reason.startswith(
+                "batched repair incomplete: "
+            )
+        assert sys_.master.stripe("a").placement == (0, 1, 2, 3, 4)
         assert sys_._assemblies == {}
         assert sys_._wire_assembly == {}
         assert sys_._pipeline_spans == {}
         assert [s.name for s in tracer.spans() if s.end is None] == []
+
+    def test_a_starved_chunk_fails_while_its_sibling_settles(self):
+        # requester 6 downloads at a tenth of requester 5's rate, so
+        # chunk 0 has landed when helper 2 crashes and starves chunk 1:
+        # chunk 0 is persisted and relocated, chunk 1 fails on its own
+        sys_, write, payloads = make_system(chunk=64 * 1024, mbps=100.0)
+        downlink = np.full(8, 100.0)
+        downlink[6] = 10.0
+        sys_.set_bandwidth(BandwidthSnapshot(np.full(8, 100.0), downlink))
+        write("s0", (0, 1, 2, 3))
+        sys_.fail_node(0)
+        sys_.fail_node(1)
+        sys_.events.schedule(0.05, lambda: sys_.fail_node(2))
+        outcomes = sys_.repair_multi("s0", (0, 1), {0: 5, 1: 6})
+        assert outcomes[0].verified and outcomes[0].elapsed_seconds < 0.05
+        assert np.array_equal(outcomes[0].rebuilt, payloads["s0"][0])
+        assert outcomes[1].status == FAILED
+        assert sys_.master.stripe("s0").placement == (5, 1, 2, 3)
+        assert sys_._assemblies == {}
 
 
 def test_orchestrator_matches_the_marker_the_cluster_writes():
