@@ -91,21 +91,26 @@ class TDigest:
         self._buffer = []
         if not pts:
             return
+        # the open centroid lives in locals and is appended once finalised;
+        # ``4.0 * count`` is the bound's first product, hoisted, and the
+        # inline ``max(bound, 1.0)`` keeps max's NaN rule
         merged: list[list[float]] = []
+        append, count, delta = merged.append, self.count, self.delta
+        count4 = 4.0 * count
         w_before = 0.0  # total weight of finalised centroids
-        for mean, weight in pts:
-            if merged:
-                cand = merged[-1][1] + weight
-                q = (w_before + cand / 2.0) / self.count
-                bound = 4.0 * self.count * q * (1.0 - q) / self.delta
-                if cand <= max(bound, 1.0):
-                    merged[-1][0] = (
-                        merged[-1][0] * merged[-1][1] + mean * weight
-                    ) / cand
-                    merged[-1][1] = cand
-                    continue
-                w_before += merged[-1][1]
-            merged.append([mean, weight])
+        (cur_mean, cur_weight), *rest = pts
+        for mean, weight in rest:
+            cand = cur_weight + weight
+            q = (w_before + cand / 2.0) / count
+            bound = count4 * q * (1.0 - q) / delta
+            if cand <= (1.0 if bound < 1.0 else bound):
+                cur_mean = (cur_mean * cur_weight + mean * weight) / cand
+                cur_weight = cand
+            else:
+                append([cur_mean, cur_weight])
+                w_before += cur_weight
+                cur_mean, cur_weight = mean, weight
+        append([cur_mean, cur_weight])
         self._centroids = merged
 
     @property

@@ -162,6 +162,10 @@ def run_recovery_scenario(
     tracer = Tracer()
     metrics = MetricsRegistry()
     fleet = FleetAggregator(window_s=0.1, buckets=8)
+    # a full 6,000-instant trace to read instant 0: each latent series
+    # draws all its instants before the next series starts, so a shorter
+    # trace draws a different instant 0 and moves every pinned
+    # ``recovery_campaign`` benchmark number
     snapshot = make_trace(workload, num_nodes=num_nodes, seed=seed).snapshot(0)
     system = ClusterSystem(
         num_nodes,

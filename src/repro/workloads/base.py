@@ -151,7 +151,15 @@ class TraceGenerator(abc.ABC):
         self.seed = seed
 
     def generate(self, num_snapshots: int = DEFAULT_NUM_SNAPSHOTS) -> Trace:
-        """Synthesise a trace of ``num_snapshots`` instants."""
+        """Synthesise a trace of ``num_snapshots`` instants.
+
+        The bytes depend on (workload, nodes, snapshots, seed) alone and are
+        pinned downstream: the seed's draws keep one order (the shared, up,
+        down and intensity series, burst start and steps, burst sizes, hot
+        nodes), one elementwise recurrence advances all four series (each
+        value takes the IEEE steps of a row-by-row loop), and the burst
+        chain is computed in closed form on booleans and integers.
+        """
         if num_snapshots < 1:
             raise ValueError("num_snapshots must be positive")
         p = self.profile
@@ -160,20 +168,18 @@ class TraceGenerator(abc.ABC):
         rng = np.random.default_rng((self.seed, zlib.crc32(self.name.encode())))
         n, t = self.num_nodes, num_snapshots
 
-        # latent AR(1) per node and direction, with cross-direction mixing
-        shared = self._ar1(rng, t, n, p.ar_coeff)
-        up_own = self._ar1(rng, t, n, p.ar_coeff)
-        down_own = self._ar1(rng, t, n, p.ar_coeff)
+        # latent AR(1) per node and direction, with cross-direction mixing,
+        # plus a cluster-wide intensity wave that makes quiet (even) and
+        # busy (uneven) periods alternate, spreading C_v over the buckets
+        series = self._ar1(
+            rng, t, (n, n, n, 1), (p.ar_coeff,) * 3 + (min(0.995, p.ar_coeff + 0.02),)
+        )
+        shared, up_own, down_own = (series[:, i * n : (i + 1) * n] for i in range(3))
         c = np.sqrt(p.updown_corr)
         s = np.sqrt(1.0 - p.updown_corr)
         up_lat = c * shared + s * up_own
         down_lat = c * shared + s * down_own
-
-        # a cluster-wide intensity wave makes quiet (even) and busy
-        # (uneven) periods alternate, spreading C_v over the buckets
-        intensity = 0.5 + 0.5 * np.clip(
-            self._ar1(rng, t, 1, min(0.995, p.ar_coeff + 0.02)), -1.0, 1.0
-        )
+        intensity = 0.5 + 0.5 * np.clip(series[:, 3 * n :], -1.0, 1.0)
 
         # congestion bursts: two-state Markov chain per node, modulated by
         # the cluster intensity (busy periods burst much more)
@@ -208,29 +214,45 @@ class TraceGenerator(abc.ABC):
         )
 
     @staticmethod
-    def _ar1(rng: np.random.Generator, t: int, n: int, rho: float) -> np.ndarray:
-        """Stationary unit-variance AR(1) sample of shape (t, n)."""
-        out = np.empty((t, n))
-        out[0] = rng.standard_normal(n)
-        scale = np.sqrt(max(1.0 - rho * rho, 1e-9))
-        noise = rng.standard_normal((t, n)) * scale
-        for i in range(1, t):
-            out[i] = rho * out[i - 1] + noise[i]
+    def _ar1(
+        rng: np.random.Generator, t: int, widths: tuple[int, ...], rhos: tuple[float, ...]
+    ) -> np.ndarray:
+        """Stationary unit-variance AR(1) blocks of ``widths[j]`` columns and
+        coefficient ``rhos[j]`` side by side; each block draws its start row,
+        then its (t, width) noise, and one pass advances every column."""
+        out = np.empty((t, sum(widths)))
+        lo = 0
+        for w, rho in zip(widths, rhos):
+            out[0, lo : lo + w] = rng.standard_normal(w)
+            scale = np.sqrt(max(1.0 - rho * rho, 1e-9))
+            out[1:, lo : lo + w] = rng.standard_normal((t, w))[1:] * scale
+            lo += w
+        rho_cols, tmp, rows = np.repeat(rhos, widths), np.empty(lo), list(out)
+        for prev, cur in zip(rows, rows[1:]):
+            np.add(cur, np.multiply(prev, rho_cols, out=tmp), out=cur)
         return out
 
     @staticmethod
     def _bursts(
         rng: np.random.Generator, t: int, n: int, rate: float, duration: float
     ) -> np.ndarray:
-        """Two-state (idle/burst) Markov chain, shape (t, n), values {0, 1}."""
+        """Two-state (idle/burst) Markov chain, shape (t, n), values {0, 1}.
+
+        A step keeps a burst where ``u >= p_exit`` (stay) and starts one
+        where ``u < p_enter`` (enter).  Where the two agree the step resets
+        the state to that value; stay alone holds it and enter alone flips
+        it.  So a state is the value at the last reset XOR the parity of
+        the flips since; row 0, the stationary start, counts as a reset.
+        """
         p_enter = min(rate, 1.0)
         p_exit = 1.0 / max(duration, 1.0)
-        states = np.zeros((t, n), dtype=np.float64)
-        cur = rng.random(n) < (
-            p_enter / max(p_enter + p_exit, 1e-9)
-        )  # stationary start
+        start = rng.random(n) < (p_enter / max(p_enter + p_exit, 1e-9))
         u = rng.random((t, n))
-        for i in range(t):
-            cur = np.where(cur, u[i] >= p_exit, u[i] < p_enter)
-            states[i] = cur
-        return states
+        stay = np.vstack([start, u >= p_exit])
+        enter = np.vstack([start, u < p_enter])
+        odd = np.bitwise_xor.accumulate(enter & ~stay, axis=0)
+        steps = np.arange(t + 1)[:, None]
+        last = np.maximum.accumulate(np.where(stay == enter, steps, 0), axis=0)
+        cols = np.arange(n)
+        states = stay[last, cols] ^ odd ^ odd[last, cols]
+        return states[1:].astype(np.float64)
