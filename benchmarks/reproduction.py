@@ -42,7 +42,7 @@ from repro.core import (
 from repro.core.optimality import lp_max_throughput
 from repro.lifetime import ExponentialProcess, LifetimeConfig, run_monte_carlo
 from repro.net import (
-    BandwidthSnapshot, RackTopology, RepairContext, rack_scaled_context, units,
+    BandwidthSnapshot, DomainTree, RepairContext, rack_scaled_context, units,
 )
 from repro.obs import DivergenceMonitor, MetricsRegistry, Tracer
 from repro.obs.demo import _build_system, _find_hub
@@ -570,8 +570,9 @@ def _lifetime_schedulers(scale: dict) -> Run:
 
 def _racks(scale: dict) -> Run:
     fr, samples, rates = FullRepair(), 8, {}
+    tree = DomainTree.uniform(racks_per_dc=3, machines_per_rack=4, disks_per_machine=1)
     for ratio in (1.0, 2.0, 4.0, 8.0):
-        topo = RackTopology.uniform(12, 4, oversubscription=ratio)
+        trunks = (4 * 1000.0 / ratio,) * tree.num_racks
         free = aware = scaled = 0.0
         for i in range(samples):
             rng = np.random.default_rng(SEED + i)
@@ -582,8 +583,8 @@ def _racks(scale: dict) -> Run:
             ctx = RepairContext(snapshot=snap, requester=int(ids[0]),
                                 helpers=tuple(int(x) for x in ids[1:10]), k=6)
             free += lp_max_throughput(ctx)
-            aware += lp_max_throughput(ctx, topology=topo)
-            scaled += fr.schedule(rack_scaled_context(ctx, topo)).total_rate
+            aware += lp_max_throughput(ctx, tree, trunks)
+            scaled += fr.schedule(rack_scaled_context(ctx, tree, trunks)).total_rate
         rates[f"{ratio:g}:1"] = {
             "no_trunks": free / samples, "rack_aware_lp": aware / samples,
             "scaled_fullrepair": scaled / samples,

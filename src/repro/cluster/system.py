@@ -191,7 +191,7 @@ class _Assembly:
     @property
     def running(self) -> bool:
         """A watchdog repair not yet complete, failed or escalated — the
-        only kind a crash, a timeout or a bad chunk acts on."""
+        only kind a crash or a timeout acts on."""
         return self.watchdog and not (self.complete or self.failed or self.escalate)
 
     def plan_participants(self) -> tuple[int, ...]:
@@ -595,7 +595,7 @@ class ClusterSystem:
         self.quarantine_chunk(task.stripe_id, task.chunk_index, node, kind="read")
         rid = task.repair_id or task.stripe_id
         asm = self._wire_assembly.get(rid)
-        if asm is None or not asm.running:
+        if asm is None or asm.watchdog and not asm.running:
             return
         asm.corruption_detected = True
         if task.chunk_index not in asm.quarantined:
@@ -607,11 +607,17 @@ class ClusterSystem:
                 node=node,
                 chunk=task.chunk_index,
             )
-        self._abort_attempt(
-            asm,
+        reason = (
             f"helper chunk {task.chunk_index} failed digest verification "
-            f"on node {node}",
+            f"on node {node}"
         )
+        if asm.watchdog:
+            self._abort_attempt(asm, reason)
+            return
+        # an unwatched chunk has no next attempt: the helper's pipelines
+        # can never finish, so the chunk fails now and its wire retires
+        asm.failure_reason = reason
+        self._finish_assembly(asm, retire=True)
 
     def _on_bad_slice(self, dest: int, data: SliceData) -> None:
         """An in-flight slice failed its checksum at the receiving hop."""
@@ -1302,7 +1308,7 @@ class ClusterSystem:
 
         The one dispatch behind :meth:`_run_chunk_group`: a single
         attempt, no watchdog, no re-plan.  ``on_done(assembly)`` fires
-        when the chunk assembles.
+        when the chunk assembles, or fails on a rotten helper chunk.
         """
         asm = self._open_assembly(
             stripe_id, failed_node, requester, repair_id,
@@ -1316,7 +1322,11 @@ class ClusterSystem:
         """Settle a completed unwatched chunk: audit, then the shared
         persist tail.  Detect-only: a failed audit that cannot vouch for
         the rebuilt bytes is an explicit failed verdict — the caller
-        re-dispatches; nothing is healed or re-repaired here."""
+        re-dispatches; nothing is healed or re-repaired here.  A chunk
+        that failed before assembling (a rotten helper chunk) comes back
+        ``failed`` unaudited."""
+        if asm.failed:
+            return self._failed_outcome(asm, asm.failure_reason)
         report = self._audit(asm)
         if report.ok is False:
             if self.metrics.enabled:

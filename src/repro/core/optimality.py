@@ -30,16 +30,20 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ..net.bandwidth import RepairContext
+from ..net.topology import DomainTree, _check_racks
 
 
-def lp_max_throughput(context: RepairContext, topology=None) -> float:
+def lp_max_throughput(
+    context: RepairContext, tree: DomainTree | None = None, trunk_mbps=()
+) -> float:
     """Maximum multi-pipeline repair throughput by linear programming.
 
-    With ``topology`` (a :class:`~repro.net.topology.RackTopology`), adds
-    per-rack trunk constraints on cross-rack traffic: the true
-    *rack-aware* optimum, an upper bound on what any scheduler respecting
-    the trunks can achieve.  Useful to quantify the price of the
-    conservative ``rack_scaled_context`` workaround.
+    With a failure-domain ``tree`` and its per-rack ``trunk_mbps`` (see
+    :mod:`repro.net.topology`), adds per-rack trunk constraints on
+    cross-rack traffic: the true *rack-aware* optimum, an upper bound on
+    what any scheduler respecting the trunks can achieve.  Useful to
+    quantify the price of the conservative ``rack_scaled_context``
+    workaround.
     """
     helpers = list(context.helpers)
     m = len(helpers)
@@ -113,36 +117,30 @@ def lp_max_throughput(context: RepairContext, topology=None) -> float:
     b_ub.append(context.downlink(context.requester))
 
     # per-rack trunk constraints on cross-rack flows (optional)
-    if topology is not None:
+    if tree is not None:
+        _check_racks(context.snapshot.num_nodes, tree, trunk_mbps)
+        rack_of = tree.disk_domains("rack")
         req = context.requester
-        for rack in range(topology.num_racks):
-            egress = np.zeros(nvar)
-            ingress = np.zeros(nvar)
-            for u in range(m):
-                for j in range(m + 1):
-                    if u == j:
-                        continue
-                    dst = helpers[j] if j < m else req
-                    src = helpers[u]
-                    if topology.same_rack(src, dst):
-                        continue
-                    if topology.rack_of[src] == rack:
-                        egress[a_var(u, j)] = 1.0
-                    if topology.rack_of[dst] == rack:
-                        ingress[a_var(u, j)] = 1.0
-            for j in range(m):  # hub result uploads to the requester
-                if topology.same_rack(helpers[j], req):
-                    continue
-                if topology.rack_of[helpers[j]] == rack:
-                    egress[j] = 1.0
-                if topology.rack_of[req] == rack:
-                    ingress[j] = 1.0
-            if egress.any():
-                a_ub_rows.append(egress)
-                b_ub.append(topology.trunk_mbps[rack])
-            if ingress.any():
-                a_ub_rows.append(ingress)
-                b_ub.append(topology.trunk_mbps[rack])
+        # (variable, source node, destination node) of every flow: sender
+        # contributions, then hub result uploads to the requester
+        var, src, dst = np.array(
+            [
+                (a_var(u, j), helpers[u], helpers[j] if j < m else req)
+                for u in range(m)
+                for j in range(m + 1)
+                if u != j
+            ]
+            + [(j, helpers[j], req) for j in range(m)]
+        ).T
+        src, dst = rack_of[src], rack_of[dst]
+        cross = src != dst
+        for rack, cap in enumerate(trunk_mbps):
+            for end in (src, dst):  # egress, then ingress
+                row = np.zeros(nvar)
+                row[var[cross & (end == rack)]] = 1.0
+                if row.any():
+                    a_ub_rows.append(row)
+                    b_ub.append(cap)
 
     # hub self-contributions pinned to zero
     bounds = [(0, None)] * nvar

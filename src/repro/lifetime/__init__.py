@@ -6,9 +6,10 @@ minutes.  ``repro.lifetime`` asks the question those layers exist
 for: **how durable is the fleet over years**, as a function of repair
 speed, placement policy and throttle behaviour.
 
-* :mod:`~repro.lifetime.domains` — hierarchical failure domains
-  (DC → rack → machine → disk) with correlated fan-out and placement
-  spread checks, layered over :mod:`repro.net.topology`.
+* :class:`~repro.net.topology.DomainTree` (re-exported here) —
+  hierarchical failure domains (DC → rack → machine → disk) with
+  correlated fan-out and placement spread checks; the one containment
+  tree, shared with the rack-trunk network model.
 * :mod:`~repro.lifetime.processes` — pluggable failure/repair clock
   distributions: exponential, Weibull (infant mortality / wear-out),
   and trace-driven empirical resampling.
@@ -26,6 +27,7 @@ speed, placement policy and throttle behaviour.
   confidence intervals.
 """
 
+from ..net.topology import LEVELS, DomainTree
 from .analytic import markov_mttdl, markov_mttdl_years
 from .campaign import (
     CampaignResult,
@@ -37,7 +39,6 @@ from .campaign import (
     run_campaign,
     with_pipeline_factor,
 )
-from .domains import LEVELS, DomainTree
 from .montecarlo import (
     MonteCarloResult,
     poisson_rate_ci,

@@ -2,7 +2,7 @@
 
 A :func:`run_campaign` drives the whole repair stack over simulated
 years: hierarchical failure processes (:mod:`.processes`) break disks,
-machines and racks of a :class:`~repro.lifetime.domains.DomainTree`;
+machines and racks of a :class:`~repro.net.topology.DomainTree`;
 the compact :class:`~repro.lifetime.stripes.StripeTable` tracks every
 stripe's surviving chunks; and the production
 :class:`~repro.recovery.orchestrator.RecoveryOrchestrator` — budgeted
@@ -44,12 +44,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..faults import COMPLETED, FAILED
+from ..net.topology import DomainTree
 from ..obs.fleet import TDigest
 from ..obs.metrics import NULL_METRICS
 from ..obs.trace import NULL_TRACER
 from ..recovery.orchestrator import RecoveryConfig, RecoveryOrchestrator
 from ..sim.events import EventQueue
-from .domains import DomainTree
 from .processes import SECONDS_PER_YEAR, ExponentialProcess, LifetimeProcess
 from .stripes import StripeTable
 

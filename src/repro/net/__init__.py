@@ -1,10 +1,12 @@
-"""Network substrate: units, bandwidth snapshots, flow-level fairness."""
+"""Network substrate: units, bandwidth snapshots, flow-level fairness,
+and the failure-domain tree with its rack trunks."""
 
 from . import units
 from .bandwidth import BandwidthSnapshot, RepairContext
 from .flows import Flow, max_min_rates, validate_rates
 from .topology import (
-    RackTopology,
+    LEVELS,
+    DomainTree,
     rack_scaled_context,
     validate_rates_with_racks,
 )
@@ -16,7 +18,8 @@ __all__ = [
     "Flow",
     "max_min_rates",
     "validate_rates",
-    "RackTopology",
+    "LEVELS",
+    "DomainTree",
     "rack_scaled_context",
     "validate_rates_with_racks",
 ]

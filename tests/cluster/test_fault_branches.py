@@ -156,6 +156,18 @@ class TestRotUnderMultiChunkRepair:
             system.fail_node(node)
         return system
 
+    def repair(self, system, entry):
+        """The outcomes of one blocking or non-blocking multi-chunk call."""
+        if entry == "repair_multi":
+            return system.repair_multi("s0", self.LOST, self.REQUESTERS)
+        done = []
+        system.repair_multi_async(
+            "s0", self.LOST, self.REQUESTERS, on_done=done.append
+        )
+        system.events.run()
+        (outs,) = done
+        return outs
+
     def test_rot_outside_the_plan_is_quarantined_and_the_chunk_kept(self):
         twin = self.failed("conventional").repair_multi(
             "s0", self.LOST, self.REQUESTERS
@@ -181,21 +193,34 @@ class TestRotUnderMultiChunkRepair:
         which chunk lies: nothing is persisted, nothing quarantined."""
         system = self.failed()
         assert system.corrupt_chunk(5, "s0", 5, fix_digest=True)
-        if entry == "repair_multi":
-            outs = system.repair_multi("s0", self.LOST, self.REQUESTERS)
-        else:
-            done = []
-            system.repair_multi_async(
-                "s0", self.LOST, self.REQUESTERS, on_done=done.append
-            )
-            system.events.run()
-            (outs,) = done
-        for out in outs.values():
+        for out in self.repair(system, entry).values():
             assert out.status == FAILED and out.rebuilt is None
             assert out.failure_reason == "rebuilt chunk failed integrity verification"
             assert out.corruption_detected and out.quarantined_chunks == ()
         assert system.master.stripe("s0").placement == tuple(range(N))
 
+    @pytest.mark.parametrize("entry", ("repair_multi", "repair_multi_async"))
+    def test_rot_inside_the_plan_fails_the_chunk(self, entry):
+        """A helper the plan reads refuses its rotten chunk at assign
+        time.  With no watchdog to re-plan, each chunk reading it comes
+        back failed with the chunk quarantined, instead of a slice
+        stranding on a helper that holds no task."""
+        plans = [o.plan for o in self.repair(self.failed(), entry).values()]
+        victim = min(
+            set.intersection(
+                *({e.child for p in plan.pipelines for e in p.edges} for plan in plans)
+            )
+        )
+        system = self.failed()
+        assert system.corrupt_chunk(victim, "s0", victim)
+        for out in self.repair(system, entry).values():
+            assert out.status == FAILED and out.rebuilt is None
+            assert out.failure_reason == (
+                f"helper chunk {victim} failed digest verification on node {victim}"
+            )
+            assert out.corruption_detected and out.quarantined_chunks == (victim,)
+        assert system.master.quarantined_chunks("s0") == (victim,)
+        assert system.master.stripe("s0").placement == tuple(range(N))
 
     @pytest.mark.parametrize("entry", ("repair_multi", "repair_multi_async"))
     def test_torn_write_is_caught_on_readback(self, entry):

@@ -7,11 +7,12 @@ from repro.core import FullRepair
 from repro.core.optimality import lp_max_throughput
 from repro.net import (
     BandwidthSnapshot,
-    RackTopology,
     RepairContext,
     rack_scaled_context,
     validate_rates_with_racks,
 )
+
+from ..net.test_topology import racks
 
 
 @pytest.fixture
@@ -22,23 +23,23 @@ def ctx():
 
 class TestRackAwareLP:
     def test_no_topology_reduces_to_plain_lp(self, ctx):
-        assert lp_max_throughput(ctx, topology=None) == pytest.approx(
+        assert lp_max_throughput(ctx, tree=None) == pytest.approx(
             lp_max_throughput(ctx)
         )
 
     def test_generous_trunks_change_nothing(self, ctx):
-        topo = RackTopology.uniform(8, 4, oversubscription=1.0)
-        assert lp_max_throughput(ctx, topology=topo) == pytest.approx(
+        topo = racks(8, 4, oversubscription=1.0)
+        assert lp_max_throughput(ctx, *topo) == pytest.approx(
             lp_max_throughput(ctx), rel=1e-6
         )
 
     def test_ordering_scaled_le_rack_lp_le_free(self, ctx):
         """scaled-FullRepair <= rack-aware optimum <= unconstrained."""
         for ratio in (2.0, 4.0, 8.0):
-            topo = RackTopology.uniform(8, 4, oversubscription=ratio)
+            topo = racks(8, 4, oversubscription=ratio)
             free = lp_max_throughput(ctx)
-            aware = lp_max_throughput(ctx, topology=topo)
-            scaled = FullRepair().schedule(rack_scaled_context(ctx, topo)).total_rate
+            aware = lp_max_throughput(ctx, *topo)
+            scaled = FullRepair().schedule(rack_scaled_context(ctx, *topo)).total_rate
             assert scaled <= aware + 1e-6
             assert aware <= free + 1e-5
 
@@ -46,15 +47,15 @@ class TestRackAwareLP:
         """The LP routes through same-rack hubs, so a 2:1 trunk costs
         nothing — the headroom rack-aware scheduling could claim over the
         conservative per-node scaling (which pays 2x)."""
-        topo = RackTopology.uniform(8, 4, oversubscription=2.0)
-        aware = lp_max_throughput(ctx, topology=topo)
-        scaled = FullRepair().schedule(rack_scaled_context(ctx, topo)).total_rate
+        topo = racks(8, 4, oversubscription=2.0)
+        aware = lp_max_throughput(ctx, *topo)
+        scaled = FullRepair().schedule(rack_scaled_context(ctx, *topo)).total_rate
         assert aware == pytest.approx(1000.0, rel=1e-6)
         assert scaled == pytest.approx(500.0, rel=1e-6)
 
     def test_extreme_oversubscription_binds(self, ctx):
-        topo = RackTopology.uniform(8, 4, oversubscription=8.0)
-        aware = lp_max_throughput(ctx, topology=topo)
+        topo = racks(8, 4, oversubscription=8.0)
+        aware = lp_max_throughput(ctx, *topo)
         assert aware < lp_max_throughput(ctx) - 1.0
 
     def test_scaled_plans_trunk_feasible_randomised(self):
@@ -64,7 +65,7 @@ class TestRackAwareLP:
         for _ in range(25):
             num_nodes = int(rng.integers(6, 13))
             per_rack = int(rng.integers(2, 5))
-            topo = RackTopology.uniform(
+            topo = racks(
                 num_nodes, per_rack,
                 oversubscription=float(rng.uniform(1.0, 6.0)),
             )
@@ -81,9 +82,9 @@ class TestRackAwareLP:
                 k=k,
             )
             try:
-                scaled = rack_scaled_context(ctx, topo)
+                scaled = rack_scaled_context(ctx, *topo)
                 plan = FullRepair().schedule(scaled)
             except ValueError:
                 continue
             flows, rates = plan.flows()
-            validate_rates_with_racks(snap, topo, flows, rates)
+            validate_rates_with_racks(snap, *topo, flows, rates)
