@@ -1,6 +1,6 @@
-"""FullRepair core: Algorithms 1 & 2, constraints, LP oracle."""
+"""FullRepair core: Algorithms 1 & 2, constraints."""
 
-from . import constraints, optimality
+from . import constraints
 from .fullnode import (
     FullNodeRepairPlan,
     StripeRepairSpec,
@@ -12,7 +12,6 @@ from .throughput import ThroughputResult, max_pipelined_throughput
 
 __all__ = [
     "constraints",
-    "optimality",
     "FullNodeRepairPlan",
     "StripeRepairSpec",
     "plan_full_node_repair",

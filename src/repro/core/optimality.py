@@ -22,6 +22,10 @@ maximise  ``sum_h s_h + s_R``  subject to
 
 Its optimum certifies Algorithm 1's water-filling result: the test suite
 asserts ``lp_max_throughput == t_max`` across randomised contexts.
+
+This is a test and reproduction oracle, not runtime code: ``repro.core``
+does not import it, and its scipy comes with the ``test`` extra
+(``pip install -e '.[test]'``).  Import it by its full path.
 """
 
 from __future__ import annotations

@@ -462,6 +462,11 @@ class LifetimeConfig:
             raise ValueError("placement_groups must be positive")
         if self.num_stripes < self.placement_groups:
             raise ValueError("need at least one stripe per placement group")
+        if (
+            self.patterns is not None
+            and len(self.patterns) != self.placement_groups
+        ):
+            raise ValueError("patterns must have one row per placement group")
 
     @property
     def horizon_s(self) -> float:

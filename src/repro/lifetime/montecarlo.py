@@ -10,10 +10,11 @@ operators actually quote:
   observed stripe-exposure (each placement group contributes time
   until its loss or the horizon, so early losses don't inflate the
   denominator).  The rate interval is the exact chi-squared /
-  gamma construction — ``[χ²(α/2, 2L) / 2T, χ²(1−α/2, 2L+2) / 2T]``
-  — which stays honest at the zero- and few-loss counts durable
-  systems produce: zero observed losses yields a finite MTTDL *lower
-  bound* and an infinite point estimate, not a division by zero.
+  gamma construction — ``[χ²(α/2, 2L) / 2T, χ²(1−α/2, 2L+2) / 2T]``,
+  computed here with :mod:`math` alone — which stays honest at the
+  zero- and few-loss counts durable systems produce: zero observed
+  losses yields a finite MTTDL *lower bound* and an infinite point
+  estimate, not a division by zero.
 * **Durability nines** — ``−log10`` of the annual per-stripe loss
   probability.  Because a loss event destroys its whole placement
   group, the per-stripe annual loss rate equals the per-group event
@@ -33,9 +34,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import operator
 from dataclasses import dataclass, replace
-
-from scipy.stats import chi2
 
 from ..obs.fleet import TDigest
 from .campaign import (
@@ -63,18 +63,75 @@ def poisson_rate_ci(
     The standard garwood construction; ``events == 0`` gives a zero
     lower bound and a finite upper bound, which is what turns a
     loss-free simulation into an MTTDL *lower* bound instead of a
-    meaningless infinity.
+    meaningless infinity.  ``events`` must be an integer (anything
+    :func:`operator.index` refuses raises ``TypeError``) and
+    ``exposure`` finite and positive.
     """
-    if events < 0 or exposure <= 0:
-        raise ValueError("need events >= 0 and positive exposure")
+    events = operator.index(events)
+    if events < 0 or not 0.0 < exposure < math.inf:
+        raise ValueError("need events >= 0 and finite positive exposure")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     alpha = 1.0 - confidence
     lo = 0.0
     if events > 0:
-        lo = chi2.ppf(alpha / 2.0, 2 * events) / (2.0 * exposure)
-    hi = chi2.ppf(1.0 - alpha / 2.0, 2 * events + 2) / (2.0 * exposure)
+        lo = _gamma_quantile(alpha / 2.0, events) / exposure
+    hi = _gamma_quantile(1.0 - alpha / 2.0, events + 1) / exposure
     return float(lo), float(hi)
+
+
+def _gamma_quantile(q: float, m: int) -> float:
+    """The ``q``-quantile of Gamma(m, 1) for an integer ``m >= 1``.
+
+    That is ``chi2.ppf(q, 2m) / 2``: for integer ``m`` the Gamma CDF at
+    ``x`` is the Poisson tail ``P[Poisson(x) >= m]``.  The tail that is
+    the smaller one at the root (``i >= m`` for ``q < 1/2``, ``i < m``
+    otherwise) is summed term by term, every term positive, so a tiny
+    tail is never formed as ``1 - (the other tail)``.  Newton steps run
+    on ``ln(tail)`` against ``ln x``, with the Gamma pdf as the
+    derivative.  ``ln X`` has a log-concave density, so either
+    ``ln(tail)`` is concave in ``ln x``: the first step lands on one
+    side of the root and the rest close in from that side.
+    """
+    # Wilson–Hilferty start from a normal quantile good to 4.5e-4
+    # (Abramowitz & Stegun 26.2.23), kept above the bound
+    # x >= (q m!)^(1/m) that P[Poisson(x) >= m] <= x^m / m! gives
+    t = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+    z = math.copysign(
+        t - (2.515517 + t * (0.802853 + t * 0.010328))
+        / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))),
+        q - 0.5,
+    )
+    x = max(
+        m * max(1.0 - 1.0 / (9 * m) + z / (3.0 * math.sqrt(m)), 0.0) ** 3,
+        math.exp((math.log(q) + math.lgamma(m + 1)) / m),
+    )
+    lower = q < 0.5
+    target = math.log(q if lower else 1.0 - q)
+    for _ in range(64):
+        pdf = math.exp((m - 1) * math.log(x) - x - math.lgamma(m))
+        if lower:  # P[Poisson(x) >= m], upward from i = m
+            term = tail = pdf * x / m
+            i = m
+            while term > tail * 1e-17:
+                i += 1
+                term *= x / i
+                tail += term
+        else:  # P[Poisson(x) < m], downward from i = m - 1
+            term = tail = pdf
+            for i in range(m - 1, 0, -1):
+                term *= i / x
+                tail += term
+                if term <= tail * 1e-17:
+                    break
+        # d ln(tail) / d ln(x) is +x·pdf/tail for P[Poisson(x) >= m]
+        # and -x·pdf/tail for P[Poisson(x) < m]
+        step = (target - math.log(tail)) * tail / (x * pdf)
+        step = step if lower else -step
+        x *= math.exp(step)
+        if abs(step) <= 1e-12:
+            break
+    return x
 
 
 @dataclass

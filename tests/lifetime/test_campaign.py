@@ -239,6 +239,19 @@ class TestValidation:
                 )
             )
 
+    def test_patterns_must_match_placement_groups(self):
+        """The campaign runs one group per pattern row, but the Monte
+        Carlo exposure counts ``placement_groups``: three rows under the
+        default 64 would report 128 group-years for 6."""
+        with pytest.raises(ValueError, match="one row per placement group"):
+            LifetimeConfig(
+                n=3,
+                k=2,
+                num_stripes=300,
+                years=2.0,
+                patterns=((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+            )
+
 
 # --------------------------------------------------------------------- #
 # Golden campaigns: determinism beyond the benchmark's one seed         #

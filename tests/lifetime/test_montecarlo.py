@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.lifetime import (
@@ -58,6 +59,36 @@ class TestPoissonRateCI:
             poisson_rate_ci(1, 0.0)
         with pytest.raises(ValueError):
             poisson_rate_ci(1, 10.0, confidence=1.0)
+        # a non-integer count has no Garwood interval
+        with pytest.raises(TypeError):
+            poisson_rate_ci(2.5, 10.0)
+        for exposure in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                poisson_rate_ci(1, exposure)
+
+
+class TestGarwoodEquivalence:
+    """The in-repo interval is scipy's ``chi2.ppf`` construction.
+
+    scipy is a test dependency only; this is its second user after the
+    LP oracle.  The whole grid (events 0-1,000 x four confidences, both
+    bounds) costs well under a second.
+    """
+
+    @pytest.mark.parametrize("confidence", (0.8, 0.9, 0.95, 0.99))
+    def test_bounds_equal_scipy(self, confidence):
+        from scipy.stats import chi2
+
+        exposure, alpha = 37.5, 1.0 - confidence
+        events = np.arange(1001)
+        want_lo = chi2.ppf(alpha / 2.0, 2 * events) / (2.0 * exposure)
+        want_hi = chi2.ppf(1.0 - alpha / 2.0, 2 * events + 2) / (2.0 * exposure)
+        got = np.array(
+            [poisson_rate_ci(e, exposure, confidence) for e in events.tolist()]
+        )
+        assert got[0, 0] == 0.0
+        np.testing.assert_allclose(got[1:, 0], want_lo[1:], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[:, 1], want_hi, rtol=1e-12, atol=0)
 
 
 class TestMarkovCrossCheck:
