@@ -99,7 +99,11 @@ class RepairModel:
 
 
 class _SimOutcome:
-    """Duck-typed stand-in for :class:`repro.cluster.system.RepairOutcome`."""
+    """Duck-typed stand-in for :class:`repro.cluster.system.RepairOutcome`.
+
+    Read-only to its consumers, so the few distinct outcomes are built
+    once (below) and shared by every chunk they settle.
+    """
 
     __slots__ = ("status", "verified", "failure_reason")
 
@@ -107,6 +111,17 @@ class _SimOutcome:
         self.status = status
         self.verified = verified
         self.failure_reason = reason
+
+
+_REBUILT = _SimOutcome(COMPLETED, True, None)
+_LOST_IN_FLIGHT = _SimOutcome(FAILED, False, "data lost while repair in flight")
+_DEADLINE = _SimOutcome(FAILED, False, "repair deadline exceeded")
+_UNDECODABLE = _SimOutcome(
+    FAILED, False, "fewer than k chunks reachable to decode"
+)
+_TARGET_OFFLINE = _SimOutcome(
+    FAILED, False, "rebuild target offline at completion"
+)
 
 
 class StripeTableSystem:
@@ -120,8 +135,9 @@ class StripeTableSystem:
     millions of stripes never materialise a byte of data.  It doubles
     as its own ``master`` (stripe lookup promotes lazily, node-death
     checks read the shared per-disk ``down`` flags).  ``live`` is the
-    ascending list of disks not down; whoever writes ``down`` keeps it
-    current (:meth:`_Campaign._set_down`).
+    ascending list of disks not down and ``live_mask`` the same set as a
+    disk bit mask; whoever writes ``down`` keeps both current
+    (:meth:`_Campaign._set_down`).
     """
 
     def __init__(
@@ -141,6 +157,7 @@ class StripeTableSystem:
         self.events = events
         self.down = down
         self.live = [d for d in range(tree.num_disks) if not down[d]]
+        self.live_mask = sum(1 << d for d in self.live)
         self.repair_model = repair_model
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -194,7 +211,7 @@ class StripeTableSystem:
         group = table.group_of_id(stripe_id)
         if table.lost[group]:
             return ()  # beyond repair; exposure no longer actionable
-        return tuple(d for _, d in table.destroyed_slots(group))
+        return table.destroyed_disks(group)
 
     # ---- repair dispatch ------------------------------------------------ #
 
@@ -245,19 +262,17 @@ class StripeTableSystem:
             # miss reports failed at the deadline instead of wedging
             self.events.schedule(
                 deadline_s,
-                lambda: deliver(
-                    self._fail_all(group, pairs, "repair deadline exceeded")
-                ),
+                lambda: deliver(self._fail_all(group, pairs, _DEADLINE)),
             )
             return
         self.events.schedule(
             duration, lambda: deliver(self._complete(group, pairs))
         )
 
-    def _fail_all(self, group, pairs, reason) -> dict[int, _SimOutcome]:
+    def _fail_all(self, group, pairs, outcome) -> dict[int, _SimOutcome]:
         self.table.demote(group)
         self.chunk_failures += len(pairs)
-        return {node: _SimOutcome(FAILED, False, reason) for node, _ in pairs}
+        return {node: outcome for node, _ in pairs}
 
     def _complete(self, group, pairs) -> dict[int, _SimOutcome]:
         """Settle a rebuild at its completion time.
@@ -268,36 +283,34 @@ class StripeTableSystem:
         ``k`` chunks may remain reachable to decode from.
         """
         table = self.table
-        now = self.events.now
         if table.lost[group]:
-            return self._fail_all(
-                group, pairs, "data lost while repair in flight"
-            )
-        slot_of = {disk: slot for slot, disk in table.destroyed_slots(group)}
-        readable = table.available(group, self.down)
+            return self._fail_all(group, pairs, _LOST_IN_FLIGHT)
+        destroyed = table.destroyed_slots(group)
+        decodable = table.available(group) >= table.k
+        down = self.down
         outcomes: dict[int, _SimOutcome] = {}
         repairs: list[tuple[int, int]] = []
         for node, target in pairs:
-            slot = slot_of.get(node)
+            for slot, disk in destroyed:
+                if disk == node:
+                    break
+            else:
+                slot = None
             if slot is None:
                 # healed under us (stale dispatch) — report success
-                outcomes[node] = _SimOutcome(COMPLETED, True, None)
-            elif readable < table.k:
-                outcomes[node] = _SimOutcome(
-                    FAILED, False, "fewer than k chunks reachable to decode"
-                )
-            elif self.down[target]:
-                outcomes[node] = _SimOutcome(
-                    FAILED, False, "rebuild target offline at completion"
-                )
+                outcome = _REBUILT
+            elif not decodable:
+                outcome = _UNDECODABLE
+            elif down[target]:
+                outcome = _TARGET_OFFLINE
             else:
                 repairs.append((slot, target))
-                outcomes[node] = _SimOutcome(COMPLETED, True, None)
+                outcome = _REBUILT
+            if outcome.status == FAILED:
+                self.chunk_failures += 1
+            outcomes[node] = outcome
         if repairs:
-            table.rebuild(group, repairs, now, self.down)
-        self.chunk_failures += sum(
-            1 for o in outcomes.values() if o.status == FAILED
-        )
+            table.rebuild(group, repairs, self.events.now, down)
         table.demote(group)
         return outcomes
 
@@ -312,7 +325,9 @@ class LifetimeOrchestrator(RecoveryOrchestrator):
     skips candidates that would push any ``spread_level`` domain of
     the stripe past ``max_per_domain``; when no compliant spare
     exists it falls back to the stock behaviour and counts the
-    violation (``spread_fallbacks``).
+    violation (``spread_fallbacks``).  Candidates, choices and full
+    domains are disk bit masks, so a pick is a few integer operations
+    whatever the fleet or stripe width.
     """
 
     def __init__(
@@ -327,10 +342,14 @@ class LifetimeOrchestrator(RecoveryOrchestrator):
     ):
         super().__init__(system, config, slo=slo)
         self._tree = tree
-        # disk -> its ``spread_level`` domain, as plain ints
-        self._domain_of = (
-            None if tree is None else tree.disk_domains(spread_level).tolist()
-        )
+        # disk -> bit mask of the disks in its ``spread_level`` domain
+        self._peers: list[int] = []
+        if tree is not None:
+            domain_of = tree.disk_domains(spread_level).tolist()
+            masks = [0] * tree.num_domains(spread_level)
+            for disk, dom in enumerate(domain_of):
+                masks[dom] |= 1 << disk
+            self._peers = [masks[dom] for dom in domain_of]
         self._max_per_domain = max_per_domain
         self.spread_fallbacks = 0
 
@@ -351,50 +370,54 @@ class LifetimeOrchestrator(RecoveryOrchestrator):
         system = self.system
         placement = system.master.stripe(stripe_id).placement
         # Candidates are the live disks outside the placement, in
-        # ascending order — never materialised: ``holes`` are the
-        # placement's positions in the live list, so a dispatch costs
-        # O(stripe width), not O(fleet).
-        live, down = system.live, system.down
-        holes = sorted(bisect_left(live, d) for d in placement if not down[d])
-        width = len(live) - len(holes)
+        # ascending order: ``live`` as a list, ``free`` as a disk mask.
+        # Neither is filtered per dispatch, so a pick costs O(stripe
+        # width) bytecode, not O(fleet), and no Python call per slot or
+        # candidate.
+        live, live_mask = system.live, system.live_mask
+        placement_mask = 0
+        for d in placement:
+            placement_mask |= 1 << d
+        held = placement_mask & live_mask  # live disks that are not candidates
+        width = len(live) - held.bit_count()
         if width < len(lost):
             return None
-        domain_of = self._domain_of
+        free = live_mask & ~placement_mask
+        # ``kept``: disks keeping (or chosen for) a chunk of the stripe;
+        # ``full``: disks of the domains already holding ``cap`` of them
+        kept = placement_mask
+        for f in lost:
+            kept &= ~(1 << f)
+        peers = self._peers
         cap = self._max_per_domain
-        lost_set = set(lost)
-        counts: dict[int, int] = {}
+        full = 0
         for d in placement:
-            if d not in lost_set:
-                counts[domain_of[d]] = counts.get(domain_of[d], 0) + 1
-        skip = set(placement)  # not candidates, or already chosen
-
-        def round_robin(start):
-            """Unchosen candidates, cyclically from candidate ``start``."""
-            at = start % width
-            for hole in holes:
-                if hole > at:
-                    break
-                at += 1
-            for step in range(len(live)):
-                c = live[(at + step) % len(live)]
-                if c not in skip:
-                    yield c
+            if (kept & peers[d]).bit_count() >= cap:
+                full |= peers[d]
 
         chosen: dict[int, int] = {}
         for i, f in enumerate(lost):
-            pick = None
-            for c in round_robin(self._rr + i):
-                if counts.get(domain_of[c], 0) < cap:
-                    pick = c
-                    break
-            if pick is None:
+            # Round-robin start: the j-th candidate (0-based, ascending)
+            # is live[at] for the least at = j + #held disks <= live[at].
+            j = (self._rr + i) % width
+            at = j
+            while (nxt := j + (held & ((2 << live[at]) - 1)).bit_count()) != at:
+                at = nxt
+            below = (1 << live[at]) - 1  # disks the cyclic scan reaches last
+            pool = free & ~full
+            if not pool:
                 # no compliant spare left — degrade to the stock rule
                 # rather than stall the repair, but count it
                 self.spread_fallbacks += 1
-                pick = next(round_robin(self._rr + i))
-            skip.add(pick)
+                pool = free
+            # first disk of the pool at or after the start, wrapping
+            pool = (pool & ~below) or pool
+            pick = (pool & -pool).bit_length() - 1
+            free ^= 1 << pick
+            kept |= 1 << pick
             chosen[f] = pick
-            counts[domain_of[pick]] = counts.get(domain_of[pick], 0) + 1
+            if (kept & peers[pick]).bit_count() >= cap:
+                full |= peers[pick]
         self._rr += len(lost)
         return chosen
 
@@ -688,18 +711,20 @@ class _Campaign:
 
     def _set_down(self, disk: int, delta: int) -> None:
         """The one writer of ``down`` (overlapping outages nest), and
-        so of the system's live-disk list derived from it."""
+        so of the system's live-disk list and mask derived from it."""
         before = self.down_counts[disk]
         after = self.down_counts[disk] = before + delta
         if (before > 0) == (after > 0):
             return
         self.down[disk] = after > 0
-        if self.system is not None:
-            live = self.system.live
+        system = self.system
+        if system is not None:
+            live = system.live
             if after > 0:
                 del live[bisect_left(live, disk)]
             else:
                 insort(live, disk)
+            system.live_mask ^= 1 << disk
         self.table.touch_disk(disk, self.events.now, self.down)
 
     # ---- loss post-mortems ---------------------------------------------- #
@@ -771,7 +796,7 @@ def run_campaign(
         campaign.orchestrator.start()
     campaign.arm_all()
     campaign.events.run(until=config.horizon_s, max_events=max_events)
-    campaign.table.finalize(config.horizon_s, campaign.down)
+    campaign.table.finalize(config.horizon_s)
     wall = time.perf_counter() - start
 
     table = campaign.table

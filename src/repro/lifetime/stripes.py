@@ -11,12 +11,15 @@ gigabytes and melt the event loop, so the population lives here as
   failures and repairs apply group-wide, so the group — not the stripe
   — is the unit of storage and the repair unit the orchestrator sees
   (``pg-…``);
-* each group holds, once and as plain Python values, its
-  **surviving-chunk word** (an ``int``; bit ``j`` set ⇔ chunk slot
-  ``j``'s data still exists somewhere), its placement row (a
+* each group holds, once and as plain Python values, two machine
+  words — its **surviving-chunk word** (bit ``j`` set ⇔ chunk slot
+  ``j``'s data still exists somewhere) and its **down word** (bit ``j``
+  set ⇔ slot ``j``'s disk is unreachable) — plus its placement row (a
   ``list[int]``), its size, its lost flag and the start times of its
-  two open exposure windows (``float | None``) — a disk death flips one
-  bit of one word per affected group, whatever the group's size;
+  two open exposure windows (``float | None``).  A disk death or an
+  outage edge flips one bit of one word per affected group, whatever
+  the group's size, and every reachability question is bit arithmetic
+  on the two words (``available`` is ``(word & ~down).bit_count()``);
 * the per-stripe ``uint32`` bitmap array is a **derived view**
   (:attr:`StripeTable.intact`, the group words repeated by group size)
   for outside readers, never written by the event path;
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -122,8 +126,12 @@ class StripeTable:
         self.starts = list(accumulate(self._sizes, initial=0))
 
         #: the stripe-state table itself: one surviving-chunk word per
-        #: group (every stripe of a group shares it)
+        #: group (every stripe of a group shares it) and one down word
+        #: (slots whose disk is unreachable), kept current by the callers'
+        #: reachability edges (``touch_disk``, ``destroy_disk``) and by
+        #: relocations (``rebuild``)
         self._words = [self.full_mask] * num_groups
+        self._down = [0] * num_groups
         self.lost = [False] * num_groups
 
         # disk -> groups whose *current* pattern uses it (maintained
@@ -177,22 +185,25 @@ class StripeTable:
         return self._words[group].bit_count()
 
     def destroyed_slots(self, group: int) -> tuple[tuple[int, int], ...]:
-        """``(slot, disk)`` pairs whose chunk data no longer exists."""
-        word = self._words[group]
-        return tuple(
-            (j, d)
-            for j, d in enumerate(self.patterns[group])
-            if not word >> j & 1
-        )
+        """``(slot, disk)`` pairs whose chunk data no longer exists, in
+        ascending slot order."""
+        row = self.patterns[group]
+        gone = self.full_mask & ~self._words[group]
+        slots = []
+        while gone:
+            low = gone & -gone
+            j = low.bit_length() - 1
+            slots.append((j, row[j]))
+            gone ^= low
+        return tuple(slots)
 
-    def available(self, group: int, down) -> int:
+    def destroyed_disks(self, group: int) -> tuple[int, ...]:
+        """Disks of :meth:`destroyed_slots`, in the same order."""
+        return tuple(map(itemgetter(1), self.destroyed_slots(group)))
+
+    def available(self, group: int) -> int:
         """Chunks both intact and on a reachable disk."""
-        word = self._words[group]
-        count = word.bit_count()
-        for j, d in enumerate(self.patterns[group]):
-            if down[d] and word >> j & 1:
-                count -= 1
-        return count
+        return (self._words[group] & ~self._down[group]).bit_count()
 
     # ---- mutations ----------------------------------------------------- #
 
@@ -201,15 +212,17 @@ class StripeTable:
 
         Clears the disk's bit in every affected group's word, detects
         permanent losses (surviving < k), and updates exposure
-        windows.  Returns ``(touched_groups, losses)``; the caller has
-        already marked the disk down in ``down``.
+        windows.  Returns ``(touched_groups, losses)``.  ``down[disk]``
+        is the disk's reachability now (the caller has already marked a
+        dead disk down; a pulse failure leaves it up): it is copied into
+        the down word of every group on the disk, lost ones included.
         """
         touched: list[int] = []
         losses: list[GroupLoss] = []
-        for p in self.groups_on(disk):
+        for p in self._copy_down(disk, down):
             if self.lost[p]:
                 continue
-            bit = 1 << self.slot_of(p, disk)
+            bit = 1 << self.patterns[p].index(disk)
             word = self._words[p]
             if not word & bit:
                 continue  # chunk already destroyed (unrebuilt since last death)
@@ -220,7 +233,7 @@ class StripeTable:
             if survivors < self.k:
                 losses.append(self._mark_lost(p, now, survivors))
             else:
-                self._update_windows(p, now, down)
+                self._update_windows(p, now)
         self.loss_events.extend(losses)
         return touched, losses
 
@@ -235,34 +248,68 @@ class StripeTable:
 
         Sets the slot bits in the group's word and relocates the
         placement entries to the rebuild targets (keeping the
-        disk→groups index current).
+        disk→groups index current, and each slot's down bit equal to
+        ``down[target]``).  A target may not already hold another slot
+        of the group, nor be named twice: a placement row never repeats
+        a disk.
         """
         if self.lost[group]:
             raise ValueError(f"group {group} was lost; nothing to rebuild")
         row = self.patterns[group]
+        for slot, target in repairs:
+            if row[slot] != target and target in row:
+                raise ValueError(
+                    f"rebuild target {target} already holds a chunk of "
+                    f"group {group}"
+                )
+        if len({target for _, target in repairs}) != len(repairs):
+            raise ValueError(f"two repairs of group {group} name one target")
         word = self._words[group]
+        down_word = self._down[group]
         for slot, target in repairs:
             old = row[slot]
             if old != target:
                 self._groups_of_disk.get(old, set()).discard(group)
                 self._groups_of_disk.setdefault(target, set()).add(group)
                 row[slot] = target
-            word |= 1 << slot
+            bit = 1 << slot
+            word |= bit
+            if down[target]:
+                down_word |= bit
+            else:
+                down_word &= ~bit
         self._words[group] = word
+        self._down[group] = down_word
         self.chunks_rebuilt += len(repairs)
-        self._update_windows(group, now, down)
+        self._update_windows(group, now)
 
     def touch_disk(self, disk: int, now: float, down) -> None:
         """Reachability of ``disk`` changed (transient outage edge).
 
-        Data is intact; only the availability windows of the groups on
-        the disk can open or close.
+        Copies ``down[disk]`` into the down word of every group on the
+        disk (lost ones included, so :meth:`available` stays exact for
+        them); data is intact, so only availability windows can open or
+        close.
         """
-        for p in self.groups_on(disk):
+        for p in self._copy_down(disk, down):
             if not self.lost[p]:
-                self._update_windows(p, now, down)
+                self._update_windows(p, now)
 
-    def finalize(self, now: float, down) -> None:
+    def _copy_down(self, disk: int, down) -> set[int]:
+        """Set or clear ``disk``'s bit in the down word of every group
+        on it, from ``down[disk]``; returns those groups."""
+        groups = self.groups_on(disk)
+        words = self._down
+        patterns = self.patterns
+        if down[disk]:
+            for p in groups:
+                words[p] |= 1 << patterns[p].index(disk)
+        else:
+            for p in groups:
+                words[p] &= ~(1 << patterns[p].index(disk))
+        return groups
+
+    def finalize(self, now: float) -> None:
         """Close every open exposure window at the campaign horizon."""
         for p in range(self.num_groups):
             self._close_windows(p, now)
@@ -279,7 +326,7 @@ class StripeTable:
             group=group,
             stripes=size,
             surviving=survivors,
-            destroyed_disks=tuple(d for _, d in self.destroyed_slots(group)),
+            destroyed_disks=self.destroyed_disks(group),
         )
 
     def _set_window(self, since_of, digest, group, is_open, now) -> None:
@@ -293,15 +340,21 @@ class StripeTable:
             digest.add(max(now - since, 0.0), self._sizes[group])
             since_of[group] = None
 
-    def _update_windows(self, group: int, now: float, down) -> None:
-        self._set_window(
-            self._degraded_since, self.exposure_digest, group,
-            self._words[group] != self.full_mask, now,
-        )
-        self._set_window(
-            self._below_k_since, self.below_k_digest, group,
-            self.available(group, down) < self.k, now,
-        )
+    def _update_windows(self, group: int, now: float) -> None:
+        """Open or close the group's windows whose condition changed
+        (a window is open exactly while its ``since`` is not None)."""
+        degraded = self._words[group] != self.full_mask
+        if degraded == (self._degraded_since[group] is None):
+            self._set_window(
+                self._degraded_since, self.exposure_digest, group,
+                degraded, now,
+            )
+        below_k = self.available(group) < self.k
+        if below_k == (self._below_k_since[group] is None):
+            self._set_window(
+                self._below_k_since, self.below_k_digest, group,
+                below_k, now,
+            )
 
     def _close_windows(self, group: int, now: float) -> None:
         self._set_window(

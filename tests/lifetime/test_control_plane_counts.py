@@ -8,12 +8,15 @@ left are ``DomainTree.disks_under`` fan-outs, one per machine or rack
 failure.  Counts, unlike stripe-years per wall-second, are the same on
 every machine: a change that returns to an ``np.flatnonzero`` per
 dispatch or per availability check trips this gate by a factor of the
-repair count.
+repair count, and one that walks a stripe's slots or candidates in a
+Python generator trips the stripe-width gate below.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +24,10 @@ import pytest
 from repro.lifetime import (
     ExponentialProcess,
     LifetimeConfig,
+    LifetimeOrchestrator,
     RepairModel,
     StripeTable,
+    StripeTableSystem,
     run_campaign,
 )
 
@@ -45,6 +50,11 @@ SMOKE = LifetimeConfig(
     max_concurrent=8,
     tick_s=900.0,
 )
+
+
+#: the same fleet at twice the stripe width, with racks enough for one
+#: chunk per machine
+WIDE = dataclasses.replace(SMOKE, n=28, k=24, racks_per_dc=8)
 
 
 @pytest.fixture
@@ -122,7 +132,7 @@ def test_event_path_writes_no_per_stripe_array():
     view = table.intact
     assert view.tolist() == [0b111] * 10
     view[:] = 0  # scribbling on a view must not reach the table
-    assert table.surviving(0) == 3 and table.available(1, down) == 3
+    assert table.surviving(0) == 3 and table.available(1) == 3
 
     table.destroy_disk(1, 1.0, down)
     assert view.tolist() == [0] * 10  # ... nor the table an old view
@@ -130,3 +140,54 @@ def test_event_path_writes_no_per_stripe_array():
     table.rebuild(0, [(1, 1)], 2.0, down)
     assert table.intact.tolist() == [0b111] * 10
     assert table.intact.dtype == np.uint32
+
+
+def python_calls_per_dispatch(config):
+    """``(result, {name: Counter(calls -> invocations)})``: how many
+    Python frames (generator resumes included) each requester pick and
+    each completion entered, its callees' included."""
+    watched = {
+        LifetimeOrchestrator._pick_requesters.__code__: "pick",
+        StripeTableSystem._complete.__code__: "complete",
+    }
+    per_call = {name: collections.Counter() for name in watched.values()}
+    open_frames: list[list] = []  # [name, frame, calls so far]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if open_frames:
+                open_frames[-1][2] += 1
+            name = watched.get(frame.f_code)
+            if name is not None:
+                open_frames.append([name, frame, 0])
+        elif event == "return" and open_frames and frame is open_frames[-1][1]:
+            name, _, calls = open_frames.pop()
+            per_call[name][calls] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run_campaign(config)
+    finally:
+        sys.setprofile(previous)
+    return result, per_call
+
+
+def test_python_calls_per_dispatch_do_not_grow_with_stripe_width():
+    """A pick and a completion read the group's words and the live
+    mask: no loop over slots or candidates enters a Python frame, so a
+    (28, 24) fleet costs each dispatch the calls a (14, 10) one does."""
+    narrow, narrow_calls = python_calls_per_dispatch(SMOKE)
+    wide, wide_calls = python_calls_per_dispatch(WIDE)
+    # the gate has teeth: hundreds of dispatches at each width
+    for result, calls in ((narrow, narrow_calls), (wide, wide_calls)):
+        assert result.repairs_dispatched > 300
+        assert sum(calls["pick"].values()) == result.repairs_dispatched
+        unsettled = result.repairs_dispatched - sum(calls["complete"].values())
+        assert 0 <= unsettled <= SMOKE.max_concurrent
+    # every pick makes the same calls (the stripe lookup), at any width
+    assert narrow_calls["pick"].keys() == wide_calls["pick"].keys()
+    assert len(narrow_calls["pick"]) == 1
+    # a completion's calls depend on its path (rebuild or not, a sketch
+    # compression), never on the width: the costliest is the same
+    assert max(narrow_calls["complete"]) == max(wide_calls["complete"])

@@ -95,6 +95,28 @@ class TestDestroyAndRebuild:
         assert 0 not in table.groups_on(2)
         assert table.chunks_rebuilt == 1
 
+    @pytest.mark.parametrize(
+        "repairs, message",
+        [
+            ([(0, 1)], "already holds a chunk"),  # row would read [1, 1, 2]
+            ([(0, 5), (1, 5)], "name one target"),
+        ],
+    )
+    def test_rebuild_onto_a_disk_of_the_group_rejected(self, repairs, message):
+        """A placement row never repeats a disk: a repeat would hide the
+        second slot from ``slot_of`` and from later deaths of the disk."""
+        table = make_table(k=1)  # two deaths leave group 0 repairable
+        down = no_down()
+        for disk in (0, 1):
+            down[disk] = True
+            table.destroy_disk(disk, 0.0, down)
+        with pytest.raises(ValueError, match=message):
+            table.rebuild(0, repairs, 1.0, no_down())
+        # refused whole: nothing relocated, nothing rebuilt
+        assert table.promote(0).placement == (0, 1, 2)
+        assert table.destroyed_slots(0) == ((0, 0), (1, 1))
+        assert table.chunks_rebuilt == 0
+
     def test_rebuild_of_lost_group_rejected(self):
         table = make_table()
         down = no_down()
@@ -109,9 +131,14 @@ class TestAvailability:
     def test_available_subtracts_unreachable_intact_chunks(self):
         table = make_table()
         down = no_down()
-        down[0] = down[1] = True
-        assert table.available(0, down) == 1
-        assert table.available(1, down) == 3
+        for disk in (0, 1):  # two outage edges, raised by their writer
+            down[disk] = True
+            table.touch_disk(disk, 1.0, down)
+        assert table.available(0) == 1
+        assert table.available(1) == 3
+        down[0] = False
+        table.touch_disk(0, 2.0, down)
+        assert table.available(0) == 2
 
     def test_destroyed_chunk_not_double_counted(self):
         table = make_table()
@@ -119,7 +146,7 @@ class TestAvailability:
         down[0] = True
         table.destroy_disk(0, 0.0, down)
         # chunk 0 is destroyed AND its disk is down: available loses 1
-        assert table.available(0, down) == 2
+        assert table.available(0) == 2
 
 
 class TestExposureWindows:
@@ -153,7 +180,7 @@ class TestExposureWindows:
         down = no_down()
         down[3] = True
         table.destroy_disk(3, 5.0, down)
-        table.finalize(25.0, down)
+        table.finalize(25.0)
         assert table.exposure_digest.count == table.group_size(1)
         assert table.exposure_digest.quantile(0.9) == pytest.approx(20.0)
 
@@ -164,7 +191,7 @@ class TestExposureWindows:
             down[disk] = True
             table.destroy_disk(disk, t, down)
         assert table.exposure_digest.count == table.group_size(0)
-        table.finalize(100.0, down)
+        table.finalize(100.0)
         # the lost group contributes no further windows after death
         assert table.exposure_digest.count == table.group_size(0)
 
@@ -317,7 +344,7 @@ def small_tables(draw):
 def assert_same_state(table, ref, down):
     for p in range(ref.num_groups):
         assert table.surviving(p) == ref.surviving(p)
-        assert table.available(p, down) == ref.available(p, down)
+        assert table.available(p) == ref.available(p, down)
         assert table.destroyed_slots(p) == ref.destroyed_slots(p)
         assert table.promote(p).placement == tuple(ref.patterns[p].tolist())
         assert bool(table.lost[p]) == bool(ref.lost[p])
@@ -400,7 +427,7 @@ class TestEquivalentToPerStripeStorage:
                     t.rebuild(p, list(repairs), now, down)
             assert_same_state(table, ref, down)
         t_final = now + 1.0
-        table.finalize(t_final, down)
+        table.finalize(t_final)
         for p in range(ref.num_groups):
             ref._window(ref.degraded_since, ref.exposure_digest, p, False, t_final)
             ref._window(ref.below_k_since, ref.below_k_digest, p, False, t_final)
