@@ -84,24 +84,21 @@ def sample_contexts(
     num_samples: int,
     *,
     seed: int = 0,
-    congested_only: bool = True,
 ) -> list[RepairContext]:
     """Draw repair instances from a trace.
 
     Each instance places a stripe on ``n`` random nodes, fails one of
     them, and picks the requester among the remaining nodes (the
     replacement node rebuilding the chunk); the other ``n - 1`` stripe
-    nodes are the helper candidates.  ``congested_only`` restricts to
-    instants with at least one congested node, matching §V-B.
+    nodes are the helper candidates.  Only instants with at least one
+    congested node are sampled, matching §V-B.
     """
     if trace.num_nodes < n + 1:
         raise ValueError(
             f"trace has {trace.num_nodes} nodes; need at least n+1={n + 1}"
         )
     rng = np.random.default_rng(seed)
-    instants = (
-        trace.congested_instants() if congested_only else np.arange(len(trace))
-    )
+    instants = trace.congested_instants()
     if instants.size == 0:
         raise ValueError("trace has no congested instants to sample")
     contexts = []

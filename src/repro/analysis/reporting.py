@@ -8,6 +8,7 @@ against the paper.
 from __future__ import annotations
 
 from ..net import units
+from ..obs.fleet import MAX_SERIES
 from ..workloads import bucket_label
 from .experiments import ComparisonResult, UtilizationTable
 
@@ -349,7 +350,7 @@ def render_fleet(fleet, now: float | None = None) -> str:
     lines = [
         f"fleet aggregation ({fleet.window_s:g}s window, "
         f"{fleet.buckets} buckets, delta={fleet.delta}, "
-        f"cap {fleet.max_series} series/metric)",
+        f"cap {MAX_SERIES} series/metric)",
         header,
         "-" * len(header),
     ]

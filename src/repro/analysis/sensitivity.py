@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..net import units
 from ..repair.base import get_algorithm
-from ..sim.transfer import TransferParams, execute
+from ..sim.transfer import COMPUTE_S_PER_BYTE, TransferParams, execute
 from .experiments import make_fixed_context
 
 
@@ -49,7 +49,7 @@ class SensitivityPoint:
 def sensitivity_sweep(
     *,
     overheads_s: tuple[float, ...] = (0.0, 100e-6, 500e-6, 2e-3),
-    compute_costs: tuple[float, ...] = (0.0, 1.25e-10, 1e-9, 5e-9),
+    compute_costs: tuple[float, ...] = (0.0, COMPUTE_S_PER_BYTE, 1e-9, 5e-9),
     n: int = 6,
     k: int = 4,
     chunk_bytes: int = 64 * units.MIB,

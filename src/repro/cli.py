@@ -182,14 +182,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_attr(args: argparse.Namespace) -> int:
     from .analysis import render_attribution
-    from .obs.attr import ExecModel, attribute_repair
+    from .obs.attr import attribute_repair
     from .obs.demo import traced_hub_crash_repair
 
     log.info("running traced hub-crash repair to build the span record ...")
     demo = traced_hub_crash_repair(seed=args.seed)
-    attr = attribute_repair(
-        demo.tracer, exec_model=ExecModel.from_system(demo.system)
-    )
+    attr = attribute_repair(demo.tracer)
     print(render_attribution(attr))
     return 0
 

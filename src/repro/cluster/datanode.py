@@ -28,6 +28,7 @@ from ..integrity.digest import slice_checksum
 from ..net import units
 from ..net.units import MEGABIT
 from ..sim.events import EventQueue
+from ..sim.transfer import COMPUTE_S_PER_BYTE, SLICE_OVERHEAD_S
 from .chunkstore import ChunkStore
 from .messages import SliceData, TransferTask
 
@@ -92,15 +93,11 @@ class DataNode:
         events: EventQueue,
         *,
         slice_bytes: int = 64 * units.KIB,
-        slice_overhead_s: float = 200e-6,
-        compute_s_per_byte: float = 1.25e-10,
     ) -> None:
         self.node_id = node_id
         self.events = events
         self.store = ChunkStore()
         self.slice_bytes = slice_bytes
-        self.slice_overhead_s = slice_overhead_s
-        self.compute_s_per_byte = compute_s_per_byte
         #: task states by repair (wire) id, then pipeline id
         self._repair_tasks: dict[str, dict[int, _TaskState]] = {}
         #: delivery callback installed by the cluster: (dest, SliceData)
@@ -253,7 +250,7 @@ class DataNode:
             # last dependency landed: the slice becomes sendable after the
             # GF combine, which overlaps earlier slices' edge occupancy
             state.ready_at[idx] = (
-                self.events.now + self.compute_s_per_byte * len(partial)
+                self.events.now + COMPUTE_S_PER_BYTE * len(partial)
             )
         self._pump(state)
 
@@ -339,7 +336,7 @@ class DataNode:
         if self.rate_cap_mbps is not None:
             rate_mbps = min(rate_mbps, self.rate_cap_mbps)
         rate = rate_mbps * MEGABIT / 8.0  # units.mbps_to_bytes_per_s, inlined
-        occupancy = (hi - lo) / rate + self.slice_overhead_s
+        occupancy = (hi - lo) / rate + SLICE_OVERHEAD_S
         start_tx = max(not_before, state.edge_free, self.stalled_until)
         state.edge_free = arrival = start_tx + occupancy
         payload = state.partials[idx]

@@ -57,6 +57,10 @@ class StripeLocation:
             raise KeyError(f"node {node} holds no chunk of {self.stripe_id}") from None
 
 
+#: Consecutive missed report intervals after which a lease expires.
+LEASE_MISSED_REPORTS = 3
+
+
 class Master:
     """Cluster metadata + repair scheduling brain."""
 
@@ -71,15 +75,14 @@ class Master:
         code: RSCode,
         algorithm: RepairAlgorithm,
         num_nodes: int,
-        plan_cache: PlanCache | None = None,
     ) -> None:
         self.code = code
         self.algorithm = algorithm
         self.num_nodes = num_nodes
-        self.plan_cache = plan_cache
+        #: assign a :class:`~repro.core.plancache.PlanCache` to memoise plans
+        self.plan_cache: PlanCache | None = None
         #: heartbeat leases are off until :meth:`configure_lease`
         self.lease_seconds: float | None = None
-        self.lease_missed_reports = 3
         self._uplink = np.zeros(num_nodes)
         self._downlink = np.zeros(num_nodes)
         self._stripes: dict[str, StripeLocation] = {}
@@ -121,15 +124,13 @@ class Master:
     def dead_nodes(self) -> tuple[int, ...]:
         return tuple(sorted(self._dead))
 
-    def configure_lease(
-        self, lease_seconds: float, missed_reports: int = 3
-    ) -> None:
-        """Enable heartbeat leases: a node missing ``missed_reports``
-        consecutive report intervals of ``lease_seconds`` is declared dead."""
-        if lease_seconds <= 0 or missed_reports < 1:
-            raise ValueError("lease needs positive period and missed count")
+    def configure_lease(self, lease_seconds: float) -> None:
+        """Enable heartbeat leases: a node missing
+        :data:`LEASE_MISSED_REPORTS` consecutive report intervals of
+        ``lease_seconds`` is declared dead."""
+        if lease_seconds <= 0:
+            raise ValueError("lease needs a positive period")
         self.lease_seconds = lease_seconds
-        self.lease_missed_reports = missed_reports
 
     def check_leases(self, now: float) -> list[int]:
         """Expire leases at time ``now``; returns the newly dead nodes.
@@ -140,7 +141,7 @@ class Master:
         """
         if self.lease_seconds is None:
             return []
-        deadline = self.lease_seconds * self.lease_missed_reports
+        deadline = self.lease_seconds * LEASE_MISSED_REPORTS
         expired = [
             n
             for n, last in self._last_report.items()

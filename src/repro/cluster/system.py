@@ -54,6 +54,7 @@ from ..repair.base import RepairAlgorithm, get_algorithm
 from ..repair.plan import RepairPlan
 from ..repair.recovery import uncovered_intervals
 from ..sim.events import EventQueue
+from ..sim.transfer import COMPUTE_S_PER_BYTE, DISPATCH_LATENCY_S
 from .datanode import DataNode
 from .master import DeadNodeError, Master, RepairImpossibleError, StripeLocation
 from .messages import BandwidthReport, SliceData, TransferTask
@@ -227,9 +228,6 @@ class ClusterSystem:
         *,
         algorithm: str | RepairAlgorithm = "fullrepair",
         slice_bytes: int = 64 * units.KIB,
-        slice_overhead_s: float = 200e-6,
-        compute_s_per_byte: float = 1.25e-10,
-        dispatch_latency_s: float = 200e-6,
         tracer=None,
         metrics=None,
         fleet=None,
@@ -262,18 +260,9 @@ class ClusterSystem:
         self.master.tracer = self.tracer
         self.master.metrics = self.metrics
         self.master.fleet = self.fleet
-        self.dispatch_latency_s = dispatch_latency_s
-        self.compute_s_per_byte = compute_s_per_byte
         self.slice_bytes = slice_bytes
-        self.slice_overhead_s = slice_overhead_s
         self.nodes = [
-            DataNode(
-                i,
-                self.events,
-                slice_bytes=slice_bytes,
-                slice_overhead_s=slice_overhead_s,
-                compute_s_per_byte=compute_s_per_byte,
-            )
+            DataNode(i, self.events, slice_bytes=slice_bytes)
             for i in range(num_nodes)
         ]
         #: (wire id, pipeline id) -> open pipeline span (tracer enabled only)
@@ -799,8 +788,9 @@ class ClusterSystem:
 
         Runs the full protocol on the event queue: the master schedules
         (using its current bandwidth picture), dispatches transfer tasks
-        after ``dispatch_latency_s``, data nodes stream and combine
-        slices, the requester assembles, stores, and verifies the chunk.
+        after :data:`~repro.sim.transfer.DISPATCH_LATENCY_S`, data nodes
+        stream and combine slices, the requester assembles, stores, and
+        verifies the chunk.
 
         The repair is self-healing: a progress watchdog (auto-sized from
         the plan's throughput) aborts an attempt that stops making
@@ -2080,7 +2070,7 @@ class ClusterSystem:
         for task in tasks:
             owner = loc.node_of(task.chunk_index)
             self.events.schedule(
-                self.dispatch_latency_s,
+                DISPATCH_LATENCY_S,
                 lambda t=task, o=owner: self._assign_if_alive(o, t),
             )
         return remaining
@@ -2146,7 +2136,7 @@ class ClusterSystem:
         # the requester pays the final combine cost for this slice
         asm.last_arrival = max(
             asm.last_arrival,
-            now + self.compute_s_per_byte * len(data.payload),
+            now + COMPUTE_S_PER_BYTE * len(data.payload),
         )
         if got == sources:
             # every contribution folded in: this byte range is decoded

@@ -13,7 +13,7 @@ Design
 
 **Key.**  ``(algorithm, k, requester, helpers, floor-quantised uplink
 and downlink of requester + helpers)``.  Bandwidths are bucketed by
-flooring to ``quantum_mbps`` units; two snapshots in the same bucket
+flooring to :data:`QUANTUM_MBPS` units; two snapshots in the same bucket
 share a key.
 
 **Feasibility across a bucket.**  On a miss the plan is computed against
@@ -21,9 +21,9 @@ the *floored* snapshot (every involved bandwidth rounded down to its
 bucket edge).  Any snapshot mapping to the same key is coordinate-wise
 at least the floored one, so the cached rates fit it a fortiori — a hit
 can reuse the plan without re-validating rates.  The cost is up to one
-quantum of bandwidth per link left on the table; keep ``quantum_mbps``
-well below typical link bandwidth (default 1 Mbps against the paper's
-~1 Gbps links ≈ 0.1 %).
+quantum of bandwidth per link left on the table, which stays well below
+typical link bandwidth (1 Mbps against the paper's ~1 Gbps links
+≈ 0.1 %).
 
 **Rebinding.**  Plans are returned bound to the *caller's* context, not
 the floored one: ``Master.compile_tasks`` reads ``context.chunk_index``
@@ -35,7 +35,7 @@ between hits — treat returned pipelines as immutable.
 ``max_entries``.  Each entry remembers the exact (pre-quantisation)
 bandwidth of every involved node at compute time;
 :meth:`observe_report` drops entries whose recorded bandwidth has
-drifted beyond ``drift_tolerance`` (relative, with a 1 Mbps absolute
+drifted beyond :data:`DRIFT_TOLERANCE` (relative, with a 1 Mbps absolute
 floor), so stale plans cannot be served if bandwidth swings away and
 back into an old bucket between reports.
 """
@@ -51,6 +51,12 @@ import numpy as np
 from ..net.bandwidth import BandwidthSnapshot, RepairContext
 from ..repair.base import RepairAlgorithm
 from ..repair.plan import RepairPlan
+
+#: Bandwidth bucket width of the cache key (Mbps).
+QUANTUM_MBPS = 1.0
+
+#: Relative bandwidth drift that invalidates a cached plan.
+DRIFT_TOLERANCE = 0.05
 
 
 @dataclass
@@ -98,22 +104,10 @@ class _Entry:
 class PlanCache:
     """LRU cache of validated repair plans keyed by quantised context."""
 
-    def __init__(
-        self,
-        max_entries: int = 128,
-        *,
-        quantum_mbps: float = 1.0,
-        drift_tolerance: float = 0.05,
-    ) -> None:
+    def __init__(self, max_entries: int = 128) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
-        if quantum_mbps <= 0:
-            raise ValueError("quantum_mbps must be positive")
-        if drift_tolerance < 0:
-            raise ValueError("drift_tolerance must be non-negative")
         self.max_entries = max_entries
-        self.quantum_mbps = float(quantum_mbps)
-        self.drift_tolerance = float(drift_tolerance)
         self.stats = PlanCacheStats()
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._by_node: dict[int, set[tuple]] = {}
@@ -130,7 +124,7 @@ class PlanCache:
         Exposed so tests can check the round-trip property: a cached plan
         equals a fresh ``algorithm.plan(cache.quantise(context))``.
         """
-        q = self.quantum_mbps
+        q = QUANTUM_MBPS
         snap = context.snapshot
         return RepairContext(
             snapshot=BandwidthSnapshot(
@@ -145,7 +139,7 @@ class PlanCache:
 
     def key_for(self, algorithm_name: str, context: RepairContext) -> tuple:
         """Cache key: roles plus involved-node bandwidth buckets."""
-        q = self.quantum_mbps
+        q = QUANTUM_MBPS
         up = context.snapshot.uplink
         down = context.snapshot.downlink
         nodes = (context.requester, *context.helpers)
@@ -217,14 +211,14 @@ class PlanCache:
     ) -> int:
         """Drop entries whose recorded bandwidth for ``node`` has drifted.
 
-        Relative drift beyond ``drift_tolerance`` (against the recorded
+        Relative drift beyond :data:`DRIFT_TOLERANCE` (against the recorded
         value, with a 1 Mbps absolute floor) invalidates the entry.
         Returns the number of entries dropped.
         """
         keys = self._by_node.get(node)
         if not keys:
             return 0
-        tol = self.drift_tolerance
+        tol = DRIFT_TOLERANCE
         dropped = 0
         for key in list(keys):
             old_up, old_down = self._entries[key].observed[node]

@@ -126,23 +126,6 @@ def is_invertible(a: np.ndarray) -> bool:
         return False
 
 
-def vandermonde(rows: int, cols: int) -> np.ndarray:
-    """Vandermonde matrix V[i, j] = alpha_i ** j with alpha_i = g**i.
-
-    Using distinct powers of the generator as evaluation points guarantees
-    every ``cols x cols`` submatrix drawn from distinct rows is invertible
-    as long as ``rows <= 255``.
-    """
-    if rows > 255:
-        raise ValueError("at most 255 distinct evaluation points in GF(2^8)")
-    points = gf256.EXP_TABLE[np.arange(rows) % 255].astype(np.uint8)
-    out = np.empty((rows, cols), dtype=np.uint8)
-    out[:, 0] = 1
-    for j in range(1, cols):
-        out[:, j] = gf256.MUL_TABLE[out[:, j - 1], points]
-    return out
-
-
 def cauchy(rows: int, cols: int) -> np.ndarray:
     """Cauchy matrix C[i, j] = 1 / (x_i + y_j) with disjoint x, y sets.
 
@@ -157,27 +140,13 @@ def cauchy(rows: int, cols: int) -> np.ndarray:
     return gf256.INV_TABLE[x[:, None] ^ y[None, :]]
 
 
-def systematic_generator(n: int, k: int, *, construction: str = "cauchy") -> np.ndarray:
+def systematic_generator(n: int, k: int) -> np.ndarray:
     """Build the (n, k) systematic RS generator matrix.
 
     The first k rows are the identity (data chunks are stored verbatim);
-    the remaining n - k rows are the parity coefficients.
-
-    Parameters
-    ----------
-    construction:
-        ``"cauchy"`` (default) uses a Cauchy parity block, invertible for
-        every k-subset by construction.  ``"vandermonde"`` builds the
-        classical Vandermonde generator and systematises it by multiplying
-        with the inverse of its top k x k block.
+    the remaining n - k rows are a Cauchy parity block, invertible for
+    every k-subset by construction.
     """
     if not (0 < k < n):
         raise ValueError(f"require 0 < k < n, got n={n} k={k}")
-    if construction == "cauchy":
-        gen = np.vstack([identity(k), cauchy(n - k, k)])
-    elif construction == "vandermonde":
-        v = vandermonde(n, k)
-        gen = matmul(v, inverse(v[:k]))
-    else:
-        raise ValueError(f"unknown construction {construction!r}")
-    return gen
+    return np.vstack([identity(k), cauchy(n - k, k)])

@@ -69,9 +69,6 @@ class RSCode:
         Total chunks per stripe (data + parity).
     k:
         Data chunks per stripe.  Any k of the n chunks reconstruct the data.
-    construction:
-        Parity construction passed to
-        :func:`repro.ec.matrix.systematic_generator`.
 
     Chunk-sized arithmetic goes to :func:`repro.ec.backend.get_backend`
     at each call, so a test's ``use_backend`` scope applies to codes
@@ -81,14 +78,14 @@ class RSCode:
     #: Max distinct (lost, helper-set) entries memoised per code instance.
     CACHE_LIMIT = 1024
 
-    def __init__(self, n: int, k: int, *, construction: str = "cauchy") -> None:
+    def __init__(self, n: int, k: int) -> None:
         if not (0 < k < n):
             raise ValueError(f"require 0 < k < n, got n={n} k={k}")
         if n > 255:
             raise ValueError("GF(2^8) RS codes support n <= 255")
         self.n = int(n)
         self.k = int(k)
-        self.generator = matrix.systematic_generator(n, k, construction=construction)
+        self.generator = matrix.systematic_generator(n, k)
         # repair equations involve a k x k inversion; schedulers ask for
         # the same (lost, helpers) combination once per elementary
         # pipeline, so memoise (bounded FIFO eviction)

@@ -470,9 +470,6 @@ class LifetimeConfig:
     budget_fraction: float = 0.5
     max_concurrent: int = 8
     tick_s: float = 900.0
-    min_share_fraction: float = 0.01
-    max_item_attempts: int = 3
-    multi_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.k < self.n <= 32:
@@ -490,6 +487,8 @@ class LifetimeConfig:
             and len(self.patterns) != self.placement_groups
         ):
             raise ValueError("patterns must have one row per placement group")
+        # validates the recovery knobs in both repair modes
+        self.recovery_config()
 
     @property
     def horizon_s(self) -> float:
@@ -512,9 +511,8 @@ class LifetimeConfig:
             budget_fraction=self.budget_fraction,
             max_concurrent=self.max_concurrent,
             tick_s=self.tick_s,
-            min_share_fraction=self.min_share_fraction,
-            max_item_attempts=self.max_item_attempts,
-            multi_deadline_s=self.multi_deadline_s,
+            # analytic repairs always finish: no liveness deadline
+            multi_deadline_s=None,
         )
 
 

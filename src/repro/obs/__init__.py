@@ -55,7 +55,6 @@ from .detect import (
 from .attr import (
     BUCKETS,
     CONSTRAINTS,
-    ExecModel,
     GapBuckets,
     NodeIdle,
     PipelineDiagnosis,
@@ -109,7 +108,6 @@ __all__ = [
     "DivergenceMonitor",
     "EWMADetector",
     "EngineProfiler",
-    "ExecModel",
     "FleetAggregator",
     "Gauge",
     "GapBuckets",

@@ -35,7 +35,8 @@ estimate; the total is a measurement.
 The replay needs nothing beyond the trace itself: plan rates ride on
 the spans (``t_max_mbps`` on attempts, ``rate_mbps`` on pipelines —
 recorded by :class:`~repro.cluster.system.ClusterSystem`), and the
-execution-model constants arrive via :class:`ExecModel`.
+execution-model constants are the ones the simulator charges
+(:mod:`repro.sim.transfer`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..net import units
+from ..sim.transfer import DISPATCH_LATENCY_S, SLICE_OVERHEAD_S
 from .trace import Span, Tracer
 
 #: Attribution buckets, in carving priority order.
@@ -50,28 +52,6 @@ BUCKETS = ("fault_recovery", "plan_suboptimality", "straggler", "queueing")
 
 #: The four bandwidth constraints of the planner's model (paper §III).
 CONSTRAINTS = ("uplink", "downlink", "storage", "repairing")
-
-
-@dataclass(frozen=True)
-class ExecModel:
-    """Per-slice execution costs the simulator charges beyond raw transfer.
-
-    Mirrors the :class:`~repro.cluster.system.ClusterSystem` constructor
-    knobs so the replay predicts the same "clean" duration the simulator
-    would produce for a fault-free run.
-    """
-
-    slice_overhead_s: float = 200e-6
-    dispatch_latency_s: float = 200e-6
-    compute_s_per_byte: float = 1.25e-10
-
-    @classmethod
-    def from_system(cls, system) -> "ExecModel":
-        return cls(
-            slice_overhead_s=getattr(system, "slice_overhead_s", 200e-6),
-            dispatch_latency_s=getattr(system, "dispatch_latency_s", 200e-6),
-            compute_s_per_byte=getattr(system, "compute_s_per_byte", 1.25e-10),
-        )
 
 
 @dataclass(frozen=True)
@@ -307,7 +287,7 @@ def _hop_depth(hops: list[Span]) -> int:
 
 
 def _critical_path(
-    hops: list[Span], requester: int, rate_mbps: float, model: ExecModel
+    hops: list[Span], requester: int, rate_mbps: float
 ) -> tuple[CriticalHop, ...]:
     """Walk back from the last slice delivered to the requester.
 
@@ -338,7 +318,7 @@ def _critical_path(
         nbytes = cur.attrs["hi"] - cur.attrs["lo"]
         modelled = (
             units.transfer_seconds(nbytes, rate_mbps) if rate_mbps > 0 else 0.0
-        ) + model.slice_overhead_s
+        ) + SLICE_OVERHEAD_S
         path.append(
             CriticalHop(
                 src=cur.attrs["src"],
@@ -361,7 +341,7 @@ def _critical_path(
 
 
 def _diagnose_pipeline(
-    pspan: Span, requester: int, end_default: float, model: ExecModel
+    pspan: Span, requester: int, end_default: float
 ) -> PipelineDiagnosis:
     transfers = _transfers(pspan)
     # each physical hop is recorded twice (uplink + downlink lanes)
@@ -377,14 +357,14 @@ def _diagnose_pipeline(
     per_slice = (
         units.transfer_seconds(max_slice, rate) if rate > 0 and max_slice else 0.0
     )
-    expected = model.dispatch_latency_s
+    expected = DISPATCH_LATENCY_S
     if rate > 0 and nbytes > 0:
         # bottleneck-hop streaming time + per-slice sender overhead,
         # plus the pipeline-fill of the extra hops for the first slice
         expected += (
             units.transfer_seconds(nbytes, rate)
-            + slices * model.slice_overhead_s
-            + max(depth - 1, 0) * (per_slice + model.slice_overhead_s)
+            + slices * SLICE_OVERHEAD_S
+            + max(depth - 1, 0) * (per_slice + SLICE_OVERHEAD_S)
         )
     actual = _span_end(pspan, end_default) - pspan.start
     return PipelineDiagnosis(
@@ -395,7 +375,7 @@ def _diagnose_pipeline(
         slices=slices,
         expected_s=expected,
         actual_s=max(actual, 0.0),
-        critical_path=_critical_path(hops, requester, rate, model),
+        critical_path=_critical_path(hops, requester, rate),
     )
 
 
@@ -457,14 +437,8 @@ def _fault_nodes(repair: Span) -> tuple[int, ...]:
     return tuple(sorted(nodes))
 
 
-def attribute_repair_span(
-    repair: Span,
-    *,
-    exec_model: ExecModel | None = None,
-    t_ref_mbps: float | None = None,
-) -> RepairAttribution:
+def attribute_repair_span(repair: Span) -> RepairAttribution:
     """Attribute one repair span's throughput gap to the four buckets."""
-    model = exec_model or ExecModel()
     chunk_bytes = int(repair.attrs.get("chunk_bytes", 0))
     requester = repair.attrs.get("requester")
     end = _span_end(repair, repair.start)
@@ -477,12 +451,11 @@ def attribute_repair_span(
     final = attempts[-1] if attempts else repair
 
     # reference rate: the FIRST plan's water-filling optimum (the
-    # planner's promise before any fault degraded it), unless overridden
-    if t_ref_mbps is None:
-        first = attempts[0] if attempts else repair
-        t_ref_mbps = float(
-            first.attrs.get("t_max_mbps") or repair.attrs.get("t_max_mbps") or 0.0
-        )
+    # planner's promise before any fault degraded it)
+    first = attempts[0] if attempts else repair
+    t_ref_mbps = float(
+        first.attrs.get("t_max_mbps") or repair.attrs.get("t_max_mbps") or 0.0
+    )
     ideal_s = (
         units.transfer_seconds(chunk_bytes, t_ref_mbps)
         if t_ref_mbps > 0 and chunk_bytes
@@ -517,7 +490,7 @@ def attribute_repair_span(
     #    longer than its modelled duration
     pspans = [c for c in final.children if c.kind == "pipeline"]
     diagnoses = tuple(
-        _diagnose_pipeline(p, requester, end, model) for p in pspans
+        _diagnose_pipeline(p, requester, end) for p in pspans
     )
     raw_straggler = max((d.lateness_s for d in diagnoses), default=0.0)
     b_straggler = min(raw_straggler, remaining)
@@ -560,31 +533,14 @@ def attribute_repair_span(
     )
 
 
-def attribute_repairs(
-    tracer: Tracer,
-    *,
-    exec_model: ExecModel | None = None,
-    t_ref_mbps: float | None = None,
-) -> list[RepairAttribution]:
+def attribute_repairs(tracer: Tracer) -> list[RepairAttribution]:
     """Attribute every repair span recorded by ``tracer``."""
-    return [
-        attribute_repair_span(
-            span, exec_model=exec_model, t_ref_mbps=t_ref_mbps
-        )
-        for span in tracer.find(kind="repair")
-    ]
+    return [attribute_repair_span(span) for span in tracer.find(kind="repair")]
 
 
-def attribute_repair(
-    tracer: Tracer,
-    *,
-    exec_model: ExecModel | None = None,
-    t_ref_mbps: float | None = None,
-) -> RepairAttribution:
+def attribute_repair(tracer: Tracer) -> RepairAttribution:
     """Attribute the first (usually only) repair in a trace."""
     repairs = tracer.find(kind="repair")
     if not repairs:
         raise ValueError("trace contains no repair spans")
-    return attribute_repair_span(
-        repairs[0], exec_model=exec_model, t_ref_mbps=t_ref_mbps
-    )
+    return attribute_repair_span(repairs[0])

@@ -17,7 +17,7 @@ that scale:
   grows with time, only with ``buckets * delta``.
 * :class:`FleetAggregator` — the registry: ``observe(metric, value,
   t=..., **labels)`` routes into per-label series, capped at
-  ``max_series`` label sets per metric; overflow collapses into a
+  :data:`MAX_SERIES` label sets per metric; overflow collapses into a
   single ``other="true"`` series (counted, never dropped silently).
 
 Everything is stdlib-only and deterministic.  The no-op twin
@@ -33,6 +33,9 @@ from typing import Callable
 
 #: Label key used for series that overflow a metric's cardinality cap.
 OVERFLOW_KEY = (("other", "true"),)
+
+#: Cardinality cap: label sets kept per metric before overflow.
+MAX_SERIES = 64
 
 
 class TDigest:
@@ -256,13 +259,11 @@ class FleetAggregator:
         window_s: float = 60.0,
         buckets: int = 12,
         delta: int = 64,
-        max_series: int = 64,
         clock: Callable[[], float] | None = None,
     ):
         self.window_s = window_s
         self.buckets = buckets
         self.delta = delta
-        self.max_series = max_series
         self.clock = clock
         #: metric name -> {label-items tuple -> _Series}
         self._metrics: dict[str, dict[tuple, _Series]] = {}
@@ -286,7 +287,7 @@ class FleetAggregator:
         key = self._labelkey(labels)
         series = series_map.get(key)
         if series is None:
-            if len(series_map) >= self.max_series and key != OVERFLOW_KEY:
+            if len(series_map) >= MAX_SERIES and key != OVERFLOW_KEY:
                 # cardinality cap: collapse, never grow and never drop
                 self.overflowed += 1
                 key = OVERFLOW_KEY
@@ -396,7 +397,7 @@ class FleetAggregator:
                 mine_map = self._metrics.setdefault(metric, {})
                 mine = mine_map.get(key)
                 if mine is None:
-                    if len(mine_map) >= self.max_series and key != OVERFLOW_KEY:
+                    if len(mine_map) >= MAX_SERIES and key != OVERFLOW_KEY:
                         self.overflowed += 1
                         key = OVERFLOW_KEY
                     mine = mine_map.get(key)

@@ -32,6 +32,9 @@ from ..net import units
 _MIN_RATE_MBPS = 1e-3  # floor so a fully-committed link still drains
 _DEGRADED_SHARE = 0.1  # bandwidth fraction a degraded-read rebuild plans inside
 
+#: Inter-arrival time between reads (seconds).
+PERIOD_S = 0.002
+
 
 @dataclass(frozen=True)
 class ForegroundRead:
@@ -61,9 +64,8 @@ class ForegroundTraffic:
     stripe_ids:
         Stripes to draw reads from (uniformly at random, seeded).
     num_reads:
-        Total reads to issue; the stream then stops on its own.
-    period_s:
-        Inter-arrival time between reads.
+        Total reads to issue, one every :data:`PERIOD_S`; the stream
+        then stops on its own.
     seed:
         RNG seed — the stream is deterministic given the seed.
     orchestrator:
@@ -78,20 +80,16 @@ class ForegroundTraffic:
         stripe_ids,
         *,
         num_reads: int = 100,
-        period_s: float = 0.002,
         seed: int = 0,
         orchestrator=None,
     ) -> None:
         if num_reads < 0:
             raise ValueError("num_reads must be non-negative")
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
         self.system = system
         self.stripe_ids = list(stripe_ids)
         if not self.stripe_ids:
             raise ValueError("need at least one stripe to read from")
         self.num_reads = num_reads
-        self.period_s = period_s
         self.orchestrator = orchestrator
         self.reads: list[ForegroundRead] = []
         self.bytes_read = 0
@@ -116,7 +114,7 @@ class ForegroundTraffic:
             return
         self._started = True
         if self.num_reads > 0:
-            self._events.schedule(self.period_s, self._issue)
+            self._events.schedule(PERIOD_S, self._issue)
 
     def summary(self) -> dict:
         """Aggregate view of the stream (for reports and tests)."""
@@ -147,7 +145,7 @@ class ForegroundTraffic:
         else:
             self._degraded_read(now, sid, chunk, node)
         if self._issued < self.num_reads:
-            self._events.schedule(self.period_s, self._issue)
+            self._events.schedule(PERIOD_S, self._issue)
 
     def _healthy_read(self, now, sid, chunk, node) -> None:
         nbytes = self.system.chunk_bytes_of(sid)

@@ -36,6 +36,21 @@ from .queue import RepairQueue, RepairTicket
 
 logger = logging.getLogger(__name__)
 
+#: Multiplicative-decrease / multiplicative-increase factors applied to
+#: the throttle on SLO breach / recovery, and the floor the throttle
+#: never shrinks below (repair must keep making progress even under
+#: sustained foreground pressure).
+THROTTLE_SHRINK = 0.5
+THROTTLE_RESTORE = 1.5
+THROTTLE_FLOOR = 0.1
+
+#: Smallest budget share worth admitting with; below it the loop waits
+#: for a completion to reclaim bandwidth.
+MIN_SHARE_FRACTION = 0.01
+
+#: Dispatch attempts per stripe before it is dead-lettered.
+MAX_ITEM_ATTEMPTS = 3
+
 
 @dataclass(frozen=True)
 class RecoveryConfig:
@@ -51,32 +66,17 @@ class RecoveryConfig:
         repairs.
     tick_s:
         Control-loop period: throttle update + admission + gauges.
-    throttle_shrink / throttle_restore / throttle_floor:
-        Multiplicative-decrease / multiplicative-increase factors
-        applied to the throttle on SLO breach / recovery, and the
-        floor the throttle never shrinks below (repair must keep
-        making progress even under sustained foreground pressure).
-    min_share_fraction:
-        Smallest budget share worth admitting with; below it the loop
-        waits for a completion to reclaim bandwidth.
-    max_item_attempts:
-        Dispatch attempts per stripe before it is dead-lettered.
     multi_deadline_s:
-        Deadline handed to multi-chunk dispatches; misses come back
-        ``failed`` and re-queue instead of wedging the loop.  Multi
-        repairs have no progress watchdog, so the deadline is the
-        liveness guarantee — a helper crash mid-repair would otherwise
-        leave the stripe in flight forever.
+        Deadline handed to multi-chunk dispatches, positive or ``None``
+        (no deadline); misses come back ``failed`` and re-queue instead
+        of wedging the loop.  Multi repairs have no progress watchdog,
+        so the deadline is the liveness guarantee — a helper crash
+        mid-repair would otherwise leave the stripe in flight forever.
     """
 
     budget_fraction: float = 0.5
     max_concurrent: int = 4
     tick_s: float = 0.01
-    throttle_shrink: float = 0.5
-    throttle_restore: float = 1.5
-    throttle_floor: float = 0.1
-    min_share_fraction: float = 0.01
-    max_item_attempts: int = 3
     multi_deadline_s: float | None = 30.0
 
     def __post_init__(self) -> None:
@@ -86,14 +86,8 @@ class RecoveryConfig:
             raise ValueError("max_concurrent must be at least 1")
         if self.tick_s <= 0.0:
             raise ValueError("tick_s must be positive")
-        if not 0.0 < self.throttle_shrink < 1.0:
-            raise ValueError("throttle_shrink must be in (0, 1)")
-        if self.throttle_restore <= 1.0:
-            raise ValueError("throttle_restore must exceed 1")
-        if not 0.0 < self.throttle_floor <= 1.0:
-            raise ValueError("throttle_floor must be in (0, 1]")
-        if self.max_item_attempts < 1:
-            raise ValueError("max_item_attempts must be at least 1")
+        if self.multi_deadline_s is not None and self.multi_deadline_s <= 0.0:
+            raise ValueError("multi_deadline_s must be positive or None")
 
 
 @dataclass
@@ -319,16 +313,15 @@ class RecoveryOrchestrator:
     def _update_throttle(self, now: float) -> None:
         if self.slo is None:
             return
-        cfg = self.config
         self.slo.evaluate(now)
         breached = any(ok is False for ok in self.slo.status().values())
         if breached:
-            shrunk = max(cfg.throttle_floor, self.throttle * cfg.throttle_shrink)
+            shrunk = max(THROTTLE_FLOOR, self.throttle * THROTTLE_SHRINK)
             if shrunk < self.throttle - 1e-12:
                 self.throttle = shrunk
                 self._note_throttle("shrink")
         elif self.throttle < 1.0:
-            self.throttle = min(1.0, self.throttle * cfg.throttle_restore)
+            self.throttle = min(1.0, self.throttle * THROTTLE_RESTORE)
             self._note_throttle("restore")
 
     def _note_throttle(self, direction: str) -> None:
@@ -357,7 +350,7 @@ class RecoveryOrchestrator:
             free = self.effective_budget() - self._committed
             slots = cfg.max_concurrent - len(self._inflight)
             share = free / min(slots, len(self.queue))
-            if share < cfg.min_share_fraction:
+            if share < MIN_SHARE_FRACTION:
                 return  # wait for a completion to reclaim budget
             ticket = self.queue.pop()
             lost = self._lost_nodes(ticket.stripe_id)
@@ -550,7 +543,7 @@ class RecoveryOrchestrator:
                 # exposure changed under us — not the ticket's fault, so
                 # the attempt does not count against its retry allowance
                 ticket.attempts -= 1
-            if escalated or ticket.attempts < self.config.max_item_attempts:
+            if escalated or ticket.attempts < MAX_ITEM_ATTEMPTS:
                 ticket.last_failure = reason
                 self.requeues += 1
                 self.queue.requeue(

@@ -134,9 +134,7 @@ def run_recovery_scenario(
     budget_fraction: float = 0.5,
     max_concurrent: int = 4,
     tick_s: float = 0.005,
-    throttle_floor: float = 0.1,
     foreground_reads: int = 200,
-    foreground_period_s: float = 0.002,
     slo_latency_multiple: float | None = 1.5,
     until: float | None = None,
     profile: bool = False,
@@ -225,7 +223,6 @@ def run_recovery_scenario(
             budget_fraction=budget_fraction,
             max_concurrent=max_concurrent,
             tick_s=tick_s,
-            throttle_floor=throttle_floor,
         ),
         slo=slo,
     )
@@ -233,7 +230,6 @@ def run_recovery_scenario(
         system,
         sorted(payloads),
         num_reads=foreground_reads,
-        period_s=foreground_period_s,
         seed=seed + 1,
         orchestrator=orchestrator,
     )

@@ -29,10 +29,23 @@ import numpy as np
 from ..net import units
 from ..repair.plan import Pipeline, RepairPlan
 
+# The execution model, written once.  The event-driven cluster
+# (repro.cluster), the attribution replay (repro.obs.attr) and
+# TransferParams' defaults all read these three constants.
+
+#: Fixed link-time overhead charged per slice per hop (packet framing,
+#: syscall and protocol turnaround): the term that penalises tiny
+#: slices in Experiment 4.
+SLICE_OVERHEAD_S = 200e-6
+
 #: Effective per-byte GF-combine cost (seconds/byte) of a helper/requester.
 #: Corresponds to ~8 GB/s table-lookup XOR/GF throughput on a commodity
 #: server core — fast enough that bandwidth dominates, per paper §IV-C.
-DEFAULT_COMPUTE_SECONDS_PER_BYTE = 1.25e-10
+COMPUTE_S_PER_BYTE = 1.25e-10
+
+#: Master-to-node latency of one task dispatch: the cluster starts a
+#: plan's transfers this long after scheduling it.
+DISPATCH_LATENCY_S = 200e-6
 
 
 @dataclass(frozen=True)
@@ -47,18 +60,17 @@ class TransferParams:
         Pipelining granularity.  ``None`` disables slicing (whole-segment
         store-and-forward, used by conventional repair).
     slice_overhead_s:
-        Fixed link-time overhead charged per slice per hop (packet
-        framing, syscall and protocol turnaround).  This is the term that
-        penalises tiny slices in Experiment 4.
+        Link-time overhead charged per slice per hop
+        (:data:`SLICE_OVERHEAD_S` unless a sweep varies it).
     compute_s_per_byte:
         GF-combination cost charged at every non-leaf node per byte
-        forwarded.
+        forwarded (:data:`COMPUTE_S_PER_BYTE` unless a sweep varies it).
     """
 
     chunk_bytes: int
     slice_bytes: int | None = 64 * units.KIB
-    slice_overhead_s: float = 200e-6
-    compute_s_per_byte: float = DEFAULT_COMPUTE_SECONDS_PER_BYTE
+    slice_overhead_s: float = SLICE_OVERHEAD_S
+    compute_s_per_byte: float = COMPUTE_S_PER_BYTE
 
     def __post_init__(self) -> None:
         if self.chunk_bytes < 0:

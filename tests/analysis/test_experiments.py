@@ -147,12 +147,9 @@ class TestSamplingEdgeCases:
             workload="flat", capacity_mbps=1000.0,
             uplink=np.full((50, 10), 900.0), downlink=np.full((50, 10), 900.0),
         )
-        # nothing is congested: congested_only must fail loudly...
+        # nothing is congested: sampling must fail loudly
         with pytest.raises(ValueError, match="congested"):
-            sample_contexts(flat, 6, 4, 2, congested_only=True)
-        # ...and the explicit opt-out must work
-        ctxs = sample_contexts(flat, 6, 4, 2, congested_only=False)
-        assert len(ctxs) == 2
+            sample_contexts(flat, 6, 4, 2)
 
     def test_paper_constants(self):
         from repro.analysis import PAPER_ALGORITHMS, PAPER_CODES

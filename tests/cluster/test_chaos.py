@@ -273,7 +273,7 @@ def run_orchestrated(seed):
         sys_,
         RecoveryConfig(
             budget_fraction=0.5, max_concurrent=2, tick_s=0.005,
-            multi_deadline_s=0.05, max_item_attempts=3,
+            multi_deadline_s=0.05,
         ),
     )
     orch.start()

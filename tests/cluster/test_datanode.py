@@ -8,6 +8,7 @@ import pytest
 from repro.cluster import DataNode, TransferTask
 from repro.ec import gf256
 from repro.sim import EventQueue
+from repro.sim.transfer import SLICE_OVERHEAD_S
 
 
 def make_node(node_id=1, slice_bytes=256, **kw):
@@ -52,14 +53,16 @@ class TestLeafSending:
         assert sum(sizes) == 1000
 
     def test_fifo_serialisation_times(self):
-        node, events, delivered = make_node(slice_overhead_s=0.0)
+        node, events, delivered = make_node()
         node.store.put("s", 0, np.zeros(1024, dtype=np.uint8))
         node.assign(leaf_task(rate=8.0))  # 1 byte/us
         arrivals = []
         node.deliver = lambda dest, msg: arrivals.append(events.now)
         events.run()
-        # 256 bytes at 1e6 B/s = 256 us per slice, strictly serialised
-        assert arrivals == pytest.approx([256e-6 * i for i in (1, 2, 3, 4)])
+        # 256 bytes at 1e6 B/s = 256 us per slice plus the per-slice
+        # overhead, strictly serialised
+        per_slice = 256e-6 + SLICE_OVERHEAD_S
+        assert arrivals == pytest.approx([per_slice * i for i in (1, 2, 3, 4)])
 
     def test_empty_segment_ignored(self):
         node, events, delivered = make_node()

@@ -189,15 +189,13 @@ class TestLeases:
     def test_lease_config_validation(self, master):
         with pytest.raises(ValueError):
             master.configure_lease(0.0)
-        with pytest.raises(ValueError):
-            master.configure_lease(0.1, missed_reports=0)
 
     def test_leases_disabled_by_default(self, master):
         assert master.check_leases(now=1e9) == []
 
     def test_lease_expiry_declares_node_dead(self):
         m = Master(RSCode(5, 3), FullRepair(), num_nodes=8)
-        m.configure_lease(0.1, missed_reports=3)
+        m.configure_lease(0.1)
         for i in range(4):
             m.on_bandwidth_report(
                 BandwidthReport(node=i, uplink_mbps=100.0, downlink_mbps=100.0),
@@ -214,7 +212,7 @@ class TestLeases:
 
     def test_never_reported_nodes_are_not_leased(self):
         m = Master(RSCode(5, 3), FullRepair(), num_nodes=8)
-        m.configure_lease(0.1, missed_reports=3)
+        m.configure_lease(0.1)
         m.on_bandwidth_report(
             BandwidthReport(node=0, uplink_mbps=100.0, downlink_mbps=100.0),
             now=0.0,
@@ -225,7 +223,7 @@ class TestLeases:
 
     def test_lease_false_positive_heals_on_rejoin(self):
         m = Master(RSCode(5, 3), FullRepair(), num_nodes=8)
-        m.configure_lease(0.1, missed_reports=3)
+        m.configure_lease(0.1)
         m.on_bandwidth_report(
             BandwidthReport(node=2, uplink_mbps=100.0, downlink_mbps=100.0),
             now=0.0,

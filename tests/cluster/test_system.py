@@ -7,6 +7,7 @@ from repro.cluster import ClusterSystem
 from repro.ec import RSCode
 from repro.net import units
 from repro.sim import TransferParams, execute
+from repro.sim.transfer import DISPATCH_LATENCY_S
 from repro.workloads import make_trace
 
 
@@ -92,22 +93,13 @@ class TestTimingAgreement:
         """The event-driven data plane and the vectorised recurrence are
         the same model: elapsed == dispatch latency + transfer makespan."""
         for algorithm in ("rp", "pivotrepair", "fullrepair"):
-            sys_ = build_cluster(
-                algorithm=algorithm,
-                slice_bytes=2048,
-                dispatch_latency_s=1e-4,
-            )
+            sys_ = build_cluster(algorithm=algorithm, slice_bytes=2048)
             write_and_fail(sys_, chunk_bytes=20 * 1024)
             sys_.set_bandwidth(snapshot)
             out = sys_.repair("s1", failed_node=2, requester=10)
-            params = TransferParams(
-                chunk_bytes=20 * 1024,
-                slice_bytes=2048,
-                slice_overhead_s=200e-6,
-                compute_s_per_byte=1.25e-10,
-            )
+            params = TransferParams(chunk_bytes=20 * 1024, slice_bytes=2048)
             expected = execute(out.plan, params).transfer_seconds
-            got = out.elapsed_seconds - 1e-4  # remove dispatch latency
+            got = out.elapsed_seconds - DISPATCH_LATENCY_S
             assert got == pytest.approx(expected, rel=0.05), algorithm
 
     def test_fullrepair_faster_than_rp(self, snapshot):

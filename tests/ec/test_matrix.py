@@ -84,22 +84,6 @@ class TestInverse:
 
 
 class TestConstructions:
-    def test_vandermonde_first_column_ones(self):
-        v = matrix.vandermonde(6, 4)
-        assert (v[:, 0] == 1).all()
-
-    def test_vandermonde_rows_distinct(self):
-        v = matrix.vandermonde(10, 4)
-        assert len({tuple(row) for row in v}) == 10
-
-    def test_vandermonde_square_invertible(self):
-        for size in (2, 4, 8):
-            assert matrix.is_invertible(matrix.vandermonde(size, size))
-
-    def test_vandermonde_too_many_rows(self):
-        with pytest.raises(ValueError):
-            matrix.vandermonde(256, 4)
-
     def test_cauchy_all_nonzero(self):
         c = matrix.cauchy(4, 10)
         assert (c != 0).all()
@@ -114,18 +98,16 @@ class TestConstructions:
         with pytest.raises(ValueError):
             matrix.cauchy(200, 100)
 
-    @pytest.mark.parametrize("construction", ["cauchy", "vandermonde"])
-    def test_systematic_generator_top_is_identity(self, construction):
-        g = matrix.systematic_generator(9, 6, construction=construction)
+    def test_systematic_generator_top_is_identity(self):
+        g = matrix.systematic_generator(9, 6)
         assert np.array_equal(g[:6], matrix.identity(6))
 
-    @pytest.mark.parametrize("construction", ["cauchy", "vandermonde"])
     @pytest.mark.parametrize("n,k", [(5, 3), (6, 4), (9, 6), (14, 10)])
-    def test_systematic_generator_mds(self, construction, n, k):
+    def test_systematic_generator_mds(self, n, k):
         """Every k-subset of rows must be invertible (MDS property)."""
         from itertools import combinations
 
-        g = matrix.systematic_generator(n, k, construction=construction)
+        g = matrix.systematic_generator(n, k)
         rng = np.random.default_rng(3)
         subsets = list(combinations(range(n), k))
         if len(subsets) > 40:
@@ -138,10 +120,6 @@ class TestConstructions:
             matrix.systematic_generator(4, 4)
         with pytest.raises(ValueError):
             matrix.systematic_generator(3, 0)
-
-    def test_unknown_construction(self):
-        with pytest.raises(ValueError):
-            matrix.systematic_generator(5, 3, construction="fountain")
 
 
 class TestMatvecChunksOut:

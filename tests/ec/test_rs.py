@@ -186,13 +186,6 @@ class TestVerifyStripe:
         with pytest.raises(ValueError):
             code.verify_stripe(np.zeros((5, 8), dtype=np.uint8))
 
-    def test_vandermonde_construction_roundtrip(self):
-        code = RSCode(9, 6, construction="vandermonde")
-        data, stripe = make_stripe(code)
-        assert code.verify_stripe(stripe)
-        got = code.decode({i: stripe[i] for i in (0, 2, 4, 6, 7, 8)})
-        assert np.array_equal(got, data)
-
 
 class TestEquationCache:
     def test_cache_returns_identical_object(self):

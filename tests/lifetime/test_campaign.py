@@ -217,6 +217,21 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             LifetimeConfig(**kwargs)
 
+    @pytest.mark.parametrize("repair", ["orchestrated", "process"])
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"budget_fraction": 0.0}, "budget_fraction"),
+            ({"max_concurrent": 0}, "max_concurrent"),
+            ({"tick_s": 0.0}, "tick_s"),
+        ],
+    )
+    def test_bad_recovery_knobs_rejected_in_both_modes(
+        self, repair, kwargs, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            LifetimeConfig(repair=repair, **kwargs)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [

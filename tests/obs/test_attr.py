@@ -17,7 +17,6 @@ from repro.ec import RSCode
 from repro.obs import (
     BUCKETS,
     CONSTRAINTS,
-    ExecModel,
     MetricsRegistry,
     Tracer,
     attribute_repair,
@@ -82,9 +81,7 @@ def _check_invariants(attr):
 class TestCleanRepair:
     def test_no_fault_blame_and_invariant(self):
         system, tracer, outcome = _traced_repair()
-        attr = attribute_repair(
-            tracer, exec_model=ExecModel.from_system(system)
-        )
+        attr = attribute_repair(tracer)
         assert outcome.verified
         _check_invariants(attr)
         assert attr.attempts == 1
@@ -95,9 +92,7 @@ class TestCleanRepair:
 
     def test_node_idle_covers_roles(self):
         system, tracer, _ = _traced_repair()
-        attr = attribute_repair(
-            tracer, exec_model=ExecModel.from_system(system)
-        )
+        attr = attribute_repair(tracer)
         roles = {ni.role for ni in attr.node_idle}
         assert "requester" in roles
         assert "helper" in roles or "relay" in roles
@@ -109,9 +104,7 @@ class TestCleanRepair:
 class TestHelperStraggler:
     def test_capped_helper_is_blamed(self):
         system, tracer, outcome = _traced_repair(cap=(4, 2.0))
-        attr = attribute_repair(
-            tracer, exec_model=ExecModel.from_system(system)
-        )
+        attr = attribute_repair(tracer)
         _check_invariants(attr)
         clean = _traced_repair()[1]
         clean_attr = attribute_repair(clean)
@@ -127,9 +120,7 @@ class TestHelperStraggler:
 class TestRequesterStall:
     def test_stall_widens_gap_but_invariant_holds(self):
         system, tracer, _ = _traced_repair(stall=(11, 0.005))
-        attr = attribute_repair(
-            tracer, exec_model=ExecModel.from_system(system)
-        )
+        attr = attribute_repair(tracer)
         _check_invariants(attr)
         clean_attr = attribute_repair(_traced_repair()[1])
         assert attr.gap_s > clean_attr.gap_s
@@ -139,9 +130,7 @@ class TestRequesterStall:
 class TestHubCrash:
     def test_fault_recovery_dominates(self, hub_crash_demo):
         demo = hub_crash_demo
-        attr = attribute_repair(
-            demo.tracer, exec_model=ExecModel.from_system(demo.system)
-        )
+        attr = attribute_repair(demo.tracer)
         _check_invariants(attr)
         assert attr.attempts >= 2
         assert attr.buckets.fault_recovery_s > 0

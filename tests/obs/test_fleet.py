@@ -12,7 +12,7 @@ from repro.obs import (
     RollingWindow,
     TDigest,
 )
-from repro.obs.fleet import OVERFLOW_KEY
+from repro.obs.fleet import MAX_SERIES, OVERFLOW_KEY
 
 
 class TestTDigest:
@@ -123,14 +123,19 @@ class TestFleetAggregator:
         assert f.quantile("repro_x", 0.5, now=100.0, windowed=True) == 7.0
 
     def test_cardinality_cap_collapses_to_overflow(self):
-        f = FleetAggregator(max_series=3)
-        for i in range(10):
+        f = FleetAggregator()
+        for i in range(MAX_SERIES + 1):
             f.observe("repro_x", float(i), t=0.0, node=str(i))
-        assert f.series_count("repro_x") == 4  # 3 real + overflow
-        assert f.overflowed == 7
+        assert f.series_count("repro_x") == MAX_SERIES + 1  # 64 real + overflow
+        assert f.overflowed == 1
         assert OVERFLOW_KEY in f._metrics["repro_x"]
+        # further new label sets reuse the one overflow series
+        for i in range(MAX_SERIES + 1, MAX_SERIES + 7):
+            f.observe("repro_x", float(i), t=0.0, node=str(i))
+        assert f.series_count("repro_x") == MAX_SERIES + 1
+        assert f.overflowed == 7
         # nothing dropped: the aggregate still sees every observation
-        assert f.count("repro_x", now=0.0, windowed=False) == 10
+        assert f.count("repro_x", now=0.0, windowed=False) == MAX_SERIES + 7
 
     def test_snapshot_shape(self):
         f = FleetAggregator(window_s=10.0)

@@ -230,8 +230,8 @@ class _CountingNullMetrics(NullMetricsRegistry):
 def test_one_planning_request_makes_two_null_obs_calls():
     """``plan_for_context`` + ``compile_tasks`` with observability off: one
     plan-cache lookup counter and its increment, no tracer call at all."""
-    master = Master(RSCode(N, K), get_algorithm("fullrepair"), N + 2,
-                    plan_cache=PlanCache(max_entries=16))
+    master = Master(RSCode(N, K), get_algorithm("fullrepair"), N + 2)
+    master.plan_cache = PlanCache(max_entries=16)
     master.tracer, master.metrics = _CountingNullTracer(), _CountingNullMetrics()
     # helpers 1..N-1 hold chunks 0..N-2; the lost chunk N-1 lived on node N
     master.register_stripe(StripeLocation("s0", placement=tuple(range(1, N + 1))))

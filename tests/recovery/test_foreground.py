@@ -15,6 +15,7 @@ from repro.recovery import (
     RecoveryOrchestrator,
     run_recovery_scenario,
 )
+from repro.recovery.foreground import PERIOD_S
 
 pytestmark = pytest.mark.recovery
 
@@ -98,7 +99,7 @@ class TestHealthyLatencyContention:
             sys_, write, _ = make_system()
             write("s0", (0, 1, 2, 3))
             fg = ForegroundTraffic(
-                sys_, ["s0"], num_reads=10, period_s=0.001,
+                sys_, ["s0"], num_reads=10,
                 seed=3, orchestrator=orchestrator,
             )
             fg.start()
@@ -136,7 +137,6 @@ class TestScenarioCoexistence:
         sc = run_recovery_scenario(
             num_stripes=12,
             foreground_reads=150,
-            foreground_period_s=0.0005,
             chunk_bytes=65536,
             budget_fraction=0.2,
             kills=((0, 0.001),),
@@ -162,7 +162,6 @@ class TestConstruction:
         "stripes, kwargs, message",
         [
             (["s0"], {"num_reads": -1}, "num_reads"),
-            (["s0"], {"period_s": 0.0}, "period_s"),
             ([], {}, "at least one stripe"),
         ],
     )
@@ -170,6 +169,17 @@ class TestConstruction:
         sys_, _, _ = make_system()
         with pytest.raises(ValueError, match=message):
             ForegroundTraffic(sys_, stripes, **kwargs)
+
+    def test_reads_are_issued_one_period_apart(self):
+        sys_, write, _ = make_system()
+        write("s0", (0, 1, 2, 3))
+        fg = ForegroundTraffic(sys_, ["s0"], num_reads=5, seed=0)
+        fg.start()
+        sys_.events.run()
+        assert fg.done
+        assert [r.t for r in fg.reads] == pytest.approx(
+            [PERIOD_S * (i + 1) for i in range(5)]
+        )
 
     def test_start_is_idempotent(self):
         sys_, write, _ = make_system()

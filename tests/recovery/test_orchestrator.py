@@ -14,6 +14,7 @@ from repro.recovery import (
     RecoveryOrchestrator,
     run_recovery_scenario,
 )
+from repro.recovery import orchestrator as orch_mod
 
 pytestmark = pytest.mark.recovery
 
@@ -191,7 +192,7 @@ class TestFailurePaths:
         sys_, write, _ = make_system(num_nodes=5, n=4, k=2)
         write("s0", (0, 1, 2, 3))
         orch = RecoveryOrchestrator(
-            sys_, RecoveryConfig(max_concurrent=1, max_item_attempts=2)
+            sys_, RecoveryConfig(max_concurrent=1)
         )
         orch.start()
         sys_.fail_node(4)
@@ -209,7 +210,7 @@ class TestFailurePaths:
         sys_, write, _ = make_system(num_nodes=8, n=4, k=2)
         write("s0", (0, 1, 2, 3))
         orch = RecoveryOrchestrator(
-            sys_, RecoveryConfig(max_concurrent=1, max_item_attempts=2)
+            sys_, RecoveryConfig(max_concurrent=1)
         )
         orch.start()
         for node in (0, 1, 2):
@@ -276,10 +277,24 @@ class TestFailurePaths:
     [
         ("budget_fraction", 0.0), ("budget_fraction", 1.5),
         ("max_concurrent", 0), ("tick_s", 0.0),
-        ("throttle_shrink", 1.0), ("throttle_restore", 1.0),
-        ("throttle_floor", 0.0), ("max_item_attempts", 0),
+        ("multi_deadline_s", 0.0), ("multi_deadline_s", -1.0),
     ],
 )
 def test_recovery_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
         RecoveryConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "name, in_range",
+    [
+        ("THROTTLE_SHRINK", lambda v: 0.0 < v < 1.0),
+        ("THROTTLE_RESTORE", lambda v: v > 1.0),
+        ("THROTTLE_FLOOR", lambda v: 0.0 < v <= 1.0),
+        ("MIN_SHARE_FRACTION", lambda v: 0.0 < v < 1.0),
+        ("MAX_ITEM_ATTEMPTS", lambda v: isinstance(v, int) and v >= 1),
+    ],
+)
+def test_loop_constants_in_range(name, in_range):
+    # the bounds RecoveryConfig enforced while these were settable
+    assert in_range(getattr(orch_mod, name))

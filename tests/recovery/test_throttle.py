@@ -41,9 +41,6 @@ def build(num_stripes=12, chunk=256 * 1024):
             budget_fraction=0.6,
             max_concurrent=2,
             tick_s=0.005,
-            throttle_shrink=0.5,
-            throttle_restore=2.0,
-            throttle_floor=0.1,
         ),
         slo=slo,
     )

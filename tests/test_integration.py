@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro import ClusterSystem, RSCode, TransferParams, execute
 from repro.repair import algorithm_names, get_algorithm
+from repro.sim.transfer import DISPATCH_LATENCY_S
 from repro.workloads import make_trace
 
 cluster_shapes = st.tuples(
@@ -74,7 +75,7 @@ class TestThreeViewAgreement:
         slice_bytes = 2048
         system = ClusterSystem(
             num_nodes, RSCode(9, 6), algorithm="fullrepair",
-            slice_bytes=slice_bytes, dispatch_latency_s=1e-4,
+            slice_bytes=slice_bytes,
         )
         trace = make_trace(
             "swim", num_nodes=num_nodes, num_snapshots=30, seed=seed % 997
@@ -84,12 +85,9 @@ class TestThreeViewAgreement:
         system.write_stripe("s", data, placement=tuple(range(9)))
         system.fail_node(4)
         outcome = system.repair("s", failed_node=4, requester=10)
-        params = TransferParams(
-            chunk_bytes=chunk_bytes, slice_bytes=slice_bytes,
-            slice_overhead_s=200e-6, compute_s_per_byte=1.25e-10,
-        )
+        params = TransferParams(chunk_bytes=chunk_bytes, slice_bytes=slice_bytes)
         expected = execute(outcome.plan, params).transfer_seconds
-        got = outcome.elapsed_seconds - 1e-4
+        got = outcome.elapsed_seconds - DISPATCH_LATENCY_S
         assert got == pytest.approx(expected, rel=0.08)
 
 
