@@ -52,8 +52,7 @@ def main() -> None:
     lost = cluster.master.stripe(sid).chunk_on(victim)
     cluster.fail_node(victim)
     reader = next(
-        r for r in range(cluster.num_nodes)
-        if cluster.is_alive(r) and r not in cluster.master.stripe(sid).placement
+        r for r in cluster.live if r not in cluster.master.stripe(sid).placement
     )
     payload, secs = cluster.degraded_read(sid, lost, reader=reader)
     ok = (lost >= 6) or bool(np.array_equal(payload, originals[sid][lost]))
@@ -68,8 +67,7 @@ def main() -> None:
         n for n in cluster.master.stripe(sid).placement if n != victim
     ]
     requester = next(
-        r for r in range(cluster.num_nodes)
-        if cluster.is_alive(r) and r not in cluster.master.stripe(sid).placement
+        r for r in cluster.live if r not in cluster.master.stripe(sid).placement
     )
     cluster.events.schedule(0.001, lambda: cluster.fail_node(helpers[0]))
     out = cluster.repair(

@@ -713,15 +713,15 @@ def render_lifetime(mc) -> str:
     return "\n".join(lines)
 
 
-def render_lifetime_sweep(sweep, *, knob: str = "pipeline_factor") -> str:
-    """Render a repair-speed sweep: ``[(knob value, MonteCarloResult)]``.
+def render_lifetime_sweep(sweep) -> str:
+    """Render a repair-speed sweep: ``[(pipeline_factor, MonteCarloResult)]``.
 
     The durability-vs-repair-speed table — how many nines pipelined
     repair buys over conventional rebuild at otherwise identical
     fleets (the lifetime-scale rendering of the paper's headline).
     """
     header = (
-        f"{knob:>16} | {'losses':>6} | {'stripes lost':>12} | "
+        f"{'pipeline_factor':>16} | {'losses':>6} | {'stripes lost':>12} | "
         f"{'MTTDL (gy)':>10} | {'nines':>6}"
     )
     lines = ["durability vs repair speed", header, "-" * len(header)]

@@ -166,16 +166,12 @@ class FileStore:
         reader satisfying that is honoured, otherwise the lowest-id
         eligible node stands in.
         """
-        placement = set(self.system.master.stripe(stripe_id).placement)
-        if (
-            preferred is not None
-            and self.system.is_alive(preferred)
-            and preferred not in placement
-        ):
+        placement = self.system.master.stripe(stripe_id).placement
+        eligible = [n for n in self.system.live if n not in placement]
+        if preferred in eligible:
             return preferred
-        for node in range(self.system.num_nodes):
-            if self.system.is_alive(node) and node not in placement:
-                return node
+        if eligible:
+            return eligible[0]
         raise RuntimeError(
             f"no live node outside the placement of {stripe_id!r} to read from"
         )

@@ -299,13 +299,24 @@ class ClusterSystem:
     def is_alive(self, node: int) -> bool:
         return self._alive[node]
 
+    @property
+    def live(self) -> list[int]:
+        """Ascending ids of the nodes that may take new work: alive and
+        not declared dead by the master.  Rebuild targets, degraded-read
+        readers and escalation spares are all drawn from it."""
+        dead = self.master.is_node_dead
+        return [i for i, up in enumerate(self._alive) if up and not dead(i)]
+
+    @property
+    def live_mask(self) -> int:
+        """:attr:`live` as a node bit mask."""
+        return sum(1 << i for i in self.live)
+
     def set_bandwidth(self, snapshot: BandwidthSnapshot) -> None:
         """Feed the master a fresh bandwidth picture (live nodes report)."""
         if snapshot.num_nodes != self.num_nodes:
             raise ValueError("snapshot size mismatch")
-        for i in range(self.num_nodes):
-            if not self._alive[i] or self.master.is_node_dead(i):
-                continue  # dead nodes do not report (master would reject)
+        for i in self.live:  # dead nodes do not report (master would reject)
             self.master.on_bandwidth_report(
                 BandwidthReport(
                     node=i,
@@ -571,6 +582,11 @@ class ClusterSystem:
             for i, n in enumerate(loc.placement)
             if not self._can_serve(stripe_id, i, n)
         )
+
+    def exposure(self, stripe_id: str) -> int:
+        """Lost chunks of the stripe: dead nodes and quarantined
+        (corrupt-but-live) copies both erode its erasure budget."""
+        return len(self.unavailable_nodes(stripe_id))
 
     def _can_serve(self, stripe_id: str, chunk_index: int, node: int) -> bool:
         """Whether ``node``'s copy of the chunk may serve reads and
@@ -896,14 +912,12 @@ class ClusterSystem:
         if not stripe_ids:
             return {}
         requester_for = dict(requester_for or {})
-        live_pool = [
-            i for i in range(self.num_nodes) if self._alive[i]
-        ]
+        live = self.live
         specs = []
         for i, sid in enumerate(stripe_ids):
             loc = self.master.stripe(sid)
             if sid not in requester_for:
-                candidates = [r for r in live_pool if r not in loc.placement]
+                candidates = [r for r in live if r not in loc.placement]
                 if not candidates:
                     raise RuntimeError(f"no replacement node available for {sid}")
                 requester_for[sid] = candidates[i % len(candidates)]
@@ -972,9 +986,10 @@ class ClusterSystem:
         )
         if len(helpers) < self.code.k:
             raise ValueError("not enough surviving helpers to decode")
+        live = self.live
         for f in failed_nodes:
             r = requester_for[f]
-            if not self._alive[r] or r in loc.placement:
+            if r not in live or r in loc.placement:
                 raise ValueError(f"invalid requester {r} for failed node {f}")
         if len(set(requester_for[f] for f in failed_nodes)) != len(failed_nodes):
             raise ValueError("each lost chunk needs a distinct requester")
@@ -1750,12 +1765,7 @@ class ClusterSystem:
         lost = tuple(n for n in loc.placement if not self._alive[n])
         others = [f for f in lost if f != asm.failed_node]
         spares = [
-            r
-            for r in range(self.num_nodes)
-            if r != asm.requester
-            and r not in loc.placement
-            and self._alive[r]
-            and not self.master.is_node_dead(r)
+            r for r in self.live if r != asm.requester and r not in loc.placement
         ]
         requester_for = {asm.failed_node: asm.requester, **dict(zip(others, spares))}
         fail_reason = None

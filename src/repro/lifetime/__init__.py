@@ -32,7 +32,6 @@ from .analytic import markov_mttdl, markov_mttdl_years
 from .campaign import (
     CampaignResult,
     LifetimeConfig,
-    LifetimeOrchestrator,
     LossEvent,
     RepairModel,
     StripeTableSystem,
@@ -62,7 +61,6 @@ __all__ = [
     "GroupLoss",
     "LEVELS",
     "LifetimeConfig",
-    "LifetimeOrchestrator",
     "LifetimeProcess",
     "LossEvent",
     "MonteCarloResult",

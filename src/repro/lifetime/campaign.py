@@ -59,7 +59,6 @@ __all__ = [
     "LossEvent",
     "CampaignResult",
     "StripeTableSystem",
-    "LifetimeOrchestrator",
     "run_campaign",
 ]
 
@@ -133,11 +132,10 @@ class StripeTableSystem:
     dispatch — against bitmap state and the analytic
     :class:`RepairModel` instead of chunk payloads, so campaigns over
     millions of stripes never materialise a byte of data.  It doubles
-    as its own ``master`` (stripe lookup promotes lazily, node-death
-    checks read the shared per-disk ``down`` flags).  ``live`` is the
-    ascending list of disks not down and ``live_mask`` the same set as a
-    disk bit mask; whoever writes ``down`` keeps both current
-    (:meth:`_Campaign._set_down`).
+    as its own ``master`` (stripe lookup promotes lazily).  ``live`` is
+    the ascending list of disks not down — the rebuild targets — and
+    ``live_mask`` the same set as a disk bit mask; whoever writes
+    ``down`` keeps both current (:meth:`_Campaign._set_down`).
     """
 
     def __init__(
@@ -169,21 +167,11 @@ class StripeTableSystem:
     # ---- topology / liveness ------------------------------------------- #
 
     @property
-    def num_nodes(self) -> int:
-        return self.tree.num_disks
-
-    @property
     def master(self) -> "StripeTableSystem":
         return self
 
     def stripe(self, stripe_id: str):
         return self.table.promote(self.table.group_of_id(stripe_id))
-
-    def is_alive(self, node: int) -> bool:
-        return not self.down[node]
-
-    def is_node_dead(self, node: int) -> bool:
-        return bool(self.down[node])
 
     def add_failure_listener(self, callback) -> None:
         self._listeners.append(callback)
@@ -212,6 +200,17 @@ class StripeTableSystem:
         if table.lost[group]:
             return ()  # beyond repair; exposure no longer actionable
         return table.destroyed_disks(group)
+
+    def exposure(self, stripe_id: str) -> int:
+        # Bitmap-native: the tuple unavailable_nodes() builds only to
+        # take its length was the profiler's top allocation site, since
+        # the intake and reprioritise loops ask for every candidate
+        # group of every failure.
+        table = self.table
+        group = table.group_of_id(stripe_id)
+        if table.lost[group]:
+            return 0
+        return table.n - table.surviving(group)
 
     # ---- repair dispatch ------------------------------------------------ #
 
@@ -313,113 +312,6 @@ class StripeTableSystem:
             table.rebuild(group, repairs, self.events.now, down)
         table.demote(group)
         return outcomes
-
-
-class LifetimeOrchestrator(RecoveryOrchestrator):
-    """Recovery orchestrator with domain-aware rebuild placement.
-
-    The stock requester picker round-robins over live spare nodes; at
-    fleet-lifetime scale that quietly re-stacks rebuilt chunks behind
-    shared racks, eroding exactly the correlated-failure margin the
-    placement policy bought.  This subclass keeps the round-robin but
-    skips candidates that would push any ``spread_level`` domain of
-    the stripe past ``max_per_domain``; when no compliant spare
-    exists it falls back to the stock behaviour and counts the
-    violation (``spread_fallbacks``).  Candidates, choices and full
-    domains are disk bit masks, so a pick is a few integer operations
-    whatever the fleet or stripe width.
-    """
-
-    def __init__(
-        self,
-        system,
-        config: RecoveryConfig | None = None,
-        *,
-        slo=None,
-        tree: DomainTree | None = None,
-        spread_level: str = "machine",
-        max_per_domain: int = 1,
-    ):
-        super().__init__(system, config, slo=slo)
-        self._tree = tree
-        # disk -> bit mask of the disks in its ``spread_level`` domain
-        self._peers: list[int] = []
-        if tree is not None:
-            domain_of = tree.disk_domains(spread_level).tolist()
-            masks = [0] * tree.num_domains(spread_level)
-            for disk, dom in enumerate(domain_of):
-                masks[dom] |= 1 << disk
-            self._peers = [masks[dom] for dom in domain_of]
-        self._max_per_domain = max_per_domain
-        self.spread_fallbacks = 0
-
-    def _exposure(self, stripe_id: str) -> int:
-        # Bitmap-native override: the stock path builds a tuple of
-        # unavailable nodes per call just to take its length, and the
-        # intake/reprioritise loops call it for every candidate group
-        # of every failure — the profiler's top allocation site.
-        table = self.system.table
-        group = table.group_of_id(stripe_id)
-        if table.lost[group]:
-            return 0
-        return table.n - table.surviving(group)
-
-    def _pick_requesters(self, stripe_id, lost):
-        if self._tree is None:
-            return super()._pick_requesters(stripe_id, lost)
-        system = self.system
-        placement = system.master.stripe(stripe_id).placement
-        # Candidates are the live disks outside the placement, in
-        # ascending order: ``live`` as a list, ``free`` as a disk mask.
-        # Neither is filtered per dispatch, so a pick costs O(stripe
-        # width) bytecode, not O(fleet), and no Python call per slot or
-        # candidate.
-        live, live_mask = system.live, system.live_mask
-        placement_mask = 0
-        for d in placement:
-            placement_mask |= 1 << d
-        held = placement_mask & live_mask  # live disks that are not candidates
-        width = len(live) - held.bit_count()
-        if width < len(lost):
-            return None
-        free = live_mask & ~placement_mask
-        # ``kept``: disks keeping (or chosen for) a chunk of the stripe;
-        # ``full``: disks of the domains already holding ``cap`` of them
-        kept = placement_mask
-        for f in lost:
-            kept &= ~(1 << f)
-        peers = self._peers
-        cap = self._max_per_domain
-        full = 0
-        for d in placement:
-            if (kept & peers[d]).bit_count() >= cap:
-                full |= peers[d]
-
-        chosen: dict[int, int] = {}
-        for i, f in enumerate(lost):
-            # Round-robin start: the j-th candidate (0-based, ascending)
-            # is live[at] for the least at = j + #held disks <= live[at].
-            j = (self._rr + i) % width
-            at = j
-            while (nxt := j + (held & ((2 << live[at]) - 1)).bit_count()) != at:
-                at = nxt
-            below = (1 << live[at]) - 1  # disks the cyclic scan reaches last
-            pool = free & ~full
-            if not pool:
-                # no compliant spare left — degrade to the stock rule
-                # rather than stall the repair, but count it
-                self.spread_fallbacks += 1
-                pool = free
-            # first disk of the pool at or after the start, wrapping
-            pool = (pool & ~below) or pool
-            pick = (pool & -pool).bit_length() - 1
-            free ^= 1 << pick
-            kept |= 1 << pick
-            chosen[f] = pick
-            if (kept & peers[pick]).bit_count() >= cap:
-                full |= peers[pick]
-        self._rr += len(lost)
-        return chosen
 
 
 @dataclass(frozen=True)
@@ -607,7 +499,7 @@ class _Campaign:
             [config.seed, _REBUILD_STREAM]
         )
         self.system: StripeTableSystem | None = None
-        self.orchestrator: LifetimeOrchestrator | None = None
+        self.orchestrator: RecoveryOrchestrator | None = None
         if config.repair == "orchestrated":
             self.system = StripeTableSystem(
                 self.table,
@@ -619,7 +511,7 @@ class _Campaign:
                 metrics=metrics,
                 slo=slo,
             )
-            self.orchestrator = LifetimeOrchestrator(
+            self.orchestrator = RecoveryOrchestrator(
                 self.system,
                 config.recovery_config(),
                 slo=slo,

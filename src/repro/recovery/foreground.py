@@ -213,14 +213,8 @@ class ForegroundTraffic:
             )
 
     def _pick_reader(self, sid) -> int | None:
-        placement = set(self.system.master.stripe(sid).placement)
-        candidates = [
-            r
-            for r in range(self.system.num_nodes)
-            if self.system.is_alive(r)
-            and r not in placement
-            and not self.system.master.is_node_dead(r)
-        ]
+        placement = self.system.master.stripe(sid).placement
+        candidates = [r for r in self.system.live if r not in placement]
         if not candidates:
             return None
         return candidates[int(self._rng.integers(len(candidates)))]

@@ -17,7 +17,10 @@ long-lived scheduling loop, not a one-shot call:
   the freed bandwidth instead of inheriting a static 1/m split;
 - an adaptive throttle coupled to the SLO engine: any breached rule
   (typically on foreground latency) multiplicatively shrinks the
-  effective budget down to a floor; recovery restores it.
+  effective budget down to a floor; recovery restores it;
+- rebuild targets drawn round-robin from the system's ``live`` nodes
+  outside the stripe, at most ``max_per_domain`` chunks per failure
+  domain when a :class:`~repro.net.topology.DomainTree` is given.
 
 The orchestrator lives *inside* the event queue: it owns no thread and
 blocks nothing.  Construct it, :meth:`~RecoveryOrchestrator.start` it,
@@ -122,9 +125,24 @@ class RecoveryOrchestrator:
     slo:
         SLO engine to couple the throttle to; defaults to
         ``system.slo``.  ``None`` disables throttling.
+    tree, spread_level, max_per_domain:
+        Domain-aware rebuild placement: a pick never puts more than
+        ``max_per_domain`` chunks of a stripe into one ``spread_level``
+        domain of the :class:`~repro.net.topology.DomainTree` while a
+        compliant node is left.  Without a tree every node is its own
+        domain.
     """
 
-    def __init__(self, system, config: RecoveryConfig | None = None, *, slo=None):
+    def __init__(
+        self,
+        system,
+        config: RecoveryConfig | None = None,
+        *,
+        slo=None,
+        tree=None,
+        spread_level: str = "machine",
+        max_per_domain: int = 1,
+    ):
         self.system = system
         self.config = config or RecoveryConfig()
         self.slo = slo if slo is not None else system.slo
@@ -147,6 +165,20 @@ class RecoveryOrchestrator:
         self._tick_pending = False
         self._was_active = False
         self._rr = 0  # round-robin cursor over requester candidates
+        self.spread_fallbacks = 0  # picks that broke the domain cap
+        # node -> bit mask of the nodes in its ``spread_level`` domain
+        if tree is None:
+            self._peers = [1 << d for d in range(system.num_nodes)]
+        else:
+            domain_of = tree.disk_domains(spread_level).tolist()
+            masks = [0] * tree.num_domains(spread_level)
+            for disk, dom in enumerate(domain_of):
+                masks[dom] |= 1 << disk
+            self._peers = [masks[dom] for dom in domain_of]
+        self._max_per_domain = max_per_domain
+        # the system's exposure rule, bound once: the intake and
+        # reprioritise loops call it for every candidate stripe
+        self._exposure = system.exposure
         self._span = None
         self._events = system.events
         self._tracer = system.tracer
@@ -261,11 +293,6 @@ class RecoveryOrchestrator:
             ).inc(added)
         return added
 
-    def _exposure(self, stripe_id: str) -> int:
-        # Dead nodes and quarantined (corrupt-but-live) chunks both erode
-        # the stripe's erasure budget, so both count as exposure.
-        return len(self.system.unavailable_nodes(stripe_id))
-
     # ---- control loop -------------------------------------------------- #
 
     def _ensure_tick(self, delay: float | None = None) -> None:
@@ -353,43 +380,82 @@ class RecoveryOrchestrator:
             if share < MIN_SHARE_FRACTION:
                 return  # wait for a completion to reclaim budget
             ticket = self.queue.pop()
-            lost = self._lost_nodes(ticket.stripe_id)
+            # quarantined chunks count: scrub findings dispatch through
+            # the same repair path as crashes
+            lost = self.system.unavailable_nodes(ticket.stripe_id)
             if not lost:
                 # healed while queued (e.g. a degraded read stored it)
                 self.skipped += 1
                 continue
             self._dispatch(ticket, lost, share, now)
 
-    def _lost_nodes(self, stripe_id: str) -> tuple[int, ...]:
-        """Placement nodes whose chunk needs rebuilding.
+    def _pick_requesters(self, stripe_id, lost):
+        """Distinct live nodes outside the placement to rebuild onto.
 
-        Includes live nodes whose chunk is quarantined, so scrub
-        findings dispatch through the same repair path as crashes.
+        Round-robins from the cursor over the system's ``live`` nodes
+        outside the placement, so rebuilt chunks spread across the
+        cluster instead of piling onto the lowest node id, and skips
+        candidates that would push any domain of the stripe past
+        ``max_per_domain``.  When no compliant candidate is left it
+        degrades to the plain round-robin and counts the violation
+        (``spread_fallbacks``).  Without a tree every node is its own
+        domain, so no candidate is ever in a full domain and the pick is
+        the plain round-robin.
+        Candidates, choices and full domains are node bit masks, so a
+        pick is a few integer operations whatever the fleet or stripe
+        width.
         """
-        return self.system.unavailable_nodes(stripe_id)
-
-    def _pick_requesters(
-        self, stripe_id: str, lost: tuple[int, ...]
-    ) -> dict[int, int] | None:
-        """Distinct live non-placement nodes to rebuild onto.
-
-        Round-robins over the candidate pool so rebuilt chunks spread
-        across the cluster instead of piling onto the lowest node id.
-        """
-        placement = set(self.system.master.stripe(stripe_id).placement)
-        candidates = [
-            r
-            for r in range(self.system.num_nodes)
-            if self.system.is_alive(r)
-            and r not in placement
-            and not self.system.master.is_node_dead(r)
-        ]
-        if len(candidates) < len(lost):
+        system = self.system
+        placement = system.master.stripe(stripe_id).placement
+        # Candidates are the live nodes outside the placement, in
+        # ascending order: ``live`` as a list, ``free`` as a node mask.
+        # Neither is filtered per dispatch, so a pick costs O(stripe
+        # width) bytecode, not O(fleet), and no Python call per slot or
+        # candidate.
+        live, live_mask = system.live, system.live_mask
+        placement_mask = 0
+        for d in placement:
+            placement_mask |= 1 << d
+        held = placement_mask & live_mask  # live nodes that are not candidates
+        width = len(live) - held.bit_count()
+        if width < len(lost):
             return None
-        chosen = {
-            f: candidates[(self._rr + i) % len(candidates)]
-            for i, f in enumerate(lost)
-        }
+        free = live_mask & ~placement_mask
+        # ``kept``: nodes keeping (or chosen for) a chunk of the stripe;
+        # ``full``: nodes of the domains already holding ``cap`` of them
+        kept = placement_mask
+        for f in lost:
+            kept &= ~(1 << f)
+        peers = self._peers
+        cap = self._max_per_domain
+        full = 0
+        for d in placement:
+            if (kept & peers[d]).bit_count() >= cap:
+                full |= peers[d]
+
+        chosen: dict[int, int] = {}
+        for i, f in enumerate(lost):
+            # Round-robin start: the j-th candidate (0-based, ascending)
+            # is live[at] for the least at = j + #held nodes <= live[at].
+            j = (self._rr + i) % width
+            at = j
+            while (nxt := j + (held & ((2 << live[at]) - 1)).bit_count()) != at:
+                at = nxt
+            below = (1 << live[at]) - 1  # nodes the cyclic scan reaches last
+            pool = free & ~full
+            if not pool:
+                # no compliant spare left — degrade to the plain
+                # round-robin rather than stall the repair, but count it
+                self.spread_fallbacks += 1
+                pool = free
+            # first node of the pool at or after the start, wrapping
+            pool = (pool & ~below) or pool
+            pick = (pool & -pool).bit_length() - 1
+            free ^= 1 << pick
+            kept |= 1 << pick
+            chosen[f] = pick
+            if (kept & peers[pick]).bit_count() >= cap:
+                full |= peers[pick]
         self._rr += len(lost)
         return chosen
 

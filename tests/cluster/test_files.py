@@ -87,6 +87,18 @@ class TestDegradedReads:
         _, degraded = store.read("g")
         assert degraded > healthy
 
+    def test_reader_skips_a_master_dead_node(self, store, cluster):
+        data = payload(4 * 4096, seed=8)
+        store.write("m", data)
+        placement = cluster.master.stripe(store.stripes_of("m")[0]).placement
+        cluster.fail_node(placement[0])
+        outside = [n for n in range(cluster.num_nodes) if n not in placement]
+        cluster.master.mark_node_dead(outside[0])  # alive, declared dead
+        got, _ = store.read("m")  # the default reader is the lowest eligible
+        assert got == data
+        got, _ = store.read("m", reader=outside[0])  # preference not honoured
+        assert got == data
+
     def test_affected_files(self, store, cluster):
         store.write("h1", payload(4 * 4096, seed=6))
         store.write("h2", payload(4 * 4096, seed=7))

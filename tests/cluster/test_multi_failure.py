@@ -98,3 +98,40 @@ class TestRepairMulti:
         sys_.repair_multi("s1", (2, 6), {2: 12, 6: 13})
         assert sys_.nodes[12].store.has("s1", 2)
         assert sys_.nodes[13].store.has("s1", 6)
+
+
+class TestMasterDeadRequester:
+    """A node the master declared dead takes no rebuilt chunk on the
+    multi-chunk path, as the watched path already refuses it."""
+
+    @pytest.fixture
+    def cluster(self):
+        trace = make_trace("tpcds", num_nodes=10, num_snapshots=60, seed=4)
+        sys_ = ClusterSystem(10, RSCode(6, 4), slice_bytes=4096)
+        rng = np.random.default_rng(2)
+        data = rng.integers(0, 256, (4, 24 * 1024), dtype=np.uint8)
+        sys_.write_stripe("s0", data, placement=tuple(range(6)))
+        sys_.set_bandwidth(trace.snapshot(30))
+        sys_.master.mark_node_dead(6)
+        return sys_, data
+
+    def test_watched_repair_refuses_it(self, cluster):
+        sys_, _ = cluster
+        sys_.fail_node(0)
+        with pytest.raises(RuntimeError, match="requester 6 is dead"):
+            sys_.repair("s0", 0, 6)
+
+    def test_repair_node_skips_it(self, cluster):
+        sys_, data = cluster
+        sys_.fail_node(0)
+        out = sys_.repair_node(0)["s0"]
+        assert out.verified
+        assert sys_.master.stripe("s0").node_of(0) == 7
+        assert np.array_equal(sys_.read_chunk("s0", 0), data[0])
+
+    def test_repair_multi_refuses_it(self, cluster):
+        sys_, _ = cluster
+        sys_.fail_node(0)
+        sys_.fail_node(1)
+        with pytest.raises(ValueError, match="invalid requester 6"):
+            sys_.repair_multi("s0", (0, 1), {0: 6, 1: 7})

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import sys
 
 import numpy as np
@@ -24,12 +25,12 @@ import pytest
 from repro.lifetime import (
     ExponentialProcess,
     LifetimeConfig,
-    LifetimeOrchestrator,
     RepairModel,
     StripeTable,
     StripeTableSystem,
     run_campaign,
 )
+from repro.recovery import RecoveryOrchestrator
 
 pytestmark = pytest.mark.lifetime
 
@@ -147,7 +148,7 @@ def python_calls_per_dispatch(config):
     Python frames (generator resumes included) each requester pick and
     each completion entered, its callees' included."""
     watched = {
-        LifetimeOrchestrator._pick_requesters.__code__: "pick",
+        RecoveryOrchestrator._pick_requesters.__code__: "pick",
         StripeTableSystem._complete.__code__: "complete",
     }
     per_call = {name: collections.Counter() for name in watched.values()}
@@ -164,12 +165,18 @@ def python_calls_per_dispatch(config):
             name, _, calls = open_frames.pop()
             per_call[name][calls] += 1
 
+    # a collection landing inside a watched frame would charge it the
+    # frames of whatever gc callbacks are installed (hypothesis installs
+    # one), which are not the program's calls
+    callbacks = gc.callbacks[:]
+    gc.callbacks.clear()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         result = run_campaign(config)
     finally:
         sys.setprofile(previous)
+        gc.callbacks.extend(callbacks)
     return result, per_call
 
 

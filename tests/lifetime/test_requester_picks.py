@@ -1,6 +1,6 @@
 """Recorded requester picks: the domain-aware picker, program by program.
 
-``LifetimeOrchestrator._pick_requesters`` chooses rebuild targets:
+``RecoveryOrchestrator._pick_requesters`` chooses rebuild targets:
 live disks outside the placement, round-robin from the orchestrator's
 cursor, skipping disks whose ``spread_level`` domain already holds
 ``max_per_domain`` chunks of the stripe, and falling back to the plain
@@ -22,7 +22,7 @@ import types
 import numpy as np
 import pytest
 
-import repro.lifetime.campaign as campaign
+import repro.recovery.orchestrator as orchestrator
 from repro.lifetime import RepairModel, StripeTable, StripeTableSystem
 from repro.net.topology import DomainTree
 from repro.sim.events import EventQueue
@@ -96,7 +96,7 @@ def capture_golden() -> list[dict]:
     only for a change that is *meant* to move rebuild placement.
     """
     return [
-        {"program": p, "answer": run_program(p, campaign.LifetimeOrchestrator)}
+        {"program": p, "answer": run_program(p, orchestrator.RecoveryOrchestrator)}
         for p in draw_programs()
     ]
 
@@ -120,7 +120,7 @@ def test_fixture_covers_the_hard_paths(golden):
 
 def test_picker_matches_fixture_exactly(golden):
     for i, row in enumerate(golden):
-        answer = run_program(row["program"], campaign.LifetimeOrchestrator)
+        answer = run_program(row["program"], orchestrator.RecoveryOrchestrator)
         assert answer == row["answer"], f"program {i}: {row['program']}"
 
 
@@ -139,10 +139,10 @@ MUTANTS = {
 
 def _mutant(name: str, monkeypatch) -> types.ModuleType:
     line, replacement, occurrences = MUTANTS[name]
-    source = inspect.getsource(campaign)
+    source = inspect.getsource(orchestrator)
     assert source.count(line) == occurrences
-    module = types.ModuleType("campaign_mutant")
-    module.__package__ = campaign.__package__
+    module = types.ModuleType("orchestrator_mutant")
+    module.__package__ = orchestrator.__package__
     monkeypatch.setitem(sys.modules, module.__name__, module)  # for @dataclass
     exec(compile(source.replace(line, replacement), "<mutant>", "exec"),
          module.__dict__)
@@ -153,7 +153,7 @@ def _mutant(name: str, monkeypatch) -> types.ModuleType:
 def test_a_mutant_picker_fails_the_fixture(name, golden, monkeypatch):
     mutant = _mutant(name, monkeypatch)
     for row in golden:
-        if run_program(row["program"], mutant.LifetimeOrchestrator) != row["answer"]:
+        if run_program(row["program"], mutant.RecoveryOrchestrator) != row["answer"]:
             return
     pytest.fail(f"mutant {name} reproduced every recorded pick")
 
