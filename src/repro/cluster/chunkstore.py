@@ -4,8 +4,12 @@ Each data node owns a :class:`ChunkStore` mapping ``(stripe_id,
 chunk_index)`` to the chunk payload.  Payloads are defensive copies both
 ways: the store is the node's "disk", and nothing outside the node may
 write through an alias of it.  The one exception on the way out is
-:meth:`ChunkStore.view`, read-only and for readers that finish before the
-chunk next changes.
+:meth:`ChunkStore.view`, read-only and without a copy.  No stored array
+is ever written after it is stored: ``put`` stores a new array and
+``corrupt`` is copy-on-write, so a view keeps the bytes of the
+generation it was taken at for as long as its holder keeps it.  A leaf
+sender relies on that: it takes one view at assign and scales its
+slices from it window by window.
 
 Every ``put`` also records a CRC digest of the *intended* payload
 (:func:`repro.integrity.digest.chunk_digest`), so at-rest corruption —
@@ -69,10 +73,13 @@ class ChunkStore:
     def view(self, stripe_id: str, chunk_index: int) -> np.ndarray:
         """A read-only view of a stored chunk (no copy); ``KeyError`` if absent.
 
-        For a reader that is done before the chunk's next mutation — the
-        post-repair audit, the settle-time comparison.  It sees any
-        later ``corrupt`` in place; a caller keeping the bytes uses
-        :meth:`get`.
+        The view keeps the bytes of the chunk's current generation: a
+        later ``put`` or ``corrupt`` replaces the stored array rather
+        than writing into it, and ``delete`` only drops the store's
+        reference.  A reader that keeps it (a leaf sender from assign
+        to its last send) therefore never sees a later mutation, and
+        one done before the next mutation (the post-repair audit, the
+        settle-time comparison) reads exactly what is stored.
         """
         chunk = self._chunks[(stripe_id, chunk_index)].view()
         chunk.flags.writeable = False
@@ -154,14 +161,16 @@ class ChunkStore:
         seed: int = 0,
         fix_digest: bool = False,
     ) -> int:
-        """Bit-rot: flip bytes of a stored chunk in place.
+        """Bit-rot: flip bytes of the stored chunk.
 
-        The recorded digest is left pointing at the original bytes, so
-        :meth:`verify` fails — unless ``fix_digest`` re-records the
-        digest over the rotten bytes, modelling rot that predates the
-        digest (or a corrupted digest store): only parity-level
-        verification can catch that variant.  Returns the number of
-        bytes flipped.
+        Copy-on-write: the rotten bytes go into a fresh copy that
+        replaces the stored array, so a :meth:`view` taken before keeps
+        the bytes of its generation.  The recorded digest is left
+        pointing at the original bytes, so :meth:`verify` fails —
+        unless ``fix_digest`` re-records the digest over the rotten
+        bytes, modelling rot that predates the digest (or a corrupted
+        digest store): only parity-level verification can catch that
+        variant.  Returns the number of bytes flipped.
         """
         key = (stripe_id, chunk_index)
         chunk = self._chunks[key]
@@ -171,6 +180,7 @@ class ChunkStore:
         count = min(max(1, int(flips)), len(chunk))
         positions = rng.choice(len(chunk), size=count, replace=False)
         masks = rng.integers(1, 256, size=count, dtype=np.uint8)
+        chunk = self._chunks[key] = chunk.copy()
         chunk[positions] ^= masks
         if fix_digest:
             self._digests[key] = chunk_digest(chunk)

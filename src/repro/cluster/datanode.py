@@ -9,16 +9,18 @@ serialised at its planned rate with a fixed per-slice overhead.  The
 integration tests assert that the event-driven times measured here agree
 with the vectorised recurrence, and that the rebuilt bytes are exact.
 
-Events, sends and checksums are per slice; reading and GF-scaling the
-node's own bytes is per task — one store read and one kernel call cover
-a task's whole byte range, and slices are views into the result
-(docs/DATAPLANE.md, "Segment-granular scaling").
+Events, sends and checksums are per slice; GF-scaling the node's own
+bytes is per window or per task.  A leaf sender scales one window of
+:data:`WINDOW_BYTES` ahead of its send cursor from a read-only view of
+its chunk taken at assign; a hub reads and scales its remaining range
+once and folds arrivals into views of the result (docs/DATAPLANE.md,
+"Windowed and segment-granular scaling").
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -36,6 +38,31 @@ from .messages import SliceData, TransferTask
 #: all eight fields without the generated ``__new__``'s Python frame;
 #: the instance is indistinguishable from one built by keyword.
 _slice_data = partial(tuple.__new__, SliceData)
+
+#: Bytes a leaf sender scales ahead of its send cursor: a window is the
+#: slices from the cursor up to the first slice boundary at or past this
+#: many bytes, so a leaf holds about one window plus the slice in
+#: flight, whatever its segment size.  The smallest of 64 / 128 / 256
+#: KiB whose extra kernel calls keep a clean repair's wall time within
+#: noise (docs/DATAPLANE.md).
+WINDOW_BYTES = 64 * units.KIB
+
+
+def _scale(coeff: int, source: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
+    """``coeff * source[lo:hi]`` through the EC backend (zeros for 0)."""
+    if coeff == 0:
+        return np.zeros(hi - lo, dtype=np.uint8)
+    return ec_backend.get_backend().mul_chunk(coeff, source[lo:hi])
+
+
+def _free(state: "_TaskState") -> None:
+    """Drop a finished or cancelled task's buffers and slice tables."""
+    state.bounds = None
+    state.partials = None
+    state.source = None
+    state.scaled = None
+    state.arrived = None
+    state.ready_at = None
 
 
 def _mask(nodes) -> int:
@@ -55,25 +82,32 @@ class _TaskState:
     #: slice ``i`` spans ``[bounds[i], bounds[i + 1])``: the balanced
     #: split ``start + i*q + min(i, r)`` with ``q, r = divmod(len, num)``
     #: — the same table on every node of a pipeline, so slice
-    #: boundaries line up across hops
-    bounds: list[int]
+    #: boundaries line up across hops.  ``None`` once the task is
+    #: released or cancelled (see ``_free``)
+    bounds: list[int] | None
     #: ``task.wait_for`` as a bitmask (bit ``s`` for source node ``s``):
-    #: the sources every slice needs
+    #: the sources every slice needs; 0 for a leaf sender
     wait_for: int
-    #: per-slice payload accumulator (own contribution XOR arrivals);
-    #: each entry is a view into ``scaled``
-    partials: list[np.ndarray | None] = field(default_factory=list)
-    #: this node's coefficient-scaled bytes of ``[scaled_lo, task.stop)``
-    #: as of chunk generation ``generation`` (see ``_prepare_own``)
+    #: hub only: per-slice payload accumulator (own contribution XOR
+    #: arrivals); each entry is a view into ``scaled``
+    partials: list[np.ndarray | None] | None = None
+    #: a leaf's read-only view of its chunk as stored at assign (``None``
+    #: for a zero coefficient); the store never writes a stored array,
+    #: so it keeps those bytes whatever happens to the chunk later
+    source: np.ndarray | None = None
+    #: this node's coefficient-scaled bytes from ``scaled_lo``: a hub's
+    #: ``[scaled_lo, task.stop)`` as of chunk generation ``generation``
+    #: (see ``_prepare_own``), a leaf's current window (``_scale_window``)
     scaled: np.ndarray | None = None
     scaled_lo: int = 0
     generation: int = 0
-    #: per-slice bitmask of sources already folded in
-    arrived: list[int] = field(default_factory=list)
-    #: per-slice time the slice became sendable (arrival + GF combine);
-    #: recorded when the last dependency lands so combine time overlaps
-    #: the edge occupancy of earlier slices, as in the analytic model
-    ready_at: list = field(default_factory=list)
+    #: hub only: per-slice bitmask of sources already folded in
+    arrived: list[int] | None = None
+    #: hub only: per-slice time the slice became sendable (arrival + GF
+    #: combine); recorded when the last dependency lands so combine time
+    #: overlaps the edge occupancy of earlier slices, as in the analytic
+    #: model.  A leaf's slices are all ready at assign
+    ready_at: list | None = None
     #: next index this node may send (FIFO order)
     next_send: int = 0
     #: when the outgoing edge frees up
@@ -162,30 +196,36 @@ class DataNode:
             num_slices=num,
             bounds=[task.start + i * q + min(i, r) for i in range(num + 1)],
             wait_for=_mask(task.wait_for),
-            partials=[None] * num,
-            arrived=[0] * num,
-            ready_at=[None] * num,
             edge_free=self.events.now,
         )
         repair_id = task.repair_id or task.stripe_id
         self._repair_tasks.setdefault(repair_id, {})[task.pipeline_id] = state
-        if not task.wait_for:
-            # leaf sender: every slice is immediately ready
-            for i in range(num):
-                self._prepare_own(state, i)
-                state.ready_at[i] = self.events.now
+        if task.wait_for:
+            state.partials = [None] * num
+            state.arrived = [0] * num
+            state.ready_at = [None] * num
+        else:
+            # leaf sender: every slice is ready now, from the chunk as
+            # stored now; the first window is scaled before the first send
+            if task.coeff != 0:
+                state.source = self.store.view(task.stripe_id, task.chunk_index)
+            self._scale_window(state, 0)
             self._pump(state)
 
     def cancel_repair(self, repair_id: str) -> int:
         """Stop executing tasks of a retired repair attempt.
 
-        Already in-flight slices still arrive (packets on the wire);
-        nothing further is sent.  Returns the number of tasks cancelled.
+        Nothing further is sent and the tasks' buffers are freed, as
+        :meth:`release_repair` frees them.  Slices already on the wire
+        still arrive: one for a cancelled task is checksum-checked, so
+        wire corruption is still reported, and then dropped.  Returns
+        the number of tasks cancelled.
         """
         cancelled = 0
         for state in self._repair_tasks.get(repair_id, {}).values():
             if not state.cancelled:
                 state.cancelled = True
+                _free(state)
                 cancelled += 1
         return cancelled
 
@@ -197,10 +237,7 @@ class DataNode:
         request for a released task is refused like one for a lost task.
         """
         for state in self._repair_tasks.get(repair_id, {}).values():
-            state.partials = [None] * state.num_slices
-            state.scaled = None
-            state.arrived = []
-            state.ready_at = []
+            _free(state)
 
     def _task_state(self, repair_id: str, pipeline_id: int) -> "_TaskState | None":
         pipelines = self._repair_tasks.get(repair_id)
@@ -229,6 +266,8 @@ class DataNode:
             # retransmitted copy is not a duplicate
             self.on_bad_slice(self.node_id, data)
             return
+        if state.bounds is None:
+            return  # a late slice of a cancelled task: checked, dropped
         idx = self._slice_index(state, data.start)
         bit = 1 << data.source
         arrived = state.arrived[idx]
@@ -263,7 +302,7 @@ class DataNode:
         return idx
 
     def _prepare_own(self, state: _TaskState, idx: int) -> None:
-        """Initialise slice ``idx`` with this node's own contribution.
+        """Initialise a hub's slice ``idx`` with this node's own contribution.
 
         The whole not-yet-read remainder ``[bounds[idx], stop)`` is read
         and scaled by one kernel call the first time any slice needs it;
@@ -307,12 +346,28 @@ class DataNode:
         idx = state.next_send
         if idx >= state.num_slices:
             return
-        if state.partials[idx] is None or state.ready_at[idx] is None:
-            return  # still waiting on upstream partials for this slice
+        if state.wait_for:
+            payload = state.partials[idx]
+            ready = state.ready_at[idx]
+            if payload is None or ready is None:
+                return  # still waiting on upstream partials for this slice
+        else:
+            # leaf: slice the window, scaling the next one when the
+            # cursor leaves it; the message keeps its own view, so a
+            # window lives until its last slice is delivered.  Every
+            # slice was ready at assign, where ``edge_free`` started.
+            bounds = state.bounds
+            lo = bounds[idx]
+            off = lo - state.scaled_lo
+            if off >= len(state.scaled):
+                self._scale_window(state, idx)
+                off = lo - state.scaled_lo
+            payload = state.scaled[off : off + bounds[idx + 1] - lo]
+            ready = state.edge_free
         state.in_flight = True
         state.next_send += 1
         state.sent += 1
-        msg, arrival = self._transmit(state, idx, state.ready_at[idx])
+        msg, arrival = self._transmit(state, idx, ready, payload)
 
         def _complete(m=msg, d=state.task.destination, s=state) -> None:
             s.in_flight = False
@@ -321,10 +376,28 @@ class DataNode:
 
         self.events.schedule_at(arrival, _complete)
 
+    def _scale_window(self, state: _TaskState, idx: int) -> None:
+        """Scale a leaf's window starting at slice ``idx`` into ``scaled``.
+
+        The window runs to the first slice boundary at least
+        :data:`WINDOW_BYTES` past ``bounds[idx]`` (or to the task's end):
+        one kernel call, whatever the slice size.  It starts at the even
+        byte at or before ``bounds[idx]``, so the kernel reads whole
+        aligned byte pairs (``mul_chunk``'s gather-only path).
+        """
+        bounds = state.bounds
+        lo = bounds[idx]
+        end = min(bisect_left(bounds, lo + WINDOW_BYTES, idx + 1), state.num_slices)
+        lo &= ~1
+        state.scaled = _scale(state.task.coeff, state.source, lo, bounds[end])
+        state.scaled_lo = lo
+
     def _transmit(
-        self, state: _TaskState, idx: int, not_before: float
+        self, state: _TaskState, idx: int, not_before: float,
+        payload: np.ndarray,
     ) -> tuple[SliceData, float]:
-        """Occupy the task's edge with slice ``idx``: ``(message, arrival)``.
+        """Put ``payload``, slice ``idx``, on the task's edge:
+        ``(message, arrival)``.
 
         The slice starts once it is ready, the edge FIFO is free and no
         stall holds the node; it occupies the edge for its bytes at the
@@ -339,7 +412,6 @@ class DataNode:
         occupancy = (hi - lo) / rate + SLICE_OVERHEAD_S
         start_tx = max(not_before, state.edge_free, self.stalled_until)
         state.edge_free = arrival = start_tx + occupancy
-        payload = state.partials[idx]
         # SliceData's fields in order.  The checksum covers the payload
         # as sent; wire corruption happens after, on a copy, so the
         # retained partial stays clean for retransmission.  The corrupt
@@ -382,17 +454,29 @@ class DataNode:
         at the task's planned rate but outside the one-in-flight pump
         cycle: downstream progress on later slices is already gated by
         the receiver, which will not fold anything until this slice
-        lands.  Returns False when the task is gone or cancelled —
-        the caller falls back to the watchdog path.
+        lands.  Returns False when the task is gone, released or
+        cancelled — the caller falls back to the watchdog path.
+
+        A leaf resends from its current window, or re-scales a slice it
+        already dropped from the same view of its chunk, so the resent
+        bytes and checksum are the first send's.
         """
         state = self._task_state(*key)
-        if state is None or state.cancelled:
+        if state is None or state.bounds is None:
             return False
         idx = self._slice_index(state, start)
-        payload = state.partials[idx]
+        if state.wait_for:
+            payload = state.partials[idx]
+        elif start >= state.scaled_lo:
+            off = start - state.scaled_lo
+            payload = state.scaled[off : off + stop - start]
+        else:
+            payload = _scale(
+                state.task.coeff, state.source, start, state.bounds[idx + 1]
+            )
         if payload is None or len(payload) != stop - start:
             return False
-        msg, arrival = self._transmit(state, idx, self.events.now)
+        msg, arrival = self._transmit(state, idx, self.events.now, payload)
         dest = state.task.destination
         self.events.schedule_at(arrival, lambda m=msg, d=dest: self.deliver(d, m))
         return True

@@ -263,10 +263,10 @@ def _pairs_view(chunk: np.ndarray) -> np.ndarray | None:
     Chunks that are non-contiguous or start at an odd address (slices of
     larger buffers) return ``None`` and take the copy-per-segment path.
     """
-    if not chunk.flags["C_CONTIGUOUS"] or chunk.ctypes.data & 1:
+    if not chunk.flags.c_contiguous:
         return None
-    half = chunk.shape[0] // 2
-    return chunk[: 2 * half].view(_U16)
+    pairs = chunk[: chunk.shape[0] & ~1].view(_U16)
+    return pairs if pairs.flags.aligned else None
 
 
 def _check_no_overlap(out: np.ndarray, chunks, what: str) -> None:
@@ -467,7 +467,15 @@ def mul_chunk_blocked(
     chunk: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Pair-table scalar x chunk product (:func:`gf256.mul_chunk` twin)."""
+    """Pair-table scalar x chunk product (:func:`gf256.mul_chunk` twin).
+
+    When the chunk and the output both start at even addresses and are
+    contiguous, the pairs are gathered from :func:`pair_table` straight
+    into the output's ``uint16`` view, one segment of
+    :data:`SEGMENT_PAIRS` at a time through the workspace's index
+    buffer: no 1 x 1 matrix, fused-table lookup, packed accumulator or
+    unpack copy.  Anything else takes :func:`fused_matmul`.
+    """
     chunk = np.asarray(chunk)
     if chunk.dtype != np.uint8 or chunk.ndim != 1:
         raise ValueError("chunk must be a 1-D uint8 array")
@@ -489,4 +497,18 @@ def mul_chunk_blocked(
         if c == 1:
             np.copyto(out, chunk)
             return out
-    return fused_matmul(np.array([[c]], dtype=np.uint8), [chunk], out[None, :])[0]
+    src = _pairs_view(chunk)
+    dst = _pairs_view(out)
+    if src is None or dst is None:
+        return fused_matmul(np.array([[c]], dtype=np.uint8), [chunk], out[None, :])[0]
+    table = pair_table(c)
+    idx = _workspace().idx
+    half = len(src)
+    for s in range(0, half, SEGMENT_PAIRS):
+        e = min(s + SEGMENT_PAIRS, half)
+        n = e - s
+        idx[:n] = src[s:e]
+        np.take(table, idx[:n], out=dst[s:e], mode="clip")
+    if len(chunk) & 1:
+        out[-1] = gf256.MUL_TABLE[c, chunk[-1]]
+    return out

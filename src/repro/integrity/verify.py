@@ -40,7 +40,11 @@ BLOCK_BYTES = 2 * kernels.SEGMENT_PAIRS
 
 
 def check_consistency(
-    code: RSCode, values: dict[int, np.ndarray], *, predict: int | None = None
+    code: RSCode,
+    values: dict[int, np.ndarray],
+    *,
+    predict: int | None = None,
+    rebuilt: np.ndarray | None = None,
 ) -> tuple[bool, np.ndarray | None]:
     """Do ``values`` (stripe index -> chunk) lie on one codeword?
 
@@ -52,10 +56,14 @@ def check_consistency(
     at the first block that disagrees.
 
     Returns ``(consistent, row)``: ``row`` is the predicted value of
-    stripe index ``predict`` (which must lie outside the decode set) —
-    the only chunk-sized array built — or ``None`` when ``predict`` is
-    ``None`` or the values are inconsistent.  Requires at least k
-    values; with exactly k the check is vacuous (always consistent).
+    stripe index ``predict`` (which must lie outside the decode set), or
+    ``None`` when ``predict`` is ``None`` or the values are
+    inconsistent.  Given ``rebuilt`` (a candidate value of ``predict``),
+    the prediction is compared with it block by block instead of
+    stored: when every block agrees, ``row`` *is* ``rebuilt``, and a
+    chunk-sized row is built only from the first block that disagrees.
+    Requires at least k values; with exactly k the check is vacuous
+    (always consistent).
     """
     if len(values) < code.k:
         raise ValueError(
@@ -74,7 +82,11 @@ def check_consistency(
     target = None if predict is None else rows.index(predict)
     length = len(inputs[0])
     block = np.empty((len(rows), min(length, BLOCK_BYTES)), dtype=np.uint8)
-    row = None if predict is None else np.empty(length, dtype=np.uint8)
+    if rebuilt is not None and len(rebuilt) != length:
+        rebuilt = None  # cannot agree: predict the row outright
+    row = None
+    if predict is not None and rebuilt is None:
+        row = np.empty(length, dtype=np.uint8)
     matmul = get_backend().matmul_chunks
     for start in range(0, length, BLOCK_BYTES):
         stop = min(start + BLOCK_BYTES, length)
@@ -85,8 +97,16 @@ def check_consistency(
         for r, value in surplus:
             if not np.array_equal(predicted[r], value[start:stop]):
                 return False, None
-        if row is not None:
-            row[start:stop] = predicted[target]
+        if target is None:
+            continue
+        if row is None:
+            if np.array_equal(predicted[target], rebuilt[start:stop]):
+                continue
+            row = np.empty(length, dtype=np.uint8)
+            row[:start] = rebuilt[:start]
+        row[start:stop] = predicted[target]
+    if row is None and target is not None:
+        row = rebuilt  # the prediction agreed with it everywhere
     return True, row
 
 
@@ -137,7 +157,8 @@ class AuditReport:
     predicted:
         The surplus-parity prediction of the rebuilt chunk's true
         value, when the clean stored chunks pin it down — the healing
-        value for a wrong decode.
+        value for a wrong decode.  When the rebuilt chunk checks out
+        this is the ``rebuilt`` array itself, not a copy.
     checked:
         Number of stored chunks whose digests were scanned.
     """
@@ -182,10 +203,12 @@ def audit_stripe(
             culprits=culprits,
             checked=len(stored) + len(digest_bad),
         )
-    stored_ok, predicted = check_consistency(code, stored, predict=lost_index)
+    stored_ok, predicted = check_consistency(
+        code, stored, predict=lost_index, rebuilt=rebuilt
+    )
     if stored_ok:
         # clean stored chunks agree on one codeword; it pins the lost value
-        rebuilt_ok = bool(np.array_equal(predicted, rebuilt))
+        rebuilt_ok = predicted is rebuilt
         return AuditReport(
             ok=(not culprits) and rebuilt_ok,
             culprits=culprits,
@@ -198,8 +221,10 @@ def audit_stripe(
     located = localize_corruption(code, stored)
     if len(located) == 1:
         clean = {i: v for i, v in stored.items() if i != located[0]}
-        _, predicted = check_consistency(code, clean, predict=lost_index)
-        rebuilt_ok = bool(np.array_equal(predicted, rebuilt))
+        _, predicted = check_consistency(
+            code, clean, predict=lost_index, rebuilt=rebuilt
+        )
+        rebuilt_ok = predicted is rebuilt
         return AuditReport(
             ok=False,
             culprits=tuple(sorted((*culprits, *located))),

@@ -63,6 +63,19 @@ class TestChunkStore:
         assert len(store) == 3
         assert store.bytes_stored == 32 + 16 + 8
 
+    def test_a_view_keeps_the_bytes_of_its_generation(self, store):
+        # corrupt is copy-on-write and put stores a new array, so a view
+        # taken before either still reads what was stored when it was taken
+        clean = store.get("s1", 0)
+        view = store.view("s1", 0)
+        assert not view.flags.writeable
+        assert store.corrupt("s1", 0, flips=8, seed=3) == 8
+        assert not np.array_equal(store.get("s1", 0), clean)
+        assert np.array_equal(view, clean)
+        store.put("s1", 0, np.zeros(32, dtype=np.uint8))
+        store.delete("s1", 0)
+        assert np.array_equal(view, clean)
+
     def test_rejects_2d_payload(self, store):
         with pytest.raises(ValueError):
             store.put("s4", 0, np.zeros((2, 2), dtype=np.uint8))

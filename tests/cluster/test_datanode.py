@@ -154,20 +154,21 @@ def reference_bounds(start, stop, num):
 
 
 class TestSegmentScalingEquivalence:
-    """One kernel call per task yields the bytes of one call per slice.
+    """One kernel call per leaf window or hub task yields the bytes of one
+    call per slice.
 
     The reference is the per-slice form the node used to run:
-    ``mul_chunk(coeff, chunk[lo:hi])`` on each balanced window.  Segments
+    ``mul_chunk(coeff, chunk[lo:hi])`` on each balanced slice.  Segments
     are uneven (``r != 0``), offset into the chunk, and sized so that
     slices fall both below and above ``MIN_TABLE_BYTES`` — below it the
-    reference takes the naive gather while the whole segment takes the
+    reference takes the naive gather while a window or segment takes the
     blocked kernel, so the two sides also cross kernels.
     """
 
-    CHUNK = np.random.default_rng(11).integers(0, 256, 40_000, dtype=np.uint8)
+    CHUNK = np.random.default_rng(11).integers(0, 256, 210_000, dtype=np.uint8)
     #: (start, stop, num_slices): tiny slices; sub-table slices of a
-    #: super-table segment; super-table slices
-    SEGMENTS = [(3, 1003, 7), (100, 10_101, 7), (17, 30_019, 5)]
+    #: super-table segment; super-table slices; several leaf windows
+    SEGMENTS = [(3, 1003, 7), (100, 10_101, 7), (17, 30_019, 5), (1, 200_002, 13)]
 
     def _task(self, coeff, segment, wait_for=()):
         start, stop, num = segment
@@ -284,6 +285,14 @@ class TestChunkChangesUnderATask:
             arrive(1)
 
 
+def freed(state) -> bool:
+    """Whether a task state holds no buffer and no per-slice table."""
+    return all(
+        getattr(state, name) is None
+        for name in ("bounds", "partials", "source", "scaled", "arrived", "ready_at")
+    )
+
+
 class TestReleaseRepair:
     def test_release_frees_buffers_and_keeps_the_task_entry(self):
         node, events, delivered = make_node()
@@ -295,7 +304,7 @@ class TestReleaseRepair:
         assert len(delivered) == 5
         node.release_repair("s")
         (state,) = node._repair_tasks["s"].values()
-        assert state.scaled is None and state.partials == [None] * 4
+        assert freed(state)
         assert not node.retransmit(("s", 7), 256, 512)  # refused, not an error
         assert node.pending_tasks() == 0
 
@@ -314,13 +323,12 @@ class TestReleaseRepair:
         assert not (a1.cancelled or a2.cancelled)
         events.run()
         assert [s.sent for s in (a1, a2, b1)] == [4, 4, 1]
+        # cancelling frees the buffers at once, as releasing does
+        assert freed(b1) and not (freed(a1) or freed(a2))
         node.release_repair("a")
         node.release_repair("nobody")
-        for state in (a1, a2):
-            # per-slice state is gone; the routing entry is not
-            assert state.scaled is None and state.partials == [None] * 4
-            assert state.arrived == [] and state.ready_at == []
-        assert b1.scaled is not None and len(b1.arrived) == 4
+        # per-slice state is gone; the routing entry is not
+        assert freed(a1) and freed(a2)
         assert all(node.has_task(*k) for k in (("a", 1), ("a", 2), ("b", 1)))
         assert not (node.has_task("a", 3) or node.has_task("nobody", 1))
         assert not node.retransmit(("a", 1), 0, 256)
@@ -329,6 +337,105 @@ class TestReleaseRepair:
         node.assign(dataclasses.replace(leaf_task(), repair_id="b", pipeline_id=1))
         assert tasks["b"][1] is not b1
         assert node.cancel_repair("b") == 1 and tasks["b"][1].cancelled
+
+
+class TestLateSliceToACancelledHub:
+    """A slice already on the wire when its hub task was cancelled."""
+
+    def _cancelled_hub(self):
+        from repro.cluster import SliceData
+        from repro.integrity.digest import slice_checksum
+
+        node, events, delivered = make_node(node_id=2)
+        node.store.put("s", 0, np.arange(1024, dtype=np.uint8))
+        node.assign(dataclasses.replace(leaf_task(), wait_for=(4,)))
+        bad = []
+        node.on_bad_slice = lambda dest, data: bad.append((dest, data.start))
+        payload = np.arange(256, dtype=np.uint8)
+        checksum = slice_checksum(payload)
+        arrive = lambda p: node.receive(SliceData(
+            "s", 7, source=4, start=256, stop=512, payload=p, checksum=checksum,
+        ))
+        assert node.cancel_repair("s") == 1
+        return node, events, delivered, bad, payload, arrive
+
+    def test_a_corrupted_one_is_still_reported(self):
+        node, events, delivered, bad, payload, arrive = self._cancelled_hub()
+        garbled = payload.copy()
+        garbled[3] ^= 0x40
+        arrive(garbled)
+        assert bad == [(2, 256)]  # the wire-corruption count moves as before
+
+    def test_a_clean_one_is_dropped_without_a_buffer(self):
+        node, events, delivered, bad, payload, arrive = self._cancelled_hub()
+        arrive(payload)
+        arrive(payload)  # not folded, so not a duplicate either
+        events.run()
+        (state,) = node._repair_tasks["s"].values()
+        assert freed(state) and delivered == [] and bad == []
+        assert not node.retransmit(("s", 7), 256, 512)
+
+
+class TestLeafWindows:
+    """A leaf scales one window ahead of its send cursor from the view of
+    its chunk taken at assign."""
+
+    SLICE = 16 * 1024
+
+    def _leaf(self):
+        from repro.cluster.datanode import WINDOW_BYTES
+
+        node, events, delivered = make_node(slice_bytes=self.SLICE)
+        size = 3 * WINDOW_BYTES + 5 * self.SLICE + 3
+        chunk = np.random.default_rng(4).integers(0, 256, size, dtype=np.uint8)
+        node.store.put("s", 0, chunk)
+        node.assign(leaf_task(coeff=0x53, start=1, stop=size, rate=1e4))
+        (state,) = node._repair_tasks["s"].values()
+        return node, events, delivered, chunk, state
+
+    def test_a_leaf_holds_one_window_not_its_segment(self):
+        from repro.cluster.datanode import WINDOW_BYTES
+
+        node, events, delivered, chunk, state = self._leaf()
+        assert state.partials is None and state.ready_at is None
+        # the window starts at the even byte before the segment's odd start
+        assert state.scaled_lo == 0 and len(state.scaled) < WINDOW_BYTES + self.SLICE
+        events.run()
+        assert len(delivered) == state.num_slices > 3 * WINDOW_BYTES // self.SLICE
+        for _, msg in delivered:
+            assert np.array_equal(
+                msg.payload, gf256.mul_chunk(0x53, chunk[msg.start:msg.stop])
+            )
+        assert len(state.scaled) < WINDOW_BYTES + self.SLICE  # the last window
+
+    def test_a_dropped_slice_is_resent_with_the_first_sends_bytes(self):
+        from repro.integrity.digest import slice_checksum
+
+        node, events, delivered, chunk, state = self._leaf()
+        events.run()
+        first = {msg.start: msg for _, msg in delivered}
+        node.store.corrupt("s", 0, flips=4096, seed=1)  # rot after the sends
+        del delivered[:]
+        dropped, in_window = min(first), max(first)
+        assert dropped < state.scaled_lo <= in_window  # both branches
+        for lo in (dropped, in_window):
+            assert node.retransmit(("s", 7), lo, first[lo].stop)
+        events.run()
+        assert [msg.start for _, msg in delivered] == [dropped, in_window]
+        for _, msg in delivered:
+            assert np.array_equal(msg.payload, first[msg.start].payload)
+            assert msg.checksum == first[msg.start].checksum
+            assert msg.checksum == slice_checksum(msg.payload)
+
+    def test_rot_after_assign_never_reaches_the_stream(self):
+        node, events, delivered, chunk, state = self._leaf()
+        events.step()  # the first slice lands
+        node.store.corrupt("s", 0, flips=4096, seed=1)
+        events.run()
+        for _, msg in delivered:
+            assert np.array_equal(
+                msg.payload, gf256.mul_chunk(0x53, chunk[msg.start:msg.stop])
+            )
 
 
 class TestHubRotMidRepair:
@@ -387,3 +494,114 @@ class TestHubRotMidRepair:
         assert system.events.executed == 751
         assert outcome.verified
         assert np.array_equal(outcome.rebuilt, chunks[0])
+
+
+class TestLeafRotMidRepair:
+    """Bit rot under a leaf, between its assign and its last send.
+
+    A leaf scales its slices window by window from the view of its chunk
+    taken at assign, and the store's ``corrupt`` is copy-on-write, so
+    rot that lands after assign never reaches the leaf's stream — as
+    when the leaf scaled its whole segment at assign.  The values below
+    were recorded with whole-segment scaling and must not move: the
+    stream stays clean, the rebuild verifies on the first attempt, and
+    only the post-repair digest scan finds (and quarantines) the rot.
+    """
+
+    CHUNK = 2 * 1024 * 1024
+    SLICE = 64 * 1024
+
+    def _system(self):
+        from repro.cluster import ClusterSystem
+        from repro.ec import RSCode
+        from repro.net import BandwidthSnapshot
+
+        system = ClusterSystem(14, RSCode(9, 6), slice_bytes=self.SLICE)
+        rng = np.random.default_rng(1)
+        system.set_bandwidth(BandwidthSnapshot(
+            uplink=rng.uniform(300.0, 1000.0, 14),
+            downlink=rng.uniform(300.0, 1000.0, 14),
+        ))
+        data = rng.integers(0, 256, (6, self.CHUNK), dtype=np.uint8)
+        loc = system.write_stripe("s0", data, placement=tuple(range(9)))
+        return system, data, loc
+
+    def _flip_seed(self, lo, hi):
+        """The first ``corrupt(flips=1)`` seed whose flip lands in [lo, hi)."""
+        seed = 0
+        while not lo <= np.random.default_rng(seed).choice(self.CHUNK, 1)[0] < hi:
+            seed += 1
+        return seed
+
+    def _run(self):
+        system, data, loc = self._system()
+        system.fail_node(0)
+        rotted = []
+        for node in system.nodes:
+            def assign(task, node=node, real=node.assign):
+                real(task)
+                if rotted or task.wait_for or task.stop - task.start <= 5 * self.SLICE:
+                    return
+                # the flip lands past the leaf's first window and inside
+                # its own range, so none of the node's hub tasks reads it
+                seed = self._flip_seed(task.start + 4 * self.SLICE, task.stop)
+                ci = loc.placement.index(node.node_id)
+                rotted.append((node.node_id, seed))
+                system.events.schedule(
+                    0.0, lambda: node.store.corrupt("s0", ci, flips=1, seed=seed)
+                )
+
+            node.assign = assign
+        outcome = system.repair("s0", 0, 10, on_failure="outcome")
+        return system, data, rotted, outcome
+
+    def test_outcome_matches_whole_segment_scaling(self):
+        from repro.cluster.datanode import WINDOW_BYTES
+
+        assert 4 * self.SLICE > WINDOW_BYTES + self.SLICE  # past the first window
+        system, data, rotted, outcome = self._run()
+        assert rotted == [(1, 6)]
+        assert outcome.status == "completed"
+        assert outcome.corruption_detected is True
+        assert outcome.quarantined_chunks == (1,)
+        assert outcome.retries == 0 and outcome.attempts == 1
+        assert outcome.elapsed_seconds == pytest.approx(0.025837182545440367, rel=1e-12)
+        assert system.events.executed == 2773
+        assert outcome.verified
+        assert np.array_equal(outcome.rebuilt, data[0])
+
+    def test_a_leaf_scaling_from_the_live_store_fails_it(self, monkeypatch):
+        from repro.cluster.datanode import DataNode
+
+        real = DataNode._scale_window
+
+        def live(self, state, idx):
+            t = state.task
+            state.source = self.store.view(t.stripe_id, t.chunk_index)
+            real(self, state, idx)
+
+        monkeypatch.setattr(DataNode, "_scale_window", live)
+        system, data, rotted, outcome = self._run()
+        assert rotted == [(1, 6)]
+        assert (outcome.retries, system.events.executed) != (0, 2773)
+
+
+def test_retired_attempts_hold_no_buffers():
+    """After a re-planned repair no task state of any wire, retired or
+    completed, still holds a byte buffer or a slice table."""
+    from ..integrity.conftest import build_system
+
+    system, chunks, loc = build_system(seed=1)
+    system.fail_node(0)
+    system.events.schedule(0.001, lambda: system.fail_node(3))
+    outcome = system.repair("s0", 0, 10, on_failure="outcome")
+    assert outcome.status == "completed" and outcome.attempts == 2
+    assert np.array_equal(outcome.rebuilt, chunks[0])
+    states = [
+        state
+        for node in system.nodes
+        for pipelines in node._repair_tasks.values()
+        for state in pipelines.values()
+    ]
+    assert len({s.task.repair_id for s in states}) == 2 and len(states) > 10
+    assert all(freed(state) for state in states)

@@ -172,6 +172,72 @@ def test_out_aliasing_input_rejected(name):
         be.mul_chunk(42, chunks[0], out=chunks[0])
 
 
+# --------------------------------------------------------------------- #
+# the single-coefficient kernel: pair gathers straight into the output  #
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("coeff", [0, 1, 0x53, 255])
+@pytest.mark.parametrize("length", [0, 1, 2, BIG, BIG + 1, 2 * 1000 + 1])
+@pytest.mark.parametrize("chunk_offset", [0, 1])
+@pytest.mark.parametrize("out_offset", [None, 0, 1])
+def test_mul_chunk_blocked_matches_the_oracle(
+    coeff, length, chunk_offset, out_offset, monkeypatch
+):
+    """Even and odd lengths and addresses of input and output, across
+    segment boundaries (``SEGMENT_PAIRS`` shrunk to 1000 pairs)."""
+    monkeypatch.setattr(kernels, "SEGMENT_PAIRS", 1000)
+    rng = np.random.default_rng(length + 7 * chunk_offset)
+    chunk = rng.integers(0, 256, length + 1, dtype=np.uint8)[chunk_offset:][:length]
+    expected = ec_backend.NaiveBackend().mul_chunk(coeff, chunk)
+    out = None
+    if out_offset is not None:
+        out = np.full(length + 1, 0xAA, dtype=np.uint8)[out_offset:][:length]
+    got = kernels.mul_chunk_blocked(coeff, chunk, out=out)
+    assert np.array_equal(got, expected)
+    assert out is None or np.array_equal(out, expected)
+
+
+def test_strided_inputs_take_the_staged_path():
+    """A non-contiguous chunk has no ``uint16`` view: it is staged per
+    segment, and the result still matches the oracle."""
+    rng = np.random.default_rng(15)
+    backing = rng.integers(0, 256, size=(3, 2 * BIG), dtype=np.uint8)
+    strided = [row[::2] for row in backing]
+    assert kernels._pairs_view(strided[0]) is None
+    naive = ec_backend.NaiveBackend()
+    assert np.array_equal(
+        kernels.mul_chunk_blocked(0x53, strided[0]), naive.mul_chunk(0x53, strided[0])
+    )
+    mat = rng.integers(2, 256, size=(2, 3), dtype=np.uint8)
+    assert np.array_equal(
+        kernels.fused_matmul(mat, strided), naive.matmul_chunks(mat, strided)
+    )
+
+
+def test_mul_chunk_blocked_gathers_aligned_inputs_without_the_matrix_path(
+    monkeypatch,
+):
+    rng = np.random.default_rng(5)
+    backing = rng.integers(0, 256, BIG + 1, dtype=np.uint8)
+    fused = []
+    real = kernels.fused_matmul
+    monkeypatch.setattr(
+        kernels, "fused_matmul",
+        lambda *a, **k: (fused.append(1), real(*a, **k))[1],
+    )
+    kernels.mul_chunk_blocked(0x53, backing[:BIG])
+    assert fused == []  # even address: one pair gather per pair
+    kernels.mul_chunk_blocked(0x53, backing[1:])
+    assert fused == [1]  # odd address: the staged matrix path
+
+
+def test_mul_chunk_blocked_refuses_overlapping_out():
+    buf = np.random.default_rng(6).integers(0, 256, BIG + 2, dtype=np.uint8)
+    for out in (buf[:BIG], buf[1 : BIG + 1], buf[2 : BIG + 2]):
+        with pytest.raises(ValueError, match="alias"):
+            kernels.mul_chunk_blocked(0x53, buf[:BIG], out=out)
+
+
 def test_zero_and_one_coefficient_fast_paths():
     rng = np.random.default_rng(15)
     chunks = _chunks(rng, 3, BIG)

@@ -124,6 +124,60 @@ class TestAuditStripe:
         # the surplus pins down the true value: the healing payload
         assert np.array_equal(report.predicted, chunks[self.LOST])
 
+    @pytest.mark.parametrize("at", [0, 700, CHUNK - 1])
+    def test_a_wrong_block_after_clean_ones_heals_byte_exact(
+        self, stripe, at, monkeypatch
+    ):
+        # 256-byte blocks: the prediction agrees with the rebuilt bytes
+        # for every block before ``at`` and the healing row must still
+        # hold them
+        from repro.integrity import verify
+
+        monkeypatch.setattr(verify, "BLOCK_BYTES", 256)
+        code, chunks = stripe
+        poisoned = chunks[self.LOST].copy()
+        poisoned[at] ^= 0x22
+        report = audit_stripe(code, self.LOST, poisoned, self._stored(chunks))
+        assert report.rebuilt_ok is False and report.predicted is not poisoned
+        assert np.array_equal(report.predicted, chunks[self.LOST])
+
+    def test_a_rebuilt_value_of_the_wrong_length_is_wrong(self, stripe):
+        code, chunks = stripe
+        for rebuilt in (chunks[self.LOST][:-1], np.append(chunks[self.LOST], 0)):
+            report = audit_stripe(code, self.LOST, rebuilt, self._stored(chunks))
+            assert report.ok is False and report.rebuilt_ok is False
+            assert np.array_equal(report.predicted, chunks[self.LOST])
+
+    def test_a_clean_audit_builds_no_chunk_sized_row(self, monkeypatch):
+        import tracemalloc
+
+        from repro.integrity import verify
+
+        size, block = 1 << 20, 1 << 14
+        monkeypatch.setattr(verify, "BLOCK_BYTES", block)
+        code = RSCode(N, K)
+        rng = np.random.default_rng(8)
+        chunks = code.encode(rng.integers(0, 256, (K, size), dtype=np.uint8))
+        stored = {i: chunks[i] for i in range(N) if i != self.LOST}
+        rebuilt = chunks[self.LOST].copy()
+        audit_stripe(code, self.LOST, rebuilt, stored)  # warm the tables
+
+        def peak(value):
+            tracemalloc.start()
+            try:
+                report = audit_stripe(code, self.LOST, value, stored)
+                return report, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        report, clean = peak(rebuilt)
+        assert report.ok is True and report.predicted is rebuilt
+        assert clean < size // 4  # the (n - k) x block prediction, no row
+        rebuilt[-1] ^= 1
+        report, healed = peak(rebuilt)
+        assert report.rebuilt_ok is False
+        assert healed >= size  # the gate has teeth: a wrong one builds the row
+
     def test_silent_stored_rot_localized(self, stripe):
         # rot whose digest was re-recorded: stored values disagree with
         # each other and only leave-one-out can name the culprit
