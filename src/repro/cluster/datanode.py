@@ -56,8 +56,10 @@ def _scale(coeff: int, source: np.ndarray | None, lo: int, hi: int) -> np.ndarra
 
 
 def _free(state: "_TaskState") -> None:
-    """Drop a finished or cancelled task's buffers and slice tables."""
+    """Drop a finished or cancelled task's buffers, slice tables and
+    callback (a slice still in flight holds its own reference)."""
     state.bounds = None
+    state.arrive = None
     state.partials = None
     state.source = None
     state.scaled = None
@@ -78,6 +80,7 @@ class _TaskState:
     """Progress of one pipeline task on one node."""
 
     task: TransferTask
+    wire_id: str  # task.repair_id or task.stripe_id
     num_slices: int
     #: slice ``i`` spans ``[bounds[i], bounds[i + 1])``: the balanced
     #: split ``start + i*q + min(i, r)`` with ``q, r = divmod(len, num)``
@@ -88,6 +91,10 @@ class _TaskState:
     #: ``task.wait_for`` as a bitmask (bit ``s`` for source node ``s``):
     #: the sources every slice needs; 0 for a leaf sender
     wait_for: int
+    #: planned edge rate in bytes/s (a straggler cap applies per slice)
+    rate: float
+    #: ``DataNode._arrive`` bound to this state at assign: every send's callback
+    arrive: partial | None = None
     #: hub only: per-slice payload accumulator (own contribution XOR
     #: arrivals); each entry is a view into ``scaled``
     partials: list[np.ndarray | None] | None = None
@@ -112,9 +119,8 @@ class _TaskState:
     next_send: int = 0
     #: when the outgoing edge frees up
     edge_free: float = 0.0
-    #: a send-completion event is pending (edge busy)
-    in_flight: bool = False
-    sent: int = 0
+    #: the one slice on the wire (its arrival is pending), else ``None``
+    sending: SliceData | None = None
     cancelled: bool = False
 
 
@@ -132,8 +138,9 @@ class DataNode:
         self.events = events
         self.store = ChunkStore()
         self.slice_bytes = slice_bytes
-        #: task states by repair (wire) id, then pipeline id
-        self._repair_tasks: dict[str, dict[int, _TaskState]] = {}
+        #: task states by wire id (``repair_id or stripe_id``), then
+        #: pipeline id; the cluster routes each delivery through it
+        self.tasks: dict[str, dict[int, _TaskState]] = {}
         #: delivery callback installed by the cluster: (dest, SliceData)
         self.deliver = None
         #: total payload bytes this node has put on the wire
@@ -193,13 +200,15 @@ class DataNode:
         q, r = divmod(seg_len, num)
         state = _TaskState(
             task=task,
+            wire_id=task.repair_id or task.stripe_id,
             num_slices=num,
             bounds=[task.start + i * q + min(i, r) for i in range(num + 1)],
             wait_for=_mask(task.wait_for),
+            rate=task.rate_mbps * MEGABIT / 8.0,  # units.mbps_to_bytes_per_s
             edge_free=self.events.now,
         )
-        repair_id = task.repair_id or task.stripe_id
-        self._repair_tasks.setdefault(repair_id, {})[task.pipeline_id] = state
+        state.arrive = partial(self._arrive, state)
+        self.tasks.setdefault(state.wire_id, {})[task.pipeline_id] = state
         if task.wait_for:
             state.partials = [None] * num
             state.arrived = [0] * num
@@ -222,7 +231,7 @@ class DataNode:
         the number of tasks cancelled.
         """
         cancelled = 0
-        for state in self._repair_tasks.get(repair_id, {}).values():
+        for state in self.tasks.get(repair_id, {}).values():
             if not state.cancelled:
                 state.cancelled = True
                 _free(state)
@@ -236,27 +245,13 @@ class DataNode:
         stale-epoch handling) sees what it saw before; a retransmit
         request for a released task is refused like one for a lost task.
         """
-        for state in self._repair_tasks.get(repair_id, {}).values():
+        for state in self.tasks.get(repair_id, {}).values():
             _free(state)
 
-    def _task_state(self, repair_id: str, pipeline_id: int) -> "_TaskState | None":
-        pipelines = self._repair_tasks.get(repair_id)
-        return None if pipelines is None else pipelines.get(pipeline_id)
-
-    def has_task(self, repair_id: str, pipeline_id: int) -> bool:
-        """True when this node was assigned that pipeline of that repair."""
-        pipelines = self._repair_tasks.get(repair_id)
-        return pipelines is not None and pipeline_id in pipelines
-
-    def receive(self, data: SliceData) -> None:
-        """Fold an incoming partial into the matching task state."""
-        repair_id = data.repair_id or data.stripe_id
-        state = self._task_state(repair_id, data.pipeline_id)
-        if state is None:
-            raise RuntimeError(
-                f"node {self.node_id}: slice for unknown task "
-                f"{(repair_id, data.pipeline_id)}"
-            )
+    def receive(self, data: SliceData, state: _TaskState) -> None:
+        """Fold an incoming partial into ``state``, the task of this node
+        that consumes it.  Only the folded slice can become sendable, so
+        the task sends only if it did, is next, and nothing is in flight."""
         if (
             data.checksum is not None
             and self.on_bad_slice is not None
@@ -266,9 +261,12 @@ class DataNode:
             # retransmitted copy is not a duplicate
             self.on_bad_slice(self.node_id, data)
             return
-        if state.bounds is None:
+        bounds = state.bounds
+        if bounds is None:
             return  # a late slice of a cancelled task: checked, dropped
-        idx = self._slice_index(state, data.start)
+        idx = bisect_left(bounds, data.start)
+        if idx >= state.num_slices or bounds[idx] != data.start:
+            raise RuntimeError(f"misaligned slice start {data.start}")
         bit = 1 << data.source
         arrived = state.arrived[idx]
         if arrived & bit:
@@ -291,15 +289,10 @@ class DataNode:
             state.ready_at[idx] = (
                 self.events.now + COMPUTE_S_PER_BYTE * len(partial)
             )
-        self._pump(state)
+            if idx == state.next_send and state.sending is None:
+                self._pump(state)
 
     # ------------------------------------------------------------------ #
-
-    def _slice_index(self, state: _TaskState, start: int) -> int:
-        idx = bisect_left(state.bounds, start)
-        if idx >= state.num_slices or state.bounds[idx] != start:
-            raise RuntimeError(f"misaligned slice start {start}")
-        return idx
 
     def _prepare_own(self, state: _TaskState, idx: int) -> None:
         """Initialise a hub's slice ``idx`` with this node's own contribution.
@@ -341,7 +334,7 @@ class DataNode:
         slice that has not yet started — unlike scheduling the whole
         segment ahead of time, which would bake rates in at assign time.
         """
-        if state.in_flight or state.cancelled:
+        if state.sending is not None or state.cancelled:
             return
         idx = state.next_send
         if idx >= state.num_slices:
@@ -364,17 +357,17 @@ class DataNode:
                 off = lo - state.scaled_lo
             payload = state.scaled[off : off + bounds[idx + 1] - lo]
             ready = state.edge_free
-        state.in_flight = True
         state.next_send += 1
-        state.sent += 1
-        msg, arrival = self._transmit(state, idx, ready, payload)
+        state.sending, arrival = self._transmit(state, idx, ready, payload)
+        self.events.schedule_at(arrival, state.arrive)
 
-        def _complete(m=msg, d=state.task.destination, s=state) -> None:
-            s.in_flight = False
-            self.deliver(d, m)
-            self._pump(s)
-
-        self.events.schedule_at(arrival, _complete)
+    def _arrive(self, state: _TaskState) -> None:
+        """The slice in flight on ``state``'s edge lands: hand it to the
+        cluster, then send the task's next slice if it is ready."""
+        msg = state.sending
+        state.sending = None
+        self.deliver(state.task.destination, msg)
+        self._pump(state)
 
     def _scale_window(self, state: _TaskState, idx: int) -> None:
         """Scale a leaf's window starting at slice ``idx`` into ``scaled``.
@@ -405,10 +398,10 @@ class DataNode:
         """
         t = state.task
         lo, hi = state.bounds[idx], state.bounds[idx + 1]
-        rate_mbps = t.rate_mbps
-        if self.rate_cap_mbps is not None:
-            rate_mbps = min(rate_mbps, self.rate_cap_mbps)
-        rate = rate_mbps * MEGABIT / 8.0  # units.mbps_to_bytes_per_s, inlined
+        if self.rate_cap_mbps is None:
+            rate = state.rate
+        else:
+            rate = min(t.rate_mbps, self.rate_cap_mbps) * MEGABIT / 8.0
         occupancy = (hi - lo) / rate + SLICE_OVERHEAD_S
         start_tx = max(not_before, state.edge_free, self.stalled_until)
         state.edge_free = arrival = start_tx + occupancy
@@ -418,7 +411,8 @@ class DataNode:
         # copy is made first: it draws the wire RNG.
         msg = _slice_data((
             t.stripe_id, t.pipeline_id, self.node_id, lo, hi,
-            self._maybe_corrupt(payload, start_tx),
+            payload if start_tx >= self.wire_corrupt_until
+            else self._corrupt(payload),
             t.repair_id,
             slice_checksum(payload),
         ))
@@ -427,18 +421,13 @@ class DataNode:
         if self.on_transfer is not None:
             self.on_transfer(
                 self.node_id, t.destination, lo, hi, start_tx, arrival,
-                t.repair_id or t.stripe_id, t.pipeline_id,
+                state.wire_id, t.pipeline_id,
             )
         return msg, arrival
 
-    def _maybe_corrupt(self, payload: np.ndarray, start_tx: float) -> np.ndarray:
-        """Apply armed wire corruption to a *copy* of an outgoing payload."""
-        if (
-            start_tx >= self.wire_corrupt_until
-            or self._wire_rng is None
-            or not len(payload)
-        ):
-            return payload
+    def _corrupt(self, payload: np.ndarray) -> np.ndarray:
+        """Garble a *copy* of a payload sent in the armed corruption
+        window (``corrupt_wire`` arms the window and the RNG together)."""
         rng = self._wire_rng
         garbled = payload.copy()
         count = min(int(rng.integers(1, 9)), len(garbled))
@@ -461,10 +450,12 @@ class DataNode:
         already dropped from the same view of its chunk, so the resent
         bytes and checksum are the first send's.
         """
-        state = self._task_state(*key)
+        state = self.tasks.get(key[0], {}).get(key[1])
         if state is None or state.bounds is None:
             return False
-        idx = self._slice_index(state, start)
+        idx = bisect_left(state.bounds, start)
+        if idx >= state.num_slices or state.bounds[idx] != start:
+            raise RuntimeError(f"misaligned slice start {start}")
         if state.wait_for:
             payload = state.partials[idx]
         elif start >= state.scaled_lo:
@@ -485,7 +476,7 @@ class DataNode:
         """Tasks not yet fully sent (diagnostic)."""
         return sum(
             1
-            for pipelines in self._repair_tasks.values()
+            for pipelines in self.tasks.values()
             for s in pipelines.values()
             if s.next_send < s.num_slices
         )

@@ -639,8 +639,7 @@ class ClusterSystem:
             data.source, dest, data.start, data.stop, rid,
         )
         asm = self._wire_assembly.get(rid)
-        if asm is not None and asm.watchdog:
-            # an unwatched chunk reports only what its settle finds
+        if asm is not None:
             asm.corruption_detected = True
         if rid in self._retired or not self._alive[data.source]:
             return  # stale epoch / dead sender: the watchdog path owns it
@@ -1859,15 +1858,17 @@ class ClusterSystem:
         """The DataNode send hook; ``None`` unless a sink is live.
 
         It runs once per slice, so everything that does not depend on
-        the slice is resolved here: which sinks are enabled, and (on a
-        node's first send) that node's byte counter.
+        the slice is resolved here: which sinks are enabled, the bound
+        methods it calls, and (on a node's first send) that node's byte
+        counter.
         """
         tracer = self.tracer if self.tracer.enabled else None
         metrics = self.metrics if self.metrics.enabled else None
         if tracer is None and metrics is None:
             return None
         nodes = self.nodes
-        pipeline_spans = self._pipeline_spans
+        span_of = self._pipeline_spans.get
+        record = None if tracer is None else tracer.record_transfer
         sent_bytes: list = [None] * len(nodes)
 
         def note_transfer(
@@ -1895,9 +1896,9 @@ class ClusterSystem:
                 counter.inc(hi - lo)
             if 0 <= dest < len(nodes):
                 nodes[dest].downlink_busy_s += end_s - start_s
-            if tracer is not None:
-                tracer.record_transfer(
-                    pipeline_spans.get((wire_id, pipeline_id)), src, dest,
+            if record is not None:
+                record(
+                    span_of((wire_id, pipeline_id)), src, dest,
                     lo, hi, start_s, end_s, wire_id, pipeline_id,
                 )
 
@@ -2096,8 +2097,8 @@ class ClusterSystem:
         if not self._alive[data.source] or not self._alive[destination]:
             return  # packets from/to dead nodes vanish
         node = self.nodes[destination]
-        now = self.events.now
-        if node.stalled_until > now:
+        # stalled_until is 0.0 until a stall is injected: no clock read
+        if node.stalled_until and node.stalled_until > self.events.now:
             # receiver frozen: the delivery lands when the stall elapses
             self.events.schedule_at(
                 node.stalled_until,
@@ -2105,8 +2106,9 @@ class ClusterSystem:
             )
             return
         rid = data.repair_id or data.stripe_id
-        if node.has_task(rid, data.pipeline_id):
-            node.receive(data)
+        state = node.tasks.get(rid, {}).get(data.pipeline_id)
+        if state is not None:
+            node.receive(data, state)
             return
         asm = self._wire_assembly.get(rid)
         if asm is None or asm.requester != destination:
@@ -2146,7 +2148,7 @@ class ClusterSystem:
         # the requester pays the final combine cost for this slice
         asm.last_arrival = max(
             asm.last_arrival,
-            now + COMPUTE_S_PER_BYTE * len(data.payload),
+            self.events.now + COMPUTE_S_PER_BYTE * len(data.payload),
         )
         if got == sources:
             # every contribution folded in: this byte range is decoded
@@ -2160,5 +2162,5 @@ class ClusterSystem:
                 span = self._pipeline_spans.pop((rid, data.pipeline_id), None)
                 if span:
                     self.tracer.end_span(span)
-        if asm.complete:
-            self._finish_assembly(asm, retire=False)
+            if asm.complete:  # only a decoded range can complete the chunk
+                self._finish_assembly(asm, retire=False)

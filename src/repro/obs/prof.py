@@ -46,7 +46,7 @@ def site_of(action: Callable) -> tuple[str, str]:
     """``(module, qualname)`` of the code a queue callback will run.
 
     Unwraps ``functools.partial`` chains, ``__wrapped__`` decorators
-    and bound methods so every scheduling of ``DataNode._pump`` maps to
+    and bound methods so every scheduling of ``DataNode._arrive`` maps to
     one site regardless of which instance or wrapper scheduled it.
     """
     fn = action

@@ -19,6 +19,12 @@ def make_node(node_id=1, slice_bytes=256, **kw):
     return node, events, delivered
 
 
+def receive(node, data):
+    """Hand ``data`` to the task of ``node`` that consumes it, looked up
+    as the cluster's routing looks it up."""
+    node.receive(data, node.tasks[data.repair_id or data.stripe_id][data.pipeline_id])
+
+
 def leaf_task(chunk_index=0, coeff=3, start=0, stop=1024, dest=9, rate=100.0,
               num_slices=None):
     return TransferTask(
@@ -95,8 +101,8 @@ class TestHubCombining:
 
         node, events, delivered, chunk = self._hub_setup()
         incoming = np.arange(256, dtype=np.uint8)
-        node.receive(SliceData("s", 7, source=4, start=0, stop=256,
-                               payload=incoming))
+        receive(node, SliceData("s", 7, source=4, start=0, stop=256,
+                                payload=incoming))
         events.run()
         assert len(delivered) == 1
         dest, msg = delivered[0]
@@ -109,39 +115,46 @@ class TestHubCombining:
 
         node, events, delivered, _ = self._hub_setup()
         payload = np.zeros(256, dtype=np.uint8)
-        node.receive(SliceData("s", 7, source=4, start=0, stop=256, payload=payload))
+        receive(node, SliceData("s", 7, source=4, start=0, stop=256, payload=payload))
         with pytest.raises(RuntimeError, match="duplicate"):
-            node.receive(SliceData("s", 7, source=4, start=0, stop=256, payload=payload))
+            receive(node, SliceData("s", 7, source=4, start=0, stop=256, payload=payload))
 
     def test_misaligned_slice_rejected(self):
         from repro.cluster import SliceData
 
         node, events, delivered, _ = self._hub_setup()
         with pytest.raises(RuntimeError, match="misaligned"):
-            node.receive(
+            receive(
+                node,
                 SliceData("s", 7, source=4, start=13, stop=256,
                           payload=np.zeros(243, dtype=np.uint8))
             )
+        with pytest.raises(RuntimeError, match="misaligned"):
+            node.retransmit(("s", 7), 13, 256)
 
     def test_wrong_size_payload_rejected(self):
         from repro.cluster import SliceData
 
         node, events, delivered, _ = self._hub_setup()
         with pytest.raises(RuntimeError, match="size"):
-            node.receive(
+            receive(
+                node,
                 SliceData("s", 7, source=4, start=0, stop=256,
                           payload=np.zeros(17, dtype=np.uint8))
             )
 
     def test_unknown_task_rejected(self):
-        from repro.cluster import SliceData
+        """The cluster routes a slice by the receiver's task table; one
+        that no task and no requester consumes is an error."""
+        from repro.cluster import ClusterSystem, SliceData
+        from repro.ec import RSCode
 
-        node, events, delivered = make_node()
-        with pytest.raises(RuntimeError, match="unknown task"):
-            node.receive(
-                SliceData("s", 99, source=4, start=0, stop=16,
-                          payload=np.zeros(16, dtype=np.uint8))
-            )
+        system = ClusterSystem(4, RSCode(3, 2))
+        with pytest.raises(RuntimeError, match="unexpected node"):
+            system.nodes[0].deliver(1, SliceData(
+                "s", 99, source=0, start=0, stop=16,
+                payload=np.zeros(16, dtype=np.uint8),
+            ))
 
 
 def reference_bounds(start, stop, num):
@@ -215,8 +228,8 @@ class TestSegmentScalingEquivalence:
             for source in (4, 5):
                 payload = rng.integers(0, 256, hi - lo, dtype=np.uint8)
                 incoming[lo] = incoming.get(lo, 0) ^ payload
-                node.receive(SliceData("s", 7, source=source, start=lo, stop=hi,
-                                       payload=payload))
+                receive(node, SliceData("s", 7, source=source, start=lo,
+                                        stop=hi, payload=payload))
         events.run()
         assert [(m.start, m.stop) for _, m in delivered] == reference_bounds(*segment)
         for _, msg in delivered:
@@ -240,9 +253,9 @@ class TestChunkChangesUnderATask:
         ))
 
         def arrive(i):
-            node.receive(SliceData("s", 7, source=4, start=512 * i,
-                                   stop=512 * (i + 1),
-                                   payload=np.zeros(512, dtype=np.uint8)))
+            receive(node, SliceData("s", 7, source=4, start=512 * i,
+                                    stop=512 * (i + 1),
+                                    payload=np.zeros(512, dtype=np.uint8)))
 
         return node, events, delivered, chunk, arrive
 
@@ -303,7 +316,7 @@ class TestReleaseRepair:
         events.run()
         assert len(delivered) == 5
         node.release_repair("s")
-        (state,) = node._repair_tasks["s"].values()
+        (state,) = node.tasks["s"].values()
         assert freed(state)
         assert not node.retransmit(("s", 7), 256, 512)  # refused, not an error
         assert node.pending_tasks() == 0
@@ -315,22 +328,23 @@ class TestReleaseRepair:
             node.assign(dataclasses.replace(
                 leaf_task(rate=1.0), repair_id=rid, pipeline_id=pid
             ))
-        tasks = node._repair_tasks
+        tasks = node.tasks
         a1, a2, b1 = tasks["a"][1], tasks["a"][2], tasks["b"][1]
         assert node.cancel_repair("b") == 1 and b1.cancelled
         assert node.cancel_repair("b") == 0  # already cancelled
         assert node.cancel_repair("nobody") == 0
         assert not (a1.cancelled or a2.cancelled)
         events.run()
-        assert [s.sent for s in (a1, a2, b1)] == [4, 4, 1]
+        assert [s.next_send for s in (a1, a2, b1)] == [4, 4, 1]
         # cancelling frees the buffers at once, as releasing does
         assert freed(b1) and not (freed(a1) or freed(a2))
         node.release_repair("a")
         node.release_repair("nobody")
         # per-slice state is gone; the routing entry is not
         assert freed(a1) and freed(a2)
-        assert all(node.has_task(*k) for k in (("a", 1), ("a", 2), ("b", 1)))
-        assert not (node.has_task("a", 3) or node.has_task("nobody", 1))
+        assert {(w, p) for w, ps in tasks.items() for p in ps} == {
+            ("a", 1), ("a", 2), ("b", 1)
+        }
         assert not node.retransmit(("a", 1), 0, 256)
         assert node.pending_tasks() == 1  # the cancelled one never finished
         # a repeated repair re-assigns the same wire id: the index follows
@@ -353,7 +367,7 @@ class TestLateSliceToACancelledHub:
         node.on_bad_slice = lambda dest, data: bad.append((dest, data.start))
         payload = np.arange(256, dtype=np.uint8)
         checksum = slice_checksum(payload)
-        arrive = lambda p: node.receive(SliceData(
+        arrive = lambda p: receive(node, SliceData(
             "s", 7, source=4, start=256, stop=512, payload=p, checksum=checksum,
         ))
         assert node.cancel_repair("s") == 1
@@ -371,7 +385,7 @@ class TestLateSliceToACancelledHub:
         arrive(payload)
         arrive(payload)  # not folded, so not a duplicate either
         events.run()
-        (state,) = node._repair_tasks["s"].values()
+        (state,) = node.tasks["s"].values()
         assert freed(state) and delivered == [] and bad == []
         assert not node.retransmit(("s", 7), 256, 512)
 
@@ -390,7 +404,7 @@ class TestLeafWindows:
         chunk = np.random.default_rng(4).integers(0, 256, size, dtype=np.uint8)
         node.store.put("s", 0, chunk)
         node.assign(leaf_task(coeff=0x53, start=1, stop=size, rate=1e4))
-        (state,) = node._repair_tasks["s"].values()
+        (state,) = node.tasks["s"].values()
         return node, events, delivered, chunk, state
 
     def test_a_leaf_holds_one_window_not_its_segment(self):
@@ -466,8 +480,8 @@ class TestHubRotMidRepair:
                     hub_tasks.setdefault(node.node_id, set()).add(task.pipeline_id)
                 real(task)
 
-            def receive(data, node=node, real=node.receive):
-                real(data)
+            def receive(data, state, node=node, real=node.receive):
+                real(data, state)
                 nid = node.node_id
                 if rotted:
                     if nid == rotted[0]:
@@ -600,7 +614,7 @@ def test_retired_attempts_hold_no_buffers():
     states = [
         state
         for node in system.nodes
-        for pipelines in node._repair_tasks.values()
+        for pipelines in node.tasks.values()
         for state in pipelines.values()
     ]
     assert len({s.task.repair_id for s in states}) == 2 and len(states) > 10

@@ -90,6 +90,22 @@ class TestRepairMulti:
         b = seq_sys.repair("s1", 4, 11).elapsed_seconds
         assert concurrent < (a + b)
 
+    def test_a_wire_checksum_catch_is_reported(self, snapshot):
+        """A slice garbled in flight and caught by its checksum marks the
+        chunks of the group ``corruption_detected``, as a watched repair
+        reports it; the retransmit still rebuilds the exact bytes."""
+        sys_, data = build()
+        sys_.set_bandwidth(snapshot)
+        sys_.fail_node(1)
+        sys_.fail_node(4)
+        for node in (0, 2, 3, 5, 6, 7, 8):
+            sys_.corrupt_wire(node, 1e-3, seed=node)
+        outs = sys_.repair_multi("s1", (1, 4), {1: 10, 4: 11})
+        assert all(o.corruption_detected for o in outs.values())
+        assert all(o.verified for o in outs.values())
+        assert np.array_equal(outs[1].rebuilt, data[1])
+        assert np.array_equal(outs[4].rebuilt, data[4])
+
     def test_chunks_stored_at_requesters(self, snapshot):
         sys_, _ = build()
         sys_.set_bandwidth(snapshot)

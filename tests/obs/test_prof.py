@@ -253,7 +253,7 @@ class TestEngineProfiler:
             f"{module.rpartition('.')[2]}:{qualname}": stats.events
             for (module, qualname), stats in prof.sites.items()
         } == {
-            "datanode:DataNode._pump.<locals>._complete": 18732,
+            "datanode:DataNode._arrive": 18732,
             "system:ClusterSystem._abort_attempt.<locals>.<lambda>": 1,
             "system:ClusterSystem._arm_timer.<locals>.<lambda>": 2,
             "system:ClusterSystem._dispatch_tasks.<locals>.<lambda>": 1176,

@@ -643,11 +643,16 @@ def _drain_calls(slice_bytes: int) -> tuple[Counter, int, int]:
 def test_a_slice_hop_makes_no_object_machinery_calls(slice_kib):
     """Count gate on the slice hop: heap entries compare in C (no
     ``__lt__`` frame), a ``SliceData`` is built without a Python
-    constructor frame, ``schedule_at`` pushes its own entry, and an
-    event costs at most 20 Python calls.  Measured this way: 29.6 / 28.5
-    calls per event at 16 / 4 KiB slices with a Python ``__lt__``, a
-    dataclass ``SliceData`` and ``schedule_at`` → ``schedule``; 18.7 /
-    17.2 without them.  Counts, so the same on every machine."""
+    constructor frame, ``schedule_at`` pushes its own entry, no function
+    object is made per slice (a send schedules the callback its task
+    bound at assign), and an event costs at most 12 Python calls.
+    Measured this way: 29.6 / 28.5 calls per event at 16 / 4 KiB slices
+    with a Python ``__lt__``, a dataclass ``SliceData`` and
+    ``schedule_at`` → ``schedule``; 16.0 / 14.5 with a closure per send,
+    two task lookups per delivery and per-slice rate and corruption-window
+    calls; 10.7 / 9.0 without them.  Counts, so the same on every
+    machine."""
+    from repro.cluster.datanode import DataNode
     from repro.cluster.messages import SliceData
 
     calls, nested, executed = _drain_calls(slice_kib * 1024)
@@ -659,5 +664,15 @@ def test_a_slice_hop_makes_no_object_machinery_calls(slice_kib):
     assert sum(n for code, n in calls.items() if code.co_name == "__lt__") == 0
     assert sum(calls[code] for code in constructors) == 0
     assert nested == 0
+    # a nested function of the hop's modules runs at most once per task
+    tasks = calls[DataNode.assign.__code__]
+    assert tasks >= 13
+    per_slice = {
+        code.co_qualname: n
+        for code, n in calls.items()
+        if "<locals>" in code.co_qualname and n > tasks
+        and code.co_filename.endswith(("datanode.py", "system.py", "events.py"))
+    }
+    assert per_slice == {}
     per_event = sum(calls.values()) / executed
-    assert per_event <= 20, f"{per_event:.1f} Python calls per event"
+    assert per_event <= 12, f"{per_event:.1f} Python calls per event"
