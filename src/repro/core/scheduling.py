@@ -16,9 +16,9 @@ multi-pipeline schedule in three steps:
    most once) and none from the hub itself.  Task priority follows the
    paper: most remaining unfilled slots first, already-touched tasks
    (``T_assigned``) preferred on ties; this walk reproduces Fig. 3 /
-   Table III exactly on the worked example.  The fast path selects the
-   target task with a single O(|tasks|) scan per assignment instead of
-   re-sorting both task lists every iteration (the seed's sort-based
+   Table III exactly on the worked example.  The fast path keeps one
+   standing priority order, re-sorted only when a task's key changed,
+   instead of re-sorting both task lists after every pick (the seed's
    walk is preserved in ``tests/core/reference_planner.py`` and the
    test-suite pins the two selections to identical plans).  The paper's
    *task exchange* step is generalised into a max-flow re-solve — an
@@ -32,7 +32,9 @@ multi-pipeline schedule in three steps:
    sender ever covers the same chunk position twice), then cut at row
    boundaries into elementary pipelines whose per-byte participants are
    k *distinct* helpers — the invariant
-   :class:`repro.repair.plan.Pipeline` validates.
+   :class:`repro.repair.plan.Pipeline` validates.  One pass per task
+   rounds the amounts to ticks and places them, and each cut's pipeline
+   is emitted as soon as its column is known.
 """
 
 from __future__ import annotations
@@ -199,17 +201,18 @@ def schedule_tasks(
         if demand - t._filled > AMOUNT_TOL * (demand if demand > 1.0 else 1.0):
             flow_used = True
             _flow_completion(tasks, capacity, context, up, own_speed)
+            # a task can fall short only here: without the re-solve every
+            # task passed the tighter test above
+            shortfall = [
+                t for t in tasks if t.demand - t.filled > 1e-4 * max(1.0, t.demand)
+            ]
+            if shortfall:
+                raise RuntimeError(
+                    "scheduling could not realise t_max="
+                    f"{t_max:.6f} Mbps: unfilled tasks "
+                    f"{[(t.task_id, t.demand - t.filled) for t in shortfall]}"
+                )
             break
-
-    shortfall = [
-        t for t in tasks if t.demand - t.filled > 1e-4 * max(1.0, t.demand)
-    ]
-    if shortfall:
-        raise RuntimeError(
-            "scheduling could not realise t_max="
-            f"{t_max:.6f} Mbps: unfilled tasks "
-            f"{[(t.task_id, t.demand - t.filled) for t in shortfall]}"
-        )
 
     pipelines = _layout_pipelines(tasks, context, t_max)
     return ScheduleResult(
@@ -232,15 +235,17 @@ def _assign_senders(
     unfilled parts (``T_assigned`` wins ties, per Function TASKASSIGN
     Lines 8-12).
 
-    Each node's picks are computed with **one sort + one walk**: after a
-    pick, either the node's capacity is exhausted (the loop ends) or the
-    picked task's per-node room is exactly zero (``take == room``), so a
-    task is picked at most once per node — and since a pick only changes
-    the *picked* task's ``(remain, touched)`` key, the priority order of
-    the remaining candidates never changes mid-node.  Sorting the
-    candidates once by the seed's composite key and walking down the
-    list therefore reproduces the seed's pick-by-pick re-sorted walk
-    exactly (pinned by the equivalence tests against
+    The priority order is **one standing list** of task indices, sorted
+    by one key per task and re-sorted only when a key changed since the
+    last sort (the node's own-task charge, or an earlier node's picks).
+    Within a node, after a pick either the node's capacity is exhausted
+    (the walk ends) or the picked task's per-node room is exactly zero
+    (``take == room``), so a task is picked at most once per node — and
+    since a pick only changes the *picked* task's ``(remain, touched)``
+    key, the order of the tasks still ahead in the walk never changes
+    mid-node.  Walking the standing order, skipping filled tasks and the
+    node's own, therefore reproduces the seed's pick-by-pick re-sorted
+    walk exactly (pinned by the equivalence tests against
     ``tests/core/reference_planner.py``).  The whole phase runs on parallel
     local lists — attribute/property dispatch on :class:`Task` dominated
     the planner profile — and results are written back into the ``Task``
@@ -250,58 +255,51 @@ def _assign_senders(
     speed = [t.speed for t in tasks]
     slots = [t.slots for t in tasks]
     hub = [t.hub for t in tasks]
-    has_own = [t.has_own for t in tasks]
     tid = [t.task_id for t in tasks]
     amounts: list[dict[int, float]] = [{} for _ in range(num)]
     filled = [0.0] * num
     residual = [t.slots * t.speed for t in tasks]  # demand - filled
-    touched = [False] * num
     own_done = [False] * num
-    # remain = unfilled slots + (1 while the hub's own part is unclaimed)
-    remain = [slots[j] + (1 if has_own[j] else 0) for j in range(num)]
+    # parts = slots + (1 while the hub's own part is unclaimed); a task's
+    # remain is its parts minus its completely filled slots
+    parts = [t.slots + (1 if t.has_own else 0) for t in tasks]
     own_of = {hub[j]: j for j in range(num)}
+    # seed priority: most remain first; T_assigned beats T_unassigned on
+    # ties; lowest id within T_assigned, highest within T_unassigned (the
+    # id component makes every key unique, so the order is total)
+    keys = [(-parts[j], 1, -tid[j]) for j in range(num)]
+    order = list(range(num))
+    stale = True
 
     for u in node_order:
         cap = capacity[u]
         oj = own_of.get(u)
         if oj is not None and speed[oj] > AMOUNT_TOL:
             own_done[oj] = True
-            touched[oj] = True
-            remain[oj] -= 1
+            parts[oj] -= 1
+            keys[oj] = (keys[oj][0] + 1, 0, tid[oj])
+            stale = True
             cap = cap - speed[oj]
             if cap < 0.0:
                 cap = 0.0
         if cap > AMOUNT_TOL:
-            # seed priority: most remain first; T_assigned beats
-            # T_unassigned on ties; lowest id within T_assigned, highest
-            # within T_unassigned.  The trailing j makes lookups free
-            # (never compared: the id component is already unique).
-            cands = sorted(
-                [
-                    (-remain[j], 0, tid[j], j)
-                    if touched[j]
-                    else (-remain[j], 1, -tid[j], j)
-                    for j in range(num)
-                    if residual[j] > AMOUNT_TOL and hub[j] != u
-                ]
-            )
-            for key in cands:
-                j = key[3]
+            if stale:
+                order.sort(key=keys.__getitem__)
+                stale = False
+            for j in order:
                 res = residual[j]
+                if res <= AMOUNT_TOL or hub[j] == u:
+                    continue
                 room = speed[j] if speed[j] < res else res
                 take = room if room < cap else cap
                 amounts[j][u] = take
-                filled[j] += take
                 residual[j] = res - take
-                touched[j] = True
-                complete = int((filled[j] + AMOUNT_TOL) / speed[j])
+                filled[j] = done = filled[j] + take
+                complete = int((done + AMOUNT_TOL) / speed[j])
                 if complete > slots[j]:
                     complete = slots[j]
-                remain[j] = (
-                    slots[j]
-                    - complete
-                    + (1 if has_own[j] and not own_done[j] else 0)
-                )
+                keys[j] = (complete - parts[j], 0, tid[j])
+                stale = True
                 cap -= take
                 if cap <= AMOUNT_TOL:
                     break
@@ -310,7 +308,7 @@ def _assign_senders(
     for j, t in enumerate(tasks):
         t.amounts = amounts[j]
         t._filled = filled[j]
-        t.touched = touched[j]
+        t.touched = own_done[j] or bool(amounts[j])  # every pick adds an amount
         t.own_assigned = own_done[j]
 
 
@@ -395,35 +393,23 @@ def _flow_completion(
 LAYOUT_GRID = 1 << 30
 
 
-def _quantize_amounts(task: Task) -> list[tuple[int, int]]:
-    """Sender amounts as integer ticks summing exactly to ``slots * GRID``.
+def _quantize_amounts(task: Task, ticks: list[int]) -> list[tuple[int, int]]:
+    """Rounded ticks repaired to sum exactly to ``slots * GRID``.
 
-    Quantisation makes the wrap-around layout exact: every row is exactly
-    ``LAYOUT_GRID`` ticks wide, every sender holds at most one row's worth
-    (so its wrapped pieces can never share a column), and cut positions
-    are integers.  Rounding drift and the max-flow's 1e-6-unit flooring
-    are absorbed by distributing the residual ticks over senders with
+    The layout's own rounding (``round(a / speed * GRID)`` per sender)
+    serves every task whose ticks already tile its rows; this path takes
+    the rest.  Rounding drift and the max-flow's 1e-6-unit flooring are
+    absorbed by distributing the residual ticks over senders with
     headroom (largest first), which perturbs rates by at most
-    ``speed / LAYOUT_GRID`` — about 1e-7 Mbps per task.
+    ``speed / LAYOUT_GRID`` — about 1e-7 Mbps per task.  Senders left
+    with no ticks are dropped.
     """
-    target = task.slots * LAYOUT_GRID
-    speed = task.speed
-    ticks: list[tuple[int, int]] = []
-    total = 0
-    for u, a in task.amounts.items():
-        t = round(a / speed * LAYOUT_GRID)
-        if t < 0:
-            t = 0
-        elif t > LAYOUT_GRID:
-            t = LAYOUT_GRID
-        ticks.append((u, t))
-        total += t
-    diff = target - total
+    held = dict(zip(task.amounts, ticks))
+    diff = task.slots * LAYOUT_GRID - sum(ticks)
     if diff:
         # most headroom first (ascending ticks when giving, descending
         # when taking back); the sort is stable, so ties keep
         # first-contribution order exactly like the seed's key sort
-        held = dict(ticks)
         for u in sorted(held, key=held.__getitem__, reverse=diff < 0):
             if diff > 0:
                 step = min(diff, LAYOUT_GRID - held[u])
@@ -438,51 +424,7 @@ def _quantize_amounts(task: Task) -> list[tuple[int, int]]:
                 f"task {task.task_id}: cannot tile {task.slots} slots from "
                 f"amounts {task.amounts} (residual {diff} ticks)"
             )
-        ticks = list(held.items())
-    return [(u, t) for u, t in ticks if t > 0]
-
-
-def _wraparound_columns(task: Task) -> tuple[list[int], list[list[int]]]:
-    """McNaughton wrap-around layout, as ``(cut_list, sender_columns)``.
-
-    Senders are laid end-to-end (first-contribution order) over
-    ``task.slots`` rows of exactly ``LAYOUT_GRID`` ticks; a sender split
-    by a row boundary occupies the end of one row and the start of the
-    next, and since its total is at most one row it never covers the
-    same column twice.  A sender starting at global tick ``B`` takes over
-    row ``B // LAYOUT_GRID`` from cut ``B mod LAYOUT_GRID`` on, so the
-    cuts are the senders' start offsets, and adjacent cut columns differ
-    only in the rows whose boundary defines the cut: column 0 is each
-    row's first occupant, and every later column is its left neighbour
-    with those rows handed to their next sender — O(senders + cuts)
-    steps (plus one list copy per cut), no rows x cuts walk.
-
-    Returns the sorted cut positions (ending at ``LAYOUT_GRID``) and,
-    per cut segment, the senders occupying it in ascending-row order —
-    exactly the seed layout's per-cut ``_occupant_at`` columns.
-    """
-    first: list[int] = [0] * task.slots  # column 0: who opens each row
-    takeovers: dict[int, list[tuple[int, int]]] = {}  # cut -> (row, sender)
-    start = 0
-    for u, t in _quantize_amounts(task):
-        row, cut = divmod(start, LAYOUT_GRID)
-        if cut == 0:
-            first[row] = u
-        else:
-            takeovers.setdefault(cut, []).append((row, u))
-            if cut + t > LAYOUT_GRID:  # wraps into the next row
-                first[row + 1] = u
-        start += t
-    # common case: no takeovers — every sender starts on a row edge and
-    # holds one full row, so the single column is the sender list
-    cuts = sorted(takeovers)
-    cols = [first]
-    for cut in cuts:
-        column = cols[-1].copy()
-        for row, u in takeovers[cut]:
-            column[row] = u
-        cols.append(column)
-    return [0, *cuts, LAYOUT_GRID], cols
+    return [(u, t) for u, t in held.items() if t > 0]
 
 
 def _layout_pipelines(
@@ -490,56 +432,93 @@ def _layout_pipelines(
 ) -> list[Pipeline]:
     """Cut slot rows into elementary pipelines with distinct participants.
 
-    Tasks are placed on the normalised chunk axis in task-id order; within
-    a task, every row spans the task range and the cut points are the
-    union of row-internal boundaries.  Each resulting subsegment yields a
-    pipeline: its senders are the row occupants at that position, its hub
+    Tasks are placed on the normalised chunk axis in task-id order.
+    Within a task, senders are laid end-to-end (first-contribution order)
+    over ``task.slots`` rows of exactly ``LAYOUT_GRID`` ticks by
+    McNaughton's wrap-around rule: a sender split by a row boundary
+    occupies the end of one row and the start of the next, and since
+    every amount lies in ``(0, speed]`` its ticks total at most one row,
+    so it never covers the same column twice.  A sender starting at
+    tick ``cut`` of a row takes that row over from ``cut`` on, so the
+    cuts are the senders' start offsets, and adjacent cut columns differ
+    only in the rows whose boundary defines the cut: column 0 is each
+    row's first occupant, and each later column is its left neighbour
+    with those rows handed to their next sender.  Each column yields one
+    pipeline as soon as it is known: its senders are the column, its hub
     relays the combined slice range to the requester (or, for the
     requester's own task, the senders stream directly).
+
+    A *full-row* task — ``slots`` senders each contributing exactly
+    ``speed`` — is one row per sender and no cut: its single column is
+    the senders in first-contribution order, with no ticks to compute.
     """
     pipelines: list[Pipeline] = []
     append = pipelines.append
     offset = 0.0
-    live = [t for t in sorted(tasks, key=lambda t: t.task_id) if t.speed > AMOUNT_TOL]
+    live = [t for t in tasks if t.speed > AMOUNT_TOL]  # numbered in list order
     requester = context.requester
     make_edge = Edge._unchecked  # inputs valid by construction (below)
     last = len(live) - 1
     for index, task in enumerate(live):
-        cut_list, sender_cols = _wraparound_columns(task)
-        # the final task absorbs float slack so segments tile [0, 1) exactly
         speed = task.speed
+        slots = task.slots
+        amounts = task.amounts
+        takeovers: dict[int, list[tuple[int, int]]] = {}  # cut -> (row, sender)
+        if len(amounts) == slots == list(amounts.values()).count(speed):
+            column = list(amounts)  # full rows: one column, no cut
+        else:
+            column = []  # who opens each row, then who holds it at each cut
+            ticks = [round(a / speed * LAYOUT_GRID) for a in amounts.values()]
+            # (a sender rounded to no ticks must not open a row)
+            if sum(ticks) == slots * LAYOUT_GRID and 0 not in ticks:
+                placed = zip(amounts, ticks)
+            else:
+                placed = _quantize_amounts(task, ticks)
+            cut = 0
+            for u, t in placed:
+                if cut:
+                    takeovers.setdefault(cut, []).append((len(column) - 1, u))
+                else:
+                    column.append(u)
+                cut += t
+                if cut >= LAYOUT_GRID:
+                    cut -= LAYOUT_GRID
+                    if cut:  # wraps: also opens the next row
+                        column.append(u)
+        cuts = sorted(takeovers)
+        cuts.append(LAYOUT_GRID)
+        # the final task absorbs float slack so segments tile [0, 1) exactly
         task_end = 1.0 if index == last else (offset + speed) / t_max
         hub = task.hub
         tid = task.task_id
         direct = hub == requester
         lo = 0
-        for ci, hi in enumerate(cut_list[1:]):
-            senders = sender_cols[ci]
-            # Senders at any tick are distinct by construction: each
-            # sender's ticks total at most LAYOUT_GRID (clamped in
-            # _quantize_amounts) and occupy one contiguous span, so a
-            # wrapped sender's two row pieces can never share a column.
-            # Plan-level validation (Pipeline.validate) still enforces
-            # the k-distinct-helpers invariant when requested; the seed
-            # layout's per-cut re-check lives on in the test reference.
+        start = offset / t_max
+        for hi in cuts:
+            if lo:
+                # the column is updated in place: the previous pipeline's
+                # edges were already built from it
+                for row, u in takeovers[lo]:
+                    column[row] = u
             # rate > 0 (cuts are strictly increasing, speed > AMOUNT_TOL)
             # and endpoints differ (senders are helpers, hub != requester,
             # the hub occupies no sender slot) — Edge validation holds.
+            # Plan-level validation still enforces the k-distinct-helpers
+            # invariant; the seed layout's per-cut re-check lives on in
+            # the test reference.
             rate = (hi - lo) / LAYOUT_GRID * speed
             if direct:
-                edges = [make_edge((u, requester, rate)) for u in senders]
+                edges = [make_edge((u, requester, rate)) for u in column]
             else:
-                edges = [make_edge((u, hub, rate)) for u in senders]
+                edges = [make_edge((u, hub, rate)) for u in column]
                 edges.append(make_edge((hub, requester, rate)))
-            start = (offset + lo / LAYOUT_GRID * speed) / t_max
             stop = (
                 task_end
                 if hi == LAYOUT_GRID
                 else (offset + hi / LAYOUT_GRID * speed) / t_max
             )
-            append(
-                Pipeline(task_id=tid, segment=Segment(start, stop), edges=edges)
-            )
+            append(Pipeline(tid, Segment(start, stop), edges))
             lo = hi
+            start = stop
         offset += speed
     return pipelines

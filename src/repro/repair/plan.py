@@ -113,7 +113,7 @@ def _check_tree(
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Pipeline:
     """One repair pipeline: a rooted transfer tree over a chunk segment.
 
@@ -293,11 +293,13 @@ class RepairPlan:
             raise ValueError("plan has no pipelines")
         context = self.context
         requester, helpers, k = context.requester, frozenset(context.helpers), context.k
+        spans = []
         for p in self.pipelines:
             _check_tree(p.task_id, p.edges, requester, helpers, k)
-        spans = sorted(
-            p.segment for p in self.pipelines if p.segment.length > PLAN_TOL
-        )
+            start, stop = segment = p.segment
+            if stop - start > PLAN_TOL:
+                spans.append(segment)
+        spans.sort()
         pos = 0.0
         for start, stop in spans:
             if start < pos - PLAN_TOL:

@@ -4,13 +4,16 @@ One (14,10) FullRepair context is planned and validated below.  A plan
 is the unit of validation and of allocation: ``validate`` reads the
 edges it is given — no ``Flow`` wrapper per edge, no NumPy array built
 from Python lists — and the layout builds each emitted ``Edge`` exactly
-once, as a record with no per-instance ``__dict__``.  Counts, unlike
-timings, are the same on every machine: a change that quietly returns
-to an object per edge per check trips this gate by a factor of the
-edge count.
+once, as a record with no per-instance ``__dict__`` (nor has the
+``Pipeline`` holding them).  The whole plan-and-validate request is
+gated in Python-level calls as well.  Counts, unlike timings, are the
+same on every machine: a change that quietly returns to an object per
+edge per check trips this gate by a factor of the edge count.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
@@ -68,9 +71,34 @@ def test_validation_builds_no_flow_and_no_array(counted, context):
     assert counted == {"Flow": 0, "Edge": 0, "np.array": 0, "np.bincount": 0}
 
 
+#: Python-level calls (``sys.setprofile`` "call" events, generator
+#: resumes included) to plan and validate the module's context; 251
+#: before the segment layout became one pass per task.
+PLAN_AND_VALIDATE_CALLS = 167
+
+
+def test_plan_and_validate_python_calls(context):
+    algorithm = FullRepair()
+    algorithm.plan(context).validate()  # warm: imports and lazy attributes
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        algorithm.plan(context).validate()
+    finally:
+        sys.setprofile(None)
+    assert calls <= PLAN_AND_VALIDATE_CALLS
+
+
 def test_plan_records_have_no_instance_dict(context):
     plan = FullRepair().plan(context)
     for p in plan.pipelines:
+        assert not hasattr(p, "__dict__")
         assert not hasattr(p.segment, "__dict__")
         assert not any(hasattr(e, "__dict__") for e in p.edges)
     # still immutable, hashable, equal by fields, checked when built by hand
