@@ -1,15 +1,18 @@
 """Per-node chunk storage.
 
 Each data node owns a :class:`ChunkStore` mapping ``(stripe_id,
-chunk_index)`` to the chunk payload.  Payloads are defensive copies both
-ways: the store is the node's "disk", and nothing outside the node may
-write through an alias of it.  The one exception on the way out is
-:meth:`ChunkStore.view`, read-only and without a copy.  No stored array
-is ever written after it is stored: ``put`` stores a new array and
-``corrupt`` is copy-on-write, so a view keeps the bytes of the
-generation it was taken at for as long as its holder keeps it.  A leaf
-sender relies on that: it takes one view at assign and scales its
-slices from it window by window.
+chunk_index)`` to the chunk payload.  The store is the node's "disk",
+and nothing outside the node may write through an alias of it: ``put``
+stores a copy of its payload, and a read hands out either a copy
+(:meth:`ChunkStore.get`, :meth:`ChunkStore.get_range`, for a caller
+that must own a buffer) or a read-only :meth:`ChunkStore.view` without
+one.  No stored array is ever written after it is stored: ``put``
+stores a new array and ``corrupt`` is copy-on-write, so a view keeps
+the bytes of the generation it was taken at for as long as its holder
+keeps it, and writing to it raises.  Every chunk read of the cluster
+is a view: a leaf sender takes one at assign and scales its slices
+from it window by window, a hub scales its remainder from one, and a
+direct or healthy degraded read returns one.
 
 Every ``put`` also records a CRC digest of the *intended* payload
 (:func:`repro.integrity.digest.chunk_digest`), so at-rest corruption —
@@ -67,7 +70,9 @@ class ChunkStore:
         self._mutated((stripe_id, chunk_index))
 
     def get(self, stripe_id: str, chunk_index: int) -> np.ndarray:
-        """Fetch a chunk copy; raises ``KeyError`` if absent."""
+        """Fetch a chunk copy, for a caller that must own a buffer
+        (a reader that only compares or concatenates takes a
+        :meth:`view`); raises ``KeyError`` if absent."""
         return self._chunks[(stripe_id, chunk_index)].copy()
 
     def view(self, stripe_id: str, chunk_index: int) -> np.ndarray:
@@ -77,9 +82,11 @@ class ChunkStore:
         later ``put`` or ``corrupt`` replaces the stored array rather
         than writing into it, and ``delete`` only drops the store's
         reference.  A reader that keeps it (a leaf sender from assign
-        to its last send) therefore never sees a later mutation, and
-        one done before the next mutation (the post-repair audit, the
-        settle-time comparison) reads exactly what is stored.
+        to its last send, a foreground read's record) therefore never
+        sees a later mutation, and one done before the next mutation
+        (the post-repair audit, the settle-time comparison) reads
+        exactly what is stored.  Writing to the view raises
+        ``ValueError``.
         """
         chunk = self._chunks[(stripe_id, chunk_index)].view()
         chunk.flags.writeable = False
@@ -88,7 +95,8 @@ class ChunkStore:
     def get_range(
         self, stripe_id: str, chunk_index: int, start: int, stop: int
     ) -> np.ndarray:
-        """Fetch a byte range of a chunk (copy)."""
+        """Fetch a byte range of a chunk (copy; a hub scales its range
+        from a :meth:`view` instead)."""
         chunk = self._chunks[(stripe_id, chunk_index)]
         if not 0 <= start <= stop <= len(chunk):
             raise ValueError(

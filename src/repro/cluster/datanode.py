@@ -12,9 +12,10 @@ with the vectorised recurrence, and that the rebuilt bytes are exact.
 Events, sends and checksums are per slice; GF-scaling the node's own
 bytes is per window or per task.  A leaf sender scales one window of
 :data:`WINDOW_BYTES` ahead of its send cursor from a read-only view of
-its chunk taken at assign; a hub reads and scales its remaining range
-once and folds arrivals into views of the result (docs/DATAPLANE.md,
-"Windowed and segment-granular scaling").
+its chunk taken at assign; a hub scales its remaining range once from
+such a view and folds arrivals into views of the result.  Neither
+copies its raw chunk bytes (docs/DATAPLANE.md, "Windowed and
+segment-granular scaling").
 """
 
 from __future__ import annotations
@@ -297,13 +298,17 @@ class DataNode:
     def _prepare_own(self, state: _TaskState, idx: int) -> None:
         """Initialise a hub's slice ``idx`` with this node's own contribution.
 
-        The whole not-yet-read remainder ``[bounds[idx], stop)`` is read
-        and scaled by one kernel call the first time any slice needs it;
-        later slices take views.  A slice's bytes are those the chunk
-        held when the slice was prepared: the store bumps the chunk's
-        generation on every mutation, so if it moved since the remainder
-        was scaled (bit rot mid-repair), the remainder is read again
-        from here on — slices already prepared keep what they read.
+        The whole not-yet-read remainder ``[bounds[idx], stop)`` is
+        scaled by one kernel call the first time any slice needs it,
+        from a read-only view of the chunk (no copy of the raw bytes)
+        starting at the even byte at or before ``bounds[idx]``, as a
+        leaf window does; later slices take views of the result.  A
+        slice's bytes are those the chunk held when the slice was
+        prepared: the store bumps the chunk's generation on every
+        mutation and replaces the stored array rather than writing it,
+        so if the generation moved since the remainder was scaled (bit
+        rot mid-repair), the remainder is read again from here on —
+        slices already prepared keep what they read.
         """
         t = state.task
         lo = state.bounds[idx]
@@ -313,14 +318,12 @@ class DataNode:
             or generation != state.generation
             or lo < state.scaled_lo
         ):
-            if t.coeff == 0:
-                state.scaled = np.zeros(t.stop - lo, dtype=np.uint8)
-            else:
-                raw = self.store.get_range(t.stripe_id, t.chunk_index, lo, t.stop)
-                # coefficient scaling goes through the EC backend so the hub
-                # combine path shares the blocked table kernels with encode
-                state.scaled = ec_backend.get_backend().mul_chunk(t.coeff, raw)
-            state.scaled_lo = lo
+            source = (
+                self.store.view(t.stripe_id, t.chunk_index) if t.coeff else None
+            )
+            start = lo & ~1
+            state.scaled = _scale(t.coeff, source, start, t.stop)
+            state.scaled_lo = start
             state.generation = generation
         off = lo - state.scaled_lo
         state.partials[idx] = state.scaled[off : off + state.bounds[idx + 1] - lo]

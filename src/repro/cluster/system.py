@@ -515,12 +515,17 @@ class ClusterSystem:
         return self._stripe_sizes[stripe_id]
 
     def read_chunk(self, stripe_id: str, chunk_index: int) -> np.ndarray:
-        """Direct chunk read (test/diagnostic path)."""
+        """Direct chunk read: a read-only view of the stored bytes.
+
+        The view holds the bytes of the chunk's generation at the read
+        (:meth:`ChunkStore.view`: the store replaces, never writes, an
+        array it holds), so it needs no copy; writing to it raises.
+        """
         loc = self.master.stripe(stripe_id)
         node = loc.node_of(chunk_index)
         if not self._alive[node]:
             raise RuntimeError(f"chunk {chunk_index} lives on failed node {node}")
-        return self.nodes[node].store.get(stripe_id, chunk_index)
+        return self.nodes[node].store.view(stripe_id, chunk_index)
 
     # ---- integrity ---------------------------------------------------- #
 
@@ -580,7 +585,7 @@ class ClusterSystem:
         return tuple(
             n
             for i, n in enumerate(loc.placement)
-            if not self._can_serve(stripe_id, i, n)
+            if not self.can_serve(stripe_id, i, n)
         )
 
     def exposure(self, stripe_id: str) -> int:
@@ -588,9 +593,11 @@ class ClusterSystem:
         (corrupt-but-live) copies both erode its erasure budget."""
         return len(self.unavailable_nodes(stripe_id))
 
-    def _can_serve(self, stripe_id: str, chunk_index: int, node: int) -> bool:
+    def can_serve(self, stripe_id: str, chunk_index: int, node: int) -> bool:
         """Whether ``node``'s copy of the chunk may serve reads and
-        repairs: the node is alive and the chunk is not quarantined."""
+        repairs: the node is alive and the chunk is not quarantined.
+        The one serve rule of plans, degraded reads, foreground reads
+        and the scrubber."""
         return self._alive[node] and not self.master.is_quarantined(
             stripe_id, chunk_index
         )
@@ -677,7 +684,7 @@ class ClusterSystem:
         stored: dict[int, np.ndarray] = {}
         digest_bad: list[int] = []
         for ci, node in enumerate(loc.placement):
-            if ci == asm.lost_chunk or not self._can_serve(sid, ci, node):
+            if ci == asm.lost_chunk or not self.can_serve(sid, ci, node):
                 continue
             store = self.nodes[node].store
             if not store.has(sid, ci):
@@ -854,14 +861,16 @@ class ClusterSystem:
     ) -> tuple[np.ndarray, float]:
         """Read a chunk, repairing on the fly if its node is down.
 
-        Returns ``(payload, seconds)``.  A healthy chunk streams directly
-        from its node; a lost one is rebuilt at the reader without being
-        persisted (the degraded-read path of erasure-coded stores).
+        Returns ``(payload, seconds)``.  A chunk its node can serve
+        (:meth:`can_serve`) streams directly: the payload is a read-only
+        view of the stored bytes, as from :meth:`read_chunk`.  A lost
+        one is rebuilt at the reader without being persisted (the
+        degraded-read path of erasure-coded stores).
         """
         loc = self.master.stripe(stripe_id)
         node = loc.node_of(chunk_index)
-        if self._can_serve(stripe_id, chunk_index, node):
-            payload = self.nodes[node].store.get(stripe_id, chunk_index)
+        if self.can_serve(stripe_id, chunk_index, node):
+            payload = self.nodes[node].store.view(stripe_id, chunk_index)
             snap = self.master.snapshot()
             rate = min(snap.uplink[node], snap.downlink[reader])
             return payload, units.transfer_seconds(len(payload), rate)
@@ -923,7 +932,7 @@ class ClusterSystem:
             helpers = tuple(
                 n
                 for n in loc.placement
-                if n != failed_node and self._can_serve(sid, loc.chunk_on(n), n)
+                if n != failed_node and self.can_serve(sid, loc.chunk_on(n), n)
             )
             specs.append(
                 StripeRepairSpec(
@@ -970,7 +979,7 @@ class ClusterSystem:
         loc = self.master.stripe(stripe_id)
         failed_nodes = tuple(failed_nodes)
         if any(
-            self._can_serve(stripe_id, loc.chunk_on(f), f) for f in failed_nodes
+            self.can_serve(stripe_id, loc.chunk_on(f), f) for f in failed_nodes
         ):
             raise ValueError("all listed nodes must have failed")
         if len(failed_nodes) > self.code.n - self.code.k:
@@ -981,7 +990,7 @@ class ClusterSystem:
         helpers = tuple(
             n for n in loc.placement
             if n not in failed_nodes
-            and self._can_serve(stripe_id, loc.chunk_on(n), n)
+            and self.can_serve(stripe_id, loc.chunk_on(n), n)
         )
         if len(helpers) < self.code.k:
             raise ValueError("not enough surviving helpers to decode")
@@ -1071,7 +1080,7 @@ class ClusterSystem:
         the assembly and the repair span's attributes.
         """
         lost_chunk = self.master.stripe(stripe_id).chunk_on(failed_node)
-        if self._can_serve(stripe_id, lost_chunk, failed_node):
+        if self.can_serve(stripe_id, lost_chunk, failed_node):
             raise ValueError(f"node {failed_node} has not failed")
         if not self._alive[requester]:
             raise ValueError("requester node is down")

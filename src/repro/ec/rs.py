@@ -86,11 +86,11 @@ class RSCode:
         self.n = int(n)
         self.k = int(k)
         self.generator = matrix.systematic_generator(n, k)
-        # repair equations involve a k x k inversion; schedulers ask for
-        # the same (lost, helpers) combination once per elementary
-        # pipeline, so memoise (bounded FIFO eviction)
+        # schedulers ask for the same (lost, helpers) combination once
+        # per elementary pipeline, so memoise (bounded FIFO eviction)
         self._equation_cache: dict[tuple[int, tuple[int, ...]], RepairEquation] = {}
-        # decode matrices are likewise memoised per surviving index set
+        # the k x k inverse both decode and repair equations need,
+        # memoised per sorted index set (:meth:`_decode_matrix`)
         self._decode_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -164,14 +164,22 @@ class RSCode:
                 f"need at least k={self.k} chunks to decode, got {len(available)}"
             )
         indices = tuple(sorted(available)[: self.k])
+        chunks = [np.asarray(available[i], dtype=np.uint8) for i in indices]
+        return ec_backend.get_backend().matmul_chunks(
+            self._decode_matrix(indices), chunks, out=out
+        )
+
+    def _decode_matrix(self, indices: tuple[int, ...]) -> np.ndarray:
+        """The (k, k) inverse of ``generator[indices]`` (``indices``
+        sorted): data chunks from the chunks at ``indices``, in order.
+        One GF inversion per index set, memoised (FIFO eviction)."""
         decode_matrix = self._decode_cache.get(indices)
         if decode_matrix is None:
             decode_matrix = matrix.inverse(self.generator[list(indices)])
             if len(self._decode_cache) >= self.CACHE_LIMIT:
                 self._decode_cache.pop(next(iter(self._decode_cache)))
             self._decode_cache[indices] = decode_matrix
-        chunks = [np.asarray(available[i], dtype=np.uint8) for i in indices]
-        return ec_backend.get_backend().matmul_chunks(decode_matrix, chunks, out=out)
+        return decode_matrix
 
     # ------------------------------------------------------------------ #
     # single-chunk repair                                                #
@@ -210,11 +218,16 @@ class RSCode:
             return cached
         # Decode matrix for the helper set expresses each *data* chunk as a
         # combination of helper chunks; the lost row of G times that matrix
-        # expresses the lost chunk itself.
-        sub = self.generator[list(helpers)]
-        decode_matrix = matrix.inverse(sub)  # (k, k): data from helpers
+        # expresses the lost chunk itself.  The matrix is the one cached
+        # for the sorted set, whose columns follow the sorted helpers:
+        # permuting G's rows permutes its inverse's columns the same way
+        # (exact in GF), so taking each helper's column of the product
+        # gives the coefficients in the caller's order, bit for bit.
+        ordered = tuple(sorted(helpers))
+        decode_matrix = self._decode_matrix(ordered)  # (k, k)
         lost_row = self.generator[lost][None, :]  # (1, k): lost from data
         coeffs = matrix.matmul(lost_row, decode_matrix)[0]
+        coeffs = coeffs[[ordered.index(h) for h in helpers]]
         if np.any(coeffs == 0):
             raise ValueError(
                 f"helper set {helpers} gives a zero coefficient for chunk {lost}; "

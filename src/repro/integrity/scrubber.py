@@ -121,7 +121,7 @@ class Scrubber:
             chunk_bytes = system.chunk_bytes_of(stripe_id)
             touched = False
             for chunk_index, node in enumerate(loc.placement):
-                if not system._can_serve(stripe_id, chunk_index, node):
+                if not system.can_serve(stripe_id, chunk_index, node):
                     report.skipped += 1
                     continue
                 touched = True
@@ -159,7 +159,7 @@ class Scrubber:
         # the cluster may have moved on since the walk was laid out
         if (
             system.master.stripe(stripe_id).placement[chunk_index] != node
-            or not system._can_serve(stripe_id, chunk_index, node)
+            or not system.can_serve(stripe_id, chunk_index, node)
         ):
             report.skipped += 1
             if self._pending == 0:

@@ -6,14 +6,19 @@ seeded, periodic stream of chunk reads against the cluster *while* the
 orchestrator drains its queue, so interference is measurable from both
 sides:
 
-- **healthy reads** (chunk's node alive) are served analytically — the
-  latency is the transfer time at the bandwidth left over after the
-  orchestrator's committed repair share, which is exactly the coupling
-  the SLO throttle reacts to;
-- **degraded reads** (chunk's node dead) go through the real event
-  machinery — :meth:`~repro.cluster.system.ClusterSystem.repair_async`
-  with ``store=False`` rebuilds the chunk at the reader concurrently
-  with whatever the orchestrator has in flight, exercising the wire
+- **healthy reads** (the chunk's node can serve it:
+  :meth:`~repro.cluster.system.ClusterSystem.can_serve`, alive and the
+  chunk not quarantined) are served analytically — the latency is the
+  transfer time at the bandwidth left over after the orchestrator's
+  committed repair share, which is exactly the coupling the SLO
+  throttle reacts to; the payload is a read-only view of the stored
+  bytes (:meth:`~repro.cluster.system.ClusterSystem.read_chunk`), so a
+  record holds no copy of the chunk;
+- **degraded reads** (the node dead, or its copy quarantined as
+  corrupt) go through the real event machinery —
+  :meth:`~repro.cluster.system.ClusterSystem.repair_async` with
+  ``store=False`` rebuilds the chunk at the reader concurrently with
+  whatever the orchestrator has in flight, exercising the wire
   protocol under contention.
 
 Every read lands in :attr:`ForegroundTraffic.reads` and, when a fleet
@@ -51,6 +56,8 @@ class ForegroundRead:
     ok: bool
     latency_s: float = 0.0
     failure_reason: str | None = None
+    #: the bytes read: a read-only view of the stored chunk (healthy),
+    #: the buffer rebuilt at the reader (degraded), ``None`` on failure
     payload: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -140,7 +147,7 @@ class ForegroundTraffic:
         now = self._events.now
         loc = self.system.master.stripe(sid)
         node = loc.node_of(chunk)
-        if self.system.is_alive(node):
+        if self.system.can_serve(sid, chunk, node):
             self._healthy_read(now, sid, chunk, node)
         else:
             self._degraded_read(now, sid, chunk, node)

@@ -93,9 +93,10 @@ class RecoveryConfig:
             raise ValueError("multi_deadline_s must be positive or None")
 
 
-@dataclass
+@dataclass(slots=True)
 class RepairRecord:
-    """Audit entry for one admitted stripe repair."""
+    """Audit entry for one admitted stripe repair (slotted: a campaign
+    keeps every record, tens of thousands of them)."""
 
     stripe_id: str
     #: lost-chunk count at admission (the priority class)

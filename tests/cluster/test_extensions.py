@@ -34,6 +34,7 @@ class TestDegradedRead:
         payload, secs = sys_.degraded_read("s1", 0, reader=12)
         assert np.array_equal(payload, data[0])
         assert secs > 0
+        assert not payload.flags.writeable  # a view of the store, no copy
 
     def test_lost_chunk_repaired_on_read(self, snapshot):
         sys_ = build()

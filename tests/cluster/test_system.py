@@ -37,6 +37,17 @@ class TestLifecycle:
             if idx < sys_.code.k:
                 assert np.array_equal(chunk, data[idx])
 
+    def test_read_is_a_read_only_view_of_its_generation(self, snapshot):
+        sys_ = build_cluster()
+        data = write_and_fail(sys_)
+        chunk = sys_.read_chunk("s1", 0)
+        with pytest.raises(ValueError, match="read-only"):
+            chunk[0] ^= 1
+        # the store replaces a chunk it rots, so the read keeps its bytes
+        sys_.nodes[0].store.corrupt("s1", 0, flips=64)
+        assert np.array_equal(chunk, data[0])
+        assert not np.array_equal(sys_.read_chunk("s1", 0), data[0])
+
     def test_read_failed_chunk_raises(self, snapshot):
         sys_ = build_cluster()
         write_and_fail(sys_)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ec import RSCode
+from repro.ec import RSCode, matrix
+from repro.integrity import audit_stripe
 
 
 def make_stripe(code: RSCode, length: int = 256, seed: int = 0):
@@ -153,6 +154,40 @@ class TestRepair:
         eq = code.repair_equation(lost, helpers)
         got = eq.evaluate({i: stripe[i] for i in helpers})
         assert np.array_equal(got, stripe[lost])
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_equation_matches_a_direct_inversion_in_helper_order(self, seed):
+        """Coefficients come from the inverse cached for the sorted helper
+        set, reordered: bit-identical to inverting ``G[helpers]`` as given."""
+        code = RSCode(9, 6)
+        rng = np.random.default_rng(seed)
+        lost = int(rng.integers(0, 9))
+        pool = [i for i in range(9) if i != lost]
+        helpers = tuple(int(x) for x in rng.choice(pool, 6, replace=False))
+        direct = matrix.matmul(
+            code.generator[lost][None, :],
+            matrix.inverse(code.generator[list(helpers)]),
+        )[0]
+        eq = code.repair_equation(lost, helpers)
+        assert eq.helpers == helpers
+        assert eq.coeffs == tuple(int(c) for c in direct)
+
+    def test_one_audit_of_a_fresh_code_inverts_once(self, monkeypatch):
+        """The n - k predicted rows of an audit share one decode set, so a
+        cold (14,10) code inverts one k x k matrix, not one per row."""
+        code = RSCode(14, 10)
+        _, stripe = make_stripe(code)
+        calls = []
+        real = matrix.inverse
+        monkeypatch.setattr(
+            matrix, "inverse", lambda a: (calls.append(1), real(a))[1]
+        )
+        lost = 0
+        stored = {i: stripe[i] for i in range(14) if i != lost}
+        report = audit_stripe(code, lost, stripe[lost].copy(), stored)
+        assert report.ok and report.rebuilt_ok
+        assert len(calls) == 1
 
     def test_repair_linear_combination_pipelinable(self):
         """Partial sums over helper prefixes telescope to the lost chunk —

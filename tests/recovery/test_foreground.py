@@ -1,11 +1,14 @@
 """Foreground traffic under recovery: correctness, contention, coexistence."""
 
+import gc
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterSystem
+from repro.cluster.chunkstore import ChunkStore
 from repro.ec import RSCode
 from repro.faults import FAILED
 from repro.net import BandwidthSnapshot
@@ -155,6 +158,83 @@ class TestScenarioCoexistence:
         summary = sc.foreground.summary()
         assert summary["ok"] == summary["recorded"] == 150
         assert summary["bytes"] == 150 * 65536
+
+
+class TestServeRule:
+    def test_quarantined_chunk_is_rebuilt_not_served(self):
+        """A rotten copy on a live node is quarantined: reads of it take
+        the degraded path and come back with the true bytes."""
+        sys_, write, payloads = make_system(n=6, k=4)
+        write("s0", tuple(range(6)))
+        sys_.nodes[1].store.corrupt("s0", 1)
+        assert sys_.quarantine_chunk("s0", 1)
+        fg = ForegroundTraffic(sys_, ["s0"], num_reads=12, seed=0)
+        fg.start()
+        sys_.events.run()
+        assert fg.done and len(fg.reads) == 12
+        hits = [r for r in fg.reads if r.chunk_index == 1]
+        assert hits  # the stream reads the rotten chunk
+        for read in fg.reads:
+            assert read.ok
+            assert read.degraded == (read.chunk_index == 1)
+            expected = payloads["s0"][read.chunk_index]
+            assert np.array_equal(read.payload, expected)
+
+
+class TestReadsHoldNoCopy:
+    def test_a_recovery_with_reads_copies_no_chunk(self, monkeypatch):
+        counts = {"get": 0, "get_range": 0}
+        for attr in counts:
+            real = getattr(ChunkStore, attr)
+
+            def counting(*args, _real=real, _attr=attr, **kwargs):
+                counts[_attr] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(ChunkStore, attr, counting)
+        sc = run_recovery_scenario(
+            num_stripes=12,
+            foreground_reads=150,
+            chunk_bytes=65536,
+            budget_fraction=0.2,
+            kills=((0, 0.001),),
+            slo_latency_multiple=None,
+        )
+        summary = sc.foreground.summary()
+        assert summary["ok"] == 150
+        assert 0 < summary["degraded"] < 150  # both read paths ran
+        assert sc.orchestrator.records  # ... beside the recovery's repairs
+        assert counts == {"get": 0, "get_range": 0}
+        for read in sc.foreground.reads:
+            if not read.degraded:
+                assert not read.payload.flags.writeable
+
+    def test_retained_memory_does_not_grow_with_healthy_reads(self):
+        """Each healthy read's record holds a view of the stored chunk,
+        not a copy: 30 more reads retain less than one chunk more."""
+
+        def retained(reads):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                sc = run_recovery_scenario(
+                    num_stripes=6,
+                    foreground_reads=reads,
+                    chunk_bytes=65536,
+                    kills=(),
+                    slo_latency_multiple=None,
+                )
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert sc.foreground.summary()["recorded"] == reads
+            assert not any(r.degraded for r in sc.foreground.reads)
+            return held
+
+        retained(5)  # warm the kernel tables and caches
+        few, many = retained(10), retained(40)
+        assert abs(many - few) < 65536
 
 
 class TestConstruction:

@@ -88,6 +88,8 @@ class TestEndToEnd:
         assert rep.repaired > 0 and rep.verified == rep.repaired
         # staggered second kill forces at least one multi-chunk repair
         assert any(r.priority_class >= 2 for r in sc.orchestrator.records)
+        # a campaign keeps every record: no per-instance __dict__
+        assert not any(hasattr(r, "__dict__") for r in sc.orchestrator.records)
         # budget compliance: committed stays under the cap at every tick
         # and averages within 10% of it while a backlog stands
         for _t, eff, committed, _inflight, _depth in sc.orchestrator.timeline:
