@@ -51,9 +51,7 @@ def main() -> None:
     sid = cluster.stripes_on(victim)[0]
     lost = cluster.master.stripe(sid).chunk_on(victim)
     cluster.fail_node(victim)
-    reader = next(
-        r for r in cluster.live if r not in cluster.master.stripe(sid).placement
-    )
+    reader = cluster.spares(sid)[0]
     payload, secs = cluster.degraded_read(sid, lost, reader=reader)
     ok = (lost >= 6) or bool(np.array_equal(payload, originals[sid][lost]))
     print(f"  chunk {lost} of {sid} served in {secs * 1e3:.2f} ms "
@@ -66,9 +64,7 @@ def main() -> None:
     helpers = [
         n for n in cluster.master.stripe(sid).placement if n != victim
     ]
-    requester = next(
-        r for r in cluster.live if r not in cluster.master.stripe(sid).placement
-    )
+    requester = cluster.spares(sid)[0]
     cluster.events.schedule(0.001, lambda: cluster.fail_node(helpers[0]))
     out = cluster.repair(
         sid, failed_node=victim, requester=requester,

@@ -344,10 +344,7 @@ def cmd_scrub(args: argparse.Namespace) -> int:
             f"\nscrub-triggered repairs: {len(orchestrator.records)} "
             f"stripe(s) repaired, {verified} verified"
         )
-    residual = sum(
-        len(system.master.quarantined_chunks(f"s{i}"))
-        for i in range(args.stripes)
-    )
+    residual = sum(w.bit_count() for w in system.master.corrupt.values())
     print(f"residual quarantined chunks after repair: {residual}")
     return 0
 

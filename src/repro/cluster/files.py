@@ -115,7 +115,9 @@ class FileStore:
         """
         entry = self.entry(name)
         k = self.system.code.k
+        # views of the file's bytes, joined once (padding is read, not kept)
         pieces: list[np.ndarray] = []
+        left = entry.size_bytes
         total_seconds = 0.0
         for sid in entry.stripe_ids:
             stripe_reader = self._reader_for(sid, preferred=reader)
@@ -123,10 +125,11 @@ class FileStore:
                 payload, secs = self.system.degraded_read(
                     sid, chunk_index, reader=stripe_reader
                 )
-                pieces.append(payload)
                 total_seconds += secs
-        raw = np.concatenate(pieces)[: entry.size_bytes]
-        return raw.tobytes(), total_seconds
+                if left > 0:
+                    pieces.append(payload[:left])
+                    left -= len(payload)
+        return b"".join(pieces), total_seconds
 
     def entry(self, name: str) -> FileEntry:
         try:
@@ -166,8 +169,7 @@ class FileStore:
         reader satisfying that is honoured, otherwise the lowest-id
         eligible node stands in.
         """
-        placement = self.system.master.stripe(stripe_id).placement
-        eligible = [n for n in self.system.live if n not in placement]
+        eligible = self.system.spares(stripe_id)
         if preferred in eligible:
             return preferred
         if eligible:

@@ -57,6 +57,11 @@ class StripeLocation:
             raise KeyError(f"node {node} holds no chunk of {self.stripe_id}") from None
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of a node or chunk mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 #: Consecutive missed report intervals after which a lease expires.
 LEASE_MISSED_REPORTS = 3
 
@@ -89,12 +94,15 @@ class Master:
         #: node -> stripe ids with a chunk on it, maintained on
         #: register/relocate so failure handling never scans every stripe
         self._node_stripes: dict[int, set[str]] = {}
-        self._dead: set[int] = set()
+        #: node mask of the nodes this master believes dead; written only
+        #: by :meth:`mark_node_dead` and :meth:`mark_node_live`
+        self.dead = 0
         #: node -> simulation time of its last bandwidth report (lease basis)
         self._last_report: dict[int, float] = {}
-        #: (stripe_id, chunk_index) of chunks proven corrupt; excluded
-        #: from planning until a repair relocates (rewrites) the chunk
-        self._quarantined: set[tuple[str, int]] = set()
+        #: stripe id -> chunk mask of the chunks proven corrupt, excluded
+        #: from planning until a repair relocates (rewrites) them; written
+        #: only by :meth:`quarantine_chunk` and :meth:`relocate_chunk`
+        self.corrupt: dict[str, int] = {}
 
     # ---- node liveness / leases --------------------------------------- #
 
@@ -108,7 +116,7 @@ class Master:
     def mark_node_dead(self, node: int) -> None:
         """Declare a node dead: exclude it from planning, purge its plans."""
         self._check_node_id(node)
-        self._dead.add(node)
+        self.dead |= 1 << node
         self._last_report.pop(node, None)
         if self.plan_cache is not None:
             self.plan_cache.invalidate_node(node)
@@ -116,13 +124,13 @@ class Master:
     def mark_node_live(self, node: int) -> None:
         """Re-admit a node (it rejoined and reported)."""
         self._check_node_id(node)
-        self._dead.discard(node)
+        self.dead &= ~(1 << node)
 
     def is_node_dead(self, node: int) -> bool:
-        return node in self._dead
+        return bool(self.dead >> node & 1)
 
     def dead_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self._dead))
+        return tuple(bits(self.dead))
 
     def configure_lease(self, lease_seconds: float) -> None:
         """Enable heartbeat leases: a node missing
@@ -145,7 +153,7 @@ class Master:
         expired = [
             n
             for n, last in self._last_report.items()
-            if n not in self._dead and now - last > deadline
+            if not self.dead >> n & 1 and now - last > deadline
         ]
         for n in sorted(expired):
             self.mark_node_dead(n)
@@ -204,7 +212,9 @@ class Master:
             self._node_stripes.get(old_node, set()).discard(stripe_id)
             self._node_stripes.setdefault(new_node, set()).add(stripe_id)
         # a relocated chunk was just rewritten from verified data
-        self._quarantined.discard((stripe_id, chunk_index))
+        word = self.corrupt.pop(stripe_id, 0) & ~(1 << chunk_index)
+        if word:
+            self.corrupt[stripe_id] = word
 
     # ---- quarantine (integrity) ---------------------------------------- #
 
@@ -219,19 +229,15 @@ class Master:
         """
         loc = self.stripe(stripe_id)
         if not 0 <= chunk_index < len(loc.placement):
-            raise ValueError(
-                f"{stripe_id} has no chunk {chunk_index}"
-            )
-        self._quarantined.add((stripe_id, chunk_index))
+            raise ValueError(f"{stripe_id} has no chunk {chunk_index}")
+        self.corrupt[stripe_id] = self.corrupt.get(stripe_id, 0) | 1 << chunk_index
 
     def is_quarantined(self, stripe_id: str, chunk_index: int) -> bool:
-        return (stripe_id, chunk_index) in self._quarantined
+        return bool(self.corrupt.get(stripe_id, 0) >> chunk_index & 1)
 
     def quarantined_chunks(self, stripe_id: str) -> tuple[int, ...]:
         """Quarantined chunk indices of one stripe, sorted."""
-        return tuple(
-            sorted(ci for sid, ci in self._quarantined if sid == stripe_id)
-        )
+        return tuple(bits(self.corrupt.get(stripe_id, 0)))
 
     def on_bandwidth_report(
         self, report: BandwidthReport, now: float | None = None
@@ -246,7 +252,7 @@ class Master:
         renews the node's heartbeat lease when leases are configured.
         """
         self._check_node_id(report.node)
-        if report.node in self._dead:
+        if self.dead >> report.node & 1:
             raise DeadNodeError(
                 f"rejecting bandwidth report from dead node {report.node}; "
                 "mark_node_live() it first if it rejoined"
@@ -273,14 +279,13 @@ class Master:
         failed_node: int,
         requester: int,
         *,
-        exclude: tuple[int, ...] = (),
         bandwidth_scale: float = 1.0,
     ) -> RepairContext:
         """Repair context for a stripe/failure pair from current bandwidth.
 
-        Helpers exclude the failed node, every node the master has
-        declared dead, nodes whose chunk of this stripe is quarantined
-        as corrupt, and any explicitly ``exclude``-d ids.  Raises
+        Helpers exclude the failed node and what the master believes
+        unusable: nodes declared dead (:attr:`dead`; a crash reaches it
+        only by detection) and quarantined chunks (:attr:`corrupt`).  Raises
         :class:`RepairImpossibleError` when fewer than k helpers survive
         — the caller's only correct moves are the multi-chunk path or an
         explicit failure verdict.
@@ -296,16 +301,16 @@ class Master:
             raise ValueError(f"node {failed_node} holds no chunk of {stripe_id}")
         if requester in loc.placement:
             raise ValueError("requester must not already hold a stripe chunk")
-        if requester in self._dead:
+        dead = self.dead
+        if dead >> requester & 1:
             raise DeadNodeError(f"requester {requester} is dead")
-        dropped = self._dead.union(exclude)
-        helpers = tuple(
-            n
-            for n in loc.placement
-            if n != failed_node
-            and n not in dropped
-            and not self.is_quarantined(stripe_id, loc.chunk_on(n))
-        )
+        corrupt = self.corrupt.get(stripe_id, 0)
+        chunk_index = {
+            n: ci
+            for ci, n in enumerate(loc.placement)
+            if n != failed_node and not (dead >> n & 1 or corrupt >> ci & 1)
+        }
+        helpers = tuple(chunk_index)
         if len(helpers) < self.code.k:
             raise RepairImpossibleError(
                 f"{stripe_id}: only {len(helpers)} live helpers remain, "
@@ -326,7 +331,7 @@ class Master:
             requester=requester,
             helpers=helpers,
             k=self.code.k,
-            chunk_index={n: loc.chunk_on(n) for n in helpers},
+            chunk_index=chunk_index,
         )
 
     def plan_for_context(self, context: RepairContext) -> RepairPlan:
@@ -414,7 +419,6 @@ class Master:
         failed_node: int,
         requester: int,
         *,
-        exclude: tuple[int, ...] = (),
         prev_plan: RepairPlan | None = None,
         newly_dead: tuple[int, ...] = (),
         bandwidth_scale: float = 1.0,
@@ -432,8 +436,7 @@ class Master:
         :meth:`build_context`).
         """
         context = self.build_context(
-            stripe_id, failed_node, requester,
-            exclude=exclude, bandwidth_scale=bandwidth_scale,
+            stripe_id, failed_node, requester, bandwidth_scale=bandwidth_scale
         )
         plan = self.plan_with_fallback(
             context, prev_plan=prev_plan, newly_dead=newly_dead

@@ -56,7 +56,7 @@ from ..repair.recovery import uncovered_intervals
 from ..sim.events import EventQueue
 from ..sim.transfer import COMPUTE_S_PER_BYTE, DISPATCH_LATENCY_S
 from .datanode import DataNode
-from .master import DeadNodeError, Master, RepairImpossibleError, StripeLocation
+from .master import DeadNodeError, Master, RepairImpossibleError, StripeLocation, bits
 from .messages import BandwidthReport, SliceData, TransferTask
 
 log = logging.getLogger("repro.cluster.system")
@@ -273,7 +273,9 @@ class ClusterSystem:
             node.on_bad_slice = self._on_bad_slice
             node.on_bad_chunk = self._on_bad_chunk
             node.on_transfer = on_transfer
-        self._alive = [True] * num_nodes
+        #: node mask of the crashed nodes (the truth; ``master.dead`` is
+        #: the master's belief); only :meth:`fail_node` writes it
+        self.down = 0
         self._assemblies: dict[str, _Assembly] = {}
         #: wire id (repair id or per-attempt epoch) -> live assembly
         self._wire_assembly: dict[str, _Assembly] = {}
@@ -297,20 +299,46 @@ class ClusterSystem:
         return len(self.nodes)
 
     def is_alive(self, node: int) -> bool:
-        return self._alive[node]
-
-    @property
-    def live(self) -> list[int]:
-        """Ascending ids of the nodes that may take new work: alive and
-        not declared dead by the master.  Rebuild targets, degraded-read
-        readers and escalation spares are all drawn from it."""
-        dead = self.master.is_node_dead
-        return [i for i, up in enumerate(self._alive) if up and not dead(i)]
+        return not self.down >> node & 1
 
     @property
     def live_mask(self) -> int:
-        """:attr:`live` as a node bit mask."""
-        return sum(1 << i for i in self.live)
+        """Node mask of the nodes that may take new work: not crashed
+        and not declared dead by the master."""
+        return ((1 << len(self.nodes)) - 1) & ~(self.down | self.master.dead)
+
+    @property
+    def live(self) -> list[int]:
+        """:attr:`live_mask` as ascending node ids."""
+        return bits(self.live_mask)
+
+    def spares(self, stripe_id: str) -> list[int]:
+        """Ascending live nodes outside the stripe's placement: the one
+        rule for rebuild targets, readers and escalation requesters."""
+        placement = self.master.stripe(stripe_id).placement
+        return [n for n in self.live if n not in placement]
+
+    def unavailable(self, stripe_id: str) -> int:
+        """Chunk mask of the stripe's chunks that cannot serve: on a
+        crashed node (:attr:`down`) or quarantined (``master.corrupt``).
+        Serving reads the crash truth; planning
+        (``Master.build_context``) reads the master's belief."""
+        down, placement = self.down, self.master.stripe(stripe_id).placement
+        lost = sum(1 << ci for ci, n in enumerate(placement) if down >> n & 1)
+        return lost | self.master.corrupt.get(stripe_id, 0)
+
+    def serving(self, stripe_id: str) -> tuple[int, ...]:
+        """Placement nodes whose chunk can serve, in chunk order."""
+        word = self.unavailable(stripe_id)
+        placement = self.master.stripe(stripe_id).placement
+        return tuple(n for ci, n in enumerate(placement) if not word >> ci & 1)
+
+    def crashed(self, stripe_id: str) -> tuple[int, ...]:
+        """Placement nodes that crashed: what a single-chunk repair counts
+        as lost when it decides to escalate (a quarantined chunk is
+        re-planned around, not lost, unlike in :meth:`unavailable_nodes`)."""
+        down, placement = self.down, self.master.stripe(stripe_id).placement
+        return tuple(n for n in placement if down >> n & 1)
 
     def set_bandwidth(self, snapshot: BandwidthSnapshot) -> None:
         """Feed the master a fresh bandwidth picture (live nodes report)."""
@@ -349,7 +377,7 @@ class ClusterSystem:
         rows = (*data, *self.code.parity(data))
         if placement is None:
             placement = tuple(range(self.code.n))
-        if any(not self._alive[p] for p in placement):
+        if any(self.down >> p & 1 for p in placement):
             raise ValueError("cannot place chunks on failed nodes")
         loc = StripeLocation(stripe_id=stripe_id, placement=tuple(placement))
         self.master.register_stripe(loc)
@@ -371,7 +399,7 @@ class ClusterSystem:
         that loses a second, *uninvolved* chunk of the stripe escalates
         the repair to the multi-chunk path immediately.
         """
-        self._alive[node] = False
+        self.down |= 1 << node
         log.debug("node %d crashed at t=%.6f", node, self.events.now)
         if self.tracer.enabled:
             self.tracer.event(self._live_span(), "node.crash", node=node)
@@ -453,7 +481,7 @@ class ClusterSystem:
         ground-truth oracle in tests — rot there would be unobservable
         anyway).  Returns whether anything was corrupted.
         """
-        if not self._alive[node]:
+        if self.down >> node & 1:
             return False
         store = self.nodes[node].store
         if stripe_id is None or chunk_index is None:
@@ -523,7 +551,7 @@ class ClusterSystem:
         """
         loc = self.master.stripe(stripe_id)
         node = loc.node_of(chunk_index)
-        if not self._alive[node]:
+        if self.down >> node & 1:
             raise RuntimeError(f"chunk {chunk_index} lives on failed node {node}")
         return self.nodes[node].store.view(stripe_id, chunk_index)
 
@@ -581,25 +609,22 @@ class ClusterSystem:
         """Placement nodes whose chunk cannot serve reads or repairs:
         dead, or holding a quarantined (corrupt) copy.  The recovery
         orchestrator's durability-exposure basis."""
-        loc = self.master.stripe(stripe_id)
-        return tuple(
-            n
-            for i, n in enumerate(loc.placement)
-            if not self.can_serve(stripe_id, i, n)
-        )
+        placement = self.master.stripe(stripe_id).placement
+        return tuple(placement[ci] for ci in bits(self.unavailable(stripe_id)))
 
     def exposure(self, stripe_id: str) -> int:
         """Lost chunks of the stripe: dead nodes and quarantined
         (corrupt-but-live) copies both erode its erasure budget."""
-        return len(self.unavailable_nodes(stripe_id))
+        return self.unavailable(stripe_id).bit_count()
 
     def can_serve(self, stripe_id: str, chunk_index: int, node: int) -> bool:
         """Whether ``node``'s copy of the chunk may serve reads and
-        repairs: the node is alive and the chunk is not quarantined.
-        The one serve rule of plans, degraded reads, foreground reads
-        and the scrubber."""
-        return self._alive[node] and not self.master.is_quarantined(
-            stripe_id, chunk_index
+        repairs: the node is alive and the chunk is not quarantined —
+        bit ``chunk_index`` of :meth:`unavailable`, read straight from
+        the two words for a caller that already knows the node."""
+        return not (
+            self.down >> node & 1
+            or self.master.corrupt.get(stripe_id, 0) >> chunk_index & 1
         )
 
     def _on_bad_chunk(self, node: int, task: TransferTask) -> None:
@@ -648,7 +673,7 @@ class ClusterSystem:
         asm = self._wire_assembly.get(rid)
         if asm is not None:
             asm.corruption_detected = True
-        if rid in self._retired or not self._alive[data.source]:
+        if rid in self._retired or self.down >> data.source & 1:
             return  # stale epoch / dead sender: the watchdog path owns it
         if self.nodes[data.source].retransmit(
             (rid, data.pipeline_id), data.start, data.stop
@@ -680,11 +705,12 @@ class ClusterSystem:
         could never localize.
         """
         sid = asm.stripe_id
-        loc = self.master.stripe(sid)
+        placement = self.master.stripe(sid).placement
         stored: dict[int, np.ndarray] = {}
         digest_bad: list[int] = []
-        for ci, node in enumerate(loc.placement):
-            if ci == asm.lost_chunk or not self.can_serve(sid, ci, node):
+        skip = self.unavailable(sid) | 1 << asm.lost_chunk
+        for ci, node in enumerate(placement):
+            if skip >> ci & 1:
                 continue
             store = self.nodes[node].store
             if not store.has(sid, ci):
@@ -914,31 +940,24 @@ class ClusterSystem:
         event queue.  ``requester_for`` maps stripe ids to replacement
         nodes; defaults to spreading over live non-participant nodes.
         """
-        if self._alive[failed_node]:
+        if self.is_alive(failed_node):
             raise ValueError(f"node {failed_node} has not failed")
         stripe_ids = self.stripes_on(failed_node)
         if not stripe_ids:
             return {}
         requester_for = dict(requester_for or {})
-        live = self.live
         specs = []
         for i, sid in enumerate(stripe_ids):
-            loc = self.master.stripe(sid)
             if sid not in requester_for:
-                candidates = [r for r in live if r not in loc.placement]
+                candidates = self.spares(sid)
                 if not candidates:
                     raise RuntimeError(f"no replacement node available for {sid}")
                 requester_for[sid] = candidates[i % len(candidates)]
-            helpers = tuple(
-                n
-                for n in loc.placement
-                if n != failed_node and self.can_serve(sid, loc.chunk_on(n), n)
-            )
             specs.append(
                 StripeRepairSpec(
                     stripe_id=sid,
                     requester=requester_for[sid],
-                    helpers=helpers,
+                    helpers=self.serving(sid),
                     chunk_bytes=self._stripe_sizes[sid],
                 )
             )
@@ -987,17 +1006,13 @@ class ClusterSystem:
                 f"an ({self.code.n},{self.code.k}) stripe tolerates at most "
                 f"{self.code.n - self.code.k} failures"
             )
-        helpers = tuple(
-            n for n in loc.placement
-            if n not in failed_nodes
-            and self.can_serve(stripe_id, loc.chunk_on(n), n)
-        )
+        helpers = self.serving(stripe_id)
         if len(helpers) < self.code.k:
             raise ValueError("not enough surviving helpers to decode")
-        live = self.live
+        spares = self.spares(stripe_id)
         for f in failed_nodes:
             r = requester_for[f]
-            if r not in live or r in loc.placement:
+            if r not in spares:
                 raise ValueError(f"invalid requester {r} for failed node {f}")
         if len(set(requester_for[f] for f in failed_nodes)) != len(failed_nodes):
             raise ValueError("each lost chunk needs a distinct requester")
@@ -1082,7 +1097,7 @@ class ClusterSystem:
         lost_chunk = self.master.stripe(stripe_id).chunk_on(failed_node)
         if self.can_serve(stripe_id, lost_chunk, failed_node):
             raise ValueError(f"node {failed_node} has not failed")
-        if not self._alive[requester]:
+        if self.down >> requester & 1:
             raise ValueError("requester node is down")
         repair_id = f"{stripe_id}/n{failed_node}"
         if on_done is not None:
@@ -1406,27 +1421,24 @@ class ClusterSystem:
         """Plan and dispatch one attempt over the unfinished remainder."""
         if not asm.running:
             return
-        loc = self.master.stripe(asm.stripe_id)
         # dispatch-time liveness probe: the master checks the placement
         # (and the requester) before planning, so crashed nodes are
         # declared dead without waiting for a lease to expire
-        for n in (*loc.placement, asm.requester):
-            if not self._alive[n] and not self.master.is_node_dead(n):
+        unseen = self.down & ~self.master.dead
+        for n in (*self.master.stripe(asm.stripe_id).placement, asm.requester):
+            if unseen >> n & 1:
                 self.master.mark_node_dead(n)
-        lost = [n for n in loc.placement if not self._alive[n]]
         participants = asm.plan_participants()
         if any(
-            n != asm.failed_node and n not in participants for n in lost
+            n != asm.failed_node and n not in participants
+            for n in self.crashed(asm.stripe_id)
         ):
             # a chunk the current plan was not even using is gone too —
             # single-chunk recovery cannot restore the stripe; escalate
             self._escalate(asm, reason="uninvolved chunk lost before attempt")
             return
-        newly_dead = tuple(
-            n
-            for n in asm.plan_participants()
-            if not self._alive[n] or self.master.is_node_dead(n)
-        )
+        live = self.live_mask
+        newly_dead = tuple(n for n in participants if not live >> n & 1)
         asm.attempt += 1
         if asm.attempt > 1:
             asm.replans += 1
@@ -1769,12 +1781,9 @@ class ClusterSystem:
 
     def _finish_escalated(self, asm: _Assembly) -> RepairOutcome:
         """Second chunk lost mid-repair: restart through repair_multi."""
-        loc = self.master.stripe(asm.stripe_id)
-        lost = tuple(n for n in loc.placement if not self._alive[n])
+        lost = self.crashed(asm.stripe_id)
         others = [f for f in lost if f != asm.failed_node]
-        spares = [
-            r for r in self.live if r != asm.requester and r not in loc.placement
-        ]
+        spares = [r for r in self.spares(asm.stripe_id) if r != asm.requester]
         requester_for = {asm.failed_node: asm.requester, **dict(zip(others, spares))}
         fail_reason = None
         if len(spares) < len(others):
@@ -1829,7 +1838,7 @@ class ClusterSystem:
         now = self.events.now
         snap = self.master.snapshot()
         for i in range(self.num_nodes):
-            if not self._alive[i]:
+            if self.down >> i & 1:
                 continue  # crashed nodes stop reporting; leases expire
             node = self.nodes[i]
             if node.reports_suppressed_until > now:
@@ -1855,9 +1864,9 @@ class ClusterSystem:
         try:
             self.master.on_bandwidth_report(report, now=self.events.now)
         except DeadNodeError:
-            if self._alive[report.node]:
+            if self.is_alive(report.node):
                 # lease false positive: the node is alive and reporting —
-                # rejoin it (the master's dead set is a belief, not truth)
+                # rejoin it (the master's dead mask is a belief, not truth)
                 self.master.mark_node_live(report.node)
                 self.master.on_bandwidth_report(report, now=self.events.now)
 
@@ -2098,12 +2107,12 @@ class ClusterSystem:
     def _assign_if_alive(self, node: int, task: TransferTask) -> None:
         # a same-batch assign may race an abort (e.g. a bad-chunk
         # quarantine at assign time): never execute tasks of a retired wire
-        if self._alive[node] and (task.repair_id or task.stripe_id) not in self._retired:
+        if not self.down >> node & 1 and (task.repair_id or task.stripe_id) not in self._retired:
             self.nodes[node].assign(task)
 
     def _deliver(self, destination: int, data: SliceData) -> None:
         """Route a slice either to a data node or into requester assembly."""
-        if not self._alive[data.source] or not self._alive[destination]:
+        if (self.down >> data.source | self.down >> destination) & 1:
             return  # packets from/to dead nodes vanish
         node = self.nodes[destination]
         # stalled_until is 0.0 until a stall is injected: no clock read

@@ -119,9 +119,10 @@ class Scrubber:
         for stripe_id in stripes:
             loc = system.master.stripe(stripe_id)
             chunk_bytes = system.chunk_bytes_of(stripe_id)
+            unavailable = system.unavailable(stripe_id)
             touched = False
             for chunk_index, node in enumerate(loc.placement):
-                if not system.can_serve(stripe_id, chunk_index, node):
+                if unavailable >> chunk_index & 1:
                     report.skipped += 1
                     continue
                 touched = True

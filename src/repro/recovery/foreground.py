@@ -19,7 +19,10 @@ sides:
   :meth:`~repro.cluster.system.ClusterSystem.repair_async` with
   ``store=False`` rebuilds the chunk at the reader concurrently with
   whatever the orchestrator has in flight, exercising the wire
-  protocol under contention.
+  protocol under contention;
+- a read with no live node outside the placement to land at fails,
+  healthy or degraded alike: ``ok=False``, ``reader=-1``, reason
+  ``"no live node outside the placement"``.
 
 Every read lands in :attr:`ForegroundTraffic.reads` and, when a fleet
 aggregator is attached to the system, feeds the
@@ -29,6 +32,7 @@ aggregator is attached to the system, feeds the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -144,57 +148,46 @@ class ForegroundTraffic:
         sid = self.stripe_ids[self._rng.integers(len(self.stripe_ids))]
         chunk = int(self._rng.integers(self.system.code.k))
         self._issued += 1
-        now = self._events.now
-        loc = self.system.master.stripe(sid)
-        node = loc.node_of(chunk)
-        if self.system.can_serve(sid, chunk, node):
-            self._healthy_read(now, sid, chunk, node)
+        node = self.system.master.stripe(sid).node_of(chunk)
+        degraded = not self.system.can_serve(sid, chunk, node)
+        reader = self._pick_reader(sid)
+        nbytes = self.system.chunk_bytes_of(sid)
+        read = partial(
+            ForegroundRead, t=self._events.now, stripe_id=sid, chunk_index=chunk,
+            node=node, reader=-1 if reader is None else reader, nbytes=nbytes,
+            degraded=degraded,
+        )
+        if reader is None:
+            # healthy or degraded, a read needs a node to land at
+            self._record(
+                read(ok=False, failure_reason="no live node outside the placement")
+            )
+        elif degraded:
+            self._degraded_read(read, sid, node, reader)
         else:
-            self._degraded_read(now, sid, chunk, node)
+            latency = self._healthy_latency(node, reader, nbytes)
+            payload = self.system.read_chunk(sid, chunk)
+            self._record(read(ok=True, latency_s=latency, payload=payload))
         if self._issued < self.num_reads:
             self._events.schedule(PERIOD_S, self._issue)
 
-    def _healthy_read(self, now, sid, chunk, node) -> None:
-        nbytes = self.system.chunk_bytes_of(sid)
-        reader = self._pick_reader(sid)
+    def _healthy_latency(self, node, reader, nbytes) -> float:
         snapshot = self.system.master.snapshot()
-        rate = min(snapshot.uplink[node], snapshot.downlink[reader or 0])
+        rate = min(snapshot.uplink[node], snapshot.downlink[reader])
         if self.orchestrator is not None:
             # repairs plan inside committed x snapshot per node, so the
             # leftover for foreground is the complementary fraction
             rate *= max(0.0, 1.0 - self.orchestrator.committed_fraction)
-        latency = units.transfer_seconds(nbytes, max(rate, _MIN_RATE_MBPS))
-        payload = self.system.read_chunk(sid, chunk)
-        self._record(
-            ForegroundRead(
-                t=now, stripe_id=sid, chunk_index=chunk, node=node,
-                reader=reader if reader is not None else -1,
-                nbytes=nbytes, degraded=False, ok=True,
-                latency_s=latency, payload=payload,
-            )
-        )
+        return units.transfer_seconds(nbytes, max(rate, _MIN_RATE_MBPS))
 
-    def _degraded_read(self, now, sid, chunk, node) -> None:
-        nbytes = self.system.chunk_bytes_of(sid)
-        reader = self._pick_reader(sid)
-        if reader is None:
-            self._record(
-                ForegroundRead(
-                    t=now, stripe_id=sid, chunk_index=chunk, node=node,
-                    reader=-1, nbytes=nbytes, degraded=True, ok=False,
-                    failure_reason="no live node outside the placement",
-                )
-            )
-            return
+    def _degraded_read(self, read, sid, node, reader) -> None:
+        t0 = self._events.now
         self._pending += 1
 
-        def settle(outcome, t0=now, sid=sid, chunk=chunk, node=node,
-                   reader=reader, nbytes=nbytes) -> None:
+        def settle(outcome) -> None:
             self._pending -= 1
             self._record(
-                ForegroundRead(
-                    t=t0, stripe_id=sid, chunk_index=chunk, node=node,
-                    reader=reader, nbytes=nbytes, degraded=True,
+                read(
                     ok=outcome.verified,
                     latency_s=self._events.now - t0,
                     failure_reason=outcome.failure_reason,
@@ -211,17 +204,10 @@ class ForegroundTraffic:
             )
         except (ValueError, RuntimeError) as exc:
             self._pending -= 1
-            self._record(
-                ForegroundRead(
-                    t=now, stripe_id=sid, chunk_index=chunk, node=node,
-                    reader=reader, nbytes=nbytes, degraded=True, ok=False,
-                    failure_reason=str(exc),
-                )
-            )
+            self._record(read(ok=False, failure_reason=str(exc)))
 
     def _pick_reader(self, sid) -> int | None:
-        placement = self.system.master.stripe(sid).placement
-        candidates = [r for r in self.system.live if r not in placement]
+        candidates = self.system.spares(sid)
         if not candidates:
             return None
         return candidates[int(self._rng.integers(len(candidates)))]

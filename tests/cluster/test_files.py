@@ -1,5 +1,8 @@
 """Striped-file layer."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from repro.cluster import ClusterSystem
 from repro.cluster.files import FileStore
 from repro.cluster.placement import RandomSpreadPlacement
 from repro.ec import RSCode
+from repro.net import BandwidthSnapshot
 from repro.workloads import make_trace
 
 
@@ -106,6 +110,35 @@ class TestDegradedReads:
         node = cluster.master.stripe(sid).placement[0]
         affected = store.affected_files(node)
         assert "h1" in affected
+
+
+class TestReadMemory:
+    """A read copies the file's bytes once: healthy chunks arrive as
+    views and are joined straight into the returned ``bytes``."""
+
+    MIB = 1 << 20
+
+    @pytest.mark.parametrize("down", [False, True])
+    @pytest.mark.parametrize("tail", [0, 12345])
+    def test_peak_is_the_file_plus_two_chunks(self, down, tail):
+        cluster = ClusterSystem(12, RSCode(9, 6), slice_bytes=64 * 1024)
+        cluster.set_bandwidth(BandwidthSnapshot.uniform(12, 1000.0))
+        store = FileStore(cluster, chunk_bytes=self.MIB)
+        data = payload(6 * self.MIB - tail, seed=3)
+        store.write("f", data)
+        if down:
+            cluster.fail_node(0)  # chunk 0 is rebuilt at the reader
+        _, warm_seconds = store.read("f")  # warm the kernel tables
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got, seconds = store.read("f")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == data
+        assert seconds == pytest.approx(warm_seconds)
+        assert peak <= len(data) + 2 * self.MIB
 
 
 class TestPlacementIntegration:

@@ -133,6 +133,26 @@ class TestHealthyLatencyContention:
         )
 
 
+    def test_a_healthy_read_without_a_reader_fails(self):
+        """No live node outside the placement: a healthy read has nowhere
+        to land either, and fails as a degraded one does."""
+        sys_, write, _ = make_system(num_nodes=5, n=4, k=2)
+        write("s0", (0, 1, 2, 3))
+        sys_.fail_node(4)
+        downlink = np.full(5, 500.0)
+        downlink[0] = 5.0  # a reader-less read must not be timed here
+        sys_.set_bandwidth(BandwidthSnapshot(np.full(5, 500.0), downlink))
+        fg = ForegroundTraffic(sys_, ["s0"], num_reads=6, seed=0)
+        fg.start()
+        sys_.events.run()
+        assert fg.done and len(fg.reads) == 6
+        for read in fg.reads:
+            assert not read.degraded and not read.ok
+            assert read.reader == -1 and read.payload is None
+            assert read.failure_reason == "no live node outside the placement"
+        assert fg.bytes_read == 0
+
+
 class TestScenarioCoexistence:
     def test_degraded_reads_in_scenario_are_byte_exact(self):
         # big chunks + a tight budget keep the dead node exposed long

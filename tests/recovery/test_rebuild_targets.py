@@ -109,13 +109,13 @@ def test_cluster_picks_equal_the_list_rule():
 
 
 def test_a_cluster_that_ignores_the_master_dead_set_fails(monkeypatch):
-    line = "if up and not dead(i)]"
+    line = "~(self.down | self.master.dead)"
     source = inspect.getsource(cluster_system)
     assert source.count(line) == 1
     module = types.ModuleType("system_mutant")
     module.__package__ = cluster_system.__package__
     monkeypatch.setitem(sys.modules, module.__name__, module)  # for @dataclass
-    exec(compile(source.replace(line, "if up]"), "<mutant>", "exec"),
+    exec(compile(source.replace(line, "~self.down"), "<mutant>", "exec"),
          module.__dict__)
     with pytest.raises(AssertionError):
         run_property(module.ClusterSystem)
