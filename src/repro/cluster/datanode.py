@@ -146,16 +146,12 @@ class DataNode:
         self.deliver = None
         #: total payload bytes this node has put on the wire
         self.bytes_sent = 0
-        #: observability hook installed by the cluster; called once per
-        #: slice put on the wire: (src, dest, lo, hi, start_s, end_s,
-        #: wire_id, pipeline_id).  The cluster uses it to feed the
-        #: metrics registry (per-node byte counters, busy fractions) and
-        #: per-transfer tracer spans.
+        #: observability hook installed by the cluster (its observer's
+        #: ``transfer_hook``); called once per slice put on the wire:
+        #: (src, dest, lo, hi, start_s, end_s, wire_id, pipeline_id)
         self.on_transfer = None
         #: cumulative seconds this node's uplink was occupied by sends
         self.uplink_busy_s = 0.0
-        #: cumulative seconds of inbound edge occupancy (set by the cluster)
-        self.downlink_busy_s = 0.0
         # ---- fault state (set by the cluster's fault hooks) ----------- #
         #: straggler: persistent cap (Mbps) on every rate this node sends at
         self.rate_cap_mbps: float | None = None

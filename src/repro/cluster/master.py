@@ -18,7 +18,7 @@ import numpy as np
 
 from ..ec.rs import RSCode
 from ..net.bandwidth import BandwidthSnapshot, RepairContext
-from ..obs import NULL_FLEET, NULL_METRICS, NULL_TRACER
+from ..obs import NULL_OBSERVER
 from ..repair.base import RepairAlgorithm
 from ..repair.plan import Pipeline, RepairPlan
 from ..repair.recovery import substitute_nodes
@@ -69,11 +69,10 @@ LEASE_MISSED_REPORTS = 3
 class Master:
     """Cluster metadata + repair scheduling brain."""
 
-    #: observability sinks; the owning system swaps in live ones
-    #: (class-level no-op defaults keep standalone masters zero-cost)
-    tracer = NULL_TRACER
-    metrics = NULL_METRICS
-    fleet = NULL_FLEET
+    #: the observer of planning (:mod:`repro.obs.observer`); the owning
+    #: system swaps in its own (the class-level no-op keeps standalone
+    #: masters zero-cost)
+    obs = NULL_OBSERVER
 
     def __init__(
         self,
@@ -170,8 +169,11 @@ class Master:
             raise ValueError("stripe chunks must land on distinct nodes")
         prev = self._stripes.get(location.stripe_id)
         if prev is not None:
+            # a rewrite: the old generation's placement and quarantine
+            # marks say nothing about the new chunks
             for node in prev.placement:
                 self._node_stripes.get(node, set()).discard(location.stripe_id)
+            self.corrupt.pop(location.stripe_id, None)
         self._stripes[location.stripe_id] = location
         for node in location.placement:
             self._node_stripes.setdefault(node, set()).add(location.stripe_id)
@@ -339,15 +341,7 @@ class Master:
         if self.plan_cache is not None:
             plan = self.plan_cache.get_or_compute(self.algorithm, context)
             result = plan.meta.get("plan_cache", "miss")
-            self.metrics.counter(
-                "repro_plan_cache_lookups_total",
-                "Plan-cache lookups by result.", result=result,
-            ).inc()
-            if self.tracer.enabled:
-                self.tracer.event(
-                    None, f"plan_cache.{result}",
-                    algorithm=self.algorithm.name, requester=context.requester,
-                )
+            self.obs.plan_cache(result, self.algorithm.name, context.requester)
             return plan
         plan = self.algorithm.plan(context)
         plan.validate()
@@ -404,14 +398,7 @@ class Master:
     def _note_ladder(self, rung: str, context: RepairContext) -> None:
         """Record a degradation-ladder rung being taken."""
         log.debug("degradation ladder: %s (requester %d)", rung, context.requester)
-        self.metrics.counter(
-            "repro_ladder_total", "Degradation-ladder rungs taken.", rung=rung
-        ).inc()
-        if self.tracer.enabled:
-            self.tracer.event(
-                None, f"ladder.{rung}",
-                requester=context.requester, helpers=len(context.helpers),
-            )
+        self.obs.ladder(rung, context.requester, len(context.helpers))
 
     def schedule_repair(
         self,
@@ -441,12 +428,7 @@ class Master:
         plan = self.plan_with_fallback(
             context, prev_plan=prev_plan, newly_dead=newly_dead
         )
-        if self.fleet.enabled:
-            self.fleet.observe(
-                "repro_plan_t_max_mbps",
-                float(plan.total_rate),
-                algorithm=self.algorithm.name,
-            )
+        self.obs.plan_scheduled(plan, self.algorithm.name)
         return plan
 
     def compile_tasks(
@@ -530,12 +512,7 @@ class Master:
                             repair_id=repair_id or stripe_id,
                         )
                     )
-        if self.tracer.enabled:
-            self.tracer.event(
-                None, "tasks.compiled",
-                stripe=stripe_id, repair_id=repair_id or stripe_id,
-                tasks=len(tasks), bytes=total,
-            )
+        self.obs.tasks_compiled(stripe_id, repair_id or stripe_id, len(tasks), total)
         return tasks
 
 

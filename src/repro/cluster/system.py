@@ -49,7 +49,7 @@ from ..integrity.digest import slice_checksum
 from ..integrity.verify import audit_stripe
 from ..net import units
 from ..net.bandwidth import BandwidthSnapshot, RepairContext
-from ..obs import NULL_FLEET, NULL_METRICS, NULL_TRACER
+from ..obs import build_observer
 from ..repair.base import RepairAlgorithm, get_algorithm
 from ..repair.plan import RepairPlan
 from ..repair.recovery import uncovered_intervals
@@ -174,12 +174,13 @@ class _Assembly:
     on_done: object = None
     store: bool = True
     start_time: float = 0.0
-    busy_before: list | None = None
     #: fraction of cluster bandwidth this repair (and its re-plans) may use
     bandwidth_scale: float = 1.0
-    # ---- observability (None / NULL_SPAN when tracing is off) --------- #
+    # ---- the observer's handles (None / NULL_SPAN when tracing is off) - #
     span: object = None
     attempt_span: object = None
+    #: per node (uplink, downlink) busy seconds at open (metrics live only)
+    busy_before: list | None = None
 
     @property
     def complete(self) -> bool:
@@ -201,21 +202,6 @@ class _Assembly:
         return tuple(
             sorted({c for p in self.plan.pipelines for c in p.participants})
         )
-
-
-def _pipeline_rates(tasks: list[TransferTask]) -> dict[int, float]:
-    """Each pipeline's end-to-end rate: the min task rate on its chain.
-
-    Recorded on pipeline spans so the bottleneck-attribution replay
-    (:mod:`repro.obs.attr`) can compare measured durations against the
-    plan without access to the plan object itself.
-    """
-    rates: dict[int, float] = {}
-    for t in tasks:
-        cur = rates.get(t.pipeline_id)
-        if cur is None or t.rate_mbps < cur:
-            rates[t.pipeline_id] = t.rate_mbps
-    return rates
 
 
 class ClusterSystem:
@@ -240,15 +226,6 @@ class ClusterSystem:
             )
         self.code = code
         self.events = EventQueue()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.fleet = fleet if fleet is not None else NULL_FLEET
-        self.slo = slo
-        if self.tracer.enabled and self.tracer.clock is None:
-            # spans are keyed to *simulated* time, not wall-clock
-            self.tracer.clock = lambda: self.events.now
-        if self.fleet.enabled and self.fleet.clock is None:
-            self.fleet.clock = lambda: self.events.now
         #: online divergence detection (``repro.obs.detect``): assign a
         #: DivergenceMonitor (and set its ``clock``) and watchdog repairs
         #: sample realised throughput against the plan's t_max and abort
@@ -257,17 +234,19 @@ class ClusterSystem:
         if isinstance(algorithm, str):
             algorithm = get_algorithm(algorithm)
         self.master = Master(code, algorithm, num_nodes)
-        self.master.tracer = self.tracer
-        self.master.metrics = self.metrics
-        self.master.fleet = self.fleet
         self.slice_bytes = slice_bytes
         self.nodes = [
             DataNode(i, self.events, slice_bytes=slice_bytes)
             for i in range(num_nodes)
         ]
-        #: (wire id, pipeline id) -> open pipeline span (tracer enabled only)
-        self._pipeline_spans: dict[tuple[str, int], object] = {}
-        on_transfer = self._transfer_hook()
+        #: every fixed point of the repair path reports here
+        #: (:mod:`repro.obs.observer`); the sinks are read back through
+        #: :attr:`tracer`, :attr:`metrics`, :attr:`fleet` and :attr:`slo`
+        self.obs = self.master.obs = build_observer(
+            tracer=tracer, metrics=metrics, fleet=fleet, slo=slo,
+            events=self.events, nodes=self.nodes,
+        )
+        on_transfer = self.obs.transfer_hook()
         for node in self.nodes:
             node.deliver = self._deliver
             node.on_bad_slice = self._on_bad_slice
@@ -291,6 +270,11 @@ class ClusterSystem:
         self._failure_listeners: list = []
         #: monotone suffix source keeping async repair ids collision-free
         self._async_seq = 0
+
+    tracer = property(lambda self: self.obs.tracer)
+    metrics = property(lambda self: self.obs.metrics)
+    fleet = property(lambda self: self.obs.fleet)
+    slo = property(lambda self: self.obs.slo)
 
     # ---- cluster state ------------------------------------------------ #
 
@@ -370,6 +354,8 @@ class ClusterSystem:
 
         ``data`` is a (k, L) uint8 array.  Placement defaults to nodes
         ``0..n-1``; every chunk must land on a distinct, live node.
+        Rewriting a stripe id drops every stored copy of its old
+        generation that the new placement does not overwrite.
         """
         data = np.asarray(data, dtype=np.uint8)
         # the stores copy what they are handed: put the caller's data rows
@@ -381,6 +367,11 @@ class ClusterSystem:
             raise ValueError("cannot place chunks on failed nodes")
         loc = StripeLocation(stripe_id=stripe_id, placement=tuple(placement))
         self.master.register_stripe(loc)
+        if stripe_id in self._stripe_sizes:
+            for node in self.nodes:
+                for ci in node.store.stripe_chunks(stripe_id):
+                    if placement[ci] != node.node_id:
+                        node.store.delete(stripe_id, ci)
         for idx, node in enumerate(placement):
             self.nodes[node].store.put(stripe_id, idx, rows[idx])
         self._stripe_sizes[stripe_id] = int(data.shape[1])
@@ -401,8 +392,7 @@ class ClusterSystem:
         """
         self.down |= 1 << node
         log.debug("node %d crashed at t=%.6f", node, self.events.now)
-        if self.tracer.enabled:
-            self.tracer.event(self._live_span(), "node.crash", node=node)
+        self.obs.node_crash(node)
         for asm in list(self._assemblies.values()):
             if not asm.running:
                 continue
@@ -426,8 +416,7 @@ class ClusterSystem:
         """End a watchdog repair that lost a second chunk: its caller
         restarts it through the multi-chunk path."""
         asm.escalate = True
-        if self.tracer.enabled:
-            self.tracer.event(asm.span, "repair.escalate", **attrs)
+        self.obs.escalate(asm, **attrs)
         self._finish_assembly(asm, retire=True)
 
     def add_failure_listener(self, callback) -> None:
@@ -583,27 +572,8 @@ class ClusterSystem:
             "quarantined %s chunk %d on node %d (%s)",
             stripe_id, chunk_index, node, kind,
         )
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "repro_integrity_quarantined_total",
-                "Chunks quarantined as corrupt, by detection path.",
-                kind=kind,
-            ).inc()
-        self._count_detection(kind)
-        if self.tracer.enabled:
-            self.tracer.event(
-                None, "integrity.quarantine",
-                stripe=stripe_id, chunk=chunk_index, node=node, kind=kind,
-            )
+        self.obs.quarantine(stripe_id, chunk_index, node, kind)
         return True
-
-    def _count_detection(self, kind: str) -> None:
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "repro_integrity_corruption_detected_total",
-                "Silent-corruption detections, by detection path.",
-                kind=kind,
-            ).inc()
 
     def unavailable_nodes(self, stripe_id: str) -> tuple[int, ...]:
         """Placement nodes whose chunk cannot serve reads or repairs:
@@ -637,13 +607,7 @@ class ClusterSystem:
         asm.corruption_detected = True
         if task.chunk_index not in asm.quarantined:
             asm.quarantined.append(task.chunk_index)
-        if self.tracer.enabled:
-            self.tracer.event(
-                asm.attempt_span or asm.span,
-                "integrity.bad_chunk",
-                node=node,
-                chunk=task.chunk_index,
-            )
+        self.obs.bad_chunk(asm, node, task.chunk_index)
         reason = (
             f"helper chunk {task.chunk_index} failed digest verification "
             f"on node {node}"
@@ -659,13 +623,7 @@ class ClusterSystem:
     def _on_bad_slice(self, dest: int, data: SliceData) -> None:
         """An in-flight slice failed its checksum at the receiving hop."""
         rid = data.repair_id or data.stripe_id
-        self._count_detection("wire")
-        span = self._pipeline_spans.get((rid, data.pipeline_id))
-        if self.tracer.enabled:
-            self.tracer.event(
-                span, "integrity.wire_corruption",
-                src=data.source, dst=dest, lo=data.start, hi=data.stop,
-            )
+        self.obs.wire_corruption(rid, dest, data)
         log.debug(
             "wire corruption caught: %d->%d [%d, %d) of %s",
             data.source, dest, data.start, data.stop, rid,
@@ -678,16 +636,7 @@ class ClusterSystem:
         if self.nodes[data.source].retransmit(
             (rid, data.pipeline_id), data.start, data.stop
         ):
-            if self.metrics.enabled:
-                self.metrics.counter(
-                    "repro_integrity_retransmits_total",
-                    "Slices re-sent after a checksum failure downstream.",
-                ).inc()
-            if self.tracer.enabled:
-                self.tracer.event(
-                    span, "integrity.retransmit",
-                    src=data.source, lo=data.start, hi=data.stop,
-                )
+            self.obs.retransmit(rid, data)
         # a refused retransmit leaves the range incomplete; the progress
         # watchdog aborts and re-plans the remainder
 
@@ -740,44 +689,25 @@ class ClusterSystem:
         has been scheduled over the remaining helpers.
         """
         report = self._audit(asm)
-        tracer = self.tracer
-        m = self.metrics
-
-        def note(result: str) -> None:
-            if m.enabled:
-                m.counter(
-                    "repro_integrity_verifications_total",
-                    "Post-repair stripe verifications by result.",
-                    result=result,
-                ).inc()
-            if tracer.enabled:
-                tracer.event(
-                    asm.attempt_span or asm.span,
-                    "integrity.verify",
-                    result=result,
-                    culprits=list(report.culprits),
-                    checked=report.checked,
-                )
-
         if report.ok:
             asm.integrity_ok = True
-            note("ok")
+            self.obs.verification(asm, "ok", report)
             return True
         if report.ok is None:
             # too few clean chunks survive to check anything
             asm.integrity_ok = None
-            note("unverifiable")
+            self.obs.verification(asm, "unverifiable", report)
             return True
         if report.rebuilt_ok:
             # rot exists at rest but the culprit never fed this repair:
             # the rebuilt value checks out against the clean chunks
             asm.integrity_ok = True
-            note("corrupt-helper")
+            self.obs.verification(asm, "corrupt-helper", report)
             return True
         if report.culprits and asm.attempt < asm.max_attempts:
             # the rebuilt bytes are poisoned: scrub everything and
             # repair again with the quarantined culprit excluded
-            note("retry")
+            self.obs.verification(asm, "retry", report)
             log.debug(
                 "%s: rebuilt chunk failed verification (culprits %s); "
                 "re-repairing", asm.repair_id, list(report.culprits),
@@ -799,24 +729,14 @@ class ClusterSystem:
             asm.buffer[:] = report.predicted
             asm.integrity_ok = True
             asm.degraded = True
-            if m.enabled:
-                m.counter(
-                    "repro_integrity_healed_total",
-                    "Rebuilt chunks healed from surplus parity after "
-                    "failing verification.",
-                ).inc()
-            if tracer.enabled:
-                tracer.event(
-                    asm.attempt_span or asm.span, "integrity.healed",
-                    stripe=asm.stripe_id, chunk=asm.lost_chunk,
-                )
-            note("healed")
+            self.obs.healed(asm)
+            self.obs.verification(asm, "healed", report)
             return True
         asm.failure_reason = (
             "rebuilt chunk failed integrity verification and the "
             "corruption could not be localized"
         )
-        note("failed")
+        self.obs.verification(asm, "failed", report)
         return True
 
     # ---- repair ------------------------------------------------------- #
@@ -997,6 +917,9 @@ class ClusterSystem:
         """
         loc = self.master.stripe(stripe_id)
         failed_nodes = tuple(failed_nodes)
+        for f in failed_nodes:
+            if f not in loc.placement:
+                raise ValueError(f"node {f} holds no chunk of {stripe_id}")
         if any(
             self.can_serve(stripe_id, loc.chunk_on(f), f) for f in failed_nodes
         ):
@@ -1112,11 +1035,6 @@ class ClusterSystem:
             max_attempts=max_attempts,
             watchdog=True,
             store=store,
-            busy_before=(
-                [(n.uplink_busy_s, n.downlink_busy_s) for n in self.nodes]
-                if self.metrics.enabled
-                else None
-            ),
             on_done=on_done,
             **budget,
         )
@@ -1141,18 +1059,8 @@ class ClusterSystem:
             start_time=self.events.now,
             **fields,
         )
-        if self.tracer.enabled:
-            asm.span = self.tracer.start_span(
-                f"repair {repair_id}",
-                kind="repair",
-                stripe=stripe_id,
-                failed_node=failed_node,
-                requester=requester,
-                chunk_bytes=chunk_bytes,
-                algorithm=self.master.algorithm.name,
-                **span_attrs,
-            )
         self._assemblies[repair_id] = asm
+        self.obs.repair_open(asm, self.master.algorithm.name, span_attrs)
         return asm
 
     def _settle_outcome(
@@ -1183,7 +1091,7 @@ class ClusterSystem:
                 # rotten (or gone): parity verification over the clean
                 # stored chunks proved the rebuilt value correct
                 outcome.verified = True
-        self._finalize_repair_obs(asm, outcome)
+        self.obs.repair_end(asm, outcome, self.master.algorithm.name)
         return outcome
 
     def _persist_outcome(self, asm: _Assembly) -> RepairOutcome:
@@ -1205,11 +1113,7 @@ class ClusterSystem:
                     "%s: torn write caught on readback at node %d",
                     asm.repair_id, asm.requester,
                 )
-                self._count_detection("torn-write")
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        asm.span, "integrity.torn_write", node=asm.requester
-                    )
+                self.obs.torn_write(asm)
                 store.put(sid, lost, rebuilt)
             self.master.relocate_chunk(sid, lost, asm.requester)
         oracle = self.nodes[asm.failed_node].store
@@ -1357,12 +1261,7 @@ class ClusterSystem:
             return self._failed_outcome(asm, asm.failure_reason)
         report = self._audit(asm)
         if report.ok is False:
-            if self.metrics.enabled:
-                self.metrics.counter(
-                    "repro_integrity_verifications_total",
-                    "Post-repair stripe verifications by result.",
-                    result="ok" if report.rebuilt_ok else "failed",
-                ).inc()
+            self.obs.verification(asm, "ok" if report.rebuilt_ok else "failed")
             if not report.rebuilt_ok:
                 return self._failed_outcome(
                     asm,
@@ -1442,22 +1341,7 @@ class ClusterSystem:
         asm.attempt += 1
         if asm.attempt > 1:
             asm.replans += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            asm.attempt_span = tracer.start_span(
-                f"attempt {asm.attempt}",
-                kind="attempt",
-                parent=asm.span,
-                n=asm.attempt,
-                repair_id=asm.repair_id,
-            )
-            if asm.attempt > 1:
-                tracer.event(
-                    asm.attempt_span,
-                    "replan",
-                    attempt=asm.attempt,
-                    newly_dead=list(newly_dead),
-                )
+        self.obs.attempt_start(asm, newly_dead)
         log.debug(
             "%s: attempt %d (newly dead: %s)",
             asm.repair_id, asm.attempt, list(newly_dead),
@@ -1474,8 +1358,7 @@ class ClusterSystem:
         except (ValueError, RuntimeError) as exc:
             asm.failure_reason = f"planning failed: {exc}"
             log.debug("%s: planning failed: %s", asm.repair_id, exc)
-            if tracer.enabled:
-                tracer.event(asm.attempt_span, "planning.failed", error=str(exc))
+            self.obs.planning_failed(asm, exc)
             self._finish_assembly(asm, retire=True)
             return
         asm.plan = plan
@@ -1486,16 +1369,7 @@ class ClusterSystem:
             if asm.attempt == 1
             else f"{asm.repair_id}#a{asm.attempt}"
         )
-        remaining = self._dispatch_tasks(asm, wire)
-        if tracer.enabled:
-            tracer.set_attrs(
-                asm.attempt_span,
-                wire=wire,
-                remaining_bytes=remaining,
-                pipelines=len(asm.outstanding),
-                rung=plan.meta.get("recovery", "none"),
-                t_max_mbps=float(plan.total_rate),
-            )
+        self._dispatch_tasks(asm, wire)
         self._arm_timer(asm)
         self._arm_detector(asm)
         self._ensure_heartbeat()
@@ -1606,22 +1480,7 @@ class ClusterSystem:
         if asm.timer is not None:
             self.events.cancel(asm.timer)
             asm.timer = None
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "repro_detect_early_aborts_total",
-                "Attempts aborted by the divergence detector ahead of "
-                "the watchdog timeout.",
-            ).inc()
-        if self.tracer.enabled:
-            self.tracer.event(
-                asm.attempt_span or asm.span,
-                "detect.abort",
-                attempt=asm.attempt,
-                ratio=ratio,
-                detector=alarm.detector,
-                stat=alarm.stat,
-                timeout_s=asm.armed_timeout,
-            )
+        self.obs.detector_abort(asm, ratio, alarm)
         log.debug(
             "%s: divergence detector fired on attempt %d "
             "(ratio %.3g, stat %.3g)",
@@ -1640,19 +1499,7 @@ class ClusterSystem:
         if asm.received > asm.timer_mark:
             self._arm_timer(asm)  # progress since the last check: keep watching
             return
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "repro_watchdog_fires_total",
-                "Stalled attempts aborted by the progress watchdog.",
-            ).inc()
-        if self.tracer.enabled:
-            self.tracer.event(
-                asm.attempt_span or asm.span,
-                "watchdog.fire",
-                attempt=asm.attempt,
-                timeout_s=asm.armed_timeout,
-                received=asm.received,
-            )
+        self.obs.watchdog_fire(asm)
         log.debug(
             "%s: watchdog fired on attempt %d (timeout %.4gs)",
             asm.repair_id, asm.attempt, asm.armed_timeout,
@@ -1672,9 +1519,7 @@ class ClusterSystem:
         asm.retries += 1
         self._disarm_detector(asm)
         self._retire_attempt(asm)
-        if self.tracer.enabled and asm.attempt_span:
-            self.tracer.event(asm.attempt_span, "attempt.abort", reason=reason)
-        self._end_attempt_span(asm, aborted=True)
+        self.obs.attempt_abort(asm, reason)
         log.debug("%s: attempt %d aborted: %s", asm.repair_id, asm.attempt, reason)
         # scrub slices that only partially arrived — their XOR state is
         # useless without the missing contributions, and a stale late
@@ -1704,19 +1549,7 @@ class ClusterSystem:
         self._wire_assembly.pop(asm.wire_id, None)
         for node in self.nodes:
             node.cancel_repair(asm.wire_id)
-        self._close_pipeline_spans(asm.wire_id, aborted=True)
-
-    def _end_attempt_span(self, asm: _Assembly, **attrs) -> None:
-        if asm.attempt_span:
-            self.tracer.end_span(asm.attempt_span, **attrs)
-        asm.attempt_span = None
-
-    def _close_pipeline_spans(self, wire_id: str, **attrs) -> None:
-        """End any still-open pipeline spans belonging to a wire epoch."""
-        if not self._pipeline_spans:
-            return
-        for key in [k for k in self._pipeline_spans if k[0] == wire_id]:
-            self.tracer.end_span(self._pipeline_spans.pop(key), **attrs)
+        self.obs.wire_closed(asm.wire_id, aborted=True)
 
     def _finish_assembly(self, asm: _Assembly, *, retire: bool) -> None:
         """Terminal bookkeeping: stop the watchdog (and maybe the wire)."""
@@ -1743,7 +1576,7 @@ class ClusterSystem:
         self._disarm_detector(asm)
         if retire:
             self._retire_attempt(asm)
-        self._end_attempt_span(asm)
+        self.obs.attempt_end(asm)
         if asm.on_done is not None:
             # non-blocking dispatch: the terminal callback fires exactly
             # once, from inside the event-queue run that finished us
@@ -1751,9 +1584,8 @@ class ClusterSystem:
             callback(asm)
 
     def _close_assembly(self, asm: _Assembly, *, drained: bool = False) -> None:
-        """The one exit of an assembly from the routing tables, ending its
-        open pipeline spans and an unwatched chunk's repair span (a
-        watchdog repair's ends in :meth:`_finalize_repair_obs`).
+        """The one exit of an assembly from the routing tables (and from
+        the observer's open repairs).
 
         Inside a run the finished wire joins the retired set, so a
         straggling slice of it is dropped silently; once the queue has
@@ -1761,8 +1593,7 @@ class ClusterSystem:
         retired epochs are forgotten instead."""
         self._assemblies.pop(asm.repair_id, None)
         self._wire_assembly.pop(asm.wire_id, None)
-        # earlier epochs closed their spans when they were retired
-        self._close_pipeline_spans(asm.wire_id)
+        self.obs.repair_close(asm)
         if drained:
             prefix = asm.repair_id + "#"
             self._retired = {
@@ -1771,13 +1602,6 @@ class ClusterSystem:
             }
         else:
             self._retired.add(asm.wire_id or asm.repair_id)
-        if not asm.watchdog and asm.span:
-            self.tracer.end_span(
-                asm.span,
-                status=COMPLETED if asm.complete else FAILED,
-                bytes_received=asm.received,
-            )
-            asm.span = None
 
     def _finish_escalated(self, asm: _Assembly) -> RepairOutcome:
         """Second chunk lost mid-repair: restart through repair_multi."""
@@ -1870,200 +1694,14 @@ class ClusterSystem:
                 self.master.mark_node_live(report.node)
                 self.master.on_bandwidth_report(report, now=self.events.now)
 
-    # ---- observability -------------------------------------------------- #
-
-    def _transfer_hook(self):
-        """The DataNode send hook; ``None`` unless a sink is live.
-
-        It runs once per slice, so everything that does not depend on
-        the slice is resolved here: which sinks are enabled, the bound
-        methods it calls, and (on a node's first send) that node's byte
-        counter.
-        """
-        tracer = self.tracer if self.tracer.enabled else None
-        metrics = self.metrics if self.metrics.enabled else None
-        if tracer is None and metrics is None:
-            return None
-        nodes = self.nodes
-        span_of = self._pipeline_spans.get
-        record = None if tracer is None else tracer.record_transfer
-        sent_bytes: list = [None] * len(nodes)
-
-        def note_transfer(
-            src: int,
-            dest: int,
-            lo: int,
-            hi: int,
-            start_s: float,
-            end_s: float,
-            wire_id: str,
-            pipeline_id: int,
-        ) -> None:
-            """Credit the sender's byte counter, charge the receiver's
-            downlink occupancy, and record the slice as one transfer row
-            (read back as an uplink + a downlink ``transfer`` span, which
-            the Chrome exporter lays out on per-node lanes)."""
-            if metrics is not None:
-                counter = sent_bytes[src]
-                if counter is None:
-                    counter = sent_bytes[src] = metrics.counter(
-                        "repro_node_bytes_sent_total",
-                        "Payload bytes each node has put on the wire.",
-                        node=str(src),
-                    )
-                counter.inc(hi - lo)
-            if 0 <= dest < len(nodes):
-                nodes[dest].downlink_busy_s += end_s - start_s
-            if record is not None:
-                record(
-                    span_of((wire_id, pipeline_id)), src, dest,
-                    lo, hi, start_s, end_s, wire_id, pipeline_id,
-                )
-
-        return note_transfer
-
-    def trace_fault(self, fault) -> None:
-        """Observability hook called by :class:`~repro.faults.FaultInjector`
-        as each fault is applied."""
-        kind = type(fault).__name__
-        log.debug("fault injected: %r", fault)
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "repro_faults_injected_total",
-                "Faults applied by the injector, by kind.",
-                kind=kind,
-            ).inc()
-        if self.tracer.enabled:
-            attrs = {"kind": kind}
-            node = getattr(fault, "node", None)
-            if node is not None:
-                attrs["node"] = node
-            self.tracer.event(self._live_span(), "fault.injected", **attrs)
-
-    def _live_span(self):
-        """Some open repair's span, to hang a cluster-wide event on."""
-        return next((a.span for a in self._assemblies.values() if a.span), None)
-
-    def _finalize_repair_obs(self, asm: _Assembly, outcome: RepairOutcome) -> None:
-        """Close the repair span and publish end-of-repair metrics."""
-        elapsed = max(outcome.elapsed_seconds, 0.0)
-        t_max = float(outcome.plan.total_rate) if outcome.plan is not None else 0.0
-        achieved = (
-            asm.done_bytes / units.mbps_to_bytes_per_s(1.0) / elapsed
-            if elapsed > 0
-            else 0.0
-        )
-        if self.tracer.enabled and asm.span:
-            self.tracer.set_attrs(
-                asm.span,
-                status=outcome.status,
-                attempts=outcome.attempts,
-                retries=outcome.retries,
-                replans=outcome.replans,
-                bytes_received=outcome.bytes_received,
-                bytes_retransferred=outcome.bytes_retransferred,
-                verified=outcome.verified,
-            )
-            if outcome.failure_reason:
-                self.tracer.set_attrs(
-                    asm.span, failure_reason=outcome.failure_reason
-                )
-            self.tracer.end_span(asm.span, t=asm.start_time + elapsed)
-        if self.fleet.enabled:
-            now = self.events.now
-            algo = self.master.algorithm.name
-            f = self.fleet
-            f.observe("repro_repair_seconds", elapsed, t=now, algorithm=algo)
-            f.observe(
-                "repro_repair_failed",
-                1.0 if outcome.status == FAILED else 0.0,
-                t=now,
-                algorithm=algo,
-            )
-            if outcome.plan is not None and elapsed > 0:
-                f.observe("repro_achieved_mbps", achieved, t=now, algorithm=algo)
-                if t_max > 0:
-                    f.observe(
-                        "repro_throughput_ratio",
-                        achieved / t_max,
-                        t=now,
-                        algorithm=algo,
-                    )
-        if self.slo is not None:
-            self.slo.evaluate(self.events.now)
-        m = self.metrics
-        if not m.enabled:
-            return
-        m.counter(
-            "repro_repairs_total", "Repairs by terminal status.",
-            status=outcome.status,
-        ).inc()
-        m.histogram(
-            "repro_repair_seconds",
-            "End-to-end repair time (simulated seconds).",
-        ).observe(elapsed)
-        m.counter(
-            "repro_retries_total",
-            "Attempts aborted by the progress watchdog.",
-        ).inc(outcome.retries)
-        m.counter(
-            "repro_replans_total", "Plans computed after the first.",
-        ).inc(outcome.replans)
-        m.counter(
-            "repro_bytes_retransferred_total",
-            "Requester bytes scrubbed and repaired again after aborts.",
-        ).inc(outcome.bytes_retransferred)
-        m.counter(
-            "repro_bytes_received_total",
-            "Payload bytes folded into requester assembly buffers.",
-        ).inc(outcome.bytes_received)
-        if outcome.plan is not None:
-            m.gauge(
-                "repro_t_max_mbps",
-                "Planned repair throughput t_max of the last plan (Mbps).",
-            ).set(t_max)
-            if elapsed > 0:
-                m.gauge(
-                    "repro_achieved_mbps",
-                    "Decoded-chunk throughput actually achieved (Mbps).",
-                ).set(achieved)
-                if t_max > 0:
-                    m.gauge(
-                        "repro_throughput_ratio",
-                        "Achieved throughput over the planner's t_max "
-                        "(1.0 = optimal, lower = overheads/faults).",
-                    ).set(achieved / t_max)
-        m.gauge(
-            "repro_event_queue_executed",
-            "Simulation events executed so far.",
-        ).set(self.events.executed)
-        m.gauge(
-            "repro_event_queue_peak_depth",
-            "High-water mark of the pending-event queue.",
-        ).set(self.events.peak_pending)
-        window = self.events.now - asm.start_time
-        if asm.busy_before is not None and window > 0:
-            for i, node in enumerate(self.nodes):
-                up0, down0 = asm.busy_before[i]
-                m.gauge(
-                    "repro_node_uplink_busy_fraction",
-                    "Fraction of the repair window each uplink was busy.",
-                    node=str(i),
-                ).set(min(1.0, (node.uplink_busy_s - up0) / window))
-                m.gauge(
-                    "repro_node_downlink_busy_fraction",
-                    "Fraction of the repair window each downlink was busy.",
-                    node=str(i),
-                ).set(min(1.0, (node.downlink_busy_s - down0) / window))
-
     # ---- internals ---------------------------------------------------- #
 
-    def _dispatch_tasks(self, asm: _Assembly, wire: str) -> int:
+    def _dispatch_tasks(self, asm: _Assembly, wire: str) -> None:
         """Compile ``asm.plan`` over the chunk's unfinished remainder on
         the wire epoch ``wire``, expect the requester-bound ranges of its
-        tasks, open its pipeline spans, and hand every task to the node
-        holding its chunk after the dispatch latency.  Returns the
-        remainder's size in bytes."""
+        tasks, tell the observer the epoch's pipelines are open, and hand
+        every task to the node holding its chunk after the dispatch
+        latency."""
         remainder = uncovered_intervals(asm.chunk_bytes, asm.completed)
         remaining = sum(b - a for a, b in remainder)
         asm.wire_id = wire
@@ -2084,25 +1722,13 @@ class ClusterSystem:
                 pid = task.pipeline_id
                 asm.expected[pid] = asm.expected.get(pid, 0) | 1 << src
                 asm.outstanding[pid] = task.stop - task.start
-        if self.tracer.enabled:
-            rate_by_pid = _pipeline_rates(tasks)
-            for pid, nbytes in asm.outstanding.items():
-                self._pipeline_spans[(asm.wire_id, pid)] = self.tracer.start_span(
-                    f"pipeline {pid}",
-                    kind="pipeline",
-                    parent=asm.attempt_span or asm.span,
-                    pipeline=pid,
-                    bytes=nbytes,
-                    wire=asm.wire_id,
-                    rate_mbps=rate_by_pid.get(pid, 0.0),
-                )
+        self.obs.pipelines_open(asm, tasks, remaining)
         for task in tasks:
             owner = loc.node_of(task.chunk_index)
             self.events.schedule(
                 DISPATCH_LATENCY_S,
                 lambda t=task, o=owner: self._assign_if_alive(o, t),
             )
-        return remaining
 
     def _assign_if_alive(self, node: int, task: TransferTask) -> None:
         # a same-batch assign may race an abort (e.g. a bad-chunk
@@ -2173,12 +1799,7 @@ class ClusterSystem:
             asm.completed.append((data.start, data.stop))
             asm.done_bytes += data.stop - data.start
             asm.outstanding[data.pipeline_id] -= data.stop - data.start
-            if (
-                self.tracer.enabled
-                and asm.outstanding[data.pipeline_id] <= 0
-            ):
-                span = self._pipeline_spans.pop((rid, data.pipeline_id), None)
-                if span:
-                    self.tracer.end_span(span)
+            if asm.outstanding[data.pipeline_id] <= 0:
+                self.obs.pipeline_end(rid, data.pipeline_id)
             if asm.complete:  # only a decoded range can complete the chunk
                 self._finish_assembly(asm, retire=False)

@@ -15,6 +15,7 @@ provides all of them.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ from .events import (
     TornWrite,
     WireCorruption,
 )
+
+log = logging.getLogger("repro.faults.injector")
 
 
 @dataclass
@@ -199,9 +202,10 @@ class FaultInjector:
             self.log.armed += 1
 
     def _apply(self, system, fault: Fault) -> None:
-        trace_fault = getattr(system, "trace_fault", None)
-        if trace_fault is not None:
-            trace_fault(fault)
+        log.debug("fault injected: %r", fault)
+        observer = getattr(system, "obs", None)
+        if observer is not None:
+            observer.fault_injected(fault)
         if isinstance(fault, Crash):
             system.fail_node(fault.node)
         elif isinstance(fault, Straggler):

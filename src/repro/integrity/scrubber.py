@@ -107,12 +107,7 @@ class Scrubber:
         )
         self._on_done = on_done
         self._pending = 0
-        if system.tracer.enabled:
-            self._span = system.tracer.start_span(
-                "integrity.scrub",
-                kind="integrity",
-                bandwidth_fraction=self.bandwidth_fraction,
-            )
+        self._span = system.obs.scrub_start(self.bandwidth_fraction)
         uplink = system.master.snapshot().uplink
         lane_free = {}  # node -> time its scrub lane frees up
         stripes = system.master.stripe_ids()
@@ -170,32 +165,16 @@ class Scrubber:
         ok = store.has(stripe_id, chunk_index) and store.verify(
             stripe_id, chunk_index
         )
+        nbytes = system.chunk_bytes_of(stripe_id)
         report.chunks_scanned += 1
-        report.bytes_scanned += system.chunk_bytes_of(stripe_id)
-        if system.metrics.enabled:
-            system.metrics.counter(
-                "repro_integrity_scrub_chunks_total",
-                "Chunks verified by the background scrubber.",
-                result="ok" if ok else "corrupt",
-            ).inc()
-            system.metrics.counter(
-                "repro_integrity_scrub_bytes_total",
-                "Bytes read by the background scrubber.",
-            ).inc(system.chunk_bytes_of(stripe_id))
+        report.bytes_scanned += nbytes
+        system.obs.scrub_chunk(self._span, stripe_id, chunk_index, node, ok, nbytes)
         if not ok:
             report.corrupt.append((stripe_id, chunk_index, node))
             logger.info(
                 "scrub found rot: %s chunk %d on node %d",
                 stripe_id, chunk_index, node,
             )
-            if system.tracer.enabled:
-                system.tracer.event(
-                    self._span,
-                    "integrity.scrub_found",
-                    stripe=stripe_id,
-                    chunk=chunk_index,
-                    node=node,
-                )
             system.quarantine_chunk(
                 stripe_id, chunk_index, node, kind="scrub"
             )
@@ -207,14 +186,8 @@ class Scrubber:
     def _finish(self) -> None:
         report = self.report
         report.finished_at = self.system.events.now
-        if self._span is not None:
-            self.system.tracer.end_span(
-                self._span,
-                chunks=report.chunks_scanned,
-                corrupt=len(report.corrupt),
-                bytes=report.bytes_scanned,
-            )
-            self._span = None
+        self.system.obs.scrub_end(self._span, report)
+        self._span = None
         logger.info(
             "scrub pass done: %d chunks, %d corrupt, %.3fs",
             report.chunks_scanned, len(report.corrupt), report.elapsed_s,

@@ -46,8 +46,7 @@ import numpy as np
 from ..faults import COMPLETED, FAILED
 from ..net.topology import DomainTree
 from ..obs.fleet import TDigest
-from ..obs.metrics import NULL_METRICS
-from ..obs.trace import NULL_TRACER
+from ..obs.observer import build_observer
 from ..recovery.orchestrator import RecoveryConfig, RecoveryOrchestrator
 from ..sim.events import EventQueue
 from .processes import SECONDS_PER_YEAR, ExponentialProcess, LifetimeProcess
@@ -157,9 +156,9 @@ class StripeTableSystem:
         self.live = [d for d in range(tree.num_disks) if not down[d]]
         self.live_mask = sum(1 << d for d in self.live)
         self.repair_model = repair_model
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.slo = slo
+        #: the orchestrator reports through it (spans keep the tracer's
+        #: own clock: a campaign binds none)
+        self.obs = build_observer(tracer=tracer, metrics=metrics, slo=slo)
         self._listeners: list = []
         self.repairs_dispatched = 0
         self.chunk_failures = 0  # chunk rebuild attempts that failed

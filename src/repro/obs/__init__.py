@@ -29,13 +29,16 @@ The measurement substrate for the whole repair path (see
   routing plan-divergence / straggler / queue-growth / regression
   signals into ``detect.*`` events, ``repro_detect_*`` metrics, and
   control hooks (watchdog early abort, detector-triggered re-plans);
+* :mod:`repro.obs.observer` — the one seam the repair path reports
+  through: fixed points fanned out to the sinks above;
 * :mod:`repro.obs.demo` — a canned traced repair with an injected hub
   crash (import it directly; it pulls in the cluster prototype).
 
-Everything here is stdlib-only.  Instrumented code paths default to the
-:data:`NULL_TRACER` / :data:`NULL_METRICS` no-op singletons; a planning
-request makes two calls against them (counted in
-``tests/obs/test_obs_counts.py``), so instrumentation stays on everywhere.
+Everything here is stdlib-only.  :func:`build_observer` makes the
+observer from whichever sinks are given; with none live it returns
+:data:`NULL_OBSERVER`, whose fixed points do nothing.  A planning request
+makes two calls against it (counted in ``tests/obs/test_obs_counts.py``),
+so instrumentation stays on everywhere.
 """
 
 from .detect import (
@@ -82,6 +85,7 @@ from .metrics import (
     NULL_METRICS,
     NullMetricsRegistry,
 )
+from .observer import NULL_OBSERVER, NullObserver, Observer, build_observer
 from .prof import EngineProfiler, RunMonitor, SiteStats, site_of
 from .slo import SLOEngine, SLORule, SLOStatus, parse_rule, parse_rules
 from .trace import NULL_SPAN, NULL_TRACER, NullTracer, Span, SpanEvent, Tracer
@@ -118,11 +122,14 @@ __all__ = [
     "NodeIdle",
     "NullFleetAggregator",
     "NullMetricsRegistry",
+    "NullObserver",
+    "Observer",
     "NULL_COUNTER",
     "NULL_FLEET",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "NULL_METRICS",
+    "NULL_OBSERVER",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",
@@ -140,6 +147,7 @@ __all__ = [
     "Tracer",
     "attribute_repair",
     "attribute_repairs",
+    "build_observer",
     "exponential_buckets",
     "parse_rule",
     "parse_rules",

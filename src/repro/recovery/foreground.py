@@ -109,8 +109,7 @@ class ForegroundTraffic:
         self._pending = 0
         self._started = False
         self._events = system.events
-        self._metrics = system.metrics
-        self._fleet = system.fleet
+        self._obs = system.obs
 
     # ------------------------------------------------------------------ #
 
@@ -218,27 +217,4 @@ class ForegroundTraffic:
         self.reads.append(read)
         if read.ok:
             self.bytes_read += read.nbytes
-        kind = "degraded" if read.degraded else "healthy"
-        if self._metrics.enabled:
-            self._metrics.counter(
-                "repro_foreground_reads_total",
-                "Foreground chunk reads issued.",
-                kind=kind,
-                ok=str(read.ok).lower(),
-            ).inc()
-            if read.ok:
-                self._metrics.counter(
-                    "repro_foreground_bytes_total",
-                    "Foreground bytes served.",
-                ).inc(read.nbytes)
-                self._metrics.histogram(
-                    "repro_foreground_latency_seconds",
-                    "Foreground read latency.",
-                    kind=kind,
-                ).observe(read.latency_s)
-        if self._fleet.enabled and read.ok:
-            self._fleet.observe(
-                "repro_foreground_latency_seconds",
-                read.latency_s,
-                kind=kind,
-            )
+        self._obs.foreground_read(read)

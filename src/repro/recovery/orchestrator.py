@@ -34,7 +34,7 @@ import logging
 from dataclasses import dataclass, field
 
 from ..cluster.system import ESCALATION_MARK
-from ..faults import COMPLETED, FAILED
+from ..faults import FAILED
 from .queue import RepairQueue, RepairTicket
 
 logger = logging.getLogger(__name__)
@@ -124,8 +124,8 @@ class RecoveryOrchestrator:
     config:
         Control-loop tunables (:class:`RecoveryConfig`).
     slo:
-        SLO engine to couple the throttle to; defaults to
-        ``system.slo``.  ``None`` disables throttling.
+        SLO engine to couple the throttle to; defaults to the system
+        observer's.  ``None`` disables throttling.
     tree, spread_level, max_per_domain:
         Domain-aware rebuild placement: a pick never puts more than
         ``max_per_domain`` chunks of a stripe into one ``spread_level``
@@ -146,7 +146,7 @@ class RecoveryOrchestrator:
     ):
         self.system = system
         self.config = config or RecoveryConfig()
-        self.slo = slo if slo is not None else system.slo
+        self.slo = slo if slo is not None else system.obs.slo
         self.queue = RepairQueue()
         self.throttle = 1.0
         self.records: list[RepairRecord] = []
@@ -180,11 +180,9 @@ class RecoveryOrchestrator:
         # the system's exposure rule, bound once: the intake and
         # reprioritise loops call it for every candidate stripe
         self._exposure = system.exposure
-        self._span = None
         self._events = system.events
-        self._tracer = system.tracer
-        self._metrics = system.metrics
-        self._gauges = None  # lazily-resolved handles; see _publish_gauges
+        self._obs = system.obs
+        self._run = None  # the observer's handle on this control loop
         system.add_failure_listener(self._on_node_failure)
 
     # ---- public surface ------------------------------------------------ #
@@ -211,13 +209,7 @@ class RecoveryOrchestrator:
         if self._started:
             return
         self._started = True
-        if self._tracer.enabled:
-            self._span = self._tracer.start_span(
-                "recovery.run",
-                kind="recovery",
-                budget_fraction=self.config.budget_fraction,
-                max_concurrent=self.config.max_concurrent,
-            )
+        self._run = self._obs.recovery_run(self.config)
         self._ensure_tick(delay=0.0)
 
     def enqueue_stripe(self, stripe_id: str) -> bool:
@@ -240,18 +232,7 @@ class RecoveryOrchestrator:
         if exposure <= 0:
             return False
         self.queue.push(stripe_id, self._events.now, exposure)
-        if self._metrics.enabled:
-            self._metrics.counter(
-                "repro_recovery_enqueued_total",
-                "Stripes entering the repair queue.",
-            ).inc()
-        if self._tracer.enabled:
-            self._tracer.event(
-                self._span,
-                "recovery.scrub_enqueue",
-                stripe=stripe_id,
-                exposure=exposure,
-            )
+        self._obs.recovery_enqueue(self._run, "scrub_enqueue", stripe_id, exposure)
         if self._started:
             self._ensure_tick(delay=0.0)
         return True
@@ -263,14 +244,7 @@ class RecoveryOrchestrator:
         # a crash can change the exposure of *queued* stripes too:
         # re-sort the whole backlog so double losses jump the line
         self.queue.reprioritise(self._exposure)
-        if self._tracer.enabled:
-            self._tracer.event(
-                self._span,
-                "recovery.failure",
-                node=node,
-                enqueued=added,
-                queue_depth=len(self.queue),
-            )
+        self._obs.recovery_failure(self._run, node, added, len(self.queue))
         if self._started:
             self._ensure_tick(delay=0.0)
 
@@ -287,11 +261,6 @@ class RecoveryOrchestrator:
                 continue
             self.queue.push(stripe_id, now, exposure)
             added += 1
-        if added and self._metrics.enabled:
-            self._metrics.counter(
-                "repro_recovery_enqueued_total",
-                "Stripes entering the repair queue.",
-            ).inc(added)
         return added
 
     # ---- control loop -------------------------------------------------- #
@@ -311,7 +280,7 @@ class RecoveryOrchestrator:
             self._was_active = True
         self._update_throttle(now)
         self._admit(now)
-        self._publish_gauges(now)
+        self._obs.recovery_tick(self, now)
         monitor = getattr(self.system, "divergence", None)
         if monitor is not None:
             # sustained queue growth (intake outrunning admission) is a
@@ -326,16 +295,11 @@ class RecoveryOrchestrator:
         elif self._was_active:
             self._was_active = False
             self.drained_at = now
-            if self._tracer.enabled:
-                self._tracer.event(
-                    self._span,
-                    "recovery.drained",
-                    repaired=len(self.records),
-                    dead_letters=len(self.dead_letters),
-                )
+            repaired, dead = len(self.records), len(self.dead_letters)
+            self._obs.recovery_drained(self._run, repaired, dead)
             logger.info(
                 "recovery drained at t=%.4fs: %d repaired, %d dead-lettered",
-                now, len(self.records), len(self.dead_letters),
+                now, repaired, dead,
             )
 
     def _update_throttle(self, now: float) -> None:
@@ -357,20 +321,8 @@ class RecoveryOrchestrator:
             self.throttle_shrinks += 1
         else:
             self.throttle_restores += 1
-        if self._tracer.enabled:
-            self._tracer.event(
-                self._span,
-                "recovery.throttle",
-                direction=direction,
-                throttle=self.throttle,
-                effective_budget=self.effective_budget(),
-            )
-        if self._metrics.enabled:
-            self._metrics.counter(
-                "repro_recovery_throttle_total",
-                "Throttle moves, by direction.",
-                direction=direction,
-            ).inc()
+        budget = self.effective_budget()
+        self._obs.recovery_throttle(self._run, direction, self.throttle, budget)
 
     def _admit(self, now: float) -> None:
         cfg = self.config
@@ -490,21 +442,7 @@ class RecoveryOrchestrator:
         self._committed += share
         self._inflight[stripe_id] = record
         self._tickets[stripe_id] = ticket
-        if self._metrics.enabled:
-            self._metrics.counter(
-                "repro_recovery_admitted_total",
-                "Stripe repairs admitted past admission control.",
-                priority_class=str(len(lost)),
-            ).inc()
-        if self._tracer.enabled:
-            self._tracer.event(
-                self._span,
-                "recovery.admit",
-                stripe=stripe_id,
-                priority_class=len(lost),
-                share=share,
-                committed=self._committed,
-            )
+        self._obs.recovery_admit(self._run, stripe_id, len(lost), share, self._committed)
         try:
             if len(lost) == 1:
                 self.system.repair_async(
@@ -589,21 +527,6 @@ class RecoveryOrchestrator:
             record.status = status
             record.verified = verified
             record.failure_reason = reason
-            if self._metrics.enabled:
-                self._metrics.counter(
-                    "repro_recovery_completed_total",
-                    "Stripe repairs reaching a terminal state.",
-                    status=status,
-                ).inc()
-                self._metrics.histogram(
-                    "repro_recovery_repair_seconds",
-                    "Admission-to-finish stripe repair time.",
-                    priority_class=str(record.priority_class),
-                ).observe(now - record.admitted_at)
-                self._metrics.counter(
-                    "repro_recovery_share_seconds_total",
-                    "Budget utilisation: granted share x occupancy.",
-                ).inc(record.share * (now - record.admitted_at))
         if status == FAILED:
             escalated = reason is not None and ESCALATION_MARK in reason
             if escalated:
@@ -616,19 +539,7 @@ class RecoveryOrchestrator:
                 self.queue.requeue(
                     ticket, max(1, self._exposure(ticket.stripe_id))
                 )
-                if self._metrics.enabled:
-                    self._metrics.counter(
-                        "repro_recovery_requeued_total",
-                        "Failed stripe repairs sent back to the queue.",
-                    ).inc()
-                if self._tracer.enabled:
-                    self._tracer.event(
-                        self._span,
-                        "recovery.requeue",
-                        stripe=ticket.stripe_id,
-                        reason=reason,
-                        attempts=ticket.attempts,
-                    )
+                self._obs.recovery_requeue(self._run, ticket, record, reason, now)
                 if record is not None:
                     self.records.append(record)
                 return
@@ -639,16 +550,7 @@ class RecoveryOrchestrator:
             )
         if record is not None:
             self.records.append(record)
-        if self._tracer.enabled:
-            self._tracer.event(
-                self._span,
-                "recovery.complete",
-                stripe=ticket.stripe_id,
-                status=status or COMPLETED,
-                verified=verified,
-                waited=record.admitted_at - ticket.enqueued_at
-                if record else 0.0,
-            )
+        self._obs.recovery_complete(self._run, ticket, record, status, verified, now)
         if status != FAILED:
             self._recheck_exposure(ticket.stripe_id, now)
 
@@ -668,18 +570,7 @@ class RecoveryOrchestrator:
         if residual <= 0:
             return
         self.queue.push(stripe_id, now, residual)
-        if self._metrics.enabled:
-            self._metrics.counter(
-                "repro_recovery_enqueued_total",
-                "Stripes entering the repair queue.",
-            ).inc()
-        if self._tracer.enabled:
-            self._tracer.event(
-                self._span,
-                "recovery.reexposed",
-                stripe=stripe_id,
-                exposure=residual,
-            )
+        self._obs.recovery_enqueue(self._run, "reexposed", stripe_id, residual)
         if self._started:
             self._ensure_tick(delay=0.0)
 
@@ -704,43 +595,3 @@ class RecoveryOrchestrator:
         self._finish(
             ticket, record, status=status, verified=verified, reason=reason
         )
-
-    # ---- gauges -------------------------------------------------------- #
-
-    def _publish_gauges(self, now: float) -> None:
-        if not self._metrics.enabled:
-            return
-        gauges = self._gauges
-        if gauges is None:
-            # resolve the label-less gauge handles once: the registry
-            # lookup (family + label-key normalisation) ran five times
-            # per control tick before, a measurable share of _tick
-            m = self._metrics
-            gauges = self._gauges = (
-                m.gauge(
-                    "repro_recovery_queue_depth",
-                    "Stripes waiting for repair.",
-                ),
-                m.gauge(
-                    "repro_recovery_queue_oldest_age_seconds",
-                    "Age of the longest-waiting queued stripe.",
-                ),
-                m.gauge(
-                    "repro_recovery_inflight",
-                    "Stripe repairs currently in flight.",
-                ),
-                m.gauge(
-                    "repro_recovery_budget_fraction",
-                    "Effective repair budget after SLO throttling.",
-                ),
-                m.gauge(
-                    "repro_recovery_budget_committed_fraction",
-                    "Budget fraction granted to in-flight repairs.",
-                ),
-            )
-        depth, oldest, inflight, budget, committed = gauges
-        depth.set(len(self.queue))
-        oldest.set(self.queue.oldest_age(now))
-        inflight.set(len(self._inflight))
-        budget.set(self.effective_budget())
-        committed.set(self._committed)

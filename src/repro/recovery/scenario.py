@@ -165,30 +165,6 @@ def run_recovery_scenario(
     # trace draws a different instant 0 and moves every pinned
     # ``recovery_campaign`` benchmark number
     snapshot = make_trace(workload, num_nodes=num_nodes, seed=seed).snapshot(0)
-    system = ClusterSystem(
-        num_nodes,
-        RSCode(n, k),
-        slice_bytes=slice_bytes,
-        tracer=tracer,
-        metrics=metrics,
-        fleet=fleet,
-    )
-    system.set_bandwidth(snapshot)
-
-    profiler = None
-    if profile:
-        profiler = EngineProfiler(track_alloc=track_alloc)
-        profiler.install(system.events)
-    monitor = None
-    if heartbeat_s is not None or progress:
-        monitor = RunMonitor(
-            interval_s=heartbeat_s if heartbeat_s is not None else 1.0,
-            progress=progress,
-            profiler=profiler,
-            until=until,
-        )
-        monitor.install(system.events)
-
     slo = None
     if slo_latency_multiple is not None:
         clean = units.transfer_seconds(
@@ -206,7 +182,30 @@ def run_recovery_scenario(
             tracer=tracer,
             metrics=metrics,
         )
-        system.slo = slo
+    system = ClusterSystem(
+        num_nodes,
+        RSCode(n, k),
+        slice_bytes=slice_bytes,
+        tracer=tracer,
+        metrics=metrics,
+        fleet=fleet,
+        slo=slo,
+    )
+    system.set_bandwidth(snapshot)
+
+    profiler = None
+    if profile:
+        profiler = EngineProfiler(track_alloc=track_alloc)
+        profiler.install(system.events)
+    monitor = None
+    if heartbeat_s is not None or progress:
+        monitor = RunMonitor(
+            interval_s=heartbeat_s if heartbeat_s is not None else 1.0,
+            progress=progress,
+            profiler=profiler,
+            until=until,
+        )
+        monitor.install(system.events)
 
     rng = np.random.default_rng(seed)
     payloads: dict[str, np.ndarray] = {}

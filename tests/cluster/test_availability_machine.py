@@ -4,9 +4,9 @@ The cluster keeps availability in three words — ``ClusterSystem.down``
 (crashed nodes), ``Master.dead`` (nodes the master believes dead) and
 ``Master.corrupt`` (quarantined chunks per stripe) — and derives every
 "who can serve / who can take work" answer from them.  This machine
-writes stripes, crashes nodes, sends heartbeats and expires leases,
-rejoins nodes, quarantines and relocates chunks, and after every step
-checks each query against a model kept as plain Python sets.
+writes and rewrites stripes, crashes nodes, sends heartbeats and expires
+leases, rejoins nodes, quarantines and relocates chunks, and after every
+step checks each query against a model kept as plain Python sets.
 """
 
 from __future__ import annotations
@@ -63,6 +63,24 @@ class AvailabilityMachine(RuleBasedStateMachine):
         chunks = np.zeros((K, 64), dtype=np.uint8)
         self.system.write_stripe(sid, chunks, placement=placement)
         self.placements[sid] = placement
+
+    @precondition(lambda self: self.placements)
+    @rule(data=st.data())
+    def rewrite_stripe(self, data):
+        """A stripe id written again starts over: no quarantine mark and
+        no stored copy of its old generation survives."""
+        up = [n for n in range(NUM_NODES) if n not in self.down]
+        if len(up) < N:
+            return
+        sid = data.draw(st.sampled_from(sorted(self.placements)))
+        placement = tuple(data.draw(st.permutations(up))[:N])
+        self.system.write_stripe(sid, np.ones((K, 64), dtype=np.uint8),
+                                 placement=placement)
+        self.placements[sid] = placement
+        self.quarantined = {(s, ci) for s, ci in self.quarantined if s != sid}
+        assert [
+            self.system.nodes[n].store.stripe_chunks(sid) for n in range(NUM_NODES)
+        ] == [[placement.index(n)] if n in placement else [] for n in range(NUM_NODES)]
 
     @rule(node=nodes)
     def crash(self, node):

@@ -18,7 +18,7 @@ import pytest
 from repro.cluster import ClusterSystem
 from repro.ec import RSCode
 from repro.faults import DEGRADED, FAILED, REPAIR_STATUSES, FaultInjector
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import FleetAggregator, MetricsRegistry, SLOEngine, Tracer, parse_rules
 
 pytestmark = pytest.mark.chaos
 
@@ -29,9 +29,9 @@ CHUNK = 16 * 1024
 ITERATIONS = int(os.environ.get("CHAOS_ITERATIONS", "200"))
 
 
-def make_system(seed, tracer=None, metrics=None):
+def make_system(seed, **sinks):
     sys_ = ClusterSystem(NUM_NODES, RSCode(14, 10), algorithm="fullrepair",
-                         slice_bytes=4096, tracer=tracer, metrics=metrics)
+                         slice_bytes=4096, **sinks)
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 256, (10, CHUNK), dtype=np.uint8)
     sys_.write_stripe("s1", data, placement=tuple(range(14)))
@@ -43,8 +43,8 @@ def make_system(seed, tracer=None, metrics=None):
     return sys_, data
 
 
-def run_one(seed, tracer=None, metrics=None):
-    sys_, data = make_system(seed, tracer=tracer, metrics=metrics)
+def run_one(seed, **sinks):
+    sys_, data = make_system(seed, **sinks)
     sys_.fail_node(FAILED_NODE)
     injector = FaultInjector.random_schedule(
         seed,
@@ -139,6 +139,51 @@ def test_tracing_does_not_perturb_outcomes():
             traced.status, traced.attempts, traced.retries, traced.replans,
             traced.elapsed_seconds, traced.bytes_received,
         )
+
+
+class _KeepsSamples(FleetAggregator):
+    """A fleet aggregator that also keeps every raw sample, by metric."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.samples: dict[str, list[float]] = {}
+
+    def observe(self, metric, value, t=None, **labels):
+        self.samples.setdefault(metric, []).append(value)
+        super().observe(metric, value, t, **labels)
+
+
+def test_end_of_repair_numbers_agree_across_sinks():
+    """With all four sinks live, the fleet and the registry read one
+    computation of each repair's time, achieved throughput and ratio to
+    t_max: a chaos repair that re-plans after a crash, then a second
+    repair on its cluster that a still-armed crash escalates."""
+    tracer, metrics = Tracer(), MetricsRegistry()
+    fleet = _KeepsSamples(window_s=1.0)
+    slo = SLOEngine(fleet, parse_rules(["p99 repro_repair_seconds < 1"]),
+                    tracer=tracer, metrics=metrics)
+    sys_, _, _, first = run_one(
+        114, tracer=tracer, metrics=metrics, fleet=fleet, slo=slo
+    )
+    second = sys_.repair("s1", FAILED_NODE, requester=REQUESTER,
+                         on_failure="outcome", store=False)
+    outcomes = [first, second]
+    assert [(o.status, o.replans > 0, o.verified) for o in outcomes] == [
+        ("completed", True, True), ("escalated", True, True),
+    ]
+
+    seconds = fleet.samples["repro_repair_seconds"]
+    assert seconds == [o.elapsed_seconds for o in outcomes]
+    histogram = metrics.get("repro_repair_seconds")
+    assert (histogram.count, histogram.sum) == (2, sum(seconds))
+    for name in ("repro_achieved_mbps", "repro_throughput_ratio"):
+        assert len(fleet.samples[name]) == 2
+        assert metrics.get(name).value == fleet.samples[name][-1]
+    assert fleet.samples["repro_throughput_ratio"][-1] == pytest.approx(
+        fleet.samples["repro_achieved_mbps"][-1]
+        / metrics.get("repro_t_max_mbps").value
+    )
+    assert slo.status() == {"repro_repair_seconds": True}  # evaluated at repair end
 
 
 def test_chaos_outcomes_are_mostly_recoverable():

@@ -65,6 +65,16 @@ class TestRepairMulti:
         with pytest.raises(ValueError, match="must have failed"):
             sys_.repair_multi("s1", (0, 1), {0: 10, 1: 11})
 
+    def test_node_outside_the_placement_rejected(self, snapshot):
+        # after the stripe moved to nodes 4-12, node 3 holds none of it:
+        # a bad argument like any other, not a lookup error
+        sys_, data = build()
+        sys_.set_bandwidth(snapshot)
+        sys_.write_stripe("s1", data, placement=tuple(range(4, 13)))
+        sys_.fail_node(3)
+        with pytest.raises(ValueError, match="node 3 holds no chunk of s1"):
+            sys_.repair_multi("s1", (3,), {3: 0})
+
     def test_requester_in_stripe_rejected(self, snapshot):
         sys_, _ = build()
         sys_.set_bandwidth(snapshot)

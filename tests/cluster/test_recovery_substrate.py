@@ -326,7 +326,7 @@ class TestRepairMultiStall:
         assert sys_.master.stripe("a").placement == (0, 1, 2, 3, 4)
         assert sys_._assemblies == {}
         assert sys_._wire_assembly == {}
-        assert sys_._pipeline_spans == {}
+        assert sys_.obs._pipeline_spans == {} and sys_.obs._open == {}
         assert [s.name for s in tracer.spans() if s.end is None] == []
 
     def test_a_starved_chunk_fails_while_its_sibling_settles(self):

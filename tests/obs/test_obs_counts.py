@@ -12,10 +12,10 @@ by a factor of the slice count, and one that meets it by dropping spans
 trips the span-count identity.
 
 Live sinks only observe: the traced repair takes the same simulated time
-and events as an untraced twin.  With observability off — the NULL sinks
-every caller defaults to — one planning request makes a fixed, small
-number of obs calls, counted the same way, and no no-op primitive keeps
-memory alive from one call to the next.
+and events as an untraced twin.  With observability off — the NULL
+observer every caller defaults to — one planning request makes a fixed,
+small number of observer calls, counted the same way, and no no-op
+primitive keeps memory alive from one call to the next.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ from repro.ec import RSCode
 from repro.net import BandwidthSnapshot
 from repro.obs import (
     NULL_COUNTER,
+    FleetAggregator,
     NULL_FLEET,
     NULL_METRICS,
-    NULL_SPAN,
+    NULL_OBSERVER,
     NULL_TRACER,
     MetricsRegistry,
-    NullMetricsRegistry,
-    NullTracer,
+    NullObserver,
+    Observer,
     Tracer,
 )
 from repro.repair import get_algorithm
@@ -173,7 +174,24 @@ def test_live_sinks_only_observe_the_repair():
     assert list(live.tracer.spans()) and not list(null.tracer.spans())
 
 
-#: The no-op calls instrumented code makes when observability is off.
+def _fixed_points() -> list[str]:
+    """The observer's public methods: every fixed point of the seam."""
+    return sorted(
+        name for name, attr in vars(Observer).items()
+        if callable(attr) and not name.startswith("_")
+    )
+
+
+def test_the_send_hook_needs_the_tracer_or_the_registry():
+    """A fleet alone makes the observer live, but the per-slice send hook
+    stays off: nothing it records would be read."""
+    system = ClusterSystem(NUM_NODES, RSCode(N, K), fleet=FleetAggregator())
+    assert system.obs is not NULL_OBSERVER
+    assert all(node.on_transfer is None for node in system.nodes)
+
+
+#: The no-op calls instrumented code makes when observability is off:
+#: every fixed point of the NULL observer, and the NULL sinks beneath it.
 NULL_PRIMITIVES = {
     "event": lambda: NULL_TRACER.event(None, "x", a=1),
     "span_pair": lambda: NULL_TRACER.end_span(NULL_TRACER.start_span("x", a=1)),
@@ -181,7 +199,23 @@ NULL_PRIMITIVES = {
     "counter_factory_inc": lambda: NULL_METRICS.counter("repro_x_total", "h", l="v").inc(),
     "fleet_observe": lambda: NULL_FLEET.observe("repro_x", 1.0, algorithm="a"),
     "enabled_check": lambda: NULL_TRACER.enabled,
+    **{
+        f"observer.{name}": (
+            lambda name=name: getattr(NULL_OBSERVER, name)(None, "x", 1, a=1)
+        )
+        for name in _fixed_points()
+    },
 }
+
+
+def test_the_null_observer_skips_every_fixed_point():
+    """A fixed point the NULL observer forgot would run the live fan-out
+    (against NULL sinks) on every call of every unobserved system."""
+    points = _fixed_points()
+    assert len(points) >= 30  # the gate has teeth
+    assert all(
+        getattr(NullObserver, name) is NullObserver._nothing for name in points
+    )
 
 
 @pytest.mark.parametrize("primitive", list(NULL_PRIMITIVES))
@@ -201,41 +235,31 @@ def test_null_primitive_retains_nothing(primitive):
     assert retained < calls
 
 
-class _CountingNullTracer(NullTracer):
-    """The NULL tracer (``enabled`` stays False, so guarded calls are
-    skipped as by default) tallying every call it receives."""
+class _CountingNullObserver(NullObserver):
+    """The NULL observer naming every fixed point it is called at."""
 
-    calls = 0
-
-    def _tally(self, *args, **kwargs):
-        self.calls += 1
-        return NULL_SPAN
-
-    start_span = end_span = record_span = record_transfer = event = set_attrs = _tally
+    def __init__(self):
+        super().__init__()
+        self.calls: list[str] = []
 
 
-class _CountingNullMetrics(NullMetricsRegistry):
-    """The NULL registry tallying every factory call and every call on the
-    metric it hands back (itself)."""
-
-    calls = 0
-
-    def _tally(self, *args, **kwargs):
-        self.calls += 1
-        return self
-
-    counter = gauge = histogram = inc = set = observe = _tally
+for _name in _fixed_points():
+    setattr(
+        _CountingNullObserver, _name,
+        lambda self, *args, _name=_name, **kwargs: self.calls.append(_name),
+    )
 
 
 def test_one_planning_request_makes_two_null_obs_calls():
     """``plan_for_context`` + ``compile_tasks`` with observability off: one
-    plan-cache lookup counter and its increment, no tracer call at all."""
+    plan-cache lookup and one compiled-tasks point on the NULL observer,
+    within the budget of two calls."""
     master = Master(RSCode(N, K), get_algorithm("fullrepair"), N + 2)
     master.plan_cache = PlanCache(max_entries=16)
-    master.tracer, master.metrics = _CountingNullTracer(), _CountingNullMetrics()
+    master.obs = _CountingNullObserver()
     # helpers 1..N-1 hold chunks 0..N-2; the lost chunk N-1 lived on node N
     master.register_stripe(StripeLocation("s0", placement=tuple(range(1, N + 1))))
     plan = master.plan_for_context(make_fixed_context(N, K, seed=2023))
     master.compile_tasks(plan, "s0", N - 1, chunk_bytes=1 << 20, num_slices=16,
                          repair_id="s0/nX")
-    assert (master.tracer.calls, master.metrics.calls) == (0, 2)
+    assert master.obs.calls == ["plan_cache", "tasks_compiled"]
