@@ -38,170 +38,28 @@ Beyond the paper's single-chunk scenario the prototype also supports:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
 from ..core.fullnode import StripeRepairSpec, plan_full_node_repair
 from ..ec.rs import RSCode
-from ..faults import COMPLETED, DEGRADED, ESCALATED, FAILED
+from ..faults import COMPLETED, DEGRADED, FAILED
 from ..integrity.digest import slice_checksum
 from ..integrity.verify import audit_stripe
 from ..net import units
 from ..net.bandwidth import BandwidthSnapshot, RepairContext
 from ..obs import build_observer
 from ..repair.base import RepairAlgorithm, get_algorithm
-from ..repair.plan import RepairPlan
 from ..repair.recovery import uncovered_intervals
 from ..sim.events import EventQueue
 from ..sim.transfer import COMPUTE_S_PER_BYTE, DISPATCH_LATENCY_S
 from .datanode import DataNode
-from .master import DeadNodeError, Master, RepairImpossibleError, StripeLocation, bits
+from .attempt import ESCALATION_MARK, Assembly, ChunkGroup, Heartbeats, RepairOutcome
+from .master import Master, StripeLocation, bits
 from .messages import BandwidthReport, SliceData, TransferTask
 
 log = logging.getLogger("repro.cluster.system")
-
-#: ``failure_reason`` text of a non-blocking repair bounced back because a
-#: second chunk was lost mid-repair; the recovery orchestrator matches it
-#: to requeue the stripe without charging its retry allowance
-ESCALATION_MARK = "multi-chunk repair required"
-
-
-@dataclass
-class RepairOutcome:
-    """Result of one end-to-end chunk repair.
-
-    Attributes
-    ----------
-    status:
-        Terminal verdict (see :mod:`repro.faults`): ``completed`` (the
-        planned algorithm finished, possibly after re-plans), ``degraded``
-        (finished via a ladder rung — helper promotion or star fallback),
-        ``escalated`` (a second chunk was lost mid-repair; finished
-        through the multi-chunk path), or ``failed`` (explicit failure
-        verdict — never silent corruption).
-    retries:
-        Attempts aborted by the progress watchdog (re-dispatches).
-    replans:
-        Plans computed after the first (full re-plans and promotions).
-    bytes_retransferred:
-        Payload bytes received at the requester whose byte ranges never
-        completed in their attempt and had to be repaired again.
-    corruption_detected:
-        Silent corruption was caught somewhere in this repair — a
-        helper chunk failing its digest, a wire slice failing its
-        checksum, a torn write caught on readback, or a post-repair
-        parity verification failure.
-    quarantined_chunks:
-        Stripe chunk indices this repair proved corrupt and quarantined.
-    """
-
-    plan: RepairPlan | None
-    rebuilt: np.ndarray | None
-    elapsed_seconds: float
-    bytes_received: int
-    verified: bool
-    attempts: int = 1
-    status: str = COMPLETED
-    retries: int = 0
-    replans: int = 0
-    bytes_retransferred: int = 0
-    failure_reason: str | None = None
-    corruption_detected: bool = False
-    quarantined_chunks: tuple = ()
-
-
-@dataclass
-class _Assembly:
-    """Requester-side reassembly of one failed chunk, across attempts."""
-
-    stripe_id: str
-    repair_id: str
-    requester: int
-    chunk_bytes: int
-    failed_node: int = -1
-    #: chunk index lost on failed_node, resolved at dispatch — the live
-    #: placement may have relocated it by the time the repair settles
-    #: (a degraded read racing the orchestrator on the same chunk)
-    lost_chunk: int = -1
-    #: pipeline key -> bitmask of the sender nodes expected to deliver
-    #: that range (bit ``n`` for node ``n``)
-    expected: dict[int, int] = field(default_factory=dict)
-    #: pipeline key -> bytes of its range not yet decode-complete
-    outstanding: dict[int, int] = field(default_factory=dict)
-    #: pipeline key -> {(lo, hi): bitmask of sources arrived} per slice range
-    slice_arrivals: dict[int, dict] = field(default_factory=dict)
-    #: byte ranges with every contribution folded in (decode-correct),
-    #: accumulated across attempts — the complement is the remainder
-    completed: list = field(default_factory=list)
-    done_bytes: int = 0
-    buffer: np.ndarray = field(repr=False, default=None)
-    received: int = 0
-    last_arrival: float = 0.0
-    # ---- recovery state (single-chunk repair path only) --------------- #
-    plan: RepairPlan | None = None
-    attempt: int = 0
-    retries: int = 0
-    replans: int = 0
-    bytes_retransferred: int = 0
-    wire_id: str = ""
-    failure_reason: str | None = None
-    escalate: bool = False
-    degraded: bool = False
-    timer: object = None
-    armed_timeout: float = 0.0
-    timer_mark: int = -1
-    max_attempts: int = 3
-    watchdog: bool = False
-    # ---- divergence-detector sampler (DivergenceMonitor wired only) --- #
-    detect_timer: object = None
-    detect_period_s: float = 0.0
-    detect_mark: int = 0
-    detect_mark_t: float = 0.0
-    #: participant node -> uplink busy seconds at the previous tick
-    detect_busy: dict = field(default_factory=dict)
-    # ---- integrity state ---------------------------------------------- #
-    corruption_detected: bool = False
-    #: stripe chunk indices this repair proved corrupt and quarantined
-    quarantined: list = field(default_factory=list)
-    #: post-repair parity verification verdict (None = not verifiable)
-    integrity_ok: bool | None = None
-    #: attempt number the completed-buffer verification last ran for
-    #: (guards against re-verifying on _finish_assembly re-entry)
-    integrity_attempt: int = -1
-    # ---- non-blocking dispatch (orchestrator path) -------------------- #
-    #: terminal callback fired exactly once with the assembly itself
-    on_done: object = None
-    store: bool = True
-    start_time: float = 0.0
-    #: fraction of cluster bandwidth this repair (and its re-plans) may use
-    bandwidth_scale: float = 1.0
-    # ---- the observer's handles (None / NULL_SPAN when tracing is off) - #
-    span: object = None
-    attempt_span: object = None
-    #: per node (uplink, downlink) busy seconds at open (metrics live only)
-    busy_before: list | None = None
-
-    @property
-    def complete(self) -> bool:
-        return self.done_bytes >= self.chunk_bytes
-
-    @property
-    def failed(self) -> bool:
-        return self.failure_reason is not None
-
-    @property
-    def running(self) -> bool:
-        """A watchdog repair not yet complete, failed or escalated — the
-        only kind a crash or a timeout acts on."""
-        return self.watchdog and not (self.complete or self.failed or self.escalate)
-
-    def plan_participants(self) -> tuple[int, ...]:
-        if self.plan is None:
-            return ()
-        return tuple(
-            sorted({c for p in self.plan.pipelines for c in p.participants})
-        )
 
 
 class ClusterSystem:
@@ -255,21 +113,19 @@ class ClusterSystem:
         #: node mask of the crashed nodes (the truth; ``master.dead`` is
         #: the master's belief); only :meth:`fail_node` writes it
         self.down = 0
-        self._assemblies: dict[str, _Assembly] = {}
+        self._assemblies: dict[str, Assembly] = {}
         #: wire id (repair id or per-attempt epoch) -> live assembly
-        self._wire_assembly: dict[str, _Assembly] = {}
+        self._wire_assembly: dict[str, Assembly] = {}
         #: wire ids of aborted attempts; their in-flight slices are
         #: silently dropped instead of corrupting the new attempt's state
         self._retired: set[str] = set()
         self._stripe_sizes: dict[str, int] = {}
-        self._heartbeat_on = False
-        self._heartbeat_period_s = 0.05
-        self._heartbeat_pending = False
+        self.heartbeats = Heartbeats(self)
         #: callbacks fired (with the node id) whenever a node crashes —
         #: how the recovery orchestrator learns of new failures
         self._failure_listeners: list = []
         #: monotone suffix source keeping async repair ids collision-free
-        self._async_seq = 0
+        self._repair_seq = count(1)
 
     tracer = property(lambda self: self.obs.tracer)
     metrics = property(lambda self: self.obs.metrics)
@@ -402,22 +258,13 @@ class ClusterSystem:
                 and node != asm.failed_node
                 and node not in asm.plan_participants()
             ):
-                self._escalate(
-                    asm, node=node, reason="second chunk lost mid-repair"
-                )
+                asm.escalate(node=node, reason="second chunk lost mid-repair")
         listeners = list(self._failure_listeners)
         profiler = self.events.profiler
         if profiler is not None:
             profiler.record_fanout("failure_listeners", len(listeners))
         for listener in listeners:
             listener(node)
-
-    def _escalate(self, asm: _Assembly, **attrs) -> None:
-        """End a watchdog repair that lost a second chunk: its caller
-        restarts it through the multi-chunk path."""
-        asm.escalate = True
-        self.obs.escalate(asm, **attrs)
-        self._finish_assembly(asm, retire=True)
 
     def add_failure_listener(self, callback) -> None:
         """Register ``callback(node)`` to run whenever a node crashes.
@@ -520,8 +367,7 @@ class ClusterSystem:
         itself: the next report from a live node rejoins it.
         """
         self.master.configure_lease(period_s)
-        self._heartbeat_on = True
-        self._heartbeat_period_s = period_s
+        self.heartbeats.period_s = period_s
 
     def stripes_on(self, node: int) -> list[str]:
         """Stripe ids that placed a chunk on the given node."""
@@ -613,12 +459,12 @@ class ClusterSystem:
             f"on node {node}"
         )
         if asm.watchdog:
-            self._abort_attempt(asm, reason)
+            asm.abort(reason)
             return
         # an unwatched chunk has no next attempt: the helper's pipelines
         # can never finish, so the chunk fails now and its wire retires
         asm.failure_reason = reason
-        self._finish_assembly(asm, retire=True)
+        asm.finish(retire=True)
 
     def _on_bad_slice(self, dest: int, data: SliceData) -> None:
         """An in-flight slice failed its checksum at the receiving hop."""
@@ -640,7 +486,7 @@ class ClusterSystem:
         # a refused retransmit leaves the range incomplete; the progress
         # watchdog aborts and re-plans the remainder
 
-    def _audit(self, asm: _Assembly):
+    def _audit(self, asm: Assembly):
         """The audit-and-quarantine loop of both repair families (each
         judges the returned ``AuditReport`` by its own rule): digest-scan
         the stored chunks, parity-audit the rebuilt buffer, quarantine
@@ -679,65 +525,6 @@ class ClusterSystem:
                     asm.quarantined.append(ci)
             asm.corruption_detected = True
         return report
-
-    def _verify_completed(self, asm: _Assembly) -> bool:
-        """Post-repair verification of a completed watchdog assembly.
-
-        True — the assembly is terminal (verified clean, healed from
-        surplus parity, or explicitly failed); False — the rebuilt bytes
-        were poisoned, the culprit is quarantined, and a fresh attempt
-        has been scheduled over the remaining helpers.
-        """
-        report = self._audit(asm)
-        if report.ok:
-            asm.integrity_ok = True
-            self.obs.verification(asm, "ok", report)
-            return True
-        if report.ok is None:
-            # too few clean chunks survive to check anything
-            asm.integrity_ok = None
-            self.obs.verification(asm, "unverifiable", report)
-            return True
-        if report.rebuilt_ok:
-            # rot exists at rest but the culprit never fed this repair:
-            # the rebuilt value checks out against the clean chunks
-            asm.integrity_ok = True
-            self.obs.verification(asm, "corrupt-helper", report)
-            return True
-        if report.culprits and asm.attempt < asm.max_attempts:
-            # the rebuilt bytes are poisoned: scrub everything and
-            # repair again with the quarantined culprit excluded
-            self.obs.verification(asm, "retry", report)
-            log.debug(
-                "%s: rebuilt chunk failed verification (culprits %s); "
-                "re-repairing", asm.repair_id, list(report.culprits),
-            )
-            if asm.timer is not None:
-                self.events.cancel(asm.timer)
-                asm.timer = None
-            asm.bytes_retransferred += asm.done_bytes
-            asm.buffer[:] = 0
-            asm.completed = []
-            asm.done_bytes = 0
-            self._abort_attempt(
-                asm, "rebuilt chunk failed integrity verification"
-            )
-            return False
-        if report.predicted is not None:
-            # attempts exhausted (or no culprit among stored chunks) but
-            # the surplus parity pins the true value: heal in place
-            asm.buffer[:] = report.predicted
-            asm.integrity_ok = True
-            asm.degraded = True
-            self.obs.healed(asm)
-            self.obs.verification(asm, "healed", report)
-            return True
-        asm.failure_reason = (
-            "rebuilt chunk failed integrity verification and the "
-            "corruption could not be localized"
-        )
-        self.obs.verification(asm, "failed", report)
-        return True
 
     # ---- repair ------------------------------------------------------- #
 
@@ -794,7 +581,7 @@ class ClusterSystem:
             max_attempts=max_attempts,
         )
         self.events.run()
-        outcome = self._settle_outcome(asm, drained=True)
+        outcome = asm.settle(drained=True)
         if outcome.status == FAILED and on_failure == "raise":
             raise RuntimeError(
                 f"repair of {stripe_id} failed after {outcome.attempts} "
@@ -841,9 +628,8 @@ class ClusterSystem:
         that never completes (a helper crashed mid-transfer) comes back
         ``failed`` while its siblings still settle.
         """
-        plans = self._plan_multi(stripe_id, failed_nodes, requester_for)
-        return self._run_group(
-            [(f, plan, stripe_id, f, requester_for[f]) for f, plan in plans.items()]
+        return ChunkGroup.run(
+            self, self._plan_multi(stripe_id, failed_nodes, requester_for)
         )
 
     def repair_node(
@@ -890,11 +676,20 @@ class ClusterSystem:
         )
         outcomes: dict[str, RepairOutcome] = {}
         for batch in node_plan.batches:
-            outcomes.update(self._run_group([
+            outcomes.update(ChunkGroup.run(self, [
                 (sid, node_plan.plans[sid], sid, failed_node, requester_for[sid])
                 for sid in batch
             ]))
         return outcomes
+
+    def _check_lost(self, stripe_id: str, node: int) -> None:
+        """Every repair entry point's check of a failed node: ``ValueError``
+        unless it holds a chunk of the stripe that cannot serve."""
+        loc = self.master.stripe(stripe_id)
+        if node not in loc.placement:
+            raise ValueError(f"node {node} holds no chunk of {stripe_id}")
+        if self.can_serve(stripe_id, loc.chunk_on(node), node):
+            raise ValueError(f"node {node} must have failed to be repaired")
 
     # ---- non-blocking dispatch (recovery-orchestrator substrate) ------ #
 
@@ -905,8 +700,9 @@ class ClusterSystem:
         requester_for: dict[int, int],
         *,
         bandwidth_scale: float = 1.0,
-    ) -> dict[int, RepairPlan]:
-        """Validate a multi-chunk repair and plan each lost chunk.
+    ) -> list[tuple]:
+        """Validate a multi-chunk repair and plan each lost chunk: one
+        :class:`ChunkGroup` job per chunk, in listed order.
 
         Fair split: every concurrent repair plans inside a 1/m share of
         each node's bandwidth (an algorithm like FullRepair consumes
@@ -918,12 +714,7 @@ class ClusterSystem:
         loc = self.master.stripe(stripe_id)
         failed_nodes = tuple(failed_nodes)
         for f in failed_nodes:
-            if f not in loc.placement:
-                raise ValueError(f"node {f} holds no chunk of {stripe_id}")
-        if any(
-            self.can_serve(stripe_id, loc.chunk_on(f), f) for f in failed_nodes
-        ):
-            raise ValueError("all listed nodes must have failed")
+            self._check_lost(stripe_id, f)
         if len(failed_nodes) > self.code.n - self.code.k:
             raise ValueError(
                 f"an ({self.code.n},{self.code.k}) stripe tolerates at most "
@@ -945,7 +736,7 @@ class ClusterSystem:
             uplink=snapshot.uplink * factor,
             downlink=snapshot.downlink * factor,
         )
-        plans: dict[int, RepairPlan] = {}
+        jobs = []
         for f in failed_nodes:
             context = RepairContext(
                 snapshot=share,
@@ -956,8 +747,8 @@ class ClusterSystem:
             )
             plan = self.master.algorithm.plan(context)
             plan.validate()
-            plans[f] = plan
-        return plans
+            jobs.append((f, plan, stripe_id, f, requester_for[f]))
+        return jobs
 
     def repair_async(
         self,
@@ -992,7 +783,7 @@ class ClusterSystem:
         """
         asm = self._open_repair(
             stripe_id, failed_node, requester,
-            on_done=lambda asm, cb=on_done: cb(self._settle_outcome(asm)),
+            on_done=lambda asm: on_done(asm.settle()),
             store=store,
             max_attempts=max_attempts,
             bandwidth_scale=bandwidth_scale,
@@ -1010,24 +801,21 @@ class ClusterSystem:
         injector=None,
         on_done=None,
         **budget,
-    ) -> _Assembly:
+    ) -> Assembly:
         """Open a watchdog repair: validate, arm faults, start attempt 1.
 
         The one set-up behind :meth:`repair` and :meth:`repair_async`.
         ``budget`` is empty or ``bandwidth_scale=...``; it reaches both
         the assembly and the repair span's attributes.
         """
-        lost_chunk = self.master.stripe(stripe_id).chunk_on(failed_node)
-        if self.can_serve(stripe_id, lost_chunk, failed_node):
-            raise ValueError(f"node {failed_node} has not failed")
+        self._check_lost(stripe_id, failed_node)
         if self.down >> requester & 1:
             raise ValueError("requester node is down")
         repair_id = f"{stripe_id}/n{failed_node}"
         if on_done is not None:
             # non-blocking: unique per call, so concurrent repairs of one
             # chunk (a degraded read racing the orchestrator) never collide
-            self._async_seq += 1
-            repair_id += f"@a{self._async_seq}"
+            repair_id += f"@a{next(self._repair_seq)}"
         if injector is not None:
             injector.arm(self)
         asm = self._open_assembly(
@@ -1036,19 +824,20 @@ class ClusterSystem:
             watchdog=True,
             store=store,
             on_done=on_done,
-            **budget,
         )
-        self._start_attempt(asm)
+        asm.start()
         return asm
 
     def _open_assembly(
         self, stripe_id: str, failed_node: int, requester: int,
-        repair_id: str, span_attrs: dict, **fields,
-    ) -> _Assembly:
+        repair_id: str, attrs: dict, **fields,
+    ) -> Assembly:
         """Register a fresh assembly of the chunk ``failed_node`` lost and
-        open its repair span: the set-up both repair families share."""
+        open its repair span with ``attrs`` (a ``bandwidth_scale`` among
+        them is the budget): the set-up both repair families share."""
         chunk_bytes = self._stripe_sizes[stripe_id]
-        asm = _Assembly(
+        asm = Assembly(
+            system=self,
             stripe_id=stripe_id,
             repair_id=repair_id,
             requester=requester,
@@ -1057,44 +846,14 @@ class ClusterSystem:
             lost_chunk=self.master.stripe(stripe_id).chunk_on(failed_node),
             buffer=np.zeros(chunk_bytes, dtype=np.uint8),
             start_time=self.events.now,
+            bandwidth_scale=attrs.get("bandwidth_scale", 1.0),
             **fields,
         )
         self._assemblies[repair_id] = asm
-        self.obs.repair_open(asm, self.master.algorithm.name, span_attrs)
+        self.obs.repair_open(asm, self.master.algorithm.name, attrs)
         return asm
 
-    def _settle_outcome(
-        self, asm: _Assembly, *, drained: bool = False
-    ) -> RepairOutcome:
-        """Close a terminal watchdog repair and settle it: the tail of
-        :meth:`repair` (``drained``) and of :meth:`repair_async`.
-
-        An escalated repair restarts through :meth:`repair_multi` once
-        the queue has drained; inside a run, which cannot nest, it is
-        bounced back ``failed`` with :data:`ESCALATION_MARK`.
-        """
-        self._close_assembly(asm, drained=drained)
-        if asm.escalate and drained:
-            outcome = self._finish_escalated(asm)
-        elif asm.escalate:
-            outcome = self._failed_outcome(
-                asm, f"second chunk lost mid-repair; {ESCALATION_MARK}"
-            )
-        elif not asm.complete or asm.failed:
-            outcome = self._failed_outcome(
-                asm, asm.failure_reason or "repair did not complete"
-            )
-        else:
-            outcome = self._persist_outcome(asm)
-            if not outcome.verified and asm.integrity_ok is True:
-                # the "original" on the failed/quarantined node was itself
-                # rotten (or gone): parity verification over the clean
-                # stored chunks proved the rebuilt value correct
-                outcome.verified = True
-        self.obs.repair_end(asm, outcome, self.master.algorithm.name)
-        return outcome
-
-    def _persist_outcome(self, asm: _Assembly) -> RepairOutcome:
+    def _persist_outcome(self, asm: Assembly) -> RepairOutcome:
         """The settle tail both repair families share: persist the rebuilt
         chunk at the requester (``asm.store`` only) with a torn-write
         readback, relocate it there, and set ``verified`` to its equality
@@ -1117,8 +876,7 @@ class ClusterSystem:
                 store.put(sid, lost, rebuilt)
             self.master.relocate_chunk(sid, lost, asm.requester)
         oracle = self.nodes[asm.failed_node].store
-        return self._outcome(
-            asm,
+        return asm.outcome(
             asm.last_arrival,
             rebuilt=rebuilt,
             verified=oracle.has(sid, lost)
@@ -1148,442 +906,26 @@ class ClusterSystem:
         an orchestrator can re-queue them.
         (DESIGN.md, "Repair entry points", tabulates all five calls.)
         """
-        plans = self._plan_multi(
+        jobs = self._plan_multi(
             stripe_id, failed_nodes, requester_for,
             bandwidth_scale=bandwidth_scale,
         )
-        return self._run_chunk_group(
-            [(f, plan, stripe_id, f, requester_for[f]) for f, plan in plans.items()],
-            on_done,
-            deadline_s,
-        )[0]
+        return ChunkGroup(self, jobs, on_done, deadline_s).suffix
 
-    def _run_chunk_group(self, jobs: list, on_done, deadline_s=None):
-        """The one executor behind :meth:`repair_multi`,
-        :meth:`repair_node` and :meth:`repair_multi_async`.
+    # ---- routing: wire epochs --------------------------------------- #
 
-        Opens an unwatched repair per ``(key, plan, stripe_id,
-        failed_node, requester)`` job and settles each chunk through
-        :meth:`_settle_planned` as it assembles; ``on_done(outcomes)``
-        fires once, keyed in job order, after the last.  Returns the
-        group's repair-id suffix and ``close(reason)``, which fails every
-        chunk still open with ``reason(assembly)`` and reports; the
-        ``deadline_s`` timer calls it too.
-        """
-        self._async_seq += 1
-        group = f"@m{self._async_seq}"
-        outcomes = dict.fromkeys(job[0] for job in jobs)
-        pending: dict = {}
-        timer = None
-
-        def report() -> None:
-            if timer is not None:
-                self.events.cancel(timer)
-            on_done(outcomes)
-
-        def settle(key, asm: _Assembly) -> None:
-            outcomes[key] = self._settle_planned(asm)
-            self._close_assembly(asm)
-            del pending[key]
-            if not pending:
-                report()
-
-        def close(reason) -> None:
-            if not pending:
-                return
-            for key, asm in pending.items():
-                self._retire_attempt(asm)
-                self._close_assembly(asm)
-                outcomes[key] = self._failed_outcome(asm, reason(asm))
-            pending.clear()
-            report()
-
-        for key, plan, stripe_id, failed_node, requester in jobs:
-            pending[key] = self._open_planned_repair(
-                plan, stripe_id, failed_node, requester,
-                f"{stripe_id}/n{failed_node}{group}",
-                lambda asm, k=key: settle(k, asm),
-            )
-        if deadline_s is not None:
-            missed = f"multi-chunk repair missed its {deadline_s:g}s deadline"
-            timer = self.events.schedule(
-                deadline_s, lambda: close(lambda asm: missed)
-            )
-        return group, close
-
-    def _run_group(self, jobs: list) -> dict:
-        """Run one chunk group on a queue this call owns, to the end.
-
-        Once the queue has drained, a chunk still open can never
-        complete (a helper crashed mid-transfer): it comes back
-        ``failed`` and the outcomes of its siblings stand.
-        """
-        outcomes: dict = {}
-        _, close = self._run_chunk_group(jobs, outcomes.update)
-        self.events.run()
-        close(
-            lambda asm: f"batched repair incomplete: {asm.received} of "
-            f"{asm.chunk_bytes} bytes arrived"
-        )
-        return outcomes
-
-    def _open_planned_repair(
-        self,
-        plan: RepairPlan,
-        stripe_id: str,
-        failed_node: int,
-        requester: int,
-        repair_id: str,
-        on_done,
-    ) -> _Assembly:
-        """Open an unwatched repair of one chunk along a ready-made plan.
-
-        The one dispatch behind :meth:`_run_chunk_group`: a single
-        attempt, no watchdog, no re-plan.  ``on_done(assembly)`` fires
-        when the chunk assembles, or fails on a rotten helper chunk.
-        """
-        asm = self._open_assembly(
-            stripe_id, failed_node, requester, repair_id,
-            {"t_max_mbps": float(plan.total_rate)},
-            plan=plan, attempt=1, on_done=on_done,
-        )
-        self._dispatch_tasks(asm, repair_id)
-        return asm
-
-    def _settle_planned(self, asm: _Assembly) -> RepairOutcome:
-        """Settle a completed unwatched chunk: audit, then the shared
-        persist tail.  Detect-only: a failed audit that cannot vouch for
-        the rebuilt bytes is an explicit failed verdict — the caller
-        re-dispatches; nothing is healed or re-repaired here.  A chunk
-        that failed before assembling (a rotten helper chunk) comes back
-        ``failed`` unaudited."""
-        if asm.failed:
-            return self._failed_outcome(asm, asm.failure_reason)
-        report = self._audit(asm)
-        if report.ok is False:
-            self.obs.verification(asm, "ok" if report.rebuilt_ok else "failed")
-            if not report.rebuilt_ok:
-                return self._failed_outcome(
-                    asm,
-                    "rebuilt chunk failed integrity verification",
-                    end=asm.last_arrival,
-                )
-        outcome = self._persist_outcome(asm)
-        oracle = self.nodes[asm.failed_node].store
-        sid, lost = asm.stripe_id, asm.lost_chunk
-        if not outcome.verified and not (
-            oracle.has(sid, lost) and oracle.verify(sid, lost)
-        ):
-            # the oracle copy is itself rotten (scrub-repair, or rot then
-            # crash) or gone; the parity audit is the only ground truth left
-            outcome.verified = True
-        return outcome
-
-    def _failed_outcome(
-        self, asm: _Assembly, reason: str, *, end: float | None = None
-    ) -> RepairOutcome:
-        """The one explicit ``failed`` verdict, read off the assembly.
-
-        The repair ran from ``asm.start_time`` to ``end`` (now, when
-        unset).
-        """
-        return self._outcome(
-            asm,
-            self.events.now if end is None else end,
-            status=FAILED,
-            failure_reason=reason,
-        )
-
-    def _outcome(self, asm: _Assembly, end: float, **verdict) -> RepairOutcome:
-        """The one :class:`RepairOutcome` builder: every field read off
-        the assembly of a repair that ran from ``asm.start_time`` to
-        ``end``, then overridden by ``verdict``."""
-        fields = dict(
-            plan=asm.plan,
-            rebuilt=None,
-            elapsed_seconds=end - asm.start_time,
-            bytes_received=asm.received,
-            verified=False,
-            attempts=max(asm.attempt, 1),
-            retries=asm.retries,
-            replans=asm.replans,
-            bytes_retransferred=asm.bytes_retransferred,
-            corruption_detected=asm.corruption_detected,
-            quarantined_chunks=tuple(sorted(asm.quarantined)),
-        )
-        fields.update(verdict)
-        return RepairOutcome(**fields)
-
-    # ---- self-healing attempt state machine --------------------------- #
-
-    def _start_attempt(self, asm: _Assembly) -> None:
-        """Plan and dispatch one attempt over the unfinished remainder."""
-        if not asm.running:
+    def _retire_wire(self, wire: str) -> None:
+        """Retire an attempt's wire id, if it has one: nodes stop sending,
+        in-flight slices of the old epoch are dropped on delivery."""
+        if not wire:
             return
-        # dispatch-time liveness probe: the master checks the placement
-        # (and the requester) before planning, so crashed nodes are
-        # declared dead without waiting for a lease to expire
-        unseen = self.down & ~self.master.dead
-        for n in (*self.master.stripe(asm.stripe_id).placement, asm.requester):
-            if unseen >> n & 1:
-                self.master.mark_node_dead(n)
-        participants = asm.plan_participants()
-        if any(
-            n != asm.failed_node and n not in participants
-            for n in self.crashed(asm.stripe_id)
-        ):
-            # a chunk the current plan was not even using is gone too —
-            # single-chunk recovery cannot restore the stripe; escalate
-            self._escalate(asm, reason="uninvolved chunk lost before attempt")
-            return
-        live = self.live_mask
-        newly_dead = tuple(n for n in participants if not live >> n & 1)
-        asm.attempt += 1
-        if asm.attempt > 1:
-            asm.replans += 1
-        self.obs.attempt_start(asm, newly_dead)
-        log.debug(
-            "%s: attempt %d (newly dead: %s)",
-            asm.repair_id, asm.attempt, list(newly_dead),
-        )
-        try:
-            plan = self.master.schedule_repair(
-                asm.stripe_id,
-                asm.failed_node,
-                asm.requester,
-                prev_plan=asm.plan,
-                newly_dead=newly_dead,
-                bandwidth_scale=asm.bandwidth_scale,
-            )
-        except (ValueError, RuntimeError) as exc:
-            asm.failure_reason = f"planning failed: {exc}"
-            log.debug("%s: planning failed: %s", asm.repair_id, exc)
-            self.obs.planning_failed(asm, exc)
-            self._finish_assembly(asm, retire=True)
-            return
-        asm.plan = plan
-        if "recovery" in plan.meta:
-            asm.degraded = True  # a ladder rung (promotion / star) was used
-        wire = (
-            asm.repair_id
-            if asm.attempt == 1
-            else f"{asm.repair_id}#a{asm.attempt}"
-        )
-        self._dispatch_tasks(asm, wire)
-        self._arm_timer(asm)
-        self._arm_detector(asm)
-        self._ensure_heartbeat()
-
-    def _arm_timer(self, asm: _Assembly) -> None:
-        """(Re)arm the progress watchdog for the current attempt."""
-        if asm.timer is not None:
-            self.events.cancel(asm.timer)
-        # 4x the expected remaining transfer time at plan rate, doubled
-        # after every aborted attempt
-        remaining = max(asm.chunk_bytes - asm.done_bytes, 1)
-        rate = max(asm.plan.total_rate, 1.0)
-        timeout = max(0.05, 4.0 * units.transfer_seconds(remaining, rate))
-        timeout *= 2**asm.retries
-        asm.armed_timeout = timeout
-        asm.timer_mark = asm.received
-        asm.timer = self.events.schedule(
-            timeout, lambda a=asm: self._on_timeout(a)
-        )
-
-    #: throughput samples taken per armed watchdog window — the sampler
-    #: must out-resolve the timeout for early detection to mean anything
-    DETECT_TICKS_PER_TIMEOUT = 16
-
-    def _arm_detector(self, asm: _Assembly) -> None:
-        """Start the divergence sampler for the current attempt.
-
-        Every tick scores the realised throughput of the attempt's wire
-        epoch (bytes folded since the last tick, over the plan's
-        ``t_max``) with the monitor's ``repair.throughput_ratio``
-        detector, and feeds each participant's uplink busy fraction to
-        ``node.busy_fraction``.  A throughput alarm aborts the attempt
-        immediately — the blunt timeout stays armed as the fallback for
-        faults the detector cannot see (e.g. a crash during warmup).
-        """
-        if self.divergence is None or not asm.watchdog:
-            return
-        if asm.detect_timer is not None:
-            self.events.cancel(asm.detect_timer)
-        asm.detect_period_s = asm.armed_timeout / self.DETECT_TICKS_PER_TIMEOUT
-        asm.detect_mark = asm.received
-        asm.detect_mark_t = self.events.now
-        if asm.plan is not None:
-            asm.detect_busy = {
-                n: self.nodes[n].uplink_busy_s
-                for n in asm.plan_participants()
-            }
-        self._schedule_detect(asm, asm.wire_id)
-
-    def _schedule_detect(self, asm: _Assembly, wire: str) -> None:
-        asm.detect_timer = self.events.schedule(
-            asm.detect_period_s, lambda a=asm, w=wire: self._detect_tick(a, w)
-        )
-
-    def _disarm_detector(self, asm: _Assembly) -> None:
-        if asm.detect_timer is not None:
-            self.events.cancel(asm.detect_timer)
-            asm.detect_timer = None
-        if self.divergence is not None and asm.wire_id:
-            # drop the per-wire detector so a recycled epoch re-learns
-            self.divergence.discard("repair.throughput_ratio", asm.wire_id)
-
-    def _detect_tick(self, asm: _Assembly, wire: str) -> None:
-        asm.detect_timer = None
-        if not asm.running:
-            return
-        monitor = self.divergence
-        if monitor is None:
-            return
-        if wire != asm.wire_id or wire in self._retired:
-            # the timeout fallback (or a re-plan) already retired this
-            # attempt epoch: the detector declines rather than double-
-            # aborting, and says so in the trace (satellite: the chaos
-            # sweeps stay fully explanatory)
-            monitor.suppressed(
-                "repair.throughput_ratio",
-                "timeout fallback owns attempt epoch",
-                key=wire,
-                attempt=asm.attempt,
-            )
-            monitor.discard("repair.throughput_ratio", wire)
-            return
-        now = self.events.now
-        dt = now - asm.detect_mark_t
-        if dt <= 0:
-            self._schedule_detect(asm, wire)
-            return
-        plan_rate = float(asm.plan.total_rate) if asm.plan is not None else 0.0
-        realised = units.bytes_per_s_to_mbps((asm.received - asm.detect_mark) / dt)
-        ratio = realised / plan_rate if plan_rate > 0 else 0.0
-        for node, before in asm.detect_busy.items():
-            busy = self.nodes[node].uplink_busy_s
-            monitor.feed(
-                "node.busy_fraction",
-                now,
-                min(1.0, max(0.0, (busy - before) / dt)),
-                key=str(node),
-            )
-            asm.detect_busy[node] = busy
-        asm.detect_mark = asm.received
-        asm.detect_mark_t = now
-        alarm = monitor.feed("repair.throughput_ratio", now, ratio, key=wire)
-        if alarm is None:
-            self._schedule_detect(asm, wire)
-            return
-        # divergence confirmed while the timeout is still ticking: abort
-        # the attempt now instead of burning the rest of the window
-        if asm.timer is not None:
-            self.events.cancel(asm.timer)
-            asm.timer = None
-        self.obs.detector_abort(asm, ratio, alarm)
-        log.debug(
-            "%s: divergence detector fired on attempt %d "
-            "(ratio %.3g, stat %.3g)",
-            asm.repair_id, asm.attempt, ratio, alarm.stat,
-        )
-        self._abort_attempt(
-            asm,
-            f"throughput diverged from plan (ratio {ratio:.3g}, "
-            f"attempt {asm.attempt})",
-        )
-
-    def _on_timeout(self, asm: _Assembly) -> None:
-        asm.timer = None
-        if not asm.running:
-            return
-        if asm.received > asm.timer_mark:
-            self._arm_timer(asm)  # progress since the last check: keep watching
-            return
-        self.obs.watchdog_fire(asm)
-        log.debug(
-            "%s: watchdog fired on attempt %d (timeout %.4gs)",
-            asm.repair_id, asm.attempt, asm.armed_timeout,
-        )
-        self._abort_attempt(
-            asm,
-            f"no progress within {asm.armed_timeout:.4g}s "
-            f"(attempt {asm.attempt})",
-        )
-
-    #: re-dispatch after abort ``a`` waits ``BACKOFF_BASE_S * 2**(a-1)``
-    BACKOFF_BASE_S = 0.02
-
-    def _abort_attempt(self, asm: _Assembly, reason: str) -> None:
-        """Tear down the current attempt (stalled, diverged, or proven
-        poisoned) and schedule the next one after the backoff."""
-        asm.retries += 1
-        self._disarm_detector(asm)
-        self._retire_attempt(asm)
-        self.obs.attempt_abort(asm, reason)
-        log.debug("%s: attempt %d aborted: %s", asm.repair_id, asm.attempt, reason)
-        # scrub slices that only partially arrived — their XOR state is
-        # useless without the missing contributions, and a stale late
-        # slice must never fold into the next attempt's bytes
-        for pid, ranges in asm.slice_arrivals.items():
-            want = asm.expected.get(pid, 0)
-            for (lo, hi), got in ranges.items():
-                if got and got != want:
-                    asm.bytes_retransferred += (hi - lo) * got.bit_count()
-                    asm.buffer[lo:hi] = 0
-        asm.expected = {}
-        asm.outstanding = {}
-        asm.slice_arrivals = {}
-        if asm.attempt >= asm.max_attempts:
-            asm.failure_reason = f"{reason}; {asm.attempt} attempts exhausted"
-            self._finish_assembly(asm, retire=False)
-            return
-        delay = self.BACKOFF_BASE_S * (2 ** (asm.attempt - 1))
-        self.events.schedule(delay, lambda a=asm: self._start_attempt(a))
-
-    def _retire_attempt(self, asm: _Assembly) -> None:
-        """Retire the attempt's wire id: nodes stop sending, in-flight
-        slices of the old epoch are dropped on delivery."""
-        if not asm.wire_id:
-            return
-        self._retired.add(asm.wire_id)
-        self._wire_assembly.pop(asm.wire_id, None)
+        self._retired.add(wire)
+        self._wire_assembly.pop(wire, None)
         for node in self.nodes:
-            node.cancel_repair(asm.wire_id)
-        self.obs.wire_closed(asm.wire_id, aborted=True)
+            node.cancel_repair(wire)
+        self.obs.wire_closed(wire, aborted=True)
 
-    def _finish_assembly(self, asm: _Assembly, *, retire: bool) -> None:
-        """Terminal bookkeeping: stop the watchdog (and maybe the wire)."""
-        if asm.complete:
-            # every slice of the wire landed: its senders' buffers are dead
-            # before the audit runs (a failed audit re-plans on a new wire)
-            for node in self.nodes:
-                node.release_repair(asm.wire_id)
-        if (
-            asm.watchdog
-            and asm.complete
-            and not asm.failed
-            and not asm.escalate
-            and asm.integrity_attempt != asm.attempt
-        ):
-            # verify the rebuilt bytes before declaring success; a
-            # poisoned buffer quarantines its culprit and re-repairs
-            asm.integrity_attempt = asm.attempt
-            if not self._verify_completed(asm):
-                return  # a fresh attempt is scheduled; not terminal yet
-        if asm.timer is not None:
-            self.events.cancel(asm.timer)
-            asm.timer = None
-        self._disarm_detector(asm)
-        if retire:
-            self._retire_attempt(asm)
-        self.obs.attempt_end(asm)
-        if asm.on_done is not None:
-            # non-blocking dispatch: the terminal callback fires exactly
-            # once, from inside the event-queue run that finished us
-            callback, asm.on_done = asm.on_done, None
-            callback(asm)
-
-    def _close_assembly(self, asm: _Assembly, *, drained: bool = False) -> None:
+    def _close_assembly(self, asm: Assembly, *, drained: bool = False) -> None:
         """The one exit of an assembly from the routing tables (and from
         the observer's open repairs).
 
@@ -1603,100 +945,9 @@ class ClusterSystem:
         else:
             self._retired.add(asm.wire_id or asm.repair_id)
 
-    def _finish_escalated(self, asm: _Assembly) -> RepairOutcome:
-        """Second chunk lost mid-repair: restart through repair_multi."""
-        lost = self.crashed(asm.stripe_id)
-        others = [f for f in lost if f != asm.failed_node]
-        spares = [r for r in self.spares(asm.stripe_id) if r != asm.requester]
-        requester_for = {asm.failed_node: asm.requester, **dict(zip(others, spares))}
-        fail_reason = None
-        if len(spares) < len(others):
-            fail_reason = f"no spare requester for chunk on node {others[len(spares)]}"
-        else:
-            try:
-                ours = self.repair_multi(asm.stripe_id, lost, requester_for)[
-                    asm.failed_node
-                ]
-            except ValueError as exc:  # the multi-chunk planner refused
-                fail_reason = str(exc)
-            else:
-                # the aborted attempt's verdict carries over, merged with
-                # what the multi-chunk settle found
-                asm.corruption_detected |= ours.corruption_detected
-                asm.quarantined.extend(
-                    ci for ci in ours.quarantined_chunks
-                    if ci not in asm.quarantined
-                )
-                if ours.status == FAILED:
-                    fail_reason = ours.failure_reason
-        if fail_reason is not None:
-            return self._failed_outcome(
-                asm, f"second chunk lost mid-repair; {fail_reason}"
-            )
-        return self._outcome(
-            asm,
-            self.events.now,
-            plan=ours.plan,
-            rebuilt=ours.rebuilt,
-            bytes_received=asm.received + ours.bytes_received,
-            verified=ours.verified,
-            attempts=max(asm.attempt, 1) + 1,
-            status=ESCALATED,
-            replans=asm.replans + len(lost),
-            bytes_retransferred=asm.bytes_retransferred + asm.received,
-        )
-
-    # ---- heartbeats ---------------------------------------------------- #
-
-    def _active_watchdogs(self) -> bool:
-        return any(a.running for a in self._assemblies.values())
-
-    def _ensure_heartbeat(self) -> None:
-        if not self._heartbeat_on or self._heartbeat_pending:
-            return
-        self._heartbeat_pending = True
-        self.events.schedule(self._heartbeat_period_s, self._heartbeat_tick)
-
-    def _heartbeat_tick(self) -> None:
-        self._heartbeat_pending = False
-        now = self.events.now
-        snap = self.master.snapshot()
-        for i in range(self.num_nodes):
-            if self.down >> i & 1:
-                continue  # crashed nodes stop reporting; leases expire
-            node = self.nodes[i]
-            if node.reports_suppressed_until > now:
-                continue
-            up = float(snap.uplink[i])
-            if node.rate_cap_mbps is not None:
-                up = min(up, node.rate_cap_mbps)
-            report = BandwidthReport(
-                node=i, uplink_mbps=up, downlink_mbps=float(snap.downlink[i])
-            )
-            if node.report_delay_s > 0:
-                self.events.schedule(
-                    node.report_delay_s,
-                    lambda r=report: self._submit_report(r),
-                )
-            else:
-                self._submit_report(report)
-        self.master.check_leases(now)
-        if self._active_watchdogs():
-            self._ensure_heartbeat()
-
-    def _submit_report(self, report: BandwidthReport) -> None:
-        try:
-            self.master.on_bandwidth_report(report, now=self.events.now)
-        except DeadNodeError:
-            if self.is_alive(report.node):
-                # lease false positive: the node is alive and reporting —
-                # rejoin it (the master's dead mask is a belief, not truth)
-                self.master.mark_node_live(report.node)
-                self.master.on_bandwidth_report(report, now=self.events.now)
-
     # ---- internals ---------------------------------------------------- #
 
-    def _dispatch_tasks(self, asm: _Assembly, wire: str) -> None:
+    def _dispatch_tasks(self, asm: Assembly, wire: str) -> None:
         """Compile ``asm.plan`` over the chunk's unfinished remainder on
         the wire epoch ``wire``, expect the requester-bound ranges of its
         tasks, tell the observer the epoch's pipelines are open, and hand
@@ -1802,4 +1053,4 @@ class ClusterSystem:
             if asm.outstanding[data.pipeline_id] <= 0:
                 self.obs.pipeline_end(rid, data.pipeline_id)
             if asm.complete:  # only a decoded range can complete the chunk
-                self._finish_assembly(asm, retire=False)
+                asm.finish(retire=False)

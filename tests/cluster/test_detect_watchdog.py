@@ -142,7 +142,7 @@ class TestSuppression:
             # the epoch string the sampler captured no longer matches:
             # exactly what a tick scheduled before a timeout-driven
             # re-plan observes when it finally runs
-            system._detect_tick(asm, "w-stale")
+            asm.detect_tick("w-stale")
 
         system.events.schedule(0.001, stale_tick)
         outcome = system.repair(

@@ -73,6 +73,21 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             sys_.repair("s1", failed_node=3, requester=10)
 
+    def test_repair_of_a_node_outside_the_placement_is_a_bad_argument(
+        self, snapshot
+    ):
+        # node 10 holds no chunk of s1: both single-chunk entry points
+        # refuse it as repair_multi does, not with a lookup KeyError
+        sys_ = build_cluster()
+        write_and_fail(sys_)
+        sys_.set_bandwidth(snapshot)
+        sys_.fail_node(10)
+        with pytest.raises(ValueError, match="node 10 holds no chunk of s1"):
+            sys_.repair("s1", failed_node=10, requester=11)
+        with pytest.raises(ValueError, match="node 10 holds no chunk of s1"):
+            sys_.repair_async("s1", 10, 11, on_done=lambda outcome: None)
+        assert sys_.events.pending_count == 0 and not sys_._assemblies
+
 
 @pytest.mark.parametrize(
     "algorithm", ["conventional", "rp", "ppt", "pivotrepair", "fullrepair"]

@@ -254,8 +254,8 @@ class TestEngineProfiler:
             for (module, qualname), stats in prof.sites.items()
         } == {
             "datanode:DataNode._arrive": 18732,
-            "system:ClusterSystem._abort_attempt.<locals>.<lambda>": 1,
-            "system:ClusterSystem._arm_timer.<locals>.<lambda>": 2,
+            "attempt:Assembly.start": 1,
+            "attempt:Assembly.on_timeout": 2,
             "system:ClusterSystem._dispatch_tasks.<locals>.<lambda>": 1176,
             "foreground:ForegroundTraffic._issue": 200,
             "orchestrator:RecoveryOrchestrator._tick": 200,
