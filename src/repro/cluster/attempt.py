@@ -126,6 +126,9 @@ class Assembly:
     timer_mark: int = -1
     max_attempts: int = 3
     watchdog: bool = False
+    #: an unwatched chunk no deadline or queue drain will ever settle:
+    #: a crash of its requester or of a helper of its plan fails it
+    fail_on_crash: bool = False
     # ---- divergence-detector sampler (DivergenceMonitor wired only) --- #
     detect_timer: object = None
     detect_period_s: float = 0.0
@@ -406,8 +409,8 @@ class Assembly:
             self.integrity_ok = True
             obs.verification(self, "ok", report)
             return True
-        if report.ok is None:
-            # too few clean chunks survive to check anything
+        if report.unverifiable:
+            # too few clean chunks survive to check the rebuild with
             self.integrity_ok = None
             obs.verification(self, "unverifiable", report)
             return True
@@ -564,17 +567,23 @@ class Assembly:
 
     def settle_planned(self) -> RepairOutcome:
         """Settle a completed unwatched chunk: audit, then the shared
-        persist tail.  Detect-only: a failed audit that cannot vouch for
-        the rebuilt bytes is an explicit failed verdict — the caller
-        re-dispatches; nothing is healed or re-repaired here.  A chunk
+        persist tail.  Detect-only: an audit that proves the rebuilt
+        bytes wrong, or finds rot it cannot localize, is an explicit
+        failed verdict — the caller re-dispatches; nothing is healed or
+        re-repaired here.  One with no surplus parity to check with
+        persists the chunk unvouched.  A chunk
         that failed before assembling (a rotten helper chunk) comes back
         ``failed`` unaudited."""
         if self.failed:
             return self.failed_outcome(self.failure_reason)
         report = self.system._audit(self)
         if report.ok is False:
-            self.system.obs.verification(self, "ok" if report.rebuilt_ok else "failed")
-            if not report.rebuilt_ok:
+            self.system.obs.verification(
+                self,
+                "unverifiable" if report.unverifiable
+                else "ok" if report.rebuilt_ok else "failed",
+            )
+            if not (report.rebuilt_ok or report.unverifiable):
                 return self.failed_outcome(
                     "rebuilt chunk failed integrity verification",
                     end=self.last_arrival,
@@ -582,11 +591,14 @@ class Assembly:
         outcome = self.system._persist_outcome(self)
         oracle = self.system.nodes[self.failed_node].store
         sid, lost = self.stripe_id, self.lost_chunk
-        if not outcome.verified and not (
-            oracle.has(sid, lost) and oracle.verify(sid, lost)
+        if (
+            not outcome.verified
+            and report.rebuilt_ok
+            and not (oracle.has(sid, lost) and oracle.verify(sid, lost))
         ):
             # the oracle copy is itself rotten (scrub-repair, or rot then
-            # crash) or gone; the parity audit is the only ground truth left
+            # crash) or gone; the parity audit that vouched for the
+            # rebuilt bytes is the only ground truth left
             outcome.verified = True
         return outcome
 
@@ -632,10 +644,15 @@ class ChunkGroup:
     :meth:`Assembly.settle_planned` as it assembles (or fails on a rotten
     helper chunk); ``on_done(outcomes)`` fires once, keyed in job order,
     after the last.  :meth:`close` fails every chunk still open; the
-    ``deadline_s`` timer calls it too.
+    ``deadline_s`` timer calls it too.  A group with neither a deadline
+    nor a caller that drains the queue (``owns_queue``) fails a chunk as
+    soon as its requester or a helper of its plan crashes, since nothing
+    else would ever settle it.
     """
 
-    def __init__(self, system, jobs: list, on_done, deadline_s=None) -> None:
+    def __init__(
+        self, system, jobs: list, on_done, deadline_s=None, *, owns_queue=False
+    ) -> None:
         self.system = system
         self.on_done = on_done
         self.deadline_s = deadline_s
@@ -649,6 +666,7 @@ class ChunkGroup:
                 stripe_id, failed_node, requester, repair_id,
                 {"t_max_mbps": float(plan.total_rate)},
                 plan=plan, attempt=1, on_done=partial(self.settle, key),
+                fail_on_crash=deadline_s is None and not owns_queue,
             )
             system._dispatch_tasks(asm, repair_id)
         if deadline_s is not None:
@@ -663,7 +681,7 @@ class ChunkGroup:
         ``failed`` and the outcomes of its siblings stand.
         """
         outcomes: dict = {}
-        group = cls(system, jobs, outcomes.update)
+        group = cls(system, jobs, outcomes.update, owns_queue=True)
         system.events.run()
         group.close(
             lambda asm: f"batched repair incomplete: {asm.received} of "

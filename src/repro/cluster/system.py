@@ -244,12 +244,22 @@ class ClusterSystem:
         a *participant* (helper/hub of the current plan) crash is left to
         the progress watchdog, which re-plans the remainder; a crash
         that loses a second, *uninvolved* chunk of the stripe escalates
-        the repair to the multi-chunk path immediately.
+        the repair to the multi-chunk path immediately.  A chunk of a
+        ``repair_multi_async`` call without a deadline fails at once
+        when its requester or a helper of its plan crashes.
         """
         self.down |= 1 << node
         log.debug("node %d crashed at t=%.6f", node, self.events.now)
         self.obs.node_crash(node)
         for asm in list(self._assemblies.values()):
+            if asm.fail_on_crash and not asm.failed and (
+                node == asm.requester or node in asm.plan_participants()
+            ):
+                # an unwatched chunk with no deadline: nothing else would
+                # ever settle it, so it fails now and its wire retires
+                asm.failure_reason = f"node {node} of its plan crashed mid-transfer"
+                asm.finish(retire=True)
+                continue
             if not asm.running:
                 continue
             loc = self.master.stripe(asm.stripe_id)
@@ -691,6 +701,24 @@ class ClusterSystem:
         if self.can_serve(stripe_id, loc.chunk_on(node), node):
             raise ValueError(f"node {node} must have failed to be repaired")
 
+    def _check_requester(self, stripe_id: str, node: int, requester: int) -> None:
+        """A storing repair's check of its requester: ``ValueError`` when
+        an open storing repair rebuilds another chunk of the stripe there
+        (a node holds one chunk of a stripe, so the later of the two
+        could not relocate its chunk)."""
+        chunk = self.master.stripe(stripe_id).chunk_on(node)
+        for asm in self._assemblies.values():
+            if (
+                asm.store
+                and asm.requester == requester
+                and asm.stripe_id == stripe_id
+                and asm.lost_chunk != chunk
+            ):
+                raise ValueError(
+                    f"node {requester} already rebuilds chunk {asm.lost_chunk} "
+                    f"of {stripe_id} for open repair {asm.repair_id}"
+                )
+
     # ---- non-blocking dispatch (recovery-orchestrator substrate) ------ #
 
     def _plan_multi(
@@ -728,6 +756,7 @@ class ClusterSystem:
             r = requester_for[f]
             if r not in spares:
                 raise ValueError(f"invalid requester {r} for failed node {f}")
+            self._check_requester(stripe_id, f, r)
         if len(set(requester_for[f] for f in failed_nodes)) != len(failed_nodes):
             raise ValueError("each lost chunk needs a distinct requester")
         snapshot = self.master.snapshot()
@@ -811,6 +840,8 @@ class ClusterSystem:
         self._check_lost(stripe_id, failed_node)
         if self.down >> requester & 1:
             raise ValueError("requester node is down")
+        if store:
+            self._check_requester(stripe_id, failed_node, requester)
         repair_id = f"{stripe_id}/n{failed_node}"
         if on_done is not None:
             # non-blocking: unique per call, so concurrent repairs of one
@@ -903,7 +934,8 @@ class ClusterSystem:
         first — ``on_done(outcomes)`` fires with a per-failed-node
         :class:`RepairOutcome` dict; chunks that missed the deadline come
         back ``failed`` with a ``failure_reason`` instead of raising, so
-        an orchestrator can re-queue them.
+        an orchestrator can re-queue them.  Without a deadline, a chunk
+        fails as soon as its requester or a helper of its plan crashes.
         (DESIGN.md, "Repair entry points", tabulates all five calls.)
         """
         jobs = self._plan_multi(

@@ -34,15 +34,12 @@ domain (one wide XOR per column) and the rows are unpacked once per
 segment at the end.
 
 **Blocking.**  All kernels walk the chunk in segments of
-:data:`SEGMENT_PAIRS` uint16 elements — deliberately *large* (2 MiB of
-payload): the widened index vector, gather destination and packed
-accumulators are sequential streams the hardware prefetcher hides even
-when they spill cache, while the 64 Ki-entry tables are hit randomly
-and must stay resident, so each block must amortise table residency
-over much useful work (see the :data:`SEGMENT_PAIRS` note).  The
-per-segment scratch lives in a reusable :class:`Workspace`
-(thread-local by default), making steady-state encode/decode
-allocation-free.
+:data:`SEGMENT_PAIRS` uint16 elements (128 KiB of payload), so the
+per-segment scratch — widened index, gather destination, packed
+accumulators — is ~1.75 MiB whatever the chunk size.  It lives in a
+reusable :class:`Workspace` (thread-local by default), making
+steady-state encode/decode allocation-free.  Why the block is this
+size is the :data:`SEGMENT_PAIRS` note.
 
 All kernels are byte-identical to the :mod:`repro.ec.gf256` reference —
 the property suite in ``tests/ec/test_backends.py`` proves it across
@@ -58,14 +55,14 @@ import numpy as np
 from . import gf256
 
 #: uint16 elements (= 2 input bytes each) processed per cache block.
-#: Large blocks win here: the index, gather destination and accumulators
-#: are *streamed* (sequential, prefetcher-friendly), while the fused
-#: table (up to 512 KiB per column) is hit *randomly* — so the block
-#: must be long enough that each column's table, fetched once, is
-#: amortised over many gathers.  Measured on the reference host, 2 MiB
-#: payload blocks beat L2-sized ones by ~1.5x on fused matmul and the
-#: curve is flat within 2x of this value.
-SEGMENT_PAIRS = 1 << 20
+#: Timed on a 4x10 fused matmul at 1-64 MiB against a 2 MiB block
+#: (``1 << 20``, 8 MiB scratch arrays): in a fresh process, where those
+#: arrays are new mmaps, this block took 0.99-1.11x its time; once the
+#: process had freed a few large arrays, so that glibc served them from
+#: the heap, the 2 MiB block ran 1.7-3.3x slower than this one, which
+#: stayed within 0.74-1.55x of its own fresh time
+#: (``tools/kernel_block_sweep.py``; docs/DATAPLANE.md).
+SEGMENT_PAIRS = 1 << 16
 
 #: Fused-table cache budget (bytes).  A (14, 10) decode matrix costs
 #: ~12.5 MiB of fused tables, so the default keeps a handful of distinct

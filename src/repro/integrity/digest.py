@@ -1,13 +1,13 @@
 """Chunk digests and wire checksums (zero-dependency ``zlib.crc32``).
 
-Digests are computed by chaining ``zlib.crc32`` over 2 MiB blocks — the
-same segment size the fused EC kernels process payloads in
-(:data:`repro.ec.kernels.SEGMENT_PAIRS` packed pairs), so a digest pass walks memory
-with the same cache footprint as the data plane it rides along.  For a
-contiguous buffer the chained value equals the CRC of the whole buffer;
-the blocking exists so enormous chunks never require a single
-monolithic C call and so future parallel digesting can split on the
-same boundaries as the parallel EC backend.
+Digests are computed by chaining ``zlib.crc32`` over 2 MiB blocks.  For
+a contiguous buffer the chained value equals the CRC of the whole
+buffer, so the block size changes no digest: it only bounds the bytes
+one C call reads, and the payload size up to which
+:func:`slice_checksum` makes a single call.  It is not tied to the EC
+kernels' block (:data:`repro.ec.kernels.SEGMENT_PAIRS`, sized to their
+scratch); 2 MiB stays because nothing gains from moving it — a chunk of
+a few MiB is digested in a few calls either way.
 
 Two helpers, two granularities:
 
@@ -27,8 +27,7 @@ import zlib
 
 import numpy as np
 
-#: Digest block granularity — matches the EC data plane's segmentation
-#: (2 MiB segments; see ``repro.ec.kernels.SEGMENT_PAIRS``).
+#: Digest block granularity: bytes per chained ``zlib.crc32`` call.
 DIGEST_BLOCK_BYTES = 2 * 1024 * 1024
 
 _UINT8 = np.dtype(np.uint8)

@@ -142,8 +142,9 @@ class AuditReport:
     ok:
         ``True`` — every digest matched and the stripe (stored values
         plus the rebuilt chunk) is a consistent codeword.  ``False`` —
-        corruption was detected.  ``None`` — too few clean chunks
-        survive to verify anything (unverifiable, not clean).
+        corruption was detected.  ``None`` — at most k clean chunks
+        survive, so no surplus parity can check anything (unverifiable,
+        not clean).
     culprits:
         Stripe indices proven corrupt: digest mismatches plus any
         parity-localized chunk.  Empty when the corruption could not be
@@ -169,6 +170,12 @@ class AuditReport:
     rebuilt_ok: bool | None = None
     predicted: np.ndarray | None = field(default=None, repr=False)
     checked: int = 0
+
+    @property
+    def unverifiable(self) -> bool:
+        """No surplus parity survived to check the rebuilt value with;
+        any culprit is a digest's, and says nothing about the rebuild."""
+        return self.rebuilt_ok is None and self.localized
 
 
 def audit_stripe(
@@ -196,8 +203,10 @@ def audit_stripe(
         are culprits a priori and must not appear in ``stored``.
     """
     culprits = tuple(sorted(digest_bad))
-    if len(stored) < code.k:
-        # not enough clean data to predict: digests are the only verdict
+    if len(stored) <= code.k:
+        # no surplus: k clean values predict the rest of a codeword they
+        # always lie on, and a rebuild decoded from them agrees with it
+        # whatever they hold; digests are the only verdict
         return AuditReport(
             ok=False if culprits else None,
             culprits=culprits,

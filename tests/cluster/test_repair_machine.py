@@ -19,14 +19,20 @@ After every step:
 * a repair that settles with a rebuilt chunk balances its payload
   ledger: bytes folded at the requester = bytes credited to decoded
   ranges + bytes retired (``bytes_retransferred``);
+* a settled rebuild equals the original bytes unless the stripe holds
+  rot under a matching digest, and a ``verified`` one equals them unless
+  an earlier wrong rebuild of the stripe was stored;
 * every terminal state reaches its caller exactly once, as a
   :class:`RepairOutcome` with a known status, and nothing escapes
-  ``events.run()``.
+  ``events.run()``; a call that would rebuild a second chunk of a
+  stripe on the requester of an open storing repair is refused with a
+  ``ValueError`` naming that repair.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -56,6 +62,27 @@ nodes = st.integers(0, NUM_NODES - 1)
 stripes = st.sampled_from(sorted(PLACEMENTS))
 
 
+def make_cluster(algorithm: str = "fullrepair"):
+    """The machine's cluster, and every chunk's original bytes."""
+    system = ClusterSystem(
+        NUM_NODES, RSCode(N, K), algorithm=algorithm, slice_bytes=SLICE
+    )
+    rng = np.random.default_rng(7)
+    original: dict[tuple[str, int], np.ndarray] = {}
+    for sid, placement in PLACEMENTS.items():
+        data = rng.integers(0, 256, (K, CHUNK), dtype=np.uint8)
+        system.write_stripe(sid, data, placement=placement)
+        for ci in range(N):
+            original[sid, ci] = system.read_chunk(sid, ci).copy()
+    system.set_bandwidth(
+        BandwidthSnapshot(
+            uplink=rng.uniform(2.0, 8.0, NUM_NODES),
+            downlink=rng.uniform(2.0, 8.0, NUM_NODES),
+        )
+    )
+    return system, original
+
+
 class RepairMachine(RuleBasedStateMachine):
     # the star feeds the requester k contributions per byte range, so an
     # abort can leave partial ranges to scrub; a pipeline feeds it one
@@ -63,22 +90,8 @@ class RepairMachine(RuleBasedStateMachine):
                 detector=st.booleans(), heartbeat=st.booleans(),
                 first_crash=st.integers(0, 7))
     def setup(self, algorithm, detector, heartbeat, first_crash):
-        system = self.system = ClusterSystem(
-            NUM_NODES, RSCode(N, K), algorithm=algorithm, slice_bytes=SLICE
-        )
-        rng = np.random.default_rng(7)
-        self.original: dict[tuple[str, int], np.ndarray] = {}
-        for sid, placement in PLACEMENTS.items():
-            data = rng.integers(0, 256, (K, CHUNK), dtype=np.uint8)
-            system.write_stripe(sid, data, placement=placement)
-            for ci in range(N):
-                self.original[sid, ci] = system.read_chunk(sid, ci).copy()
-        system.set_bandwidth(
-            BandwidthSnapshot(
-                uplink=rng.uniform(2.0, 8.0, NUM_NODES),
-                downlink=rng.uniform(2.0, 8.0, NUM_NODES),
-            )
-        )
+        system, self.original = make_cluster(algorithm)
+        self.system = system
         if detector:
             system.divergence = DivergenceMonitor.standard()
             system.divergence.clock = lambda: system.events.now
@@ -91,12 +104,12 @@ class RepairMachine(RuleBasedStateMachine):
         self.corrupted: set[str] = set()
         #: stripes holding rot that carries a matching digest
         self.silent_rot: set[str] = set()
+        #: stripes a wrong rebuild was stored into
+        self.laundered: set[str] = set()
         #: repair id -> outcomes its caller received (must end with one)
         self.outcomes: dict[str, list] = {}
         #: repair id -> (stripe, lost chunk index), for the byte check
         self.lost: dict[str, tuple[str, int]] = {}
-        #: repair id -> (stripe, requester) it rebuilds on
-        self.targets: dict[str, tuple[str, int]] = {}
         #: repair id -> payload bytes credited to decoded ranges
         self.credited: dict[str, int] = {}
         #: wire ids whose every slice landed (senders released them)
@@ -172,12 +185,19 @@ class RepairMachine(RuleBasedStateMachine):
             if outcome.status == FAILED:
                 assert outcome.rebuilt is None and outcome.failure_reason
                 continue
-            if sid not in self.silent_rot:
-                # only rot under a matching digest can reach a rebuild: a
-                # stripe with it may exceed its parity and rebuild wrong
-                assert np.array_equal(
-                    outcome.rebuilt, self.original[sid, lost]
-                ), f"{rid}: rebuilt bytes differ from the original"
+            right = np.array_equal(outcome.rebuilt, self.original[sid, lost])
+            # only rot under a matching digest can reach a rebuild: a
+            # stripe with it may exceed its parity and rebuild wrong, but
+            # never vouch for the wrong bytes — until a wrong rebuild is
+            # stored, and the stripe's chunks outvote the original
+            assert right or sid in self.silent_rot, (
+                f"{rid}: rebuilt bytes differ from the original"
+            )
+            assert right or not outcome.verified or sid in self.laundered, (
+                f"{rid}: verified wrong bytes"
+            )
+            if not right:
+                self.laundered.add(sid)  # every repair here stores
             if sid not in self.corrupted:
                 assert not outcome.corruption_detected
                 assert not outcome.quarantined_chunks
@@ -186,14 +206,12 @@ class RepairMachine(RuleBasedStateMachine):
             ), f"{rid}: payload ledger does not balance"
         self.unjudged = []
 
-    def _spares(self, sid):
-        """Spares no unsettled repair of the stripe is rebuilding on: two
-        rebuilt chunks of one stripe cannot both land on one node."""
-        busy = {
-            r for rid, (s, r) in self.targets.items()
-            if s == sid and not self.outcomes[rid]
-        }
-        return [r for r in self.system.spares(sid) if r not in busy]
+    def _refused(self, exc: ValueError) -> None:
+        """A repair call refused because an open storing repair of the
+        stripe already rebuilds another chunk on the requester."""
+        message = str(exc)
+        assert " for open repair " in message, message
+        assert message.rsplit(" ", 1)[1] in self.outcomes, message
 
     def _lost_chunks(self, sid):
         placement = self.system.master.stripe(sid).placement
@@ -234,7 +252,7 @@ class RepairMachine(RuleBasedStateMachine):
 
     @rule(sid=stripes, data=st.data(), scale=st.sampled_from([1.0, 0.5]))
     def repair_async(self, sid, data, scale):
-        lost, spares = self._lost_chunks(sid), self._spares(sid)
+        lost, spares = self._lost_chunks(sid), self.system.spares(sid)
         if not lost or not spares:
             return
         chunk, failed = data.draw(st.sampled_from(lost))
@@ -248,22 +266,26 @@ class RepairMachine(RuleBasedStateMachine):
             else:
                 self._settled(rid, outcome)
 
-        rid = self.system.repair_async(
-            sid, failed, requester, on_done=on_done, bandwidth_scale=scale
-        )
+        try:
+            rid = self.system.repair_async(
+                sid, failed, requester, on_done=on_done, bandwidth_scale=scale
+            )
+        except ValueError as exc:
+            self._refused(exc)
+            return
         self.outcomes[rid] = []
         self.lost[rid] = (sid, chunk)
-        self.targets[rid] = (sid, requester)
         for outcome in early:
             self._settled(rid, outcome)
 
-    # a chunk group has no watchdog: without a deadline, one whose helper
-    # crashed mid-transfer never settles (its caller owns that clock)
-    @rule(sid=stripes, data=st.data(), deadline=st.sampled_from([0.05, 1.0]))
+    # a chunk group has no watchdog: its deadline, or without one a crash
+    # in its plan, settles a chunk that can no longer assemble
+    @rule(sid=stripes, data=st.data(),
+          deadline=st.sampled_from([0.05, 1.0, None]))
     def repair_multi_async(self, sid, data, deadline):
         system = self.system
         lost = self._lost_chunks(sid)
-        spares = self._spares(sid)
+        spares = system.spares(sid)
         if (
             not lost
             or len(lost) > N - K
@@ -285,15 +307,18 @@ class RepairMachine(RuleBasedStateMachine):
                 # the chunk group's repair ids: "<stripe>/n<node><suffix>"
                 self._settled(f"{sid}/n{f}{suffix}", outcome)
 
-        suffix = system.repair_multi_async(
-            sid, tuple(requester_for), requester_for,
-            on_done=on_done, deadline_s=deadline,
-        )
+        try:
+            suffix = system.repair_multi_async(
+                sid, tuple(requester_for), requester_for,
+                on_done=on_done, deadline_s=deadline,
+            )
+        except ValueError as exc:
+            self._refused(exc)
+            return
         for ci, f in picked:
             rid = f"{sid}/n{f}{suffix}"
             self.outcomes[rid] = []
             self.lost[rid] = (sid, ci)
-            self.targets[rid] = (sid, requester_for[f])
 
     @rule(dt=st.sampled_from([0.001, 0.01, 0.1]))
     def advance(self, dt):
@@ -401,3 +426,83 @@ def test_a_stale_epoch_slice_is_dropped_not_refused():
         system._deliver(dest, msg)
     assert system.events.pending_count == 0
     assert np.array_equal(system.read_chunk("s0", 1), data[1])
+
+
+# --------------------------------------------------------------------- #
+# three transitions the machine found, pinned as plain cases             #
+# --------------------------------------------------------------------- #
+
+
+def test_a_rebuild_checked_against_no_surplus_is_not_verified():
+    """Exactly k digest-clean chunks survive, one of them rotten under a
+    matching digest: the rebuild agrees with them and is wrong, so the
+    audit cannot vouch for it."""
+    system, original = make_cluster()
+    system.corrupt_chunk(3, "s0", 3)  # rot the digest catches
+    system.fail_node(2)
+    system.corrupt_chunk(0, "s0", 0, fix_digest=True)  # rot it does not
+    outcomes = []
+    system.repair_async("s0", 2, 7, on_done=outcomes.append)
+    system.events.run()
+    (outcome,) = outcomes
+    assert outcome.status == COMPLETED
+    assert not np.array_equal(outcome.rebuilt, original["s0", 2])
+    assert not outcome.verified
+
+
+def test_a_second_storing_repair_onto_the_same_requester_is_refused():
+    """Two storing repairs of one stripe would each relocate a chunk to
+    the requester; the second call is refused, naming the open one."""
+    system, original = make_cluster()
+    system.fail_node(2)
+    system.fail_node(3)
+    outcomes = []
+    suffix = system.repair_multi_async(
+        "s0", (3,), {3: 8}, on_done=outcomes.append
+    )
+    with pytest.raises(ValueError, match=f"open repair s0/n3{suffix}"):
+        system.repair_multi_async("s0", (2,), {2: 8}, on_done=outcomes.append)
+    with pytest.raises(ValueError, match=f"open repair s0/n3{suffix}"):
+        system.repair_async("s0", 2, 8, on_done=outcomes.append)
+    # a degraded read stores nothing, and another requester is free
+    system.repair_async("s0", 2, 8, on_done=outcomes.append, store=False)
+    system.repair_multi_async("s0", (2,), {2: 9}, on_done=outcomes.append)
+    system.events.run()
+    assert len(outcomes) == 3
+    assert np.array_equal(system.read_chunk("s0", 3), original["s0", 3])
+    assert np.array_equal(system.read_chunk("s0", 2), original["s0", 2])
+    assert system.master.stripe("s0").placement == (0, 1, 9, 8, 4)
+
+
+def test_a_chunk_group_without_a_deadline_fails_when_a_helper_crashes():
+    """No deadline and no drain would ever settle the chunk: the crash
+    of a helper of its plan fails it, once, and leaves nothing open."""
+    system, _ = make_cluster()
+    system.fail_node(0)
+    outcomes = []
+    system.repair_multi_async("s0", (0,), {0: 8}, on_done=outcomes.append)
+    system.events.run(until=system.events.now + 0.001)
+    assert not outcomes
+    system.fail_node(1)
+    system.events.run()
+    (group,) = outcomes
+    assert group[0].status == FAILED
+    assert group[0].failure_reason == "node 1 of its plan crashed mid-transfer"
+    assert not system._assemblies and not system._wire_assembly
+
+
+def test_a_chunk_group_does_not_vouch_for_a_rebuild_it_cannot_check():
+    """The unwatched twin: the oracle copy on the crashed node is rotten,
+    and exactly k clean chunks survive, one of them silently rotten."""
+    system, original = make_cluster()
+    system.corrupt_chunk(2, "s0", 2)
+    system.fail_node(2)
+    system.fail_node(3)
+    system.corrupt_chunk(0, "s0", 0, fix_digest=True)
+    outcomes = []
+    system.repair_multi_async("s0", (2,), {2: 8}, on_done=outcomes.append)
+    system.events.run()
+    ((_, outcome),) = outcomes[0].items()
+    assert outcome.status == COMPLETED
+    assert not np.array_equal(outcome.rebuilt, original["s0", 2])
+    assert not outcome.verified

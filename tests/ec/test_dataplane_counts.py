@@ -18,6 +18,7 @@ number on every machine.
 from __future__ import annotations
 
 import gc
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ import pytest
 from repro.cluster import ClusterSystem, chunkstore
 from repro.cluster.chunkstore import ChunkStore
 from repro.cluster.datanode import WINDOW_BYTES, DataNode
-from repro.ec import RSCode
+from repro.ec import RSCode, kernels
 from repro.ec.backend import get_backend
 from repro.net import BandwidthSnapshot
 
@@ -122,9 +123,10 @@ def test_a_second_repair_digests_nothing(counted):
 MIB = 1024 * 1024
 MEM_SLICE = 64 * 1024  # the paper's slice size
 #: chunk size (MiB) -> high-water bound of one warmed clean repair, in
-#: chunks (whole-segment scaling read 11.4-11.5 at every size).  Leaves
+#: chunks (reads 4.67 / 2.71 / 2.22; 6.41 / 3.87 / 2.22 with 2 MiB kernel
+#: blocks, 11.4-11.5 at every size with whole-segment scaling).  Leaves
 #: hold a window each, so the bound falls as the chunk grows.
-REPAIR_HIGH_WATER = {1: 7, 4: 4, 16: 3}
+REPAIR_HIGH_WATER = {1: 5, 4: 3, 16: 3}
 
 
 def _traced_peak(action) -> int:
@@ -173,3 +175,34 @@ def test_a_warmed_clean_repair_holds_the_bytes_in_flight(mib):
     # about one window ahead of its send cursor, each hub its segment,
     # and a clean audit predicts block by block without a chunk-sized row
     assert chunk <= peak <= REPAIR_HIGH_WATER[mib] * chunk
+
+
+def test_the_kernel_scratch_is_sized_to_the_block_not_the_chunk():
+    """A (14,10) encode and decode of 16 MiB chunks leave the thread's
+    kernel workspace exactly as large as 64 KiB chunks left it."""
+    code = RSCode(N, K)
+    rng = np.random.default_rng(3)
+    sizes = []
+
+    def workspace_bytes() -> int:
+        ws = kernels._workspace()
+        arrays = (ws.idx, ws.val, ws.tmp16, ws.pairbuf, *ws.accs.values())
+        return sum(a.nbytes for a in arrays)
+
+    def encode_and_decode(chunk: int) -> None:
+        stripe = code.encode(rng.integers(0, 256, (K, chunk), dtype=np.uint8))
+        # the parity rows in the decode set: a dense (k, k) inverse
+        code.decode({i: stripe[i] for i in range(N - K, N)})
+        sizes.append(workspace_bytes())
+
+    def run() -> None:  # a fresh thread starts without a workspace
+        encode_and_decode(64 * 1024)
+        encode_and_decode(16 * MIB)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join()
+    small, large = sizes
+    # 2.75 MiB: one block's index, gather, staging and three row-group
+    # accumulators (28 MiB with 2 MiB kernel blocks)
+    assert 0 < small == large <= 3 * MIB

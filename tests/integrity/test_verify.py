@@ -205,3 +205,17 @@ class TestAuditStripe:
         )
         assert report.ok is False
         assert report.culprits == (8,)
+
+    def test_exactly_k_clean_chunks_are_unverifiable(self, stripe):
+        # no surplus: a rebuild decoded from k values that hold rot under
+        # a matching digest agrees with them, and is still wrong
+        code, chunks = stripe
+        stored = {i: chunks[i].copy() for i in range(K + 1) if i != self.LOST}
+        stored[0][9] ^= 0x10
+        _, rebuilt = check_consistency(code, stored, predict=self.LOST)
+        assert not np.array_equal(rebuilt, chunks[self.LOST])
+        report = audit_stripe(code, self.LOST, rebuilt, stored)
+        assert report.ok is None
+        assert report.culprits == () and report.predicted is None
+        report = audit_stripe(code, self.LOST, rebuilt, stored, digest_bad=(8,))
+        assert report.ok is False and report.culprits == (8,)
