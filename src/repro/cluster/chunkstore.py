@@ -18,7 +18,8 @@ Every ``put`` also records a CRC digest of the *intended* payload
 (:func:`repro.integrity.digest.chunk_digest`), so at-rest corruption —
 bit rot flipped under the digest, or a torn write that garbled the tail
 during the store — is detectable by :meth:`ChunkStore.verify` long
-after the writer is gone.  The corruption itself enters through the
+after the writer is gone; an intact ``put`` records that verdict too.
+The corruption itself enters through the
 fault hooks :meth:`corrupt` and :meth:`arm_torn_write`, driven by the
 :class:`~repro.faults.injector.FaultInjector`.
 """
@@ -47,27 +48,35 @@ class ChunkStore:
         #: verify() verdicts, valid until the chunk's next mutation
         self._verdicts: dict[tuple[str, int], bool] = {}
 
-    def put(self, stripe_id: str, chunk_index: int, payload: np.ndarray) -> None:
-        """Store a chunk (copies the payload) and record its digest.
+    def put(self, stripe_id: str, chunk_index: int, payload: np.ndarray) -> bool:
+        """Store a chunk (copies the payload), record its digest, and
+        return whether the stored copy is intact.
 
         The digest always covers the payload the caller handed in; an
         armed torn write (:meth:`arm_torn_write`) garbles the stored
         tail *after* the digest is taken — exactly the failure a torn
-        write is: the metadata says one thing, the disk another.
+        write is: the metadata says one thing, the disk another — and
+        the put returns ``False``.  An intact put records the verdict
+        ``True``: its digest covers exactly the bytes it stored.
         """
         arr = np.array(payload, dtype=np.uint8, copy=True)
         if arr.ndim != 1:
             raise ValueError("chunk payload must be a 1-D byte array")
+        key = (stripe_id, chunk_index)
         digest = chunk_digest(arr)
-        if self._torn is not None and len(arr):
+        intact = self._torn is None or not len(arr)
+        if not intact:
             tail_fraction, rng = self._torn
             self._torn = None  # a torn write is a one-shot event
             tail = max(1, int(len(arr) * tail_fraction))
             garble = rng.integers(1, 256, size=tail, dtype=np.uint8)
             np.bitwise_xor(arr[-tail:], garble, out=arr[-tail:])
-        self._chunks[(stripe_id, chunk_index)] = arr
-        self._digests[(stripe_id, chunk_index)] = digest
-        self._mutated((stripe_id, chunk_index))
+        self._chunks[key] = arr
+        self._digests[key] = digest
+        self._mutated(key)
+        if intact:
+            self._verdicts[key] = True
+        return intact
 
     def get(self, stripe_id: str, chunk_index: int) -> np.ndarray:
         """Fetch a chunk copy, for a caller that must own a buffer
@@ -138,9 +147,11 @@ class ChunkStore:
     def verify(self, stripe_id: str, chunk_index: int) -> bool:
         """Whether the stored bytes still digest to the record.
 
-        The bytes are re-digested once per generation: every at-rest
-        mutation goes through this class (``put`` / ``delete`` /
-        ``corrupt``), so between two of them the verdict cannot change.
+        The bytes are re-digested at most once per generation: every
+        at-rest mutation goes through this class (``put`` / ``delete`` /
+        ``corrupt``), so between two of them the verdict cannot change;
+        an intact ``put`` records its verdict, so only a torn put or a
+        ``corrupt`` leaves a digest to take.
         """
         key = (stripe_id, chunk_index)
         ok = self._verdicts.get(key)

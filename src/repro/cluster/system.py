@@ -120,6 +120,10 @@ class ClusterSystem:
         #: silently dropped instead of corrupting the new attempt's state
         self._retired: set[str] = set()
         self._stripe_sizes: dict[str, int] = {}
+        #: stripe -> {chunk index: (node, store generation)} of the stored
+        #: chunks last proven on the stripe's codeword (by ``write_stripe``
+        #: or an audit); a mutated or moved chunk no longer matches its key
+        self._proofs: dict[str, dict[int, tuple[int, int]]] = {}
         self.heartbeats = Heartbeats(self)
         #: callbacks fired (with the node id) whenever a node crashes —
         #: how the recovery orchestrator learns of new failures
@@ -228,8 +232,13 @@ class ClusterSystem:
                 for ci in node.store.stripe_chunks(stripe_id):
                     if placement[ci] != node.node_id:
                         node.store.delete(stripe_id, ci)
+        # the rows are one codeword by construction: every intact put of
+        # them is proven, and a torn one is left for the next audit
+        proof = self._proofs[stripe_id] = {}
         for idx, node in enumerate(placement):
-            self.nodes[node].store.put(stripe_id, idx, rows[idx])
+            store = self.nodes[node].store
+            if store.put(stripe_id, idx, rows[idx]):
+                proof[idx] = (node, store.generation(stripe_id, idx))
         self._stripe_sizes[stripe_id] = int(data.shape[1])
         return loc
 
@@ -507,11 +516,14 @@ class ClusterSystem:
         localization therefore runs within *stored* chunks only — with a
         rotten helper both the helper and the rebuilt value are
         off-codeword, so mixing the rebuilt chunk into the candidate set
-        could never localize.
+        could never localize.  The stripe's proof names the stored
+        chunks the audit may take as proven; the audit's ``proven``
+        replaces it.
         """
         sid = asm.stripe_id
         placement = self.master.stripe(sid).placement
         stored: dict[int, np.ndarray] = {}
+        held: dict[int, tuple[int, int]] = {}
         digest_bad: list[int] = []
         skip = self.unavailable(sid) | 1 << asm.lost_chunk
         for ci, node in enumerate(placement):
@@ -522,12 +534,16 @@ class ClusterSystem:
                 continue
             if store.verify(sid, ci):
                 stored[ci] = store.view(sid, ci)
+                held[ci] = (node, store.generation(sid, ci))
             else:
                 digest_bad.append(ci)
+        proof = self._proofs.get(sid, {})
         report = audit_stripe(
             self.code, asm.lost_chunk, asm.buffer, stored,
             digest_bad=tuple(digest_bad),
+            proven=[ci for ci, key in held.items() if proof.get(ci) == key],
         )
+        self._proofs[sid] = {ci: held[ci] for ci in report.proven}
         if report.ok is False:
             for ci in report.culprits:
                 self.quarantine_chunk(sid, ci, kind="verify")

@@ -18,13 +18,16 @@ set, and with surplus remaining the check still trips.)
 :func:`audit_stripe` packages the policy the cluster uses after every
 repair: digest scan first (cheap, localizes rot whose digest no longer
 matches), then parity consistency over the digest-clean values, then
-leave-one-out localization — returning the culprits to quarantine and
-the predicted true value of the rebuilt chunk when the surplus pins it
-down.
+leave-one-out localization — returning the culprits to quarantine, the
+predicted true value of the rebuilt chunk when the surplus pins it
+down, and the stored chunks it proved on one codeword.  Handed back the
+ones unchanged since, it predicts only the lost row when they cover the
+stored set: a subset of a consistent set is consistent.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +48,7 @@ def check_consistency(
     *,
     predict: int | None = None,
     rebuilt: np.ndarray | None = None,
+    proven: bool = False,
 ) -> tuple[bool, np.ndarray | None]:
     """Do ``values`` (stripe index -> chunk) lie on one codeword?
 
@@ -63,7 +67,9 @@ def check_consistency(
     stored: when every block agrees, ``row`` *is* ``rebuilt``, and a
     chunk-sized row is built only from the first block that disagrees.
     Requires at least k values; with exactly k the check is vacuous
-    (always consistent).
+    (always consistent).  ``proven`` says the values are already known
+    to lie on one codeword: the same decode set and blocks then predict
+    only row ``predict``, and nothing else is compared.
     """
     if len(values) < code.k:
         raise ValueError(
@@ -72,13 +78,16 @@ def check_consistency(
         )
     ordered = sorted(values)
     decode_set = tuple(ordered[: code.k])
-    rows = [i for i in range(code.n) if i not in decode_set]
+    if proven:
+        rows, surplus = [predict], []
+    else:
+        rows = [i for i in range(code.n) if i not in decode_set]
+        surplus = [(rows.index(i), values[i]) for i in ordered[code.k :]]
     matrix = np.array(
         [code.repair_equation(i, decode_set).coeffs for i in rows],
         dtype=np.uint8,
     )
     inputs = [values[i] for i in decode_set]
-    surplus = [(rows.index(i), values[i]) for i in ordered[code.k :]]
     target = None if predict is None else rows.index(predict)
     length = len(inputs[0])
     block = np.empty((len(rows), min(length, BLOCK_BYTES)), dtype=np.uint8)
@@ -162,6 +171,10 @@ class AuditReport:
         this is the ``rebuilt`` array itself, not a copy.
     checked:
         Number of stored chunks whose digests were scanned.
+    proven:
+        Stored indices the audit proved on one codeword: all of
+        ``stored`` when they checked consistent, all but the culprit
+        after leave-one-out, else none.
     """
 
     ok: bool | None
@@ -170,6 +183,7 @@ class AuditReport:
     rebuilt_ok: bool | None = None
     predicted: np.ndarray | None = field(default=None, repr=False)
     checked: int = 0
+    proven: tuple[int, ...] = ()
 
     @property
     def unverifiable(self) -> bool:
@@ -184,6 +198,7 @@ def audit_stripe(
     rebuilt: np.ndarray,
     stored: dict[int, np.ndarray],
     digest_bad: tuple[int, ...] = (),
+    proven: Collection[int] = (),
 ) -> AuditReport:
     """Audit a repaired stripe: digest verdicts + parity consistency.
 
@@ -201,6 +216,9 @@ def audit_stripe(
     digest_bad:
         Stripe indices whose stored digest failed verification — they
         are culprits a priori and must not appear in ``stored``.
+    proven:
+        Indices of ``stored`` proven on one codeword and unchanged since;
+        covering ``stored``, only the lost row is predicted (same report).
     """
     culprits = tuple(sorted(digest_bad))
     if len(stored) <= code.k:
@@ -213,7 +231,8 @@ def audit_stripe(
             checked=len(stored) + len(digest_bad),
         )
     stored_ok, predicted = check_consistency(
-        code, stored, predict=lost_index, rebuilt=rebuilt
+        code, stored, predict=lost_index, rebuilt=rebuilt,
+        proven=stored.keys() <= set(proven),
     )
     if stored_ok:
         # clean stored chunks agree on one codeword; it pins the lost value
@@ -224,6 +243,7 @@ def audit_stripe(
             rebuilt_ok=rebuilt_ok,
             predicted=predicted,
             checked=len(stored) + len(digest_bad),
+            proven=tuple(sorted(stored)),
         )
     # stored chunks are inconsistent *despite* clean digests (rot that
     # kept its digest, e.g. a deliberately silent flip): leave-one-out
@@ -240,6 +260,7 @@ def audit_stripe(
             rebuilt_ok=rebuilt_ok,
             predicted=predicted,
             checked=len(stored) + len(digest_bad),
+            proven=tuple(sorted(clean)),
         )
     return AuditReport(
         ok=False,

@@ -82,7 +82,9 @@ class TestChunkStore:
 
 
 class TestVerifyMemo:
-    """``verify`` digests a chunk once per mutation, not once per call."""
+    """``verify`` digests a chunk at most once per mutation, not once per
+    call, and not at all after an intact ``put``: the digest ``put`` took
+    covers exactly the bytes it stored."""
 
     @pytest.fixture
     def digests(self, monkeypatch):
@@ -106,8 +108,7 @@ class TestVerifyMemo:
         assert store.verify(*key) is first
         return first, len(digests) - before
 
-    def test_unchanged_chunk_is_digested_once(self, store, digests):
-        assert self._verify_twice(store, digests) == (True, 1)
+    def test_an_unchanged_chunk_is_never_redigested(self, store, digests):
         assert self._verify_twice(store, digests) == (True, 0)
         store.get("s1", 0)
         store.get_range("s1", 0, 2, 9)
@@ -115,23 +116,24 @@ class TestVerifyMemo:
         del digests[:]
         assert self._verify_twice(store, digests) == (True, 0)
 
-    def test_put_redigests(self, store, digests):
+    def test_an_intact_put_is_digested_once_at_put(self, store, digests):
         store.verify("s1", 0)
-        store.put("s1", 0, np.arange(32, dtype=np.uint8))  # same bytes
+        assert store.put("s1", 0, np.arange(32, dtype=np.uint8)) is True
+        assert digests == [32]  # the record itself, nothing on readback
         del digests[:]
-        assert self._verify_twice(store, digests) == (True, 1)
+        assert self._verify_twice(store, digests) == (True, 0)
 
-    def test_delete_then_put_redigests(self, store, digests):
+    def test_delete_then_put_records_a_new_verdict(self, store, digests):
         before = store.generation("s1", 0)
         store.verify("s1", 0)
         store.delete("s1", 0)
         assert store.generation("s1", 0) == 0
         with pytest.raises(KeyError):
             store.verify("s1", 0)
-        store.put("s1", 0, np.arange(32, dtype=np.uint8))
+        assert store.put("s1", 0, np.arange(32, dtype=np.uint8))
         assert store.generation("s1", 0) not in (0, before)
         del digests[:]
-        assert self._verify_twice(store, digests) == (True, 1)
+        assert self._verify_twice(store, digests) == (True, 0)
 
     def test_corrupt_redigests_and_false_sticks(self, store, digests):
         store.verify("s1", 0)
@@ -140,7 +142,7 @@ class TestVerifyMemo:
         assert self._verify_twice(store, digests) == (False, 1)
         assert self._verify_twice(store, digests) == (False, 0)
         store.put("s1", 0, np.arange(32, dtype=np.uint8))  # healed
-        assert self._verify_twice(store, digests)[0] is True
+        assert self._verify_twice(store, digests) == (True, 0)
 
     def test_corrupt_with_fixed_digest_redigests(self, store, digests):
         store.verify("s1", 0)
@@ -152,9 +154,12 @@ class TestVerifyMemo:
         store.verify("s1", 0)
         store.arm_torn_write(tail_fraction=0.5, seed=2)
         assert self._verify_twice(store, digests) == (True, 0)  # only armed
-        store.put("s1", 0, np.arange(32, dtype=np.uint8))
+        assert store.put("s1", 0, np.arange(32, dtype=np.uint8)) is False
         del digests[:]
         assert self._verify_twice(store, digests) == (False, 1)
+        # the tear was one-shot: the next put is intact again
+        assert store.put("s1", 0, np.arange(32, dtype=np.uint8)) is True
+        assert self._verify_twice(store, digests)[0] is True
 
     def test_every_mutation_moves_the_generation(self, store):
         seen = [store.generation("s1", 0)]

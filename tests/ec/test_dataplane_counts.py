@@ -3,8 +3,11 @@
 The clean (14,10) repair below is 40 transfer tasks of 16 slices each.  A
 node's own bytes are GF-scaled once per window of
 :data:`~repro.cluster.datanode.WINDOW_BYTES` (a leaf) or once per task
-(a hub), and a chunk is digested once per mutation — so the calls below
-are bounded by windows, tasks and chunks, whatever the slice count.
+(a hub), and a chunk is digested at most once per mutation — so the
+calls below are bounded by windows, tasks and chunks, whatever the slice
+count.  A stripe whose stored chunks were proven on their codeword (by
+the write, or by the last audit) and have not changed since is audited
+by predicting the lost row alone.
 Counts, unlike timings, are the same on every machine: a change that
 quietly returns to per-slice kernel calls or per-task whole-chunk
 digests trips this gate by a factor of the slice count.
@@ -29,6 +32,7 @@ from repro.cluster.chunkstore import ChunkStore
 from repro.cluster.datanode import WINDOW_BYTES, DataNode
 from repro.ec import RSCode, kernels
 from repro.ec.backend import get_backend
+from repro.integrity.verify import BLOCK_BYTES
 from repro.net import BandwidthSnapshot
 
 pytestmark = pytest.mark.ec
@@ -57,6 +61,8 @@ def counted(monkeypatch):
     """A (14,10) cluster with one failed node, and the calls it makes."""
     counts = {"mul_chunk": 0, "get_range": 0, "get": 0, "chunk_digest": 0}
     tasks = []
+    #: rows of every ``matmul_chunks`` product: only the audit's, in a repair
+    audit_rows = []
 
     def counting(owner, attr, key):
         real = getattr(owner, attr)
@@ -71,6 +77,14 @@ def counted(monkeypatch):
     counting(ChunkStore, "get_range", "get_range")
     counting(ChunkStore, "get", "get")
     counting(chunkstore, "chunk_digest", "chunk_digest")  # the store's binding
+    backend = type(get_backend())
+    real_matmul = backend.matmul_chunks
+    monkeypatch.setattr(
+        backend, "matmul_chunks",
+        lambda self, matrix, *a, **kw: (
+            audit_rows.append(len(matrix)), real_matmul(self, matrix, *a, **kw)
+        )[1],
+    )
     real_assign = DataNode.assign
     monkeypatch.setattr(
         DataNode, "assign",
@@ -82,6 +96,8 @@ def counted(monkeypatch):
     system.fail_node(0)
     for key in counts:
         counts[key] = 0
+    audit_rows.clear()
+    counts["audit_rows"] = audit_rows
     return system, data, counts, tasks
 
 
@@ -99,10 +115,13 @@ def test_one_clean_repair_works_per_task_and_per_chunk(counted):
     # hubs and leaves both scale from views of their chunk: no copy
     assert any(t.wait_for for t in tasks)  # ... and there are hubs
     assert counts["get_range"] == 0
-    # assign-time helper checks plus the post-repair audit: at most one
-    # digest per surviving chunk of the stripe, however many tasks read it
+    # assign-time helper checks and the post-repair audit of a freshly
+    # written stripe: every put was intact, so nothing is re-digested
     helpers = {t.chunk_index for t in scaled}
-    assert K <= len(helpers) <= counts["chunk_digest"] <= N - 1
+    assert K <= len(helpers) and counts["chunk_digest"] == 0
+    # the write proved the stripe: the audit predicts the lost row alone,
+    # one block at a time
+    assert counts["audit_rows"] == [1] * -(-CHUNK // BLOCK_BYTES)
     # the audit and the settle-time comparison read the stores in place
     assert counts["get"] == 0
 
@@ -114,6 +133,23 @@ def test_a_second_repair_digests_nothing(counted):
     outcome = system.repair("s", 0, 15, store=False)
     assert outcome.verified and np.array_equal(outcome.rebuilt, data[0])
     assert counts["chunk_digest"] == 0  # no chunk changed since the first
+
+
+def test_silent_rot_after_a_clean_audit_is_checked_in_full(counted):
+    system, data, counts, tasks = counted
+    system.repair("s", 0, 15, store=False)  # a clean audit renews the proof
+    rotten = N - 1
+    assert system.corrupt_chunk(rotten, "s", rotten, seed=5, fix_digest=True)
+    counts["chunk_digest"] = 0
+    counts["audit_rows"].clear()
+    outcome = system.repair("s", 0, 15, store=False)
+    # the rot moved the chunk's generation: it is digested once (and its
+    # digest matches), the audit predicts every row outside the decode
+    # set and leave-one-out names the culprit
+    assert counts["chunk_digest"] == 1
+    assert counts["audit_rows"][0] == N - K
+    assert rotten in outcome.quarantined_chunks
+    assert system.master.is_quarantined("s", rotten)
 
 
 # --------------------------------------------------------------------- #

@@ -7,6 +7,9 @@ time, over read-only inputs.  Every :class:`AuditReport` field must be
 identical — ``ok``, ``culprits``, ``localized``, ``rebuilt_ok``, the
 ``predicted`` bytes and ``checked`` — for three codes, lengths either
 side of every block edge, and each way a stripe can be off its codeword.
+A stored set handed in as already proven (``proven=``) predicts only the
+lost row; on every consistent case it must return the same report,
+``proven`` and ``predicted is rebuilt`` included.
 
 Block edges are exercised at :data:`SMALL_BLOCK` (patched in, so a
 length of two blocks stays cheap) and once at the real
@@ -144,6 +147,89 @@ def test_the_scenarios_reach_every_verdict():
         (False, False, True, False),  # rebuilt wrong, healed value known
         (False, False, False, None),  # corruption not localizable
     }
+
+
+# --------------------------------------------------------------------- #
+# a proven stored set: the lost row alone, and the same report           #
+# --------------------------------------------------------------------- #
+
+#: scenarios whose stored values lie on one codeword
+CONSISTENT = ("clean", "rebuilt", "digest_bad")
+
+
+def _report(case, proven_all: bool) -> tuple:
+    """Every field of ``verify.audit_stripe``'s report on a case, with the
+    stored set declared proven or not, plus ``predicted is rebuilt``."""
+    code, lost, rebuilt, stored, digest_bad = _audit_inputs(*case)
+    report = verify.audit_stripe(
+        code, lost, rebuilt, stored, digest_bad=digest_bad,
+        proven=set(stored) if proven_all else (),
+    )
+    predicted = None if report.predicted is None else report.predicted.tobytes()
+    return (
+        report.ok, report.culprits, report.localized, report.rebuilt_ok,
+        predicted, report.checked, report.proven, report.predicted is rebuilt,
+    )
+
+
+PROVEN_CASES = [c for c in SMALL_CASES if c[4] in CONSISTENT] + [
+    c for c in REAL_CASES if c[4] in CONSISTENT
+]
+
+
+@pytest.mark.parametrize(
+    "case", PROVEN_CASES,
+    ids=["rs{}-{}-L{}-lost{}-{}".format(*c) for c in PROVEN_CASES],
+)
+def test_a_proven_stored_set_audits_like_the_full_check(case, monkeypatch):
+    if case in SMALL_CASES:
+        monkeypatch.setattr(verify, "BLOCK_BYTES", SMALL_BLOCK)
+    fast, slow = _report(case, True), _report(case, False)
+    assert fast == slow
+    assert fast[:6] == _fields(reference_audit.audit_stripe, case)
+    stored = _audit_inputs(*case)[3]  # at most k values prove nothing
+    assert fast[6] == (tuple(sorted(stored)) if len(stored) > case[1] else ())
+
+
+def test_the_proven_cases_reach_both_rebuild_verdicts(small_block):
+    # a clean rebuild is returned as itself; a wrong one gets the healing row
+    seen = {_report(c, True)[3:8:4] for c in PROVEN_CASES}
+    assert seen >= {(True, True), (False, False)}
+
+
+def test_a_proven_set_predicts_only_the_lost_row(small_block, monkeypatch):
+    code, lost, rebuilt, stored, _ = _audit_inputs(
+        14, 10, 2 * SMALL_BLOCK + 3, 1, "clean"
+    )
+    rows = []
+    backend = type(verify.get_backend())
+    real = backend.matmul_chunks
+    monkeypatch.setattr(
+        backend, "matmul_chunks",
+        lambda self, m, *a, **kw: (rows.append(len(m)), real(self, m, *a, **kw))[1],
+    )
+    for proven, want in (((), [4, 4, 4]), (set(stored), [1, 1, 1])):
+        rows.clear()
+        verify.audit_stripe(code, lost, rebuilt, stored, proven=proven)
+        assert rows == want  # n - k rows, or the lost one, per block
+
+
+@pytest.mark.parametrize(
+    "scenario, proven",
+    [("clean", "all"), ("rebuilt", "all"), ("digest_bad", "all"),
+     ("surplus", "all_but_culprit"), ("decode_set", "all_but_culprit"),
+     ("two_culprits", "none"), ("k_values", "none"), ("k_plus_1", "none")],
+)
+def test_the_report_names_what_it_proved(small_block, scenario, proven):
+    case = (9, 6, SMALL_BLOCK + 1, 1, scenario)
+    stored = sorted(_audit_inputs(*case)[3])
+    culprit = {"surplus": stored[-1], "decode_set": stored[0]}.get(scenario)
+    want = {
+        "all": tuple(stored),
+        "all_but_culprit": tuple(i for i in stored if i != culprit),
+        "none": (),
+    }[proven]
+    assert _report(case, False)[6] == want
 
 
 # --------------------------------------------------------------------- #
