@@ -401,7 +401,9 @@ class Assembly:
         True — the assembly is terminal (verified clean, healed from
         surplus parity, or explicitly failed); False — the rebuilt bytes
         were poisoned, the culprit is quarantined, and a fresh attempt
-        has been scheduled over the remaining helpers.
+        has been scheduled over the remaining helpers.  An unverifiable
+        rebuild fed by a culprit counts as poisoned: it is re-repaired
+        without it, or fails once attempts run out.
         """
         obs = self.system.obs
         report = self.system._audit(self)
@@ -409,7 +411,8 @@ class Assembly:
             self.integrity_ok = True
             obs.verification(self, "ok", report)
             return True
-        if report.unverifiable:
+        fed = report.unverifiable and self.fed_by(report.culprits)
+        if report.unverifiable and not fed:
             # too few clean chunks survive to check the rebuild with
             self.integrity_ok = None
             obs.verification(self, "unverifiable", report)
@@ -447,11 +450,20 @@ class Assembly:
             obs.verification(self, "healed", report)
             return True
         self.failure_reason = (
+            "rebuilt chunk was fed by a corrupt helper and too few clean "
+            "chunks survive to check it" if fed else
             "rebuilt chunk failed integrity verification and the "
             "corruption could not be localized"
         )
         obs.verification(self, "failed", report)
         return True
+
+    def fed_by(self, culprits) -> bool:
+        """Whether a node of this attempt's plan holds a chunk in
+        ``culprits``: its rot may be in the rebuilt bytes."""
+        placement = self.system.master.stripe(self.stripe_id).placement
+        holders = {placement[ci] for ci in culprits}
+        return not holders.isdisjoint(self.plan_participants())
 
     # ---- terminal: completed, escalated, failed ------------------------ #
 
@@ -571,19 +583,23 @@ class Assembly:
         bytes wrong, or finds rot it cannot localize, is an explicit
         failed verdict — the caller re-dispatches; nothing is healed or
         re-repaired here.  One with no surplus parity to check with
-        persists the chunk unvouched.  A chunk
+        persists the chunk unvouched, unless a helper of its plan holds a
+        culprit: that one fails too.  A chunk
         that failed before assembling (a rotten helper chunk) comes back
         ``failed`` unaudited."""
         if self.failed:
             return self.failed_outcome(self.failure_reason)
         report = self.system._audit(self)
         if report.ok is False:
+            trusted = report.rebuilt_ok or (
+                report.unverifiable and not self.fed_by(report.culprits)
+            )
             self.system.obs.verification(
                 self,
-                "unverifiable" if report.unverifiable
-                else "ok" if report.rebuilt_ok else "failed",
+                "failed" if not trusted
+                else "unverifiable" if report.unverifiable else "ok",
             )
-            if not (report.rebuilt_ok or report.unverifiable):
+            if not trusted:
                 return self.failed_outcome(
                     "rebuilt chunk failed integrity verification",
                     end=self.last_arrival,

@@ -102,6 +102,12 @@ def coeff_row(coeff: int) -> np.ndarray:
     return np.bitwise_xor.outer(hi, lo).reshape(256)
 
 
+def _pair_products(coeff: int) -> np.ndarray:
+    """The uint16 pair-product table of ``coeff``, built uncached."""
+    row = coeff_row(coeff).astype(_U16)
+    return ((row[:, None] << _U16(8)) | row[None, :]).reshape(65536)
+
+
 _pair_cache: dict[int, np.ndarray] = {}
 _table_lock = threading.Lock()
 
@@ -117,11 +123,10 @@ def pair_table(coeff: int) -> np.ndarray:
     c = int(coeff) & 0xFF
     table = _pair_cache.get(c)
     if table is None:
-        row = coeff_row(c).astype(_U16)
         with _table_lock:
             table = _pair_cache.get(c)
             if table is None:
-                table = ((row[:, None] << _U16(8)) | row[None, :]).reshape(65536)
+                table = _pair_products(c)
                 table.setflags(write=False)
                 _pair_cache[c] = table
     return table
@@ -134,6 +139,14 @@ def _group_dtype(width: int) -> tuple[np.dtype, int]:
     if width == 2:
         return np.dtype(_U32), 2
     return np.dtype(_U64), 4
+
+
+def _gather_cost(*runs: int) -> tuple[int, int]:
+    """(gathers, uint16 words gathered) per input pair when runs of rows
+    of these lengths are fused: :class:`FusedTables` packs each run four
+    rows to a group."""
+    widths = [min(4, rows - s) for rows in runs for s in range(0, rows, 4)]
+    return len(widths), sum(_group_dtype(w)[1] for w in widths)
 
 
 class FusedTables:
@@ -165,10 +178,12 @@ class FusedTables:
                     # single row: the shared pair table IS the fused table
                     tables.append(pair_table(int(coeffs[0])))
                     continue
+                # a gather reads only the packed table: caching the rows'
+                # pair tables would keep 128 KiB per distinct coefficient
                 packed = np.zeros(65536, dtype=dtype)
                 for j, c in enumerate(coeffs):
                     if c:
-                        packed |= pair_table(int(c)).astype(dtype) << dtype.type(16 * j)
+                        packed |= _pair_products(int(c)).astype(dtype) << dtype.type(16 * j)
                 packed.setflags(write=False)
                 tables.append(packed)
                 self.nbytes += packed.nbytes
@@ -330,10 +345,16 @@ def fused_matmul(
     # Rows whose coefficients are all 0/1 are copies and XOR folds — a
     # systematic decode matrix is mostly identity rows, and routing them
     # through the gather tables would run memcpy-speed work at gather
-    # speed (~2.5x slower).  Peel them off and fuse only the dense rows.
-    simple = [r for r in range(m) if not (matrix[r] > 1).any()]
-    if simple:
-        for r in simple:
+    # speed (~2.5x slower).  Peel them off only when the dense rows left
+    # then gather less per input pair (a gather fewer, or as many but
+    # narrower): an all-ones parity row beside three dense rows rides the
+    # spare lane of their uint64 group for free, where peeling it would
+    # add a copy and p - 1 XOR passes to unchanged gathers.
+    is_dense = (matrix > 1).any(axis=1)
+    dense = np.flatnonzero(is_dense)
+    runs = np.split(dense, np.flatnonzero(np.diff(dense) > 1) + 1) if dense.size else []
+    if _gather_cost(*map(len, runs)) < _gather_cost(m):
+        for r in np.flatnonzero(~is_dense):
             row_out = out[r]
             ones = np.flatnonzero(matrix[r])
             if ones.size == 0:
@@ -342,15 +363,9 @@ def fused_matmul(
             np.copyto(row_out, chunk_list[ones[0]])
             for l in ones[1:]:
                 np.bitwise_xor(row_out, chunk_list[l], out=row_out)
-        dense = [r for r in range(m) if (matrix[r] > 1).any()]
-        run_start = 0
-        while run_start < len(dense):  # maximal contiguous runs keep views
-            run_end = run_start + 1
-            while run_end < len(dense) and dense[run_end] == dense[run_end - 1] + 1:
-                run_end += 1
-            a, b = dense[run_start], dense[run_end - 1] + 1
+        for run in runs:  # maximal contiguous runs keep views
+            a, b = run[0], run[-1] + 1
             fused_matmul(matrix[a:b], chunk_list, out[a:b])
-            run_start = run_end
         return out
 
     tables = fused_tables(matrix)

@@ -131,7 +131,7 @@ def cauchy(rows: int, cols: int) -> np.ndarray:
 
     Every square submatrix of a Cauchy matrix is invertible, which makes it
     the standard choice for the parity block of a systematic RS generator
-    matrix.
+    matrix (:func:`systematic_generator` scales its columns).
     """
     if rows + cols > 256:
         raise ValueError("rows + cols must be <= 256 for disjoint Cauchy sets")
@@ -144,9 +144,13 @@ def systematic_generator(n: int, k: int) -> np.ndarray:
     """Build the (n, k) systematic RS generator matrix.
 
     The first k rows are the identity (data chunks are stored verbatim);
-    the remaining n - k rows are a Cauchy parity block, invertible for
-    every k-subset by construction.
+    the remaining n - k rows are a Cauchy block whose column j is scaled
+    by 1 / C[0, j], so the first parity row is all ones: plain XOR
+    parity, as in ISA-L's ``gf_gen_rs_matrix``.  Scaling a column by a
+    non-zero factor scales the determinant of every square submatrix
+    through it, so every k-subset of rows stays invertible (MDS).
     """
     if not (0 < k < n):
         raise ValueError(f"require 0 < k < n, got n={n} k={k}")
-    return np.vstack([identity(k), cauchy(n - k, k)])
+    block = cauchy(n - k, k)
+    return np.vstack([identity(k), gf256.MUL_TABLE[block, gf256.INV_TABLE[block[0]]]])

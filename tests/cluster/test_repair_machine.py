@@ -506,3 +506,55 @@ def test_a_chunk_group_does_not_vouch_for_a_rebuild_it_cannot_check():
     assert outcome.status == COMPLETED
     assert not np.array_equal(outcome.rebuilt, original["s0", 2])
     assert not outcome.verified
+
+
+# --------------------------------------------------------------------- #
+# a helper quarantined by digest, leaving exactly k clean chunks         #
+# --------------------------------------------------------------------- #
+
+
+def _rot_a_helper_mid_repair(start):
+    """Crash node 4 (chunk 1 of ``s1``), start a repair of it to node 0
+    with ``start(system, on_done)``, and rot helper chunk 0 (node 3) 1 ms
+    in: the digest catches it, and the audit that quarantines it is left
+    with exactly k clean chunks, so it cannot check the rebuild."""
+    system, original = make_cluster()
+    system.fail_node(4)
+    outcomes = []
+    start(system, outcomes.append)
+    system.events.run(until=system.events.now + 0.001)
+    assert not outcomes and system.corrupt_chunk(3, "s1", 0, seed=0)
+    system.events.run()
+    (outcome,) = outcomes
+    return system, original, outcome
+
+
+@pytest.mark.parametrize("max_attempts", [3, 1])
+def test_an_unchecked_rebuild_fed_by_a_quarantined_helper_is_repaired_again(
+    max_attempts,
+):
+    system, original, outcome = _rot_a_helper_mid_repair(
+        lambda system, on_done: system.repair_async(
+            "s1", 4, 0, on_done=on_done, max_attempts=max_attempts
+        )
+    )
+    assert outcome.quarantined_chunks == (0,)
+    if max_attempts > 1:  # re-repaired from the k clean chunks left
+        assert outcome.status == COMPLETED and outcome.attempts == 2
+        assert np.array_equal(outcome.rebuilt, original["s1", 1])
+        assert np.array_equal(system.read_chunk("s1", 1), original["s1", 1])
+    else:  # no attempt left: failed, and nothing stored
+        assert outcome.status == FAILED and outcome.rebuilt is None
+        assert "corrupt helper" in outcome.failure_reason
+        assert system.master.stripe("s1").placement[1] == 4
+
+
+def test_a_chunk_group_fails_an_unchecked_rebuild_fed_by_a_quarantined_helper():
+    system, _, group = _rot_a_helper_mid_repair(
+        lambda system, on_done: system.repair_multi_async(
+            "s1", (4,), {4: 0}, on_done=on_done, deadline_s=100.0
+        )
+    )
+    assert group[4].status == FAILED and group[4].rebuilt is None
+    assert group[4].quarantined_chunks == (0,)
+    assert system.master.stripe("s1").placement[1] == 4  # nothing stored

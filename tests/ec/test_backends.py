@@ -119,6 +119,50 @@ def test_backend_matmul_equivalence(name):
     assert np.array_equal(expected, got)
 
 
+#: One output row per letter: ``o`` all ones, ``c`` a copy (one 1),
+#: ``x`` a 0/1 mix, ``z`` zeros, ``d`` dense (some coefficient > 1) —
+#: mapped to the rows ``fused_matmul`` hands its gather tables, one run
+#: of rows per comma.  0/1 rows ride the dense rows' groups unless peeling
+#: them leaves fewer gathers per input pair, or as many but narrower.
+ROW_MIXES = {
+    "o": "", "c": "", "z": "", "x": "", "d": "d",
+    "od": "d", "dz": "d", "cx": "",
+    "oddd": "oddd", "dddo": "dddo", "dodd": "dodd", "dddz": "dddz",
+    "oddz": "dd", "cdz": "d", "dxd": "dxd",
+    "odddd": "dddd", "dddod": "dddod", "ddddoddd": "ddddoddd",
+    "oddddddd": "oddddddd", "dddddddo": "dddddddo", "cozdddd": "dddd",
+    "dzdcdod": "dzdcdod", "ddodddddd": "dd,dddddd", "ccccccccd": "d",
+    "ooooxxxxz": "",
+}
+
+
+@pytest.mark.parametrize("mix", sorted(ROW_MIXES))
+@pytest.mark.parametrize("length", [1, 7, BIG, 2 * kernels.SEGMENT_PAIRS + 3])
+def test_fused_matmul_peels_or_rides_0_1_rows(mix, length, monkeypatch):
+    rng = np.random.default_rng(len(mix) * 1009 + length)
+    p = 5
+    rows = {
+        "o": lambda: np.ones(p, np.uint8),
+        "c": lambda: np.eye(p, dtype=np.uint8)[rng.integers(p)],
+        "x": lambda: rng.integers(0, 2, p, dtype=np.uint8),
+        "z": lambda: np.zeros(p, np.uint8),
+        "d": lambda: rng.integers(2, 256, p, dtype=np.uint8),
+    }
+    mat = np.array([rows[kind]() for kind in mix], dtype=np.uint8)
+    chunks = _chunks(rng, p, length)
+    fused = []
+    real = kernels.fused_tables
+    monkeypatch.setattr(
+        kernels, "fused_tables", lambda m: (fused.append(m.copy()), real(m))[1]
+    )
+    got = kernels.fused_matmul(mat, list(chunks))
+    assert np.array_equal(got, matrix.matvec_chunks(mat, chunks))
+    # which rows went through the gather tables, by kind and by run
+    kinds = {r.tobytes(): kind for r, kind in zip(mat, mix)}
+    ran = ",".join("".join(kinds[r.tobytes()] for r in m) for m in fused)
+    assert ran == ROW_MIXES[mix]
+
+
 def _rs_operation(code: RSCode, op: str, data: np.ndarray) -> np.ndarray:
     """One code-level operation of the data plane, on the current backend."""
     stripe = code.encode(data)

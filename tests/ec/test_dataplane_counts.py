@@ -77,14 +77,29 @@ def counted(monkeypatch):
     counting(ChunkStore, "get_range", "get_range")
     counting(ChunkStore, "get", "get")
     counting(chunkstore, "chunk_digest", "chunk_digest")  # the store's binding
+    #: (call, shape of its first argument) of every kernel table lookup
+    #: and gather inside those products
+    audit_gathers = []
     backend = type(get_backend())
     real_matmul = backend.matmul_chunks
-    monkeypatch.setattr(
-        backend, "matmul_chunks",
-        lambda self, matrix, *a, **kw: (
-            audit_rows.append(len(matrix)), real_matmul(self, matrix, *a, **kw)
-        )[1],
-    )
+
+    def matmul(self, matrix, *args, **kwargs):
+        audit_rows.append(len(matrix))
+        with monkeypatch.context() as scope:
+            for owner, name in (
+                (kernels, "fused_tables"), (kernels, "pair_table"), (np, "take")
+            ):
+                real = getattr(owner, name)
+                scope.setattr(
+                    owner, name,
+                    lambda *a, real=real, name=name, **kw: (
+                        audit_gathers.append((name, np.shape(a[0]))),
+                        real(*a, **kw),
+                    )[1],
+                )
+            return real_matmul(self, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(backend, "matmul_chunks", matmul)
     real_assign = DataNode.assign
     monkeypatch.setattr(
         DataNode, "assign",
@@ -97,7 +112,9 @@ def counted(monkeypatch):
     for key in counts:
         counts[key] = 0
     audit_rows.clear()
+    audit_gathers.clear()
     counts["audit_rows"] = audit_rows
+    counts["audit_gathers"] = audit_gathers
     return system, data, counts, tasks
 
 
@@ -120,8 +137,10 @@ def test_one_clean_repair_works_per_task_and_per_chunk(counted):
     helpers = {t.chunk_index for t in scaled}
     assert K <= len(helpers) and counts["chunk_digest"] == 0
     # the write proved the stripe: the audit predicts the lost row alone,
-    # one block at a time
+    # one block at a time, from the other data chunks and the XOR parity
+    # P0 — copies and XOR folds, with no table and no gather
     assert counts["audit_rows"] == [1] * -(-CHUNK // BLOCK_BYTES)
+    assert counts["audit_gathers"] == []
     # the audit and the settle-time comparison read the stores in place
     assert counts["get"] == 0
 
@@ -142,12 +161,17 @@ def test_silent_rot_after_a_clean_audit_is_checked_in_full(counted):
     assert system.corrupt_chunk(rotten, "s", rotten, seed=5, fix_digest=True)
     counts["chunk_digest"] = 0
     counts["audit_rows"].clear()
+    counts["audit_gathers"].clear()
     outcome = system.repair("s", 0, 15, store=False)
     # the rot moved the chunk's generation: it is digested once (and its
     # digest matches), the audit predicts every row outside the decode
     # set and leave-one-out names the culprit
     assert counts["chunk_digest"] == 1
     assert counts["audit_rows"][0] == N - K
+    # ... in one gather group: the XOR row rides a lane of the other three
+    assert {
+        shape for call, shape in counts["audit_gathers"] if call == "fused_tables"
+    } == {(N - K, K)}
     assert rotten in outcome.quarantined_chunks
     assert system.master.is_quarantined("s", rotten)
 
@@ -191,6 +215,21 @@ def test_a_warmed_write_builds_only_the_parity():
     # the n stored copies are the write; on top of them only the n - k
     # parity rows and one chunk of slack, not a second (n, L) stripe
     assert N * MIB <= peak <= (2 * N - K + 1) * MIB
+
+
+def test_a_warmed_write_gathers_the_parity_in_one_group(monkeypatch):
+    """The n - k = 4 parity rows, XOR row P0 among them, are one uint64
+    gather group: P0 rides a lane, no row is peeled into XOR passes."""
+    system, data = _warmed(MIB)
+    fused = []
+    real = kernels.fused_tables
+    monkeypatch.setattr(
+        kernels, "fused_tables", lambda m: fused.append(real(m)) or fused[-1]
+    )
+    system.write_stripe("s", data, placement=tuple(range(N)))
+    (tables,) = set(fused)  # one cached table set
+    ((start, width, dtype, _),) = tables.groups
+    assert (start, width, dtype) == (0, N - K, np.uint64)
 
 
 @pytest.mark.parametrize("mib", sorted(REPAIR_HIGH_WATER))

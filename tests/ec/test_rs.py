@@ -111,6 +111,16 @@ class TestRepair:
                 eq = code.repair_equation(lost, helpers)
                 assert all(c != 0 for c in eq.coeffs)
 
+    @pytest.mark.parametrize("n,k", [(5, 3), (6, 4), (9, 6), (12, 8), (14, 10)])
+    def test_a_lost_data_chunk_is_the_xor_of_the_rest_and_p0(self, n, k):
+        """P0 is XOR parity: the other data chunks and P0 rebuild a lost
+        data chunk with all-ones coefficients, and the data rebuild P0."""
+        code = RSCode(n, k)
+        for lost in range(k):
+            helpers = tuple(i for i in range(k + 1) if i != lost)
+            assert code.repair_equation(lost, helpers).coeffs == (1,) * k
+        assert code.repair_equation(k, tuple(range(k))).coeffs == (1,) * k
+
     def test_repair_equation_evaluate(self):
         code = RSCode(6, 4)
         _, stripe = make_stripe(code)

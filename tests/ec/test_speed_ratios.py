@@ -16,7 +16,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from repro.ec import RSCode, use_backend
+from repro.ec import RSCode, kernels, use_backend
 from repro.ec.backend import resolve
 from repro.integrity import DIGEST_BLOCK_BYTES, chunk_digest
 
@@ -77,14 +77,18 @@ def test_fused_matmul_beats_naive():
     assert ratio > 1.0, f"fused matmul_chunks is {ratio:.2f}x naive"
 
 
-def test_digest_costs_at_most_a_tenth_of_a_fused_decode():
+def test_digest_costs_at_most_a_tenth_of_a_fused_decode(monkeypatch):
     """Verifying one rebuilt chunk (one 2 MiB digest block) stays a
-    rounding error next to the fused (9, 6) decode that produced it."""
+    rounding error next to the fused (9, 6) decode that produced it.
+
+    The decode loses data chunk 2 and the XOR parity P0 (index 6), so
+    chunk 2 comes out of a gathered row.  With P0 alive it would be P0
+    XOR the other data chunks: no table at all, checked by count."""
     code = RSCode(9, 6)
     rng = np.random.default_rng(2025)
     data = rng.integers(0, 256, size=(code.k, DIGEST_BLOCK_BYTES), dtype=np.uint8)
     stripe = code.encode(data)
-    available = {i: stripe[i] for i in range(code.n) if i != 2}
+    available = {i: stripe[i] for i in range(code.n) if i not in (2, code.k)}
     out = np.empty_like(data)
     with use_backend("fused"):
         cost = _median_ratio(
@@ -92,3 +96,16 @@ def test_digest_costs_at_most_a_tenth_of_a_fused_decode():
             lambda: code.decode(available, out=out),
         )
     assert 0 < cost <= 0.10, f"one digest costs {cost:.1%} of a fused decode"
+
+    tables = []
+    for name in ("fused_tables", "pair_table"):
+        real = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name, lambda *a, real=real: (tables.append(a), real(*a))[1]
+        )
+    with use_backend("fused"):
+        code.decode({**available, code.k: stripe[code.k]}, out=out)
+        assert tables == []  # chunk 2 is P0 XOR the other data chunks
+        code.decode(available, out=out)
+        assert tables  # ... and the gate's decode gathers
+    assert np.array_equal(out, data)
