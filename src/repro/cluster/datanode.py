@@ -81,7 +81,6 @@ class _TaskState:
     """Progress of one pipeline task on one node."""
 
     task: TransferTask
-    wire_id: str  # task.repair_id or task.stripe_id
     num_slices: int
     #: slice ``i`` spans ``[bounds[i], bounds[i + 1])``: the balanced
     #: split ``start + i*q + min(i, r)`` with ``q, r = divmod(len, num)``
@@ -128,19 +127,12 @@ class _TaskState:
 class DataNode:
     """One storage node: chunk store + pipelined task executor."""
 
-    def __init__(
-        self,
-        node_id: int,
-        events: EventQueue,
-        *,
-        slice_bytes: int = 64 * units.KIB,
-    ) -> None:
+    def __init__(self, node_id: int, events: EventQueue) -> None:
         self.node_id = node_id
         self.events = events
         self.store = ChunkStore()
-        self.slice_bytes = slice_bytes
-        #: task states by wire id (``repair_id or stripe_id``), then
-        #: pipeline id; the cluster routes each delivery through it
+        #: task states by wire id (``task.repair_id``), then pipeline
+        #: id; the cluster routes each delivery through it
         self.tasks: dict[str, dict[int, _TaskState]] = {}
         #: delivery callback installed by the cluster: (dest, SliceData)
         self.deliver = None
@@ -190,14 +182,10 @@ class DataNode:
             ):
                 self.on_bad_chunk(self.node_id, task)
                 return
-        if task.num_slices is not None:
-            num = max(1, min(task.num_slices, seg_len))
-        else:
-            num = max(1, -(-seg_len // self.slice_bytes))
+        num = max(1, min(task.num_slices, seg_len))
         q, r = divmod(seg_len, num)
         state = _TaskState(
             task=task,
-            wire_id=task.repair_id or task.stripe_id,
             num_slices=num,
             bounds=[task.start + i * q + min(i, r) for i in range(num + 1)],
             wait_for=_mask(task.wait_for),
@@ -205,7 +193,7 @@ class DataNode:
             edge_free=self.events.now,
         )
         state.arrive = partial(self._arrive, state)
-        self.tasks.setdefault(state.wire_id, {})[task.pipeline_id] = state
+        self.tasks.setdefault(task.repair_id, {})[task.pipeline_id] = state
         if task.wait_for:
             state.partials = [None] * num
             state.arrived = [0] * num
@@ -250,8 +238,7 @@ class DataNode:
         that consumes it.  Only the folded slice can become sendable, so
         the task sends only if it did, is next, and nothing is in flight."""
         if (
-            data.checksum is not None
-            and self.on_bad_slice is not None
+            self.on_bad_slice is not None
             and slice_checksum(data.payload) != data.checksum
         ):
             # corrupted in flight: drop before any bookkeeping so the
@@ -420,7 +407,7 @@ class DataNode:
         if self.on_transfer is not None:
             self.on_transfer(
                 self.node_id, t.destination, lo, hi, start_tx, arrival,
-                state.wire_id, t.pipeline_id,
+                t.repair_id, t.pipeline_id,
             )
         return msg, arrival
 

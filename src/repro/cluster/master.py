@@ -436,18 +436,19 @@ class Master:
         plan: RepairPlan,
         stripe_id: str,
         lost_chunk: int,
-        chunk_bytes: int | None = None,
-        num_slices: int | None = None,
-        repair_id: str = "",
+        *,
+        chunk_bytes: int,
+        num_slices: int,
+        repair_id: str,
         intervals: list[tuple[int, int]] | None = None,
     ) -> list[TransferTask]:
         """Turn plan pipelines into concrete per-node transfer tasks.
 
-        Byte ranges are derived from the pipelines' normalised segments;
-        when ``chunk_bytes`` is None the tasks carry normalised positions
-        scaled by 2^20 (callers re-compile with the real size).
-        ``num_slices`` is the repair-wide pipelining window count shared
-        by every task (see :class:`~repro.cluster.messages.TransferTask`).
+        Byte ranges are the pipelines' normalised segments laid over
+        ``chunk_bytes``.  ``num_slices`` is the repair-wide pipelining
+        window count shared by every task and ``repair_id`` the wire
+        epoch they belong to (see
+        :class:`~repro.cluster.messages.TransferTask`).
 
         ``intervals`` (half-open byte ranges, disjoint and ascending)
         restricts the repair to the *unfinished remainder* of the chunk:
@@ -458,9 +459,8 @@ class Master:
         groups with distinct pipeline ids (the transfer tree and rates
         are identical; only byte ranges differ).
         """
-        size = chunk_bytes if chunk_bytes is not None else (1 << 20)
         if intervals is None:
-            spans = [(0, size)]
+            spans = [(0, chunk_bytes)]
         else:
             spans = [(int(a), int(b)) for a, b in intervals if b > a]
         total = sum(b - a for a, b in spans)
@@ -509,10 +509,10 @@ class Master:
                             rate_mbps=rate,
                             wait_for=children,
                             num_slices=num_slices,
-                            repair_id=repair_id or stripe_id,
+                            repair_id=repair_id,
                         )
                     )
-        self.obs.tasks_compiled(stripe_id, repair_id or stripe_id, len(tasks), total)
+        self.obs.tasks_compiled(stripe_id, repair_id, len(tasks), total)
         return tasks
 
 

@@ -40,31 +40,29 @@ class TransferTask:
     stop: int
     destination: int
     rate_mbps: float
-    #: nodes whose partials must arrive before this hub forwards
-    wait_for: tuple[int, ...] = ()
-    #: identifies the repair session this task belongs to; distinct
-    #: repairs of the same stripe (multi-failure) must not collide
-    repair_id: str = ""
+    #: identifies the repair session (wire epoch) this task belongs to;
+    #: distinct repairs of the same stripe (multi-failure) must not collide
+    repair_id: str
     #: number of pipelining windows the segment is divided into; every
     #: task of a repair shares this count so slices line up across nodes
-    #: (None = derive from the node's default byte slice size)
-    num_slices: int | None = None
+    num_slices: int
+    #: nodes whose partials must arrive before this hub forwards
+    wait_for: tuple[int, ...] = ()
 
 
 class SliceData(
     namedtuple(
         "SliceData",
         "stripe_id pipeline_id source start stop payload repair_id checksum",
-        defaults=("", None),
     )
 ):
     """Data node -> data node/requester: a partial-combination payload.
 
     ``source`` sent bytes ``[start, stop)`` of pipeline ``pipeline_id``
-    as ``payload`` (a ``uint8`` array).  ``checksum`` is the payload's
-    CRC as the sender computed it (None = unchecked legacy sender); the
-    receiving hop re-checksums and requests a retransmit on mismatch
-    instead of folding a poisoned slice.
+    as ``payload`` (a ``uint8`` array) for the repair epoch
+    ``repair_id``.  ``checksum`` is the payload's CRC as the sender
+    computed it; the receiving hop re-checksums and requests a
+    retransmit on mismatch instead of folding a poisoned slice.
 
     An immutable tuple-backed record: one is built per slice hop, so an
     instance is one allocation with no per-field ``__setattr__``.  The

@@ -94,7 +94,7 @@ class ClusterSystem:
         self.master = Master(code, algorithm, num_nodes)
         self.slice_bytes = slice_bytes
         self.nodes = [
-            DataNode(i, self.events, slice_bytes=slice_bytes)
+            DataNode(i, self.events)
             for i in range(num_nodes)
         ]
         #: every fixed point of the repair path reports here
@@ -465,7 +465,7 @@ class ClusterSystem:
     def _on_bad_chunk(self, node: int, task: TransferTask) -> None:
         """A helper's stored chunk failed its digest at assign time."""
         self.quarantine_chunk(task.stripe_id, task.chunk_index, node, kind="read")
-        rid = task.repair_id or task.stripe_id
+        rid = task.repair_id
         asm = self._wire_assembly.get(rid)
         if asm is None or asm.watchdog and not asm.running:
             return
@@ -487,7 +487,7 @@ class ClusterSystem:
 
     def _on_bad_slice(self, dest: int, data: SliceData) -> None:
         """An in-flight slice failed its checksum at the receiving hop."""
-        rid = data.repair_id or data.stripe_id
+        rid = data.repair_id
         self.obs.wire_corruption(rid, dest, data)
         log.debug(
             "wire corruption caught: %d->%d [%d, %d) of %s",
@@ -671,6 +671,9 @@ class ClusterSystem:
         decisions, then executes each batch's repairs concurrently on the
         event queue.  ``requester_for`` maps stripe ids to replacement
         nodes; defaults to spreading over live non-participant nodes.
+        Every requester must be one of :meth:`spares` and pass the
+        storing repair's requester check, else ``ValueError`` naming the
+        stripe before anything is planned.
         """
         if self.is_alive(failed_node):
             raise ValueError(f"node {failed_node} has not failed")
@@ -680,11 +683,17 @@ class ClusterSystem:
         requester_for = dict(requester_for or {})
         specs = []
         for i, sid in enumerate(stripe_ids):
+            candidates = self.spares(sid)
             if sid not in requester_for:
-                candidates = self.spares(sid)
                 if not candidates:
                     raise RuntimeError(f"no replacement node available for {sid}")
                 requester_for[sid] = candidates[i % len(candidates)]
+            elif requester_for[sid] not in candidates:
+                raise ValueError(
+                    f"invalid requester {requester_for[sid]} for {sid} on "
+                    f"failed node {failed_node}"
+                )
+            self._check_requester(sid, failed_node, requester_for[sid])
             specs.append(
                 StripeRepairSpec(
                     stripe_id=sid,
@@ -1032,7 +1041,7 @@ class ClusterSystem:
     def _assign_if_alive(self, node: int, task: TransferTask) -> None:
         # a same-batch assign may race an abort (e.g. a bad-chunk
         # quarantine at assign time): never execute tasks of a retired wire
-        if not self.down >> node & 1 and (task.repair_id or task.stripe_id) not in self._retired:
+        if not self.down >> node & 1 and task.repair_id not in self._retired:
             self.nodes[node].assign(task)
 
     def _deliver(self, destination: int, data: SliceData) -> None:
@@ -1048,7 +1057,7 @@ class ClusterSystem:
                 lambda d=destination, m=data: self._deliver(d, m),
             )
             return
-        rid = data.repair_id or data.stripe_id
+        rid = data.repair_id
         state = node.tasks.get(rid, {}).get(data.pipeline_id)
         if state is not None:
             node.receive(data, state)
@@ -1068,10 +1077,7 @@ class ClusterSystem:
                 f"unexpected slice from {data.source} for pipeline "
                 f"{data.pipeline_id}"
             )
-        if (
-            data.checksum is not None
-            and slice_checksum(data.payload) != data.checksum
-        ):
+        if slice_checksum(data.payload) != data.checksum:
             # last-hop corruption caught at the requester: request a
             # retransmit instead of folding a poisoned slice
             self._on_bad_slice(destination, data)

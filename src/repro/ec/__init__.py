@@ -1,8 +1,10 @@
-"""Erasure-coding substrate: GF(2^8), coding matrices, RS codes, slicing.
+"""Erasure-coding substrate: GF(2^8), coding matrices, RS codes, segments.
 
 Chunk-sized arithmetic runs on one data plane, the ``fused`` multi-row
-gather kernels of :mod:`repro.ec.kernels`; the ``naive`` reference
-kernels stay as the oracle tests substitute through
+gather kernels of :mod:`repro.ec.kernels`, through two operations:
+``matmul_chunks`` (every linear combination: encode, decode, repair,
+audit) and ``mul_chunk`` (one coefficient times one chunk).  The
+``naive`` reference kernels stay as the oracle tests substitute through
 :func:`repro.ec.backend.use_backend`.
 """
 

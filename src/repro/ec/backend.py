@@ -1,8 +1,11 @@
 """The GF(2^8) data plane: one fast implementation and its oracle.
 
-Every chunk-sized GF operation in the library — encode, decode, repair
-combination, datanode segment scaling — goes through the object
-:func:`get_backend` returns.  There are two:
+Every chunk-sized GF operation in the library goes through the object
+:func:`get_backend` returns, as one of two operations: ``matmul_chunks``
+(a coefficient matrix times chunks: encode, decode, the post-repair
+audit and the one-row repair combination) and ``mul_chunk`` (one
+coefficient times one chunk: datanode segment scaling).  There are two
+backends:
 
 ``fused``
     What runs.  Pair-product tables plus fused multi-row gather tables
@@ -44,9 +47,9 @@ from . import gf256, kernels, matrix
 MIN_TABLE_BYTES = 4096
 
 #: The operations that have a caller in ``src/``: ``mul_chunk`` (the
-#: datanode), ``dot`` (:class:`~repro.ec.rs.RepairEquation`) and
-#: ``matmul_chunks`` (``RSCode.encode`` / ``decode``).
-_PROTOCOL = ("mul_chunk", "dot", "matmul_chunks")
+#: datanode's per-window scaling) and ``matmul_chunks`` (``RSCode``
+#: encode / decode / repair and the integrity audit).
+_PROTOCOL = ("mul_chunk", "matmul_chunks")
 
 
 class NaiveBackend:
@@ -56,9 +59,6 @@ class NaiveBackend:
 
     def mul_chunk(self, coeff, chunk, out=None):
         return gf256.mul_chunk(coeff, chunk, out=out)
-
-    def dot(self, coeffs, chunks, out=None, scratch=None):
-        return gf256.dot(coeffs, chunks, out=out, scratch=scratch)
 
     def matmul_chunks(self, mat, chunks, out=None):
         chunks = np.asarray(chunks, dtype=np.uint8)
@@ -75,12 +75,6 @@ class FusedBackend:
         if chunk.shape[-1] < MIN_TABLE_BYTES:
             return gf256.mul_chunk(coeff, chunk, out=out)
         return kernels.mul_chunk_blocked(coeff, chunk, out=out)
-
-    def dot(self, coeffs, chunks, out=None, scratch=None):
-        chunk_list = [np.asarray(c, dtype=np.uint8) for c in chunks]
-        if not chunk_list or chunk_list[0].shape[-1] < MIN_TABLE_BYTES:
-            return gf256.dot(coeffs, chunk_list, out=out, scratch=scratch)
-        return kernels.dot_blocked(coeffs, chunk_list, out=out)
 
     def matmul_chunks(self, mat, chunks, out=None):
         mat = np.asarray(mat, dtype=np.uint8)
@@ -108,8 +102,7 @@ def resolve(backend):
     """Coerce a backend name or protocol object into a backend.
 
     Anything that is not a registered name must itself provide
-    ``mul_chunk``, ``dot`` and ``matmul_chunks`` (a test's counting
-    fake, say).
+    ``mul_chunk`` and ``matmul_chunks`` (a test's counting fake, say).
     """
     if isinstance(backend, str):
         instance = _BACKENDS.get(backend)

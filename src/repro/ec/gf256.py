@@ -170,84 +170,3 @@ def mul_chunk(coeff: int, chunk: np.ndarray, out: np.ndarray | None = None) -> n
     else:
         np.take(MUL_TABLE[c], chunk, out=out)
     return out
-
-
-def addmul_chunk(
-    acc: np.ndarray, coeff: int, chunk: np.ndarray, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """In-place ``acc ^= coeff * chunk``; returns ``acc``.
-
-    The accumulate-into form avoids a temporary per helper contribution,
-    which matters when combining many 64 MiB chunks.  Passing ``scratch``
-    (same shape as ``chunk``, dtype ``uint8``) removes the last remaining
-    allocation: the coefficient gather lands in the scratch buffer, which
-    callers combining many chunks reuse across calls.
-    """
-    c = int(coeff) & 0xFF
-    if c == 0:
-        return acc
-    if c == 1:
-        np.bitwise_xor(acc, chunk, out=acc)
-        return acc
-    if scratch is None:
-        np.bitwise_xor(acc, MUL_TABLE[c][chunk], out=acc)
-    else:
-        np.take(MUL_TABLE[c], chunk, out=scratch)
-        np.bitwise_xor(acc, scratch, out=acc)
-    return acc
-
-
-def dot(
-    coeffs,
-    chunks,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Linear combination ``sum_i coeffs[i] * chunks[i]`` over the field.
-
-    Parameters
-    ----------
-    coeffs:
-        Iterable of field scalars.
-    chunks:
-        Iterable of equal-length uint8 arrays.
-    out:
-        Optional pre-allocated result buffer (chunk shape, dtype uint8,
-        not aliasing any input chunk).  Reusing a buffer across repeated
-        combinations keeps the data plane allocation-free.
-    scratch:
-        Optional caller-owned temporary (chunk shape, dtype uint8) the
-        coefficient gathers land in, as :func:`addmul_chunk` accepts.
-        Without it one scratch buffer is allocated per call; callers
-        combining repeatedly (RS repair, datanode combine loops) pass
-        the same buffer every time and the steady state allocates
-        nothing.
-
-    Returns
-    -------
-    numpy.ndarray
-        The combined chunk (``out`` when given).  Raises ``ValueError``
-        on length mismatch or empty input.
-    """
-    coeffs = list(coeffs)
-    chunks = [np.asarray(c, dtype=np.uint8) for c in chunks]
-    if not coeffs or len(coeffs) != len(chunks):
-        raise ValueError("coeffs and chunks must be equal-length and non-empty")
-    length = chunks[0].shape
-    for c in chunks[1:]:
-        if c.shape != length:
-            raise ValueError("all chunks must have the same shape")
-    if out is None:
-        acc = np.zeros(length, dtype=np.uint8)
-    else:
-        if out.shape != length or out.dtype != np.uint8:
-            raise ValueError("out must match the chunk shape with dtype uint8")
-        acc = out
-        acc[...] = 0
-    if scratch is None:
-        scratch = np.empty(length, dtype=np.uint8)
-    elif scratch.shape != length or scratch.dtype != np.uint8:
-        raise ValueError("scratch must match the chunk shape with dtype uint8")
-    for coeff, chunk in zip(coeffs, chunks):
-        addmul_chunk(acc, coeff, chunk, scratch)
-    return acc

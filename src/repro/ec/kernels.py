@@ -428,52 +428,6 @@ def fused_matmul(
     return out
 
 
-def dot_blocked(
-    coeffs,
-    chunks,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Blocked pair-table linear combination (single output row).
-
-    Byte-identical to :func:`repro.ec.gf256.dot`.  Zero coefficients are
-    skipped outright and unit coefficients degrade to plain XOR folds
-    before the gather loop runs, matching the reference fast paths.
-    """
-    coeffs = [int(c) & 0xFF for c in coeffs]
-    chunk_list = [np.asarray(c) for c in chunks]
-    if not coeffs or len(coeffs) != len(chunk_list):
-        raise ValueError("coeffs and chunks must be equal-length and non-empty")
-    for c in chunk_list:
-        if c.dtype != np.uint8 or c.ndim != 1:
-            raise ValueError("chunks must be 1-D uint8 arrays")
-    length = chunk_list[0].shape[0]
-    for c in chunk_list[1:]:
-        if c.shape[0] != length:
-            raise ValueError("all chunks must have the same shape")
-    if out is None:
-        out = np.empty(length, dtype=np.uint8)
-    else:
-        if out.shape != (length,) or out.dtype != np.uint8:
-            raise ValueError("out must match the chunk shape with dtype uint8")
-        _check_no_overlap(out, chunk_list, "out")
-    # partition by coefficient class: 0 -> drop, 1 -> XOR fold, else gather
-    xor_chunks = [ch for c, ch in zip(coeffs, chunk_list) if c == 1]
-    gather = [(c, ch) for c, ch in zip(coeffs, chunk_list) if c not in (0, 1)]
-    if not gather:
-        if not xor_chunks:
-            out[...] = 0
-            return out
-        np.copyto(out, xor_chunks[0])
-        for ch in xor_chunks[1:]:
-            np.bitwise_xor(out, ch, out=out)
-        return out
-    sub = np.array([c for c, _ in gather], dtype=np.uint8)[None, :]
-    fused_matmul(sub, [ch for _, ch in gather], out[None, :])
-    for ch in xor_chunks:
-        np.bitwise_xor(out, ch, out=out)
-    return out
-
-
 def mul_chunk_blocked(
     coeff: int,
     chunk: np.ndarray,

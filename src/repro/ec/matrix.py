@@ -70,9 +70,14 @@ def matvec_chunks(
         out[...] = 0
     scratch = np.empty(length, dtype=np.uint8)
     for i in range(m):
-        row = matrix[i]
+        acc = out[i]
         for l in range(p):
-            gf256.addmul_chunk(out[i], int(row[l]), chunks[l], scratch)
+            c = int(matrix[i, l])
+            if c == 1:
+                np.bitwise_xor(acc, chunks[l], out=acc)
+            elif c:
+                np.take(gf256.MUL_TABLE[c], chunks[l], out=scratch)
+                np.bitwise_xor(acc, scratch, out=acc)
     return out
 
 

@@ -38,26 +38,23 @@ class RepairEquation:
     coeffs: tuple[int, ...]
 
     def evaluate(
-        self,
-        chunks: dict[int, np.ndarray],
-        *,
-        out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None,
+        self, chunks: dict[int, np.ndarray], *, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Rebuild the lost chunk from a ``{stripe_index: chunk}`` mapping.
 
-        ``out``/``scratch`` are reused caller buffers (chunk shape,
-        uint8).
+        One one-row ``matmul_chunks`` product on the data plane; ``out``
+        is a reused caller buffer (chunk shape, uint8).
         """
         missing = [h for h in self.helpers if h not in chunks]
         if missing:
             raise KeyError(f"helper chunks missing from input: {missing}")
-        return ec_backend.get_backend().dot(
-            self.coeffs,
+        row = np.array([self.coeffs], dtype=np.uint8)
+        result = ec_backend.get_backend().matmul_chunks(
+            row,
             [chunks[h] for h in self.helpers],
-            out=out,
-            scratch=scratch,
+            out=None if out is None else out[None, :],
         )
+        return result[0] if out is None else out
 
 
 class RSCode:
@@ -136,11 +133,7 @@ class RSCode:
         return data_chunks
 
     def decode(
-        self,
-        available: dict[int, np.ndarray] | None = None,
-        *,
-        out: np.ndarray | None = None,
-        **kwargs,
+        self, available: dict[int, np.ndarray], *, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Reconstruct the k data chunks from any k available stripe chunks.
 
@@ -157,8 +150,6 @@ class RSCode:
         -------
         (k, L) array of the original data chunks.
         """
-        if available is None:
-            available = kwargs
         if len(available) < self.k:
             raise ValueError(
                 f"need at least k={self.k} chunks to decode, got {len(available)}"
@@ -247,16 +238,15 @@ class RSCode:
         available: dict[int, np.ndarray],
         *,
         out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None,
     ) -> np.ndarray:
         """Rebuild chunk ``lost`` from any k chunks in ``available``.
 
-        ``out``/``scratch`` are optional reusable chunk-shaped uint8
-        buffers forwarded to :meth:`RepairEquation.evaluate`.
+        ``out`` is an optional reusable chunk-shaped uint8 buffer
+        forwarded to :meth:`RepairEquation.evaluate`.
         """
         helpers = tuple(sorted(i for i in available if i != lost)[: self.k])
         eq = self.repair_equation(lost, helpers)
-        return eq.evaluate(available, out=out, scratch=scratch)
+        return eq.evaluate(available, out=out)
 
     def verify_stripe(self, stripe: np.ndarray) -> bool:
         """True if an (n, L) stripe is a valid codeword of this code."""

@@ -5,15 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cluster import DataNode, TransferTask
+from repro.cluster import DataNode, SliceData, TransferTask
 from repro.ec import gf256
+from repro.integrity.digest import slice_checksum
 from repro.sim import EventQueue
 from repro.sim.transfer import SLICE_OVERHEAD_S
 
 
-def make_node(node_id=1, slice_bytes=256, **kw):
+def make_node(node_id=1):
     events = EventQueue()
-    node = DataNode(node_id, events, slice_bytes=slice_bytes, **kw)
+    node = DataNode(node_id, events)
     delivered = []
     node.deliver = lambda dest, msg: delivered.append((dest, msg))
     return node, events, delivered
@@ -22,15 +23,21 @@ def make_node(node_id=1, slice_bytes=256, **kw):
 def receive(node, data):
     """Hand ``data`` to the task of ``node`` that consumes it, looked up
     as the cluster's routing looks it up."""
-    node.receive(data, node.tasks[data.repair_id or data.stripe_id][data.pipeline_id])
+    node.receive(data, node.tasks[data.repair_id][data.pipeline_id])
+
+
+def wire(source, start, stop, payload, pipeline_id=7):
+    """A slice of repair ``s`` as a sender puts it on the wire: checksummed."""
+    return SliceData("s", pipeline_id, source, start, stop, payload, "s",
+                     slice_checksum(payload))
 
 
 def leaf_task(chunk_index=0, coeff=3, start=0, stop=1024, dest=9, rate=100.0,
-              num_slices=None):
+              num_slices=4):
     return TransferTask(
         stripe_id="s", pipeline_id=7, chunk_index=chunk_index, coeff=coeff,
         start=start, stop=stop, destination=dest, rate_mbps=rate,
-        num_slices=num_slices,
+        repair_id="s", num_slices=num_slices,
     )
 
 
@@ -86,7 +93,7 @@ class TestHubCombining:
         task = TransferTask(
             stripe_id="s", pipeline_id=7, chunk_index=1, coeff=5,
             start=0, stop=512, destination=9, rate_mbps=100.0,
-            wait_for=(4,), num_slices=2,
+            repair_id="s", num_slices=2, wait_for=(4,),
         )
         node.assign(task)
         return node, events, delivered, chunk
@@ -97,12 +104,9 @@ class TestHubCombining:
         assert delivered == []  # nothing sendable before slices arrive
 
     def test_combines_and_forwards(self):
-        from repro.cluster import SliceData
-
         node, events, delivered, chunk = self._hub_setup()
         incoming = np.arange(256, dtype=np.uint8)
-        receive(node, SliceData("s", 7, source=4, start=0, stop=256,
-                                payload=incoming))
+        receive(node, wire(4, 0, 256, incoming))
         events.run()
         assert len(delivered) == 1
         dest, msg = delivered[0]
@@ -111,50 +115,39 @@ class TestHubCombining:
         assert np.array_equal(msg.payload, expected)
 
     def test_duplicate_slice_rejected(self):
-        from repro.cluster import SliceData
-
         node, events, delivered, _ = self._hub_setup()
         payload = np.zeros(256, dtype=np.uint8)
-        receive(node, SliceData("s", 7, source=4, start=0, stop=256, payload=payload))
+        receive(node, wire(4, 0, 256, payload))
         with pytest.raises(RuntimeError, match="duplicate"):
-            receive(node, SliceData("s", 7, source=4, start=0, stop=256, payload=payload))
+            receive(node, wire(4, 0, 256, payload))
 
     def test_misaligned_slice_rejected(self):
-        from repro.cluster import SliceData
-
         node, events, delivered, _ = self._hub_setup()
         with pytest.raises(RuntimeError, match="misaligned"):
             receive(
                 node,
-                SliceData("s", 7, source=4, start=13, stop=256,
-                          payload=np.zeros(243, dtype=np.uint8))
+                wire(4, 13, 256, np.zeros(243, dtype=np.uint8))
             )
         with pytest.raises(RuntimeError, match="misaligned"):
             node.retransmit(("s", 7), 13, 256)
 
     def test_wrong_size_payload_rejected(self):
-        from repro.cluster import SliceData
-
         node, events, delivered, _ = self._hub_setup()
         with pytest.raises(RuntimeError, match="size"):
             receive(
                 node,
-                SliceData("s", 7, source=4, start=0, stop=256,
-                          payload=np.zeros(17, dtype=np.uint8))
+                wire(4, 0, 256, np.zeros(17, dtype=np.uint8))
             )
 
     def test_unknown_task_rejected(self):
         """The cluster routes a slice by the receiver's task table; one
         that no task and no requester consumes is an error."""
-        from repro.cluster import ClusterSystem, SliceData
+        from repro.cluster import ClusterSystem
         from repro.ec import RSCode
 
         system = ClusterSystem(4, RSCode(3, 2))
         with pytest.raises(RuntimeError, match="unexpected node"):
-            system.nodes[0].deliver(1, SliceData(
-                "s", 99, source=0, start=0, stop=16,
-                payload=np.zeros(16, dtype=np.uint8),
-            ))
+            system.nodes[0].deliver(1, wire(0, 0, 16, np.zeros(16, dtype=np.uint8), pipeline_id=99))
 
 
 def reference_bounds(start, stop, num):
@@ -188,7 +181,7 @@ class TestSegmentScalingEquivalence:
         return TransferTask(
             stripe_id="s", pipeline_id=7, chunk_index=0, coeff=coeff,
             start=start, stop=stop, destination=9, rate_mbps=100.0,
-            wait_for=wait_for, num_slices=num,
+            repair_id="s", num_slices=num, wait_for=wait_for,
         )
 
     def _own(self, coeff, lo, hi):
@@ -217,8 +210,6 @@ class TestSegmentScalingEquivalence:
     @pytest.mark.parametrize("coeff", [0, 1, 0x53])
     @pytest.mark.parametrize("segment", SEGMENTS)
     def test_hub_slices(self, coeff, segment):
-        from repro.cluster import SliceData
-
         node, events, delivered = make_node(node_id=2)
         node.store.put("s", 0, self.CHUNK)
         node.assign(self._task(coeff, segment, wait_for=(4, 5)))
@@ -228,8 +219,7 @@ class TestSegmentScalingEquivalence:
             for source in (4, 5):
                 payload = rng.integers(0, 256, hi - lo, dtype=np.uint8)
                 incoming[lo] = incoming.get(lo, 0) ^ payload
-                receive(node, SliceData("s", 7, source=source, start=lo,
-                                        stop=hi, payload=payload))
+                receive(node, wire(source, lo, hi, payload))
         events.run()
         assert [(m.start, m.stop) for _, m in delivered] == reference_bounds(*segment)
         for _, msg in delivered:
@@ -241,21 +231,17 @@ class TestChunkChangesUnderATask:
     """A slice carries the bytes the chunk held when the slice was prepared."""
 
     def _hub(self):
-        from repro.cluster import SliceData
-
         node, events, delivered = make_node(node_id=2)
         chunk = np.random.default_rng(5).integers(0, 256, 2048, dtype=np.uint8)
         node.store.put("s", 1, chunk)
         node.assign(TransferTask(
             stripe_id="s", pipeline_id=7, chunk_index=1, coeff=5,
             start=0, stop=2048, destination=9, rate_mbps=100.0,
-            wait_for=(4,), num_slices=4,
+            repair_id="s", num_slices=4, wait_for=(4,),
         ))
 
         def arrive(i):
-            receive(node, SliceData("s", 7, source=4, start=512 * i,
-                                    stop=512 * (i + 1),
-                                    payload=np.zeros(512, dtype=np.uint8)))
+            receive(node, wire(4, 512 * i, 512 * (i + 1), np.zeros(512, dtype=np.uint8)))
 
         return node, events, delivered, chunk, arrive
 
@@ -357,9 +343,6 @@ class TestLateSliceToACancelledHub:
     """A slice already on the wire when its hub task was cancelled."""
 
     def _cancelled_hub(self):
-        from repro.cluster import SliceData
-        from repro.integrity.digest import slice_checksum
-
         node, events, delivered = make_node(node_id=2)
         node.store.put("s", 0, np.arange(1024, dtype=np.uint8))
         node.assign(dataclasses.replace(leaf_task(), wait_for=(4,)))
@@ -368,7 +351,8 @@ class TestLateSliceToACancelledHub:
         payload = np.arange(256, dtype=np.uint8)
         checksum = slice_checksum(payload)
         arrive = lambda p: receive(node, SliceData(
-            "s", 7, source=4, start=256, stop=512, payload=p, checksum=checksum,
+            "s", 7, source=4, start=256, stop=512, payload=p, repair_id="s",
+            checksum=checksum,
         ))
         assert node.cancel_repair("s") == 1
         return node, events, delivered, bad, payload, arrive
@@ -399,11 +383,12 @@ class TestLeafWindows:
     def _leaf(self):
         from repro.cluster.datanode import WINDOW_BYTES
 
-        node, events, delivered = make_node(slice_bytes=self.SLICE)
+        node, events, delivered = make_node()
         size = 3 * WINDOW_BYTES + 5 * self.SLICE + 3
         chunk = np.random.default_rng(4).integers(0, 256, size, dtype=np.uint8)
         node.store.put("s", 0, chunk)
-        node.assign(leaf_task(coeff=0x53, start=1, stop=size, rate=1e4))
+        node.assign(leaf_task(coeff=0x53, start=1, stop=size, rate=1e4,
+                              num_slices=-(-(size - 1) // self.SLICE)))
         (state,) = node.tasks["s"].values()
         return node, events, delivered, chunk, state
 
@@ -423,8 +408,6 @@ class TestLeafWindows:
         assert len(state.scaled) < WINDOW_BYTES + self.SLICE  # the last window
 
     def test_a_dropped_slice_is_resent_with_the_first_sends_bytes(self):
-        from repro.integrity.digest import slice_checksum
-
         node, events, delivered, chunk, state = self._leaf()
         events.run()
         first = {msg.start: msg for _, msg in delivered}

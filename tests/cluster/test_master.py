@@ -67,7 +67,8 @@ class TestMaster:
 
     def test_compile_tasks_cover_chunk(self, master):
         plan = master.schedule_repair("s1", failed_node=2, requester=6)
-        tasks = master.compile_tasks(plan, "s1", lost_chunk=2, chunk_bytes=1 << 20)
+        tasks = master.compile_tasks(plan, "s1", lost_chunk=2, chunk_bytes=1 << 20,
+                                     num_slices=16, repair_id="s1/r1")
         # per pipeline, k tasks (hub pipelines) or k (star) exist, and the
         # byte ranges of any one pipeline id are identical across tasks
         by_pipe = {}
@@ -90,7 +91,8 @@ class TestMaster:
         data = rng.integers(0, 256, (3, 1024), dtype=np.uint8)
         stripe = code.encode(data)
         plan = master.schedule_repair("s1", failed_node=2, requester=6)
-        tasks = master.compile_tasks(plan, "s1", lost_chunk=2, chunk_bytes=1024)
+        tasks = master.compile_tasks(plan, "s1", lost_chunk=2, chunk_bytes=1024,
+                                     num_slices=4, repair_id="s1/r1")
         rebuilt = np.zeros(1024, dtype=np.uint8)
         for t in tasks:
             contrib = gf256.mul_chunk(t.coeff, stripe[t.chunk_index][t.start:t.stop])

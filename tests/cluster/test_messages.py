@@ -21,21 +21,24 @@ def test_keyword_and_positional_construction_agree():
     assert by_keyword.payload is PAYLOAD
 
 
-def test_repair_id_and_checksum_default():
-    data = SliceData("s", 7, source=4, start=0, stop=16, payload=PAYLOAD)
-    assert data.repair_id == "" and data.checksum is None
+def test_repair_id_and_checksum_are_required():
+    """Every sender names its repair epoch and checksums its payload."""
+    with pytest.raises(TypeError):
+        SliceData("s", 7, source=4, start=0, stop=16, payload=PAYLOAD)
+    with pytest.raises(TypeError):
+        SliceData("s", 7, 4, 0, 16, PAYLOAD, "s/r1")  # no checksum
     with pytest.raises(TypeError):
         SliceData("s", 7, source=4, start=0, stop=16)  # payload is required
 
 
 def test_the_sender_path_builds_the_same_record():
-    built = _slice_data(("s", 7, 4, 0, 16, PAYLOAD, "", 5))
+    built = _slice_data(("s", 7, 4, 0, 16, PAYLOAD, "s/r1", 5))
     assert type(built) is SliceData
-    assert built == SliceData("s", 7, 4, 0, 16, PAYLOAD, checksum=5)
+    assert built == SliceData("s", 7, 4, 0, 16, PAYLOAD, "s/r1", checksum=5)
 
 
 def test_immutable_and_slotted():
-    data = SliceData("s", 7, 4, 0, 16, PAYLOAD)
+    data = SliceData("s", 7, 4, 0, 16, PAYLOAD, "s/r1", 5)
     with pytest.raises(AttributeError):
         data.checksum = 1
     with pytest.raises(AttributeError):
@@ -44,8 +47,8 @@ def test_immutable_and_slotted():
 
 
 def test_repr_leaves_the_payload_out():
-    data = SliceData("s", 7, 4, 0, 16, PAYLOAD, checksum=5)
+    data = SliceData("s", 7, 4, 0, 16, PAYLOAD, "s/r1", checksum=5)
     assert repr(data) == (
         "SliceData(stripe_id='s', pipeline_id=7, source=4, start=0, "
-        "stop=16, repair_id='', checksum=5)"
+        "stop=16, repair_id='s/r1', checksum=5)"
     )

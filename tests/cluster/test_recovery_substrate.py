@@ -52,6 +52,47 @@ class TestRepairNodeStructuredFailure:
         assert np.array_equal(good.rebuilt, payloads["good"][0])
 
 
+class TestRepairNodeRequesterCheck:
+    """``repair_node`` checks every requester as ``repair_multi`` does,
+    before anything is planned or any event runs."""
+
+    def make(self):
+        sys_, write, _ = make_system(num_nodes=10, n=6, k=4)
+        write("s0", (0, 1, 2, 3, 4, 5))
+        write("s1", (0, 6, 7, 8, 9, 1))
+        sys_.fail_node(0)
+        return sys_
+
+    def test_a_dead_requester_is_refused(self):
+        sys_ = self.make()
+        sys_.fail_node(7)
+        executed = sys_.events.executed
+        with pytest.raises(ValueError, match="invalid requester 7 for s0"):
+            sys_.repair_node(0, {"s0": 7, "s1": 2})
+        assert sys_.events.executed == executed
+
+    def test_a_requester_inside_the_placement_is_refused(self):
+        sys_ = self.make()
+        with pytest.raises(ValueError, match="invalid requester 3 for s0"):
+            sys_.repair_node(0, {"s0": 3})
+        with pytest.raises(ValueError, match="invalid requester 3 for failed node 0"):
+            sys_.repair_multi("s0", (0,), {0: 3})
+
+    def test_a_requester_rebuilding_another_chunk_is_refused(self):
+        sys_ = self.make()
+        sys_.fail_node(1)
+        sys_.repair_multi_async("s0", (0, 1), {0: 8, 1: 6}, on_done=lambda o: None)
+        with pytest.raises(ValueError, match="node 6 already rebuilds chunk 1 of s0"):
+            sys_.repair_node(0, {"s0": 6, "s1": 2})
+
+    def test_valid_requesters_still_repair(self):
+        sys_ = self.make()
+        outcomes = sys_.repair_node(0, {"s0": 8, "s1": 2})
+        assert {sid: o.verified for sid, o in outcomes.items()} == {
+            "s0": True, "s1": True,
+        }
+
+
 class TestNodeStripesIndex:
     def make_populated(self, num_stripes=40):
         sys_, write, _ = make_system(num_nodes=10)

@@ -131,7 +131,7 @@ class RepairMachine(RuleBasedStateMachine):
         system = self.system
 
         def probe(dest, data):
-            rid = data.repair_id or data.stripe_id
+            rid = data.repair_id
             retired = rid in system._retired
             asm = system._wire_assembly.get(rid)
             if asm is None:

@@ -161,10 +161,11 @@ class TestMasterIntegration:
         second = master.schedule_repair("s1", failed_node=2, requester=7)
         assert first.meta["plan_cache"] == "miss"
         assert second.meta["plan_cache"] == "hit"
-        tasks = master.compile_tasks(second, "s1", lost_chunk=2)
+        wire = dict(chunk_bytes=1 << 20, num_slices=16, repair_id="s1/r1")
+        tasks = master.compile_tasks(second, "s1", lost_chunk=2, **wire)
         assert tasks and all(t.stripe_id == "s1" for t in tasks)
         # cached and fresh plans compile to identical transfer tasks
-        assert tasks == master.compile_tasks(first, "s1", lost_chunk=2)
+        assert tasks == master.compile_tasks(first, "s1", lost_chunk=2, **wire)
 
     def test_bandwidth_report_drift_invalidates(self):
         master = self._master()

@@ -45,11 +45,13 @@ coeff_lists = st.lists(st.integers(0, 255), min_size=1, max_size=6)
     seed=st.integers(0, 2**31 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_dot_blocked_matches_naive(coeffs, length, seed):
+def test_one_row_fused_matmul_matches_naive(coeffs, length, seed):
+    """A repair equation's product: one output row, any 0/1/dense mix."""
     rng = np.random.default_rng(seed)
     chunks = _chunks(rng, len(coeffs), length)
-    expected = gf256.dot(coeffs, chunks)
-    got = kernels.dot_blocked(coeffs, list(chunks))
+    row = np.array([coeffs], dtype=np.uint8)
+    expected = matrix.matvec_chunks(row, chunks)
+    got = kernels.fused_matmul(row, list(chunks))
     assert np.array_equal(expected, got)
 
 
@@ -88,32 +90,23 @@ def test_mul_chunk_blocked_matches_naive(coeff, length, seed):
 # --------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("name", FAST_BACKENDS)
-@pytest.mark.parametrize("length", [BIG, 2 * MIN_TABLE_BYTES])
-def test_backend_dot_equivalence(name, length):
-    rng = np.random.default_rng(11)
-    k = 6
-    chunks = _chunks(rng, k, length)
-    # exercise the 0 / 1 fast paths alongside general coefficients
-    coeffs = [0, 1, 173, 1, 0, 255]
-    expected = gf256.dot(coeffs, chunks)
-    be = ec_backend.resolve(name)
-    out = np.empty(length, dtype=np.uint8)
-    scratch = np.empty(length, dtype=np.uint8)
-    got = be.dot(coeffs, chunks, out=out, scratch=scratch)
-    assert got is out
-    assert np.array_equal(expected, got)
-
-
-@pytest.mark.parametrize("name", FAST_BACKENDS)
-def test_backend_matmul_equivalence(name):
+@pytest.mark.parametrize(
+    "rows,length", [("dense", BIG), ("one", BIG), ("one", 2 * MIN_TABLE_BYTES)]
+)
+def test_backend_matmul_equivalence(name, rows, length):
     rng = np.random.default_rng(12)
-    mat = rng.integers(0, 256, size=(9, 6), dtype=np.uint8)
-    mat[2] = 0  # an all-zero output row
-    mat[:, 3] = 0  # an all-zero input column
-    chunks = _chunks(rng, 6, BIG)
+    if rows == "dense":
+        mat = rng.integers(0, 256, size=(9, 6), dtype=np.uint8)
+        mat[2] = 0  # an all-zero output row
+        mat[:, 3] = 0  # an all-zero input column
+    else:
+        # a repair equation's one row, with the 0 / 1 fast paths
+        # alongside general coefficients
+        mat = np.array([[0, 1, 173, 1, 0, 255]], dtype=np.uint8)
+    chunks = _chunks(rng, 6, length)
     expected = matrix.matvec_chunks(mat, chunks)
     be = ec_backend.resolve(name)
-    out = np.empty((9, BIG), dtype=np.uint8)
+    out = np.empty((len(mat), length), dtype=np.uint8)
     got = be.matmul_chunks(mat, chunks, out=out)
     assert got is out
     assert np.array_equal(expected, got)
@@ -195,9 +188,9 @@ def test_backend_unaligned_views(name):
     rng = np.random.default_rng(13)
     backing = rng.integers(0, 256, size=(4, BIG + 7), dtype=np.uint8)
     chunks = [row[3 : 3 + BIG] for row in backing]  # odd start address
-    coeffs = [9, 1, 88, 250]
-    expected = gf256.dot(coeffs, chunks)
-    got = ec_backend.resolve(name).dot(coeffs, chunks)
+    row = np.array([[9, 1, 88, 250]], dtype=np.uint8)
+    expected = matrix.matvec_chunks(row, np.stack(chunks))
+    got = ec_backend.resolve(name).matmul_chunks(row, chunks)
     assert np.array_equal(expected, got)
 
 
@@ -207,7 +200,9 @@ def test_out_aliasing_input_rejected(name):
     chunks = _chunks(rng, 3, BIG)
     be = ec_backend.resolve(name)
     with pytest.raises(ValueError, match="alias"):
-        be.dot([5, 6, 7], chunks, out=chunks[0])
+        be.matmul_chunks(
+            np.array([[5, 6, 7]], dtype=np.uint8), chunks, out=chunks[:1]
+        )
     with pytest.raises(ValueError, match="alias"):
         be.matmul_chunks(
             np.full((2, 3), 7, dtype=np.uint8), chunks, out=chunks[:2]
@@ -287,9 +282,10 @@ def test_zero_and_one_coefficient_fast_paths():
     chunks = _chunks(rng, 3, BIG)
     for name in FAST_BACKENDS:
         be = ec_backend.resolve(name)
-        assert not be.dot([0, 0, 0], chunks).any()
+        assert not be.matmul_chunks(np.zeros((1, 3), np.uint8), chunks).any()
         expected = chunks[0] ^ chunks[1] ^ chunks[2]
-        assert np.array_equal(be.dot([1, 1, 1], chunks), expected)
+        got = be.matmul_chunks(np.ones((1, 3), np.uint8), chunks)
+        assert np.array_equal(got[0], expected)
         assert np.array_equal(be.mul_chunk(1, chunks[0]), chunks[0])
         assert not be.mul_chunk(0, chunks[0]).any()
 
@@ -297,26 +293,11 @@ def test_zero_and_one_coefficient_fast_paths():
 def test_small_payloads_defer_to_naive_but_agree():
     rng = np.random.default_rng(16)
     chunks = _chunks(rng, 4, MIN_TABLE_BYTES // 2)
-    coeffs = [3, 0, 1, 200]
-    expected = gf256.dot(coeffs, chunks)
+    row = np.array([[3, 0, 1, 200]], dtype=np.uint8)
+    expected = matrix.matvec_chunks(row, chunks)
     for name in FAST_BACKENDS:
-        got = ec_backend.resolve(name).dot(coeffs, chunks)
+        got = ec_backend.resolve(name).matmul_chunks(row, chunks)
         assert np.array_equal(expected, got)
-
-
-def test_gf256_dot_scratch_reuse():
-    """Satellite: caller-owned scratch gives identical results, no alloc."""
-    rng = np.random.default_rng(17)
-    chunks = _chunks(rng, 4, 513)
-    coeffs = [7, 9, 0, 1]
-    expected = gf256.dot(coeffs, chunks)
-    scratch = np.empty(513, dtype=np.uint8)
-    out = np.empty(513, dtype=np.uint8)
-    got = gf256.dot(coeffs, chunks, out=out, scratch=scratch)
-    assert got is out
-    assert np.array_equal(expected, got)
-    with pytest.raises(ValueError):
-        gf256.dot(coeffs, chunks, scratch=np.empty(7, dtype=np.uint8))
 
 
 # --------------------------------------------------------------------- #
@@ -337,11 +318,17 @@ def test_resolve_names_and_instances():
     with pytest.raises(TypeError, match="lacks required method"):
         ec_backend.resolve(object())
 
-    class NoDot:
+    class TwoOperations:
         mul_chunk = matmul_chunks = staticmethod(lambda *a, **k: None)
 
-    with pytest.raises(TypeError, match="'dot'"):
-        ec_backend.resolve(NoDot())
+    fake = TwoOperations()
+    assert ec_backend.resolve(fake) is fake  # the whole protocol
+
+    class NoMatmul:
+        mul_chunk = staticmethod(lambda *a, **k: None)
+
+    with pytest.raises(TypeError, match="'matmul_chunks'"):
+        ec_backend.resolve(NoMatmul())
 
 
 def test_use_backend_scoping():
@@ -376,17 +363,40 @@ def test_use_backend_reaches_codes_built_outside_the_scope():
             calls.append("matmul_chunks")
             return super().matmul_chunks(mat, chunks, out=out)
 
-        def dot(self, coeffs, chunks, out=None, scratch=None):
-            calls.append("dot")
-            return super().dot(coeffs, chunks, out=out, scratch=scratch)
-
     fast = code.encode(data)
     with ec_backend.use_backend(Counting()):
         slow = code.encode(data)
         rebuilt = code.repair(1, {i: slow[i] for i in (0, 2, 3, 5)})
-    assert calls == ["matmul_chunks", "dot"]
+    assert calls == ["matmul_chunks", "matmul_chunks"]
     assert np.array_equal(fast, slow)
     assert np.array_equal(rebuilt, data[1])
+
+
+@pytest.mark.parametrize("with_out", [False, True])
+def test_repair_is_one_matmul_chunks_call(with_out):
+    """``RSCode.repair`` reaches the data plane through exactly one
+    one-row ``matmul_chunks`` product, whatever else the backend has."""
+    code = RSCode(6, 4)
+    stripe = code.encode(_chunks(np.random.default_rng(21), 4, BIG))
+    oracle = ec_backend.NaiveBackend()
+    calls = []
+
+    class Recording:
+        def __getattr__(self, name):
+            method = getattr(oracle, name)
+
+            def record(*args, **kwargs):
+                calls.append((name, np.shape(args[0])))
+                return method(*args, **kwargs)
+
+            return record
+
+    out = np.empty(BIG, dtype=np.uint8) if with_out else None
+    with ec_backend.use_backend(Recording()):
+        rebuilt = code.repair(4, {i: stripe[i] for i in (0, 1, 2, 5)}, out=out)
+    assert calls == [("matmul_chunks", (1, 4))]
+    assert np.array_equal(rebuilt, stripe[4])
+    assert out is None or rebuilt is out
 
 
 def test_rscode_decode_matrix_memoised():
@@ -437,11 +447,9 @@ def test_blocked_kernels_reject_malformed_input():
         "out must be": lambda: kernels.fused_matmul(
             np.ones((1, 1), np.uint8), [a], out=np.zeros((2, 8), np.uint8)
         ),
-        "equal-length and non-empty": lambda: kernels.dot_blocked([1, 2], [a]),
-        "1-D uint8 arrays": lambda: kernels.dot_blocked([2], [a.reshape(2, 4)]),
-        "same shape": lambda: kernels.dot_blocked([2, 3], [a, b[:4]]),
-        "out must match the chunk shape": lambda: kernels.dot_blocked(
-            [2], [a], out=np.zeros(4, np.uint8)
+        "1-D uint8 arrays": lambda: kernels.fused_matmul(np.ones((1, 1), np.uint8), [a.reshape(2, 4)]),
+        "out must be a uint8 array of shape \\(1, 8\\)": lambda: kernels.fused_matmul(
+            np.array([[2]], np.uint8), [a], out=np.zeros((1, 4), np.uint8)
         ),
         "chunk must be a 1-D": lambda: kernels.mul_chunk_blocked(2, a.reshape(2, 4)),
         "out must match the chunk's shape": lambda: kernels.mul_chunk_blocked(

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ec import gf256
+from repro.ec import gf256, matrix
 
 elems = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
+
+
+def one_row(coeffs, chunks, out=None):
+    """A linear combination: the one-row ``matvec_chunks`` product."""
+    row = np.array([coeffs], dtype=np.uint8)
+    return matrix.matvec_chunks(row, np.array(chunks), out=out)
 
 
 class TestTables:
@@ -168,40 +174,39 @@ class TestChunkKernels:
         expected = gf256.mul(np.full_like(self.chunk, 77), self.chunk)
         assert np.array_equal(out, expected)
 
-    def test_addmul_chunk_in_place(self):
-        acc = self.chunk.copy()
-        result = gf256.addmul_chunk(acc, 5, self.other)
-        assert result is acc
+    def test_one_row_accumulates_a_scaled_chunk(self):
+        got = one_row([1, 5], [self.chunk, self.other])[0]
         expected = np.bitwise_xor(self.chunk, gf256.mul_chunk(5, self.other))
-        assert np.array_equal(acc, expected)
+        assert np.array_equal(got, expected)
 
-    def test_addmul_chunk_zero_coeff_noop(self):
-        acc = self.chunk.copy()
-        gf256.addmul_chunk(acc, 0, self.other)
-        assert np.array_equal(acc, self.chunk)
+    def test_one_row_zero_coeff_adds_nothing(self):
+        got = one_row([1, 0], [self.chunk, self.other])[0]
+        assert np.array_equal(got, self.chunk)
 
-    def test_dot_single_term(self):
-        out = gf256.dot([9], [self.chunk])
+    def test_one_row_single_term(self):
+        out = one_row([9], [self.chunk])[0]
         assert np.array_equal(out, gf256.mul_chunk(9, self.chunk))
 
-    def test_dot_linearity(self):
-        d1 = gf256.dot([3, 7], [self.chunk, self.other])
+    def test_one_row_linearity(self):
+        d1 = one_row([3, 7], [self.chunk, self.other])[0]
         manual = np.bitwise_xor(
             gf256.mul_chunk(3, self.chunk), gf256.mul_chunk(7, self.other)
         )
         assert np.array_equal(d1, manual)
 
-    def test_dot_empty_raises(self):
-        with pytest.raises(ValueError):
-            gf256.dot([], [])
+    def test_one_row_of_no_chunks_is_zero(self):
+        got = matrix.matvec_chunks(np.zeros((1, 0), np.uint8), np.zeros((0, 16), np.uint8))
+        assert got.shape == (1, 16) and not got.any()
 
-    def test_dot_length_mismatch_raises(self):
+    def test_one_row_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            gf256.dot([1, 2], [self.chunk])
+            one_row([1, 2], [self.chunk])
 
-    def test_dot_shape_mismatch_raises(self):
+    def test_one_row_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            gf256.dot([1, 2], [self.chunk, self.chunk[:10]])
+            matrix.matvec_chunks(
+                np.array([[1, 2]], np.uint8), [self.chunk, self.chunk[:10]]
+            )
 
 
 class TestOutParameters:
@@ -228,27 +233,26 @@ class TestOutParameters:
             gf256.mul_chunk(3, self.chunk, out=np.empty_like(self.chunk, dtype=np.uint16))
 
     @pytest.mark.parametrize("coeff", [0, 1, 9])
-    def test_addmul_chunk_scratch_matches_plain(self, coeff):
-        acc_a = self.other.copy()
-        acc_b = self.other.copy()
-        scratch = np.empty_like(self.chunk)
-        gf256.addmul_chunk(acc_a, coeff, self.chunk)
-        gf256.addmul_chunk(acc_b, coeff, self.chunk, scratch)
-        assert np.array_equal(acc_a, acc_b)
+    def test_one_row_out_matches_plain(self, coeff):
+        out = np.empty((1, len(self.chunk)), dtype=np.uint8)
+        chunks = [self.other, self.chunk]
+        result = one_row([1, coeff], chunks, out=out)
+        assert result is out
+        assert np.array_equal(out, one_row([1, coeff], chunks))
 
-    def test_dot_out_matches_allocating(self):
+    def test_one_row_out_matches_allocating(self):
         coeffs = [3, 7, 11]
         chunks = [self.chunk, self.other, self.chunk ^ self.other]
-        out = np.empty_like(self.chunk)
-        result = gf256.dot(coeffs, chunks, out=out)
+        out = np.empty((1, len(self.chunk)), dtype=np.uint8)
+        result = one_row(coeffs, chunks, out=out)
         assert result is out
-        assert np.array_equal(out, gf256.dot(coeffs, chunks))
+        assert np.array_equal(out, one_row(coeffs, chunks))
 
-    def test_dot_out_is_overwritten_not_accumulated(self):
-        out = np.full_like(self.chunk, 0xFF)
-        gf256.dot([1], [self.chunk], out=out)
-        assert np.array_equal(out, self.chunk)
+    def test_one_row_out_is_overwritten_not_accumulated(self):
+        out = np.full((1, len(self.chunk)), 0xFF, dtype=np.uint8)
+        one_row([1], [self.chunk], out=out)
+        assert np.array_equal(out[0], self.chunk)
 
-    def test_dot_out_bad_buffer_raises(self):
+    def test_one_row_out_bad_buffer_raises(self):
         with pytest.raises(ValueError):
-            gf256.dot([1], [self.chunk], out=np.empty(3, dtype=np.uint8))
+            one_row([1], [self.chunk], out=np.empty((1, 3), dtype=np.uint8))

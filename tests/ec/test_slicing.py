@@ -1,85 +1,8 @@
-"""Chunk slicing and segment arithmetic."""
+"""Segment arithmetic."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ec import Segment, slicing
-
-
-class TestSplitJoin:
-    def test_roundtrip_exact_multiple(self):
-        chunk = np.arange(64, dtype=np.uint8)
-        slices = slicing.split_chunk(chunk, 16)
-        assert len(slices) == 4
-        assert np.array_equal(slicing.join_slices(slices), chunk)
-
-    def test_roundtrip_with_remainder(self):
-        chunk = np.arange(70, dtype=np.uint8)
-        slices = slicing.split_chunk(chunk, 16)
-        assert len(slices) == 5
-        assert len(slices[-1]) == 6
-        assert np.array_equal(slicing.join_slices(slices), chunk)
-
-    def test_slices_are_views(self):
-        chunk = np.zeros(32, dtype=np.uint8)
-        slices = slicing.split_chunk(chunk, 16)
-        chunk[0] = 7
-        assert slices[0][0] == 7
-
-    def test_empty_chunk(self):
-        assert slicing.split_chunk(np.zeros(0, dtype=np.uint8), 8) == []
-        assert len(slicing.join_slices([])) == 0
-
-    def test_bad_slice_size(self):
-        with pytest.raises(ValueError):
-            slicing.split_chunk(np.zeros(8, dtype=np.uint8), 0)
-
-    @given(st.integers(1, 500), st.integers(1, 64))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_property(self, length, slice_size):
-        rng = np.random.default_rng(length * 64 + slice_size)
-        chunk = rng.integers(0, 256, length, dtype=np.uint8)
-        slices = slicing.split_chunk(chunk, slice_size)
-        assert len(slices) == slicing.slice_count(length, slice_size)
-        assert np.array_equal(slicing.join_slices(slices), chunk)
-
-
-class TestPad:
-    def test_pad_to_multiple(self):
-        chunk = np.ones(10, dtype=np.uint8)
-        padded = slicing.pad_chunk(chunk, 8)
-        assert len(padded) == 16
-        assert np.array_equal(padded[:10], chunk)
-        assert not padded[10:].any()
-
-    def test_pad_noop_when_aligned(self):
-        chunk = np.ones(16, dtype=np.uint8)
-        padded = slicing.pad_chunk(chunk, 8)
-        assert len(padded) == 16
-        assert padded is not chunk  # still a copy
-
-    def test_pad_bad_size(self):
-        with pytest.raises(ValueError):
-            slicing.pad_chunk(np.zeros(4, dtype=np.uint8), -1)
-
-
-class TestSliceCount:
-    def test_exact(self):
-        assert slicing.slice_count(64, 16) == 4
-
-    def test_remainder(self):
-        assert slicing.slice_count(65, 16) == 5
-
-    def test_zero_chunk(self):
-        assert slicing.slice_count(0, 16) == 0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            slicing.slice_count(10, 0)
-        with pytest.raises(ValueError):
-            slicing.slice_count(-1, 4)
 
 
 class TestSegment:
@@ -89,27 +12,6 @@ class TestSegment:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             Segment(5.0, 2.0)
-
-    def test_overlaps(self):
-        assert Segment(0, 10).overlaps(Segment(5, 15))
-        assert not Segment(0, 10).overlaps(Segment(10, 20))  # half-open
-
-    def test_intersection(self):
-        inter = Segment(0, 10).intersection(Segment(5, 15))
-        assert (inter.start, inter.stop) == (5, 10)
-        assert Segment(0, 5).intersection(Segment(5, 10)) is None
-
-    def test_scaled(self):
-        s = Segment(0.25, 0.5).scaled(100)
-        assert (s.start, s.stop) == (25.0, 50.0)
-
-    def test_slice_span(self):
-        assert Segment(0, 100).slice_span(16) == (0, 7)
-        assert Segment(16, 32).slice_span(16) == (1, 2)
-
-    def test_slice_span_bad_size(self):
-        with pytest.raises(ValueError):
-            Segment(0, 10).slice_span(0)
 
 
 class TestPartition:
