@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -127,15 +128,23 @@ class _TaskState:
 class DataNode:
     """One storage node: chunk store + pipelined task executor."""
 
-    def __init__(self, node_id: int, events: EventQueue) -> None:
+    def __init__(
+        self,
+        node_id: int,
+        events: EventQueue,
+        *,
+        deliver: Callable[[int, SliceData], None],
+        on_bad_slice: Callable[[int, SliceData], None],
+        on_bad_chunk: Callable[[int, TransferTask], None],
+    ) -> None:
         self.node_id = node_id
         self.events = events
         self.store = ChunkStore()
         #: task states by wire id (``task.repair_id``), then pipeline
         #: id; the cluster routes each delivery through it
         self.tasks: dict[str, dict[int, _TaskState]] = {}
-        #: delivery callback installed by the cluster: (dest, SliceData)
-        self.deliver = None
+        #: the cluster's delivery callback: (dest, SliceData)
+        self.deliver = deliver
         #: total payload bytes this node has put on the wire
         self.bytes_sent = 0
         #: observability hook installed by the cluster (its observer's
@@ -156,14 +165,14 @@ class DataNode:
         #: in flight (the sender's stored data stays intact)
         self.wire_corrupt_until: float = 0.0
         self._wire_rng: np.random.Generator | None = None
-        # ---- integrity hooks installed by the cluster ----------------- #
+        # ---- the cluster's integrity hooks ----------------------------- #
         #: called when an incoming slice fails its checksum:
         #: (receiving_node, SliceData); the cluster requests a retransmit
-        self.on_bad_slice = None
+        self.on_bad_slice = on_bad_slice
         #: called when this node's stored chunk fails digest verification
         #: at assign time: (node, TransferTask); the cluster quarantines
         #: the chunk and re-plans the repair around it
-        self.on_bad_chunk = None
+        self.on_bad_chunk = on_bad_chunk
 
     # ------------------------------------------------------------------ #
 
@@ -172,7 +181,7 @@ class DataNode:
         seg_len = task.stop - task.start
         if seg_len <= 0:
             return
-        if task.coeff != 0 and self.on_bad_chunk is not None:
+        if task.coeff != 0:
             # read-path digest check: refuse to stream a rotten chunk
             # into the pipeline — the cluster quarantines it and
             # re-plans with a different helper
@@ -237,10 +246,7 @@ class DataNode:
         """Fold an incoming partial into ``state``, the task of this node
         that consumes it.  Only the folded slice can become sendable, so
         the task sends only if it did, is next, and nothing is in flight."""
-        if (
-            self.on_bad_slice is not None
-            and slice_checksum(data.payload) != data.checksum
-        ):
+        if slice_checksum(data.payload) != data.checksum:
             # corrupted in flight: drop before any bookkeeping so the
             # retransmitted copy is not a duplicate
             self.on_bad_slice(self.node_id, data)

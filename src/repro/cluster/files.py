@@ -44,7 +44,8 @@ class FileStore:
     chunk_bytes:
         Stripe chunk size (every file chunk is this long; GFS-style).
     placement:
-        Stripe placement policy; defaults to round-robin over all nodes.
+        Stripe placement policy; defaults to round-robin.  Each write
+        places its stripes among the nodes live at the time.
     """
 
     def __init__(
@@ -72,8 +73,10 @@ class FileStore:
     def write(self, name: str, payload: bytes | np.ndarray) -> FileEntry:
         """Store a file; returns its catalog entry.
 
+        Every stripe is placed among the cluster's live nodes before the
+        first one is written, so a refused placement stores nothing.
         Raises ``FileExistsError`` for duplicate names and ``ValueError``
-        for empty payloads.
+        for empty payloads or too few live nodes.
         """
         if name in self._catalog:
             raise FileExistsError(f"file {name!r} already stored")
@@ -85,16 +88,19 @@ class FileStore:
         num_stripes = -(-data.size // stripe_bytes)
         padded = np.zeros(num_stripes * stripe_bytes, dtype=np.uint8)
         padded[: data.size] = data
+        live = self.system.live
+        placements = [
+            self.placement.place(self._stripe_counter + s, live)
+            for s in range(num_stripes)
+        ]
         stripe_ids = []
-        for s in range(num_stripes):
+        for s, placement in enumerate(placements):
             sid = f"{name}#{s}"
             group = padded[s * stripe_bytes : (s + 1) * stripe_bytes]
             chunks = group.reshape(k, self.chunk_bytes)
-            self.system.write_stripe(
-                sid, chunks, placement=self.placement.place(self._stripe_counter)
-            )
-            self._stripe_counter += 1
+            self.system.write_stripe(sid, chunks, placement=placement)
             stripe_ids.append(sid)
+        self._stripe_counter += num_stripes
         entry = FileEntry(
             name=name,
             size_bytes=int(data.size),

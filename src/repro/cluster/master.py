@@ -437,32 +437,25 @@ class Master:
         stripe_id: str,
         lost_chunk: int,
         *,
-        chunk_bytes: int,
         num_slices: int,
         repair_id: str,
-        intervals: list[tuple[int, int]] | None = None,
+        intervals: list[tuple[int, int]],
     ) -> list[TransferTask]:
         """Turn plan pipelines into concrete per-node transfer tasks.
 
-        Byte ranges are the pipelines' normalised segments laid over
-        ``chunk_bytes``.  ``num_slices`` is the repair-wide pipelining
-        window count shared by every task and ``repair_id`` the wire
-        epoch they belong to (see
-        :class:`~repro.cluster.messages.TransferTask`).
-
-        ``intervals`` (half-open byte ranges, disjoint and ascending)
-        restricts the repair to the *unfinished remainder* of the chunk:
-        the plan's normalised ``[0, 1)`` space is laid over the
-        concatenation of the intervals, so each pipeline repairs its
-        proportional share of what is actually left.  A pipeline whose
-        share straddles an interval boundary is emitted as several task
-        groups with distinct pipeline ids (the transfer tree and rates
-        are identical; only byte ranges differ).
+        ``intervals`` (half-open byte ranges, disjoint and ascending) are
+        the *unfinished remainder* of the chunk, ``[(0, chunk_bytes)]``
+        for a fresh repair: the plan's normalised ``[0, 1)`` space is
+        laid over the concatenation of the intervals, so each pipeline
+        repairs its proportional share of what is actually left.  A
+        pipeline whose share straddles an interval boundary is emitted
+        as several task groups with distinct pipeline ids (the transfer
+        tree and rates are identical; only byte ranges differ).
+        ``num_slices`` is the repair-wide pipelining window count shared
+        by every task and ``repair_id`` the wire epoch they belong to
+        (see :class:`~repro.cluster.messages.TransferTask`).
         """
-        if intervals is None:
-            spans = [(0, chunk_bytes)]
-        else:
-            spans = [(int(a), int(b)) for a, b in intervals if b > a]
+        spans = [(int(a), int(b)) for a, b in intervals if b > a]
         total = sum(b - a for a, b in spans)
         if total <= 0:
             return []

@@ -15,13 +15,16 @@ runs.  Three classic policies are provided:
     chunks — minimises the per-node chunk count spread, which bounds the
     repair work any single failure can create.
 
-All policies return placements of n *distinct* node ids and never use
-nodes listed in ``exclude`` (e.g. known-bad nodes).
+All policies return placements of n *distinct* node ids drawn from the
+``eligible`` nodes the caller hands :meth:`PlacementPolicy.place` (the
+file layer hands the cluster's live nodes).  With every node eligible,
+stripe ``i`` lands where the policy alone puts it.
 """
 
 from __future__ import annotations
 
 import abc
+from typing import Sequence
 
 import numpy as np
 
@@ -29,59 +32,61 @@ import numpy as np
 class PlacementPolicy(abc.ABC):
     """Chooses the nodes that store each new stripe."""
 
-    def __init__(self, num_nodes: int, n: int, *, exclude: tuple[int, ...] = ()) -> None:
-        if n > num_nodes - len(exclude):
-            raise ValueError(
-                f"cannot place {n} chunks on {num_nodes - len(exclude)} eligible nodes"
-            )
+    def __init__(self, num_nodes: int, n: int) -> None:
+        if n > num_nodes:
+            raise ValueError(f"cannot place {n} chunks on {num_nodes} nodes")
         self.num_nodes = num_nodes
         self.n = n
-        self.exclude = frozenset(exclude)
-        self._eligible = [i for i in range(num_nodes) if i not in self.exclude]
+
+    def place(self, stripe_index: int, eligible: Sequence[int]) -> tuple[int, ...]:
+        """Placement for the ``stripe_index``-th stripe among ``eligible``
+        (ascending node ids)."""
+        if self.n > len(eligible):
+            raise ValueError(
+                f"cannot place {self.n} chunks on {len(eligible)} eligible nodes"
+            )
+        return self._choose(stripe_index, eligible)
 
     @abc.abstractmethod
-    def place(self, stripe_index: int) -> tuple[int, ...]:
-        """Placement for the ``stripe_index``-th stripe."""
+    def _choose(self, stripe_index: int, eligible: Sequence[int]) -> tuple[int, ...]:
+        """:meth:`place` once ``eligible`` is known to hold n nodes."""
 
-    def place_many(self, count: int) -> list[tuple[int, ...]]:
+    def place_many(self, count: int, eligible: Sequence[int]) -> list[tuple[int, ...]]:
         """Placements for ``count`` consecutive stripes."""
-        return [self.place(i) for i in range(count)]
+        return [self.place(i, eligible) for i in range(count)]
 
 
 class RoundRobinPlacement(PlacementPolicy):
     """Rotate stripes around the eligible nodes."""
 
-    def place(self, stripe_index: int) -> tuple[int, ...]:
-        m = len(self._eligible)
+    def _choose(self, stripe_index: int, eligible: Sequence[int]) -> tuple[int, ...]:
+        m = len(eligible)
         start = (stripe_index * self.n) % m
-        return tuple(self._eligible[(start + j) % m] for j in range(self.n))
+        return tuple(eligible[(start + j) % m] for j in range(self.n))
 
 
 class RandomSpreadPlacement(PlacementPolicy):
     """Seeded uniform random n-subsets."""
 
-    def __init__(self, num_nodes: int, n: int, *, seed: int = 0,
-                 exclude: tuple[int, ...] = ()) -> None:
-        super().__init__(num_nodes, n, exclude=exclude)
+    def __init__(self, num_nodes: int, n: int, *, seed: int = 0) -> None:
+        super().__init__(num_nodes, n)
         self.seed = seed
 
-    def place(self, stripe_index: int) -> tuple[int, ...]:
+    def _choose(self, stripe_index: int, eligible: Sequence[int]) -> tuple[int, ...]:
         rng = np.random.default_rng((self.seed, stripe_index))
-        picks = rng.choice(len(self._eligible), size=self.n, replace=False)
-        return tuple(self._eligible[int(i)] for i in picks)
+        picks = rng.choice(len(eligible), size=self.n, replace=False)
+        return tuple(eligible[int(i)] for i in picks)
 
 
 class LoadBalancedPlacement(PlacementPolicy):
     """Greedy fewest-chunks-first placement (stateful)."""
 
-    def __init__(self, num_nodes: int, n: int, *, exclude: tuple[int, ...] = ()) -> None:
-        super().__init__(num_nodes, n, exclude=exclude)
-        self._load = {node: 0 for node in self._eligible}
+    def __init__(self, num_nodes: int, n: int) -> None:
+        super().__init__(num_nodes, n)
+        self._load = {node: 0 for node in range(num_nodes)}
 
-    def place(self, stripe_index: int) -> tuple[int, ...]:
-        chosen = sorted(self._eligible, key=lambda node: (self._load[node], node))[
-            : self.n
-        ]
+    def _choose(self, stripe_index: int, eligible: Sequence[int]) -> tuple[int, ...]:
+        chosen = sorted(eligible, key=lambda node: (self._load[node], node))[: self.n]
         for node in chosen:
             self._load[node] += 1
         return tuple(chosen)

@@ -94,7 +94,9 @@ class ClusterSystem:
         self.master = Master(code, algorithm, num_nodes)
         self.slice_bytes = slice_bytes
         self.nodes = [
-            DataNode(i, self.events)
+            DataNode(i, self.events, deliver=self._deliver,
+                     on_bad_slice=self._on_bad_slice,
+                     on_bad_chunk=self._on_bad_chunk)
             for i in range(num_nodes)
         ]
         #: every fixed point of the repair path reports here
@@ -106,9 +108,6 @@ class ClusterSystem:
         )
         on_transfer = self.obs.transfer_hook()
         for node in self.nodes:
-            node.deliver = self._deliver
-            node.on_bad_slice = self._on_bad_slice
-            node.on_bad_chunk = self._on_bad_chunk
             node.on_transfer = on_transfer
         #: node mask of the crashed nodes (the truth; ``master.dead`` is
         #: the master's belief); only :meth:`fail_node` writes it
@@ -1016,7 +1015,6 @@ class ClusterSystem:
         self._wire_assembly[wire] = asm
         tasks = self.master.compile_tasks(
             asm.plan, asm.stripe_id, asm.lost_chunk,
-            chunk_bytes=asm.chunk_bytes,
             num_slices=max(1, -(-remaining // self.slice_bytes)),
             repair_id=wire, intervals=remainder,
         )

@@ -35,7 +35,6 @@ from ..net.flows import check_node_capacity
 from ..repair.base import get_algorithm
 from ..repair.plan import RepairPlan, planned_usage
 from ..sim.transfer import TransferParams, execute
-from .plancache import PlanCache
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,6 @@ def plan_full_node_repair(
     algorithm: str = "fullrepair",
     strategy: str = "batched",
     min_rate_fraction: float = 0.35,
-    algorithm_kwargs: dict | None = None,
-    plan_cache: PlanCache | None = None,
 ) -> FullNodeRepairPlan:
     """Pack the given chunk repairs into concurrent batches.
 
@@ -117,21 +114,12 @@ def plan_full_node_repair(
         Batched mode: a stripe only joins the current batch if its
         residual-bandwidth throughput is at least this fraction of what
         it would get alone.
-    plan_cache:
-        Optional :class:`~repro.core.plancache.PlanCache`.  Stripes of a
-        dead node share the node's peer set, so many contexts here hit
-        the same quantised key — both the solo-throughput pass and the
-        batch packing reuse plans through the cache when one is given.
     """
     if strategy not in ("sequential", "batched"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if not specs:
         raise ValueError("no stripes to repair")
-    algo = get_algorithm(algorithm, **(algorithm_kwargs or {}))
-    if plan_cache is None:
-        make_plan = algo.plan
-    else:
-        make_plan = lambda ctx: plan_cache.get_or_compute(algo, ctx)  # noqa: E731
+    make_plan = get_algorithm(algorithm).plan
 
     # largest chunks first: they dominate batch makespans, so packing
     # them early lets small repairs ride along in the same batches

@@ -42,9 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..ec.slicing import Segment
 from ..net.bandwidth import RepairContext
-from ..repair.plan import Edge, Pipeline
+from ..repair.plan import Edge, Pipeline, Segment
 from .maxflow import Dinic
 from .throughput import ThroughputResult
 

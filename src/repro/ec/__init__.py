@@ -1,4 +1,4 @@
-"""Erasure-coding substrate: GF(2^8), coding matrices, RS codes, segments.
+"""Erasure-coding substrate: GF(2^8), coding matrices, RS codes.
 
 Chunk-sized arithmetic runs on one data plane, the ``fused`` multi-row
 gather kernels of :mod:`repro.ec.kernels`, through two operations:
@@ -8,20 +8,17 @@ audit) and ``mul_chunk`` (one coefficient times one chunk).  The
 :func:`repro.ec.backend.use_backend`.
 """
 
-from . import backend, gf256, kernels, matrix, slicing
+from . import backend, gf256, kernels, matrix
 from .backend import available_backends, get_backend, resolve, use_backend
 from .rs import RepairEquation, RSCode
-from .slicing import Segment
 
 __all__ = [
     "backend",
     "gf256",
     "kernels",
     "matrix",
-    "slicing",
     "RSCode",
     "RepairEquation",
-    "Segment",
     "available_backends",
     "get_backend",
     "resolve",

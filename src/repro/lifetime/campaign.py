@@ -219,9 +219,8 @@ class StripeTableSystem:
         failed_node: int,
         requester: int,
         *,
+        on_done,
         bandwidth_scale: float = 1.0,
-        max_attempts: int = 3,
-        on_done=None,
     ) -> None:
         self._dispatch(
             stripe_id,
@@ -237,9 +236,9 @@ class StripeTableSystem:
         lost,
         requester_for,
         *,
+        on_done,
         bandwidth_scale: float = 1.0,
         deadline_s: float | None = None,
-        on_done=None,
     ) -> None:
         self._dispatch(
             stripe_id,
@@ -667,7 +666,6 @@ def run_campaign(
     metrics=None,
     slo=None,
     profiler=None,
-    max_events: int = 10_000_000,
 ) -> CampaignResult:
     """Run one fleet-lifetime campaign to its horizon.
 
@@ -684,7 +682,7 @@ def run_campaign(
     if campaign.orchestrator is not None:
         campaign.orchestrator.start()
     campaign.arm_all()
-    campaign.events.run(until=config.horizon_s, max_events=max_events)
+    campaign.events.run(until=config.horizon_s)
     campaign.table.finalize(config.horizon_s)
     wall = time.perf_counter() - start
 

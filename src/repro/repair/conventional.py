@@ -9,11 +9,10 @@ rates are the max-min fair allocation of the k parallel flows.
 
 from __future__ import annotations
 
-from ..ec.slicing import Segment
 from ..net.bandwidth import RepairContext
 from ..net.flows import Flow, max_min_rates
 from .base import RepairAlgorithm
-from .plan import Edge, Pipeline, RepairPlan
+from .plan import Edge, Pipeline, RepairPlan, Segment
 
 
 class ConventionalRepair(RepairAlgorithm):

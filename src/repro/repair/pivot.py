@@ -14,10 +14,9 @@ pivot role (many children).
 
 from __future__ import annotations
 
-from ..ec.slicing import Segment
 from ..net.bandwidth import RepairContext
 from .base import RepairAlgorithm
-from .plan import Edge, Pipeline, RepairPlan
+from .plan import Edge, Pipeline, RepairPlan, Segment
 from .treeopt import optimal_tree
 
 

@@ -35,12 +35,34 @@ from functools import partial
 
 import numpy as np
 
-from ..ec.slicing import Segment
 from ..net.bandwidth import BandwidthSnapshot, RepairContext
 from ..net.flows import RATE_TOL, Flow, check_node_capacity
 
 #: Tolerance for segment tiling / rate bookkeeping checks.
 PLAN_TOL = 1e-6
+
+
+class Segment(namedtuple("Segment", "start stop")):
+    """A half-open byte range ``[start, stop)`` of a chunk.
+
+    FullRepair partitions the failed chunk into one segment per pipeline
+    (paper Table III); segments are expressed in *throughput units* during
+    scheduling and scaled to bytes at execution time.
+
+    An immutable tuple-backed record (no per-instance ``__dict__``: the
+    layout emits one per pipeline).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: float, stop: float) -> "Segment":
+        if stop < start:
+            raise ValueError(f"segment stop {stop} < start {start}")
+        return tuple.__new__(cls, (start, stop))
+
+    @property
+    def length(self) -> float:
+        return self.stop - self.start
 
 
 class Edge(namedtuple("Edge", "child parent rate")):

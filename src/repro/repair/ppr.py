@@ -17,10 +17,9 @@ PivotRepair) and multi-pipelining (FullRepair) add on top.
 
 from __future__ import annotations
 
-from ..ec.slicing import Segment
 from ..net.bandwidth import RepairContext
 from .base import RepairAlgorithm
-from .plan import Edge, Pipeline, RepairPlan
+from .plan import Edge, Pipeline, RepairPlan, Segment
 
 
 def balanced_tree_parents(nodes: list[int], root: int) -> dict[int, int]:

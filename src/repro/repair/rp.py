@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..ec.slicing import Segment
 from ..net.bandwidth import RepairContext
 from .base import RepairAlgorithm
-from .plan import Edge, Pipeline, RepairPlan
+from .plan import Edge, Pipeline, RepairPlan, Segment
 
 
 def best_chain_for_subset(

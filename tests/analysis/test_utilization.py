@@ -72,8 +72,7 @@ class TestPlanUtilization:
     def test_zero_bandwidth_rejected(self):
         snap = BandwidthSnapshot(uplink=np.zeros(4), downlink=np.full(4, 10.0))
         ctx = RepairContext(snapshot=snap, requester=0, helpers=(1, 2, 3), k=2)
-        from repro.ec.slicing import Segment
-        from repro.repair.plan import Edge, Pipeline, RepairPlan
+        from repro.repair.plan import Edge, Pipeline, RepairPlan, Segment
 
         plan = RepairPlan(
             "t", ctx,

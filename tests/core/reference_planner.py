@@ -22,7 +22,7 @@ from repro.core.scheduling import (
     Task,
 )
 from repro.core.throughput import FIXPOINT_TOL, MAX_ALTERNATIONS, ThroughputResult
-from repro.ec.slicing import Segment
+from repro.repair.plan import Segment
 from repro.net.bandwidth import RepairContext
 from repro.repair.plan import Edge, Pipeline, RepairPlan
 

@@ -1,5 +1,5 @@
 """Plan cache: quantisation round-trip, LRU bounding, drift invalidation,
-and the master / full-node integrations."""
+and the master integration."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.analysis import make_fixed_context
 from repro.cluster.master import Master, StripeLocation
 from repro.cluster.messages import BandwidthReport
-from repro.core.fullnode import StripeRepairSpec, plan_full_node_repair
 from repro.core.plancache import PlanCache
 from repro.ec.rs import RSCode
 from repro.net import BandwidthSnapshot, RepairContext
@@ -161,7 +160,7 @@ class TestMasterIntegration:
         second = master.schedule_repair("s1", failed_node=2, requester=7)
         assert first.meta["plan_cache"] == "miss"
         assert second.meta["plan_cache"] == "hit"
-        wire = dict(chunk_bytes=1 << 20, num_slices=16, repair_id="s1/r1")
+        wire = dict(intervals=[(0, 1 << 20)], num_slices=16, repair_id="s1/r1")
         tasks = master.compile_tasks(second, "s1", lost_chunk=2, **wire)
         assert tasks and all(t.stripe_id == "s1" for t in tasks)
         # cached and fresh plans compile to identical transfer tasks
@@ -186,27 +185,3 @@ class TestMasterIntegration:
         plan = master.schedule_repair("s1", failed_node=2, requester=7)
         assert "plan_cache" not in plan.meta
 
-
-class TestFullNodeIntegration:
-    def test_batched_planning_with_cache_is_feasible(self):
-        rng = np.random.default_rng(7)
-        snapshot = BandwidthSnapshot(
-            uplink=rng.uniform(400.0, 900.0, 16),
-            downlink=rng.uniform(600.0, 1200.0, 16),
-        )
-        specs = [
-            StripeRepairSpec(
-                stripe_id=f"st{i}",
-                requester=15,
-                helpers=tuple(range(13)),
-                chunk_bytes=1 << 20,
-            )
-            for i in range(4)
-        ]
-        cache = PlanCache()
-        result = plan_full_node_repair(specs, snapshot, k=10, plan_cache=cache)
-        result.validate()
-        assert cache.stats.hits > 0  # shared geometry reuses plans
-        # uncached path still produces the same batching structure
-        baseline = plan_full_node_repair(specs, snapshot, k=10)
-        assert result.batches == baseline.batches

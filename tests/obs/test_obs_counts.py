@@ -260,6 +260,6 @@ def test_one_planning_request_makes_two_null_obs_calls():
     # helpers 1..N-1 hold chunks 0..N-2; the lost chunk N-1 lived on node N
     master.register_stripe(StripeLocation("s0", placement=tuple(range(1, N + 1))))
     plan = master.plan_for_context(make_fixed_context(N, K, seed=2023))
-    master.compile_tasks(plan, "s0", N - 1, chunk_bytes=1 << 20, num_slices=16,
-                         repair_id="s0/nX")
+    master.compile_tasks(plan, "s0", N - 1, intervals=[(0, 1 << 20)],
+                         num_slices=16, repair_id="s0/nX")
     assert master.obs.calls == ["plan_cache", "tasks_compiled"]

@@ -56,8 +56,7 @@ class TestTimingWrapper:
         assert plan.calc_seconds > 0
 
     def test_registered_custom_algorithm_usable(self, fig2_context):
-        from repro.ec.slicing import Segment
-        from repro.repair.plan import Edge, Pipeline, RepairPlan
+        from repro.repair.plan import Edge, Pipeline, RepairPlan, Segment
 
         class EchoStar(RepairAlgorithm):
             name = "test-echo-star"

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ec.slicing import Segment
 from repro.net import BandwidthSnapshot, RepairContext
-from repro.repair.plan import Edge, Pipeline, RepairPlan
+from repro.repair.plan import Edge, Pipeline, RepairPlan, Segment
 
 
 @pytest.fixture
@@ -18,6 +17,15 @@ def chain(ctx, nodes, rate=100.0, segment=(0.0, 1.0), task_id=0):
     edges = [Edge(a, b, rate) for a, b in zip(nodes, nodes[1:])]
     edges.append(Edge(nodes[-1], ctx.requester, rate))
     return Pipeline(task_id=task_id, segment=Segment(*segment), edges=edges)
+
+
+class TestSegment:
+    def test_length(self):
+        assert Segment(2.0, 5.0).length == 3.0
+
+    def test_invalid_order(self):
+        with pytest.raises(ValueError):
+            Segment(5.0, 2.0)
 
 
 class TestEdge:

@@ -18,10 +18,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import sample_contexts
-from repro.ec.slicing import Segment
 from repro.net import BandwidthSnapshot, RepairContext
 from repro.repair import algorithm_names, get_algorithm
-from repro.repair.plan import Edge, Pipeline, RepairPlan
+from repro.repair.plan import Edge, Pipeline, RepairPlan, Segment
 from repro.workloads import make_trace
 
 from tests.repair.reference_validation import (

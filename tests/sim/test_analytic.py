@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ec.slicing import Segment
 from repro.net import BandwidthSnapshot, RepairContext, units
-from repro.repair.plan import Edge, Pipeline, RepairPlan
+from repro.repair.plan import Edge, Pipeline, RepairPlan, Segment
 from repro.sim import TransferParams, execute, ideal_transfer_seconds
 from repro.sim.analytic import pipeline_transfer_seconds, plan_transfer_seconds
 

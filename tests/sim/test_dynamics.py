@@ -122,9 +122,8 @@ class TestDrift:
 
 class TestIntervalProgress:
     def test_partial_capacity_slows_flows(self):
-        from repro.ec.slicing import Segment
         from repro.net import RepairContext
-        from repro.repair.plan import Edge, Pipeline, RepairPlan
+        from repro.repair.plan import Edge, Pipeline, RepairPlan, Segment
 
         snap_full = BandwidthSnapshot.uniform(4, 100.0)
         ctx = RepairContext(
@@ -141,9 +140,8 @@ class TestIntervalProgress:
         assert moved == pytest.approx(units.mbps_to_bytes_per_s(50.0))
 
     def test_finished_pipeline_ignored(self):
-        from repro.ec.slicing import Segment
         from repro.net import RepairContext
-        from repro.repair.plan import Edge, Pipeline, RepairPlan
+        from repro.repair.plan import Edge, Pipeline, RepairPlan, Segment
 
         snap = BandwidthSnapshot.uniform(4, 100.0)
         ctx = RepairContext(snapshot=snap, requester=0, helpers=(1, 2, 3), k=2)

@@ -6,11 +6,11 @@ compared in C, and cancels by writing ``None`` into the action slot.
 slotted ``_Entry`` with a Python ``__lt__`` and a ``cancelled`` flag.
 Hypothesis drives both with the same programs — scheduling by delay and
 by absolute time (an ulp-past time that clamps, a past one that raises),
-cancellation by handle and by id, ``step``, ``run`` with ``until`` and
-``max_events``, budget exhaustion and resume, actions that schedule at
-their own timestamp or raise — and every observable must agree: the
+cancellation by handle, ``step``, ``run`` with ``until`` and
+``max_events``, exhaustion and resume, actions that schedule at their
+own timestamp or raise — and every observable must agree: the
 execution order, ``now``, ``executed``, ``pending_count``,
-``peak_pending``, the budget, each exception's type and text, and what
+``peak_pending``, each exception's type and text, and what
 an attached ``EngineProfiler`` and monitor see batch by batch.  Two
 mutants of the new queue must fail the same comparison.
 """
@@ -46,13 +46,10 @@ _OP = st.one_of(
     st.tuples(st.just("schedule_at"), st.sampled_from(("ahead", "ulp", "past")),
               _DELAYS, _ACTION),
     st.tuples(st.just("cancel"), _INDEX),
-    st.tuples(st.just("cancel_id"), _INDEX),
-    st.tuples(st.just("is_pending"), _INDEX),
     st.tuples(st.just("step")),
     st.tuples(st.just("run")),
     st.tuples(st.just("run_until"), st.sampled_from((-0.5, 0.0, 0.1, 0.3, 1.0, 1.5))),
     st.tuples(st.just("run_max"), st.integers(min_value=0, max_value=6)),
-    st.tuples(st.just("budget"), st.none() | st.integers(min_value=-1, max_value=6)),
 )
 PROGRAMS = st.lists(_OP, max_size=40)
 
@@ -98,10 +95,10 @@ def observe(make_queue, program, *, hooked: bool) -> tuple:
         kind = op[0]
         if kind == "schedule":  # an action's child schedules a leaf
             handles.append(q.schedule(op[1], action(op[2] if len(op) > 2 else ())))
-            return handles[-1].event_id
+            return None
         if kind == "at_own_time":
             handles.append(q.schedule_at(q.now, action(())))
-            return handles[-1].event_id
+            return None
         if kind == "schedule_past":
             return q.schedule_at(q.now - 1.0, action(()))
         if kind == "schedule_at":
@@ -112,30 +109,25 @@ def observe(make_queue, program, *, hooked: bool) -> tuple:
                 "past": q.now - 0.5 - offset,
             }[how]
             handles.append(q.schedule_at(time, action(op[3])))
-            return handles[-1].event_id
-        if kind in ("cancel", "cancel_id", "is_pending"):
+            return None
+        if kind == "cancel":
             handle = pick(op[1])
-            if handle is None:
-                return None
-            target = handle.event_id if kind == "cancel_id" else handle
-            return (q.is_pending if kind == "is_pending" else q.cancel)(target)
+            return None if handle is None else q.cancel(handle)
         if kind == "step":
             return q.step()
         if kind == "run":
             return q.run()
         if kind == "run_until":
             return q.run(until=q.now + op[1])
-        if kind == "run_max":
-            return q.run(max_events=op[1])
-        return q.set_event_budget(op[1])  # "budget"
+        return q.run(max_events=op[1])  # "run_max"
 
-    for op in [*program, ("budget", None), ("run",)]:
+    for op in [*program, ("run",)]:
         try:
             result = apply(op)
         except Exception as exc:  # compared by type and text
             result = ("raised", type(exc).__name__, str(exc))
         log.append(("op", op[0], result, q.now, q.executed, q.pending_count,
-                    q.peak_pending, q.event_budget))
+                    q.peak_pending))
     if profiler is not None:
         log.append((
             profiler.events, profiler.batches, profiler.batch_hist,
@@ -154,7 +146,7 @@ def test_any_program_runs_as_on_the_reference_queue(hooked, program):
 
 # one hand-written program: equal-time ties, an action that schedules at
 # its own timestamp and one that cancels a batch sibling, a clamped and a
-# refused past time, budget exhaustion and resume — pinned here, and the
+# refused past time, exhaustion and resume — pinned here, and the
 # program both mutants below must fail on
 _TIES = [
     ("schedule", 1.0, (("at_own_time",), ("schedule", 0.0))),
@@ -162,7 +154,7 @@ _TIES = [
     ("schedule", 1.0, ()),
     ("schedule_at", "ulp", 0.0, ()),
     ("schedule_at", "past", 0.0, ()),
-    ("budget", 2), ("run",), ("step",), ("budget", 3), ("run_until", 0.3),
+    ("run_max", 2), ("step",), ("run_max", 0), ("run_until", 0.3),
     ("run_max", 1), ("run",),
 ]
 
@@ -175,8 +167,8 @@ def test_a_tie_heavy_program_matches_and_exercises_every_path(hooked):
               if entry[0] == "op" and isinstance(entry[2], tuple)]
     assert raised == [
         "cannot schedule in the past (delay=-0.5)",
-        "event budget exhausted after 2 events; set_event_budget() to continue",
-        "event budget exhausted after 0 events; set_event_budget() to continue",
+        "exceeded 2 events; runaway simulation?",
+        "exceeded 0 events; runaway simulation?",
     ]
     # tags 0-2 are the three 1.0 s actions, 3 the ulp-past one, 4 the
     # refused past one; 0 schedules 5 (at its own time) and 6, and 1
@@ -202,8 +194,7 @@ class _CancelKeepsAction(EventQueue):
     """Forgets the event as pending but leaves its action in the heap."""
 
     def cancel(self, entry):
-        event_id = entry if isinstance(entry, int) else entry[1]
-        return self._pending.pop(event_id, None) is not None
+        return self._pending.pop(entry[1], None) is not None
 
 
 @pytest.mark.parametrize("hooked", [False, True], ids=["bare", "hooked"])

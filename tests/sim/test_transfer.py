@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ec.slicing import Segment
 from repro.net import BandwidthSnapshot, RepairContext, units
-from repro.repair.plan import Edge, Pipeline, RepairPlan
+from repro.repair.plan import Edge, Pipeline, RepairPlan, Segment
 from repro.sim import TransferParams, execute
 from repro.sim.transfer import _fifo_arrivals
 
