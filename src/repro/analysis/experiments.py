@@ -98,24 +98,24 @@ def sample_contexts(
             f"trace has {trace.num_nodes} nodes; need at least n+1={n + 1}"
         )
     rng = np.random.default_rng(seed)
-    instants = trace.congested_instants()
-    if instants.size == 0:
+    instants = trace.congested_instants().tolist()
+    if not instants:
         raise ValueError("trace has no congested instants to sample")
+    count, num_nodes = len(instants), trace.num_nodes
     contexts = []
     for _ in range(num_samples):
-        t = int(rng.choice(instants))
-        nodes = rng.permutation(trace.num_nodes)
-        stripe_nodes = nodes[:n]
-        failed = int(stripe_nodes[0])
-        requester = int(nodes[n])
-        helpers = tuple(int(h) for h in stripe_nodes[1:])
+        # the draw ``rng.choice(instants)`` makes, without its overhead
+        t = instants[rng.integers(count)]
+        # nodes[0] fails; the other stripe nodes help; nodes[n] rebuilds
+        nodes = rng.permutation(num_nodes).tolist()
+        helpers = tuple(nodes[1:n])
         contexts.append(
             RepairContext(
                 snapshot=trace.snapshot(t),
-                requester=requester,
+                requester=nodes[n],
                 helpers=helpers,
                 k=k,
-                chunk_index={h: i + 1 for i, h in enumerate(helpers)},
+                chunk_index=dict(zip(helpers, range(1, n))),
             )
         )
     return contexts
@@ -215,18 +215,15 @@ def utilization_experiment(
         instants = rng.choice(
             len(trace), size=min(samples_per_workload, len(trace)), replace=False
         )
-        for t in instants:
-            snap = trace.snapshot(int(t))
+        for t in instants.tolist():
+            snap = trace.snapshot(t)
             cv = snap.cv(direction="mean")
             bucket = bucket_index(cv)
             if bucket is None:
                 continue
-            nodes = rng.permutation(trace.num_nodes)
+            nodes = rng.permutation(trace.num_nodes).tolist()
             ctx = RepairContext(
-                snapshot=snap,
-                requester=int(nodes[n]),
-                helpers=tuple(int(h) for h in nodes[1:n]),
-                k=k,
+                snapshot=snap, requester=nodes[n], helpers=tuple(nodes[1:n]), k=k
             )
             for name, algo in algos.items():
                 try:

@@ -252,8 +252,15 @@ class Master:
         :meth:`mark_node_live` (rejoin) first, never silently mutate the
         snapshot a plan may be computed from.  ``now`` (simulation time)
         renews the node's heartbeat lease when leases are configured.
+        A bandwidth that is not ``>= 0`` (negative, or NaN) raises
+        ``ValueError`` before the picture changes.
         """
         self._check_node_id(report.node)
+        if not (report.uplink_mbps >= 0 and report.downlink_mbps >= 0):
+            raise ValueError(
+                f"node {report.node}: bandwidths must be non-negative, got "
+                f"uplink {report.uplink_mbps} and downlink {report.downlink_mbps}"
+            )
         if self.dead >> report.node & 1:
             raise DeadNodeError(
                 f"rejecting bandwidth report from dead node {report.node}; "

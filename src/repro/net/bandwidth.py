@@ -18,9 +18,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def check_bandwidths(uplink: np.ndarray, downlink: np.ndarray) -> None:
+    """Refuse a bandwidth that is not ``>= 0``: a negative one, and NaN,
+    for which every comparison is False (``+inf`` passes).  One ndarray
+    reduction per direction: ``min`` propagates NaN."""
+    if uplink.size and not (uplink.min() >= 0 and downlink.min() >= 0):
+        raise ValueError("bandwidths must be non-negative")
+
+
 @dataclass(frozen=True)
 class BandwidthSnapshot:
     """Immutable per-node uplink/downlink available bandwidth, in Mbps.
+
+    The constructor converts both directions to float64, checks them
+    (equal-length 1-D, every value ``>= 0``, so NaN is refused) and makes
+    them read-only.  :meth:`Trace.snapshot
+    <repro.workloads.base.Trace.snapshot>` builds its row copies through
+    ``_unchecked``: a row of a checked, read-only trace passes both checks.
 
     Attributes
     ----------
@@ -41,12 +55,19 @@ class BandwidthSnapshot:
                 f"uplink/downlink must be equal-length 1-D arrays, got "
                 f"{up.shape} and {down.shape}"
             )
-        if np.any(up < 0) or np.any(down < 0):
-            raise ValueError("bandwidths must be non-negative")
+        check_bandwidths(up, down)
         up.setflags(write=False)
         down.setflags(write=False)
         object.__setattr__(self, "uplink", up)
         object.__setattr__(self, "downlink", down)
+
+    @classmethod
+    def _unchecked(cls, uplink: np.ndarray, downlink: np.ndarray) -> "BandwidthSnapshot":
+        """A snapshot of two read-only float64 rows already known valid."""
+        snap = object.__new__(cls)
+        object.__setattr__(snap, "uplink", uplink)
+        object.__setattr__(snap, "downlink", downlink)
+        return snap
 
     @property
     def num_nodes(self) -> int:
@@ -116,18 +137,17 @@ class RepairContext:
     chunk_index: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.helpers = tuple(int(h) for h in self.helpers)
-        n = self.snapshot.num_nodes
-        ids = (self.requester, *self.helpers)
-        if any(not 0 <= i < n for i in ids):
+        self.helpers = helpers = tuple(map(int, self.helpers))
+        ids = (self.requester, *helpers)
+        if min(ids) < 0 or max(ids) >= len(self.snapshot.uplink):
             raise ValueError("requester/helper ids out of snapshot range")
         if len(set(ids)) != len(ids):
             raise ValueError("requester and helpers must be distinct")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if len(self.helpers) < self.k:
+        if len(helpers) < self.k:
             raise ValueError(
-                f"need at least k={self.k} helpers, got {len(self.helpers)}"
+                f"need at least k={self.k} helpers, got {len(helpers)}"
             )
 
     @property

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..net.bandwidth import BandwidthSnapshot
+from ..net.bandwidth import BandwidthSnapshot, check_bandwidths
 
 #: Cluster scale used throughout the paper's trace study.
 DEFAULT_NUM_NODES = 16
@@ -37,6 +37,10 @@ DEFAULT_NUM_SNAPSHOTS = 6000
 class Trace:
     """A time-continuous sequence of bandwidth snapshots.
 
+    The constructor checks the arrays once — equal-shape 2-D float64
+    (converted like a snapshot's), every value ``>= 0`` (NaN refused) —
+    and makes them read-only, so no instant needs checking again.
+
     Attributes
     ----------
     workload:
@@ -44,7 +48,7 @@ class Trace:
     capacity_mbps:
         Per-node NIC capacity the loads were subtracted from.
     uplink / downlink:
-        (T, N) arrays of available bandwidth per instant and node.
+        (T, N) read-only arrays of available bandwidth per instant and node.
     """
 
     workload: str
@@ -53,8 +57,15 @@ class Trace:
     downlink: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.uplink.shape != self.downlink.shape or self.uplink.ndim != 2:
+        up = np.asarray(self.uplink, dtype=np.float64)
+        down = np.asarray(self.downlink, dtype=np.float64)
+        if up.shape != down.shape or up.ndim != 2:
             raise ValueError("uplink/downlink must be equal-shape (T, N) arrays")
+        check_bandwidths(up, down)
+        up.setflags(write=False)
+        down.setflags(write=False)
+        object.__setattr__(self, "uplink", up)
+        object.__setattr__(self, "downlink", down)
 
     def __len__(self) -> int:
         return int(self.uplink.shape[0])
@@ -64,10 +75,14 @@ class Trace:
         return int(self.uplink.shape[1])
 
     def snapshot(self, t: int) -> BandwidthSnapshot:
-        """The bandwidth state at instant ``t``."""
-        return BandwidthSnapshot(
-            uplink=self.uplink[t].copy(), downlink=self.downlink[t].copy()
-        )
+        """The bandwidth state at instant ``t``: read-only copies of row
+        ``t``, unchecked (the trace was checked whole).  Copies, not
+        views, so a snapshot kept for a whole run does not pin the trace.
+        """
+        up, down = self.uplink[t].copy(), self.downlink[t].copy()
+        up.setflags(write=False)
+        down.setflags(write=False)
+        return BandwidthSnapshot._unchecked(up, down)
 
     def snapshots(self):
         """Iterate all instants as snapshots."""

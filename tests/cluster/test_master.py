@@ -190,6 +190,27 @@ class TestLiveness:
                 BandwidthReport(node=3, uplink_mbps=10.0, downlink_mbps=10.0)
             )
 
+    @pytest.mark.parametrize(
+        "up, down", [(np.nan, 10.0), (10.0, np.nan), (-1.0, 10.0), (10.0, -0.5)]
+    )
+    def test_bad_bandwidth_report_refused_before_the_picture_changes(
+        self, master, up, down
+    ):
+        before = master.snapshot()
+        with pytest.raises(ValueError, match="node 3: bandwidths must be non-negative"):
+            master.on_bandwidth_report(
+                BandwidthReport(node=3, uplink_mbps=up, downlink_mbps=down)
+            )
+        after = master.snapshot()
+        assert np.array_equal(after.uplink, before.uplink)
+        assert np.array_equal(after.downlink, before.downlink)
+
+    def test_infinite_bandwidth_report_accepted(self, master):
+        master.on_bandwidth_report(
+            BandwidthReport(node=3, uplink_mbps=np.inf, downlink_mbps=0.0)
+        )
+        assert master.snapshot().uplink[3] == np.inf
+
     def test_mark_node_live_rejoins(self, master):
         master.mark_node_dead(3)
         assert master.is_node_dead(3)

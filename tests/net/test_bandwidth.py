@@ -25,6 +25,19 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             BandwidthSnapshot(uplink=np.array([-1.0]), downlink=np.array([1.0]))
 
+    @pytest.mark.parametrize("direction", ["uplink", "downlink"])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf])
+    def test_bandwidth_not_at_least_zero_raises(self, direction, bad):
+        arrays = {"uplink": np.full(3, 10.0), "downlink": np.full(3, 10.0)}
+        arrays[direction][1] = bad
+        with pytest.raises(ValueError, match="non-negative"):
+            BandwidthSnapshot(**arrays)
+
+    def test_infinite_and_empty_bandwidths_accepted(self):
+        inf = BandwidthSnapshot.symmetric([np.inf, 0.0])
+        assert inf.uplink[0] == np.inf and inf.downlink[1] == 0.0
+        assert BandwidthSnapshot(uplink=np.empty(0), downlink=np.empty(0)).num_nodes == 0
+
     def test_symmetric_constructor(self):
         s = BandwidthSnapshot.symmetric([100.0, 200.0])
         assert np.array_equal(s.uplink, s.downlink)
@@ -74,9 +87,17 @@ class TestRepairContext:
         with pytest.raises(ValueError):
             RepairContext(snapshot=fig2_snapshot, requester=0, helpers=(1, 1, 2), k=2)
 
-    def test_out_of_range_ids_raise(self, fig2_snapshot):
-        with pytest.raises(ValueError):
-            RepairContext(snapshot=fig2_snapshot, requester=9, helpers=(1, 2, 3), k=3)
+    @pytest.mark.parametrize(
+        "requester, helpers", [(9, (1, 2, 3)), (5, (1, 2, 3)), (-1, (1, 2, 3)),
+                               (0, (1, 2, 5)), (0, (-1, 2, 3))],
+    )
+    def test_out_of_range_ids_raise(self, fig2_snapshot, requester, helpers):
+        with pytest.raises(ValueError, match="out of snapshot range"):
+            RepairContext(snapshot=fig2_snapshot, requester=requester, helpers=helpers, k=3)
+
+    def test_edge_ids_accepted(self, fig2_snapshot):
+        ctx = RepairContext(snapshot=fig2_snapshot, requester=4, helpers=(0, 1, 2), k=3)
+        assert (ctx.requester, ctx.helpers) == (4, (0, 1, 2))
 
     def test_too_few_helpers_raise(self, fig2_snapshot):
         with pytest.raises(ValueError):

@@ -172,9 +172,11 @@ class TestInjectedFaults:
     def test_congestion_stall_keeps_congestion_cause(self):
         """Zero bandwidth everywhere (no injected fault) stalls with the
         congestion cause."""
-        trace = flat_trace()
-        trace.uplink[5:] = 0.0
-        trace.downlink[5:] = 0.0
+        flat = flat_trace()
+        up, down = flat.uplink.copy(), flat.downlink.copy()
+        up[5:] = 0.0
+        down[5:] = 0.0
+        trace = Trace(workload="flat", capacity_mbps=1000.0, uplink=up, downlink=down)
         res = simulate_under_drift(
             get_algorithm("rp"), trace, start_instant=0, requester=7,
             helpers=tuple(range(1, 7)), k=4, chunk_bytes=units.mib(4096),

@@ -80,3 +80,44 @@ class TestStats:
         stats = trace_stats(trace)
         assert stats.cv_mean == 0.0
         assert stats.mean_available_mbps == 50.0
+
+
+class TestTraceChecks:
+    """A trace is checked once, when built, and is read-only after."""
+
+    @pytest.mark.parametrize("direction", ["uplink", "downlink"])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_bandwidth_not_at_least_zero_raises(self, direction, bad):
+        arrays = {"uplink": np.full((4, 3), 10.0), "downlink": np.full((4, 3), 10.0)}
+        arrays[direction][2, 1] = bad
+        with pytest.raises(ValueError, match="non-negative"):
+            Trace(workload="flat", capacity_mbps=100.0, **arrays)
+
+    @pytest.mark.parametrize(
+        "up, down", [(np.ones((4, 3)), np.ones((4, 2))), (np.ones(3), np.ones(3))]
+    )
+    def test_shape_raises(self, up, down):
+        with pytest.raises(ValueError, match="equal-shape"):
+            Trace(workload="flat", capacity_mbps=100.0, uplink=up, downlink=down)
+
+    def test_integer_arrays_converted_and_infinity_kept(self):
+        trace = Trace(
+            workload="flat", capacity_mbps=100.0,
+            uplink=np.full((3, 2), 7, dtype=np.int32), downlink=np.full((3, 2), np.inf),
+        )
+        assert trace.uplink.dtype == trace.downlink.dtype == np.float64
+        snap = trace.snapshot(1)
+        assert snap.uplink.tolist() == [7.0, 7.0]
+        assert snap.downlink.tolist() == [np.inf, np.inf]
+
+    def test_load_trace_refuses_nan(self, tmp_path):
+        trace = make_trace("tpch", num_snapshots=10, seed=3)
+        up = trace.uplink.copy()
+        up[4, 2] = np.nan
+        np.savez_compressed(
+            tmp_path / "nan.npz", uplink=up, downlink=trace.downlink,
+            capacity_mbps=np.array([trace.capacity_mbps]),
+            workload=np.array([trace.workload]), format_version=np.array([1]),
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            load_trace(tmp_path / "nan.npz")
