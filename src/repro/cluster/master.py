@@ -12,7 +12,7 @@ repair coefficients for each pipeline's helper set), and dispatches them.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +42,22 @@ class RepairImpossibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class StripeLocation:
-    """Where a stripe's chunks live: ``placement[i]`` = node of chunk i."""
+    """Where a stripe's chunks live: ``placement[i]`` = node of chunk i.
+
+    ``mask`` is the placement as one node mask (bit ``d`` set ⇔ node
+    ``d`` holds a chunk), built with the location, so "does this node
+    hold a chunk" is one shift and a requester pick reads one word.
+    """
 
     stripe_id: str
     placement: tuple[int, ...]
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mask = 0
+        for node in self.placement:
+            mask |= 1 << node
+        object.__setattr__(self, "mask", mask)
 
     def node_of(self, chunk_index: int) -> int:
         return self.placement[chunk_index]
@@ -200,7 +212,7 @@ class Master:
         The new node must not already hold another chunk of the stripe.
         """
         loc = self.stripe(stripe_id)
-        if new_node in loc.placement and loc.placement[chunk_index] != new_node:
+        if loc.mask >> new_node & 1 and loc.placement[chunk_index] != new_node:
             raise ValueError(
                 f"node {new_node} already holds a chunk of {stripe_id}"
             )
@@ -276,9 +288,8 @@ class Master:
             )
 
     def snapshot(self) -> BandwidthSnapshot:
-        return BandwidthSnapshot(
-            uplink=self._uplink.copy(), downlink=self._downlink.copy()
-        )
+        # the snapshot copies the registry's arrays
+        return BandwidthSnapshot(uplink=self._uplink, downlink=self._downlink)
 
     # ---- repair scheduling -------------------------------------------- #
 

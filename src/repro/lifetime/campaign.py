@@ -92,8 +92,12 @@ class RepairModel:
 
     def seconds(self, stripes: int, lost: int, share: float) -> float:
         mbits = stripes * lost * self.chunk_mib * 8.0 * self.pipeline_factor
-        rate = max(share, 1e-6) * self.node_mbps
-        return max(1.0, mbits / rate)  # no rebuild settles in under a second
+        # ``max(share, 1e-6)`` and ``max(1.0, ...)`` as the comparisons
+        # ``max()`` makes (NaN included), without its call: every
+        # dispatch asks
+        rate = (1e-6 if 1e-6 > share else share) * self.node_mbps
+        seconds = mbits / rate
+        return seconds if seconds > 1.0 else 1.0  # none settles in under 1 s
 
 
 class _SimOutcome:

@@ -15,18 +15,21 @@ gigabytes and melt the event loop, so the population lives here as
   words — its **surviving-chunk word** (bit ``j`` set ⇔ chunk slot
   ``j``'s data still exists somewhere) and its **down word** (bit ``j``
   set ⇔ slot ``j``'s disk is unreachable) — plus its placement row (a
-  ``list[int]``), its size, its lost flag and the start times of its
-  two open exposure windows (``float | None``).  A disk death or an
-  outage edge flips one bit of one word per affected group, whatever
-  the group's size, and every reachability question is bit arithmetic
-  on the two words (``available`` is ``(word & ~down).bit_count()``);
+  ``list[int]``) and beside it the row's **placement mask** (bit ``d``
+  set ⇔ disk ``d`` holds a chunk of the group), its size, its lost flag
+  and the start times of its two open exposure windows (``float |
+  None``).  A disk death or an outage edge flips one bit of one word
+  per affected group, whatever the group's size, and every
+  reachability question is bit arithmetic on the two words
+  (``available`` is ``(word & ~down).bit_count()``); a relocation
+  moves one slot of the row and flips two bits of the mask;
 * the per-stripe ``uint32`` bitmap array is a **derived view**
   (:attr:`StripeTable.intact`, the group words repeated by group size)
   for outside readers, never written by the event path;
 * **lazy promotion** — only groups under active repair are promoted to
   lightweight stripe objects (:meth:`StripeTable.promote`) carrying
-  the mutable placement the orchestrator's duck-typed ``master``
-  surface needs; they are dropped again at completion.
+  the placement mask the orchestrator's duck-typed ``master`` surface
+  needs; they are dropped again at completion.
 
 The table also owns the exposure bookkeeping the durability report is
 built from: per-group *degraded* windows (any chunk destroyed — the
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
 
 import numpy as np
 
@@ -66,8 +68,8 @@ class GroupLoss:
 class ActiveStripe:
     """Promoted view of one placement group for the repair path.
 
-    Exposes the ``placement`` the orchestrator's ``master.stripe``
-    surface expects, read straight from the table's placement row.
+    Exposes the placement ``mask`` the orchestrator's ``master.stripe``
+    surface expects, read straight from the table's placement mask.
     Only groups under active repair are promoted.
     """
 
@@ -78,8 +80,8 @@ class ActiveStripe:
         self.group = group
 
     @property
-    def placement(self) -> tuple[int, ...]:
-        return tuple(self.table.patterns[self.group])
+    def mask(self) -> int:
+        return self.table.placement_masks[self.group]
 
     @property
     def stripes(self) -> int:
@@ -134,18 +136,27 @@ class StripeTable:
         self._down = [0] * num_groups
         self.lost = [False] * num_groups
 
-        # disk -> groups whose *current* pattern uses it (maintained
-        # across relocations)
+        # disk -> groups whose *current* pattern uses it, and per group
+        # the node mask of its current pattern (both maintained across
+        # relocations)
         self._groups_of_disk: dict[int, set[int]] = {}
+        #: placement mask per group: bit ``d`` set ⇔ disk ``d`` holds a
+        #: chunk of the group (its placement row as one word)
+        self.placement_masks = [0] * num_groups
         for p, row in enumerate(rows):
             for d in row:
                 self._groups_of_disk.setdefault(d, set()).add(p)
+                self.placement_masks[p] |= 1 << d
 
         # Group ids are interned once: the orchestrator handles them as
         # strings on every queue push, and f-string-per-call was the
         # top per-stripe allocation hot spot EngineProfiler surfaced.
         self.group_ids = tuple(f"pg-{p:06d}" for p in range(num_groups))
-        self._group_of_id = {gid: p for p, gid in enumerate(self.group_ids)}
+        #: ``group_of_id(stripe_id)`` — the group of an interned id (a
+        #: bound dict lookup: every dispatch and exposure query asks)
+        self.group_of_id = {
+            gid: p for p, gid in enumerate(self.group_ids)
+        }.__getitem__
 
         # Open exposure windows (start time; None = closed) and their
         # sketches.
@@ -164,9 +175,6 @@ class StripeTable:
 
     def group_size(self, group: int) -> int:
         return self._sizes[group]
-
-    def group_of_id(self, stripe_id: str) -> int:
-        return self._group_of_id[stripe_id]
 
     def groups_on(self, disk: int) -> set[int]:
         """Groups whose current placement uses ``disk`` (live view)."""
@@ -198,8 +206,16 @@ class StripeTable:
         return tuple(slots)
 
     def destroyed_disks(self, group: int) -> tuple[int, ...]:
-        """Disks of :meth:`destroyed_slots`, in the same order."""
-        return tuple(map(itemgetter(1), self.destroyed_slots(group)))
+        """Disks of :meth:`destroyed_slots`, in the same order (one walk
+        of the word: every admission asks)."""
+        row = self.patterns[group]
+        gone = self.full_mask & ~self._words[group]
+        disks = []
+        while gone:
+            low = gone & -gone
+            disks.append(row[low.bit_length() - 1])
+            gone ^= low
+        return tuple(disks)
 
     def available(self, group: int) -> int:
         """Chunks both intact and on a reachable disk."""
@@ -248,30 +264,35 @@ class StripeTable:
 
         Sets the slot bits in the group's word and relocates the
         placement entries to the rebuild targets (keeping the
-        disk→groups index current, and each slot's down bit equal to
-        ``down[target]``).  A target may not already hold another slot
-        of the group, nor be named twice: a placement row never repeats
-        a disk.
+        disk→groups index and the placement mask current, and each
+        slot's down bit equal to ``down[target]``).  A target may not
+        already hold another slot of the group, nor be named twice: a
+        placement row never repeats a disk.
         """
         if self.lost[group]:
             raise ValueError(f"group {group} was lost; nothing to rebuild")
         row = self.patterns[group]
+        placed = self.placement_masks[group]
+        named = 0  # targets of the repairs checked so far
         for slot, target in repairs:
-            if row[slot] != target and target in row:
+            bit = 1 << target
+            if row[slot] != target and placed & bit:
                 raise ValueError(
                     f"rebuild target {target} already holds a chunk of "
                     f"group {group}"
                 )
-        if len({target for _, target in repairs}) != len(repairs):
-            raise ValueError(f"two repairs of group {group} name one target")
+            if named & bit:
+                raise ValueError(f"two repairs of group {group} name one target")
+            named |= bit
         word = self._words[group]
         down_word = self._down[group]
         for slot, target in repairs:
             old = row[slot]
             if old != target:
-                self._groups_of_disk.get(old, set()).discard(group)
+                self._groups_of_disk[old].discard(group)
                 self._groups_of_disk.setdefault(target, set()).add(group)
                 row[slot] = target
+                placed ^= 1 << old | 1 << target
             bit = 1 << slot
             word |= bit
             if down[target]:
@@ -280,6 +301,7 @@ class StripeTable:
                 down_word &= ~bit
         self._words[group] = word
         self._down[group] = down_word
+        self.placement_masks[group] = placed
         self.chunks_rebuilt += len(repairs)
         self._update_windows(group, now)
 

@@ -30,11 +30,12 @@ def check_bandwidths(uplink: np.ndarray, downlink: np.ndarray) -> None:
 class BandwidthSnapshot:
     """Immutable per-node uplink/downlink available bandwidth, in Mbps.
 
-    The constructor converts both directions to float64, checks them
-    (equal-length 1-D, every value ``>= 0``, so NaN is refused) and makes
-    them read-only.  :meth:`Trace.snapshot
-    <repro.workloads.base.Trace.snapshot>` builds its row copies through
-    ``_unchecked``: a row of a checked, read-only trace passes both checks.
+    The constructor copies both directions to float64 arrays of its own
+    (so no other view reaches them), checks them (equal-length 1-D,
+    every value ``>= 0``, so NaN is refused) and makes them read-only.
+    :meth:`Trace.snapshot <repro.workloads.base.Trace.snapshot>` builds
+    its row copies through ``_unchecked``: a row of a checked, read-only
+    trace passes both checks.
 
     Attributes
     ----------
@@ -48,8 +49,8 @@ class BandwidthSnapshot:
     downlink: np.ndarray
 
     def __post_init__(self) -> None:
-        up = np.asarray(self.uplink, dtype=np.float64)
-        down = np.asarray(self.downlink, dtype=np.float64)
+        up = np.array(self.uplink, dtype=np.float64)
+        down = np.array(self.downlink, dtype=np.float64)
         if up.ndim != 1 or down.ndim != 1 or up.shape != down.shape:
             raise ValueError(
                 f"uplink/downlink must be equal-length 1-D arrays, got "
@@ -79,8 +80,7 @@ class BandwidthSnapshot:
     @classmethod
     def symmetric(cls, bandwidths) -> "BandwidthSnapshot":
         """Snapshot where each node's uplink equals its downlink."""
-        b = np.asarray(bandwidths, dtype=np.float64)
-        return cls(uplink=b.copy(), downlink=b.copy())
+        return cls(uplink=bandwidths, downlink=bandwidths)
 
     @classmethod
     def uniform(cls, num_nodes: int, mbps: float) -> "BandwidthSnapshot":
@@ -90,7 +90,7 @@ class BandwidthSnapshot:
     def restrict(self, nodes) -> "BandwidthSnapshot":
         """Snapshot over a subset of nodes, reindexed to 0..len(nodes)-1."""
         idx = np.asarray(list(nodes), dtype=np.intp)
-        return BandwidthSnapshot(self.uplink[idx].copy(), self.downlink[idx].copy())
+        return BandwidthSnapshot(self.uplink[idx], self.downlink[idx])
 
     def cv(self, *, direction: str = "uplink") -> float:
         """Coefficient of variation of per-node bandwidth (paper's C_v).

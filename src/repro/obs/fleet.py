@@ -45,12 +45,12 @@ MAX_SERIES = 64
 class TDigest:
     """Merging t-digest: compact streaming quantiles.
 
-    Centroids are ``(mean, weight)`` pairs kept sorted by mean.  New
-    points append to an unsorted buffer; once the buffer holds
-    ``delta`` points, one sorted sweep folds buffer and centroids
-    together, merging neighbours whose combined weight fits the k-size
-    bound ``4 * n * q * (1 - q) / delta`` (Dunning's k1 scale: tails
-    stay near-singleton, the middle coarsens).  Memory is the centroids
+    Centroids are immutable ``(mean, weight)`` tuples kept sorted by
+    mean.  New points append to an unsorted buffer as tuples too; once
+    the buffer holds ``delta`` points, one sorted sweep folds buffer and
+    centroids together, merging neighbours whose combined weight fits
+    the k-size bound ``4 * n * q * (1 - q) / delta`` (Dunning's k1
+    scale: tails stay near-singleton, the middle coarsens).  Memory is the centroids
     plus the ``delta``-point buffer.  The bound admits about
     ``delta / 4`` singletons in each tail and centroids of width
     ``~4 * q * (1 - q) / delta`` in the middle, so the centroid count
@@ -64,8 +64,8 @@ class TDigest:
         if delta < 8:
             raise ValueError("delta must be >= 8")
         self.delta = delta
-        self._centroids: list[list[float]] = []  # sorted [mean, weight]
-        self._buffer: list[list[float]] = []  # unsorted incoming points
+        self._centroids: list[tuple[float, float]] = []  # sorted (mean, weight)
+        self._buffer: list[tuple[float, float]] = []  # unsorted incoming points
         self.count = 0.0
         self.sum = 0.0
         self.min = math.inf
@@ -74,12 +74,17 @@ class TDigest:
     def add(self, value: float, weight: float = 1.0) -> None:
         if weight <= 0:
             raise ValueError("weight must be positive")
-        self._buffer.append([float(value), float(weight)])
+        buffer = self._buffer
+        buffer.append((float(value), float(weight)))
         self.count += weight
         self.sum += value * weight
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        if len(self._buffer) >= self.delta:
+        # the comparisons ``min()`` / ``max()`` make, so NaN and -0.0
+        # keep their rules: only a strictly smaller / larger value wins
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if len(buffer) >= self.delta:
             self._compress()
 
     def merge(self, other: "TDigest") -> None:
@@ -87,7 +92,7 @@ class TDigest:
         if other.count == 0:
             return
         other._compress()
-        self._buffer.extend([m, w] for m, w in other._centroids)
+        self._buffer.extend(other._centroids)
         self.count += other.count
         self.sum += other.sum
         self.min = min(self.min, other.min)
@@ -104,12 +109,13 @@ class TDigest:
         # the open centroid lives in locals and is appended once finalised;
         # ``4.0 * count`` is the bound's first product, hoisted, and the
         # inline ``max(bound, 1.0)`` keeps max's NaN rule
-        merged: list[list[float]] = []
+        merged: list[tuple[float, float]] = []
         append, count, delta = merged.append, self.count, self.delta
         count4 = 4.0 * count
         w_before = 0.0  # total weight of finalised centroids
-        (cur_mean, cur_weight), *rest = pts
-        for mean, weight in rest:
+        points = iter(pts)
+        cur_mean, cur_weight = next(points)
+        for mean, weight in points:
             cand = cur_weight + weight
             q = (w_before + cand / 2.0) / count
             bound = count4 * q * (1.0 - q) / delta
@@ -117,10 +123,10 @@ class TDigest:
                 cur_mean = (cur_mean * cur_weight + mean * weight) / cand
                 cur_weight = cand
             else:
-                append([cur_mean, cur_weight])
+                append((cur_mean, cur_weight))
                 w_before += cur_weight
                 cur_mean, cur_weight = mean, weight
-        append([cur_mean, cur_weight])
+        append((cur_mean, cur_weight))
         self._centroids = merged
 
     @property

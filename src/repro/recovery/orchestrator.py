@@ -130,8 +130,10 @@ class RecoveryOrchestrator:
         Domain-aware rebuild placement: a pick never puts more than
         ``max_per_domain`` chunks of a stripe into one ``spread_level``
         domain of the :class:`~repro.net.topology.DomainTree` while a
-        compliant node is left.  Without a tree every node is its own
-        domain.
+        compliant node is left.  The level's domains must be runs of
+        one width of consecutive disk ids (the last one may be
+        shorter), as every :meth:`~repro.net.topology.DomainTree.uniform`
+        tree's are.  Without a tree every node is its own domain.
     """
 
     def __init__(
@@ -167,16 +169,35 @@ class RecoveryOrchestrator:
         self._was_active = False
         self._rr = 0  # round-robin cursor over requester candidates
         self.spread_fallbacks = 0  # picks that broke the domain cap
-        # node -> bit mask of the nodes in its ``spread_level`` domain
+        if max_per_domain < 1:
+            raise ValueError("max_per_domain must be at least 1")
+        # A domain is a field of ``width`` consecutive node bits, so one
+        # word answers a question about every domain at once: ``tops``
+        # holds each field's highest bit, ``low`` the rest of its bits.
         if tree is None:
-            self._peers = [1 << d for d in range(system.num_nodes)]
+            num_nodes, width = system.num_nodes, 1
         else:
             domain_of = tree.disk_domains(spread_level).tolist()
-            masks = [0] * tree.num_domains(spread_level)
-            for disk, dom in enumerate(domain_of):
-                masks[dom] |= 1 << disk
-            self._peers = [masks[dom] for dom in domain_of]
+            num_nodes, width = len(domain_of), domain_of.count(0)
+            if not width or domain_of != [d // width for d in range(num_nodes)]:
+                raise ValueError(
+                    f"the {spread_level} domains must be runs of one "
+                    f"width of consecutive disk ids"
+                )
+        fields = -(-num_nodes // width)
+        starts = sum(1 << (i * width) for i in range(fields))
+        self._tops = starts << (width - 1)
+        self._low = self._tops - starts
+        self._top_shift = width - 1
+        # node -> bit mask of the nodes in its ``spread_level`` domain
+        field_mask = (1 << width) - 1
+        self._peers = [
+            field_mask << (d - d % width) for d in range(num_nodes)
+        ]
         self._max_per_domain = max_per_domain
+        # the master's stripe lookup, bound once: every pick reads the
+        # stripe's placement mask through it
+        self._stripe = system.master.stripe
         # the system's exposure rule, bound once: the intake and
         # reprioritise loops call it for every candidate stripe
         self._exposure = system.exposure
@@ -354,37 +375,41 @@ class RecoveryOrchestrator:
         (``spread_fallbacks``).  Without a tree every node is its own
         domain, so no candidate is ever in a full domain and the pick is
         the plain round-robin.
-        Candidates, choices and full domains are node bit masks, so a
-        pick is a few integer operations whatever the fleet or stripe
-        width.
+        Candidates, choices and full domains are node bit masks read
+        from the stripe's placement mask, so a pick is a few integer
+        operations whatever the fleet or stripe width.
         """
         system = self.system
-        placement = system.master.stripe(stripe_id).placement
+        mask = self._stripe(stripe_id).mask
         # Candidates are the live nodes outside the placement, in
         # ascending order: ``live`` as a list, ``free`` as a node mask.
         # Neither is filtered per dispatch, so a pick costs O(stripe
         # width) bytecode, not O(fleet), and no Python call per slot or
         # candidate.
         live, live_mask = system.live, system.live_mask
-        placement_mask = 0
-        for d in placement:
-            placement_mask |= 1 << d
-        held = placement_mask & live_mask  # live nodes that are not candidates
+        held = mask & live_mask  # live nodes that are not candidates
         width = len(live) - held.bit_count()
         if width < len(lost):
             return None
-        free = live_mask & ~placement_mask
+        free = live_mask & ~mask
         # ``kept``: nodes keeping (or chosen for) a chunk of the stripe;
-        # ``full``: nodes of the domains already holding ``cap`` of them
-        kept = placement_mask
+        # ``full``: nodes of the domains already holding ``cap`` of them.
+        # Field-wise on every domain at once: each of ``cap - 1`` rounds
+        # clears the lowest bit of every nonempty field (``top`` marks a
+        # nonempty field at its highest bit: adding ``low`` carries into
+        # it), and the fields still nonempty are the full ones.
+        kept = mask
         for f in lost:
             kept &= ~(1 << f)
+        tops, low, shift = self._tops, self._low, self._top_shift
         peers = self._peers
         cap = self._max_per_domain
-        full = 0
-        for d in placement:
-            if (kept & peers[d]).bit_count() >= cap:
-                full |= peers[d]
+        count = kept
+        for _ in range(cap - 1):
+            top = (((count & low) + low) | count) & tops
+            count &= count - (top >> shift)
+        top = (((count & low) + low) | count) & tops
+        full = (top << 1) - (top >> shift)
 
         chosen: dict[int, int] = {}
         for i, f in enumerate(lost):

@@ -37,9 +37,10 @@ DEFAULT_NUM_SNAPSHOTS = 6000
 class Trace:
     """A time-continuous sequence of bandwidth snapshots.
 
-    The constructor checks the arrays once — equal-shape 2-D float64
-    (converted like a snapshot's), every value ``>= 0`` (NaN refused) —
-    and makes them read-only, so no instant needs checking again.
+    The constructor copies the arrays to float64 arrays of its own (like
+    a snapshot's: no other view reaches them), checks them once —
+    equal-shape 2-D, every value ``>= 0`` (NaN refused) — and makes them
+    read-only, so no instant needs checking again.
 
     Attributes
     ----------
@@ -57,8 +58,8 @@ class Trace:
     downlink: np.ndarray
 
     def __post_init__(self) -> None:
-        up = np.asarray(self.uplink, dtype=np.float64)
-        down = np.asarray(self.downlink, dtype=np.float64)
+        up = np.array(self.uplink, dtype=np.float64)
+        down = np.array(self.downlink, dtype=np.float64)
         if up.shape != down.shape or up.ndim != 2:
             raise ValueError("uplink/downlink must be equal-shape (T, N) arrays")
         check_bandwidths(up, down)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Master, StripeLocation
 from repro.cluster.messages import BandwidthReport
@@ -25,6 +27,12 @@ class TestStripeLocation:
         loc = StripeLocation("s", (5, 3, 7))
         assert loc.node_of(1) == 3
         assert loc.chunk_on(7) == 2
+        assert loc.mask == 1 << 5 | 1 << 3 | 1 << 7
+
+    def test_mask_is_derived_not_compared(self):
+        loc = StripeLocation("s", (5, 3, 7))
+        assert loc == StripeLocation("s", (5, 3, 7))
+        assert "mask" not in repr(loc)
 
     def test_chunk_on_missing(self):
         with pytest.raises(KeyError):
@@ -150,6 +158,28 @@ class TestRelocation:
     def test_relocate_to_same_node_is_noop(self, master):
         master.relocate_chunk("s1", 2, 2)
         assert master.stripe("s1").node_of(2) == 2
+        assert master.stripe("s1").mask == 0b11111
+
+    @settings(max_examples=150, deadline=None)
+    @given(moves=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 7)),
+                          max_size=20))
+    def test_relocations_keep_the_mask_equal_to_the_placement(self, moves):
+        """Random relocations — to a new node, to the chunk's own node,
+        and refused ones onto a node holding another chunk — leave
+        ``mask`` equal to the placement's node mask; a refused one
+        changes neither."""
+        m = Master(RSCode(5, 3), FullRepair(), num_nodes=8)
+        m.register_stripe(StripeLocation("s1", (0, 1, 2, 3, 4)))
+        for chunk, node in moves:
+            before = m.stripe("s1")
+            try:
+                m.relocate_chunk("s1", chunk, node)
+            except ValueError:
+                assert before.placement[chunk] != node
+                assert m.stripe("s1") is before
+            loc = m.stripe("s1")
+            assert loc.mask == sum(1 << d for d in loc.placement)
+            assert loc.mask.bit_count() == 5
 
     def test_repair_relocates_metadata(self, master):
         """After repair(store=True) reads route to the replacement."""

@@ -21,6 +21,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import repro.recovery.orchestrator as orchestrator
 from repro.lifetime import RepairModel, StripeTable, StripeTableSystem
@@ -60,6 +62,18 @@ def draw_programs(count: int = 400, seed: int = 33) -> list[dict]:
     return programs
 
 
+def one_group_fleet(tree, placement, down_disks):
+    """``(table, system)``: one placement group on ``tree``'s disks."""
+    down = [False] * tree.num_disks
+    for d in down_disks:
+        down[d] = True
+    table = StripeTable(1, np.array([placement]), k=1)
+    system = StripeTableSystem(
+        table, tree, EventQueue(), down, repair_model=RepairModel()
+    )
+    return table, system
+
+
 def run_program(program: dict, orchestrator_cls) -> dict:
     """One ``_pick_requesters`` call on a one-group fleet."""
     racks, machines, disks = program["shape"]
@@ -67,13 +81,7 @@ def run_program(program: dict, orchestrator_cls) -> dict:
         racks_per_dc=racks, machines_per_rack=machines,
         disks_per_machine=disks,
     )
-    down = [False] * tree.num_disks
-    for d in program["down"]:
-        down[d] = True
-    table = StripeTable(1, np.array([program["placement"]]), k=1)
-    system = StripeTableSystem(
-        table, tree, EventQueue(), down, repair_model=RepairModel()
-    )
+    table, system = one_group_fleet(tree, program["placement"], program["down"])
     orch = orchestrator_cls(
         system, tree=tree, spread_level=program["level"],
         max_per_domain=program["cap"],
@@ -133,7 +141,16 @@ MUTANTS = {
     "start_one_candidate_late": (
         "j = (self._rr + i) % width", "j = (self._rr + i + 1) % width", 1
     ),
-    "cap_as_strict_greater": (".bit_count() >= cap:", ".bit_count() > cap:", 2),
+    "cap_as_strict_greater": (".bit_count() >= cap:", ".bit_count() > cap:", 1),
+    # the full-domain rule, read from the whole placement mask: a lost
+    # node's domain stays marked full
+    "full_counts_lost_chunks": ("count = kept\n", "count = mask\n", 1),
+    # one clearing round short: a cap-2 domain holding one chunk is full
+    "full_one_round_short": ("range(cap - 1)", "range(cap - 2)", 1),
+    # a field holding only its highest bit reads empty
+    "full_misses_top_node": (
+        "| count) & tops\n", ") & tops\n", 2
+    ),
 }
 
 
@@ -161,3 +178,131 @@ def test_a_mutant_picker_fails_the_fixture(name, golden, monkeypatch):
 if __name__ == "__main__":
     rows = (json.dumps(row) for row in capture_golden())
     GOLDEN_PATH.write_text("[\n" + ",\n".join(rows) + "\n]\n")
+
+
+# --------------------------------------------------------------------- #
+# the field-wise full-domain rule equals counting each domain            #
+# --------------------------------------------------------------------- #
+
+
+def slot_loop_picks(tree, level, cap, live, placement, lost, rr):
+    """``(picks, fallbacks)`` of the picker as it was before the
+    placement mask was kept: the placement mask built slot by slot, and
+    each slot's domain counted against ``cap`` (test-only)."""
+    domain_of = tree.disk_domains(level).tolist()
+    masks = [0] * (max(domain_of) + 1)
+    for disk, dom in enumerate(domain_of):
+        masks[dom] |= 1 << disk
+    peers = [masks[dom] for dom in domain_of]
+    live_mask = sum(1 << d for d in live)
+    placement_mask = 0
+    for d in placement:
+        placement_mask |= 1 << d
+    held = placement_mask & live_mask
+    width = len(live) - held.bit_count()
+    if width < len(lost):
+        return None, 0
+    free = live_mask & ~placement_mask
+    kept = placement_mask
+    for f in lost:
+        kept &= ~(1 << f)
+    full = 0
+    for d in placement:
+        if (kept & peers[d]).bit_count() >= cap:
+            full |= peers[d]
+    chosen, fallbacks = {}, 0
+    for i, f in enumerate(lost):
+        j = (rr + i) % width
+        at = j
+        while (nxt := j + (held & ((2 << live[at]) - 1)).bit_count()) != at:
+            at = nxt
+        below = (1 << live[at]) - 1
+        pool = free & ~full
+        if not pool:
+            fallbacks += 1
+            pool = free
+        pool = (pool & ~below) or pool
+        pick = (pool & -pool).bit_length() - 1
+        free ^= 1 << pick
+        kept |= 1 << pick
+        chosen[f] = pick
+        if (kept & peers[pick]).bit_count() >= cap:
+            full |= peers[pick]
+    return chosen, fallbacks
+
+
+def ragged_racks(num_disks: int, per_rack: int) -> DomainTree:
+    """One-disk machines in racks of ``per_rack``, the last one short."""
+    return DomainTree(
+        machine_of=tuple(range(num_disks)),
+        rack_of=tuple(i // per_rack for i in range(num_disks)),
+        dc_of=(0,) * -(-num_disks // per_rack),
+    )
+
+
+@st.composite
+def fleets(draw):
+    """A tree (uniform, or racks with a short last one), a level of it,
+    a cap of 1-3, a placement with lost chunks, down disks, a cursor."""
+    if draw(st.booleans()):
+        tree = DomainTree.uniform(
+            dcs=draw(st.integers(1, 2)), racks_per_dc=draw(st.integers(1, 4)),
+            machines_per_rack=draw(st.integers(1, 4)),
+            disks_per_machine=draw(st.integers(1, 4)),
+        )
+        level = draw(st.sampled_from(["disk", "machine", "rack", "dc"]))
+    else:
+        tree = ragged_racks(draw(st.integers(3, 40)), draw(st.integers(2, 7)))
+        level = draw(st.sampled_from(["machine", "rack", "dc"]))
+    disks = tree.num_disks
+    assume(disks >= 3)
+    placement = draw(st.permutations(range(disks)))[: draw(st.integers(2, min(disks - 1, 14)))]
+    lost = draw(st.lists(st.sampled_from(placement), min_size=1,
+                         max_size=min(len(placement), 4), unique=True))
+    down = draw(st.sets(st.integers(0, disks - 1), max_size=disks // 2))
+    return {
+        "tree": tree, "level": level, "cap": draw(st.integers(1, 3)),
+        "placement": placement, "lost": lost, "down": sorted(down),
+        "rr": draw(st.integers(0, 10_000)),
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(fleets())
+def test_field_rule_equals_counting_each_domain(fleet):
+    tree = fleet["tree"]
+    table, system = one_group_fleet(tree, fleet["placement"], fleet["down"])
+    orch = orchestrator.RecoveryOrchestrator(
+        system, tree=tree, spread_level=fleet["level"],
+        max_per_domain=fleet["cap"],
+    )
+    orch._rr = fleet["rr"]
+    picks = orch._pick_requesters(table.group_ids[0], tuple(fleet["lost"]))
+    assert (picks, orch.spread_fallbacks) == slot_loop_picks(
+        tree, fleet["level"], fleet["cap"], system.live, fleet["placement"],
+        fleet["lost"], fleet["rr"],
+    )
+
+
+@pytest.mark.parametrize(
+    "machine_of, rack_of",
+    [
+        ((0, 1, 0, 1), (0, 0)),  # interleaved machines
+        ((0, 0, 0, 1, 1, 2, 2, 2), (0, 0, 0)),  # a short middle machine
+        ((1, 1, 0, 0), (0, 0)),  # machines out of disk order
+    ],
+)
+def test_domains_that_are_not_aligned_runs_are_refused(machine_of, rack_of):
+    tree = DomainTree(machine_of=machine_of, rack_of=rack_of, dc_of=(0,))
+    _, system = one_group_fleet(tree, [0, 1], [])
+    with pytest.raises(ValueError, match="runs of one width"):
+        orchestrator.RecoveryOrchestrator(system, tree=tree)
+    # the rack level of the same tree is one run, and is accepted
+    orchestrator.RecoveryOrchestrator(system, tree=tree, spread_level="rack")
+
+
+def test_a_cap_below_one_is_refused():
+    tree = DomainTree.uniform()
+    _, system = one_group_fleet(tree, [0, 1, 2], [])
+    with pytest.raises(ValueError, match="max_per_domain"):
+        orchestrator.RecoveryOrchestrator(system, tree=tree, max_per_domain=0)

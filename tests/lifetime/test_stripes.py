@@ -90,7 +90,8 @@ class TestDestroyAndRebuild:
         # no — onto a different disk entirely, exercising relocation
         table.rebuild(0, [(2, 5)], 2.0, no_down())
         assert table.surviving(0) == 3
-        assert table.promote(0).placement == (0, 1, 5)
+        assert table.patterns[0] == [0, 1, 5]
+        assert table.promote(0).mask == 0b100011
         assert 0 in table.groups_on(5)
         assert 0 not in table.groups_on(2)
         assert table.chunks_rebuilt == 1
@@ -113,7 +114,7 @@ class TestDestroyAndRebuild:
         with pytest.raises(ValueError, match=message):
             table.rebuild(0, repairs, 1.0, no_down())
         # refused whole: nothing relocated, nothing rebuilt
-        assert table.promote(0).placement == (0, 1, 2)
+        assert table.patterns[0] == [0, 1, 2]
         assert table.destroyed_slots(0) == ((0, 0), (1, 1))
         assert table.chunks_rebuilt == 0
 
@@ -212,8 +213,61 @@ class TestPromotion:
         down[4] = True
         table.destroy_disk(4, 0.0, down)
         table.rebuild(1, [(1, 2)], 1.0, no_down())
-        assert stripe.placement == (3, 2, 5)
+        assert table.patterns[1] == [3, 2, 5]
+        assert stripe.mask == 1 << 3 | 1 << 2 | 1 << 5
         assert stripe.stripes == table.group_size(1)
+
+
+def mask_of(row) -> int:
+    return sum(1 << d for d in row)
+
+
+class TestPlacementMask:
+    """The placement mask kept beside each row is the row, as one word."""
+
+    def test_built_with_the_table(self):
+        table = make_table()
+        assert table.placement_masks == [0b000111, 0b111000]
+        assert table.promote(1).mask == 0b111000
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rebuilds_keep_it_equal_to_the_row(self, data):
+        """Random rebuild sequences — relocations, rebuilds onto the
+        slot's own disk, and refused ones naming a disk of the group or
+        one target twice — leave every group's word equal to the mask
+        recomputed from its row; a refused rebuild changes neither."""
+        disks, n, groups = 10, 4, 3
+        rows = [data.draw(st.permutations(range(disks)))[:n] for _ in range(groups)]
+        table = StripeTable(groups, np.array(rows), k=1)
+        down = np.zeros(disks, dtype=bool)
+        for step in range(data.draw(st.integers(1, 12))):
+            g = data.draw(st.integers(0, groups - 1))
+            slots = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                       max_size=n, unique=True))
+            targets = st.integers(0, disks - 1)
+            repairs = [(slot, data.draw(targets)) for slot in slots]
+            before = (list(table.patterns[g]), table.placement_masks[g])
+            try:
+                table.rebuild(g, repairs, float(step), down)
+            except ValueError:
+                assert (table.patterns[g], table.placement_masks[g]) == before
+            for p in range(groups):
+                assert table.placement_masks[p] == mask_of(table.patterns[p])
+                assert table.promote(p).mask == table.placement_masks[p]
+                assert len(table.patterns[p]) == table.placement_masks[p].bit_count()
+
+    def test_a_rebuild_onto_its_own_disk_keeps_the_word(self):
+        table = make_table()
+        table.rebuild(0, [(1, 1)], 1.0, no_down())
+        assert table.placement_masks[0] == 0b000111
+
+    def test_a_refused_rebuild_keeps_the_word(self):
+        table = make_table()
+        with pytest.raises(ValueError, match="already holds a chunk"):
+            table.rebuild(0, [(0, 5), (1, 2)], 1.0, no_down())
+        assert table.placement_masks[0] == 0b000111
+        assert table.patterns[0] == [0, 1, 2]
 
 
 # --------------------------------------------------------------------- #
@@ -346,7 +400,7 @@ def assert_same_state(table, ref, down):
         assert table.surviving(p) == ref.surviving(p)
         assert table.available(p) == ref.available(p, down)
         assert table.destroyed_slots(p) == ref.destroyed_slots(p)
-        assert table.promote(p).placement == tuple(ref.patterns[p].tolist())
+        assert table.patterns[p] == ref.patterns[p].tolist()
         assert bool(table.lost[p]) == bool(ref.lost[p])
         # which windows are open, and since when
         for mine, theirs in (

@@ -33,6 +33,31 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="non-negative"):
             BandwidthSnapshot(**arrays)
 
+    def test_a_write_through_a_views_base_cannot_reach_it(self):
+        """The snapshot owns its arrays: a view's writable base changed
+        after the check changes nothing the snapshot holds."""
+        table = np.full((2, 4), 100.0)
+        snap = BandwidthSnapshot(uplink=table[0], downlink=table[1])
+        table[0, 2] = np.nan
+        table[1, 1] = -7.0
+        assert snap.uplink.tolist() == [100.0] * 4
+        assert snap.downlink.tolist() == [100.0] * 4
+        assert snap.uplink.flags.owndata and snap.downlink.flags.owndata
+
+    def test_the_callers_array_is_copied_not_frozen(self):
+        """Neither another view of the caller's array nor the caller's
+        own handle reaches the snapshot, and the caller's array stays
+        writable."""
+        up, down = np.full(3, 10.0), np.full(3, 20.0)
+        other = up[:]
+        snap = BandwidthSnapshot(uplink=up, downlink=down)
+        other[0] = -1.0
+        down[2] = np.nan
+        assert snap.uplink.tolist() == [10.0] * 3
+        assert snap.downlink.tolist() == [20.0] * 3
+        with pytest.raises(ValueError, match="read-only"):
+            snap.uplink[0] = 1.0
+
     def test_infinite_and_empty_bandwidths_accepted(self):
         inf = BandwidthSnapshot.symmetric([np.inf, 0.0])
         assert inf.uplink[0] == np.inf and inf.downlink[1] == 0.0

@@ -1,17 +1,24 @@
-"""``TDigest._compress`` keeps its centroids bit for bit.
+"""``TDigest`` keeps its centroids bit for bit.
 
 The merge loop holds the open centroid in locals instead of reading and
-writing ``merged[-1]`` and ``self.*`` per point; every arithmetic
-expression keeps its order.  The loop as it stood before is frozen below
-as a ``TDigest`` subclass, and hypothesis programs of weighted ``add``,
-``merge`` and ``quantile`` calls must leave both digests with the same
-centroid bits and answer every quantile with the same float.
+writing ``merged[-1]`` and ``self.*`` per point, points and centroids
+are immutable ``(mean, weight)`` tuples instead of 2-lists, and ``add``
+keeps ``min`` / ``max`` by comparison instead of calling ``min()`` /
+``max()``; every arithmetic expression keeps its order.  The list-based
+sketch as it stood before — ``add``, ``merge`` and the merge loop — is
+frozen below as a ``TDigest`` subclass, and hypothesis programs of
+weighted ``add``, ``merge`` and ``quantile`` calls must leave both
+digests with the same centroid bits and answer every quantile with the
+same float.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +26,32 @@ from repro.obs import TDigest
 
 
 class ReferenceTDigest(TDigest):
-    """The sketch with the merge loop it had before (test-only)."""
+    """The sketch with the list-based points, ``add``, ``merge`` and
+    merge loop it had before (test-only)."""
 
     __slots__ = ()
+
+    def add(self, value: float, weight: float = 1.0) -> None:
+        if weight <= 0:
+            raise ValueError("weight must be positive")
+        self._buffer.append([float(value), float(weight)])
+        self.count += weight
+        self.sum += value * weight
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
+        if len(self._buffer) >= self.delta:
+            self._compress()
+
+    def merge(self, other: "TDigest") -> None:
+        if other.count == 0:
+            return
+        other._compress()
+        self._buffer.extend([m, w] for m, w in other._centroids)
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        self._compress()
 
     def _compress(self) -> None:
         if not self._buffer and len(self._centroids) <= 2 * self.delta:
@@ -49,9 +79,13 @@ class ReferenceTDigest(TDigest):
 
 
 def bits(digest: TDigest) -> list[bytes]:
-    return [struct.pack("<dd", m, w) for m, w in digest._centroids] + [
-        struct.pack("<dd", m, w) for m, w in digest._buffer
-    ]
+    """Every centroid and buffered point, then ``count`` / ``sum`` /
+    ``min`` / ``max``, as IEEE bytes."""
+    return (
+        [struct.pack("<dd", m, w) for m, w in digest._centroids]
+        + [struct.pack("<dd", m, w) for m, w in digest._buffer]
+        + [struct.pack("<dddd", digest.count, digest.sum, digest.min, digest.max)]
+    )
 
 
 values = st.floats(-1e6, 1e6, allow_nan=False)
@@ -104,3 +138,46 @@ def test_a_long_stream_keeps_every_centroid_bit():
     assert bits(ours) == bits(ref)
     for q in (0.001, 0.5, 0.999):
         assert ours.quantile(q) == ref.quantile(q)
+
+
+def test_the_campaign_exposure_stream_keeps_every_centroid_bit():
+    """Shaped like a lifetime campaign's exposure digest: ~32k degraded
+    windows, heavy-tailed spans in seconds, each weighted by its group's
+    size (200k stripes over 128 groups: 1,563 or 1,562)."""
+    rng = np.random.default_rng(2023)
+    spans = rng.exponential(4_000.0, 32_000) * rng.choice([1.0, 1.0, 1.0, 8.0], 32_000)
+    sizes = np.where(rng.integers(128, size=32_000) < 64, 1_563, 1_562)
+    ours, ref = TDigest(64), ReferenceTDigest(64)
+    for span, size in zip(spans.tolist(), sizes.tolist()):
+        ours.add(span, size)
+        ref.add(span, size)
+    assert bits(ours) == bits(ref)
+    for q in (0.0, 0.5, 0.99, 1.0):
+        assert struct.pack("<d", ours.quantile(q)) == struct.pack(
+            "<d", ref.quantile(q)
+        )
+    assert bits(ours) == bits(ref)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        [0.0, -0.0, 0.0],
+        [-0.0, 0.0, -0.0],
+        [math.nan, 1.0, -1.0],
+        [1.0, math.nan, 2.0, -3.0],
+        [-math.inf, math.inf, math.nan],
+        [5, 5.0, 2, 2.0],
+    ],
+)
+def test_min_and_max_keep_the_builtins_rules(stream):
+    """``add``'s comparisons pick what ``min()`` / ``max()`` picked, sign
+    of zero, NaN (never taken) and int-vs-float included."""
+    ours, ref = TDigest(8), ReferenceTDigest(8)
+    for value in stream:
+        ours.add(value)
+        ref.add(value)
+        for attr in ("min", "max"):
+            a, b = getattr(ours, attr), getattr(ref, attr)
+            assert type(a) is type(b)
+            assert struct.pack("<d", a) == struct.pack("<d", b)

@@ -110,6 +110,23 @@ class TestTraceChecks:
         assert snap.uplink.tolist() == [7.0, 7.0]
         assert snap.downlink.tolist() == [np.inf, np.inf]
 
+    def test_a_write_through_a_views_base_cannot_reach_it(self):
+        """The trace owns its arrays: column slices of one writable array
+        are copied, so a write to that array after the check reaches no
+        snapshot."""
+        big = np.full((5, 6), 50.0)
+        trace = Trace(
+            workload="flat", capacity_mbps=100.0,
+            uplink=big[:, :3], downlink=big[:, 3:],
+        )
+        big[3, 1] = -7.0
+        big[3, 4] = np.nan
+        snap = trace.snapshot(3)
+        assert snap.uplink.tolist() == [50.0] * 3
+        assert snap.downlink.tolist() == [50.0] * 3
+        assert trace.uplink.flags.owndata and trace.downlink.flags.owndata
+        assert big.flags.writeable
+
     def test_load_trace_refuses_nan(self, tmp_path):
         trace = make_trace("tpch", num_snapshots=10, seed=3)
         up = trace.uplink.copy()
